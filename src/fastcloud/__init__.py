@@ -3,6 +3,7 @@
 from .intervals import IntervalNumber, add, possibility_degree, scale, separation
 from .registry import (
     AmvRecord,
+    DuplicateSubmissionError,
     ImportSummary,
     MissingSloError,
     Polarity,
@@ -48,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntervalNumber", "add", "possibility_degree", "scale", "separation",
-    "AmvRecord", "ImportSummary", "MissingSloError", "Polarity", "QosAttribute",
+    "AmvRecord", "DuplicateSubmissionError", "ImportSummary", "MissingSloError", "Polarity", "QosAttribute",
     "Registry", "SloRecord", "Store", "UnknownAttributeError", "import_qws",
     "ConsistencyProfile", "actual_slo_interval", "average_amv",
     "consistency_rate", "satisfies_consistency",

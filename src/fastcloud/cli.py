@@ -27,6 +27,7 @@ from pathlib import Path
 from .bench import BenchConfig, BenchMode, render_report, run_benchmark
 from .registry import (
     AmvRecord,
+    DuplicateSubmissionError,
     MissingSloError,
     Polarity,
     QosAttribute,
@@ -148,14 +149,9 @@ def cmd_submit_amv(args: argparse.Namespace) -> int:
             )
             registry.submit_amv(record)
             appended += 1
-        except (MissingSloError, UnknownAttributeError) as exc:
-            failures.append(f"  line {line_no}: {exc}")
-        except ValueError as exc:
-            if "duplicate" in str(exc):
-                skipped += 1
-            else:
-                failures.append(f"  line {line_no}: {exc}")
-        except (TypeError, AttributeError) as exc:
+        except DuplicateSubmissionError:
+            skipped += 1
+        except (ValueError, TypeError, AttributeError) as exc:
             failures.append(f"  line {line_no}: {exc}")
     for failure in failures:
         print(failure, file=sys.stderr)

@@ -58,17 +58,8 @@ def consistency_rate(registry: Registry, csp_id: str, attribute: str) -> tuple[f
     check. Consumers with an SLO but no submissions are therefore agreed but
     not satisfied: an unverifiable claim does not raise the rate.
     """
-    attr = registry.resolve_attribute(attribute)
-    slos = registry.slos_for(csp_id, attr.name)
-    if not slos:
-        raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
-    satisfied = 0
-    for record in slos:
-        samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
-        if samples and satisfies_consistency(attr.polarity, record.value, average_amv(samples)):
-            satisfied += 1
-    agreed = len(slos)
-    return satisfied / agreed, satisfied, agreed
+    profile = actual_slo_interval(registry, csp_id, attribute)
+    return profile.consistency_rate, profile.satisfied_count, profile.agreed_count
 
 
 def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> ConsistencyProfile:
@@ -81,8 +72,17 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
     decision-matrix normalization.
     """
     attr = registry.resolve_attribute(attribute)
-    rate, satisfied, agreed = consistency_rate(registry, csp_id, attr.name)
-    values = [r.value for r in registry.slos_for(csp_id, attr.name)]
+    slos = registry.slos_for(csp_id, attr.name)
+    if not slos:
+        raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
+    satisfied = 0
+    for record in slos:
+        samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
+        if samples and satisfies_consistency(attr.polarity, record.value, average_amv(samples)):
+            satisfied += 1
+    agreed = len(slos)
+    rate = satisfied / agreed
+    values = [r.value for r in slos]
     span = IntervalNumber(min(values), max(values))
     return ConsistencyProfile(
         csp_id=csp_id,

@@ -2,8 +2,8 @@
 
 The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
 amvs.csv) under one directory and rewrites them atomically (write to a temp
-file, then rename). Reads need no coordination; mutations are serialized
-through a single lock.
+file, then rename). Loading applies the same record checks as submission.
+Saves are serialized through a lock that holds only within one process.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import os
 import re
 import tempfile
@@ -35,6 +36,10 @@ class MissingSloError(ValueError):
     """A monitored value was submitted for a triple with no agreed objective."""
 
 
+class DuplicateSubmissionError(ValueError):
+    """A monitored value identical to one already held at the same sequence."""
+
+
 @dataclass(frozen=True, slots=True)
 class QosAttribute:
     name: str
@@ -53,8 +58,8 @@ class SloRecord:
     value: float
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError(f"SLO value must be positive, got {self.value}")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"SLO value must be finite and positive, got {self.value}")
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -72,8 +77,8 @@ class AmvRecord:
     sequence: int | None = None
 
     def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"monitored value must be nonnegative, got {self.value}")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(f"monitored value must be finite and nonnegative, got {self.value}")
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -107,12 +112,17 @@ class Registry:
 
     Attributes are keyed by name and by abbreviation (both must be unique).
     SLO records replace on resubmission of the same (csp, csc, attribute)
-    triple; AMV records append.
+    triple; AMV records append. Records enter only through ``submit_*``,
+    ``import_qws`` and ``Store.load``, which keeps the per-triple AMV index
+    whole; appending to ``amvs`` directly bypasses it.
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict)
     slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict)
     amvs: list[AmvRecord] = field(default_factory=list)
+    # (csp, csc, attribute) -> {sequence: value}, updated only by _append_amv
+    _samples: dict[tuple[str, str, str], dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- attribute handling ------------------------------------------------
 
@@ -141,13 +151,6 @@ class Registry:
     def providers(self) -> set[str]:
         return {r.csp_id for r in self.slos.values()}
 
-    @property
-    def consumers(self) -> set[str]:
-        return {r.csc_id for r in self.slos.values()}
-
-    def consumers_of(self, csp_id: str) -> set[str]:
-        return {r.csc_id for r in self.slos.values() if r.csp_id == csp_id}
-
     # -- submissions --------------------------------------------------------
 
     def submit_slo(self, record: SloRecord) -> bool:
@@ -164,8 +167,8 @@ class Registry:
 
         A record without a sequence gets the next per-triple index. A record
         carrying an explicit sequence is the file/import path: an identical
-        record already present is a no-op signalled by ValueError("duplicate"),
-        and the same key with a different value is a conflict.
+        record already present is a no-op signalled by DuplicateSubmissionError,
+        and the same key with a different value is a conflict (ValueError).
         """
         attr = self.resolve_attribute(record.attribute)
         if record.attribute != attr.name:
@@ -177,37 +180,27 @@ class Registry:
         return self._append_amv(record)
 
     def _append_amv(self, record: AmvRecord) -> AmvRecord:
+        samples = self._samples.setdefault(record.key, {})
         if record.sequence is None:
-            record = replace(record, sequence=self.next_sequence(record.key))
-        else:
-            existing = self._find_amv(record.key, record.sequence)
-            if existing is not None:
-                if existing.value == record.value:
-                    raise ValueError(
-                        f"duplicate submission {record.key} sequence {record.sequence}"
-                    )
-                raise ValueError(
-                    f"sequence {record.sequence} for {record.key} already holds "
-                    f"value {existing.value}, refusing to overwrite with {record.value}"
+            record = replace(record, sequence=1 + max(samples, default=0))
+        elif record.sequence in samples:
+            existing = samples[record.sequence]
+            if existing == record.value:
+                raise DuplicateSubmissionError(
+                    f"duplicate submission {record.key} sequence {record.sequence}"
                 )
+            raise ValueError(
+                f"sequence {record.sequence} for {record.key} already holds "
+                f"value {existing}, refusing to overwrite with {record.value}"
+            )
+        samples[record.sequence] = record.value
         self.amvs.append(record)
         return record
 
-    def next_sequence(self, key: tuple[str, str, str]) -> int:
-        return 1 + max((r.sequence or 0 for r in self.amvs if r.key == key), default=0)
-
-    def _find_amv(self, key: tuple[str, str, str], sequence: int) -> AmvRecord | None:
-        for r in self.amvs:
-            if r.key == key and r.sequence == sequence:
-                return r
-        return None
-
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
-        key = (csp_id, csc_id, attribute)
-        return [r.value for r in sorted(
-            (r for r in self.amvs if r.key == key), key=lambda r: r.sequence or 0
-        )]
+        samples = self._samples.get((csp_id, csc_id, attribute), {})
+        return [samples[sequence] for sequence in sorted(samples)]
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
         return [r for r in self.slos.values()
@@ -245,11 +238,12 @@ def import_qws(
     from the service-identity column and a single synthetic consumer id is
     used per service; the per-attribute sequence is the row's 1-based index
     within its service group. Re-importing the same file regenerates the
-    same records, which are skipped as duplicates.
+    same records, which are skipped as duplicates; a record whose sequence
+    already holds a different value is reported as a conflict and not stored.
 
-    Rows with missing or non-numeric values in a mapped column are counted
-    and reported, not fatal. These are bulk third-party observations, so no
-    agreed SLO is required (unlike ``Registry.submit_amv``).
+    Rows with missing, non-numeric, non-finite or negative values in a mapped
+    column are counted and reported, not fatal. These are bulk third-party
+    observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
     mapping = dict(mapping or STANDARD_QWS_MAPPING)
     reader = csv.DictReader(source)
@@ -280,22 +274,25 @@ def import_qws(
             rejected += 1
             rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
             continue
-        if any(v < 0 for v in values.values()):
-            rejected += 1
-            rejections.append(f"line {line_no}: negative monitored value")
-            continue
         csp_id = _slugify(service)
-        csc_id = f"{csp_id}/monitor"
-        group_counts[csp_id] = group_counts.get(csp_id, 0) + 1
-        sequence = group_counts[csp_id]
+        sequence = group_counts.get(csp_id, 0) + 1
+        try:
+            records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
+                       for attr_name, value in values.items()]
+        except ValueError as exc:
+            rejected += 1
+            rejections.append(f"line {line_no}: {exc}")
+            continue
+        group_counts[csp_id] = sequence
         accepted += 1
-        for attr_name, value in values.items():
-            record = AmvRecord(csp_id, csc_id, attr_name, value, sequence)
+        for record in records:
             try:
                 registry._append_amv(record)
                 added += 1
-            except ValueError:
+            except DuplicateSubmissionError:
                 skipped += 1
+            except ValueError as exc:
+                rejections.append(f"line {line_no}: {exc}")
     return ImportSummary(accepted, rejected, added, skipped, tuple(rejections))
 
 
@@ -304,7 +301,12 @@ class Store:
 
     One CSV file per record kind; every save rewrites the affected file via
     a temp file and atomic rename, so a crash never leaves a half-written
-    store. Mutations are funnelled through one lock.
+    store. Loading applies the record checks of submission: non-finite or
+    out-of-range values, unregistered attributes and a repeated (triple,
+    sequence) in amvs.csv are refused with the record's error; attribute
+    abbreviations in slos.csv resolve to names. Saves are serialized through a
+    ``threading.Lock``, which holds only within one process; concurrent
+    writer processes can still lose records.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"
@@ -329,14 +331,13 @@ class Store:
         if path.exists():
             with path.open(newline="", encoding="utf-8") as fh:
                 for row in csv.DictReader(fh):
-                    record = SloRecord(row["csp_id"], row["csc_id"],
-                                       row["attribute"], float(row["value"]))
-                    registry.slos[record.key] = record
+                    registry.submit_slo(SloRecord(row["csp_id"], row["csc_id"],
+                                                  row["attribute"], float(row["value"])))
         path = self.root / self.AMVS_FILE
         if path.exists():
             with path.open(newline="", encoding="utf-8") as fh:
                 for row in csv.DictReader(fh):
-                    registry.amvs.append(AmvRecord(
+                    registry._append_amv(AmvRecord(
                         row["csp_id"], row["csc_id"], row["attribute"],
                         float(row["value"]), int(row["sequence"]),
                     ))

@@ -84,48 +84,43 @@ class AssessmentResult:
         return ranking_chain(self.ranking)
 
 
-def match_candidates(registry: Registry, request: AssessmentRequest) -> tuple[str, ...]:
+def match_candidates(
+    registry: Registry, request: AssessmentRequest
+) -> dict[str, tuple[ConsistencyProfile, ...]]:
     """Providers whose actual interval intersects every requested span.
 
     Missing SLO coverage on any requested attribute excludes a provider.
-    Returned sorted by id for determinism.
+    Maps each matched id, sorted for determinism, to its profiles in request
+    order.
     """
-    matched = []
+    matched = {}
     for csp_id in sorted(registry.providers):
-        ok = True
+        profiles = []
         for name, span in request.requested:
-            attr = registry.resolve_attribute(name)
             try:
-                profile = actual_slo_interval(registry, csp_id, attr.name)
+                profile = actual_slo_interval(registry, csp_id, name)
             except MissingSloError:
-                ok = False
                 break
             if not profile.actual_interval.intersects(span):
-                ok = False
                 break
-        if ok:
-            matched.append(csp_id)
-    return tuple(matched)
+            profiles.append(profile)
+        else:
+            matched[csp_id] = tuple(profiles)
+    return matched
 
 
 def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
     """Full assessment pipeline over the matched candidate set."""
     started = time.perf_counter()
-    candidates = match_candidates(registry, request)
+    matched = match_candidates(registry, request)
+    candidates = tuple(matched)
     if len(candidates) < 2:
         raise InsufficientCandidatesError(candidates)
     attributes = tuple(registry.resolve_attribute(name) for name, _ in request.requested)
-    profiles: dict[tuple[str, str], ConsistencyProfile] = {}
-    for csp_id in candidates:
-        for attr in attributes:
-            profiles[(csp_id, attr.name)] = actual_slo_interval(registry, csp_id, attr.name)
     decision = DecisionMatrix(
         providers=candidates,
         attributes=attributes,
-        cells=tuple(
-            tuple(profiles[(csp_id, attr.name)].actual_interval for attr in attributes)
-            for csp_id in candidates
-        ),
+        cells=tuple(tuple(p.actual_interval for p in row) for row in matched.values()),
     )
     context = evaluate(decision)
     ranking = rank(context)
@@ -134,7 +129,7 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
         candidates=candidates,
         context=context,
         ranking=ranking,
-        profiles=profiles,
+        profiles={(p.csp_id, p.attribute): p for row in matched.values() for p in row},
         elapsed_seconds=time.perf_counter() - started,
     )
 

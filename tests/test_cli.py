@@ -82,6 +82,16 @@ class TestSubmitSlo:
         err = capsys.readouterr().err
         assert "line 2" in err and "line 3" in err
 
+    def test_non_finite_value_fails_its_line(self, store_dir, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_csv(path, ["csp_id", "csc_id", "attribute", "value"],
+                  [["p", "c", "av", "nan"], ["q", "c", "av", 90]])
+        assert main(["--store", str(store_dir), "submit-slo", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "1 accepted, 0 replaced, 1 failed" in captured.out
+        assert "line 2" in captured.err and "finite" in captured.err
+        assert list(Store(store_dir).load().slos) == [("q", "c", "availability")]
+
 
 class TestSubmitAmv:
     def test_append_and_skip_duplicates(self, store_dir, tmp_path, capsys):
@@ -95,6 +105,26 @@ class TestSubmitAmv:
         assert "3 appended" in capsys.readouterr().out
         assert main(["--store", str(store_dir), "submit-amv", str(amv)]) == 0
         assert "3 duplicates skipped" in capsys.readouterr().out
+
+    def test_conflicting_sequence_fails_its_line(self, store_dir, tmp_path, capsys):
+        slo = tmp_path / "s.csv"
+        write_csv(slo, ["csp_id", "csc_id", "attribute", "value"], [["p", "c", "av", 50]])
+        main(["--store", str(store_dir), "submit-slo", str(slo)])
+        amv = tmp_path / "a.csv"
+        write_csv(amv, ["csp_id", "csc_id", "attribute", "value", "sequence"],
+                  [["p", "c", "av", 51, 1], ["p", "c", "av", 52, 1]])
+        assert main(["--store", str(store_dir), "submit-amv", str(amv)]) == 0
+        captured = capsys.readouterr()
+        assert "1 appended, 1 failed" in captured.out
+        assert "line 3" in captured.err and "refusing to overwrite" in captured.err
+
+    def test_store_with_repeated_sequence_refused(self, store_dir, capsys):
+        (store_dir / Store.AMVS_FILE).write_text(
+            "csp_id,csc_id,attribute,value,sequence\n"
+            "p,c,availability,5.0,1\n"
+            "p,c,availability,5.0,1\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "register-attributes", "--qws-defaults"]) == 2
+        assert "duplicate submission" in capsys.readouterr().err
 
     def test_amv_without_slo_rejected(self, store_dir, tmp_path, capsys):
         amv = tmp_path / "a.csv"
@@ -171,6 +201,24 @@ class TestImportQws:
         assert "300 duplicates skipped" in out
         registry = Store(store_dir).load()
         assert len(registry.amvs) == 300
+
+    def test_reimport_conflict_reported_with_line(self, store_dir, tmp_path, capsys):
+        sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
+        lines = sample.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = tmp_path / "one.csv"
+        first.write_text("".join(lines[:2]), encoding="utf-8")
+        assert main(["--store", str(store_dir), "import-qws", str(first)]) == 0
+        assert "6 records added" in capsys.readouterr().out
+        header = [h.strip() for h in next(csv.reader(lines[:1]))]
+        row = next(csv.reader(lines[1:2]))
+        column = header.index("Availability")
+        row[column] = str(float(row[column]) + 1)
+        changed = tmp_path / "changed.csv"
+        write_csv(changed, header, [row])
+        assert main(["--store", str(store_dir), "import-qws", str(changed)]) == 0
+        captured = capsys.readouterr()
+        assert "0 records added, 5 duplicates skipped" in captured.out
+        assert "line 2" in captured.err and "refusing to overwrite" in captured.err
 
     def test_bad_mapping_lists_missing_columns(self, store_dir, tmp_path, capsys):
         sample = resources.files("fastcloud") / "data" / "qws_sample.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from fastcloud.registry import (
     AmvRecord,
+    DuplicateSubmissionError,
     MissingSloError,
     Polarity,
     QosAttribute,
@@ -73,6 +74,11 @@ class TestSubmitSlo:
         with pytest.raises(ValueError):
             SloRecord("p", "c", "av", -3)
 
+    def test_non_finite_value_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SloRecord("p", "c", "av", value)
+
 
 class TestSubmitAmv:
     def test_append_semantics(self):
@@ -97,14 +103,21 @@ class TestSubmitAmv:
         with pytest.raises(ValueError):
             AmvRecord("p", "c", "av", -1)
 
+    def test_non_finite_value_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                AmvRecord("p", "c", "av", value)
+
     def test_explicit_duplicate_sequence_detected(self):
         registry = fresh_registry()
         registry.submit_slo(SloRecord("p", "c", "av", 90))
         registry.submit_amv(AmvRecord("p", "c", "av", 5, sequence=1))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(DuplicateSubmissionError, match="duplicate"):
             registry.submit_amv(AmvRecord("p", "c", "av", 5, sequence=1))
-        with pytest.raises(ValueError, match="refusing to overwrite"):
+        with pytest.raises(ValueError, match="refusing to overwrite") as conflict:
             registry.submit_amv(AmvRecord("p", "c", "av", 6, sequence=1))
+        assert not isinstance(conflict.value, DuplicateSubmissionError)
+        assert registry.amv_samples("p", "c", "availability") == [5]
 
 
 class TestPersistence:
@@ -120,6 +133,46 @@ class TestPersistence:
         assert loaded.attributes == registry.attributes
         assert loaded.slos == registry.slos
         assert loaded.amvs == registry.amvs
+
+    def test_load_refuses_repeated_sequence(self, tmp_path):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (tmp_path / "store" / Store.AMVS_FILE).write_text(
+            "csp_id,csc_id,attribute,value,sequence\n"
+            "p,c,availability,5.0,1\n"
+            "p,c,availability,5.0,1\n", encoding="utf-8")
+        with pytest.raises(DuplicateSubmissionError):
+            store.load()
+
+    def test_load_resolves_slo_attributes(self, tmp_path):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        slos = tmp_path / "store" / Store.SLOS_FILE
+        slos.write_text("csp_id,csc_id,attribute,value\np,c,av,90\n", encoding="utf-8")
+        assert list(store.load().slos) == [("p", "c", "availability")]
+        slos.write_text("csp_id,csc_id,attribute,value\np,c,bogus,90\n", encoding="utf-8")
+        with pytest.raises(UnknownAttributeError):
+            store.load()
+
+    def test_load_refuses_non_finite_value(self, tmp_path):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (tmp_path / "store" / Store.AMVS_FILE).write_text(
+            "csp_id,csc_id,attribute,value,sequence\n"
+            "p,c,availability,nan,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="finite"):
+            store.load()
+
+    def test_sequence_continues_after_load(self, tmp_path):
+        registry = fresh_registry()
+        registry.submit_slo(SloRecord("p", "c", "av", 90))
+        for sequence in (1, 4, 2):
+            registry.submit_amv(AmvRecord("p", "c", "av", 90 + sequence, sequence))
+        store = Store(tmp_path / "store")
+        store.save(registry)
+        loaded = store.load()
+        assert loaded.submit_amv(AmvRecord("p", "c", "av", 99)).sequence == 5
+        assert loaded.amv_samples("p", "c", "availability") == [91, 92, 94, 99]
 
     def test_save_is_atomic_rewrite(self, tmp_path):
         store = Store(tmp_path / "store")
@@ -184,6 +237,19 @@ class TestImport:
         assert summary.records_added == 6
         assert summary.rejections
 
+    def test_non_finite_row_rejected_like_negative(self):
+        lines = qws_rows(3).splitlines()
+        lines[1] = lines[1].replace("90.5", "nan")
+        lines[2] = lines[2].replace("95.0", "-1")
+        registry = fresh_registry()
+        summary = import_qws(registry, io.StringIO("\n".join(lines) + "\n"))
+        assert summary.rows_accepted == 1
+        assert summary.rows_rejected == 2
+        assert summary.records_added == 6
+        assert [r.split(":")[0] for r in summary.rejections] == ["line 2", "line 3"]
+        # rejected rows take no sequence
+        assert [r.sequence for r in registry.amvs] == [1] * 6
+
     def test_empty_file_with_header(self):
         registry = fresh_registry()
         summary = import_qws(registry, io.StringIO(QWS_HEADER + "\n"))
@@ -209,6 +275,17 @@ class TestImport:
         assert again.records_added == 0
         assert again.records_skipped == 30
         assert len(registry.amvs) == 30
+
+    def test_reimport_with_changed_value_reports_conflict(self):
+        registry = fresh_registry()
+        import_qws(registry, io.StringIO(qws_rows(1)))
+        again = import_qws(registry, io.StringIO(qws_rows(1).replace("90.5", "91.5", 1)))
+        assert again.records_added == 0
+        assert again.records_skipped == 5
+        assert len(again.rejections) == 1
+        assert again.rejections[0].startswith("line 2: ")
+        assert "refusing to overwrite" in again.rejections[0]
+        assert registry.amv_samples("SvcA", "SvcA/monitor", "availability") == [90.5]
 
     def test_synthesized_identities_group_by_service(self):
         registry = fresh_registry()
