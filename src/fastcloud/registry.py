@@ -213,11 +213,15 @@ class ImportSummary:
     rows_rejected: int
     records_added: int
     records_skipped: int
+    # same sequence, different value: reported in rejections, not stored
+    records_conflicting: int = 0
     rejections: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         return (f"{self.rows_accepted} rows accepted, {self.rows_rejected} rejected; "
-                f"{self.records_added} records added, {self.records_skipped} duplicates skipped")
+                f"{self.records_added} records added, {self.records_skipped} duplicates skipped"
+                + (f", {self.records_conflicting} conflicting"
+                   if self.records_conflicting else ""))
 
 
 def _slugify(text: str) -> str:
@@ -239,7 +243,8 @@ def import_qws(
     used per service; the per-attribute sequence is the row's 1-based index
     within its service group. Re-importing the same file regenerates the
     same records, which are skipped as duplicates; a record whose sequence
-    already holds a different value is reported as a conflict and not stored.
+    already holds a different value is reported as a conflict, counted in
+    ``records_conflicting`` and not stored.
 
     Rows with missing, non-numeric, non-finite or negative values in a mapped
     column are counted and reported, not fatal. These are bulk third-party
@@ -258,7 +263,7 @@ def import_qws(
     # resolve targets up front so a bad mapping fails before any mutation
     targets = {col: registry.resolve_attribute(attr).name for col, attr in mapping.items()}
 
-    accepted = rejected = added = skipped = 0
+    accepted = rejected = added = skipped = conflicting = 0
     rejections: list[str] = []
     group_counts: dict[str, int] = {}
     for line_no, row in enumerate(reader, start=2):
@@ -292,8 +297,27 @@ def import_qws(
             except DuplicateSubmissionError:
                 skipped += 1
             except ValueError as exc:
+                conflicting += 1
                 rejections.append(f"line {line_no}: {exc}")
-    return ImportSummary(accepted, rejected, added, skipped, tuple(rejections))
+    return ImportSummary(accepted, rejected, added, skipped, conflicting, tuple(rejections))
+
+
+# What a malformed or refused store row raises: a record check, a missing
+# column (KeyError) or a short row (None reaching float() or int()).
+_ROW_ERRORS = (ValueError, TypeError, KeyError)
+
+
+def _row_error(path: Path, line: int, exc: Exception) -> ValueError:
+    """The refusal of one store row, naming its file and line.
+
+    The record checks' own error types are kept, so callers can still tell a
+    duplicate or an unknown attribute apart; anything else becomes a
+    ValueError.
+    """
+    where = f"{path}: line {line}"
+    if type(exc) in (ValueError, UnknownAttributeError, DuplicateSubmissionError):
+        return type(exc)(f"{where}: {exc}")
+    return ValueError(f"{where}: malformed row ({type(exc).__name__}: {exc})")
 
 
 class Store:
@@ -303,10 +327,11 @@ class Store:
     a temp file and atomic rename, so a crash never leaves a half-written
     store. Loading applies the record checks of submission: non-finite or
     out-of-range values, unregistered attributes and a repeated (triple,
-    sequence) in amvs.csv are refused with the record's error; attribute
-    abbreviations in slos.csv resolve to names. Saves are serialized through a
-    ``threading.Lock``, which holds only within one process; concurrent
-    writer processes can still lose records.
+    sequence) in amvs.csv are refused with the record's error, prefixed with
+    the file and its line; attribute abbreviations in slos.csv resolve to
+    names. Saves are serialized through a ``threading.Lock``, which holds
+    only within one process; concurrent writer processes can still lose
+    records.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"
@@ -322,25 +347,37 @@ class Store:
         path = self.root / self.ATTRIBUTES_FILE
         if path.exists():
             with path.open(newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    registry.register_attribute(QosAttribute(
-                        row["name"], row["abbreviation"], row["unit"],
-                        Polarity(row["polarity"]),
-                    ))
+                reader = csv.DictReader(fh)
+                try:
+                    for row in reader:
+                        registry.register_attribute(QosAttribute(
+                            row["name"], row["abbreviation"], row["unit"],
+                            Polarity(row["polarity"]),
+                        ))
+                except _ROW_ERRORS as exc:
+                    raise _row_error(path, reader.line_num, exc) from exc
         path = self.root / self.SLOS_FILE
         if path.exists():
             with path.open(newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    registry.submit_slo(SloRecord(row["csp_id"], row["csc_id"],
-                                                  row["attribute"], float(row["value"])))
+                reader = csv.DictReader(fh)
+                try:
+                    for row in reader:
+                        registry.submit_slo(SloRecord(row["csp_id"], row["csc_id"],
+                                                      row["attribute"], float(row["value"])))
+                except _ROW_ERRORS as exc:
+                    raise _row_error(path, reader.line_num, exc) from exc
         path = self.root / self.AMVS_FILE
         if path.exists():
             with path.open(newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    registry._append_amv(AmvRecord(
-                        row["csp_id"], row["csc_id"], row["attribute"],
-                        float(row["value"]), int(row["sequence"]),
-                    ))
+                reader = csv.DictReader(fh)
+                try:
+                    for row in reader:
+                        registry._append_amv(AmvRecord(
+                            row["csp_id"], row["csc_id"], row["attribute"],
+                            float(row["value"]), int(row["sequence"]),
+                        ))
+                except _ROW_ERRORS as exc:
+                    raise _row_error(path, reader.line_num, exc) from exc
         return registry
 
     def save(self, registry: Registry) -> None:

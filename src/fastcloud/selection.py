@@ -18,7 +18,7 @@ from typing import TextIO
 
 from .consistency import ConsistencyProfile, actual_slo_interval
 from .intervals import IntervalNumber
-from .registry import MissingSloError, Registry
+from .registry import MissingSloError, Polarity, Registry
 from .trust import (
     DecisionContext,
     DecisionMatrix,
@@ -89,9 +89,11 @@ def match_candidates(
 ) -> dict[str, tuple[ConsistencyProfile, ...]]:
     """Providers whose actual interval intersects every requested span.
 
-    Missing SLO coverage on any requested attribute excludes a provider.
-    Maps each matched id, sorted for determinism, to its profiles in request
-    order.
+    Missing SLO coverage on any requested attribute excludes a provider. So
+    does a zero consistency rate on a cost attribute: the actual interval is
+    then [0, 0], whose reciprocal, which normalization takes for cost
+    attributes, is undefined. Maps each matched id, sorted for determinism,
+    to its profiles in request order.
     """
     matched = {}
     for csp_id in sorted(registry.providers):
@@ -101,7 +103,11 @@ def match_candidates(
                 profile = actual_slo_interval(registry, csp_id, name)
             except MissingSloError:
                 break
-            if not profile.actual_interval.intersects(span):
+            actual = profile.actual_interval
+            if not actual.intersects(span):
+                break
+            if (actual.lower == 0
+                    and registry.attributes[profile.attribute].polarity is Polarity.COST):
                 break
             profiles.append(profile)
         else:

@@ -6,13 +6,16 @@ Five stages over an interval-valued decision matrix (providers x attributes):
                     attributes so that larger is always better;
 2. deviation_weights - attributes on which providers differ more get more
                     weight (pairwise separation totals, normalized to sum 1);
+                    O(P log P) per attribute;
 3. trust_levels   - per-provider weighted interval aggregate;
 4. possibility_matrix - pairwise "at least as good" degrees between the
                     trust intervals;
 5. ordering_vector / rank - scalar priority per provider derived from the
                     possibility matrix, descending order with id tie-break.
 
-Everything here is a stateless transform over immutable inputs.
+Everything here is a stateless transform over immutable inputs. The stages
+take and return ``IntervalNumber`` values, but their inner loops run on
+plain float endpoints; only the P x P possibility matrix is quadratic.
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intervals import IntervalNumber, add, possibility_degree, scale, separation
+from .intervals import IntervalNumber, possibility_row
 from .registry import Polarity, QosAttribute
 
 
 @dataclass(frozen=True)
 class DecisionMatrix:
-    """Rectangular grid of actual service intervals, row per provider."""
+    """Rectangular grid of interval cells, row per provider.
+
+    Holds either the actual service intervals or their normalized form; in
+    both, cost cells are strictly positive.
+    """
 
     providers: tuple[str, ...]
     attributes: tuple[QosAttribute, ...]
@@ -60,16 +67,6 @@ class DecisionMatrix:
 
 
 @dataclass(frozen=True)
-class NormalizedMatrix:
-    providers: tuple[str, ...]
-    attributes: tuple[QosAttribute, ...]
-    cells: tuple[tuple[IntervalNumber, ...], ...]
-
-    def column(self, k: int) -> list[IntervalNumber]:
-        return [row[k] for row in self.cells]
-
-
-@dataclass(frozen=True)
 class WeightVector:
     weights: tuple[float, ...]
 
@@ -94,14 +91,14 @@ class DecisionContext:
     """Every intermediate of one assessment, retained for audit."""
 
     decision: DecisionMatrix
-    normalized: NormalizedMatrix
+    normalized: DecisionMatrix
     weights: WeightVector
     trust_levels: tuple[IntervalNumber, ...]
     possibility: tuple[tuple[float, ...], ...]
     ordering: tuple[float, ...]
 
 
-def normalize(decision: DecisionMatrix) -> NormalizedMatrix:
+def normalize(decision: DecisionMatrix) -> DecisionMatrix:
     """Column-wise dimensionless form of the decision matrix.
 
     Benefit column: lower / sum-of-uppers and upper / sum-of-lowers. Cost
@@ -138,25 +135,45 @@ def normalize(decision: DecisionMatrix) -> NormalizedMatrix:
         tuple(columns[k][i] for k in range(decision.attribute_count))
         for i in range(decision.provider_count)
     )
-    return NormalizedMatrix(decision.providers, decision.attributes, rows)
+    return DecisionMatrix(decision.providers, decision.attributes, rows)
 
 
-def deviation_weights(normalized: NormalizedMatrix) -> WeightVector:
+def column_deviation(column: list[IntervalNumber]) -> float:
+    """Total separation over all ordered pairs of a column's cells.
+
+    Separation is the L1 distance on endpoints, so the total splits into one
+    sum of |x_i - x_j| over the lower endpoints and one over the upper
+    endpoints. Each has the sorted-prefix closed form
+
+        sum over i, j of |x_i - x_j| = 2 * sum over i of (2i - n + 1) * x_(i)
+
+    with x_(i) the i-th smallest value, which costs O(n log n) instead of
+    O(n^2) and does not depend on row order.
+    """
+    return (_pairwise_abs_sum([c.lower for c in column])
+            + _pairwise_abs_sum([c.upper for c in column]))
+
+
+def _pairwise_abs_sum(values: list[float]) -> float:
+    xs = sorted(values)
+    n = len(xs)
+    return 2.0 * math.fsum((2 * i - n + 1) * x for i, x in enumerate(xs))
+
+
+def deviation_weights(normalized: DecisionMatrix) -> WeightVector:
     """Weights proportional to each column's total pairwise separation.
 
     An attribute on which all providers score alike carries no ranking
     information and gets weight near zero; if every column is like that the
     weights fall back to uniform (any weighting would produce identical
-    aggregates anyway).
+    aggregates anyway). Each column total comes from ``column_deviation``,
+    so the stage is O(P log P) per attribute.
     """
     n_providers = len(normalized.providers)
     n_attrs = len(normalized.attributes)
     if n_providers < 2:
         raise ValueError("deviation weighting needs at least two providers")
-    totals = []
-    for k in range(n_attrs):
-        col = normalized.column(k)
-        totals.append(math.fsum(separation(a, b) for a in col for b in col))
+    totals = [column_deviation(normalized.column(k)) for k in range(n_attrs)]
     grand_total = math.fsum(totals)
     if grand_total == 0:
         return WeightVector(tuple(1.0 / n_attrs for _ in range(n_attrs)))
@@ -164,9 +181,13 @@ def deviation_weights(normalized: NormalizedMatrix) -> WeightVector:
 
 
 def trust_levels(
-    normalized: NormalizedMatrix, weights: WeightVector
+    normalized: DecisionMatrix, weights: WeightVector
 ) -> tuple[IntervalNumber, ...]:
-    """Weighted interval sum per provider row."""
+    """Weighted interval sum per provider row.
+
+    Endpoints accumulate left to right, one attribute at a time, as repeated
+    interval scaling and addition would.
+    """
     if len(weights.weights) != len(normalized.attributes):
         raise ValueError(
             f"weight count {len(weights.weights)} does not match "
@@ -174,19 +195,27 @@ def trust_levels(
         )
     levels = []
     for row in normalized.cells:
-        total = IntervalNumber(0.0, 0.0)
+        lower = upper = 0.0
         for cell, w in zip(row, weights.weights):
-            total = add(total, scale(cell, w))
-        levels.append(total)
+            lower = lower + w * cell.lower
+            upper = upper + w * cell.upper
+        levels.append(IntervalNumber(lower, upper))
     return tuple(levels)
 
 
 def possibility_matrix(trust: tuple[IntervalNumber, ...]) -> tuple[tuple[float, ...], ...]:
-    """Pairwise possibility degrees, diagonal fixed at 0.5."""
-    return tuple(
-        tuple(0.5 if i == e else possibility_degree(zi, ze) for e, ze in enumerate(trust))
-        for i, zi in enumerate(trust)
-    )
+    """Pairwise possibility degrees, diagonal fixed at 0.5.
+
+    Every entry is computed directly (none as the complement of its mirror),
+    so permuting the trust levels permutes the matrix exactly.
+    """
+    others = [(z.lower, z.width) for z in trust]
+    rows = []
+    for i, z in enumerate(trust):
+        row = possibility_row(z.lower, z.upper, z.width, others)
+        row[i] = 0.5
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def ordering_vector(possibility: tuple[tuple[float, ...], ...]) -> tuple[float, ...]:

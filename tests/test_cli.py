@@ -126,6 +126,25 @@ class TestSubmitAmv:
         assert main(["--store", str(store_dir), "register-attributes", "--qws-defaults"]) == 2
         assert "duplicate submission" in capsys.readouterr().err
 
+    def test_store_refusal_names_file_and_line(self, store_dir, capsys):
+        (store_dir / Store.AMVS_FILE).write_text(
+            "csp_id,csc_id,attribute,value,sequence\n"
+            "p,c,availability,5.0,1\n"
+            "p,c,availability,6.0,2\n"
+            "p,c,availability,5.0,1\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "register-attributes", "--qws-defaults"]) == 2
+        err = capsys.readouterr().err
+        assert f"{store_dir / Store.AMVS_FILE}: line 4: duplicate submission" in err
+
+    def test_store_short_row_refused_with_line(self, store_dir, capsys):
+        (store_dir / Store.SLOS_FILE).write_text(
+            "csp_id,csc_id,attribute,value\n"
+            "p,c,av,90\n"
+            "q,c\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "register-attributes", "--qws-defaults"]) == 2
+        err = capsys.readouterr().err
+        assert "slos.csv: line 3: malformed row" in err
+
     def test_amv_without_slo_rejected(self, store_dir, tmp_path, capsys):
         amv = tmp_path / "a.csv"
         write_csv(amv, ["csp_id", "csc_id", "attribute", "value", "sequence"],
@@ -182,6 +201,38 @@ class TestAssess:
         ]) == 0
         assert json.loads(out.read_text())["candidates"] == list(CASE_PROVIDERS)
 
+    @staticmethod
+    def seed_latency_store(store_dir, tmp_path, monitored):
+        """One latency SLO of 50 per provider, monitored once at the given value."""
+        slo_file = tmp_path / "slos.csv"
+        amv_file = tmp_path / "amvs.csv"
+        write_csv(slo_file, ["csp_id", "csc_id", "attribute", "value"],
+                  [[csp_id, "c", "la", 50] for csp_id in monitored])
+        write_csv(amv_file, ["csp_id", "csc_id", "attribute", "value", "sequence"],
+                  [[csp_id, "c", "la", value, ""] for csp_id, value in monitored.items()])
+        assert main(["--store", str(store_dir), "submit-slo", str(slo_file)]) == 0
+        assert main(["--store", str(store_dir), "submit-amv", str(amv_file)]) == 0
+        request_file = tmp_path / "request.csv"
+        write_csv(request_file, ["attribute", "min", "max"], [["la", 0, 100]])
+        return request_file
+
+    def test_zero_rate_cost_provider_excluded(self, store_dir, tmp_path, capsys):
+        # d misses its only latency check: actual interval [0, 0]
+        request_file = self.seed_latency_store(
+            store_dir, tmp_path, {"a": 40, "b": 45, "d": 90})
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file),
+                     "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["candidates"] == ["a", "b"]
+        assert sorted(doc["chain"].split(" > ")) == ["a", "b"]
+
+    def test_zero_rate_cost_provider_leaves_one(self, store_dir, tmp_path, capsys):
+        request_file = self.seed_latency_store(store_dir, tmp_path, {"a": 40, "d": 90})
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
+        assert "only a matched" in capsys.readouterr().err
+
     def test_insufficient_candidates_exit_code(self, store_dir, tmp_path, capsys):
         request_file = write_request(tmp_path)
         assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
@@ -217,7 +268,7 @@ class TestImportQws:
         write_csv(changed, header, [row])
         assert main(["--store", str(store_dir), "import-qws", str(changed)]) == 0
         captured = capsys.readouterr()
-        assert "0 records added, 5 duplicates skipped" in captured.out
+        assert "0 records added, 5 duplicates skipped, 1 conflicting" in captured.out
         assert "line 2" in captured.err and "refusing to overwrite" in captured.err
 
     def test_bad_mapping_lists_missing_columns(self, store_dir, tmp_path, capsys):

@@ -141,7 +141,7 @@ class TestPersistence:
             "csp_id,csc_id,attribute,value,sequence\n"
             "p,c,availability,5.0,1\n"
             "p,c,availability,5.0,1\n", encoding="utf-8")
-        with pytest.raises(DuplicateSubmissionError):
+        with pytest.raises(DuplicateSubmissionError, match="amvs.csv: line 3: duplicate"):
             store.load()
 
     def test_load_resolves_slo_attributes(self, tmp_path):
@@ -274,6 +274,8 @@ class TestImport:
         assert first.records_added == 30
         assert again.records_added == 0
         assert again.records_skipped == 30
+        assert again.records_conflicting == 0
+        assert str(again).endswith("0 records added, 30 duplicates skipped")
         assert len(registry.amvs) == 30
 
     def test_reimport_with_changed_value_reports_conflict(self):
@@ -282,6 +284,8 @@ class TestImport:
         again = import_qws(registry, io.StringIO(qws_rows(1).replace("90.5", "91.5", 1)))
         assert again.records_added == 0
         assert again.records_skipped == 5
+        assert again.records_conflicting == 1
+        assert str(again).endswith("5 duplicates skipped, 1 conflicting")
         assert len(again.rejections) == 1
         assert again.rejections[0].startswith("line 2: ")
         assert "refusing to overwrite" in again.rejections[0]

@@ -172,8 +172,25 @@ class TestAssess:
         seed_provider(registry, "p1", "latency", 5, 10, satisfy=False)  # actual [0, 0]
         seed_provider(registry, "p2", "latency", 5, 10)
         request = AssessmentRequest((("latency", span(0, 100)),))
-        with pytest.raises(ValueError, match="non-positive lower"):
+        # the reciprocal of [0, 0] is undefined, so matching drops p1
+        assert tuple(match_candidates(registry, request)) == ("p2",)
+        with pytest.raises(InsufficientCandidatesError) as refused:
             assess(registry, request)
+        assert refused.value.candidates == ("p2",)
+
+    def test_zero_rate_excluded_only_on_cost_attributes(self):
+        registry = fresh_registry()
+        seed_provider(registry, "p1", "latency", 5, 10, satisfy=False)  # actual [0, 0]
+        seed_provider(registry, "p2", "latency", 5, 10)
+        seed_provider(registry, "p3", "latency", 6, 12)
+        for csp_id in ("p1", "p2", "p3"):
+            seed_provider(registry, csp_id, "availability", 80, 90,
+                          satisfy=csp_id != "p2")  # p2: benefit [0, 0], kept
+        request = AssessmentRequest(
+            (("latency", span(0, 100)), ("availability", span(0, 100))))
+        result = assess(registry, request)
+        assert result.candidates == ("p2", "p3")
+        assert result.profiles[("p2", "availability")].actual_interval == span(0, 0)
 
     def test_unknown_requested_attribute(self):
         from fastcloud.registry import UnknownAttributeError

@@ -10,12 +10,13 @@ from conftest import (
     REFERENCE_WEIGHTS,
     case_decision_matrix,
 )
-from fastcloud.intervals import IntervalNumber
+from fastcloud.intervals import IntervalNumber, add, possibility_degree, scale, separation
 from fastcloud.registry import Polarity, QosAttribute
 from fastcloud.trust import (
     DecisionContext,
     DecisionMatrix,
     WeightVector,
+    column_deviation,
     deviation_weights,
     evaluate,
     normalize,
@@ -141,6 +142,76 @@ class TestDeviationWeights:
         w = deviation_weights(normalize(m)).weights
         assert w[1] > w[0]
         assert w[0] == 0.0
+
+
+class TestFloatCore:
+    """The float inner loops against the interval operations they replace."""
+
+    @staticmethod
+    def random_column(rng, n):
+        # repeated cells, zero-width cells and shared endpoints on purpose
+        pool = [round(rng.uniform(0, 1), 2) for _ in range(max(2, n // 3))]
+        column = []
+        for _ in range(n):
+            lower = rng.choice(pool)
+            width = 0.0 if rng.random() < 0.3 else rng.choice(pool)
+            column.append(IntervalNumber(lower, lower + width))
+        return column
+
+    def test_closed_form_matches_pairwise_separation_sum(self):
+        rng = random.Random(29)
+        for n in range(2, 61):
+            for column in (
+                self.random_column(rng, n),
+                [IntervalNumber(0.25, 0.75)] * n,  # all equal: total 0
+                [IntervalNumber(v, v) for v in (rng.uniform(0, 1) for _ in range(n))],
+            ):
+                brute = math.fsum(separation(a, b) for a in column for b in column)
+                assert column_deviation(column) == pytest.approx(brute, rel=1e-15, abs=0)
+
+    def test_all_flat_columns_fall_back_to_uniform(self):
+        m = matrix([[(2, 3), (5, 5), (1, 9)]] * 40,
+                   [Polarity.BENEFIT, Polarity.COST, Polarity.BENEFIT])
+        assert deviation_weights(normalize(m)).weights == (1 / 3,) * 3
+
+    def test_weights_bit_identical_under_row_permutation(self):
+        rng = random.Random(30)
+        m = random_matrix(rng, 200, 8)
+        perm = list(range(200))
+        for _ in range(5):
+            rng.shuffle(perm)
+            permuted = DecisionMatrix(
+                tuple(m.providers[i] for i in perm), m.attributes,
+                tuple(m.cells[i] for i in perm),
+            )
+            assert deviation_weights(normalize(permuted)) == deviation_weights(normalize(m))
+
+    def test_trust_levels_equal_interval_fold(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            normalized = normalize(random_matrix(rng, rng.randint(2, 30), rng.randint(1, 8)))
+            weights = deviation_weights(normalized)
+            expected = []
+            for row in normalized.cells:
+                total = IntervalNumber(0.0, 0.0)
+                for cell, w in zip(row, weights.weights):
+                    total = add(total, scale(cell, w))
+                expected.append(total)
+            got = trust_levels(normalized, weights)
+            assert [(z.lower.hex(), z.upper.hex()) for z in got] == \
+                [(z.lower.hex(), z.upper.hex()) for z in expected]
+
+    def test_possibility_entries_equal_possibility_degree(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            # equal and unequal point-vs-point pairs always present
+            points = (IntervalNumber(0.5, 0.5), IntervalNumber(0.5, 0.5),
+                      IntervalNumber(0.25, 0.25))
+            z = tuple(self.random_column(rng, rng.randint(2, 30))) + points
+            p = possibility_matrix(z)
+            for i, zi in enumerate(z):
+                assert [x.hex() for x in p[i]] == \
+                    [possibility_degree(zi, ze).hex() for ze in z]
 
 
 class TestWeightVector:
