@@ -17,7 +17,6 @@ variable (flag wins). Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -26,18 +25,20 @@ from pathlib import Path
 
 from .bench import BenchConfig, BenchMode, render_report, run_benchmark
 from .registry import (
-    AmvRecord,
+    AMV_COLUMNS,
+    ATTRIBUTE_COLUMNS,
     DuplicateSubmissionError,
     MissingSloError,
-    Polarity,
-    QosAttribute,
-    Registry,
-    SloRecord,
+    SLO_COLUMNS,
     STANDARD_ATTRIBUTES,
     STANDARD_QWS_MAPPING,
     Store,
     UnknownAttributeError,
     import_qws,
+    parse_amv,
+    parse_attribute,
+    parse_slo,
+    read_rows,
 )
 from .selection import (
     AssessmentRequest,
@@ -63,12 +64,28 @@ def _store(args: argparse.Namespace) -> Store:
     return Store(path)
 
 
-def _open_rows(path: str) -> tuple[list[dict], list[str]]:
+def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[list, int]:
+    """Parse and submit each row of a record file.
+
+    A refused row fails only its own line, reported on stderr. Returns what
+    ``submit`` gave for each submitted row, a duplicate standing as its
+    DuplicateSubmissionError, and the number of failed rows.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        return list(reader), [f.strip() for f in reader.fieldnames]
+        try:
+            rows = list(read_rows(fh, columns))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    results, failed = [], 0
+    for line, fields in rows:
+        try:
+            results.append(submit(parse(fields)))
+        except DuplicateSubmissionError as exc:
+            results.append(exc)
+        except ValueError as exc:
+            failed += 1
+            print(f"  line {line}: {exc}", file=sys.stderr)
+    return results, failed
 
 
 def cmd_register_attributes(args: argparse.Namespace) -> int:
@@ -80,18 +97,11 @@ def cmd_register_attributes(args: argparse.Namespace) -> int:
             registry.register_attribute(attr)
             count += 1
     if args.file:
-        rows, header = _open_rows(args.file)
-        expected = ["name", "abbreviation", "unit", "polarity"]
-        if header != expected:
-            raise ValueError(f"{args.file}: header must be {','.join(expected)!r}")
-        for row in rows:
-            registry.register_attribute(QosAttribute(
-                row["name"].strip(),
-                row["abbreviation"].strip(),
-                row["unit"].strip(),
-                Polarity(row["polarity"].strip().lower()),
-            ))
-            count += 1
+        results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, parse_attribute,
+                                       registry.register_attribute)
+        if failed:
+            raise ValueError(f"{args.file}: {failed} rows refused, nothing registered")
+        count += len(results)
     if count == 0:
         raise ValueError("nothing to register: pass a file and/or --qws-defaults")
     store.save(registry)
@@ -102,67 +112,28 @@ def cmd_register_attributes(args: argparse.Namespace) -> int:
 def cmd_submit_slo(args: argparse.Namespace) -> int:
     store = _store(args)
     registry = store.load()
-    rows, header = _open_rows(args.file)
-    expected = ["csp_id", "csc_id", "attribute", "value"]
-    if header != expected:
-        raise ValueError(f"{args.file}: header must be {','.join(expected)!r}")
-    accepted = replaced = 0
-    failures: list[str] = []
-    for line_no, row in enumerate(rows, start=2):
-        try:
-            record = SloRecord(
-                row["csp_id"].strip(), row["csc_id"].strip(),
-                row["attribute"].strip(), float(row["value"]),
-            )
-            if registry.submit_slo(record):
-                replaced += 1
-            else:
-                accepted += 1
-        except (ValueError, TypeError, AttributeError) as exc:
-            failures.append(f"  line {line_no}: {exc}")
-    for failure in failures:
-        print(failure, file=sys.stderr)
-    if accepted or replaced:
+    results, failed = _submit_file(args.file, SLO_COLUMNS, parse_slo, registry.submit_slo)
+    replaced = sum(results)
+    accepted = len(results) - replaced
+    if results:
         store.save(registry)
     print(f"{accepted} accepted, {replaced} replaced"
-          + (f", {len(failures)} failed" if failures else ""))
-    if rows and not (accepted or replaced):
-        return EXIT_VALIDATION
-    return EXIT_OK
+          + (f", {failed} failed" if failed else ""))
+    return EXIT_VALIDATION if failed and not results else EXIT_OK
 
 
 def cmd_submit_amv(args: argparse.Namespace) -> int:
     store = _store(args)
     registry = store.load()
-    rows, header = _open_rows(args.file)
-    expected = ["csp_id", "csc_id", "attribute", "value", "sequence"]
-    if header != expected:
-        raise ValueError(f"{args.file}: header must be {','.join(expected)!r}")
-    appended = skipped = 0
-    failures: list[str] = []
-    for line_no, row in enumerate(rows, start=2):
-        try:
-            sequence = int(row["sequence"]) if (row.get("sequence") or "").strip() else None
-            record = AmvRecord(
-                row["csp_id"].strip(), row["csc_id"].strip(),
-                row["attribute"].strip(), float(row["value"]), sequence,
-            )
-            registry.submit_amv(record)
-            appended += 1
-        except DuplicateSubmissionError:
-            skipped += 1
-        except (ValueError, TypeError, AttributeError) as exc:
-            failures.append(f"  line {line_no}: {exc}")
-    for failure in failures:
-        print(failure, file=sys.stderr)
+    results, failed = _submit_file(args.file, AMV_COLUMNS, parse_amv, registry.submit_amv)
+    skipped = sum(isinstance(r, DuplicateSubmissionError) for r in results)
+    appended = len(results) - skipped
     if appended:
         store.save(registry)
     print(f"{appended} appended"
           + (f", {skipped} duplicates skipped" if skipped else "")
-          + (f", {len(failures)} failed" if failures else ""))
-    if rows and not appended and not skipped:
-        return EXIT_VALIDATION
-    return EXIT_OK
+          + (f", {failed} failed" if failed else ""))
+    return EXIT_VALIDATION if failed and not results else EXIT_OK
 
 
 def cmd_import_qws(args: argparse.Namespace) -> int:

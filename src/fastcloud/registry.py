@@ -18,7 +18,9 @@ import tempfile
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
+
+from .intervals import IntervalNumber
 
 
 class Polarity(enum.Enum):
@@ -105,6 +107,62 @@ STANDARD_QWS_MAPPING = {
     "Response Time": "res",
 }
 
+# The record file format, shared by the store, the submit commands and the
+# request file: a header naming exactly these columns, then one row each.
+ATTRIBUTE_COLUMNS = ("name", "abbreviation", "unit", "polarity")
+SLO_COLUMNS = ("csp_id", "csc_id", "attribute", "value")
+AMV_COLUMNS = ("csp_id", "csc_id", "attribute", "value", "sequence")
+REQUEST_COLUMNS = ("attribute", "min", "max")
+
+
+def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a record file whose header is ``columns``.
+
+    Yields (physical line, stripped fields) for each row, skipping blank
+    lines. An empty source or any other header is refused before the first
+    row; the field count is left to the row parsers.
+    """
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("file is empty")
+    if [h.strip() for h in header] != list(columns):
+        raise ValueError(f"header must be {','.join(columns)!r}, got {','.join(header)!r}")
+    for fields in reader:
+        if fields:
+            yield reader.line_num, [f.strip() for f in fields]
+
+
+def _fields(fields: list[str], columns: tuple[str, ...]) -> list[str]:
+    if len(fields) != len(columns):
+        raise ValueError(f"malformed row: {len(fields)} fields, expected {len(columns)}")
+    return fields
+
+
+def parse_attribute(fields: list[str]) -> QosAttribute:
+    name, abbreviation, unit, polarity = _fields(fields, ATTRIBUTE_COLUMNS)
+    return QosAttribute(name, abbreviation, unit, Polarity(polarity.lower()))
+
+
+def parse_slo(fields: list[str]) -> SloRecord:
+    csp_id, csc_id, attribute, value = _fields(fields, SLO_COLUMNS)
+    return SloRecord(csp_id, csc_id, attribute, float(value))
+
+
+def parse_amv(fields: list[str]) -> AmvRecord:
+    """An AMV row; an empty sequence leaves the numbering to the registry."""
+    csp_id, csc_id, attribute, value, sequence = _fields(fields, AMV_COLUMNS)
+    return AmvRecord(csp_id, csc_id, attribute, float(value), int(sequence) if sequence else None)
+
+
+def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
+    """A request row: an attribute name or abbreviation and its span."""
+    attribute, lower, upper = _fields(fields, REQUEST_COLUMNS)
+    span = IntervalNumber(float(lower), float(upper))
+    if not attribute:
+        raise ValueError("missing attribute name")
+    return attribute, span
+
 
 @dataclass
 class Registry:
@@ -177,6 +235,12 @@ class Registry:
             raise MissingSloError(
                 f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
             )
+        return self._append_amv(record)
+
+    def _restore_amv(self, record: AmvRecord) -> AmvRecord:
+        """A stored monitored value; it carries the sequence it was filed under."""
+        if record.sequence is None:
+            raise ValueError("stored monitored value has no sequence")
         return self._append_amv(record)
 
     def _append_amv(self, record: AmvRecord) -> AmvRecord:
@@ -302,22 +366,14 @@ def import_qws(
     return ImportSummary(accepted, rejected, added, skipped, conflicting, tuple(rejections))
 
 
-# What a malformed or refused store row raises: a record check, a missing
-# column (KeyError) or a short row (None reaching float() or int()).
-_ROW_ERRORS = (ValueError, TypeError, KeyError)
-
-
-def _row_error(path: Path, line: int, exc: Exception) -> ValueError:
+def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
     """The refusal of one store row, naming its file and line.
 
-    The record checks' own error types are kept, so callers can still tell a
-    duplicate or an unknown attribute apart; anything else becomes a
-    ValueError.
+    A duplicate or an unknown attribute keeps its error type, so callers can
+    still tell them apart.
     """
-    where = f"{path}: line {line}"
-    if type(exc) in (ValueError, UnknownAttributeError, DuplicateSubmissionError):
-        return type(exc)(f"{where}: {exc}")
-    return ValueError(f"{where}: malformed row ({type(exc).__name__}: {exc})")
+    kind = type(exc) if type(exc) in (UnknownAttributeError, DuplicateSubmissionError) else ValueError
+    return kind(f"{path}: line {line}: {exc}")
 
 
 class Store:
@@ -344,59 +400,37 @@ class Store:
 
     def load(self) -> Registry:
         registry = Registry()
-        path = self.root / self.ATTRIBUTES_FILE
-        if path.exists():
+        for name, columns, parse, add in (
+            (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS, parse_attribute, registry.register_attribute),
+            (self.SLOS_FILE, SLO_COLUMNS, parse_slo, registry.submit_slo),
+            (self.AMVS_FILE, AMV_COLUMNS, parse_amv, registry._restore_amv),
+        ):
+            path = self.root / name
+            if not path.exists():
+                continue
             with path.open(newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
+                line = 1
                 try:
-                    for row in reader:
-                        registry.register_attribute(QosAttribute(
-                            row["name"], row["abbreviation"], row["unit"],
-                            Polarity(row["polarity"]),
-                        ))
-                except _ROW_ERRORS as exc:
-                    raise _row_error(path, reader.line_num, exc) from exc
-        path = self.root / self.SLOS_FILE
-        if path.exists():
-            with path.open(newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                try:
-                    for row in reader:
-                        registry.submit_slo(SloRecord(row["csp_id"], row["csc_id"],
-                                                      row["attribute"], float(row["value"])))
-                except _ROW_ERRORS as exc:
-                    raise _row_error(path, reader.line_num, exc) from exc
-        path = self.root / self.AMVS_FILE
-        if path.exists():
-            with path.open(newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                try:
-                    for row in reader:
-                        registry._append_amv(AmvRecord(
-                            row["csp_id"], row["csc_id"], row["attribute"],
-                            float(row["value"]), int(row["sequence"]),
-                        ))
-                except _ROW_ERRORS as exc:
-                    raise _row_error(path, reader.line_num, exc) from exc
+                    for line, fields in read_rows(fh, columns):
+                        add(parse(fields))
+                except ValueError as exc:
+                    raise _row_error(path, line, exc) from exc
         return registry
 
     def save(self, registry: Registry) -> None:
         with self._lock:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._write(self.ATTRIBUTES_FILE,
-                        ["name", "abbreviation", "unit", "polarity"],
+            self._write(self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
                         ([a.name, a.abbreviation, a.unit, a.polarity.value]
                          for a in registry.attributes.values()))
-            self._write(self.SLOS_FILE,
-                        ["csp_id", "csc_id", "attribute", "value"],
+            self._write(self.SLOS_FILE, SLO_COLUMNS,
                         ([r.csp_id, r.csc_id, r.attribute, repr(r.value)]
                          for r in registry.slos.values()))
-            self._write(self.AMVS_FILE,
-                        ["csp_id", "csc_id", "attribute", "value", "sequence"],
+            self._write(self.AMVS_FILE, AMV_COLUMNS,
                         ([r.csp_id, r.csc_id, r.attribute, repr(r.value), r.sequence]
                          for r in registry.amvs))
 
-    def _write(self, name: str, header: list[str], rows: Iterable[list]) -> None:
+    def _write(self, name: str, header: tuple[str, ...], rows: Iterable[list]) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -18,7 +18,7 @@ from typing import TextIO
 
 from .consistency import ConsistencyProfile, actual_slo_interval
 from .intervals import IntervalNumber
-from .registry import MissingSloError, Polarity, Registry
+from .registry import REQUEST_COLUMNS, MissingSloError, Polarity, Registry, parse_request, read_rows
 from .trust import (
     DecisionContext,
     DecisionMatrix,
@@ -142,31 +142,16 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
 
 # -- request file and result document ---------------------------------------
 
-REQUEST_HEADER = ["attribute", "min", "max"]
-
-
 def read_request(source: TextIO) -> AssessmentRequest:
     """Parse a request file: header ``attribute,min,max``, one line per attribute."""
-    import csv
-
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise ValueError("request file is empty")
-    fields = [f.strip() for f in reader.fieldnames]
-    if fields != REQUEST_HEADER:
-        raise ValueError(
-            f"request header must be {','.join(REQUEST_HEADER)!r}, got {','.join(fields)!r}"
-        )
     requested = []
-    for line_no, row in enumerate(reader, start=2):
-        try:
-            span = IntervalNumber(float(row["min"]), float(row["max"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"request line {line_no}: {exc}") from exc
-        name = (row["attribute"] or "").strip()
-        if not name:
-            raise ValueError(f"request line {line_no}: missing attribute name")
-        requested.append((name, span))
+    line = None
+    try:
+        for line, fields in read_rows(source, REQUEST_COLUMNS):
+            requested.append(parse_request(fields))
+    except ValueError as exc:
+        where = "request" if line is None else f"request line {line}:"
+        raise ValueError(f"{where} {exc}") from exc
     return AssessmentRequest(tuple(requested))
 
 
