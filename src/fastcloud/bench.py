@@ -64,10 +64,13 @@ class BenchReport:
 
 
 def generate_instance(providers: int, attributes: int, seed: int) -> DecisionMatrix:
-    """Reproducible random decision matrix of point intervals.
+    """Reproducible random decision matrix of interval cells.
 
-    Every cell is [v, v] with v uniform in VALUE_RANGE; attribute polarities
-    alternate benefit/cost so both normalization branches get exercised.
+    Each cell is [v, v + w] with v uniform in VALUE_RANGE and w zero for about
+    one cell in five, else uniform in [0, 0.6 v], so the possibility degree
+    meets both its interval and its point-vs-point branches. Attribute
+    polarities alternate benefit/cost so both normalization branches get
+    exercised.
     """
     if providers < 2:
         raise ValueError("an instance needs at least two providers")
@@ -85,8 +88,12 @@ def generate_instance(providers: int, attributes: int, seed: int) -> DecisionMat
     )
     rows = []
     for _ in range(providers):
-        values = [rng.uniform(*VALUE_RANGE) for _ in range(attributes)]
-        rows.append(tuple(IntervalNumber(v, v) for v in values))
+        row = []
+        for _ in range(attributes):
+            v = rng.uniform(*VALUE_RANGE)
+            w = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 0.6) * v
+            row.append(IntervalNumber(v, v + w))
+        rows.append(tuple(row))
     cells = tuple(rows)
     provider_ids = tuple(f"p{i:03d}" for i in range(providers))
     return DecisionMatrix(provider_ids, attrs, cells)

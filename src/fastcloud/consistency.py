@@ -94,19 +94,3 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
         actual_interval=scale(span, rate),
     )
 
-
-def low_submission_warnings(
-    registry: Registry, minimum_samples: int = 1
-) -> list[tuple[str, str, str, int]]:
-    """Advisory check: triples with fewer monitored submissions than expected.
-
-    Returns (csp, csc, attribute, sample_count) for every agreed triple whose
-    submission count is below the configured minimum. Advisory only; nothing
-    is enforced.
-    """
-    flagged = []
-    for record in registry.slos.values():
-        n = len(registry.amv_samples(record.csp_id, record.csc_id, record.attribute))
-        if n < minimum_samples:
-            flagged.append((record.csp_id, record.csc_id, record.attribute, n))
-    return sorted(flagged)

@@ -2,8 +2,11 @@
 
 The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
 amvs.csv) under one directory and rewrites them atomically (write to a temp
-file, then rename). Loading applies the same record checks as submission.
-Saves are serialized through a lock that holds only within one process.
+file, then rename). The store, the submit commands and the request file
+share one record format, defined here: a header of the kind's columns, then
+one record per row, read by ``read_rows`` and parsed by ``parse_*``.
+Loading applies the same record checks as submission. Saves are serialized
+through a lock that holds only within one process.
 """
 
 from __future__ import annotations
@@ -170,9 +173,12 @@ class Registry:
 
     Attributes are keyed by name and by abbreviation (both must be unique).
     SLO records replace on resubmission of the same (csp, csc, attribute)
-    triple; AMV records append. Records enter only through ``submit_*``,
-    ``import_qws`` and ``Store.load``, which keeps the per-triple AMV index
-    whole; appending to ``amvs`` directly bypasses it.
+    triple; AMV records append. Every path resolves a record's attribute
+    and files it under the registered name. Records enter only through
+    ``submit_*``, ``import_qws`` and ``Store.load``, which keeps the
+    per-triple AMV index whole; appending to ``amvs`` directly bypasses it.
+    Only ``submit_amv`` requires an agreed SLO: imported monitored values,
+    and the stored ones that load restores, have none.
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict)
@@ -213,9 +219,7 @@ class Registry:
 
     def submit_slo(self, record: SloRecord) -> bool:
         """Store an agreed objective; returns True if it replaced a prior one."""
-        attr = self.resolve_attribute(record.attribute)
-        if record.attribute != attr.name:
-            record = replace(record, attribute=attr.name)
+        record = self._named(record)
         replaced = record.key in self.slos
         self.slos[record.key] = record
         return replaced
@@ -228,9 +232,7 @@ class Registry:
         record already present is a no-op signalled by DuplicateSubmissionError,
         and the same key with a different value is a conflict (ValueError).
         """
-        attr = self.resolve_attribute(record.attribute)
-        if record.attribute != attr.name:
-            record = replace(record, attribute=attr.name)
+        record = self._named(record)
         if record.key not in self.slos:
             raise MissingSloError(
                 f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
@@ -238,10 +240,19 @@ class Registry:
         return self._append_amv(record)
 
     def _restore_amv(self, record: AmvRecord) -> AmvRecord:
-        """A stored monitored value; it carries the sequence it was filed under."""
+        """Add a stored monitored value with the checks of ``submit_amv``.
+
+        No SLO is required, since imported values have none, and the value
+        must carry the sequence it was filed under.
+        """
         if record.sequence is None:
             raise ValueError("stored monitored value has no sequence")
-        return self._append_amv(record)
+        return self._append_amv(self._named(record))
+
+    def _named(self, record: SloRecord | AmvRecord) -> SloRecord | AmvRecord:
+        """The record with its attribute spelled by the registered name."""
+        name = self.resolve_attribute(record.attribute).name
+        return record if record.attribute == name else replace(record, attribute=name)
 
     def _append_amv(self, record: AmvRecord) -> AmvRecord:
         samples = self._samples.setdefault(record.key, {})
@@ -379,15 +390,16 @@ def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
 class Store:
     """Directory-backed persistence for a registry.
 
-    One CSV file per record kind; every save rewrites the affected file via
-    a temp file and atomic rename, so a crash never leaves a half-written
-    store. Loading applies the record checks of submission: non-finite or
-    out-of-range values, unregistered attributes and a repeated (triple,
-    sequence) in amvs.csv are refused with the record's error, prefixed with
-    the file and its line; attribute abbreviations in slos.csv resolve to
-    names. Saves are serialized through a ``threading.Lock``, which holds
-    only within one process; concurrent writer processes can still lose
-    records.
+    One CSV file per record kind, in the format the submit commands take;
+    every save rewrites the affected file via a temp file and atomic
+    rename, so a crash never leaves a half-written store. Loading applies
+    the record checks of submission, prefixing each refusal with the file
+    and its line: an empty file or another header, a row with a wrong field
+    count, a non-finite or out-of-range value, an unregistered attribute, an
+    empty sequence or a repeated (triple, sequence) in amvs.csv. Attribute
+    abbreviations resolve to names. Saves are serialized through a
+    ``threading.Lock``, which holds only within one process; concurrent
+    writer processes can still lose records.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"

@@ -30,17 +30,15 @@ from .trust import (
 
 
 class InsufficientCandidatesError(RuntimeError):
-    """Fewer than two providers matched; ranking needs pairs."""
+    """The matched providers cannot be ranked.
 
-    def __init__(self, candidates: tuple[str, ...]):
+    Ranking needs pairs, and on each requested benefit attribute at least one
+    candidate that met an objective: an all-zero column cannot be normalized.
+    """
+
+    def __init__(self, candidates: tuple[str, ...], detail: str, advice: str):
         self.candidates = candidates
-        if candidates:
-            detail = f"only {', '.join(candidates)} matched"
-        else:
-            detail = "no provider matched"
-        super().__init__(
-            f"insufficient candidates for a ranking ({detail}); relax the requested spans"
-        )
+        super().__init__(f"insufficient candidates for a ranking ({detail}); {advice}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +53,6 @@ class AssessmentRequest:
         names = [name for name, _ in self.requested]
         if len(set(names)) != len(names):
             raise ValueError("requested attribute names must be unique")
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.requested)
 
     def restrict(self, names: list[str]) -> "AssessmentRequest":
         """Sub-request over a subset of the requested attributes."""
@@ -118,11 +112,23 @@ def match_candidates(
 def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
     """Full assessment pipeline over the matched candidate set."""
     started = time.perf_counter()
+    attributes = tuple(registry.resolve_attribute(name) for name, _ in request.requested)
+    spellings: dict[str, str] = {}
+    for (name, _), attr in zip(request.requested, attributes):
+        other = spellings.setdefault(attr.name, name)
+        if other != name:
+            raise ValueError(f"requested attributes {other!r} and {name!r} both name {attr.name!r}")
     matched = match_candidates(registry, request)
     candidates = tuple(matched)
     if len(candidates) < 2:
-        raise InsufficientCandidatesError(candidates)
-    attributes = tuple(registry.resolve_attribute(name) for name, _ in request.requested)
+        detail = f"only {', '.join(candidates)} matched" if candidates else "no provider matched"
+        raise InsufficientCandidatesError(candidates, detail, "relax the requested spans")
+    for k, attr in enumerate(attributes):
+        if (attr.polarity is Polarity.BENEFIT
+                and not any(row[k].satisfied_count for row in matched.values())):
+            raise InsufficientCandidatesError(
+                candidates, f"no candidate met any of their {attr.name!r} objectives",
+                f"leave {attr.name!r} out of the request")
     decision = DecisionMatrix(
         providers=candidates,
         attributes=attributes,

@@ -35,11 +35,11 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(3, 0, seed=0)
 
-    def test_point_intervals_and_alternating_polarity(self):
+    def test_interval_widths_and_alternating_polarity(self):
         m = generate_instance(3, 4, seed=9)
-        for row in m.cells:
-            for cell in row:
-                assert cell.lower == cell.upper > 0
+        widths = [cell.upper - cell.lower for row in m.cells for cell in row]
+        assert all(cell.lower > 0 for row in m.cells for cell in row)
+        assert all(w >= 0 for w in widths) and any(w > 0 for w in widths)
         polarities = [a.polarity for a in m.attributes]
         assert polarities == [Polarity.BENEFIT, Polarity.COST] * 2
 

@@ -6,7 +6,15 @@ import pytest
 
 from conftest import CASE_INTERVALS, CASE_PROVIDERS, COST_ONLY_CHAIN, REQUEST_SPANS
 from fastcloud.cli import main
-from fastcloud.registry import STANDARD_ATTRIBUTES, Store
+from fastcloud.registry import (
+    STANDARD_ATTRIBUTES,
+    AmvRecord,
+    Polarity,
+    QosAttribute,
+    Registry,
+    SloRecord,
+    Store,
+)
 
 
 def write_csv(path, header, rows):
@@ -91,6 +99,69 @@ class TestSubmitSlo:
         assert "1 accepted, 0 replaced, 1 failed" in captured.out
         assert "line 2" in captured.err and "finite" in captured.err
         assert list(Store(store_dir).load().slos) == [("q", "c", "availability")]
+
+
+class TestRecordFiles:
+    def test_store_files_are_accepted_by_the_submit_commands(self, tmp_path, capsys):
+        registry = Registry()
+        for attr in STANDARD_ATTRIBUTES + (QosAttribute("cost", "co", "usd", Polarity.COST),):
+            registry.register_attribute(attr)
+        registry.submit_slo(SloRecord("p1", "c1", "av", 90.5))
+        registry.submit_slo(SloRecord("p2", "c1", "co", 0.1))
+        for sequence in (2, 1, 5):
+            registry.submit_amv(AmvRecord("p1", "c1", "av", 90 + sequence / 3, sequence))
+        registry.submit_amv(AmvRecord("p2", "c1", "co", 0.3))
+        source = Store(tmp_path / "source")
+        source.save(registry)
+        loaded = source.load()
+        assert (loaded.attributes, loaded.slos, loaded.amvs) == (
+            registry.attributes, registry.slos, registry.amvs)
+        target = tmp_path / "target"
+        for command, name, summary in (
+            ("register-attributes", Store.ATTRIBUTES_FILE, "7 attributes registered"),
+            ("submit-slo", Store.SLOS_FILE, "2 accepted, 0 replaced"),
+            ("submit-amv", Store.AMVS_FILE, "4 appended"),
+        ):
+            assert main(["--store", str(target), command, str(source.root / name)]) == 0
+            assert capsys.readouterr().out.strip() == summary
+        copied = Store(target).load()
+        assert (copied.attributes, copied.slos, copied.amvs) == (
+            registry.attributes, registry.slos, registry.amvs)
+
+    def test_short_row_fails_its_line(self, store_dir, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("csp_id,csc_id,attribute,value\np,c\nq,c,av,90\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "submit-slo", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "1 accepted, 0 replaced, 1 failed" in captured.out
+        assert "line 2: malformed row" in captured.err
+
+    def test_blank_lines_skipped_and_lines_physical(self, store_dir, tmp_path, capsys):
+        slo = tmp_path / "s.csv"
+        write_csv(slo, ["csp_id", "csc_id", "attribute", "value"], [["p", "c", "av", 50]])
+        assert main(["--store", str(store_dir), "submit-slo", str(slo)]) == 0
+        amv = tmp_path / "a.csv"
+        amv.write_text("csp_id,csc_id,attribute,value,sequence\n\np,c,av,51,\n\n\n"
+                       "p,c,av,x,\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "submit-amv", str(amv)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().endswith("1 appended, 1 failed")
+        assert "line 6:" in captured.err
+
+    def test_other_header_names_the_file(self, store_dir, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        write_csv(path, ["csp_id", "attribute", "value"], [["p", "av", 50]])
+        assert main(["--store", str(store_dir), "submit-slo", str(path)]) == 2
+        assert f"{path}: header must be 'csp_id,csc_id,attribute,value'" in capsys.readouterr().err
+
+    def test_refused_attribute_row_registers_nothing(self, tmp_path, capsys):
+        path = tmp_path / "attrs.csv"
+        write_csv(path, ["name", "abbreviation", "unit", "polarity"],
+                  [["cost", "co", "usd", "Cost"], ["energy", "en", "kwh", "green"]])
+        store = tmp_path / "store"
+        assert main(["--store", str(store), "register-attributes", str(path)]) == 2
+        assert "line 3:" in capsys.readouterr().err
+        assert Store(store).load().attributes == {}
 
 
 class TestSubmitAmv:
@@ -232,6 +303,53 @@ class TestAssess:
         capsys.readouterr()
         assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
         assert "only a matched" in capsys.readouterr().err
+
+    def test_every_benefit_rate_zero_exits_3(self, store_dir, tmp_path, capsys):
+        slo_file, amv_file = tmp_path / "slos.csv", tmp_path / "amvs.csv"
+        write_csv(slo_file, ["csp_id", "csc_id", "attribute", "value"],
+                  [["a", "c", "av", 90], ["b", "c", "av", 90]])
+        write_csv(amv_file, ["csp_id", "csc_id", "attribute", "value", "sequence"],
+                  [["a", "c", "av", 80, ""], ["b", "c", "av", 70, ""]])
+        assert main(["--store", str(store_dir), "submit-slo", str(slo_file)]) == 0
+        assert main(["--store", str(store_dir), "submit-amv", str(amv_file)]) == 0
+        request_file = tmp_path / "request.csv"
+        write_csv(request_file, ["attribute", "min", "max"], [["av", 0, 100]])
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
+        err = capsys.readouterr().err
+        assert "no candidate met any of their 'availability' objectives" in err
+
+    def test_stored_abbreviations_rank_as_submitted(self, tmp_path, capsys):
+        slos = [["p1", "c1", "av", 90], ["p1", "c2", "av", 90],
+                ["p2", "c1", "av", 80], ["p2", "c2", "av", 80]]
+        amvs = [["p1", "c1", "av", 95, 1], ["p1", "c2", "av", 85, 1],
+                ["p2", "c1", "av", 85, 1], ["p2", "c2", "av", 90, 1]]
+        slo_file, amv_file = tmp_path / "s.csv", tmp_path / "a.csv"
+        write_csv(slo_file, ["csp_id", "csc_id", "attribute", "value"], slos)
+        write_csv(amv_file, ["csp_id", "csc_id", "attribute", "value", "sequence"], amvs)
+        request_file = tmp_path / "request.csv"
+        write_csv(request_file, ["attribute", "min", "max"], [["av", 0, 100]])
+        documents = []
+        for name, written in (("submitted", False), ("written", True)):
+            store = tmp_path / name
+            for argv in (["register-attributes", "--qws-defaults"],
+                         ["submit-slo", str(slo_file)]):
+                assert main(["--store", str(store)] + argv) == 0
+            if written:  # amvs.csv in the store names the attribute by abbreviation
+                write_csv(store / Store.AMVS_FILE,
+                          ["csp_id", "csc_id", "attribute", "value", "sequence"], amvs)
+            else:
+                assert main(["--store", str(store), "submit-amv", str(amv_file)]) == 0
+            capsys.readouterr()
+            assert main(["--store", str(store), "assess", str(request_file),
+                         "--format", "structured"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("elapsed_seconds")
+            documents.append(doc)
+        assert documents[0] == documents[1]
+        assert documents[0]["chain"] == "p2 > p1"
+        assert main(["--store", str(tmp_path / "written"), "submit-amv", str(amv_file)]) == 0
+        assert "0 appended, 4 duplicates skipped" in capsys.readouterr().out
 
     def test_insufficient_candidates_exit_code(self, store_dir, tmp_path, capsys):
         request_file = write_request(tmp_path)

@@ -6,7 +6,6 @@ from fastcloud.consistency import (
     actual_slo_interval,
     average_amv,
     consistency_rate,
-    low_submission_warnings,
     satisfies_consistency,
 )
 from fastcloud.intervals import IntervalNumber
@@ -209,14 +208,3 @@ class TestActualInterval:
                 expected_rate * lo, expected_rate * hi
             )
 
-
-class TestAdvisoryWarnings:
-    def test_flags_triples_below_minimum(self):
-        registry = fresh_registry()
-        registry.submit_slo(SloRecord("p", "c0", "av", 9))
-        registry.submit_slo(SloRecord("p", "c1", "av", 9))
-        registry.submit_amv(AmvRecord("p", "c0", "av", 10))
-        flagged = low_submission_warnings(registry)
-        assert flagged == [("p", "c1", "availability", 0)]
-        flagged = low_submission_warnings(registry, minimum_samples=2)
-        assert len(flagged) == 2

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from fastcloud.registry import (
+    AMV_COLUMNS,
+    SLO_COLUMNS,
     AmvRecord,
     DuplicateSubmissionError,
     MissingSloError,
@@ -16,6 +18,9 @@ from fastcloud.registry import (
     Store,
     UnknownAttributeError,
     import_qws,
+    parse_amv,
+    parse_slo,
+    read_rows,
 )
 
 
@@ -120,6 +125,29 @@ class TestSubmitAmv:
         assert registry.amv_samples("p", "c", "availability") == [5]
 
 
+class TestRecordFormat:
+    def test_rows_are_stripped_with_physical_lines(self):
+        text = " csp_id , csc_id,attribute,value\n p ,c, av ,90\n\n\nq,c,la,5\n"
+        assert list(read_rows(io.StringIO(text), SLO_COLUMNS)) == [
+            (2, ["p", "c", "av", "90"]), (5, ["q", "c", "la", "5"])]
+
+    def test_empty_source_and_other_header_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            list(read_rows(io.StringIO(""), SLO_COLUMNS))
+        reordered = "csc_id,csp_id,attribute,value\nc,p,av,90\n"
+        with pytest.raises(ValueError, match="header must be 'csp_id,csc_id,attribute,value'"):
+            list(read_rows(io.StringIO(reordered), SLO_COLUMNS))
+
+    def test_wrong_field_count_is_malformed(self):
+        for fields in (["p", "c", "av"], ["p", "c", "av", "90", "1"]):
+            with pytest.raises(ValueError, match="malformed row"):
+                parse_slo(fields)
+
+    def test_empty_sequence_left_to_the_registry(self):
+        assert parse_amv(["p", "c", "av", "5", ""]).sequence is None
+        assert parse_amv(["p", "c", "av", "5", "3"]).sequence == 3
+
+
 class TestPersistence:
     def test_round_trip_reproduces_registry(self, tmp_path):
         registry = fresh_registry()
@@ -152,6 +180,53 @@ class TestPersistence:
         assert list(store.load().slos) == [("p", "c", "availability")]
         slos.write_text("csp_id,csc_id,attribute,value\np,c,bogus,90\n", encoding="utf-8")
         with pytest.raises(UnknownAttributeError):
+            store.load()
+
+    @staticmethod
+    def store_with(tmp_path, name, text):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (tmp_path / "store" / name).write_text(text, encoding="utf-8")
+        return store
+
+    def test_load_resolves_amv_attributes(self, tmp_path):
+        store = self.store_with(tmp_path, Store.AMVS_FILE,
+                                "csp_id,csc_id,attribute,value,sequence\np,c,av,91.5,1\n")
+        loaded = store.load()
+        assert loaded.amv_samples("p", "c", "availability") == [91.5]
+        loaded.submit_slo(SloRecord("p", "c", "av", 90))
+        with pytest.raises(DuplicateSubmissionError):
+            loaded.submit_amv(AmvRecord("p", "c", "availability", 91.5, 1))
+        assert len(loaded.amvs) == 1
+
+    def test_load_refuses_unknown_amv_attribute_with_line(self, tmp_path):
+        store = self.store_with(tmp_path, Store.AMVS_FILE,
+                                "csp_id,csc_id,attribute,value,sequence\n"
+                                "p,c,av,91.5,1\np,c,bogus,5,1\n")
+        with pytest.raises(UnknownAttributeError, match="amvs.csv: line 3: unknown attribute"):
+            store.load()
+
+    def test_load_refuses_other_header_and_extra_fields(self, tmp_path):
+        store = self.store_with(tmp_path, Store.SLOS_FILE,
+                                "csc_id,csp_id,attribute,value\nc,p,av,90\n")
+        with pytest.raises(ValueError, match="slos.csv: line 1: header must be"):
+            store.load()
+        store = self.store_with(tmp_path, Store.SLOS_FILE,
+                                "csp_id,csc_id,attribute,value\np,c,av,90\nq,c,av,90,7\n")
+        with pytest.raises(ValueError, match="slos.csv: line 3: malformed row"):
+            store.load()
+
+    def test_load_refuses_empty_sequence(self, tmp_path):
+        store = self.store_with(tmp_path, Store.AMVS_FILE,
+                                "csp_id,csc_id,attribute,value,sequence\np,c,av,91.5,\n")
+        with pytest.raises(ValueError, match="amvs.csv: line 2: .*no sequence"):
+            store.load()
+
+    def test_load_skips_blank_lines_and_counts_them(self, tmp_path):
+        store = self.store_with(tmp_path, Store.AMVS_FILE,
+                                "csp_id,csc_id,attribute,value,sequence\n"
+                                "p,c,av,1,1\n\np,c,av,2,2\n\n\np,c,av,nan,3\n")
+        with pytest.raises(ValueError, match="amvs.csv: line 7: .*finite"):
             store.load()
 
     def test_load_refuses_non_finite_value(self, tmp_path):

@@ -73,7 +73,7 @@ class TestRequest:
     def test_parse_request_file(self):
         text = "attribute,min,max\nav,50,100\nla,1,100\n"
         request = read_request(io.StringIO(text))
-        assert request.attribute_names == ("av", "la")
+        assert [name for name, _ in request.requested] == ["av", "la"]
         assert request.requested[0][1] == span(50, 100)
 
     def test_parse_rejects_bad_header(self):
@@ -83,6 +83,15 @@ class TestRequest:
     def test_parse_rejects_bad_span(self):
         with pytest.raises(ValueError, match="line 2"):
             read_request(io.StringIO("attribute,min,max\nav,100,50\n"))
+
+    def test_parse_reports_physical_line_of_short_row(self):
+        text = "attribute,min,max\nav,50,100\n\nla,1\n"
+        with pytest.raises(ValueError, match="request line 4: malformed row"):
+            read_request(io.StringIO(text))
+
+    def test_parse_rejects_empty_file(self):
+        with pytest.raises(ValueError, match="request file is empty"):
+            read_request(io.StringIO(""))
 
 
 class TestMatching:
@@ -191,6 +200,28 @@ class TestAssess:
         result = assess(registry, request)
         assert result.candidates == ("p2", "p3")
         assert result.profiles[("p2", "availability")].actual_interval == span(0, 0)
+
+    def test_every_benefit_rate_zero_refused(self):
+        registry = fresh_registry()
+        for csp_id in ("p1", "p2"):
+            seed_provider(registry, csp_id, "availability", 80, 90, satisfy=False)
+            seed_provider(registry, csp_id, "latency", 5, 10)
+        request = AssessmentRequest(
+            (("latency", span(1, 100)), ("availability", span(0, 100))))
+        with pytest.raises(InsufficientCandidatesError, match="'availability'") as refused:
+            assess(registry, request)
+        assert refused.value.candidates == ("p1", "p2")
+        assert "no candidate met any" in str(refused.value)
+        assert assess(registry, request.restrict(["latency"])).candidates == ("p1", "p2")
+
+    def test_one_attribute_requested_twice_refused(self):
+        registry = fresh_registry()
+        seed_provider(registry, "p1", "availability", 80, 90)
+        seed_provider(registry, "p2", "availability", 70, 90)
+        request = AssessmentRequest(
+            (("av", span(0, 100)), ("availability", span(0, 100))))
+        with pytest.raises(ValueError, match="'av' and 'availability' both name"):
+            assess(registry, request)
 
     def test_unknown_requested_attribute(self):
         from fastcloud.registry import UnknownAttributeError
