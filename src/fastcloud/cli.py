@@ -90,33 +90,35 @@ def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[li
 
 def cmd_register_attributes(args: argparse.Namespace) -> int:
     store = _store(args)
-    registry = store.load()
-    count = 0
-    if args.qws_defaults:
-        for attr in STANDARD_ATTRIBUTES:
-            registry.register_attribute(attr)
-            count += 1
-    if args.file:
-        results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, parse_attribute,
-                                       registry.register_attribute)
-        if failed:
-            raise ValueError(f"{args.file}: {failed} rows refused, nothing registered")
-        count += len(results)
-    if count == 0:
-        raise ValueError("nothing to register: pass a file and/or --qws-defaults")
-    store.save(registry)
+    with store.locked():
+        registry = store.load()
+        count = 0
+        if args.qws_defaults:
+            for attr in STANDARD_ATTRIBUTES:
+                registry.register_attribute(attr)
+                count += 1
+        if args.file:
+            results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, parse_attribute,
+                                           registry.register_attribute)
+            if failed:
+                raise ValueError(f"{args.file}: {failed} rows refused, nothing registered")
+            count += len(results)
+        if count == 0:
+            raise ValueError("nothing to register: pass a file and/or --qws-defaults")
+        store.save(registry)
     print(f"{count} attributes registered")
     return EXIT_OK
 
 
 def cmd_submit_slo(args: argparse.Namespace) -> int:
     store = _store(args)
-    registry = store.load()
-    results, failed = _submit_file(args.file, SLO_COLUMNS, parse_slo, registry.submit_slo)
-    replaced = sum(results)
-    accepted = len(results) - replaced
-    if results:
-        store.save(registry)
+    with store.locked():
+        registry = store.load()
+        results, failed = _submit_file(args.file, SLO_COLUMNS, parse_slo, registry.submit_slo)
+        replaced = sum(results)
+        accepted = len(results) - replaced
+        if results:
+            store.save(registry)
     print(f"{accepted} accepted, {replaced} replaced"
           + (f", {failed} failed" if failed else ""))
     return EXIT_VALIDATION if failed and not results else EXIT_OK
@@ -124,12 +126,13 @@ def cmd_submit_slo(args: argparse.Namespace) -> int:
 
 def cmd_submit_amv(args: argparse.Namespace) -> int:
     store = _store(args)
-    registry = store.load()
-    results, failed = _submit_file(args.file, AMV_COLUMNS, parse_amv, registry.submit_amv)
-    skipped = sum(isinstance(r, DuplicateSubmissionError) for r in results)
-    appended = len(results) - skipped
-    if appended:
-        store.save(registry)
+    with store.locked():
+        registry = store.load()
+        results, failed = _submit_file(args.file, AMV_COLUMNS, parse_amv, registry.submit_amv)
+        skipped = sum(isinstance(r, DuplicateSubmissionError) for r in results)
+        appended = len(results) - skipped
+        if appended:
+            store.save(registry)
     print(f"{appended} appended"
           + (f", {skipped} duplicates skipped" if skipped else "")
           + (f", {failed} failed" if failed else ""))
@@ -138,7 +141,6 @@ def cmd_submit_amv(args: argparse.Namespace) -> int:
 
 def cmd_import_qws(args: argparse.Namespace) -> int:
     store = _store(args)
-    registry = store.load()
     mapping = dict(STANDARD_QWS_MAPPING)
     if args.map:
         mapping = {}
@@ -147,10 +149,12 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
             if not column or not attr:
                 raise ValueError(f"bad --map entry {pair!r}: expected COLUMN=attribute")
             mapping[column.strip()] = attr.strip()
-    with open(args.file, newline="", encoding="utf-8") as fh:
-        summary = import_qws(registry, fh, mapping, service_column=args.service_column)
-    if summary.records_added:
-        store.save(registry)
+    with store.locked():
+        registry = store.load()
+        with open(args.file, newline="", encoding="utf-8") as fh:
+            summary = import_qws(registry, fh, mapping, service_column=args.service_column)
+        if summary.records_added:
+            store.save(registry)
     for reason in summary.rejections:
         print(f"  {reason}", file=sys.stderr)
     print(summary)
@@ -159,7 +163,8 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
 
 def cmd_assess(args: argparse.Namespace) -> int:
     store = _store(args)
-    registry = store.load()
+    with store.locked(shared=True):
+        registry = store.load()
     with open(args.request, newline="", encoding="utf-8") as fh:
         request = read_request(fh)
     # canonicalize names so abbreviation and full-name spellings line up

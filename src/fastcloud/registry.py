@@ -1,24 +1,28 @@
 """Data model and file-backed store for QoS attributes, SLO and AMV submissions.
 
 The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
-amvs.csv) under one directory and rewrites them atomically (write to a temp
-file, then rename). The store, the submit commands and the request file
-share one record format, defined here: a header of the kind's columns, then
-one record per row, read by ``read_rows`` and parsed by ``parse_*``.
-Loading applies the same record checks as submission. Saves are serialized
-through a lock that holds only within one process.
+amvs.csv) under one directory. The store, the submit commands and the
+request file share one record format, defined here: a header of the kind's
+columns, then one record per row, read by ``read_rows`` and parsed by
+``parse_*``. Loading applies the same record checks as submission.
+
+amvs.csv is an append-only log: a save appends the monitored values added
+since the load, while attributes.csv and slos.csv are replaced atomically,
+and only when they changed. Writers serialize on an ``flock`` of the
+store's ``.lock`` file across processes (see ``Store``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import fcntl
 import io
 import math
 import os
 import re
 import tempfile
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -53,6 +57,19 @@ class QosAttribute:
     polarity: Polarity
 
 
+def _check_ids(csp_id: str, csc_id: str) -> None:
+    """Refuse an empty provider or consumer id, or one with surrounding whitespace."""
+    if not (csp_id and csc_id and csp_id.strip() == csp_id and csc_id.strip() == csc_id):
+        raise ValueError("provider and consumer ids must be non-empty without surrounding "
+                         f"whitespace, got {csp_id!r} and {csc_id!r}")
+
+
+def _monitored_value(value: float) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"monitored value must be finite and nonnegative, got {value}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class SloRecord:
     """Agreed service-level objective for one (provider, consumer, attribute)."""
@@ -63,6 +80,7 @@ class SloRecord:
     value: float
 
     def __post_init__(self) -> None:
+        _check_ids(self.csp_id, self.csc_id)
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"SLO value must be finite and positive, got {self.value}")
 
@@ -82,8 +100,8 @@ class AmvRecord:
     sequence: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"monitored value must be finite and nonnegative, got {self.value}")
+        _check_ids(self.csp_id, self.csc_id)
+        _monitored_value(self.value)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -123,17 +141,22 @@ def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple
 
     Yields (physical line, stripped fields) for each row, skipping blank
     lines. An empty source or any other header is refused before the first
-    row; the field count is left to the row parsers.
+    row; the field count is left to the row parsers. A row the csv module
+    cannot read, such as one with a field over ``csv.field_size_limit()``,
+    is refused as a ValueError that names its line.
     """
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("file is empty")
-    if [h.strip() for h in header] != list(columns):
-        raise ValueError(f"header must be {','.join(columns)!r}, got {','.join(header)!r}")
-    for fields in reader:
-        if fields:
-            yield reader.line_num, [f.strip() for f in fields]
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("file is empty")
+        if [h.strip() for h in header] != list(columns):
+            raise ValueError(f"header must be {','.join(columns)!r}, got {','.join(header)!r}")
+        for fields in reader:
+            if fields:
+                yield reader.line_num, list(map(str.strip, fields))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
 
 def _fields(fields: list[str], columns: tuple[str, ...]) -> list[str]:
@@ -167,6 +190,28 @@ def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
     return attribute, span
 
 
+class AmvView:
+    """Read-only view of a registry's monitored values, in submission order.
+
+    Its length is the row count, two views are equal when their rows are,
+    and an ``AmvRecord`` is built for a row only when the view is iterated.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[tuple[str, str, str, float, int]]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[AmvRecord]:
+        return (AmvRecord(*row) for row in self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        return self._rows == other._rows if isinstance(other, AmvView) else NotImplemented
+
+
 @dataclass
 class Registry:
     """In-memory registry of attributes, SLO records and AMV records.
@@ -174,19 +219,26 @@ class Registry:
     Attributes are keyed by name and by abbreviation (both must be unique).
     SLO records replace on resubmission of the same (csp, csc, attribute)
     triple; AMV records append. Every path resolves a record's attribute
-    and files it under the registered name. Records enter only through
-    ``submit_*``, ``import_qws`` and ``Store.load``, which keeps the
-    per-triple AMV index whole; appending to ``amvs`` directly bypasses it.
-    Only ``submit_amv`` requires an agreed SLO: imported monitored values,
-    and the stored ones that load restores, have none.
+    and files it under the registered name. Monitored values are held once,
+    as rows ``(csp, csc, attribute, value, sequence)`` in submission order,
+    indexed per triple; ``amvs`` is a read-only view of those rows. Records
+    enter only through ``submit_*``, ``import_qws`` and ``Store.load``. Only
+    ``submit_amv`` requires an agreed SLO: imported monitored values, and
+    the stored ones that load restores, have none.
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict)
     slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict)
-    amvs: list[AmvRecord] = field(default_factory=list)
+    # the monitored values in submission order; amvs.csv holds the same rows
+    _rows: list[tuple[str, str, str, float, int]] = field(
+        default_factory=list, init=False, repr=False)
     # (csp, csc, attribute) -> {sequence: value}, updated only by _append_amv
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def amvs(self) -> AmvView:
+        return AmvView(self._rows)
 
     # -- attribute handling ------------------------------------------------
 
@@ -237,40 +289,38 @@ class Registry:
             raise MissingSloError(
                 f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
             )
-        return self._append_amv(record)
-
-    def _restore_amv(self, record: AmvRecord) -> AmvRecord:
-        """Add a stored monitored value with the checks of ``submit_amv``.
-
-        No SLO is required, since imported values have none, and the value
-        must carry the sequence it was filed under.
-        """
-        if record.sequence is None:
-            raise ValueError("stored monitored value has no sequence")
-        return self._append_amv(self._named(record))
+        sequence = self._append_amv(*record.key, record.value, record.sequence)
+        return record if record.sequence == sequence else replace(record, sequence=sequence)
 
     def _named(self, record: SloRecord | AmvRecord) -> SloRecord | AmvRecord:
         """The record with its attribute spelled by the registered name."""
         name = self.resolve_attribute(record.attribute).name
         return record if record.attribute == name else replace(record, attribute=name)
 
-    def _append_amv(self, record: AmvRecord) -> AmvRecord:
-        samples = self._samples.setdefault(record.key, {})
-        if record.sequence is None:
-            record = replace(record, sequence=1 + max(samples, default=0))
-        elif record.sequence in samples:
-            existing = samples[record.sequence]
-            if existing == record.value:
-                raise DuplicateSubmissionError(
-                    f"duplicate submission {record.key} sequence {record.sequence}"
-                )
+    def _append_amv(self, csp_id: str, csc_id: str, attribute: str, value: float,
+                    sequence: int | None) -> int:
+        """Append a checked monitored value under a registered attribute name.
+
+        A value without a sequence gets the next per-triple index, which is
+        returned. A sequence already holding the same value raises
+        DuplicateSubmissionError; one holding another value is a conflict
+        (ValueError). Either way nothing is stored.
+        """
+        key = (csp_id, csc_id, attribute)
+        samples = self._samples.setdefault(key, {})
+        if sequence is None:
+            sequence = 1 + max(samples, default=0)
+        elif sequence in samples:
+            existing = samples[sequence]
+            if existing == value:
+                raise DuplicateSubmissionError(f"duplicate submission {key} sequence {sequence}")
             raise ValueError(
-                f"sequence {record.sequence} for {record.key} already holds "
-                f"value {existing}, refusing to overwrite with {record.value}"
+                f"sequence {sequence} for {key} already holds "
+                f"value {existing}, refusing to overwrite with {value}"
             )
-        samples[record.sequence] = record.value
-        self.amvs.append(record)
-        return record
+        samples[sequence] = value
+        self._rows.append((csp_id, csc_id, attribute, value, sequence))
+        return sequence
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
@@ -327,9 +377,13 @@ def import_qws(
     """
     mapping = dict(mapping or STANDARD_QWS_MAPPING)
     reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    try:
+        fieldnames = reader.fieldnames
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.reader.line_num}: {exc}") from exc
+    if fieldnames is None:
         raise ValueError("import source is empty: no header row")
-    header = [h.strip() for h in reader.fieldnames]
+    header = [h.strip() for h in fieldnames]
     missing = [col for col in mapping if col not in header]
     if missing:
         raise ValueError(f"mapped columns missing from header: {', '.join(sorted(missing))}")
@@ -341,118 +395,211 @@ def import_qws(
     accepted = rejected = added = skipped = conflicting = 0
     rejections: list[str] = []
     group_counts: dict[str, int] = {}
-    for line_no, row in enumerate(reader, start=2):
-        row = {(k.strip() if k else k): v for k, v in row.items()}
-        service = (row.get(service_column) or "").strip()
-        if not service:
-            rejected += 1
-            rejections.append(f"line {line_no}: missing service identity")
-            continue
-        try:
-            values = {targets[col]: float(row[col]) for col in mapping}
-        except (TypeError, ValueError):
-            rejected += 1
-            rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
-            continue
-        csp_id = _slugify(service)
-        sequence = group_counts.get(csp_id, 0) + 1
-        try:
-            records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
-                       for attr_name, value in values.items()]
-        except ValueError as exc:
-            rejected += 1
-            rejections.append(f"line {line_no}: {exc}")
-            continue
-        group_counts[csp_id] = sequence
-        accepted += 1
-        for record in records:
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            row = {(k.strip() if k else k): v for k, v in row.items()}
+            service = (row.get(service_column) or "").strip()
+            if not service:
+                rejected += 1
+                rejections.append(f"line {line_no}: missing service identity")
+                continue
             try:
-                registry._append_amv(record)
-                added += 1
-            except DuplicateSubmissionError:
-                skipped += 1
+                values = {targets[col]: float(row[col]) for col in mapping}
+            except (TypeError, ValueError):
+                rejected += 1
+                rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
+                continue
+            csp_id = _slugify(service)
+            sequence = group_counts.get(csp_id, 0) + 1
+            try:
+                records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
+                           for attr_name, value in values.items()]
             except ValueError as exc:
-                conflicting += 1
+                rejected += 1
                 rejections.append(f"line {line_no}: {exc}")
+                continue
+            group_counts[csp_id] = sequence
+            accepted += 1
+            for record in records:
+                try:
+                    registry._append_amv(*record.key, record.value, record.sequence)
+                    added += 1
+                except DuplicateSubmissionError:
+                    skipped += 1
+                except ValueError as exc:
+                    conflicting += 1
+                    rejections.append(f"line {line_no}: {exc}")
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.reader.line_num}: {exc}") from exc
     return ImportSummary(accepted, rejected, added, skipped, conflicting, tuple(rejections))
+
+
+def _amv_restorer(registry: Registry):
+    """Add one amvs.csv row to ``registry`` without building an AmvRecord.
+
+    The row gets the checks of ``parse_amv`` and ``submit_amv``, except that
+    it needs no SLO, since imported values have none, and must carry the
+    sequence it was filed under. Each attribute spelling is resolved once.
+    """
+    names: dict[str, str] = {}
+
+    def restore(fields: list[str]) -> None:
+        csp_id, csc_id, attribute, value, sequence = _fields(fields, AMV_COLUMNS)
+        _check_ids(csp_id, csc_id)
+        value = _monitored_value(float(value))
+        if not sequence:
+            raise ValueError("stored monitored value has no sequence")
+        name = names.get(attribute)
+        if name is None:
+            name = names[attribute] = registry.resolve_attribute(attribute).name
+        registry._append_amv(csp_id, csc_id, name, value, int(sequence))
+
+    return restore
 
 
 def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
     """The refusal of one store row, naming its file and line.
 
     A duplicate or an unknown attribute keeps its error type, so callers can
-    still tell them apart.
+    still tell them apart. A row the csv module could not read is already
+    named by ``read_rows``.
     """
     kind = type(exc) if type(exc) in (UnknownAttributeError, DuplicateSubmissionError) else ValueError
-    return kind(f"{path}: line {line}: {exc}")
+    where = path if isinstance(exc.__cause__, csv.Error) else f"{path}: line {line}"
+    return kind(f"{where}: {exc}")
+
+
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 class Store:
     """Directory-backed persistence for a registry.
 
-    One CSV file per record kind, in the format the submit commands take;
-    every save rewrites the affected file via a temp file and atomic
-    rename, so a crash never leaves a half-written store. Loading applies
-    the record checks of submission, prefixing each refusal with the file
-    and its line: an empty file or another header, a row with a wrong field
-    count, a non-finite or out-of-range value, an unregistered attribute, an
-    empty sequence or a repeated (triple, sequence) in amvs.csv. Attribute
-    abbreviations resolve to names. Saves are serialized through a
-    ``threading.Lock``, which holds only within one process; concurrent
-    writer processes can still lose records.
+    One CSV file per record kind, in the format the submit commands take.
+    amvs.csv is an append-only log: saving the registry that this store
+    loaded appends the rows added since, in one write, then flushes and
+    fsyncs the file. attributes.csv and slos.csv are rewritten only when
+    their records changed or the file is missing, and amvs.csv only when
+    it is missing or the registry was not loaded here: temp file, fsync,
+    rename, then fsync of the directory. Every save leaves all three files.
+    A crash thus leaves each file as it was or as saved, except that an
+    append cut short can leave a last amvs.csv row without its line end.
+    Load refuses such a row, since a cut value or sequence (``...,9`` of
+    ``...,91``) can still read as valid.
+
+    Loading applies the record checks of submission, prefixing each refusal
+    with the file and its line: an empty file or another header, a row with
+    a wrong field count, an empty or padded id, a non-finite or out-of-range
+    value, an unregistered attribute, an empty sequence or a repeated
+    (triple, sequence) in amvs.csv. Attribute abbreviations resolve to
+    names.
+
+    ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
+    processes: a writer holds it exclusively from its load through its
+    save, so that no process loses another's rows or numbers a triple
+    twice, and a reader holds it shared while it loads.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"
     SLOS_FILE = "slos.csv"
     AMVS_FILE = "amvs.csv"
+    LOCK_FILE = ".lock"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._lock = threading.Lock()
+        # the registry last loaded or saved here, with what each file holds
+        # of it: its attributes, its SLOs and its AMV row count (None: no file)
+        self._synced: tuple[Registry, dict[str, object]] | None = None
+
+    @contextlib.contextmanager
+    def locked(self, shared: bool = False) -> Iterator[None]:
+        """Hold the store's lock, exclusive unless ``shared``."""
+        if shared and not self.root.is_dir():
+            yield  # nothing to read, and a reader creates no store
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.root / self.LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
 
     def load(self) -> Registry:
         registry = Registry()
-        for name, columns, parse, add in (
-            (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS, parse_attribute, registry.register_attribute),
-            (self.SLOS_FILE, SLO_COLUMNS, parse_slo, registry.submit_slo),
-            (self.AMVS_FILE, AMV_COLUMNS, parse_amv, registry._restore_amv),
+        missing = []
+        for name, columns, add in (
+            (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
+             lambda fields: registry.register_attribute(parse_attribute(fields))),
+            (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields))),
+            (self.AMVS_FILE, AMV_COLUMNS, _amv_restorer(registry)),
         ):
             path = self.root / name
-            if not path.exists():
+            try:
+                fh = path.open(newline="", encoding="utf-8")
+            except FileNotFoundError:
+                missing.append(name)
                 continue
-            with path.open(newline="", encoding="utf-8") as fh:
+            with fh:
                 line = 1
                 try:
                     for line, fields in read_rows(fh, columns):
-                        add(parse(fields))
+                        add(fields)
+                    if name == self.AMVS_FILE:
+                        end = os.fstat(fh.fileno()).st_size - 1
+                        if os.pread(fh.fileno(), 1, end) != b"\n":
+                            raise ValueError("row has no line end: its append was cut short")
                 except ValueError as exc:
                     raise _row_error(path, line, exc) from exc
+        self._remember(registry, missing)
         return registry
 
     def save(self, registry: Registry) -> None:
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._write(self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-                        ([a.name, a.abbreviation, a.unit, a.polarity.value]
-                         for a in registry.attributes.values()))
-            self._write(self.SLOS_FILE, SLO_COLUMNS,
-                        ([r.csp_id, r.csc_id, r.attribute, repr(r.value)]
-                         for r in registry.slos.values()))
-            self._write(self.AMVS_FILE, AMV_COLUMNS,
-                        ([r.csp_id, r.csc_id, r.attribute, repr(r.value), r.sequence]
-                         for r in registry.amvs))
+        """Write ``registry``: only what changed if it was loaded or saved here."""
+        synced = self._synced[1] if self._synced and self._synced[0] is registry else {}
+        self.root.mkdir(parents=True, exist_ok=True)
+        if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
+            self._replace(self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
+                          ([a.name, a.abbreviation, a.unit, a.polarity.value]
+                           for a in registry.attributes.values()))
+        if synced.get(self.SLOS_FILE) != registry.slos:
+            self._replace(self.SLOS_FILE, SLO_COLUMNS,
+                          ([r.csp_id, r.csc_id, r.attribute, repr(r.value)]
+                           for r in registry.slos.values()))
+        logged = synced.get(self.AMVS_FILE)
+        if logged is None:
+            self._replace(self.AMVS_FILE, AMV_COLUMNS, registry._rows)
+        elif logged < len(registry._rows):
+            with open(self.root / self.AMVS_FILE, "a", newline="", encoding="utf-8") as fh:
+                fh.write(_csv_text(registry._rows[logged:]))
+                fh.flush()
+                os.fsync(fh.fileno())
+        self._remember(registry)
 
-    def _write(self, name: str, header: tuple[str, ...], rows: Iterable[list]) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    def _remember(self, registry: Registry, missing: Iterable[str] = ()) -> None:
+        files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
+                 self.SLOS_FILE: dict(registry.slos),
+                 self.AMVS_FILE: len(registry._rows)}
+        files.update(dict.fromkeys(missing))
+        self._synced = (registry, files)
+
+    def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
         fd, tmp_path = tempfile.mkstemp(dir=self.root, prefix=name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
+                fh.write(_csv_text([header, *rows]))
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp_path, self.root / name)
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
+        dir_fd = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)

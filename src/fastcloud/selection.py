@@ -12,6 +12,7 @@ concurrently against the same snapshot.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass
 from typing import TextIO
@@ -156,7 +157,9 @@ def read_request(source: TextIO) -> AssessmentRequest:
         for line, fields in read_rows(source, REQUEST_COLUMNS):
             requested.append(parse_request(fields))
     except ValueError as exc:
-        where = "request" if line is None else f"request line {line}:"
+        # read_rows names the line of a row the csv module could not read
+        where = ("request" if line is None or isinstance(exc.__cause__, csv.Error)
+                 else f"request line {line}:")
         raise ValueError(f"{where} {exc}") from exc
     return AssessmentRequest(tuple(requested))
 

@@ -201,6 +201,7 @@ def test_c07_consistency_engine_matches_brute_force():
                             registry.submit_amv(
                                 AmvRecord(csp, csc, attr.name, rng.uniform(0, 130))
                             )
+            amvs = list(registry.amvs)
             for csp in providers:
                 for attr in attrs:
                     records = [r for r in registry.slos.values()
@@ -209,7 +210,7 @@ def test_c07_consistency_engine_matches_brute_force():
                         continue
                     satisfied = 0
                     for record in records:
-                        values = [a.value for a in registry.amvs if a.key == record.key]
+                        values = [a.value for a in amvs if a.key == record.key]
                         if not values:
                             continue
                         mean = sum(values) / len(values)

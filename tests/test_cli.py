@@ -136,6 +136,28 @@ class TestRecordFiles:
         assert "1 accepted, 0 replaced, 1 failed" in captured.out
         assert "line 2: malformed row" in captured.err
 
+    def test_empty_ids_refused(self, store_dir, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("csp_id,csc_id,attribute,value\n,,av,90\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "submit-slo", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "0 accepted, 0 replaced, 1 failed" in captured.out
+        assert "line 2: provider and consumer ids must be non-empty" in captured.err
+        assert Store(store_dir).load().slos == {}
+
+    def test_over_long_field_names_file_and_line(self, store_dir, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("csp_id,csc_id,attribute,value\n" + "p" * 200_000 + ",c,av,90\n",
+                        encoding="utf-8")
+        assert main(["--store", str(store_dir), "submit-slo", str(path)]) == 2
+        assert f"{path}: line 2: field larger than field limit" in capsys.readouterr().err
+        sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
+        lines = sample.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1] + "x" * 200_000 + lines[2], encoding="utf-8")
+        assert main(["--store", str(store_dir), "import-qws", str(path)]) == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+        assert len(Store(store_dir).load().amvs) == 0
+
     def test_blank_lines_skipped_and_lines_physical(self, store_dir, tmp_path, capsys):
         slo = tmp_path / "s.csv"
         write_csv(slo, ["csp_id", "csc_id", "attribute", "value"], [["p", "c", "av", 50]])

@@ -183,6 +183,7 @@ class TestActualInterval:
                     registry.submit_slo(SloRecord("p", f"c{j}", attr, rng.uniform(1, 99)))
                     for _ in range(rng.randint(0, 4)):
                         registry.submit_amv(AmvRecord("p", f"c{j}", attr, rng.uniform(0, 120)))
+        amvs = list(registry.amvs)
         for attr in attrs:
             slo_records = [r for r in registry.slos.values()
                            if r.csp_id == "p" and r.attribute == attr]
@@ -191,7 +192,7 @@ class TestActualInterval:
             polarity = registry.attributes[attr].polarity
             satisfied = 0
             for record in slo_records:
-                values = [a.value for a in registry.amvs if a.key == record.key]
+                values = [a.value for a in amvs if a.key == record.key]
                 if not values:
                     continue
                 mean = sum(values) / len(values)

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 
 import pytest
@@ -84,6 +85,18 @@ class TestSubmitSlo:
             with pytest.raises(ValueError, match="finite"):
                 SloRecord("p", "c", "av", value)
 
+    def test_empty_and_padded_ids_rejected(self, tmp_path):
+        for csp_id, csc_id in (("", "c"), ("p", ""), (" p", "c"), ("p", "c\t")):
+            for record in (SloRecord, AmvRecord):
+                with pytest.raises(ValueError, match="without surrounding whitespace"):
+                    record(csp_id, csc_id, "av", 90)
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (tmp_path / "store" / Store.AMVS_FILE).write_text(
+            "csp_id,csc_id,attribute,value,sequence\n,c,av,91.5,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="amvs.csv: line 2: .*whitespace"):
+            store.load()
+
 
 class TestSubmitAmv:
     def test_append_semantics(self):
@@ -142,6 +155,11 @@ class TestRecordFormat:
         for fields in (["p", "c", "av"], ["p", "c", "av", "90", "1"]):
             with pytest.raises(ValueError, match="malformed row"):
                 parse_slo(fields)
+
+    def test_unreadable_row_names_its_line(self):
+        text = "csp_id,csc_id,attribute,value\np,c,av,90\n" + "q" * 200_000 + ",c,av,90\n"
+        with pytest.raises(ValueError, match="^line 3: field larger than field limit"):
+            list(read_rows(io.StringIO(text), SLO_COLUMNS))
 
     def test_empty_sequence_left_to_the_registry(self):
         assert parse_amv(["p", "c", "av", "5", ""]).sequence is None
@@ -256,6 +274,69 @@ class TestPersistence:
         store.save(registry)
         leftovers = [p for p in (tmp_path / "store").iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_load_names_an_unreadable_row(self, tmp_path):
+        store = self.store_with(tmp_path, Store.SLOS_FILE,
+                                "csp_id,csc_id,attribute,value\np,c,av,90\n"
+                                + "q" * 200_000 + ",c,av,90\n")
+        with pytest.raises(ValueError, match="slos.csv: line 3: field larger than field limit"):
+            store.load()
+
+    def test_load_refuses_a_row_cut_short(self, tmp_path):
+        store = self.store_with(tmp_path, Store.AMVS_FILE,
+                                "csp_id,csc_id,attribute,value,sequence\n"
+                                "p,c,av,91.5,1\np,c,av,92.5,2")
+        with pytest.raises(ValueError, match="amvs.csv: line 3: row has no line end"):
+            store.load()
+        (tmp_path / "store" / Store.AMVS_FILE).write_text(
+            "csp_id,csc_id,attribute,value,sequence", encoding="utf-8")
+        with pytest.raises(ValueError, match="amvs.csv: line 1: row has no line end"):
+            store.load()
+
+    def test_save_appends_only_new_rows(self, tmp_path):
+        store = Store(tmp_path / "store")
+        registry = fresh_registry()
+        registry.submit_slo(SloRecord("p", "c", "av", 90))
+        registry.submit_amv(AmvRecord("p", "c", "av", 91))
+        store.save(registry)
+        files = {name: tmp_path / "store" / name
+                 for name in (Store.ATTRIBUTES_FILE, Store.SLOS_FILE, Store.AMVS_FILE)}
+        before = {name: (path.read_bytes(), os.stat(path).st_ino) for name, path in files.items()}
+        loaded = store.load()
+        loaded.submit_amv(AmvRecord("p", "c", "av", 92.0))
+        loaded.submit_amv(AmvRecord("p", "c", "av", 93.5))
+        store.save(loaded)
+        # the AMV log grew in place; the other files were not rewritten
+        assert files[Store.AMVS_FILE].read_bytes() == (
+            before[Store.AMVS_FILE][0] + b"p,c,availability,92.0,2\np,c,availability,93.5,3\n")
+        assert os.stat(files[Store.AMVS_FILE]).st_ino == before[Store.AMVS_FILE][1]
+        for name in (Store.ATTRIBUTES_FILE, Store.SLOS_FILE):
+            assert (files[name].read_bytes(), os.stat(files[name]).st_ino) == before[name]
+        loaded.submit_slo(SloRecord("p", "c", "av", 95))
+        store.save(loaded)
+        assert os.stat(files[Store.SLOS_FILE]).st_ino != before[Store.SLOS_FILE][1]
+        assert os.stat(files[Store.ATTRIBUTES_FILE]).st_ino == before[Store.ATTRIBUTES_FILE][1]
+        # a registry this store did not load is written whole, as is a missing file
+        other = store.load()
+        files[Store.ATTRIBUTES_FILE].unlink()
+        Store(store.root).save(other)
+        assert store.load() == loaded
+        assert [p.name for p in store.root.iterdir() if p.suffix == ".tmp"] == []
+
+    def test_amvs_is_a_read_only_view_of_the_rows(self):
+        registry = fresh_registry()
+        registry.submit_slo(SloRecord("p", "c", "av", 90))
+        registry.submit_amv(AmvRecord("p", "c", "av", 91))
+        view = registry.amvs
+        assert len(view) == 1
+        assert list(view) == [AmvRecord("p", "c", "availability", 91, 1)]
+        assert not hasattr(view, "append")
+        twin = fresh_registry()
+        twin.submit_slo(SloRecord("p", "c", "av", 90))
+        twin.submit_amv(AmvRecord("p", "c", "availability", 91, 1))
+        assert twin.amvs == view and twin == registry
+        twin.submit_amv(AmvRecord("p", "c", "av", 92))
+        assert twin.amvs != view and len(view) == 1
 
     def test_referential_integrity_after_random_interleaving(self, tmp_path):
         rng = random.Random(42)

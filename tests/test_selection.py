@@ -93,6 +93,11 @@ class TestRequest:
         with pytest.raises(ValueError, match="request file is empty"):
             read_request(io.StringIO(""))
 
+    def test_parse_names_the_line_of_an_unreadable_row(self):
+        text = "attribute,min,max\nav,50,100\n" + "x" * 200_000 + ",1,2\n"
+        with pytest.raises(ValueError, match="^request line 3: field larger than field limit"):
+            read_request(io.StringIO(text))
+
 
 class TestMatching:
     def test_intersecting_interval_qualifies(self):
@@ -176,6 +181,20 @@ class TestAssess:
         assert [r.csp_id for r in result.ranking] == ["pA", "pB"]
         assert all(r.ordering_score == pytest.approx(0.5) for r in result.ranking)
 
+    def test_failing_a_cost_check_flips_a_latency_tie(self):
+        # the model scales a cost interval by the consistency rate, toward
+        # lower and so better values: a missed latency objective ranks higher
+        request = AssessmentRequest((("la", span(1, 100)),))
+        chains = []
+        for b_measured in (30, 45):  # b's second consumer: objective 30 met, then missed
+            registry = fresh_registry()
+            for csp_id, measured in (("a", (10, 30)), ("b", (10, b_measured))):
+                for csc_id, slo, amv in zip(("c1", "c2"), (10, 30), measured):
+                    registry.submit_slo(SloRecord(csp_id, f"{csp_id}-{csc_id}", "la", slo))
+                    registry.submit_amv(AmvRecord(csp_id, f"{csp_id}-{csc_id}", "la", amv))
+            chains.append(assess(registry, request).chain)
+        assert chains == ["a > b", "b > a"]
+
     def test_cost_attribute_with_zero_lower_bound_fails(self):
         registry = fresh_registry()
         seed_provider(registry, "p1", "latency", 5, 10, satisfy=False)  # actual [0, 0]
@@ -257,6 +276,7 @@ class TestAssess:
 
         # independent recomputation straight from the raw records
         providers = sorted(registry.providers)
+        amvs = list(registry.amvs)
         grid = []
         for csp in providers:
             row = []
@@ -266,7 +286,7 @@ class TestAssess:
                 polarity = registry.attributes[attr].polarity
                 satisfied = 0
                 for record in records:
-                    values = [a.value for a in registry.amvs if a.key == record.key]
+                    values = [a.value for a in amvs if a.key == record.key]
                     if values:
                         mean = sum(values) / len(values)
                         ok = mean >= record.value if polarity is Polarity.BENEFIT \
