@@ -1,6 +1,6 @@
 """QoS-based trust assessment and provider ranking for cloud service selection."""
 
-from .intervals import IntervalNumber, add, possibility_degree, scale, separation
+from .intervals import IntervalNumber, possibility_degree
 from .registry import (
     AmvRecord,
     DuplicateSubmissionError,
@@ -18,7 +18,6 @@ from .consistency import (
     ConsistencyProfile,
     actual_slo_interval,
     average_amv,
-    consistency_rate,
     satisfies_consistency,
 )
 from .trust import (
@@ -47,11 +46,11 @@ from .bench import BenchConfig, BenchMode, BenchReport, generate_instance, run_b
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntervalNumber", "add", "possibility_degree", "scale", "separation",
+    "IntervalNumber", "possibility_degree",
     "AmvRecord", "DuplicateSubmissionError", "ImportSummary", "MissingSloError", "Polarity", "QosAttribute",
     "Registry", "SloRecord", "Store", "UnknownAttributeError", "import_qws",
     "ConsistencyProfile", "actual_slo_interval", "average_amv",
-    "consistency_rate", "satisfies_consistency",
+    "satisfies_consistency",
     "DecisionContext", "DecisionMatrix", "RankedProvider",
     "WeightVector", "deviation_weights", "evaluate", "normalize",
     "ordering_vector", "possibility_matrix", "rank", "ranking_chain", "trust_levels",

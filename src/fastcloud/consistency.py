@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import IntervalNumber, scale
+from .intervals import IntervalNumber
 from .registry import MissingSloError, Polarity, Registry
 
 
@@ -49,19 +49,6 @@ def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
     return amv <= slo
 
 
-def consistency_rate(registry: Registry, csp_id: str, attribute: str) -> tuple[float, int, int]:
-    """Fraction of a provider's consumers whose monitored average meets their SLO.
-
-    Returns (rate, satisfied, agreed). A consumer counts as agreed when it
-    holds an SLO for the attribute; it counts as satisfied only when it also
-    submitted at least one monitored value whose average passes the polarity
-    check. Consumers with an SLO but no submissions are therefore agreed but
-    not satisfied: an unverifiable claim does not raise the rate.
-    """
-    profile = actual_slo_interval(registry, csp_id, attribute)
-    return profile.consistency_rate, profile.satisfied_count, profile.agreed_count
-
-
 def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> ConsistencyProfile:
     """Declared SLO span scaled by the consistency rate.
 
@@ -70,6 +57,11 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
     experience diverges from the agreements. The scaling is applied the same
     way for benefit and cost attributes; polarity is honored later, during
     decision-matrix normalization.
+
+    A consumer counts as agreed when it holds an SLO for the attribute, and
+    as satisfied only when it also submitted at least one monitored value
+    whose average passes the polarity check: an unverifiable claim does not
+    raise the rate.
     """
     attr = registry.resolve_attribute(attribute)
     slos = registry.slos_for(csp_id, attr.name)
@@ -83,14 +75,14 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
     agreed = len(slos)
     rate = satisfied / agreed
     values = [r.value for r in slos]
-    span = IntervalNumber(min(values), max(values))
+    lo, hi = min(values), max(values)
     return ConsistencyProfile(
         csp_id=csp_id,
         attribute=attr.name,
         consistency_rate=rate,
         satisfied_count=satisfied,
         agreed_count=agreed,
-        slo_span=span,
-        actual_interval=scale(span, rate),
+        slo_span=IntervalNumber(lo, hi),
+        actual_interval=IntervalNumber(rate * lo, rate * hi),
     )
 

@@ -1,10 +1,11 @@
-"""Closed-interval value type and the handful of operations the trust model needs.
+"""Closed-interval value type and the possibility degree used for ranking.
 
-Intervals are immutable; every operation returns a new value, so they are
-safe to share across threads. Deliberately not a general interval-arithmetic
-library: no interval-by-interval multiplication, division or containment
-algebra, just scaling, addition, an L1-style separation and the possibility
-degree used for ranking.
+``IntervalNumber`` is the validated, immutable form in which an interval
+enters or leaves the scoring core: decision cells, consistency profiles,
+request spans and trust levels. The core itself computes on plain float
+endpoints, so this is deliberately not an interval-arithmetic library; the
+one operation here is the possibility degree, also in a float form that
+scores a whole possibility-matrix row in one pass.
 """
 
 from __future__ import annotations
@@ -40,30 +41,6 @@ class IntervalNumber:
 
     def __str__(self) -> str:
         return f"[{self.lower:g}, {self.upper:g}]"
-
-
-def scale(x: IntervalNumber, c: float) -> IntervalNumber:
-    """Multiply both endpoints by a nonnegative constant.
-
-    Negative factors are rejected: they would flip the interval's polarity.
-    """
-    if c < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {c}")
-    return IntervalNumber(c * x.lower, c * x.upper)
-
-
-def add(x: IntervalNumber, y: IntervalNumber) -> IntervalNumber:
-    """Endpoint-wise sum of two intervals."""
-    return IntervalNumber(x.lower + y.lower, x.upper + y.upper)
-
-
-def separation(x: IntervalNumber, y: IntervalNumber) -> float:
-    """Distance |x.lower - y.lower| + |x.upper - y.upper|.
-
-    A metric on intervals: nonnegative, symmetric, zero only for equal
-    intervals, and satisfies the triangle inequality.
-    """
-    return abs(x.lower - y.lower) + abs(x.upper - y.upper)
 
 
 def possibility_degree(a: IntervalNumber, b: IntervalNumber) -> float:

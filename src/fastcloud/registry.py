@@ -396,7 +396,8 @@ def import_qws(
     rejections: list[str] = []
     group_counts: dict[str, int] = {}
     try:
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # physical: DictReader skips blank lines
             row = {(k.strip() if k else k): v for k, v in row.items()}
             service = (row.get(service_column) or "").strip()
             if not service:
@@ -500,7 +501,9 @@ class Store:
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
     save, so that no process loses another's rows or numbers a triple
-    twice, and a reader holds it shared while it loads.
+    twice, and a reader holds it shared while it loads. A writer killed
+    between its temp write and the rename leaves ``<file>.<random>.tmp``;
+    the next exclusive ``locked`` removes it.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"
@@ -524,6 +527,11 @@ class Store:
         fd = os.open(self.root / self.LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+            if not shared:
+                # no writer is at work: a temp file left is a dead writer's
+                for name in (self.ATTRIBUTES_FILE, self.SLOS_FILE, self.AMVS_FILE):
+                    for stray in self.root.glob(f"{name}.*.tmp"):
+                        stray.unlink(missing_ok=True)
             yield
         finally:
             os.close(fd)

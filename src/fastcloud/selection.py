@@ -188,9 +188,7 @@ def result_document(result: AssessmentResult) -> dict:
             for attr, w in zip(ctx.decision.attributes, ctx.weights.weights)
         },
         "possibility_matrix": [list(row) for row in ctx.possibility],
-        "normalized": [
-            [[cell.lower, cell.upper] for cell in row] for row in ctx.normalized.cells
-        ],
+        "normalized": [[list(cell) for cell in row] for row in ctx.normalized],
         "decision": [
             [[cell.lower, cell.upper] for cell in row] for row in ctx.decision.cells
         ],

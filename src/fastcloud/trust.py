@@ -13,9 +13,12 @@ Five stages over an interval-valued decision matrix (providers x attributes):
 5. ordering_vector / rank - scalar priority per provider derived from the
                     possibility matrix, descending order with id tie-break.
 
-Everything here is a stateless transform over immutable inputs. The stages
-take and return ``IntervalNumber`` values, but their inner loops run on
-plain float endpoints; only the P x P possibility matrix is quadratic.
+Everything here is a stateless transform over immutable inputs. The
+decision matrix comes in as ``IntervalNumber`` cells; ``normalize`` turns it
+into a grid of ``(lower, upper)`` float pairs, and the weight and trust
+stages run on that grid. ``IntervalNumber`` values are built again only for
+the trust levels, which leave the core through ``rank``. Only the P x P
+possibility matrix is quadratic.
 """
 
 from __future__ import annotations
@@ -27,12 +30,16 @@ from .intervals import IntervalNumber, possibility_row
 from .registry import Polarity, QosAttribute
 
 
+# Normalized decision matrix: one row per provider of (lower, upper) pairs.
+Grid = tuple[tuple[tuple[float, float], ...], ...]
+
+
 @dataclass(frozen=True)
 class DecisionMatrix:
-    """Rectangular grid of interval cells, row per provider.
+    """Rectangular grid of the actual service intervals, row per provider.
 
-    Holds either the actual service intervals or their normalized form; in
-    both, cost cells are strictly positive.
+    Benefit cells are nonnegative and cost cells strictly positive, so every
+    normalized cell is a nonnegative pair with lower <= upper.
     """
 
     providers: tuple[str, ...]
@@ -46,24 +53,14 @@ class DecisionMatrix:
             if len(row) != len(self.attributes):
                 raise ValueError("every row must cover every attribute")
         for k, attr in enumerate(self.attributes):
-            if attr.polarity is Polarity.COST:
-                for i, row in enumerate(self.cells):
-                    if row[k].lower <= 0:
-                        raise ValueError(
-                            f"cost attribute {attr.name!r} has non-positive lower bound "
-                            f"for provider {self.providers[i]!r}"
-                        )
-
-    @property
-    def provider_count(self) -> int:
-        return len(self.providers)
-
-    @property
-    def attribute_count(self) -> int:
-        return len(self.attributes)
-
-    def column(self, k: int) -> list[IntervalNumber]:
-        return [row[k] for row in self.cells]
+            cost = attr.polarity is Polarity.COST
+            for provider, row in zip(self.providers, self.cells):
+                if row[k].lower <= 0 and (cost or row[k].lower < 0):
+                    raise ValueError(
+                        f"{attr.polarity.value} attribute {attr.name!r} has "
+                        f"{'non-positive' if cost else 'negative'} lower bound "
+                        f"for provider {provider!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -91,54 +88,52 @@ class DecisionContext:
     """Every intermediate of one assessment, retained for audit."""
 
     decision: DecisionMatrix
-    normalized: DecisionMatrix
+    normalized: Grid
     weights: WeightVector
     trust_levels: tuple[IntervalNumber, ...]
     possibility: tuple[tuple[float, ...], ...]
     ordering: tuple[float, ...]
 
 
-def normalize(decision: DecisionMatrix) -> DecisionMatrix:
+def normalize(decision: DecisionMatrix) -> Grid:
     """Column-wise dimensionless form of the decision matrix.
 
     Benefit column: lower / sum-of-uppers and upper / sum-of-lowers. Cost
-    column: the same ratios on reciprocals, which flips the direction so a
-    cheaper interval normalizes higher. Cost cells must be strictly positive;
-    benefit columns need a positive column sum.
+    column: the same ratios on the reciprocals [1 / upper, 1 / lower], which
+    flips the direction so a cheaper interval normalizes higher. Benefit columns need a positive
+    column sum. A column whose cells overflow (a cost value so near zero that
+    its reciprocal is not finite, say) is refused, naming its attribute.
     """
-    if decision.provider_count == 0:
+    if not decision.providers:
         raise ValueError("decision matrix has no providers")
-    columns: list[list[IntervalNumber]] = []
+    columns = []
     for k, attr in enumerate(decision.attributes):
-        col = decision.column(k)
-        if attr.polarity is Polarity.BENEFIT:
+        lowers = [row[k].lower for row in decision.cells]
+        uppers = [row[k].upper for row in decision.cells]
+        if attr.polarity is Polarity.COST:
+            lowers, uppers = [1.0 / x for x in uppers], [1.0 / x for x in lowers]
+        try:
             # fsum: exactly-rounded, so row order cannot perturb the ratios
-            sum_upper = math.fsum(c.upper for c in col)
-            sum_lower = math.fsum(c.lower for c in col)
-            if sum_upper <= 0 or sum_lower <= 0:
-                raise ValueError(
-                    f"benefit attribute {attr.name!r} has no positive values to normalize"
-                )
-            columns.append([
-                IntervalNumber(c.lower / sum_upper, c.upper / sum_lower) for c in col
-            ])
-        else:
-            # construction already guarantees strictly positive cost cells
-            sum_inv_lower = math.fsum(1.0 / c.lower for c in col)
-            sum_inv_upper = math.fsum(1.0 / c.upper for c in col)
-            columns.append([
-                IntervalNumber((1.0 / c.upper) / sum_inv_lower,
-                               (1.0 / c.lower) / sum_inv_upper)
-                for c in col
-            ])
-    rows = tuple(
-        tuple(columns[k][i] for k in range(decision.attribute_count))
-        for i in range(decision.provider_count)
-    )
-    return DecisionMatrix(decision.providers, decision.attributes, rows)
+            sum_lower, sum_upper = math.fsum(lowers), math.fsum(uppers)
+        except OverflowError:  # the exact sum is beyond float range
+            sum_lower = sum_upper = math.nan  # refused as an overflow below
+        if sum_upper <= 0 or sum_lower <= 0:  # cost sums, of reciprocals, never are
+            raise ValueError(
+                f"benefit attribute {attr.name!r} has no positive values to normalize"
+            )
+        column = [(lo / sum_upper, hi / sum_lower) for lo, hi in zip(lowers, uppers)]
+        # each cell is 0 <= lower <= upper, so the uppers bound the column;
+        # a sum, unlike a max, also shows a NaN (inf / inf) wherever it is
+        if not math.isfinite(sum(hi for _, hi in column)):
+            raise ValueError(
+                f"{attr.polarity.value} attribute {attr.name!r} overflows when normalized"
+            )
+        columns.append(column)
+    # zip(*columns) alone would lose the rows of a matrix with no attributes
+    return tuple(zip(*columns)) if columns else ((),) * len(decision.providers)
 
 
-def column_deviation(column: list[IntervalNumber]) -> float:
+def column_deviation(column: list[tuple[float, float]]) -> float:
     """Total separation over all ordered pairs of a column's cells.
 
     Separation is the L1 distance on endpoints, so the total splits into one
@@ -150,8 +145,8 @@ def column_deviation(column: list[IntervalNumber]) -> float:
     with x_(i) the i-th smallest value, which costs O(n log n) instead of
     O(n^2) and does not depend on row order.
     """
-    return (_pairwise_abs_sum([c.lower for c in column])
-            + _pairwise_abs_sum([c.upper for c in column]))
+    return (_pairwise_abs_sum([lo for lo, _ in column])
+            + _pairwise_abs_sum([hi for _, hi in column]))
 
 
 def _pairwise_abs_sum(values: list[float]) -> float:
@@ -160,7 +155,7 @@ def _pairwise_abs_sum(values: list[float]) -> float:
     return 2.0 * math.fsum((2 * i - n + 1) * x for i, x in enumerate(xs))
 
 
-def deviation_weights(normalized: DecisionMatrix) -> WeightVector:
+def deviation_weights(normalized: Grid) -> WeightVector:
     """Weights proportional to each column's total pairwise separation.
 
     An attribute on which all providers score alike carries no ranking
@@ -169,36 +164,33 @@ def deviation_weights(normalized: DecisionMatrix) -> WeightVector:
     aggregates anyway). Each column total comes from ``column_deviation``,
     so the stage is O(P log P) per attribute.
     """
-    n_providers = len(normalized.providers)
-    n_attrs = len(normalized.attributes)
-    if n_providers < 2:
+    if len(normalized) < 2:
         raise ValueError("deviation weighting needs at least two providers")
-    totals = [column_deviation(normalized.column(k)) for k in range(n_attrs)]
+    totals = [column_deviation(column) for column in zip(*normalized)]
+    n_attrs = len(totals)
     grand_total = math.fsum(totals)
     if grand_total == 0:
         return WeightVector(tuple(1.0 / n_attrs for _ in range(n_attrs)))
     return WeightVector(tuple(t / grand_total for t in totals))
 
 
-def trust_levels(
-    normalized: DecisionMatrix, weights: WeightVector
-) -> tuple[IntervalNumber, ...]:
+def trust_levels(normalized: Grid, weights: WeightVector) -> tuple[IntervalNumber, ...]:
     """Weighted interval sum per provider row.
 
     Endpoints accumulate left to right, one attribute at a time, as repeated
     interval scaling and addition would.
     """
-    if len(weights.weights) != len(normalized.attributes):
-        raise ValueError(
-            f"weight count {len(weights.weights)} does not match "
-            f"attribute count {len(normalized.attributes)}"
-        )
     levels = []
-    for row in normalized.cells:
+    for row in normalized:
+        if len(row) != len(weights.weights):
+            raise ValueError(
+                f"weight count {len(weights.weights)} does not match "
+                f"attribute count {len(row)}"
+            )
         lower = upper = 0.0
-        for cell, w in zip(row, weights.weights):
-            lower = lower + w * cell.lower
-            upper = upper + w * cell.upper
+        for (lo, hi), w in zip(row, weights.weights):
+            lower = lower + w * lo
+            upper = upper + w * hi
         levels.append(IntervalNumber(lower, upper))
     return tuple(levels)
 

@@ -90,10 +90,10 @@ def test_c01_normalization_golden_matrix():
         normalized = normalize(matrix)
         elapsed = time.perf_counter() - started
         comparisons = 0
-        for row, expected_row in zip(normalized.cells, EXPECTED_NORMALIZED):
-            for cell, (lo, hi) in zip(row, expected_row):
-                assert abs(cell.lower - lo) <= 1e-3
-                assert abs(cell.upper - hi) <= 1e-3
+        for row, expected_row in zip(normalized, EXPECTED_NORMALIZED):
+            for (got_lo, got_hi), (lo, hi) in zip(row, expected_row):
+                assert abs(got_lo - lo) <= 1e-3
+                assert abs(got_hi - hi) <= 1e-3
                 comparisons += 2
         assert comparisons == 60
         assert elapsed < 1.0
@@ -110,6 +110,7 @@ def test_c01_normalization_golden_matrix():
 # target is kept as stated and this check is expected to fail.
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="reference weight vector is inconsistent with the fixture matrix",
 )
 def test_c02_deviation_weights_golden_vector():
@@ -174,6 +175,7 @@ def test_c06a_cost_only_ranking():
 # criterion-02 failure. The cost-only chain above does pass end-to-end.
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="benefit-only reference chain requires the inconsistent reference weights",
 )
 def test_c06b_benefit_only_ranking():

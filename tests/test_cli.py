@@ -326,6 +326,23 @@ class TestAssess:
         assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
         assert "only a matched" in capsys.readouterr().err
 
+    def test_subnormal_cost_slo_overflow_exits_2_naming_attribute(
+            self, store_dir, tmp_path, capsys):
+        # 1 / 1e-320 is inf, so normalizing the latency column overflows
+        slo_file, amv_file = tmp_path / "slos.csv", tmp_path / "amvs.csv"
+        write_csv(slo_file, ["csp_id", "csc_id", "attribute", "value"],
+                  [["a", "u", "la", "1e-320"], ["b", "u", "la", 50]])
+        write_csv(amv_file, ["csp_id", "csc_id", "attribute", "value", "sequence"],
+                  [["a", "u", "la", 0, ""], ["b", "u", "la", 40, ""]])
+        assert main(["--store", str(store_dir), "submit-slo", str(slo_file)]) == 0
+        assert main(["--store", str(store_dir), "submit-amv", str(amv_file)]) == 0
+        request_file = tmp_path / "request.csv"
+        write_csv(request_file, ["attribute", "min", "max"], [["la", 0, 100]])
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cost attribute 'latency' overflows when normalized\n"
+
     def test_every_benefit_rate_zero_exits_3(self, store_dir, tmp_path, capsys):
         slo_file, amv_file = tmp_path / "slos.csv", tmp_path / "amvs.csv"
         write_csv(slo_file, ["csp_id", "csc_id", "attribute", "value"],

@@ -5,7 +5,6 @@ import pytest
 from fastcloud.consistency import (
     actual_slo_interval,
     average_amv,
-    consistency_rate,
     satisfies_consistency,
 )
 from fastcloud.intervals import IntervalNumber
@@ -55,6 +54,11 @@ class TestSatisfies:
     def test_boundary_equality_satisfies(self):
         assert satisfies_consistency(Polarity.BENEFIT, slo=90, amv=90)
         assert satisfies_consistency(Polarity.COST, slo=90, amv=90)
+
+
+def consistency_rate(registry, csp_id, attribute):
+    profile = actual_slo_interval(registry, csp_id, attribute)
+    return profile.consistency_rate, profile.satisfied_count, profile.agreed_count
 
 
 class TestConsistencyRate:

@@ -3,14 +3,8 @@ import random
 
 import pytest
 
-from fastcloud.intervals import (
-    IntervalNumber,
-    add,
-    possibility_degree,
-    possibility_row,
-    scale,
-    separation,
-)
+from fastcloud.intervals import IntervalNumber, possibility_degree, possibility_row
+from fastcloud.trust import column_deviation
 
 
 def random_interval(rng, lo=-100.0, hi=100.0, allow_point=True):
@@ -42,43 +36,9 @@ class TestConstruction:
             x.lower = 0  # type: ignore[misc]
 
 
-class TestScale:
-    def test_halving(self):
-        assert scale(IntervalNumber(80, 100), 0.5) == IntervalNumber(40, 50)
-
-    def test_identity(self):
-        assert scale(IntervalNumber(87, 96), 1.0) == IntervalNumber(87, 96)
-
-    def test_annihilator(self):
-        assert scale(IntervalNumber(6, 23), 0) == IntervalNumber(0, 0)
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            scale(IntervalNumber(1, 2), -0.1)
-
-    def test_preserves_ordering_invariant(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            x = random_interval(rng)
-            c = rng.uniform(0, 10)
-            y = scale(x, c)
-            assert y.lower <= y.upper
-
-
-class TestAdd:
-    def test_identity(self):
-        assert add(IntervalNumber(0, 0), IntervalNumber(1, 2)) == IntervalNumber(1, 2)
-
-    def test_endpoint_sums(self):
-        assert add(IntervalNumber(1, 2), IntervalNumber(3, 4)) == IntervalNumber(4, 6)
-        got = add(IntervalNumber(0.1, 0.2), IntervalNumber(0.3, 0.5))
-        assert got.lower == pytest.approx(0.4) and got.upper == pytest.approx(0.7)
-
-    def test_preserves_ordering_invariant(self):
-        rng = random.Random(12)
-        for _ in range(300):
-            y = add(random_interval(rng), random_interval(rng))
-            assert y.lower <= y.upper
+def separation(x, y):
+    """L1 separation, as weighting totals it: half a two-cell column's deviation."""
+    return column_deviation([(x.lower, x.upper), (y.lower, y.upper)]) / 2
 
 
 class TestSeparation:

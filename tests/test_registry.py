@@ -406,6 +406,14 @@ class TestImport:
         # rejected rows take no sequence
         assert [r.sequence for r in registry.amvs] == [1] * 6
 
+    def test_rejection_after_blank_lines_names_physical_line(self):
+        lines = qws_rows(2).splitlines()
+        lines[2] = lines[2].replace("90.5", "oops")
+        text = "\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n"
+        summary = import_qws(fresh_registry(), io.StringIO(text))
+        assert summary.rows_rejected == 1
+        assert [r.split(":")[0] for r in summary.rejections] == ["line 5"]
+
     def test_empty_file_with_header(self):
         registry = fresh_registry()
         summary = import_qws(registry, io.StringIO(QWS_HEADER + "\n"))

@@ -116,9 +116,11 @@ def test_writer_killed_between_temp_write_and_rename(store, tmp_path):
     assert run_children(tmp_path, [[argv]], kill_at="replace") == [-signal.SIGKILL]
     assert slos_file.read_bytes() == stored
     assert store.load() == before
-    # the dead writer's lock is gone with it
+    assert list(store.root.glob("*.tmp"))
+    # the dead writer's lock is gone with it, and the next writer removes its temp file
     assert main(argv) == 0
     assert store.load().slos[TRIPLES[0]].value == 70
+    assert not list(store.root.glob("*.tmp"))
 
 
 def test_writer_killed_mid_append(store, tmp_path):

@@ -10,7 +10,7 @@ from conftest import (
     REFERENCE_WEIGHTS,
     case_decision_matrix,
 )
-from fastcloud.intervals import IntervalNumber, add, possibility_degree, scale, separation
+from fastcloud.intervals import IntervalNumber, possibility_degree
 from fastcloud.registry import Polarity, QosAttribute
 from fastcloud.trust import (
     DecisionContext,
@@ -76,39 +76,58 @@ class TestDecisionMatrix:
         with pytest.raises(ValueError, match="non-positive lower"):
             matrix([[(0, 5)], [(1, 2)]], [Polarity.COST])
 
+    def test_rejects_negative_benefit_lower(self):
+        with pytest.raises(ValueError, match="benefit attribute 'b0' has negative lower"):
+            matrix([[(-1, 5)], [(1, 2)]], [Polarity.BENEFIT])
+        matrix([[(0, 5)], [(1, 2)]], [Polarity.BENEFIT])  # zero is a valid benefit value
+
 
 class TestNormalize:
     def test_benefit_column_golden_cell(self):
-        normalized = normalize(case_decision_matrix())
-        cell = normalized.cells[0][0]
-        assert cell.lower == pytest.approx(0.196, abs=1e-3)
-        assert cell.upper == pytest.approx(0.274, abs=1e-3)
+        lower, upper = normalize(case_decision_matrix())[0][0]
+        assert lower == pytest.approx(0.196, abs=1e-3)
+        assert upper == pytest.approx(0.274, abs=1e-3)
 
     def test_cost_column_golden_cell(self):
-        normalized = normalize(case_decision_matrix())
-        cell = normalized.cells[0][4]
-        assert cell.lower == pytest.approx(0.0452, abs=1e-3)
-        assert cell.upper == pytest.approx(0.725, abs=1e-3)
+        lower, upper = normalize(case_decision_matrix())[0][4]
+        assert lower == pytest.approx(0.0452, abs=1e-3)
+        assert upper == pytest.approx(0.725, abs=1e-3)
 
     def test_full_golden_matrix(self):
         normalized = normalize(case_decision_matrix())
-        for row, expected_row in zip(normalized.cells, EXPECTED_NORMALIZED):
-            for cell, (lo, hi) in zip(row, expected_row):
-                assert cell.lower == pytest.approx(lo, abs=1e-3)
-                assert cell.upper == pytest.approx(hi, abs=1e-3)
+        for row, expected_row in zip(normalized, EXPECTED_NORMALIZED):
+            for (got_lo, got_hi), (lo, hi) in zip(row, expected_row):
+                assert got_lo == pytest.approx(lo, abs=1e-3)
+                assert got_hi == pytest.approx(hi, abs=1e-3)
 
     def test_single_provider_benefit_self_ratio(self):
         m = DecisionMatrix(("only",), (benefit("x"),), ((IntervalNumber(42, 42),),))
-        normalized = normalize(m)
-        assert normalized.cells[0][0] == IntervalNumber(1, 1)
+        assert normalize(m) == (((1.0, 1.0),),)
 
     def test_cells_stay_ordered(self):
         rng = random.Random(21)
         for _ in range(100):
             m = random_matrix(rng, rng.randint(2, 6), rng.randint(1, 5))
-            for row in normalize(m).cells:
-                for cell in row:
-                    assert cell.lower <= cell.upper
+            for row in normalize(m):
+                for lower, upper in row:
+                    assert 0 <= lower <= upper
+
+    def test_no_attributes_keeps_one_row_per_provider(self):
+        m = DecisionMatrix(("a", "b"), (), ((), ()))
+        assert normalize(m) == ((), ())
+
+    @pytest.mark.parametrize("polarity, cells", [
+        # a subnormal cost value (an SLO of 1e-320): 1 / lower is inf, and
+        # inf / inf is NaN, whichever row it is in
+        (Polarity.COST, [[(1e-320, 1e-320)], [(50, 50)]]),
+        (Polarity.COST, [[(50, 50)], [(5e-324, 5e-324)]]),
+        # finite reciprocals whose sum is not
+        (Polarity.COST, [[(1e-308, 1e-308)], [(1e-308, 2e-308)]]),
+        (Polarity.BENEFIT, [[(0, 1e300)], [(1e-300, 1e-300)]]),
+    ])
+    def test_overflowing_column_is_refused_by_name(self, polarity, cells):
+        with pytest.raises(ValueError, match=f"^{polarity.value} attribute '.0' overflows"):
+            normalize(matrix(cells, [polarity]))
 
 
 class TestDeviationWeights:
@@ -159,12 +178,15 @@ class TestFloatCore:
         return column
 
     def test_closed_form_matches_pairwise_separation_sum(self):
+        def separation(x, y):
+            return abs(x[0] - y[0]) + abs(x[1] - y[1])
+
         rng = random.Random(29)
         for n in range(2, 61):
             for column in (
-                self.random_column(rng, n),
-                [IntervalNumber(0.25, 0.75)] * n,  # all equal: total 0
-                [IntervalNumber(v, v) for v in (rng.uniform(0, 1) for _ in range(n))],
+                [(c.lower, c.upper) for c in self.random_column(rng, n)],
+                [(0.25, 0.75)] * n,  # all equal: total 0
+                [(v, v) for v in (rng.uniform(0, 1) for _ in range(n))],
             ):
                 brute = math.fsum(separation(a, b) for a in column for b in column)
                 assert column_deviation(column) == pytest.approx(brute, rel=1e-15, abs=0)
@@ -187,19 +209,25 @@ class TestFloatCore:
             assert deviation_weights(normalize(permuted)) == deviation_weights(normalize(m))
 
     def test_trust_levels_equal_interval_fold(self):
+        def add(x, y):
+            return (x[0] + y[0], x[1] + y[1])
+
+        def scale(x, c):
+            return (c * x[0], c * x[1])
+
         rng = random.Random(31)
         for _ in range(20):
             normalized = normalize(random_matrix(rng, rng.randint(2, 30), rng.randint(1, 8)))
             weights = deviation_weights(normalized)
             expected = []
-            for row in normalized.cells:
-                total = IntervalNumber(0.0, 0.0)
+            for row in normalized:
+                total = (0.0, 0.0)
                 for cell, w in zip(row, weights.weights):
                     total = add(total, scale(cell, w))
                 expected.append(total)
             got = trust_levels(normalized, weights)
             assert [(z.lower.hex(), z.upper.hex()) for z in got] == \
-                [(z.lower.hex(), z.upper.hex()) for z in expected]
+                [(lower.hex(), upper.hex()) for lower, upper in expected]
 
     def test_possibility_entries_equal_possibility_degree(self):
         rng = random.Random(32)
@@ -229,7 +257,7 @@ class TestTrustLevels:
         m = matrix([[(1, 2)], [(3, 4)]], [Polarity.BENEFIT])
         normalized = normalize(m)
         levels = trust_levels(normalized, WeightVector((1.0,)))
-        assert levels == (normalized.cells[0][0], normalized.cells[1][0])
+        assert [(z.lower, z.upper) for z in levels] == [normalized[0][0], normalized[1][0]]
 
     def test_golden_trust_levels(self):
         normalized = normalize(case_decision_matrix())
