@@ -24,6 +24,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -221,8 +222,9 @@ class Registry:
     triple; AMV records append. Every path resolves a record's attribute
     and files it under the registered name. Monitored values are held once,
     as rows ``(csp, csc, attribute, value, sequence)`` in submission order,
-    indexed per triple; ``amvs`` is a read-only view of those rows. Records
-    enter only through ``submit_*``, ``import_qws`` and ``Store.load``. Only
+    indexed per triple; ``amvs`` is a read-only view of those rows. SLO
+    records are also indexed per (provider, attribute). Records enter only
+    through ``submit_*``, ``import_qws`` and ``Store.load``. Only
     ``submit_amv`` requires an agreed SLO: imported monitored values, and
     the stored ones that load restores, have none.
     """
@@ -232,8 +234,12 @@ class Registry:
     # the monitored values in submission order; amvs.csv holds the same rows
     _rows: list[tuple[str, str, str, float, int]] = field(
         default_factory=list, init=False, repr=False)
-    # (csp, csc, attribute) -> {sequence: value}, updated only by _append_amv
+    # (csp, csc, attribute) -> {sequence: value}: filled by _append_amv, and
+    # by _restore_amv_columns on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # (csp, attribute) -> {csc: SloRecord}, updated only by submit_slo
+    _slo_index: dict[tuple[str, str], dict[str, SloRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -265,7 +271,7 @@ class Registry:
 
     @property
     def providers(self) -> set[str]:
-        return {r.csp_id for r in self.slos.values()}
+        return {csp_id for csp_id, _ in self._slo_index}
 
     # -- submissions --------------------------------------------------------
 
@@ -274,6 +280,8 @@ class Registry:
         record = self._named(record)
         replaced = record.key in self.slos
         self.slos[record.key] = record
+        # a resubmission keeps its place, so slos_for keeps the order of slos
+        self._slo_index.setdefault((record.csp_id, record.attribute), {})[record.csc_id] = record
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -328,8 +336,8 @@ class Registry:
         return [samples[sequence] for sequence in sorted(samples)]
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
-        return [r for r in self.slos.values()
-                if r.csp_id == csp_id and r.attribute == attribute]
+        """The provider's objectives on a registered attribute, in submission order."""
+        return list(self._slo_index.get((csp_id, attribute), {}).values())
 
 
 @dataclass(frozen=True)
@@ -458,6 +466,66 @@ def _amv_restorer(registry: Registry):
     return restore
 
 
+# amvs.csv rows per column pass. The rows read are dropped after each pass,
+# so that the garbage collector does not scan them again and again: at 50k
+# rows, one pass over the whole file loaded slower than the row loop.
+_COLUMN_ROWS = 512
+
+
+def _restore_amv_columns(registry: Registry, fh: TextIO) -> bool:
+    """Restore a whole amvs.csv into ``registry`` a column at a time.
+
+    One csv pass reads the rows, ``_COLUMN_ROWS`` at a time; each check of
+    ``_amv_restorer`` then runs once over a whole column of them, and the
+    rows are filed in file order, as the row loop files them. Returns False,
+    with the registry untouched, when any check fails, so that the row loop
+    can name the refused row.
+    """
+    names: dict[str, str] = {}
+    log: list[tuple[str, str, str, float, int]] = []
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None or list(map(str.strip, header)) != list(AMV_COLUMNS):
+            return False
+        for chunk in iter(lambda: list(islice(reader, _COLUMN_ROWS)), []):
+            rows = [row for row in chunk if row]
+            if not rows:
+                continue
+            if set(map(len, rows)) != {len(AMV_COLUMNS)}:
+                return False
+            csps, cscs, spellings, values, sequences = (
+                list(map(str.strip, column)) for column in zip(*rows))
+            if not (all(csps) and all(cscs)):
+                return False
+            values = list(map(float, values))
+            sequences = list(map(int, sequences))  # refuses an empty one too
+            for spelling in set(spellings).difference(names):
+                names[spelling] = registry.resolve_attribute(spelling).name
+            # a NaN anywhere makes the sum NaN; min and max then bound the rest
+            total = sum(values)
+            if math.isnan(total) or min(values) < 0 or max(values) == math.inf:
+                return False
+            log.extend(zip(csps, cscs, map(names.__getitem__, spellings), values, sequences))
+    except (csv.Error, ValueError):  # also a file that is not UTF-8
+        return False
+    if not _has_line_end(fh):
+        return False
+    samples: dict[tuple[str, str, str], dict[int, float]] = {}
+    for csp_id, csc_id, attribute, value, sequence in log:
+        samples.setdefault((csp_id, csc_id, attribute), {})[sequence] = value
+    if sum(map(len, samples.values())) != len(log):  # a (triple, sequence) repeats
+        return False
+    registry._rows, registry._samples = log, samples
+    return True
+
+
+def _has_line_end(fh: TextIO) -> bool:
+    """Does the (nonempty) file end with a line end, as a whole append does?"""
+    end = os.fstat(fh.fileno()).st_size - 1
+    return os.pread(fh.fileno(), 1, end) == b"\n"
+
+
 def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
     """The refusal of one store row, naming its file and line.
 
@@ -496,7 +564,10 @@ class Store:
     a wrong field count, an empty or padded id, a non-finite or out-of-range
     value, an unregistered attribute, an empty sequence or a repeated
     (triple, sequence) in amvs.csv. Attribute abbreviations resolve to
-    names.
+    names. attributes.csv and slos.csv are read a row at a time. amvs.csv
+    is read in one csv pass and checked a whole column at a time; only if a
+    check fails is it read again row by row, and that row loop names the
+    refused row.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -552,14 +623,16 @@ class Store:
                 missing.append(name)
                 continue
             with fh:
+                if name == self.AMVS_FILE:
+                    if _restore_amv_columns(registry, fh):
+                        continue
+                    fh.seek(0)  # the row loop names the refused row
                 line = 1
                 try:
                     for line, fields in read_rows(fh, columns):
                         add(fields)
-                    if name == self.AMVS_FILE:
-                        end = os.fstat(fh.fileno()).st_size - 1
-                        if os.pread(fh.fileno(), 1, end) != b"\n":
-                            raise ValueError("row has no line end: its append was cut short")
+                    if name == self.AMVS_FILE and not _has_line_end(fh):
+                        raise ValueError("row has no line end: its append was cut short")
                 except ValueError as exc:
                     raise _row_error(path, line, exc) from exc
         self._remember(registry, missing)

@@ -92,22 +92,30 @@ def match_candidates(
     """
     matched = {}
     for csp_id in sorted(registry.providers):
-        profiles = []
-        for name, span in request.requested:
-            try:
-                profile = actual_slo_interval(registry, csp_id, name)
-            except MissingSloError:
-                break
-            actual = profile.actual_interval
-            if not actual.intersects(span):
-                break
-            if (actual.lower == 0
-                    and registry.attributes[profile.attribute].polarity is Polarity.COST):
-                break
-            profiles.append(profile)
-        else:
-            matched[csp_id] = tuple(profiles)
+        profiles, cause = _profiles_or_cause(registry, csp_id, request)
+        if cause is None:
+            matched[csp_id] = profiles
     return matched
+
+
+def _profiles_or_cause(
+    registry: Registry, csp_id: str, request: AssessmentRequest
+) -> tuple[tuple[ConsistencyProfile, ...], str | None]:
+    """The provider's profiles in request order, or the first cause that excludes it."""
+    profiles = []
+    for name, span in request.requested:
+        try:
+            profile = actual_slo_interval(registry, csp_id, name)
+        except MissingSloError:
+            return (), f"no SLO on {registry.resolve_attribute(name).name!r}"
+        actual = profile.actual_interval
+        if not actual.intersects(span):
+            return (), f"actual interval {actual} misses {span} on {profile.attribute!r}"
+        if (actual.lower == 0
+                and registry.attributes[profile.attribute].polarity is Polarity.COST):
+            return (), f"zero consistency rate on cost attribute {profile.attribute!r}"
+        profiles.append(profile)
+    return tuple(profiles), None
 
 
 def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
@@ -122,8 +130,7 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
     matched = match_candidates(registry, request)
     candidates = tuple(matched)
     if len(candidates) < 2:
-        detail = f"only {', '.join(candidates)} matched" if candidates else "no provider matched"
-        raise InsufficientCandidatesError(candidates, detail, "relax the requested spans")
+        raise _too_few(registry, request, candidates)
     for k, attr in enumerate(attributes):
         if (attr.polarity is Polarity.BENEFIT
                 and not any(row[k].satisfied_count for row in matched.values())):
@@ -145,6 +152,27 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
         profiles={(p.csp_id, p.attribute): p for row in matched.values() for p in row},
         elapsed_seconds=time.perf_counter() - started,
     )
+
+
+def _too_few(registry: Registry, request: AssessmentRequest,
+             candidates: tuple[str, ...]) -> InsufficientCandidatesError:
+    """The refusal of a request that matched fewer than two providers.
+
+    It names each excluded provider's first cause, and advises relaxing the
+    spans only when a span was a cause.
+    """
+    excluded = {csp_id: _profiles_or_cause(registry, csp_id, request)[1]
+                for csp_id in sorted(registry.providers) if csp_id not in candidates}
+    detail = "; ".join([
+        f"only {', '.join(candidates)} matched" if candidates else "no provider matched",
+        *(f"{csp_id} excluded: {cause}" for csp_id, cause in excluded.items())])
+    if any(cause.startswith("actual interval") for cause in excluded.values()):
+        advice = "relax the requested spans"
+    elif excluded:
+        advice = "leave the attributes named above out of the request"
+    else:
+        advice = "the store holds SLOs of fewer than two providers"
+    return InsufficientCandidatesError(candidates, detail, advice)
 
 
 # -- request file and result document ---------------------------------------

@@ -68,8 +68,8 @@ class WeightVector:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError(f"weights must be finite and nonnegative, got {self.weights!r}")
         if self.weights and abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)!r}")
 
@@ -155,20 +155,32 @@ def _pairwise_abs_sum(values: list[float]) -> float:
     return 2.0 * math.fsum((2 * i - n + 1) * x for i, x in enumerate(xs))
 
 
-def deviation_weights(normalized: Grid) -> WeightVector:
+def deviation_weights(normalized: Grid, attributes: tuple[QosAttribute, ...]) -> WeightVector:
     """Weights proportional to each column's total pairwise separation.
 
     An attribute on which all providers score alike carries no ranking
     information and gets weight near zero; if every column is like that the
     weights fall back to uniform (any weighting would produce identical
     aggregates anyway). Each column total comes from ``column_deviation``,
-    so the stage is O(P log P) per attribute.
+    so the stage is O(P log P) per attribute. A total beyond float range
+    (one huge normalized cell among many tiny ones, say) is refused,
+    naming its attribute, one of ``attributes`` in column order.
     """
     if len(normalized) < 2:
         raise ValueError("deviation weighting needs at least two providers")
     totals = [column_deviation(column) for column in zip(*normalized)]
+    for attr, total in zip(attributes, totals):
+        if not math.isfinite(total):
+            raise ValueError(f"{attr.polarity.value} attribute {attr.name!r} overflows "
+                             "in its deviation total")
     n_attrs = len(totals)
-    grand_total = math.fsum(totals)
+    try:
+        grand_total = math.fsum(totals)
+    except OverflowError:
+        # finite totals whose sum is not: scale them by a power of two, which
+        # is exact and leaves the ratios, so that the sum fits
+        totals = [t * 2.0 ** -n_attrs.bit_length() for t in totals]
+        grand_total = math.fsum(totals)
     if grand_total == 0:
         return WeightVector(tuple(1.0 / n_attrs for _ in range(n_attrs)))
     return WeightVector(tuple(t / grand_total for t in totals))
@@ -245,7 +257,7 @@ def rank(context: DecisionContext) -> tuple[RankedProvider, ...]:
 def evaluate(decision: DecisionMatrix) -> DecisionContext:
     """Run all five stages over a decision matrix."""
     normalized = normalize(decision)
-    weights = deviation_weights(normalized)
+    weights = deviation_weights(normalized, decision.attributes)
     levels = trust_levels(normalized, weights)
     possibility = possibility_matrix(levels)
     ordering = ordering_vector(possibility)

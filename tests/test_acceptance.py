@@ -115,7 +115,8 @@ def test_c01_normalization_golden_matrix():
 )
 def test_c02_deviation_weights_golden_vector():
     with criterion("02", "deviation weights match the golden vector"):
-        weights = deviation_weights(normalize(case_decision_matrix())).weights
+        m = case_decision_matrix()
+        weights = deviation_weights(normalize(m), m.attributes).weights
         assert abs(math.fsum(weights) - 1.0) <= 1e-9
         for got, want in zip(weights, REFERENCE_WEIGHTS):
             assert abs(got - want) <= 1e-3
@@ -336,7 +337,7 @@ def test_c09_property_suites():
 
         for _ in range(200):  # weights form a distribution
             m = _random_matrix(rng, rng.randint(2, 6), rng.randint(1, 5))
-            w = deviation_weights(normalize(m)).weights
+            w = deviation_weights(normalize(m), m.attributes).weights
             assert all(x >= 0 for x in w)
             assert abs(math.fsum(w) - 1.0) <= 1e-9
 

@@ -324,7 +324,11 @@ class TestAssess:
         request_file = self.seed_latency_store(store_dir, tmp_path, {"a": 40, "d": 90})
         capsys.readouterr()
         assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
-        assert "only a matched" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "only a matched" in err
+        assert err == ("error: insufficient candidates for a ranking (only a matched; "
+                       "d excluded: zero consistency rate on cost attribute 'latency'); "
+                       "leave the attributes named above out of the request\n")
 
     def test_subnormal_cost_slo_overflow_exits_2_naming_attribute(
             self, store_dir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fastcloud.registry as registry_module
 from fastcloud.registry import (
     AMV_COLUMNS,
     SLO_COLUMNS,
@@ -68,6 +69,21 @@ class TestSubmitSlo:
         assert registry.submit_slo(SloRecord("p", "c", "av", 95)) is True
         assert registry.slos[("p", "c", "availability")].value == 95
         assert len(registry.slos) == 1
+
+    def test_index_matches_a_scan_of_every_slo(self):
+        rng = random.Random(3)
+        spellings = ["av", "availability", "la", "latency", "th"]
+        for _ in range(20):
+            registry = fresh_registry()
+            for _ in range(rng.randrange(1, 80)):  # few keys: many resubmissions
+                registry.submit_slo(SloRecord(f"p{rng.randrange(4)}", f"c{rng.randrange(4)}",
+                                              rng.choice(spellings), rng.uniform(1, 100)))
+            slos = list(registry.slos.values())
+            assert registry.providers == {r.csp_id for r in slos}
+            for csp_id in ("p0", "p1", "p2", "p3", "p9"):
+                for attr in ("availability", "latency", "throughput", "reliability"):
+                    assert registry.slos_for(csp_id, attr) == [
+                        r for r in slos if r.csp_id == csp_id and r.attribute == attr]
 
     def test_unregistered_attribute_rejected(self):
         registry = fresh_registry()
@@ -360,6 +376,119 @@ class TestPersistence:
         store = Store(tmp_path / "store")
         store.save(registry)
         assert store.load().slos == registry.slos
+
+
+AMV_HEADER = "csp_id,csc_id,attribute,value,sequence\n"
+# two rows filed before every refused row, with a blank line between them:
+# the refused row is physical line 5
+AMV_ACCEPTED = "p,c,av,1,1\n\np,c,la,2,1\n"
+ID_MESSAGE = "provider and consumer ids must be non-empty without surrounding whitespace"
+
+
+class TestAmvLoad:
+    """amvs.csv loads a column at a time; the row loop names a refused row."""
+
+    @staticmethod
+    def store_with_amvs(tmp_path, text):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (store.root / Store.AMVS_FILE).write_bytes(text.encode("utf-8"))
+        return store
+
+    @staticmethod
+    def row_loop_load(store, monkeypatch):
+        """The registry that the row loop alone loads: the reference."""
+        with monkeypatch.context() as patch:
+            patch.setattr(registry_module, "_restore_amv_columns", lambda registry, fh: False)
+            return store.load()
+
+    @pytest.mark.parametrize("rows, kind, message", [
+        ("p,c,av,5\n", ValueError, "malformed row: 4 fields, expected 5"),
+        ("p,c,av,5,2,x\n", ValueError, "malformed row: 6 fields, expected 5"),
+        (",c,av,5,2\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
+        ("p, ,av,5,2\n", ValueError, f"{ID_MESSAGE}, got 'p' and ''"),
+        ("p,c,av,-0.5,2\n", ValueError, "monitored value must be finite and nonnegative, got -0.5"),
+        ("p,c,av,abc,2\n", ValueError, "could not convert string to float: 'abc'"),
+        ("p,c,av,nan,2\n", ValueError, "monitored value must be finite and nonnegative, got nan"),
+        ("p,c,av,inf,2\n", ValueError, "monitored value must be finite and nonnegative, got inf"),
+        ("p,c,av,5,\n", ValueError, "stored monitored value has no sequence"),
+        ("p,c,av,5,1.5\n", ValueError, "invalid literal for int() with base 10: '1.5'"),
+        ("p,c,bogus,5,2\n", UnknownAttributeError, "unknown attribute 'bogus'"),
+        ("p,c,availability,1.0,1\n", DuplicateSubmissionError,
+         "duplicate submission ('p', 'c', 'availability') sequence 1"),
+        ("p,c,av,7,1\n", ValueError, "sequence 1 for ('p', 'c', 'availability') already holds "
+                                     "value 1.0, refusing to overwrite with 7.0"),
+        ("p," + "c" * 200_000 + ",av,5,2\n", ValueError, "field larger than field limit (131072)"),
+        # the checks run in row order: the ids before the value, sequence and attribute
+        (",c,bogus,nan,\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
+        # and the first refused row wins over a later one
+        ("p,c,av,nan,2\n,c,av,5,3\n", ValueError,
+         "monitored value must be finite and nonnegative, got nan"),
+        ("p,c,av,5,2", ValueError, "row has no line end: its append was cut short"),
+        # a torn last row is refused only once every row has passed
+        ("p,c,av,nan,2", ValueError, "monitored value must be finite and nonnegative, got nan"),
+    ], ids=["short", "long", "empty-csp", "empty-csc", "negative", "non-numeric", "nan",
+            "inf", "empty-sequence", "sequence-1.5", "unknown-attribute", "repeated",
+            "conflicting", "over-long", "two-faults", "first-row-wins", "torn",
+            "torn-and-refused"])
+    def test_refused_row_is_named(self, tmp_path, rows, kind, message):
+        store = self.store_with_amvs(tmp_path, AMV_HEADER + AMV_ACCEPTED + rows)
+        with pytest.raises(ValueError) as refused:
+            store.load()
+        assert type(refused.value) is kind
+        assert str(refused.value) == f"{store.root / Store.AMVS_FILE}: line 5: {message}"
+
+    @pytest.mark.parametrize("text", [
+        '"p,1","c,2",av,5,1\n"p,1",c,av,6,1\n',
+        " p , c , av , 5 , 1 \n p,c ,la, 6,1\n",
+        "\n\np,c,av,5,1\n\n\np,c,av,6,2\n\n",
+        "p,c,av,5,1\r\np,c2,la,6,1\r\n",
+        "p,c,av,5,1\np,c,availability,6,2\np,c,res,7,1\np,c,response_time,8,2\n",
+        "p,c,av,5,3\np,c,av,6,1\nq,c,la,1,2\np,c,av,7,2\nq,c,la,0,1\n",
+        "",
+    ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations",
+            "out-of-order", "no-rows"])
+    def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
+        self.assert_column_load_matches(tmp_path, monkeypatch, AMV_HEADER + text)
+
+    def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
+        rng = random.Random(7)
+        chunk = registry_module._COLUMN_ROWS
+        spellings = {"av": "availability", "availability": "availability", " th ": "throughput",
+                     "la": "latency", "latency": "latency", "res": "response_time"}
+        next_sequence = {}
+        lines = []
+        for i in range(3 * chunk + 17):
+            csp_id, csc_id = f"p{rng.randrange(5)}", f"c{rng.randrange(4)}"
+            spelling = rng.choice(sorted(spellings))
+            key = (csp_id, csc_id, spellings[spelling])
+            sequence = next_sequence[key] = next_sequence.get(key, 0) + 1
+            lines.append(f"{csp_id},{csc_id},{spelling},{rng.uniform(0, 100)!r},{sequence}")
+            if i == chunk // 2:  # a whole column pass of blank lines
+                lines.extend([""] * (chunk + 1))
+        self.assert_column_load_matches(tmp_path, monkeypatch,
+                                        AMV_HEADER + "\n".join(lines) + "\n")
+
+    def assert_column_load_matches(self, tmp_path, monkeypatch, text):
+        store = self.store_with_amvs(tmp_path, text)
+        passes = []
+        restore = registry_module._restore_amv_columns
+
+        def recorded(registry, fh):
+            passes.append(restore(registry, fh))
+            return passes[-1]
+
+        monkeypatch.setattr(registry_module, "_restore_amv_columns", recorded)
+        loaded = store.load()
+        assert passes == [True]  # the column pass loaded the file, not the row loop
+        reference = self.row_loop_load(store, monkeypatch)
+        assert loaded == reference
+        assert loaded._rows == reference._rows
+        assert list(loaded._samples.items()) == list(reference._samples.items())
+        assert all(list(loaded._samples[key]) == list(samples)
+                   for key, samples in reference._samples.items())
+        for key in reference._samples:
+            assert loaded.amv_samples(*key) == reference.amv_samples(*key)
 
 
 QWS_HEADER = ("Response Time,Availability,Throughput,Successability,Reliability,"

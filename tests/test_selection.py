@@ -172,6 +172,36 @@ class TestAssess:
             assess(registry, request)
         assert err.value.candidates == ("p1",)
 
+    def test_insufficient_candidates_name_each_exclusion(self):
+        registry = fresh_registry()
+        seed_provider(registry, "p1", "availability", 80, 90)
+        seed_provider(registry, "p2", "availability", 40, 50)  # misses the span
+        seed_provider(registry, "p3", "latency", 5, 10)  # no availability SLO
+        seed_provider(registry, "p4", "availability", 80, 90)
+        seed_provider(registry, "p4", "latency", 5, 10, satisfy=False)  # actual [0, 0]
+        request = AssessmentRequest((("av", span(60, 100)), ("la", span(0, 100))))
+        with pytest.raises(InsufficientCandidatesError) as refused:
+            assess(registry, request)
+        assert str(refused.value) == (
+            "insufficient candidates for a ranking (no provider matched; "
+            "p1 excluded: no SLO on 'latency'; "
+            "p2 excluded: actual interval [40, 50] misses [60, 100] on 'availability'; "
+            "p3 excluded: no SLO on 'availability'; "
+            "p4 excluded: zero consistency rate on cost attribute 'latency'); "
+            "relax the requested spans")
+        # without a span among the causes, relaxing the spans is not advised
+        with pytest.raises(InsufficientCandidatesError) as refused:
+            assess(registry, request.restrict(["la"]))
+        assert str(refused.value) == (
+            "insufficient candidates for a ranking (only p3 matched; "
+            "p1 excluded: no SLO on 'latency'; p2 excluded: no SLO on 'latency'; "
+            "p4 excluded: zero consistency rate on cost attribute 'latency'); "
+            "leave the attributes named above out of the request")
+        with pytest.raises(InsufficientCandidatesError) as refused:
+            assess(fresh_registry(), request)
+        assert str(refused.value).endswith(
+            "(no provider matched); the store holds SLOs of fewer than two providers")
+
     def test_two_identical_candidates_tie_on_id(self):
         registry = fresh_registry()
         seed_provider(registry, "pB", "availability", 80, 90)
@@ -255,7 +285,7 @@ class TestAssess:
         result = assess(case_registry(), case_request())
         ctx = result.context
         assert normalize(ctx.decision) == ctx.normalized
-        assert deviation_weights(ctx.normalized) == ctx.weights
+        assert deviation_weights(ctx.normalized, ctx.decision.attributes) == ctx.weights
         assert trust_levels(ctx.normalized, ctx.weights) == ctx.trust_levels
         assert possibility_matrix(ctx.trust_levels) == ctx.possibility
         assert ordering_vector(ctx.possibility) == ctx.ordering

@@ -134,22 +134,22 @@ class TestDeviationWeights:
     def test_identical_rows_fall_back_to_uniform(self):
         m = matrix([[(1, 2), (3, 4)], [(1, 2), (3, 4)]],
                    [Polarity.BENEFIT, Polarity.BENEFIT])
-        assert deviation_weights(normalize(m)).weights == (0.5, 0.5)
+        assert deviation_weights(normalize(m), m.attributes).weights == (0.5, 0.5)
 
     def test_single_column_normalizes_to_one(self):
         m = matrix([[(1, 2)], [(3, 4)]], [Polarity.BENEFIT])
-        assert deviation_weights(normalize(m)).weights == (1.0,)
+        assert deviation_weights(normalize(m), m.attributes).weights == (1.0,)
 
     def test_needs_two_providers(self):
         m = DecisionMatrix(("only",), (benefit("x"),), ((IntervalNumber(1, 2),),))
         with pytest.raises(ValueError):
-            deviation_weights(normalize(m))
+            deviation_weights(normalize(m), m.attributes)
 
     def test_weights_sum_to_one_and_nonnegative(self):
         rng = random.Random(22)
         for _ in range(100):
             m = random_matrix(rng, rng.randint(2, 7), rng.randint(1, 6))
-            w = deviation_weights(normalize(m)).weights
+            w = deviation_weights(normalize(m), m.attributes).weights
             assert all(x >= 0 for x in w)
             assert math.fsum(w) == pytest.approx(1.0, abs=1e-9)
 
@@ -158,9 +158,31 @@ class TestDeviationWeights:
             [[(1, 1), (10, 10)], [(1, 1), (90, 90)], [(1, 1), (50, 50)]],
             [Polarity.BENEFIT, Polarity.BENEFIT],
         )
-        w = deviation_weights(normalize(m)).weights
+        w = deviation_weights(normalize(m), m.attributes).weights
         assert w[1] > w[0]
         assert w[0] == 0.0
+
+    @staticmethod
+    def huge_among_tiny(upper, n_cols=1):
+        """One cell [0, upper] among 39 tiny ones per benefit column: the
+        normalized uppers still sum finite, their deviation total may not."""
+        tiny = 1e-300 / 39
+        return matrix([[(0, upper)] * n_cols] + [[(tiny, tiny)] * n_cols] * 39,
+                      [Polarity.BENEFIT] * n_cols)
+
+    def test_column_total_overflow_names_the_attribute(self):
+        m = self.huge_among_tiny(1e7)
+        for refuse in (lambda: evaluate(m), lambda: deviation_weights(normalize(m), m.attributes)):
+            with pytest.raises(ValueError, match="^benefit attribute 'b0' overflows in its "
+                                                 "deviation total$"):
+                refuse()
+
+    def test_grand_total_overflow_keeps_the_ratios(self):
+        # each column total is finite, their sum is not
+        m = self.huge_among_tiny(2e6, n_cols=2)
+        assert all(math.isfinite(column_deviation(c)) for c in zip(*normalize(m)))
+        assert deviation_weights(normalize(m), m.attributes).weights == (0.5, 0.5)
+        assert evaluate(m).weights.weights == (0.5, 0.5)
 
 
 class TestFloatCore:
@@ -194,7 +216,7 @@ class TestFloatCore:
     def test_all_flat_columns_fall_back_to_uniform(self):
         m = matrix([[(2, 3), (5, 5), (1, 9)]] * 40,
                    [Polarity.BENEFIT, Polarity.COST, Polarity.BENEFIT])
-        assert deviation_weights(normalize(m)).weights == (1 / 3,) * 3
+        assert deviation_weights(normalize(m), m.attributes).weights == (1 / 3,) * 3
 
     def test_weights_bit_identical_under_row_permutation(self):
         rng = random.Random(30)
@@ -206,7 +228,8 @@ class TestFloatCore:
                 tuple(m.providers[i] for i in perm), m.attributes,
                 tuple(m.cells[i] for i in perm),
             )
-            assert deviation_weights(normalize(permuted)) == deviation_weights(normalize(m))
+            assert (deviation_weights(normalize(permuted), m.attributes)
+                    == deviation_weights(normalize(m), m.attributes))
 
     def test_trust_levels_equal_interval_fold(self):
         def add(x, y):
@@ -217,8 +240,9 @@ class TestFloatCore:
 
         rng = random.Random(31)
         for _ in range(20):
-            normalized = normalize(random_matrix(rng, rng.randint(2, 30), rng.randint(1, 8)))
-            weights = deviation_weights(normalized)
+            m = random_matrix(rng, rng.randint(2, 30), rng.randint(1, 8))
+            normalized = normalize(m)
+            weights = deviation_weights(normalized, m.attributes)
             expected = []
             for row in normalized:
                 total = (0.0, 0.0)
@@ -250,6 +274,12 @@ class TestWeightVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             WeightVector((1.5, -0.5))
+
+    @pytest.mark.parametrize("weights", [(math.nan,), (0.5, math.nan), (math.inf, 0.0),
+                                         (1.0, math.nan)])
+    def test_rejects_non_finite(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            WeightVector(weights)
 
 
 class TestTrustLevels:
@@ -385,7 +415,7 @@ class TestRankAndPipeline:
         m = random_matrix(rng, 5, 4)
         ctx = evaluate(m)
         assert normalize(ctx.decision) == ctx.normalized
-        assert deviation_weights(ctx.normalized) == ctx.weights
+        assert deviation_weights(ctx.normalized, m.attributes) == ctx.weights
         assert trust_levels(ctx.normalized, ctx.weights) == ctx.trust_levels
         assert possibility_matrix(ctx.trust_levels) == ctx.possibility
         assert ordering_vector(ctx.possibility) == ctx.ordering
