@@ -17,7 +17,6 @@ variable (flag wins). Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -41,11 +40,11 @@ from .registry import (
     read_rows,
 )
 from .selection import (
-    AssessmentRequest,
     InsufficientCandidatesError,
     assess,
     read_request,
     render_human,
+    render_structured,
     result_document,
 )
 
@@ -167,18 +166,14 @@ def cmd_assess(args: argparse.Namespace) -> int:
         registry = store.load()
     with open(args.request, newline="", encoding="utf-8") as fh:
         request = read_request(fh)
-    # canonicalize names so abbreviation and full-name spellings line up
-    request = AssessmentRequest(tuple(
-        (registry.resolve_attribute(name).name, span)
-        for name, span in request.requested
-    ))
     if args.attributes:
-        names = [registry.resolve_attribute(n.strip()).name
-                 for n in args.attributes.split(",")]
-        request = request.restrict(names)
+        # keep the request's own spelling of each attribute the subset names
+        spelled = {registry.resolve_attribute(name).name: name for name, _ in request.requested}
+        names = [registry.resolve_attribute(n.strip()).name for n in args.attributes.split(",")]
+        request = request.restrict([spelled.get(name, name) for name in names])
     result = assess(registry, request)
     if args.format == "structured":
-        output = json.dumps(result_document(result), indent=2)
+        output = render_structured(result_document(result))
     else:
         output = render_human(result)
     if args.out:

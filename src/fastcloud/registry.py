@@ -238,7 +238,7 @@ class Registry:
     # by _restore_amv_columns on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # (csp, attribute) -> {csc: SloRecord}, updated only by submit_slo
+    # (csp, attribute) -> {csc: SloRecord}, updated only by _file_slo
     _slo_index: dict[tuple[str, str], dict[str, SloRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -277,9 +277,13 @@ class Registry:
 
     def submit_slo(self, record: SloRecord) -> bool:
         """Store an agreed objective; returns True if it replaced a prior one."""
-        record = self._named(record)
-        replaced = record.key in self.slos
-        self.slos[record.key] = record
+        return self._file_slo(self._named(record))
+
+    def _file_slo(self, record: SloRecord) -> bool:
+        """File an SLO already under its registered attribute name."""
+        key = record.key
+        replaced = key in self.slos
+        self.slos[key] = record
         # a resubmission keeps its place, so slos_for keeps the order of slos
         self._slo_index.setdefault((record.csp_id, record.attribute), {})[record.csc_id] = record
         return replaced
@@ -466,50 +470,95 @@ def _amv_restorer(registry: Registry):
     return restore
 
 
-# amvs.csv rows per column pass. The rows read are dropped after each pass,
-# so that the garbage collector does not scan them again and again: at 50k
+def _text(data: bytes) -> TextIO:
+    """The text of a store file's bytes, already known to be UTF-8.
+
+    Read through a wrapper, as from the file itself: a ``StringIO`` of the
+    decoded text holds four bytes a character and reads slower.
+    """
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+# Rows per column pass. The rows read are dropped after each pass, so that
+# the garbage collector does not scan them again and again: at 50k amvs.csv
 # rows, one pass over the whole file loaded slower than the row loop.
 _COLUMN_ROWS = 512
 
 
-def _restore_amv_columns(registry: Registry, fh: TextIO) -> bool:
+def _columns(data: bytes, columns: tuple[str, ...]) -> Iterator[list[list[str]]]:
+    """The stripped columns of a record file, ``_COLUMN_ROWS`` rows at a time.
+
+    One csv pass reads the rows; blank lines are skipped. Another header or
+    a row with another field count raises ValueError, and a row the csv
+    module cannot read raises csv.Error: a column pass takes either as the
+    cue to leave the file to the row loop, which names the refused row.
+    """
+    reader = csv.reader(_text(data))
+    header = next(reader, None)
+    if header is None or list(map(str.strip, header)) != list(columns):
+        raise ValueError("not the header of a column pass")
+    for chunk in iter(lambda: list(islice(reader, _COLUMN_ROWS)), []):
+        rows = [row for row in chunk if row]
+        if not rows:
+            continue
+        if set(map(len, rows)) != {len(columns)}:
+            raise ValueError("a row with another field count")
+        yield [list(map(str.strip, column)) for column in zip(*rows)]
+
+
+def _names(registry: Registry, names: dict[str, str], spellings: list[str]) -> Iterator[str]:
+    """The registered name of each spelling, resolving each new one once into ``names``."""
+    for spelling in set(spellings).difference(names):
+        names[spelling] = registry.resolve_attribute(spelling).name
+    return map(names.__getitem__, spellings)
+
+
+def _restore_slo_columns(registry: Registry, data: bytes) -> bool:
+    """Restore a whole slos.csv into ``registry`` a column at a time.
+
+    Each attribute spelling resolves once; each record is built as a
+    ``SloRecord``, with its checks, and filed in file order as
+    ``submit_slo`` files it. Returns False, with the registry untouched,
+    when any check fails, so that the row loop can name the refused row.
+    """
+    names: dict[str, str] = {}
+    records: list[SloRecord] = []
+    try:
+        for csps, cscs, spellings, values in _columns(data, SLO_COLUMNS):
+            records.extend(map(SloRecord, csps, cscs, _names(registry, names, spellings),
+                               map(float, values)))
+    except (csv.Error, ValueError):
+        return False
+    for record in records:
+        registry._file_slo(record)
+    return True
+
+
+def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
     """Restore a whole amvs.csv into ``registry`` a column at a time.
 
-    One csv pass reads the rows, ``_COLUMN_ROWS`` at a time; each check of
-    ``_amv_restorer`` then runs once over a whole column of them, and the
-    rows are filed in file order, as the row loop files them. Returns False,
-    with the registry untouched, when any check fails, so that the row loop
-    can name the refused row.
+    Each check of ``_amv_restorer`` runs once over a whole column of rows,
+    and the rows are filed in file order, as the row loop files them.
+    Returns False, with the registry untouched, when any check fails, so
+    that the row loop can name the refused row.
     """
     names: dict[str, str] = {}
     log: list[tuple[str, str, str, float, int]] = []
-    reader = csv.reader(fh)
     try:
-        header = next(reader, None)
-        if header is None or list(map(str.strip, header)) != list(AMV_COLUMNS):
-            return False
-        for chunk in iter(lambda: list(islice(reader, _COLUMN_ROWS)), []):
-            rows = [row for row in chunk if row]
-            if not rows:
-                continue
-            if set(map(len, rows)) != {len(AMV_COLUMNS)}:
-                return False
-            csps, cscs, spellings, values, sequences = (
-                list(map(str.strip, column)) for column in zip(*rows))
+        for csps, cscs, spellings, values, sequences in _columns(data, AMV_COLUMNS):
             if not (all(csps) and all(cscs)):
                 return False
             values = list(map(float, values))
             sequences = list(map(int, sequences))  # refuses an empty one too
-            for spelling in set(spellings).difference(names):
-                names[spelling] = registry.resolve_attribute(spelling).name
+            attributes = _names(registry, names, spellings)
             # a NaN anywhere makes the sum NaN; min and max then bound the rest
             total = sum(values)
             if math.isnan(total) or min(values) < 0 or max(values) == math.inf:
                 return False
-            log.extend(zip(csps, cscs, map(names.__getitem__, spellings), values, sequences))
-    except (csv.Error, ValueError):  # also a file that is not UTF-8
+            log.extend(zip(csps, cscs, attributes, values, sequences))
+    except (csv.Error, ValueError):
         return False
-    if not _has_line_end(fh):
+    if not data.endswith(b"\n"):
         return False
     samples: dict[tuple[str, str, str], dict[int, float]] = {}
     for csp_id, csc_id, attribute, value, sequence in log:
@@ -518,12 +567,6 @@ def _restore_amv_columns(registry: Registry, fh: TextIO) -> bool:
         return False
     registry._rows, registry._samples = log, samples
     return True
-
-
-def _has_line_end(fh: TextIO) -> bool:
-    """Does the (nonempty) file end with a line end, as a whole append does?"""
-    end = os.fstat(fh.fileno()).st_size - 1
-    return os.pread(fh.fileno(), 1, end) == b"\n"
 
 
 def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
@@ -563,10 +606,11 @@ class Store:
     with the file and its line: an empty file or another header, a row with
     a wrong field count, an empty or padded id, a non-finite or out-of-range
     value, an unregistered attribute, an empty sequence or a repeated
-    (triple, sequence) in amvs.csv. Attribute abbreviations resolve to
-    names. attributes.csv and slos.csv are read a row at a time. amvs.csv
-    is read in one csv pass and checked a whole column at a time; only if a
-    check fails is it read again row by row, and that row loop names the
+    (triple, sequence) in amvs.csv, or a byte that is not UTF-8. Attribute
+    abbreviations resolve to names. Each file is read and decoded whole.
+    attributes.csv is read a row at a time. slos.csv and amvs.csv are read
+    in one csv pass and checked a whole column at a time; only if a check
+    fails is the file read again row by row, and that row loop names the
     refused row.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
@@ -610,31 +654,33 @@ class Store:
     def load(self) -> Registry:
         registry = Registry()
         missing = []
-        for name, columns, add in (
+        for name, columns, add, restore_columns in (
             (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-             lambda fields: registry.register_attribute(parse_attribute(fields))),
-            (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields))),
-            (self.AMVS_FILE, AMV_COLUMNS, _amv_restorer(registry)),
+             lambda fields: registry.register_attribute(parse_attribute(fields)), None),
+            (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields)),
+             _restore_slo_columns),
+            (self.AMVS_FILE, AMV_COLUMNS, _amv_restorer(registry), _restore_amv_columns),
         ):
             path = self.root / name
             try:
-                fh = path.open(newline="", encoding="utf-8")
+                data = path.read_bytes()
             except FileNotFoundError:
                 missing.append(name)
                 continue
-            with fh:
-                if name == self.AMVS_FILE:
-                    if _restore_amv_columns(registry, fh):
-                        continue
-                    fh.seek(0)  # the row loop names the refused row
-                line = 1
-                try:
-                    for line, fields in read_rows(fh, columns):
-                        add(fields)
-                    if name == self.AMVS_FILE and not _has_line_end(fh):
-                        raise ValueError("row has no line end: its append was cut short")
-                except ValueError as exc:
-                    raise _row_error(path, line, exc) from exc
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _row_error(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
+            if restore_columns is not None and restore_columns(registry, data):
+                continue
+            line = 1  # the row loop names the refused row
+            try:
+                for line, fields in read_rows(_text(data), columns):
+                    add(fields)
+                if name == self.AMVS_FILE and not data.endswith(b"\n"):
+                    raise ValueError("row has no line end: its append was cut short")
+            except ValueError as exc:
+                raise _row_error(path, line, exc) from exc
         self._remember(registry, missing)
         return registry
 

@@ -13,6 +13,7 @@ concurrently against the same snapshot.
 from __future__ import annotations
 
 import csv
+import json
 import time
 from dataclasses import dataclass
 from typing import TextIO
@@ -119,7 +120,12 @@ def _profiles_or_cause(
 
 
 def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
-    """Full assessment pipeline over the matched candidate set."""
+    """Full assessment pipeline over the matched candidate set.
+
+    Attribute names resolve here, once: the result's request spells each
+    attribute by its registered name, and two spellings of one attribute
+    are refused.
+    """
     started = time.perf_counter()
     attributes = tuple(registry.resolve_attribute(name) for name, _ in request.requested)
     spellings: dict[str, str] = {}
@@ -127,6 +133,9 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
         other = spellings.setdefault(attr.name, name)
         if other != name:
             raise ValueError(f"requested attributes {other!r} and {name!r} both name {attr.name!r}")
+    # from here on the request spells each attribute by its registered name
+    request = AssessmentRequest(tuple(
+        (attr.name, span) for attr, (_, span) in zip(attributes, request.requested)))
     matched = match_candidates(registry, request)
     candidates = tuple(matched)
     if len(candidates) < 2:
@@ -234,6 +243,25 @@ def result_document(result: AssessmentResult) -> dict:
         ],
         "elapsed_seconds": result.elapsed_seconds,
     }
+
+
+def render_structured(document: dict) -> str:
+    """A result document as JSON text, with one line per top-level key.
+
+    A non-empty top-level list puts each element on a line of its own;
+    every value is written by ``json.dumps`` without ``indent``, which keeps
+    the C encoder (any ``indent`` falls back to the pure-Python one). The
+    text parses to the same document as ``json.dumps(document, indent=2)``.
+    """
+    lines = []
+    for key, value in document.items():
+        head = f"  {json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            elements = ",\n    ".join(map(json.dumps, value))
+            lines.append(f"{head}[\n    {elements}\n  ]")
+        else:
+            lines.append(head + json.dumps(value))
+    return "{\n" + ",\n".join(lines) + "\n}"
 
 
 def render_human(result: AssessmentResult) -> str:

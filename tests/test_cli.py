@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -15,6 +16,7 @@ from fastcloud.registry import (
     SloRecord,
     Store,
 )
+from fastcloud.selection import assess, read_request, result_document
 
 
 def write_csv(path, header, rows):
@@ -263,26 +265,79 @@ class TestAssess:
         seed_case_store(store_dir, tmp_path)
         request_file = write_request(tmp_path)
         capsys.readouterr()
-        assert main([
-            "--store", str(store_dir), "assess", str(request_file),
-            "--attributes", "la,res",
-        ]) == 0
-        assert f"ranking: {COST_ONLY_CHAIN}" in capsys.readouterr().out
+        # the request file spells the attributes by abbreviation
+        for subset in ("la,res", "latency,response_time"):
+            assert main([
+                "--store", str(store_dir), "assess", str(request_file),
+                "--attributes", subset,
+            ]) == 0
+            assert f"ranking: {COST_ONLY_CHAIN}" in capsys.readouterr().out
+
+    def test_one_attribute_requested_twice_names_both_spellings(
+            self, store_dir, tmp_path, capsys):
+        seed_case_store(store_dir, tmp_path)
+        request_file = tmp_path / "request.csv"
+        write_csv(request_file, ["attribute", "min", "max"],
+                  [["av", 0, 100], ["la", 0, 100], ["availability", 50, 100]])
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file)]) == 2
+        assert capsys.readouterr().err == (
+            "error: requested attributes 'av' and 'availability' both name 'availability'\n")
 
     def test_structured_output_is_diffable(self, store_dir, tmp_path, capsys):
         seed_case_store(store_dir, tmp_path)
         request_file = write_request(tmp_path)
         capsys.readouterr()
-        outputs = []
+        outputs, texts = [], []
         for _ in range(2):
             assert main([
                 "--store", str(store_dir), "assess", str(request_file),
                 "--format", "structured",
             ]) == 0
-            doc = json.loads(capsys.readouterr().out)
+            texts.append(capsys.readouterr().out)
+            doc = json.loads(texts[-1])
             doc.pop("elapsed_seconds")
             outputs.append(json.dumps(doc))
         assert outputs[0] == outputs[1]
+
+        # the same document as the library's, and as the indented dump of it
+        with open(request_file, newline="", encoding="utf-8") as fh:
+            expected = result_document(assess(Store(store_dir).load(), read_request(fh)))
+        expected.pop("elapsed_seconds")
+        assert json.loads(outputs[0]) == expected
+        assert json.loads(outputs[0]) == json.loads(json.dumps(expected, indent=2))
+
+        # one line per top-level key, and one per element of a top-level list
+        doc = json.loads(texts[0])
+        lines = texts[0].splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        at = 1
+        for key, value in doc.items():
+            head = f"  {json.dumps(key)}: "
+            assert lines[at].startswith(head)
+            if isinstance(value, list) and value:
+                assert lines[at] == head + "["
+                elements = lines[at + 1:at + 1 + len(value)]
+                assert all(line.startswith("    ") for line in elements)
+                assert [json.loads(line.rstrip(",")) for line in elements] == value
+                at += len(value) + 1
+                assert lines[at].rstrip(",") == "  ]"
+            else:
+                assert json.loads(lines[at][len(head):].rstrip(",")) == value
+            at += 1
+        assert at == len(lines) - 1
+        assert lines[1] == '  "request": ['
+
+        # --out writes the text that stdout prints, elapsed_seconds aside
+        out = tmp_path / "result.json"
+        assert main(["--store", str(store_dir), "assess", str(request_file),
+                     "--format", "structured", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def timeless(text):
+            return re.sub(r'"elapsed_seconds": \S+', '"elapsed_seconds": 0', text)
+
+        assert timeless(out.read_text(encoding="utf-8")) == timeless(texts[0])
 
     def test_out_file(self, store_dir, tmp_path, capsys):
         seed_case_store(store_dir, tmp_path)

@@ -491,6 +491,140 @@ class TestAmvLoad:
             assert loaded.amv_samples(*key) == reference.amv_samples(*key)
 
 
+SLO_HEADER = "csp_id,csc_id,attribute,value\n"
+# as AMV_ACCEPTED: the refused row is physical line 5
+SLO_ACCEPTED = "p,c,av,1\n\np,c,la,2\n"
+
+
+class TestSloLoad:
+    """slos.csv loads a column at a time; the row loop names a refused row."""
+
+    @staticmethod
+    def store_with_slos(tmp_path, text):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (store.root / Store.SLOS_FILE).write_bytes(text.encode("utf-8"))
+        return store
+
+    @staticmethod
+    def row_loop_load(store, monkeypatch):
+        """The registry that the row loop alone loads: the reference."""
+        with monkeypatch.context() as patch:
+            patch.setattr(registry_module, "_restore_slo_columns", lambda registry, data: False)
+            return store.load()
+
+    @pytest.mark.parametrize("rows, kind, message", [
+        ("p,c,av\n", ValueError, "malformed row: 3 fields, expected 4"),
+        ("p,c,av,5,x\n", ValueError, "malformed row: 5 fields, expected 4"),
+        (",c,av,5\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
+        ("p, \t ,av,5\n", ValueError, f"{ID_MESSAGE}, got 'p' and ''"),
+        ("p,c,av,0\n", ValueError, "SLO value must be finite and positive, got 0.0"),
+        ("p,c,av,-0.5\n", ValueError, "SLO value must be finite and positive, got -0.5"),
+        ("p,c,av,nan\n", ValueError, "SLO value must be finite and positive, got nan"),
+        ("p,c,av,inf\n", ValueError, "SLO value must be finite and positive, got inf"),
+        ("p,c,av,abc\n", ValueError, "could not convert string to float: 'abc'"),
+        ("p,c,bogus,5\n", UnknownAttributeError, "unknown attribute 'bogus'"),
+        ("p," + "c" * 200_000 + ",av,5\n", ValueError, "field larger than field limit (131072)"),
+        # the checks run in row order: the ids before the value and attribute
+        (",c,bogus,nan\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
+        # and the first refused row wins over a later one
+        ("p,c,av,nan\n,c,av,5\n", ValueError, "SLO value must be finite and positive, got nan"),
+    ], ids=["short", "long", "empty-csp", "padded-csc", "zero", "negative", "nan", "inf",
+            "non-numeric", "unknown-attribute", "over-long", "two-faults", "first-row-wins"])
+    def test_refused_row_is_named(self, tmp_path, rows, kind, message):
+        store = self.store_with_slos(tmp_path, SLO_HEADER + SLO_ACCEPTED + rows)
+        with pytest.raises(ValueError) as refused:
+            store.load()
+        assert type(refused.value) is kind
+        assert str(refused.value) == f"{store.root / Store.SLOS_FILE}: line 5: {message}"
+
+    @pytest.mark.parametrize("text", [
+        '"p,1","c,2",av,5\n"p,1",c,av,6\n',
+        " p , c , av , 5 \n p,c2 ,la, 6\n",
+        "\n\np,c,av,5\n\n\nq,c,av,6\n\n",
+        "p,c,av,5\r\np,c2,la,6\r\n",
+        "p,c,av,5\np,c2,availability,6\np,c,res,7\nq,c,response_time,8\n",
+        "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n",
+        "",
+    ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations", "repeated",
+            "no-rows"])
+    def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
+        self.assert_column_load_matches(tmp_path, monkeypatch, SLO_HEADER + text)
+
+    def test_repeated_triple_keeps_later_value_at_first_position(self, tmp_path, monkeypatch):
+        loaded = self.assert_column_load_matches(
+            tmp_path, monkeypatch,
+            SLO_HEADER + "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n")
+        assert [(key, r.value) for key, r in loaded.slos.items()] == [
+            (("p", "c", "availability"), 9.0), (("q", "c", "latency"), 1.0),
+            (("p", "c2", "availability"), 3.0)]
+        assert [r.value for r in loaded.slos_for("p", "availability")] == [9.0, 3.0]
+
+    def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
+        rng = random.Random(11)
+        chunk = registry_module._COLUMN_ROWS
+        spellings = ["av", "availability", " th ", "la", "latency", "res"]
+        lines = [f"p{rng.randrange(40)},c{rng.randrange(8)},{rng.choice(spellings)},"
+                 f"{rng.uniform(1, 100)!r}" for _ in range(3 * chunk + 17)]
+        lines[chunk // 2:chunk // 2] = [""] * (chunk + 1)  # a whole column pass of blank lines
+        self.assert_column_load_matches(tmp_path, monkeypatch,
+                                        SLO_HEADER + "\n".join(lines) + "\n")
+
+    def assert_column_load_matches(self, tmp_path, monkeypatch, text):
+        store = self.store_with_slos(tmp_path, text)
+        passes = []
+        restore = registry_module._restore_slo_columns
+
+        def recorded(registry, data):
+            passes.append(restore(registry, data))
+            return passes[-1]
+
+        monkeypatch.setattr(registry_module, "_restore_slo_columns", recorded)
+        loaded = store.load()
+        assert passes == [True]  # the column pass loaded the file, not the row loop
+        reference = self.row_loop_load(store, monkeypatch)
+        assert loaded == reference
+        assert list(loaded.slos.items()) == list(reference.slos.items())
+        assert ([(key, list(by_csc.items())) for key, by_csc in loaded._slo_index.items()]
+                == [(key, list(by_csc.items())) for key, by_csc in reference._slo_index.items()])
+        return loaded
+
+
+class TestUndecodableByte:
+    """A byte that is not UTF-8 is refused at the line that holds it."""
+
+    DECODE_ERROR = "'utf-8' codec can't decode byte 0xff"
+
+    @staticmethod
+    def store_with_bytes(tmp_path, name, data):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        (store.root / name).write_bytes(data)
+        return store
+
+    def test_amvs_row(self, tmp_path):
+        rows = [f"p{i % 7},c{i % 3},av,{i}.5,{i + 1}\n".encode() for i in range(1000)]
+        rows[899] = b"p\xff" + rows[899][1:]  # physical line 901, after the header
+        store = self.store_with_bytes(tmp_path, Store.AMVS_FILE,
+                                      AMV_HEADER.encode() + b"".join(rows))
+        with pytest.raises(ValueError, match=f"amvs.csv: line 901: {self.DECODE_ERROR}"):
+            store.load()
+
+    def test_slos_row(self, tmp_path):
+        rows = [f"p{i},c,la,{i + 1}\n".encode() for i in range(300)]
+        rows[249] = rows[249].replace(b"la", b"l\xff")  # physical line 251
+        store = self.store_with_bytes(tmp_path, Store.SLOS_FILE,
+                                      SLO_HEADER.encode() + b"".join(rows))
+        with pytest.raises(ValueError, match=f"slos.csv: line 251: {self.DECODE_ERROR}"):
+            store.load()
+
+    def test_header(self, tmp_path):
+        store = self.store_with_bytes(tmp_path, Store.AMVS_FILE,
+                                      b"csp_id,csc_id,attri\xffbute,value,sequence\np,c,av,1,1\n")
+        with pytest.raises(ValueError, match=f"amvs.csv: line 1: {self.DECODE_ERROR}"):
+            store.load()
+
+
 QWS_HEADER = ("Response Time,Availability,Throughput,Successability,Reliability,"
               "Compliance,Best Practices,Latency,Documentation,Service Name,WSDL Address")
 

@@ -272,6 +272,16 @@ class TestAssess:
         with pytest.raises(ValueError, match="'av' and 'availability' both name"):
             assess(registry, request)
 
+    def test_result_request_spells_registered_names(self):
+        registry = fresh_registry()
+        seed_provider(registry, "p1", "availability", 80, 90)
+        seed_provider(registry, "p2", "latency", 10, 20)
+        seed_provider(registry, "p2", "availability", 70, 90)
+        seed_provider(registry, "p1", "latency", 10, 30)
+        request = AssessmentRequest((("la", span(0, 100)), ("availability", span(0, 100))))
+        assert assess(registry, request).request.requested == (
+            ("latency", span(0, 100)), ("availability", span(0, 100)))
+
     def test_unknown_requested_attribute(self):
         from fastcloud.registry import UnknownAttributeError
 
