@@ -17,10 +17,12 @@ variable (flag wins). Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from .bench import BenchConfig, BenchMode, render_report, run_benchmark
 from .registry import (
@@ -38,6 +40,7 @@ from .registry import (
     parse_attribute,
     parse_slo,
     read_rows,
+    record_text,
 )
 from .selection import (
     InsufficientCandidatesError,
@@ -63,6 +66,14 @@ def _store(args: argparse.Namespace) -> Store:
     return Store(path)
 
 
+def _read_text(path: str, where: str) -> TextIO:
+    """The text of a record file; a byte that is not UTF-8 is refused after ``where``."""
+    try:
+        return record_text(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from exc
+
+
 def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[list, int]:
     """Parse and submit each row of a record file.
 
@@ -70,11 +81,10 @@ def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[li
     ``submit`` gave for each submitted row, a duplicate standing as its
     DuplicateSubmissionError, and the number of failed rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = list(read_rows(fh, columns))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    try:
+        rows = list(read_rows(record_text(Path(path).read_bytes()), columns))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     results, failed = [], 0
     for line, fields in rows:
         try:
@@ -150,8 +160,8 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
             mapping[column.strip()] = attr.strip()
     with store.locked():
         registry = store.load()
-        with open(args.file, newline="", encoding="utf-8") as fh:
-            summary = import_qws(registry, fh, mapping, service_column=args.service_column)
+        summary = import_qws(registry, _read_text(args.file, f"{args.file}: "), mapping,
+                             service_column=args.service_column)
         if summary.records_added:
             store.save(registry)
     for reason in summary.rejections:
@@ -164,8 +174,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked(shared=True):
         registry = store.load()
-    with open(args.request, newline="", encoding="utf-8") as fh:
-        request = read_request(fh)
+    request = read_request(_read_text(args.request, "request "))
     if args.attributes:
         # keep the request's own spelling of each attribute the subset names
         spelled = {registry.resolve_attribute(name).name: name for name, _ in request.requested}
@@ -208,7 +217,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fastcloud",
         description="QoS-based trust assessment and provider ranking workbench",

@@ -46,7 +46,9 @@ class IntervalNumber:
 def possibility_degree(a: IntervalNumber, b: IntervalNumber) -> float:
     """Degree in [0, 1] to which interval ``a`` is at least interval ``b``.
 
-    See ``possibility_row`` for the formula and the point-interval convention.
+    The pairwise form of ``possibility_row``, which gives the formula and the
+    point-interval convention. No stage calls it: it stays public as the
+    pairwise reference that the tests hold possibility-matrix rows to.
     """
     return possibility_row(a.lower, a.upper, a.width, ((b.lower, b.width),))[0]
 

@@ -65,12 +65,6 @@ def _check_ids(csp_id: str, csc_id: str) -> None:
                          f"whitespace, got {csp_id!r} and {csc_id!r}")
 
 
-def _monitored_value(value: float) -> float:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"monitored value must be finite and nonnegative, got {value}")
-    return value
-
-
 @dataclass(frozen=True, slots=True)
 class SloRecord:
     """Agreed service-level objective for one (provider, consumer, attribute)."""
@@ -102,7 +96,8 @@ class AmvRecord:
 
     def __post_init__(self) -> None:
         _check_ids(self.csp_id, self.csc_id)
-        _monitored_value(self.value)
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(f"monitored value must be finite and nonnegative, got {self.value}")
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -137,27 +132,52 @@ AMV_COLUMNS = ("csp_id", "csc_id", "attribute", "value", "sequence")
 REQUEST_COLUMNS = ("attribute", "min", "max")
 
 
-def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """The rows of a record file whose header is ``columns``.
+def record_text(data: bytes) -> TextIO:
+    """The text of a record file's bytes, decoded whole.
 
-    Yields (physical line, stripped fields) for each row, skipping blank
-    lines. An empty source or any other header is refused before the first
-    row; the field count is left to the row parsers. A row the csv module
-    cannot read, such as one with a field over ``csv.field_size_limit()``,
-    is refused as a ValueError that names its line.
+    A byte that is not UTF-8 is refused as a ValueError naming its line. The
+    text is read through a wrapper: a ``StringIO`` holds four bytes a character.
+    """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: {exc}") from exc
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def _rows(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(physical line, stripped fields) of the header, blank or not, and each non-blank row.
+
+    A row the csv module cannot read, such as one with a field over
+    ``csv.field_size_limit()``, is refused as a ValueError that names its line.
     """
     reader = csv.reader(source)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("file is empty")
-        if [h.strip() for h in header] != list(columns):
-            raise ValueError(f"header must be {','.join(columns)!r}, got {','.join(header)!r}")
         for fields in reader:
-            if fields:
+            if fields or reader.line_num == 1:
                 yield reader.line_num, list(map(str.strip, fields))
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
+
+
+def _check_header(header: list[str] | None, columns: tuple[str, ...]) -> None:
+    """Refuse a missing header, or one that does not name exactly ``columns``."""
+    if header is None:
+        raise ValueError("file is empty")
+    if list(map(str.strip, header)) != list(columns):
+        raise ValueError(f"header must be {','.join(columns)!r}, got {','.join(header)!r}")
+
+
+def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a record file whose header is ``columns``.
+
+    Yields ``_rows`` after the header, which is checked before the first
+    row; the field count is left to the row parsers.
+    """
+    rows = _rows(source)
+    _check_header(next(rows, (1, None))[1], columns)
+    yield from rows
 
 
 def _fields(fields: list[str], columns: tuple[str, ...]) -> list[str]:
@@ -388,95 +408,55 @@ def import_qws(
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
     mapping = dict(mapping or STANDARD_QWS_MAPPING)
-    reader = csv.DictReader(source)
-    try:
-        fieldnames = reader.fieldnames
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.reader.line_num}: {exc}") from exc
-    if fieldnames is None:
+    rows = _rows(source)
+    _, header = next(rows, (1, None))
+    if header is None:
         raise ValueError("import source is empty: no header row")
-    header = [h.strip() for h in fieldnames]
     missing = [col for col in mapping if col not in header]
     if missing:
         raise ValueError(f"mapped columns missing from header: {', '.join(sorted(missing))}")
     if service_column not in header:
         raise ValueError(f"service identity column {service_column!r} missing from header")
+    # a name given twice reads its last column; a short row reads "" past its end
+    place = {name: i for i, name in enumerate(header)}
     # resolve targets up front so a bad mapping fails before any mutation
-    targets = {col: registry.resolve_attribute(attr).name for col, attr in mapping.items()}
+    targets = {place[col]: registry.resolve_attribute(attr).name for col, attr in mapping.items()}
 
-    accepted = rejected = added = skipped = conflicting = 0
-    rejections: list[str] = []
+    accepted = added = skipped = conflicting = 0
+    rejections: list[str] = []  # a line per rejected row or conflicting record
     group_counts: dict[str, int] = {}
-    try:
-        for row in reader:
-            line_no = reader.line_num  # physical: DictReader skips blank lines
-            row = {(k.strip() if k else k): v for k, v in row.items()}
-            service = (row.get(service_column) or "").strip()
-            if not service:
-                rejected += 1
-                rejections.append(f"line {line_no}: missing service identity")
-                continue
+    for line_no, fields in rows:
+        fields += [""] * (len(header) - len(fields))
+        service = fields[place[service_column]]
+        if not service:
+            rejections.append(f"line {line_no}: missing service identity")
+            continue
+        try:
+            values = {attr_name: float(fields[i]) for i, attr_name in targets.items()}
+        except ValueError:
+            rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
+            continue
+        csp_id = _slugify(service)
+        sequence = group_counts.get(csp_id, 0) + 1
+        try:
+            records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
+                       for attr_name, value in values.items()]
+        except ValueError as exc:
+            rejections.append(f"line {line_no}: {exc}")
+            continue
+        group_counts[csp_id] = sequence
+        accepted += 1
+        for record in records:
             try:
-                values = {targets[col]: float(row[col]) for col in mapping}
-            except (TypeError, ValueError):
-                rejected += 1
-                rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
-                continue
-            csp_id = _slugify(service)
-            sequence = group_counts.get(csp_id, 0) + 1
-            try:
-                records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
-                           for attr_name, value in values.items()]
+                registry._append_amv(*record.key, record.value, record.sequence)
+                added += 1
+            except DuplicateSubmissionError:
+                skipped += 1
             except ValueError as exc:
-                rejected += 1
+                conflicting += 1
                 rejections.append(f"line {line_no}: {exc}")
-                continue
-            group_counts[csp_id] = sequence
-            accepted += 1
-            for record in records:
-                try:
-                    registry._append_amv(*record.key, record.value, record.sequence)
-                    added += 1
-                except DuplicateSubmissionError:
-                    skipped += 1
-                except ValueError as exc:
-                    conflicting += 1
-                    rejections.append(f"line {line_no}: {exc}")
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.reader.line_num}: {exc}") from exc
-    return ImportSummary(accepted, rejected, added, skipped, conflicting, tuple(rejections))
-
-
-def _amv_restorer(registry: Registry):
-    """Add one amvs.csv row to ``registry`` without building an AmvRecord.
-
-    The row gets the checks of ``parse_amv`` and ``submit_amv``, except that
-    it needs no SLO, since imported values have none, and must carry the
-    sequence it was filed under. Each attribute spelling is resolved once.
-    """
-    names: dict[str, str] = {}
-
-    def restore(fields: list[str]) -> None:
-        csp_id, csc_id, attribute, value, sequence = _fields(fields, AMV_COLUMNS)
-        _check_ids(csp_id, csc_id)
-        value = _monitored_value(float(value))
-        if not sequence:
-            raise ValueError("stored monitored value has no sequence")
-        name = names.get(attribute)
-        if name is None:
-            name = names[attribute] = registry.resolve_attribute(attribute).name
-        registry._append_amv(csp_id, csc_id, name, value, int(sequence))
-
-    return restore
-
-
-def _text(data: bytes) -> TextIO:
-    """The text of a store file's bytes, already known to be UTF-8.
-
-    Read through a wrapper, as from the file itself: a ``StringIO`` of the
-    decoded text holds four bytes a character and reads slower.
-    """
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return ImportSummary(accepted, len(rejections) - conflicting, added, skipped, conflicting,
+                         tuple(rejections))
 
 
 # Rows per column pass. The rows read are dropped after each pass, so that
@@ -488,15 +468,14 @@ _COLUMN_ROWS = 512
 def _columns(data: bytes, columns: tuple[str, ...]) -> Iterator[list[list[str]]]:
     """The stripped columns of a record file, ``_COLUMN_ROWS`` rows at a time.
 
-    One csv pass reads the rows; blank lines are skipped. Another header or
-    a row with another field count raises ValueError, and a row the csv
-    module cannot read raises csv.Error: a column pass takes either as the
-    cue to leave the file to the row loop, which names the refused row.
+    One csv pass reads the rows; blank lines are skipped. A byte that is not
+    UTF-8, another header or a row with another field count raises
+    ValueError, and a row the csv module cannot read raises csv.Error: a
+    column pass takes either as the cue to leave the file to the row loop,
+    which names the refused row.
     """
-    reader = csv.reader(_text(data))
-    header = next(reader, None)
-    if header is None or list(map(str.strip, header)) != list(columns):
-        raise ValueError("not the header of a column pass")
+    reader = csv.reader(record_text(data))
+    _check_header(next(reader, None), columns)
     for chunk in iter(lambda: list(islice(reader, _COLUMN_ROWS)), []):
         rows = [row for row in chunk if row]
         if not rows:
@@ -537,10 +516,10 @@ def _restore_slo_columns(registry: Registry, data: bytes) -> bool:
 def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
     """Restore a whole amvs.csv into ``registry`` a column at a time.
 
-    Each check of ``_amv_restorer`` runs once over a whole column of rows,
-    and the rows are filed in file order, as the row loop files them.
-    Returns False, with the registry untouched, when any check fails, so
-    that the row loop can name the refused row.
+    Each check of the row loop, ``_restore_amv``, runs once over a whole
+    column of rows, and the rows are filed in file order, as the row loop
+    files them. Returns False, with the registry untouched, when any check
+    fails, so that the row loop can name the refused row.
     """
     names: dict[str, str] = {}
     log: list[tuple[str, str, str, float, int]] = []
@@ -569,15 +548,27 @@ def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
     return True
 
 
+def _restore_amv(registry: Registry, fields: list[str]) -> None:
+    """File one amvs.csv row as ``submit_amv`` files it, bar the SLO check.
+
+    Imported values have no SLO. A stored row must carry its sequence.
+    """
+    record = registry._named(parse_amv(fields))
+    if record.sequence is None:
+        raise ValueError("stored monitored value has no sequence")
+    registry._append_amv(*record.key, record.value, record.sequence)
+
+
 def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
     """The refusal of one store row, naming its file and line.
 
     A duplicate or an unknown attribute keeps its error type, so callers can
-    still tell them apart. A row the csv module could not read is already
-    named by ``read_rows``.
+    still tell them apart. A byte that is not UTF-8 is already named by
+    ``record_text``, and a row the csv module could not read by ``read_rows``.
     """
     kind = type(exc) if type(exc) in (UnknownAttributeError, DuplicateSubmissionError) else ValueError
-    where = path if isinstance(exc.__cause__, csv.Error) else f"{path}: line {line}"
+    named = isinstance(exc.__cause__, (UnicodeDecodeError, csv.Error))
+    where = path if named else f"{path}: line {line}"
     return kind(f"{where}: {exc}")
 
 
@@ -659,7 +650,8 @@ class Store:
              lambda fields: registry.register_attribute(parse_attribute(fields)), None),
             (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields)),
              _restore_slo_columns),
-            (self.AMVS_FILE, AMV_COLUMNS, _amv_restorer(registry), _restore_amv_columns),
+            (self.AMVS_FILE, AMV_COLUMNS, lambda fields: _restore_amv(registry, fields),
+             _restore_amv_columns),
         ):
             path = self.root / name
             try:
@@ -667,15 +659,11 @@ class Store:
             except FileNotFoundError:
                 missing.append(name)
                 continue
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _row_error(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
             if restore_columns is not None and restore_columns(registry, data):
                 continue
             line = 1  # the row loop names the refused row
             try:
-                for line, fields in read_rows(_text(data), columns):
+                for line, fields in read_rows(record_text(data), columns):
                     add(fields)
                 if name == self.AMVS_FILE and not data.endswith(b"\n"):
                     raise ValueError("row has no line end: its append was cut short")

@@ -12,7 +12,6 @@ concurrently against the same snapshot.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
@@ -189,15 +188,14 @@ def _too_few(registry: Registry, request: AssessmentRequest,
 def read_request(source: TextIO) -> AssessmentRequest:
     """Parse a request file: header ``attribute,min,max``, one line per attribute."""
     requested = []
-    line = None
     try:
         for line, fields in read_rows(source, REQUEST_COLUMNS):
-            requested.append(parse_request(fields))
+            try:
+                requested.append(parse_request(fields))
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from exc
     except ValueError as exc:
-        # read_rows names the line of a row the csv module could not read
-        where = ("request" if line is None or isinstance(exc.__cause__, csv.Error)
-                 else f"request line {line}:")
-        raise ValueError(f"{where} {exc}") from exc
+        raise ValueError(f"request {exc}") from exc
     return AssessmentRequest(tuple(requested))
 
 

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from conftest import CASE_INTERVALS, CASE_PROVIDERS, COST_ONLY_CHAIN, REQUEST_SPANS
-from fastcloud.cli import main
+from fastcloud.cli import build_parser, main
 from fastcloud.registry import (
     STANDARD_ATTRIBUTES,
     AmvRecord,
@@ -246,6 +246,70 @@ class TestSubmitAmv:
                   [["ghost", "c", "av", 51, ""]])
         assert main(["--store", str(store_dir), "submit-amv", str(amv)]) == 2
         assert "no agreed SLO" in capsys.readouterr().err
+
+    def test_row_with_two_faults_refused_alike_by_submit_and_load(self, store_dir, tmp_path,
+                                                                   capsys):
+        # an empty provider id and a value that is not a number
+        text = "csp_id,csc_id,attribute,value,sequence\n,c,av,abc,1\n"
+        refusal = "line 2: could not convert string to float: 'abc'"
+        amv = tmp_path / "a.csv"
+        amv.write_text(text, encoding="utf-8")
+        assert main(["--store", str(store_dir), "submit-amv", str(amv)]) == 2
+        assert f"  {refusal}\n" in capsys.readouterr().err
+        (store_dir / Store.AMVS_FILE).write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as loaded:
+            Store(store_dir).load()
+        assert str(loaded.value) == f"{store_dir / Store.AMVS_FILE}: {refusal}"
+
+
+class TestUndecodableInputFile:
+    """A byte that is not UTF-8 past an input file's first 8 KB is refused at its line."""
+
+    SAMPLE = resources.files("fastcloud") / "data" / "qws_sample.csv"
+    QWS_HEADER, QWS_ROW = SAMPLE.read_text(encoding="utf-8").splitlines()[:2]
+
+    @pytest.mark.parametrize("command, header, row", [
+        ("register-attributes", "name,abbreviation,unit,polarity", "attr{i},a{i},ms,cost"),
+        ("submit-slo", "csp_id,csc_id,attribute,value", "p{i},c,av,90"),
+        ("submit-amv", "csp_id,csc_id,attribute,value,sequence", "p{i},c,av,90,1"),
+        ("import-qws", QWS_HEADER, QWS_ROW),
+        ("assess", "attribute,min,max", "av,{i},1000"),
+    ], ids=["register-attributes", "submit-slo", "submit-amv", "import-qws", "assess"])
+    def test_refused_at_its_line(self, store_dir, tmp_path, capsys, command, header, row):
+        rows = [row.replace("{i}", str(i)).encode() for i in range(1000)]
+        rows[900] = b"\xff" + rows[900][1:]  # physical line 902, after the header
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\n".join([header.encode(), *rows, b""]))
+        assert path.read_bytes().index(b"\xff") > 8192
+        assert main(["--store", str(store_dir), command, str(path)]) == 2
+        where = "request " if command == "assess" else f"{path}: "
+        assert f"{where}line 902: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_and_reused_across_calls(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        fresh = build_parser.__wrapped__
+        with pytest.raises(SystemExit) as failed:
+            main(["assess"])
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as fresh_failed:
+            fresh().parse_args(["assess"])
+        assert failed.value.code == fresh_failed.value.code == 2
+        assert err == capsys.readouterr().err
+        assert "the following arguments are required: request" in err
+
+        store = tmp_path / "store"
+        slo = tmp_path / "s.csv"
+        write_csv(slo, ["csp_id", "csc_id", "attribute", "value"], [["p", "c", "av", 50]])
+        for argv, out in (
+            (["--store", str(store), "register-attributes", "--qws-defaults"],
+             "6 attributes registered"),
+            (["-v", "-s", str(store), "submit-slo", str(slo)], "1 accepted, 0 replaced"),
+        ):
+            assert vars(build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+            assert main(argv) == 0
+            assert capsys.readouterr().out.strip() == out
 
 
 class TestAssess:
