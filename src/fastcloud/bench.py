@@ -60,7 +60,6 @@ class BenchReport:
     points: tuple[BenchPoint, ...]
     # least-squares slope of log(mean time) against log(swept variable)
     loglog_slope: float
-    value_range: tuple[float, float] = VALUE_RANGE
 
 
 def generate_instance(providers: int, attributes: int, seed: int) -> DecisionMatrix:
@@ -137,7 +136,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 def render_report(report: BenchReport) -> str:
     """Delimiter-separated report: one row per sweep point plus a fit line."""
     lines = [
-        f"# value range: uniform[{report.value_range[0]:g}, {report.value_range[1]:g}]",
+        f"# value range: uniform[{VALUE_RANGE[0]:g}, {VALUE_RANGE[1]:g}]",
         "mode,m,n,mean_ms,stddev_ms",
     ]
     for p in report.points:

@@ -22,7 +22,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import TextIO
 
 from .bench import BenchConfig, BenchMode, render_report, run_benchmark
 from .registry import (
@@ -41,6 +40,7 @@ from .registry import (
     parse_slo,
     read_rows,
     record_text,
+    refused_at,
 )
 from .selection import (
     InsufficientCandidatesError,
@@ -66,14 +66,6 @@ def _store(args: argparse.Namespace) -> Store:
     return Store(path)
 
 
-def _read_text(path: str, where: str) -> TextIO:
-    """The text of a record file; a byte that is not UTF-8 is refused after ``where``."""
-    try:
-        return record_text(Path(path).read_bytes())
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from exc
-
-
 def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[list, int]:
     """Parse and submit each row of a record file.
 
@@ -81,10 +73,8 @@ def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[li
     ``submit`` gave for each submitted row, a duplicate standing as its
     DuplicateSubmissionError, and the number of failed rows.
     """
-    try:
+    with refused_at(path):
         rows = list(read_rows(record_text(Path(path).read_bytes()), columns))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     results, failed = [], 0
     for line, fields in rows:
         try:
@@ -93,7 +83,7 @@ def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[li
             results.append(exc)
         except ValueError as exc:
             failed += 1
-            print(f"  line {line}: {exc}", file=sys.stderr)
+            print(f"  {refused_at(path, line)(exc)}", file=sys.stderr)
     return results, failed
 
 
@@ -160,12 +150,15 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
             mapping[column.strip()] = attr.strip()
     with store.locked():
         registry = store.load()
-        summary = import_qws(registry, _read_text(args.file, f"{args.file}: "), mapping,
-                             service_column=args.service_column)
+        for attr in mapping.values():
+            registry.resolve_attribute(attr)  # an unknown target is not the dataset's fault
+        with refused_at(args.file):
+            summary = import_qws(registry, record_text(Path(args.file).read_bytes()), mapping,
+                                 service_column=args.service_column)
         if summary.records_added:
             store.save(registry)
     for reason in summary.rejections:
-        print(f"  {reason}", file=sys.stderr)
+        print(f"  {args.file}: {reason}", file=sys.stderr)
     print(summary)
     return EXIT_OK
 
@@ -174,7 +167,8 @@ def cmd_assess(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked(shared=True):
         registry = store.load()
-    request = read_request(_read_text(args.request, "request "))
+    with refused_at(args.request):
+        request = read_request(record_text(Path(args.request).read_bytes()))
     if args.attributes:
         # keep the request's own spelling of each attribute the subset names
         spelled = {registry.resolve_attribute(name).name: name for name, _ in request.requested}

@@ -161,12 +161,36 @@ def _rows(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
 
+class refused_at(contextlib.AbstractContextManager):
+    """Put the file and line of an input refusal at the head of its text.
+
+    ``refused_at(path, line)(exc)`` is the refusal ``<path>: line N: <exc>``,
+    leaving out a part not given; as a context manager, it raises that
+    refusal of a ValueError raised inside. A duplicate or an unknown
+    attribute keeps its error type, so callers can still tell them apart.
+    """
+
+    def __init__(self, path: object = None, line: int | None = None):
+        self.path, self.line = path, line
+
+    def __call__(self, exc: ValueError) -> ValueError:
+        kind = type(exc) if type(exc) in (UnknownAttributeError, DuplicateSubmissionError) else ValueError
+        where = "" if self.path is None else f"{self.path}: "
+        if self.line is not None:
+            where += f"line {self.line}: "
+        return kind(f"{where}{exc}")
+
+    def __exit__(self, kind: type | None, exc: BaseException | None, traceback: object) -> None:
+        if isinstance(exc, ValueError):
+            raise self(exc) from exc
+
+
 def _check_header(header: list[str] | None, columns: tuple[str, ...]) -> None:
     """Refuse a missing header, or one that does not name exactly ``columns``."""
     if header is None:
         raise ValueError("file is empty")
     if list(map(str.strip, header)) != list(columns):
-        raise ValueError(f"header must be {','.join(columns)!r}, got {','.join(header)!r}")
+        raise ValueError(f"line 1: header must be {','.join(columns)!r}, got {','.join(header)!r}")
 
 
 def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -237,16 +261,16 @@ class AmvView:
 class Registry:
     """In-memory registry of attributes, SLO records and AMV records.
 
-    Attributes are keyed by name and by abbreviation (both must be unique).
-    SLO records replace on resubmission of the same (csp, csc, attribute)
-    triple; AMV records append. Every path resolves a record's attribute
-    and files it under the registered name. Monitored values are held once,
-    as rows ``(csp, csc, attribute, value, sequence)`` in submission order,
-    indexed per triple; ``amvs`` is a read-only view of those rows. SLO
-    records are also indexed per (provider, attribute). Records enter only
-    through ``submit_*``, ``import_qws`` and ``Store.load``. Only
-    ``submit_amv`` requires an agreed SLO: imported monitored values, and
-    the stored ones that load restores, have none.
+    Attributes are keyed by name and by abbreviation, and each spelling
+    names one attribute. SLO records replace on resubmission of the same
+    (csp, csc, attribute) triple; AMV records append. Every path resolves a
+    record's attribute and files it under the registered name. Monitored
+    values are held once, as rows ``(csp, csc, attribute, value, sequence)``
+    in submission order, indexed per triple; ``amvs`` is a read-only view of
+    those rows. SLO records are also indexed per (provider, attribute).
+    Records enter only through ``submit_*``, ``import_qws`` and
+    ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
+    monitored values, and the stored ones that load restores, have none.
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict)
@@ -273,8 +297,9 @@ class Registry:
         if existing is not None and existing.polarity is not attr.polarity:
             raise ValueError(f"attribute {attr.name!r} already registered with different polarity")
         for other in self.attributes.values():
-            if other.name != attr.name and other.abbreviation == attr.abbreviation:
-                raise ValueError(f"abbreviation {attr.abbreviation!r} already used by {other.name!r}")
+            clash = {attr.name, attr.abbreviation} & {other.name, other.abbreviation}
+            if other.name != attr.name and clash:
+                raise ValueError(f"{min(clash)!r} already names attribute {other.name!r}")
         self.attributes[attr.name] = attr
 
     def resolve_attribute(self, name: str) -> QosAttribute:
@@ -411,12 +436,12 @@ def import_qws(
     rows = _rows(source)
     _, header = next(rows, (1, None))
     if header is None:
-        raise ValueError("import source is empty: no header row")
+        raise ValueError("file is empty")
     missing = [col for col in mapping if col not in header]
     if missing:
-        raise ValueError(f"mapped columns missing from header: {', '.join(sorted(missing))}")
+        raise ValueError(f"line 1: mapped columns missing from header: {', '.join(sorted(missing))}")
     if service_column not in header:
-        raise ValueError(f"service identity column {service_column!r} missing from header")
+        raise ValueError(f"line 1: service identity column {service_column!r} missing from header")
     # a name given twice reads its last column; a short row reads "" past its end
     place = {name: i for i, name in enumerate(header)}
     # resolve targets up front so a bad mapping fails before any mutation
@@ -559,19 +584,6 @@ def _restore_amv(registry: Registry, fields: list[str]) -> None:
     registry._append_amv(*record.key, record.value, record.sequence)
 
 
-def _row_error(path: Path, line: int, exc: ValueError) -> ValueError:
-    """The refusal of one store row, naming its file and line.
-
-    A duplicate or an unknown attribute keeps its error type, so callers can
-    still tell them apart. A byte that is not UTF-8 is already named by
-    ``record_text``, and a row the csv module could not read by ``read_rows``.
-    """
-    kind = type(exc) if type(exc) in (UnknownAttributeError, DuplicateSubmissionError) else ValueError
-    named = isinstance(exc.__cause__, (UnicodeDecodeError, csv.Error))
-    where = path if named else f"{path}: line {line}"
-    return kind(f"{where}: {exc}")
-
-
 def _csv_text(rows: Iterable[Iterable]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -594,22 +606,22 @@ class Store:
     ``...,91``) can still read as valid.
 
     Loading applies the record checks of submission, prefixing each refusal
-    with the file and its line: an empty file or another header, a row with
-    a wrong field count, an empty or padded id, a non-finite or out-of-range
-    value, an unregistered attribute, an empty sequence or a repeated
-    (triple, sequence) in amvs.csv, or a byte that is not UTF-8. Attribute
-    abbreviations resolve to names. Each file is read and decoded whole.
-    attributes.csv is read a row at a time. slos.csv and amvs.csv are read
-    in one csv pass and checked a whole column at a time; only if a check
-    fails is the file read again row by row, and that row loop names the
-    refused row.
+    with the file, and the line unless the file is empty: an empty file or
+    another header, a row with a wrong field count, an empty or padded id, a
+    non-finite or out-of-range value, an unregistered attribute, an empty
+    sequence or a repeated (triple, sequence) in amvs.csv, or a byte that is
+    not UTF-8. Attribute abbreviations resolve to names. Each file is read
+    and decoded whole. attributes.csv is read a row at a time. slos.csv and
+    amvs.csv are read in one csv pass and checked a whole column at a time;
+    only if a check fails is the file read again row by row, and that row
+    loop names the refused row.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
     save, so that no process loses another's rows or numbers a triple
-    twice, and a reader holds it shared while it loads. A writer killed
-    between its temp write and the rename leaves ``<file>.<random>.tmp``;
-    the next exclusive ``locked`` removes it.
+    twice, and a reader holds it shared while it loads. Only a writer
+    creates the store. A writer killed between its temp write and the
+    rename leaves ``<file>.<random>.tmp``; the next writer removes it.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"
@@ -626,10 +638,8 @@ class Store:
     @contextlib.contextmanager
     def locked(self, shared: bool = False) -> Iterator[None]:
         """Hold the store's lock, exclusive unless ``shared``."""
-        if shared and not self.root.is_dir():
-            yield  # nothing to read, and a reader creates no store
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
+        if not shared:  # a reader creates no store: a missing one is an OSError
+            self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.root / self.LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
@@ -662,13 +672,12 @@ class Store:
             if restore_columns is not None and restore_columns(registry, data):
                 continue
             line = 1  # the row loop names the refused row
-            try:
+            with refused_at(path):
                 for line, fields in read_rows(record_text(data), columns):
-                    add(fields)
+                    with refused_at(line=line):
+                        add(fields)
                 if name == self.AMVS_FILE and not data.endswith(b"\n"):
-                    raise ValueError("row has no line end: its append was cut short")
-            except ValueError as exc:
-                raise _row_error(path, line, exc) from exc
+                    raise ValueError(f"line {line}: row has no line end: its append was cut short")
         self._remember(registry, missing)
         return registry
 

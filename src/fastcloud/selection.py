@@ -19,7 +19,8 @@ from typing import TextIO
 
 from .consistency import ConsistencyProfile, actual_slo_interval
 from .intervals import IntervalNumber
-from .registry import REQUEST_COLUMNS, MissingSloError, Polarity, Registry, parse_request, read_rows
+from .registry import (
+    REQUEST_COLUMNS, MissingSloError, Polarity, Registry, parse_request, read_rows, refused_at)
 from .trust import (
     DecisionContext,
     DecisionMatrix,
@@ -188,14 +189,9 @@ def _too_few(registry: Registry, request: AssessmentRequest,
 def read_request(source: TextIO) -> AssessmentRequest:
     """Parse a request file: header ``attribute,min,max``, one line per attribute."""
     requested = []
-    try:
-        for line, fields in read_rows(source, REQUEST_COLUMNS):
-            try:
-                requested.append(parse_request(fields))
-            except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"request {exc}") from exc
+    for line, fields in read_rows(source, REQUEST_COLUMNS):
+        with refused_at(line=line):
+            requested.append(parse_request(fields))
     return AssessmentRequest(tuple(requested))
 
 

@@ -67,6 +67,13 @@ class TestStoreResolution:
         monkeypatch.setenv("FASTCLOUD_STORE", str(tmp_path / "envstore"))
         assert main(["register-attributes", "--qws-defaults"]) == 0
 
+    def test_assess_on_a_missing_store_is_an_io_error_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        request_file = write_request(tmp_path)
+        assert main(["--store", str(missing), "assess", str(request_file)]) == 4
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
 
 class TestSubmitSlo:
     def test_accept_then_replace(self, store_dir, tmp_path, capsys):
@@ -176,7 +183,8 @@ class TestRecordFiles:
         path = tmp_path / "s.csv"
         write_csv(path, ["csp_id", "attribute", "value"], [["p", "av", 50]])
         assert main(["--store", str(store_dir), "submit-slo", str(path)]) == 2
-        assert f"{path}: header must be 'csp_id,csc_id,attribute,value'" in capsys.readouterr().err
+        assert (f"{path}: line 1: header must be 'csp_id,csc_id,attribute,value'"
+                in capsys.readouterr().err)
 
     def test_refused_attribute_row_registers_nothing(self, tmp_path, capsys):
         path = tmp_path / "attrs.csv"
@@ -255,7 +263,7 @@ class TestSubmitAmv:
         amv = tmp_path / "a.csv"
         amv.write_text(text, encoding="utf-8")
         assert main(["--store", str(store_dir), "submit-amv", str(amv)]) == 2
-        assert f"  {refusal}\n" in capsys.readouterr().err
+        assert f"  {amv}: {refusal}\n" in capsys.readouterr().err
         (store_dir / Store.AMVS_FILE).write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as loaded:
             Store(store_dir).load()
@@ -282,8 +290,77 @@ class TestUndecodableInputFile:
         path.write_bytes(b"\n".join([header.encode(), *rows, b""]))
         assert path.read_bytes().index(b"\xff") > 8192
         assert main(["--store", str(store_dir), command, str(path)]) == 2
-        where = "request " if command == "assess" else f"{path}: "
-        assert f"{where}line 902: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert f"{path}: line 902: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+class TestRefusalRule:
+    """Each input refusal names its file, and its line unless the file is empty.
+
+    The fault's own report reads ``error: <path>: line N: <reason>`` or, for
+    a row the command skips, ``  <path>: line N: <reason>``; every other
+    stderr line of the run names the file too.
+    """
+
+    QWS_HEADER, QWS_ROW = TestUndecodableInputFile.QWS_HEADER, TestUndecodableInputFile.QWS_ROW
+    # input -> (header, a refused row); the store files are reached through assess
+    INPUTS = {
+        "register-attributes": ("name,abbreviation,unit,polarity", "energy,en,kwh,green"),
+        "submit-slo": ("csp_id,csc_id,attribute,value", "p,c,av,-1"),
+        "submit-amv": ("csp_id,csc_id,attribute,value,sequence", "p,c,av,-1,1"),
+        "import-qws": (QWS_HEADER, "x," + QWS_ROW.partition(",")[2]),  # Response Time "x"
+        "assess": ("attribute,min,max", "av,100,50"),
+        Store.ATTRIBUTES_FILE: ("name,abbreviation,unit,polarity", "energy,en,kwh,green"),
+        Store.SLOS_FILE: ("csp_id,csc_id,attribute,value", "p,c,av,-1"),
+        Store.AMVS_FILE: ("csp_id,csc_id,attribute,value,sequence", "p,c,av,-1,1"),
+    }
+    # fault -> (file text, with the input's header and refused row, and the line named)
+    FAULTS = {
+        "empty": ("", None),
+        "other-header": ("nope,nope\n", 1),
+        "unreadable-row": ("{header}\n\n{long}\n", 3),
+        "refused-row": ("{header}\n{row}\n", 2),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("target", INPUTS)
+    def test_refusal_names_file_and_line(self, store_dir, tmp_path, capsys, target, fault):
+        header, row = self.INPUTS[target]
+        text, line = self.FAULTS[fault]
+        if target.endswith(".csv"):
+            path = store_dir / target
+            argv = ["assess", str(write_request(tmp_path))]
+        else:
+            path = tmp_path / "input.csv"
+            argv = [target, str(path)]
+        path.write_text(text.format(header=header, row=row, long="x" * 200_000), encoding="utf-8")
+        code = main(["--store", str(store_dir), *argv])
+        assert code == (0 if (target, fault) == ("import-qws", "refused-row") else 2)
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(report.startswith((f"error: {path}: ", f"  {path}: "))
+                           for report in err)
+        reason = err[0].partition(f"{path}: ")[2]
+        assert (reason == "file is empty") if line is None else reason.startswith(f"line {line}: ")
+
+    def test_import_header_faults_name_the_dataset(self, store_dir, tmp_path, capsys):
+        path = tmp_path / "q.csv"
+        path.write_text(f"{self.QWS_HEADER}\n{self.QWS_ROW}\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "import-qws", str(path),
+                     "--service-column", "Service"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: service identity column 'Service' missing from header\n")
+        assert main(["--store", str(store_dir), "import-qws", str(path), "--map", "Nope=av"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: mapped columns missing from header: Nope\n")
+
+    def test_refusal_not_about_a_file_keeps_its_text(self, store_dir, tmp_path, capsys):
+        sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
+        assert main(["--store", str(store_dir), "import-qws", str(sample),
+                     "--map", "Availability=zz"]) == 2
+        assert capsys.readouterr().err == "error: unknown attribute 'zz'\n"
+        request_file = write_request(tmp_path)
+        assert main(["--store", str(store_dir), "assess", str(request_file),
+                     "--attributes", "zz"]) == 2
+        assert capsys.readouterr().err == "error: unknown attribute 'zz'\n"
 
 
 class TestParser:

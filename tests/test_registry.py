@@ -56,6 +56,31 @@ class TestAttributes:
         with pytest.raises(ValueError):
             registry.register_attribute(QosAttribute("other", "av", "%", Polarity.COST))
 
+    @pytest.mark.parametrize("first, second", [
+        (QosAttribute("availability", "av", "%", Polarity.BENEFIT),
+         QosAttribute("av", "avx", "%", Polarity.COST)),
+        (QosAttribute("av", "avx", "%", Polarity.COST),
+         QosAttribute("availability", "av", "%", Polarity.BENEFIT)),
+    ], ids=["name-after-abbreviation", "abbreviation-after-name"])
+    def test_a_spelling_names_one_attribute(self, first, second):
+        registry = Registry()
+        registry.register_attribute(first)
+        with pytest.raises(ValueError, match=f"'av' already names attribute {first.name!r}"):
+            registry.register_attribute(second)
+        assert registry.resolve_attribute("av") == first
+
+    def test_abbreviation_may_be_its_own_name(self):
+        registry = fresh_registry()
+        registry.register_attribute(QosAttribute("a0", "a0", "u", Polarity.COST))
+        assert registry.resolve_attribute("a0").name == "a0"
+
+    def test_stored_spelling_of_two_attributes_refused_at_its_line(self, tmp_path):
+        (tmp_path / Store.ATTRIBUTES_FILE).write_text(
+            "name,abbreviation,unit,polarity\navailability,av,%,benefit\nav,avx,%,cost\n",
+            encoding="utf-8")
+        with pytest.raises(ValueError, match="attributes.csv: line 3: 'av' already names"):
+            Store(tmp_path).load()
+
 
 class TestSubmitSlo:
     def test_round_trip(self):

@@ -86,16 +86,16 @@ class TestRequest:
 
     def test_parse_reports_physical_line_of_short_row(self):
         text = "attribute,min,max\nav,50,100\n\nla,1\n"
-        with pytest.raises(ValueError, match="request line 4: malformed row"):
+        with pytest.raises(ValueError, match="^line 4: malformed row"):
             read_request(io.StringIO(text))
 
     def test_parse_rejects_empty_file(self):
-        with pytest.raises(ValueError, match="request file is empty"):
+        with pytest.raises(ValueError, match="^file is empty$"):
             read_request(io.StringIO(""))
 
     def test_parse_names_the_line_of_an_unreadable_row(self):
         text = "attribute,min,max\nav,50,100\n" + "x" * 200_000 + ",1,2\n"
-        with pytest.raises(ValueError, match="^request line 3: field larger than field limit"):
+        with pytest.raises(ValueError, match="^line 3: field larger than field limit"):
             read_request(io.StringIO(text))
 
 
