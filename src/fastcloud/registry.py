@@ -4,7 +4,10 @@ The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
 amvs.csv) under one directory. The store, the submit commands and the
 request file share one record format, defined here: a header of the kind's
 columns, then one record per row, read by ``read_rows`` and parsed by
-``parse_*``. Loading applies the same record checks as submission.
+``parse_*``. Loading applies the same record checks as submission:
+slos.csv and amvs.csv are each read in one pass, split at line ends and
+commas, checked and filed a whole column at a time; only a refused file is
+read again row by row, to name the refused row.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -18,13 +21,16 @@ import contextlib
 import csv
 import enum
 import fcntl
+import gc
 import io
 import math
 import os
 import re
 import tempfile
+from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import setitem
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -282,7 +288,8 @@ class Registry:
     # by _restore_amv_columns on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # (csp, attribute) -> {csc: SloRecord}, updated only by _file_slo
+    # (csp, attribute) -> {csc: SloRecord}: filled by _file_slo, and by
+    # _restore_slo_columns on load
     _slo_index: dict[tuple[str, str], dict[str, SloRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -293,9 +300,14 @@ class Registry:
     # -- attribute handling ------------------------------------------------
 
     def register_attribute(self, attr: QosAttribute) -> None:
+        """Register ``attr``; registering the same definition again changes nothing."""
         existing = self.attributes.get(attr.name)
         if existing is not None and existing.polarity is not attr.polarity:
             raise ValueError(f"attribute {attr.name!r} already registered with different polarity")
+        if existing is not None and existing != attr:
+            stored = ",".join([existing.name, existing.abbreviation, existing.unit,
+                               existing.polarity.value])
+            raise ValueError(f"attribute {attr.name!r} already registered as {stored!r}")
         for other in self.attributes.values():
             clash = {attr.name, attr.abbreviation} & {other.name, other.abbreviation}
             if other.name != attr.name and clash:
@@ -484,92 +496,125 @@ def import_qws(
                          tuple(rejections))
 
 
-# Rows per column pass. The rows read are dropped after each pass, so that
-# the garbage collector does not scan them again and again: at 50k amvs.csv
-# rows, one pass over the whole file loaded slower than the row loop.
-_COLUMN_ROWS = 512
+# The characters that ``str.strip`` removes, bar the line end "\n".
+_PADDING = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+            "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
-def _columns(data: bytes, columns: tuple[str, ...]) -> Iterator[list[list[str]]]:
-    """The stripped columns of a record file, ``_COLUMN_ROWS`` rows at a time.
+def _columns(data: bytes, columns: tuple[str, ...]) -> list[list[str]]:
+    """The stripped columns of a record file's rows, read in one pass.
 
-    One csv pass reads the rows; blank lines are skipped. A byte that is not
-    UTF-8, another header or a row with another field count raises
-    ValueError, and a row the csv module cannot read raises csv.Error: a
-    column pass takes either as the cue to leave the file to the row loop,
-    which names the refused row.
+    Blank lines are skipped. Text with no quote, CR or NUL and no line over
+    ``csv.field_size_limit()`` is split at its line ends and commas, which
+    reads it as the csv module does; other text is read by the csv module.
+    A byte that is not UTF-8, another header or a row with another field
+    count raises ValueError, and a row the csv module cannot read raises
+    csv.Error: a column pass takes either as the cue to leave the file to
+    the row loop, which names the refused row.
     """
-    reader = csv.reader(record_text(data))
-    _check_header(next(reader, None), columns)
-    for chunk in iter(lambda: list(islice(reader, _COLUMN_ROWS)), []):
-        rows = [row for row in chunk if row]
-        if not rows:
-            continue
-        if set(map(len, rows)) != {len(columns)}:
+    text = data.decode("utf-8")
+    width = len(columns)
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if (any(map(text.__contains__, '"\r\x00'))
+            or len(text) > limit and max(map(len, lines)) > limit):
+        reader = csv.reader(record_text(data))
+        header, rows = next(reader, None), list(filter(None, reader))
+        if not set(map(len, rows)) <= {width}:
             raise ValueError("a row with another field count")
-        yield [list(map(str.strip, column)) for column in zip(*rows)]
+        fields = list(chain.from_iterable(rows))
+    else:
+        header, rows = lines[0].split(","), list(filter(None, islice(lines, 1, None)))
+        if not set(map(str.count, rows, repeat(","))) <= {width - 1}:
+            raise ValueError("a row with another field count")
+        joined = ",".join(rows)
+        del lines, rows  # so that the lines are freed before the fields are made
+        fields = joined.split(",") if joined else []
+    _check_header(header, columns)
+    if any(map(text.__contains__, _PADDING)):
+        fields = list(map(str.strip, fields))
+    return [fields[i::width] for i in range(width)]
 
 
-def _names(registry: Registry, names: dict[str, str], spellings: list[str]) -> Iterator[str]:
-    """The registered name of each spelling, resolving each new one once into ``names``."""
-    for spelling in set(spellings).difference(names):
-        names[spelling] = registry.resolve_attribute(spelling).name
-    return map(names.__getitem__, spellings)
+def _names(registry: Registry, spellings: list[str]) -> list[str]:
+    """The registered name of each spelling, resolving each spelling once."""
+    names = {spelling: registry.resolve_attribute(spelling).name for spelling in set(spellings)}
+    return list(map(names.__getitem__, spellings))
+
+
+def _set_items(dicts: Iterable[dict], keys: Iterable, values: Iterable) -> None:
+    """``d[key] = value`` for each dict, key and value in turn, in one C loop."""
+    deque(map(setitem, dicts, keys, values), maxlen=0)
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a whole file is restored.
+
+    A column pass makes no reference cycle, but the tuples it files would
+    set the collector off many times, and each run would trace the pass's
+    whole-file lists of fields again: without the pause, a 192k-record
+    store loaded slower than when read in 512-row chunks. The collector's
+    state is restored on exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _restore_slo_columns(registry: Registry, data: bytes) -> bool:
-    """Restore a whole slos.csv into ``registry`` a column at a time.
+    """Restore a whole slos.csv into a ``registry`` that holds no SLO yet.
 
     Each attribute spelling resolves once; each record is built as a
-    ``SloRecord``, with its checks, and filed in file order as
-    ``submit_slo`` files it. Returns False, with the registry untouched,
+    ``SloRecord``, with its checks, and all are filed in file order as
+    ``submit_slo`` files them. Returns False, with the registry untouched,
     when any check fails, so that the row loop can name the refused row.
     """
-    names: dict[str, str] = {}
-    records: list[SloRecord] = []
     try:
-        for csps, cscs, spellings, values in _columns(data, SLO_COLUMNS):
-            records.extend(map(SloRecord, csps, cscs, _names(registry, names, spellings),
-                               map(float, values)))
+        csps, cscs, attributes, values = _columns(data, SLO_COLUMNS)
+        attributes = _names(registry, attributes)
+        records = list(map(SloRecord, csps, cscs, attributes, map(float, values)))
     except (csv.Error, ValueError):
         return False
-    for record in records:
-        registry._file_slo(record)
+    # a repeated triple keeps its first place and its last record
+    registry.slos.update(zip(zip(csps, cscs, attributes), records))
+    index = registry._slo_index
+    index.update({key: {} for key in dict.fromkeys(zip(csps, attributes))})
+    _set_items(map(index.__getitem__, zip(csps, attributes)), cscs, records)
     return True
 
 
 def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
-    """Restore a whole amvs.csv into ``registry`` a column at a time.
+    """Restore a whole amvs.csv into a ``registry`` that holds no AMV yet.
 
     Each check of the row loop, ``_restore_amv``, runs once over a whole
-    column of rows, and the rows are filed in file order, as the row loop
-    files them. Returns False, with the registry untouched, when any check
+    column, and the rows are filed in file order, as the row loop files
+    them. Returns False, with the registry untouched, when any check
     fails, so that the row loop can name the refused row.
     """
-    names: dict[str, str] = {}
-    log: list[tuple[str, str, str, float, int]] = []
     try:
-        for csps, cscs, spellings, values, sequences in _columns(data, AMV_COLUMNS):
-            if not (all(csps) and all(cscs)):
-                return False
-            values = list(map(float, values))
-            sequences = list(map(int, sequences))  # refuses an empty one too
-            attributes = _names(registry, names, spellings)
-            # a NaN anywhere makes the sum NaN; min and max then bound the rest
-            total = sum(values)
-            if math.isnan(total) or min(values) < 0 or max(values) == math.inf:
-                return False
-            log.extend(zip(csps, cscs, attributes, values, sequences))
+        csps, cscs, attributes, values, sequences = _columns(data, AMV_COLUMNS)
+        # each column is replaced by what it reads as, so that its text is freed
+        values = list(map(float, values))
+        sequences = list(map(int, sequences))  # refuses an empty one too
+        attributes = _names(registry, attributes)
     except (csv.Error, ValueError):
         return False
-    if not data.endswith(b"\n"):
+    # a NaN anywhere makes the sum NaN; min and max then bound the rest
+    if (not (all(csps) and all(cscs)) or math.isnan(sum(values))
+            or min(values, default=0) < 0 or max(values, default=0) == math.inf
+            or not data.endswith(b"\n")):
         return False
-    samples: dict[tuple[str, str, str], dict[int, float]] = {}
-    for csp_id, csc_id, attribute, value, sequence in log:
-        samples.setdefault((csp_id, csc_id, attribute), {})[sequence] = value
-    if sum(map(len, samples.values())) != len(log):  # a (triple, sequence) repeats
+    samples = {key: {} for key in dict.fromkeys(zip(csps, cscs, attributes))}
+    _set_items(map(samples.__getitem__, zip(csps, cscs, attributes)), sequences, values)
+    if sum(map(len, samples.values())) != len(values):  # a (triple, sequence) repeats
         return False
-    registry._rows, registry._samples = log, samples
+    registry._rows = list(zip(csps, cscs, attributes, values, sequences))
+    registry._samples = samples
     return True
 
 
@@ -612,21 +657,25 @@ class Store:
     sequence or a repeated (triple, sequence) in amvs.csv, or a byte that is
     not UTF-8. Attribute abbreviations resolve to names. Each file is read
     and decoded whole. attributes.csv is read a row at a time. slos.csv and
-    amvs.csv are read in one csv pass and checked a whole column at a time;
-    only if a check fails is the file read again row by row, and that row
-    loop names the refused row.
+    amvs.csv are each read in one pass over the whole file (``_columns``),
+    checked a whole column at a time and filed into the registry's indexes
+    in file order, with the garbage collector held off; only if a check
+    fails is the file read again row by row, and that row loop names the
+    refused row.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
     save, so that no process loses another's rows or numbers a triple
     twice, and a reader holds it shared while it loads. Only a writer
-    creates the store. A writer killed between its temp write and the
-    rename leaves ``<file>.<random>.tmp``; the next writer removes it.
+    creates the store; a reader refuses a directory without one. A writer
+    killed between its temp write and the rename leaves
+    ``<file>.<random>.tmp``; the next writer removes it.
     """
 
     ATTRIBUTES_FILE = "attributes.csv"
     SLOS_FILE = "slos.csv"
     AMVS_FILE = "amvs.csv"
+    FILES = (ATTRIBUTES_FILE, SLOS_FILE, AMVS_FILE)
     LOCK_FILE = ".lock"
 
     def __init__(self, root: str | Path):
@@ -637,15 +686,23 @@ class Store:
 
     @contextlib.contextmanager
     def locked(self, shared: bool = False) -> Iterator[None]:
-        """Hold the store's lock, exclusive unless ``shared``."""
-        if not shared:  # a reader creates no store: a missing one is an OSError
+        """Hold the store's lock, exclusive unless ``shared``.
+
+        Only a writer creates the store. A reader refuses a directory that
+        is missing or holds none of the store's files as an OSError, and
+        leaves it as it found it.
+        """
+        if not shared:
             self.root.mkdir(parents=True, exist_ok=True)
+        elif not any((self.root / name).exists() for name in self.FILES):
+            raise FileNotFoundError(
+                f"{self.root} holds no store: none of {', '.join(self.FILES)} is there")
         fd = os.open(self.root / self.LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
             if not shared:
                 # no writer is at work: a temp file left is a dead writer's
-                for name in (self.ATTRIBUTES_FILE, self.SLOS_FILE, self.AMVS_FILE):
+                for name in self.FILES:
                     for stray in self.root.glob(f"{name}.*.tmp"):
                         stray.unlink(missing_ok=True)
             yield
@@ -669,8 +726,11 @@ class Store:
             except FileNotFoundError:
                 missing.append(name)
                 continue
-            if restore_columns is not None and restore_columns(registry, data):
-                continue
+            if restore_columns is not None:
+                with _collector_paused():
+                    restored = restore_columns(registry, data)
+                if restored:
+                    continue
             line = 1  # the row loop names the refused row
             with refused_at(path):
                 for line, fields in read_rows(record_text(data), columns):

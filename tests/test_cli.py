@@ -74,6 +74,14 @@ class TestStoreResolution:
         assert str(missing) in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_assess_on_a_directory_without_a_store_leaves_it_as_it_was(self, tmp_path, capsys):
+        empty = tmp_path / "notastore"
+        empty.mkdir()
+        request_file = write_request(tmp_path)
+        assert main(["--store", str(empty), "assess", str(request_file)]) == 4
+        assert f"error: {empty} holds no store" in capsys.readouterr().err
+        assert list(empty.iterdir()) == []
+
 
 class TestSubmitSlo:
     def test_accept_then_replace(self, store_dir, tmp_path, capsys):
@@ -194,6 +202,25 @@ class TestRecordFiles:
         assert main(["--store", str(store), "register-attributes", str(path)]) == 2
         assert "line 3:" in capsys.readouterr().err
         assert Store(store).load().attributes == {}
+
+    def test_registering_the_defaults_again_changes_nothing(self, store_dir):
+        before = (store_dir / Store.ATTRIBUTES_FILE).read_bytes()
+        assert main(["--store", str(store_dir), "register-attributes", "--qws-defaults"]) == 0
+        assert (store_dir / Store.ATTRIBUTES_FILE).read_bytes() == before
+
+    @pytest.mark.parametrize("row", [["availability", "avl", "%", "benefit"],
+                                     ["availability", "av", "ratio", "benefit"]],
+                             ids=["abbreviation", "unit"])
+    def test_changed_definition_refused_naming_the_stored_one(self, store_dir, tmp_path,
+                                                              capsys, row):
+        path = tmp_path / "attrs.csv"
+        write_csv(path, ["name", "abbreviation", "unit", "polarity"], [row])
+        before = (store_dir / Store.ATTRIBUTES_FILE).read_bytes()
+        assert main(["--store", str(store_dir), "register-attributes", str(path)]) == 2
+        assert (f"{path}: line 2: attribute 'availability' already registered as "
+                "'availability,av,%,benefit'" in capsys.readouterr().err)
+        assert (store_dir / Store.ATTRIBUTES_FILE).read_bytes() == before
+        assert Store(store_dir).load().resolve_attribute("av").name == "availability"
 
 
 class TestSubmitAmv:

@@ -1,6 +1,10 @@
+import contextlib
+import csv
+import gc
 import io
 import os
 import random
+import sys
 
 import pytest
 
@@ -46,10 +50,24 @@ class TestAttributes:
 
     def test_polarity_is_fixed(self):
         registry = fresh_registry()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^attribute 'availability' already registered with "
+                                             "different polarity$"):
             registry.register_attribute(
                 QosAttribute("availability", "av", "%", Polarity.COST)
             )
+
+    @pytest.mark.parametrize("changed", [
+        QosAttribute("availability", "avl", "%", Polarity.BENEFIT),
+        QosAttribute("availability", "av", "ratio", Polarity.BENEFIT),
+    ], ids=["abbreviation", "unit"])
+    def test_changed_definition_refused_naming_the_stored_one(self, changed):
+        registry = fresh_registry()
+        with pytest.raises(ValueError, match="^attribute 'availability' already registered as "
+                                             "'availability,av,%,benefit'$"):
+            registry.register_attribute(changed)
+        assert registry.resolve_attribute("av") == STANDARD_ATTRIBUTES[0]
+        with pytest.raises(UnknownAttributeError):
+            registry.resolve_attribute("avl")
 
     def test_abbreviation_unique(self):
         registry = fresh_registry()
@@ -471,14 +489,16 @@ class TestAmvLoad:
         "p,c,av,5,1\np,c,availability,6,2\np,c,res,7,1\np,c,response_time,8,2\n",
         "p,c,av,5,3\np,c,av,6,1\nq,c,la,1,2\np,c,av,7,2\nq,c,la,0,1\n",
         "",
+        # a line over the field limit, with no field over it
+        "p" * 100_000 + "," + "c" * 100_000 + ",av,5,1\np,c,la,6,1\n",
     ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations",
-            "out-of-order", "no-rows"])
+            "out-of-order", "no-rows", "long-line"])
     def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
         self.assert_column_load_matches(tmp_path, monkeypatch, AMV_HEADER + text)
 
     def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
         rng = random.Random(7)
-        chunk = registry_module._COLUMN_ROWS
+        chunk = 512
         spellings = {"av": "availability", "availability": "availability", " th ": "throughput",
                      "la": "latency", "latency": "latency", "res": "response_time"}
         next_sequence = {}
@@ -493,6 +513,19 @@ class TestAmvLoad:
                 lines.extend([""] * (chunk + 1))
         self.assert_column_load_matches(tmp_path, monkeypatch,
                                         AMV_HEADER + "\n".join(lines) + "\n")
+
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                for rows, refused in ((AMV_ACCEPTED, False), ("p,c,av,x,1\n", True)):
+                    store = self.store_with_amvs(tmp_path / f"{enabled}{refused}",
+                                                 AMV_HEADER + rows)
+                    with pytest.raises(ValueError) if refused else contextlib.nullcontext():
+                        store.load()
+                    assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
 
     def assert_column_load_matches(self, tmp_path, monkeypatch, text):
         store = self.store_with_amvs(tmp_path, text)
@@ -571,8 +604,10 @@ class TestSloLoad:
         "p,c,av,5\np,c2,availability,6\np,c,res,7\nq,c,response_time,8\n",
         "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n",
         "",
+        # a line over the field limit, with no field over it
+        "p" * 100_000 + "," + "c" * 100_000 + ",av,5\np,c,la,6\n",
     ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations", "repeated",
-            "no-rows"])
+            "no-rows", "long-line"])
     def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
         self.assert_column_load_matches(tmp_path, monkeypatch, SLO_HEADER + text)
 
@@ -587,7 +622,7 @@ class TestSloLoad:
 
     def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
         rng = random.Random(11)
-        chunk = registry_module._COLUMN_ROWS
+        chunk = 512
         spellings = ["av", "availability", " th ", "la", "latency", "res"]
         lines = [f"p{rng.randrange(40)},c{rng.randrange(8)},{rng.choice(spellings)},"
                  f"{rng.uniform(1, 100)!r}" for _ in range(3 * chunk + 17)]
@@ -613,6 +648,64 @@ class TestSloLoad:
         assert ([(key, list(by_csc.items())) for key, by_csc in loaded._slo_index.items()]
                 == [(key, list(by_csc.items())) for key, by_csc in reference._slo_index.items()])
         return loaded
+
+
+class TestSplitTokenizer:
+    """Text with no quote and no CR is split at line ends and commas, as the csv module reads it."""
+
+    COLUMNS = ("a", "", "a")
+    # each text draws its fields from one of these; one text in ten also holds NULs
+    FIELD_CHARACTERS = ["a", "a\u00e9", "a ", "a \t\u00e9\u00a0"]
+
+    @staticmethod
+    def csv_columns(text, columns):
+        """The stripped columns that the csv module reads, or None for the row loop."""
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except csv.Error:
+            return None
+        if (header is None or [field.strip() for field in header] != list(columns)
+                or any(len(row) != len(columns) for row in rows)):
+            return None
+        return [[row[i].strip() for row in rows] for i in range(len(columns))]
+
+    def random_text(self, rng):
+        characters = rng.choice(self.FIELD_CHARACTERS) + "\x00" * (rng.random() < 0.1)
+
+        def field():
+            return "".join(rng.choice(characters) for _ in range(rng.randrange(4)))
+
+        width = len(self.COLUMNS)
+        lines = [rng.choice([",".join(self.COLUMNS), " a ,\u00a0,\ta ", field()])]
+        for _ in range(rng.randrange(8)):
+            kind = rng.random()
+            if kind < 0.15:
+                lines.append("")  # a blank line
+            elif kind < 0.3:
+                lines.append(",".join(field() for _ in range(rng.randrange(1, width + 2))))
+            else:
+                lines.append(",".join(field() for _ in range(width)))
+        return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+    def test_split_reads_as_the_csv_module_reads(self):
+        rng = random.Random(12)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            text = self.random_text(rng)
+            expected = self.csv_columns(text, self.COLUMNS)
+            try:
+                columns = registry_module._columns(text.encode("utf-8"), self.COLUMNS)
+            except (csv.Error, ValueError):
+                columns = None
+            assert columns == expected, repr(text)
+            outcomes[expected is not None] += 1
+        assert min(outcomes.values()) > 500
+
+    def test_padding_is_what_strip_removes_bar_the_line_end(self):
+        spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert set(registry_module._PADDING) == spaces - {"\n"}
 
 
 class TestUndecodableByte:
