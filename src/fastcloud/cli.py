@@ -91,21 +91,20 @@ def cmd_register_attributes(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked():
         registry = store.load()
-        count = 0
+        # whether each definition given changed the registry
+        added = []
         if args.qws_defaults:
-            for attr in STANDARD_ATTRIBUTES:
-                registry.register_attribute(attr)
-                count += 1
+            added += map(registry.register_attribute, STANDARD_ATTRIBUTES)
         if args.file:
             results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, parse_attribute,
                                            registry.register_attribute)
             if failed:
                 raise ValueError(f"{args.file}: {failed} rows refused, nothing registered")
-            count += len(results)
-        if count == 0:
+            added += results
+        if not added:
             raise ValueError("nothing to register: pass a file and/or --qws-defaults")
         store.save(registry)
-    print(f"{count} attributes registered")
+    print(f"{sum(added)} attributes registered")
     return EXIT_OK
 
 

@@ -5,9 +5,11 @@ amvs.csv) under one directory. The store, the submit commands and the
 request file share one record format, defined here: a header of the kind's
 columns, then one record per row, read by ``read_rows`` and parsed by
 ``parse_*``. Loading applies the same record checks as submission:
-slos.csv and amvs.csv are each read in one pass, split at line ends and
-commas, checked and filed a whole column at a time; only a refused file is
-read again row by row, to name the refused row.
+slos.csv and amvs.csv are each read in one pass by one reader, which keys
+each row by its (csp, csc, attribute) triple, checks each distinct triple
+once and each other column a whole column at a time; only a refused file
+is read again row by row, to name the refused row. A registry holds its
+monitored values as a log of three columns.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -29,10 +31,10 @@ import re
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
-from operator import setitem
+from itertools import islice, repeat
+from operator import add, setitem
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .intervals import IntervalNumber
 
@@ -244,23 +246,25 @@ def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
 class AmvView:
     """Read-only view of a registry's monitored values, in submission order.
 
-    Its length is the row count, two views are equal when their rows are,
+    Its length is the row count, two views are equal when their columns are,
     and an ``AmvRecord`` is built for a row only when the view is iterated.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_columns",)
 
-    def __init__(self, rows: list[tuple[str, str, str, float, int]]):
-        self._rows = rows
+    def __init__(self, triples: list[tuple[str, str, str]], values: list[float],
+                 sequences: list[int]):
+        self._columns = (triples, values, sequences)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns[1])
 
     def __iter__(self) -> Iterator[AmvRecord]:
-        return (AmvRecord(*row) for row in self._rows)
+        return (AmvRecord(*triple, value, sequence)
+                for triple, value, sequence in zip(*self._columns))
 
     def __eq__(self, other: object) -> bool:
-        return self._rows == other._rows if isinstance(other, AmvView) else NotImplemented
+        return self._columns == other._columns if isinstance(other, AmvView) else NotImplemented
 
 
 @dataclass
@@ -271,9 +275,11 @@ class Registry:
     names one attribute. SLO records replace on resubmission of the same
     (csp, csc, attribute) triple; AMV records append. Every path resolves a
     record's attribute and files it under the registered name. Monitored
-    values are held once, as rows ``(csp, csc, attribute, value, sequence)``
-    in submission order, indexed per triple; ``amvs`` is a read-only view of
-    those rows. SLO records are also indexed per (provider, attribute).
+    values are held once, as a log of three columns in submission order
+    (each row's ``(csp, csc, attribute)`` triple, its value and its
+    sequence), and indexed per triple; ``amvs`` is a read-only view of that
+    log. The rows that ``Store.load`` restores share one tuple per triple.
+    SLO records are also indexed per (provider, attribute).
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -281,9 +287,11 @@ class Registry:
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict)
     slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict)
-    # the monitored values in submission order; amvs.csv holds the same rows
-    _rows: list[tuple[str, str, str, float, int]] = field(
-        default_factory=list, init=False, repr=False)
+    # the monitored values in submission order, a column each; amvs.csv
+    # holds the same rows
+    _triples: list[tuple[str, str, str]] = field(default_factory=list, init=False, repr=False)
+    _values: list[float] = field(default_factory=list, init=False, repr=False)
+    _sequences: list[int] = field(default_factory=list, init=False, repr=False)
     # (csp, csc, attribute) -> {sequence: value}: filled by _append_amv, and
     # by _restore_amv_columns on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
@@ -295,12 +303,20 @@ class Registry:
 
     @property
     def amvs(self) -> AmvView:
-        return AmvView(self._rows)
+        return AmvView(self._triples, self._values, self._sequences)
+
+    def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
+        """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
+        return list(map(add, self._triples[start:],
+                        zip(self._values[start:], self._sequences[start:])))
+
+    # the whole log as rows, read-only
+    _rows = property(_amv_rows)
 
     # -- attribute handling ------------------------------------------------
 
-    def register_attribute(self, attr: QosAttribute) -> None:
-        """Register ``attr``; registering the same definition again changes nothing."""
+    def register_attribute(self, attr: QosAttribute) -> bool:
+        """Register ``attr``; returns False if the same definition was registered already."""
         existing = self.attributes.get(attr.name)
         if existing is not None and existing.polarity is not attr.polarity:
             raise ValueError(f"attribute {attr.name!r} already registered with different polarity")
@@ -313,6 +329,7 @@ class Registry:
             if other.name != attr.name and clash:
                 raise ValueError(f"{min(clash)!r} already names attribute {other.name!r}")
         self.attributes[attr.name] = attr
+        return existing is None
 
     def resolve_attribute(self, name: str) -> QosAttribute:
         """Look up an attribute by name or abbreviation."""
@@ -388,7 +405,9 @@ class Registry:
                 f"value {existing}, refusing to overwrite with {value}"
             )
         samples[sequence] = value
-        self._rows.append((csp_id, csc_id, attribute, value, sequence))
+        self._triples.append(key)
+        self._values.append(value)
+        self._sequences.append(sequence)
         return sequence
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
@@ -501,42 +520,62 @@ _PADDING = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003
             "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
-def _columns(data: bytes, columns: tuple[str, ...]) -> list[list[str]]:
-    """The stripped columns of a record file's rows, read in one pass.
+def _keyed_columns(registry: Registry, data: bytes, columns: tuple[str, ...]
+                   ) -> tuple[list, dict, list[Sequence[str]]]:
+    """The rows of a record file whose first three ``columns`` are a triple, read in one pass.
 
-    Blank lines are skipped. Text with no quote, CR or NUL and no line over
-    ``csv.field_size_limit()`` is split at its line ends and commas, which
-    reads it as the csv module does; other text is read by the csv module.
-    A byte that is not UTF-8, another header or a row with another field
-    count raises ValueError, and a row the csv module cannot read raises
-    csv.Error: a column pass takes either as the cue to leave the file to
-    the row loop, which names the refused row.
+    Returns each row's key, the canonical triple of each distinct key, in
+    the order the triples first appear (spellings of one triple share one
+    tuple), and the stripped columns after the triple. Text with no quote,
+    CR or NUL and no line over ``csv.field_size_limit()`` is split once per
+    line from the right, which reads it as the csv module does, and a row
+    is keyed by its triple's text; other text is read by the csv module,
+    and a row is keyed by its triple's fields, as a quoted id may hold a
+    comma. Blank lines are skipped. Each distinct key is split, checked and
+    resolved once. A byte that is not UTF-8, another header, a row with
+    another field count, an empty id or an unregistered attribute raises
+    ValueError, and a row the csv module cannot read raises csv.Error: the
+    cue to leave the file to the row loop, which names the refused row.
     """
     text = data.decode("utf-8")
-    width = len(columns)
+    trailing = len(columns) - 3
     lines = text.split("\n")
     limit = csv.field_size_limit()
-    if (any(map(text.__contains__, '"\r\x00'))
-            or len(text) > limit and max(map(len, lines)) > limit):
+    by_csv = (any(map(text.__contains__, '"\r\x00'))
+              or len(text) > limit and max(map(len, lines)) > limit)
+    if by_csv:
         reader = csv.reader(record_text(data))
         header, rows = next(reader, None), list(filter(None, reader))
-        if not set(map(len, rows)) <= {width}:
+        if not set(map(len, rows)) <= {len(columns)}:
             raise ValueError("a row with another field count")
-        fields = list(chain.from_iterable(rows))
+        keys = [tuple(row[:3]) for row in rows]
+        tails = list(zip(*rows))[3:] or [()] * trailing
     else:
-        header, rows = lines[0].split(","), list(filter(None, islice(lines, 1, None)))
-        if not set(map(str.count, rows, repeat(","))) <= {width - 1}:
+        header = lines[0].split(",")
+        rows = map(str.rsplit, filter(None, islice(lines, 1, None)), repeat(","), repeat(trailing))
+        keys, *tails = list(zip(*rows)) or [()] * (trailing + 1)
+        del lines, rows  # so that the lines are freed before the columns are read
+        if len(tails) != trailing:  # a row with fewer fields
             raise ValueError("a row with another field count")
-        joined = ",".join(rows)
-        del lines, rows  # so that the lines are freed before the fields are made
-        fields = joined.split(",") if joined else []
     _check_header(header, columns)
+    distinct = list(dict.fromkeys(keys))
+    fields = distinct if by_csv else list(map(str.split, distinct, repeat(",")))
     if any(map(text.__contains__, _PADDING)):
-        fields = list(map(str.strip, fields))
-    return [fields[i::width] for i in range(width)]
+        fields = [tuple(map(str.strip, triple)) for triple in fields]
+        tails = [list(map(str.strip, column)) for column in tails]
+    # split from the right, a row of more fields has a key of more commas
+    if not set(map(len, fields)) <= {3}:
+        raise ValueError("a row with another field count")
+    csps, cscs, spellings = zip(*fields) if fields else ((), (), ())
+    if not (all(csps) and all(cscs)):
+        raise ValueError("an empty id")
+    canonical: dict[tuple[str, str, str], tuple[str, str, str]] = {}
+    triple_of = {key: canonical.setdefault(triple, triple)
+                 for key, triple in zip(distinct, zip(csps, cscs, _names(registry, spellings)))}
+    return keys, triple_of, tails
 
 
-def _names(registry: Registry, spellings: list[str]) -> list[str]:
+def _names(registry: Registry, spellings: Sequence[str]) -> list[str]:
     """The registered name of each spelling, resolving each spelling once."""
     names = {spelling: registry.resolve_attribute(spelling).name for spelling in set(spellings)}
     return list(map(names.__getitem__, spellings))
@@ -551,11 +590,11 @@ def _set_items(dicts: Iterable[dict], keys: Iterable, values: Iterable) -> None:
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while a whole file is restored.
 
-    A column pass makes no reference cycle, but the tuples it files would
-    set the collector off many times, and each run would trace the pass's
-    whole-file lists of fields again: without the pause, a 192k-record
-    store loaded slower than when read in 512-row chunks. The collector's
-    state is restored on exit.
+    A restore makes no reference cycle, but the list each line splits into
+    would set the collector off many times, and each run would trace the
+    restore's whole-file lists again: without the pause, restoring a
+    144k-row amvs.csv takes about twice as long. The collector's state is
+    restored on exit.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -569,22 +608,23 @@ def _collector_paused() -> Iterator[None]:
 def _restore_slo_columns(registry: Registry, data: bytes) -> bool:
     """Restore a whole slos.csv into a ``registry`` that holds no SLO yet.
 
-    Each attribute spelling resolves once; each record is built as a
-    ``SloRecord``, with its checks, and all are filed in file order as
-    ``submit_slo`` files them. Returns False, with the registry untouched,
-    when any check fails, so that the row loop can name the refused row.
+    Each record is built as a ``SloRecord``, with its checks, and all are
+    filed in file order as ``submit_slo`` files them. Returns False, with
+    the registry untouched, when any check fails, so that the row loop can
+    name the refused row.
     """
     try:
-        csps, cscs, attributes, values = _columns(data, SLO_COLUMNS)
-        attributes = _names(registry, attributes)
-        records = list(map(SloRecord, csps, cscs, attributes, map(float, values)))
+        keys, triple_of, (values,) = _keyed_columns(registry, data, SLO_COLUMNS)
+        triples = list(map(triple_of.__getitem__, keys))
+        csps, cscs, names = zip(*triples) if triples else ((), (), ())
+        records = list(map(SloRecord, csps, cscs, names, map(float, values)))
     except (csv.Error, ValueError):
         return False
     # a repeated triple keeps its first place and its last record
-    registry.slos.update(zip(zip(csps, cscs, attributes), records))
+    registry.slos.update(zip(triples, records))
     index = registry._slo_index
-    index.update({key: {} for key in dict.fromkeys(zip(csps, attributes))})
-    _set_items(map(index.__getitem__, zip(csps, attributes)), cscs, records)
+    index.update({key: {} for key in dict.fromkeys(zip(csps, names))})
+    _set_items(map(index.__getitem__, zip(csps, names)), cscs, records)
     return True
 
 
@@ -592,29 +632,30 @@ def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
     """Restore a whole amvs.csv into a ``registry`` that holds no AMV yet.
 
     Each check of the row loop, ``_restore_amv``, runs once over a whole
-    column, and the rows are filed in file order, as the row loop files
-    them. Returns False, with the registry untouched, when any check
-    fails, so that the row loop can name the refused row.
+    column or once per distinct triple, and the rows are filed in file
+    order, as the row loop files them. Returns False, with the registry
+    untouched, when any check fails, so that the row loop can name the
+    refused row.
     """
     try:
-        csps, cscs, attributes, values, sequences = _columns(data, AMV_COLUMNS)
+        keys, triple_of, (values, sequences) = _keyed_columns(registry, data, AMV_COLUMNS)
         # each column is replaced by what it reads as, so that its text is freed
         values = list(map(float, values))
         sequences = list(map(int, sequences))  # refuses an empty one too
-        attributes = _names(registry, attributes)
     except (csv.Error, ValueError):
         return False
     # a NaN anywhere makes the sum NaN; min and max then bound the rest
-    if (not (all(csps) and all(cscs)) or math.isnan(sum(values))
-            or min(values, default=0) < 0 or max(values, default=0) == math.inf
-            or not data.endswith(b"\n")):
+    if (math.isnan(sum(values)) or min(values, default=0) < 0
+            or max(values, default=0) == math.inf or not data.endswith(b"\n")):
         return False
-    samples = {key: {} for key in dict.fromkeys(zip(csps, cscs, attributes))}
-    _set_items(map(samples.__getitem__, zip(csps, cscs, attributes)), sequences, values)
+    # a triple spelled two ways keeps its first place
+    samples = {triple: {} for triple in triple_of.values()}
+    inner = {key: samples[triple] for key, triple in triple_of.items()}
+    _set_items(map(inner.__getitem__, keys), sequences, values)
     if sum(map(len, samples.values())) != len(values):  # a (triple, sequence) repeats
         return False
-    registry._rows = list(zip(csps, cscs, attributes, values, sequences))
-    registry._samples = samples
+    registry._triples = list(map(triple_of.__getitem__, keys))
+    registry._values, registry._sequences, registry._samples = values, sequences, samples
     return True
 
 
@@ -657,11 +698,13 @@ class Store:
     sequence or a repeated (triple, sequence) in amvs.csv, or a byte that is
     not UTF-8. Attribute abbreviations resolve to names. Each file is read
     and decoded whole. attributes.csv is read a row at a time. slos.csv and
-    amvs.csv are each read in one pass over the whole file (``_columns``),
-    checked a whole column at a time and filed into the registry's indexes
-    in file order, with the garbage collector held off; only if a check
-    fails is the file read again row by row, and that row loop names the
-    refused row.
+    amvs.csv are each read in one pass over the whole file by one reader
+    (``_keyed_columns``), which keys each row by its triple: each distinct
+    triple is checked and resolved once, each other column is checked a
+    whole column at a time, and the rows are filed into the registry's
+    indexes in file order, with the garbage collector held off. Only if a
+    check fails is the file read again row by row, and that row loop names
+    the refused row.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -756,9 +799,9 @@ class Store:
         logged = synced.get(self.AMVS_FILE)
         if logged is None:
             self._replace(self.AMVS_FILE, AMV_COLUMNS, registry._rows)
-        elif logged < len(registry._rows):
+        elif logged < len(registry.amvs):
             with open(self.root / self.AMVS_FILE, "a", newline="", encoding="utf-8") as fh:
-                fh.write(_csv_text(registry._rows[logged:]))
+                fh.write(_csv_text(registry._amv_rows(logged)))
                 fh.flush()
                 os.fsync(fh.fileno())
         self._remember(registry)
@@ -766,7 +809,7 @@ class Store:
     def _remember(self, registry: Registry, missing: Iterable[str] = ()) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry.slos),
-                 self.AMVS_FILE: len(registry._rows)}
+                 self.AMVS_FILE: len(registry.amvs)}
         files.update(dict.fromkeys(missing))
         self._synced = (registry, files)
 

@@ -208,7 +208,23 @@ class TestRecordFiles:
         assert main(["--store", str(store_dir), "register-attributes", "--qws-defaults"]) == 0
         assert (store_dir / Store.ATTRIBUTES_FILE).read_bytes() == before
 
-    @pytest.mark.parametrize("row", [["availability", "avl", "%", "benefit"],
+    def test_count_is_of_the_definitions_that_changed_the_registry(self, store_dir, tmp_path,
+                                                                    capsys):
+        path = tmp_path / "attrs.csv"
+        write_csv(path, ["name", "abbreviation", "unit", "polarity"],
+                  [["cost", "co", "usd", "cost"], ["availability", "av", "%", "benefit"],
+                   ["cost", "co", "usd", "cost"]])
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, ["name", "abbreviation", "unit", "polarity"], [])
+        for argv, out in ((["--qws-defaults"], "0 attributes registered"),
+                          ([str(path)], "1 attributes registered"),
+                          ([str(path), "--qws-defaults"], "0 attributes registered")):
+            assert main(["--store", str(store_dir), "register-attributes"] + argv) == 0
+            assert capsys.readouterr().out.strip() == out
+        assert main(["--store", str(store_dir), "register-attributes", str(empty)]) == 2
+        assert "nothing to register" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row",[["availability", "avl", "%", "benefit"],
                                      ["availability", "av", "ratio", "benefit"]],
                              ids=["abbreviation", "unit"])
     def test_changed_definition_refused_naming_the_stored_one(self, store_dir, tmp_path,

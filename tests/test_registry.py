@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import gc
 import io
 import os
@@ -448,6 +447,9 @@ class TestAmvLoad:
     @pytest.mark.parametrize("rows, kind, message", [
         ("p,c,av,5\n", ValueError, "malformed row: 4 fields, expected 5"),
         ("p,c,av,5,2,x\n", ValueError, "malformed row: 6 fields, expected 5"),
+        # split from the right, these rows key as "p,5" and "p,c,la,x"
+        ("p,5,2,1\n", ValueError, "malformed row: 4 fields, expected 5"),
+        ("p,c,la,x,5,2\n", ValueError, "malformed row: 6 fields, expected 5"),
         (",c,av,5,2\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
         ("p, ,av,5,2\n", ValueError, f"{ID_MESSAGE}, got 'p' and ''"),
         ("p,c,av,-0.5,2\n", ValueError, "monitored value must be finite and nonnegative, got -0.5"),
@@ -461,6 +463,9 @@ class TestAmvLoad:
          "duplicate submission ('p', 'c', 'availability') sequence 1"),
         ("p,c,av,7,1\n", ValueError, "sequence 1 for ('p', 'c', 'availability') already holds "
                                      "value 1.0, refusing to overwrite with 7.0"),
+        ("p,c, availability ,7,1\n", ValueError, "sequence 1 for ('p', 'c', 'availability') "
+                                                  "already holds value 1.0, refusing to "
+                                                  "overwrite with 7.0"),
         ("p," + "c" * 200_000 + ",av,5,2\n", ValueError, "field larger than field limit (131072)"),
         # the checks run in row order: the ids before the value, sequence and attribute
         (",c,bogus,nan,\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
@@ -470,10 +475,10 @@ class TestAmvLoad:
         ("p,c,av,5,2", ValueError, "row has no line end: its append was cut short"),
         # a torn last row is refused only once every row has passed
         ("p,c,av,nan,2", ValueError, "monitored value must be finite and nonnegative, got nan"),
-    ], ids=["short", "long", "empty-csp", "empty-csc", "negative", "non-numeric", "nan",
-            "inf", "empty-sequence", "sequence-1.5", "unknown-attribute", "repeated",
-            "conflicting", "over-long", "two-faults", "first-row-wins", "torn",
-            "torn-and-refused"])
+    ], ids=["short", "long", "short-key", "long-key", "empty-csp", "empty-csc", "negative",
+            "non-numeric", "nan", "inf", "empty-sequence", "sequence-1.5", "unknown-attribute",
+            "repeated", "conflicting", "conflicting-padded", "over-long", "two-faults",
+            "first-row-wins", "torn", "torn-and-refused"])
     def test_refused_row_is_named(self, tmp_path, rows, kind, message):
         store = self.store_with_amvs(tmp_path, AMV_HEADER + AMV_ACCEPTED + rows)
         with pytest.raises(ValueError) as refused:
@@ -488,13 +493,26 @@ class TestAmvLoad:
         "p,c,av,5,1\r\np,c2,la,6,1\r\n",
         "p,c,av,5,1\np,c,availability,6,2\np,c,res,7,1\np,c,response_time,8,2\n",
         "p,c,av,5,3\np,c,av,6,1\nq,c,la,1,2\np,c,av,7,2\nq,c,la,0,1\n",
+        # float refuses "\x1c1.5\x1c", which str.strip turns into "1.5"
+        "p,c,av,\x1c1.5\x1c,1\np,c,la, 2 ,\x1c1\n",
         "",
         # a line over the field limit, with no field over it
         "p" * 100_000 + "," + "c" * 100_000 + ",av,5,1\np,c,la,6,1\n",
     ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations",
-            "out-of-order", "no-rows", "long-line"])
+            "out-of-order", "padded-value", "no-rows", "long-line"])
     def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
         self.assert_column_load_matches(tmp_path, monkeypatch, AMV_HEADER + text)
+
+    def test_spellings_of_a_triple_load_as_one_in_file_order(self, tmp_path, monkeypatch):
+        loaded = self.assert_column_load_matches(
+            tmp_path, monkeypatch,
+            AMV_HEADER + "p,c,av,5,2\nq,c,la,1,1\np,c,availability,6,1\np,c, av ,7,3\n")
+        assert list(loaded._samples.items()) == [
+            (("p", "c", "availability"), {2: 5.0, 1: 6.0, 3: 7.0}),
+            (("q", "c", "latency"), {1: 1.0})]
+        assert loaded.amv_samples("p", "c", "availability") == [6.0, 5.0, 7.0]
+        # the rows of one triple share its tuple
+        assert loaded._triples[0] is loaded._triples[2] is loaded._triples[3]
 
     def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
         rng = random.Random(7)
@@ -547,6 +565,7 @@ class TestAmvLoad:
                    for key, samples in reference._samples.items())
         for key in reference._samples:
             assert loaded.amv_samples(*key) == reference.amv_samples(*key)
+        return loaded
 
 
 SLO_HEADER = "csp_id,csc_id,attribute,value\n"
@@ -574,6 +593,7 @@ class TestSloLoad:
     @pytest.mark.parametrize("rows, kind, message", [
         ("p,c,av\n", ValueError, "malformed row: 3 fields, expected 4"),
         ("p,c,av,5,x\n", ValueError, "malformed row: 5 fields, expected 4"),
+        ("p,c,la,x,5\n", ValueError, "malformed row: 5 fields, expected 4"),
         (",c,av,5\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
         ("p, \t ,av,5\n", ValueError, f"{ID_MESSAGE}, got 'p' and ''"),
         ("p,c,av,0\n", ValueError, "SLO value must be finite and positive, got 0.0"),
@@ -587,8 +607,9 @@ class TestSloLoad:
         (",c,bogus,nan\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
         # and the first refused row wins over a later one
         ("p,c,av,nan\n,c,av,5\n", ValueError, "SLO value must be finite and positive, got nan"),
-    ], ids=["short", "long", "empty-csp", "padded-csc", "zero", "negative", "nan", "inf",
-            "non-numeric", "unknown-attribute", "over-long", "two-faults", "first-row-wins"])
+    ], ids=["short", "long", "long-key", "empty-csp", "padded-csc", "zero", "negative", "nan",
+            "inf", "non-numeric", "unknown-attribute", "over-long", "two-faults",
+            "first-row-wins"])
     def test_refused_row_is_named(self, tmp_path, rows, kind, message):
         store = self.store_with_slos(tmp_path, SLO_HEADER + SLO_ACCEPTED + rows)
         with pytest.raises(ValueError) as refused:
@@ -651,61 +672,83 @@ class TestSloLoad:
 
 
 class TestSplitTokenizer:
-    """Text with no quote and no CR is split at line ends and commas, as the csv module reads it."""
+    """The keyed reader loads a record file as the row loop loads it, or both refuse it."""
 
-    COLUMNS = ("a", "", "a")
-    # each text draws its fields from one of these; one text in ten also holds NULs
-    FIELD_CHARACTERS = ["a", "a\u00e9", "a ", "a \t\u00e9\u00a0"]
+    # one text draws the fields of each column from one of these; a text
+    # holding a quote, CR or NUL is read by the csv module
+    IDS = [["p", "q"], ["p", "qé", "p "], ["p", "\tq ", ""], ["p", '"p,1"', 'q"']]
+    SPELLINGS = [["av", "availability", " av ", "la", "latency"],
+                 ["av", "la", "bogus", "\x1cres"]]
+    VALUES = [["1", "2.5", "30"], ["1", " 2.5", "\x1c3\x1c", "0"],
+              ["1", "2", "-1", "nan", "x", ""]]
+    SEQUENCES = [["1", "2", "3", "4"], ["1", " 2", "\u30003", "4 "],
+                 ["1", "2", "", "1.5", "2\x00"]]
 
-    @staticmethod
-    def csv_columns(text, columns):
-        """The stripped columns that the csv module reads, or None for the row loop."""
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-        except csv.Error:
-            return None
-        if (header is None or [field.strip() for field in header] != list(columns)
-                or any(len(row) != len(columns) for row in rows)):
-            return None
-        return [[row[i].strip() for row in rows] for i in range(len(columns))]
-
-    def random_text(self, rng):
-        characters = rng.choice(self.FIELD_CHARACTERS) + "\x00" * (rng.random() < 0.1)
-
-        def field():
-            return "".join(rng.choice(characters) for _ in range(rng.randrange(4)))
-
-        width = len(self.COLUMNS)
-        lines = [rng.choice([",".join(self.COLUMNS), " a ,\u00a0,\ta ", field()])]
+    def random_text(self, rng, columns):
+        ids, spellings, values, sequences = (
+            rng.choice(choices) for choices in (self.IDS, self.SPELLINGS, self.VALUES,
+                                                self.SEQUENCES))
+        header = rng.choice([",".join(columns)] * 4
+                            + [" , ".join(columns), ",".join(columns[:-1])])
+        lines = [header]
         for _ in range(rng.randrange(8)):
+            fields = [rng.choice(ids), rng.choice(ids), rng.choice(spellings), rng.choice(values),
+                      rng.choice(sequences)][:len(columns)]
             kind = rng.random()
-            if kind < 0.15:
+            if kind < 0.1:
                 lines.append("")  # a blank line
-            elif kind < 0.3:
-                lines.append(",".join(field() for _ in range(rng.randrange(1, width + 2))))
-            else:
-                lines.append(",".join(field() for _ in range(width)))
-        return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+                continue
+            if kind < 0.2:  # a field more or less, so a key of more or fewer commas
+                fields.insert(rng.randrange(len(fields) + 1), rng.choice(values + spellings))
+                if kind < 0.13:
+                    del fields[rng.randrange(len(fields))]
+                    del fields[rng.randrange(len(fields))]
+            lines.append(",".join(fields))
+        end = rng.choice(["\n", "\n", "\r\n"])
+        return end.join(lines) + rng.choice([end, end, "", "\n\n"])
 
-    def test_split_reads_as_the_csv_module_reads(self):
+    def test_split_reads_as_the_csv_module_reads(self, tmp_path, monkeypatch):
+        """At least 3,000 random texts, each loaded by the reader and by the row loop."""
+        restores = {Store.SLOS_FILE: (SLO_COLUMNS, registry_module._restore_slo_columns),
+                    Store.AMVS_FILE: (AMV_COLUMNS, registry_module._restore_amv_columns)}
+        stores = {}
+        for name in restores:
+            stores[name] = Store(tmp_path / name)
+            stores[name].save(fresh_registry())
+        # Store.load then reads every file with the row loop: the reference
+        monkeypatch.setattr(registry_module, "_restore_slo_columns", lambda registry, data: False)
+        monkeypatch.setattr(registry_module, "_restore_amv_columns", lambda registry, data: False)
         rng = random.Random(12)
         outcomes = {True: 0, False: 0}
         for _ in range(3000):
-            text = self.random_text(rng)
-            expected = self.csv_columns(text, self.COLUMNS)
+            name = rng.choice(sorted(restores))
+            columns, restore = restores[name]
+            data = self.random_text(rng, columns).encode("utf-8")
+            read = fresh_registry()
+            if not restore(read, data):
+                read = None
+            (stores[name].root / name).write_bytes(data)
             try:
-                columns = registry_module._columns(text.encode("utf-8"), self.COLUMNS)
-            except (csv.Error, ValueError):
-                columns = None
-            assert columns == expected, repr(text)
-            outcomes[expected is not None] += 1
+                reference = stores[name].load()
+            except ValueError:
+                reference = None
+            assert (read is None) == (reference is None), data
+            if read is not None:
+                assert read == reference and contents(read) == contents(reference), data
+            outcomes[read is not None] += 1
         assert min(outcomes.values()) > 500
 
     def test_padding_is_what_strip_removes_bar_the_line_end(self):
         spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
         assert set(registry_module._PADDING) == spaces - {"\n"}
+
+
+def contents(registry):
+    """A registry's records and indexes, with the order of every dict."""
+    return (list(registry.slos.items()),
+            [(key, list(by_csc.items())) for key, by_csc in registry._slo_index.items()],
+            registry._rows,
+            [(key, list(samples.items())) for key, samples in registry._samples.items()])
 
 
 class TestUndecodableByte:
