@@ -14,7 +14,10 @@ monitored values as a log of three columns.
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
 and only when they changed. Writers serialize on an ``flock`` of the
-store's ``.lock`` file across processes (see ``Store``).
+store's ``.lock`` file across processes (see ``Store``). Each save also
+rewrites ``.snapshot``, a derived file that is safe to delete: a load that
+finds the CSV files as that save left them restores the registry from it
+in place of parsing them.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ import enum
 import fcntl
 import gc
 import io
+import marshal
 import math
 import os
 import re
+import sys
 import tempfile
+import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
@@ -615,17 +621,26 @@ def _restore_slo_columns(registry: Registry, data: bytes) -> bool:
     """
     try:
         keys, triple_of, (values,) = _keyed_columns(registry, data, SLO_COLUMNS)
-        triples = list(map(triple_of.__getitem__, keys))
-        csps, cscs, names = zip(*triples) if triples else ((), (), ())
-        records = list(map(SloRecord, csps, cscs, names, map(float, values)))
+        _file_slo_columns(registry, list(map(triple_of.__getitem__, keys)), map(float, values))
     except (csv.Error, ValueError):
         return False
+    return True
+
+
+def _file_slo_columns(registry: Registry, triples: list[tuple[str, str, str]],
+                      values: Iterable[float]) -> None:
+    """File a ``SloRecord`` per triple and value, in order, as ``submit_slo`` files them.
+
+    Each record is built with its checks before any is filed: a failed
+    check raises ValueError with the registry untouched.
+    """
+    csps, cscs, names = zip(*triples) if triples else ((), (), ())
+    records = list(map(SloRecord, csps, cscs, names, values))
     # a repeated triple keeps its first place and its last record
     registry.slos.update(zip(triples, records))
     index = registry._slo_index
     index.update({key: {} for key in dict.fromkeys(zip(csps, names))})
     _set_items(map(index.__getitem__, zip(csps, names)), cscs, records)
-    return True
 
 
 def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
@@ -706,6 +721,22 @@ class Store:
     check fails is the file read again row by row, and that row loop names
     the refused row.
 
+    ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
+    It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
+    the Python version, the CRC-32 and length of each CSV file it was made
+    from (None for a missing one), and the registry as columns: attribute
+    definitions, SLO columns, and the AMV log as its distinct triples plus
+    per-row triple places, values and sequences. A load reads each CSV file
+    whole, and uses the snapshot in place of parsing them only when its
+    CRC, its tag and every file's CRC-32 and length match the bytes read;
+    each ``SloRecord`` is still built with its checks. Any other snapshot
+    (torn, foreign, or made before a hand edit) leaves the load to the
+    parse, with its refusals. Only ``save`` writes the snapshot, once the
+    CSV files are durable, rewriting it in place; it carries the amvs.csv
+    CRC forward over the appended bytes, so no file is read again. A save
+    that changes no file leaves a snapshot that already holds the registry
+    as it is. Readers never write it.
+
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
     save, so that no process loses another's rows or numbers a triple
@@ -720,12 +751,18 @@ class Store:
     AMVS_FILE = "amvs.csv"
     FILES = (ATTRIBUTES_FILE, SLOS_FILE, AMVS_FILE)
     LOCK_FILE = ".lock"
+    SNAPSHOT_FILE = ".snapshot"
+    # marshal's format may change between Python minor versions
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 1 {sys.implementation.cache_tag}"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         # the registry last loaded or saved here, with what each file holds
-        # of it: its attributes, its SLOs and its AMV row count (None: no file)
-        self._synced: tuple[Registry, dict[str, object]] | None = None
+        # of it (its attributes, its SLOs and its AMV row count; None: no
+        # file), each file's CRC-32 and length, the index of its AMV log
+        # (``_log_index``), and the file stamps that the snapshot holds
+        # with this registry (None: it does not hold this registry)
+        self._synced: tuple | None = None
 
     @contextlib.contextmanager
     def locked(self, shared: bool = False) -> Iterator[None]:
@@ -753,8 +790,26 @@ class Store:
             os.close(fd)
 
     def load(self) -> Registry:
+        contents = {}
+        for name in self.FILES:
+            try:
+                contents[name] = (self.root / name).read_bytes()
+            except FileNotFoundError:
+                contents[name] = None
+        stamps = {name: None if data is None else (zlib.crc32(data), len(data))
+                  for name, data in contents.items()}
+        with _collector_paused():
+            restored = self._restore_snapshot(stamps)
+        if restored is None:
+            registry, log_index, snapshot_stamps = self._parse(contents), None, None
+        else:
+            (registry, log_index), snapshot_stamps = restored, stamps
+        self._remember(registry, stamps, log_index, snapshot_stamps)
+        return registry
+
+    def _parse(self, contents: dict[str, bytes | None]) -> Registry:
+        """The registry that the CSV files' bytes hold, each read by its column pass or row loop."""
         registry = Registry()
-        missing = []
         for name, columns, add, restore_columns in (
             (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
              lambda fields: registry.register_attribute(parse_attribute(fields)), None),
@@ -763,17 +818,15 @@ class Store:
             (self.AMVS_FILE, AMV_COLUMNS, lambda fields: _restore_amv(registry, fields),
              _restore_amv_columns),
         ):
-            path = self.root / name
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                missing.append(name)
+            data = contents[name]
+            if data is None:
                 continue
             if restore_columns is not None:
                 with _collector_paused():
                     restored = restore_columns(registry, data)
                 if restored:
                     continue
+            path = self.root / name
             line = 1  # the row loop names the refused row
             with refused_at(path):
                 for line, fields in read_rows(record_text(data), columns):
@@ -781,43 +834,152 @@ class Store:
                         add(fields)
                 if name == self.AMVS_FILE and not data.endswith(b"\n"):
                     raise ValueError(f"line {line}: row has no line end: its append was cut short")
-        self._remember(registry, missing)
         return registry
 
     def save(self, registry: Registry) -> None:
-        """Write ``registry``: only what changed if it was loaded or saved here."""
-        synced = self._synced[1] if self._synced and self._synced[0] is registry else {}
+        """Write ``registry``: only what changed if it was loaded or saved here.
+
+        Once the CSV files are durable, the snapshot is rewritten in place,
+        unless it already holds this registry and these files.
+        """
+        if self._synced and self._synced[0] is registry:
+            _, synced, stamps, log_index, snapshot_stamps = self._synced
+        else:
+            synced, stamps, log_index, snapshot_stamps = {}, {}, None, None
+        stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
         if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
-            self._replace(self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-                          ([a.name, a.abbreviation, a.unit, a.polarity.value]
-                           for a in registry.attributes.values()))
+            stamps[self.ATTRIBUTES_FILE] = self._replace(
+                self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
+                ([a.name, a.abbreviation, a.unit, a.polarity.value]
+                 for a in registry.attributes.values()))
         if synced.get(self.SLOS_FILE) != registry.slos:
-            self._replace(self.SLOS_FILE, SLO_COLUMNS,
-                          ([r.csp_id, r.csc_id, r.attribute, repr(r.value)]
-                           for r in registry.slos.values()))
+            stamps[self.SLOS_FILE] = self._replace(
+                self.SLOS_FILE, SLO_COLUMNS,
+                ([r.csp_id, r.csc_id, r.attribute, repr(r.value)] for r in registry.slos.values()))
         logged = synced.get(self.AMVS_FILE)
         if logged is None:
-            self._replace(self.AMVS_FILE, AMV_COLUMNS, registry._rows)
+            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS, registry._rows)
         elif logged < len(registry.amvs):
-            with open(self.root / self.AMVS_FILE, "a", newline="", encoding="utf-8") as fh:
-                fh.write(_csv_text(registry._amv_rows(logged)))
+            appended = _csv_text(registry._amv_rows(logged)).encode("utf-8")
+            with open(self.root / self.AMVS_FILE, "ab") as fh:
+                fh.write(appended)
                 fh.flush()
                 os.fsync(fh.fileno())
-        self._remember(registry)
+            crc, length = stamps[self.AMVS_FILE]
+            stamps[self.AMVS_FILE] = (zlib.crc32(appended, crc), length + len(appended))
+        log_index = self._log_index(registry, log_index)
+        if stamps != snapshot_stamps:
+            # the records are saved by now: a snapshot that cannot be written
+            # only leaves the next load to parse the files
+            snapshot_stamps = None
+            with contextlib.suppress(OSError):
+                self._write_snapshot(registry, stamps, log_index)
+                snapshot_stamps = stamps
+        self._remember(registry, stamps, log_index, snapshot_stamps)
 
-    def _remember(self, registry: Registry, missing: Iterable[str] = ()) -> None:
+    def _remember(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
+                  log_index: tuple[list, list[int]] | None,
+                  snapshot_stamps: dict[str, tuple[int, int] | None] | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry.slos),
                  self.AMVS_FILE: len(registry.amvs)}
-        files.update(dict.fromkeys(missing))
-        self._synced = (registry, files)
+        files.update({name: None for name, stamp in stamps.items() if stamp is None})
+        self._synced = (registry, files, stamps, log_index, snapshot_stamps)
 
-    def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    # -- the snapshot ------------------------------------------------------
+
+    @staticmethod
+    def _log_index(registry: Registry, known: tuple[list, list[int]] | None
+                   ) -> tuple[list, list[int]]:
+        """The registry's AMV log as its distinct triples and each row's place among them.
+
+        ``known`` is the index of a prefix of the same log, which is extended.
+        """
+        distinct, rows = known or ([], [])
+        if len(rows) < len(registry._triples):
+            place = dict(zip(distinct, range(len(distinct))))
+            rows = rows + [place.setdefault(triple, len(place))
+                           for triple in registry._triples[len(rows):]]
+            distinct = list(place)
+        return distinct, rows
+
+    def _stamps_of(self, stamps: dict[str, tuple[int, int] | None]) -> tuple:
+        return tuple(stamps[name] for name in self.FILES)
+
+    def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
+                        log_index: tuple[list, list[int]]) -> None:
+        """Rewrite ``<root>/.snapshot`` in place to hold ``registry`` and the files' stamps.
+
+        No temp file, rename or fsync: a snapshot torn by a crash fails its
+        own CRC, and a stale one its files' stamps, so no load uses either.
+        """
+        distinct, rows = log_index
+        slos = registry.slos
+        csps, cscs, names = zip(*slos) if slos else ((), (), ())
+        # the tag and the stamps come first, so that a stale snapshot is
+        # refused without decoding the registry
+        body = marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps)), 2) + marshal.dumps((
+            [[a.name, a.abbreviation, a.unit, a.polarity.value]
+             for a in registry.attributes.values()],
+            (csps, cscs, names, [float(r.value) for r in slos.values()]),
+            (distinct, rows, list(map(float, registry._values)), registry._sequences),
+        ), 2)
+        blob = zlib.crc32(body).to_bytes(4, "little") + body
+        # private, as the CSV files that the temp files become are
+        fd = os.open(self.root / self.SNAPSHOT_FILE, os.O_RDWR | os.O_CREAT, 0o600)
+        try:
+            os.pwrite(fd, blob, 0)
+            os.ftruncate(fd, len(blob))
+        finally:
+            os.close(fd)
+
+    def _restore_snapshot(self, stamps: dict[str, tuple[int, int] | None]
+                          ) -> tuple[Registry, tuple[list, list[int]]] | None:
+        """The registry that the snapshot holds, with its log index, if it can be trusted.
+
+        That is when the snapshot passes its own CRC, carries this format's
+        tag, and was made from files of exactly the stamps (CRC-32 and
+        length) given. Otherwise None, and the CSV files are parsed.
+        """
+        try:
+            blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
+        except FileNotFoundError:
+            return None
+        if blob[:4] != zlib.crc32(memoryview(blob)[4:]).to_bytes(4, "little"):
+            return None  # torn, or not a snapshot
+        stream = io.BytesIO(blob)
+        stream.seek(4)
+        try:
+            header = marshal.load(stream)  # leaves the stream at the registry's columns
+        except (EOFError, ValueError, TypeError):
+            return None
+        if header != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
+            return None  # another format, or files changed since the snapshot was made
+        attributes, (csps, cscs, names, slo_values), (distinct, rows, values, sequences) = (
+            marshal.loads(memoryview(blob)[stream.tell():]))
+        registry = Registry()
+        try:
+            for fields in attributes:
+                registry.register_attribute(parse_attribute(fields))
+            _file_slo_columns(registry, list(zip(csps, cscs, names)), slo_values)
+        except ValueError:
+            return None
+        registry._triples = list(map(distinct.__getitem__, rows))
+        registry._values, registry._sequences = values, sequences
+        registry._samples = {triple: {} for triple in distinct}
+        inner = list(registry._samples.values())
+        _set_items(map(inner.__getitem__, rows), sequences, values)
+        return registry, (distinct, rows)
+
+    def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
+                 ) -> tuple[int, int]:
+        """Replace a file atomically; returns the CRC-32 and length of its new bytes."""
+        data = _csv_text([header, *rows]).encode("utf-8")
         fd, tmp_path = tempfile.mkstemp(dir=self.root, prefix=name + ".", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(_csv_text([header, *rows]))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.root / name)
@@ -830,3 +992,4 @@ class Store:
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
+        return zlib.crc32(data), len(data)

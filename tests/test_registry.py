@@ -1,15 +1,21 @@
 import contextlib
+import csv
 import gc
 import io
+import marshal
+import math
 import os
 import random
 import sys
+import zlib
 
 import pytest
 
 import fastcloud.registry as registry_module
+from fastcloud.cli import main
 from fastcloud.registry import (
     AMV_COLUMNS,
+    REQUEST_COLUMNS,
     SLO_COLUMNS,
     AmvRecord,
     DuplicateSubmissionError,
@@ -435,6 +441,8 @@ class TestAmvLoad:
         store = Store(tmp_path / "store")
         store.save(fresh_registry())
         (store.root / Store.AMVS_FILE).write_bytes(text.encode("utf-8"))
+        # a text equal to the file saved would otherwise load from the snapshot
+        (store.root / Store.SNAPSHOT_FILE).unlink()
         return store
 
     @staticmethod
@@ -581,6 +589,8 @@ class TestSloLoad:
         store = Store(tmp_path / "store")
         store.save(fresh_registry())
         (store.root / Store.SLOS_FILE).write_bytes(text.encode("utf-8"))
+        # a text equal to the file saved would otherwise load from the snapshot
+        (store.root / Store.SNAPSHOT_FILE).unlink()
         return store
 
     @staticmethod
@@ -715,6 +725,7 @@ class TestSplitTokenizer:
         for name in restores:
             stores[name] = Store(tmp_path / name)
             stores[name].save(fresh_registry())
+            (stores[name].root / Store.SNAPSHOT_FILE).unlink()  # so that every load parses
         # Store.load then reads every file with the row loop: the reference
         monkeypatch.setattr(registry_module, "_restore_slo_columns", lambda registry, data: False)
         monkeypatch.setattr(registry_module, "_restore_amv_columns", lambda registry, data: False)
@@ -895,3 +906,226 @@ class TestImport:
         registry = Registry()  # no attributes at all
         with pytest.raises(UnknownAttributeError):
             import_qws(registry, io.StringIO(qws_rows(1)), STANDARD_QWS_MAPPING)
+
+
+def outcome(store):
+    """What a load of the store gives: its records, with every dict order and float
+    sign, or the refusal's type and text."""
+    try:
+        registry = store.load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(registry.attributes.items()), repr(contents(registry))
+
+
+def parsed_outcome(store):
+    """What a load gives from the CSV files alone, without the snapshot."""
+    path = store.root / Store.SNAPSHOT_FILE
+    blob = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
+    try:
+        return outcome(Store(store.root))
+    finally:
+        if blob is not None:
+            path.write_bytes(blob)
+
+
+def load_recorded(store, monkeypatch):
+    """(what a load gives, whether it parsed the CSV files rather than using the snapshot)."""
+    parses = []
+    parse = Store._parse
+
+    def recorded(self, contents):
+        parses.append(self)
+        return parse(self, contents)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Store, "_parse", recorded)
+        return outcome(store), bool(parses)
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+class TestSnapshotLoad:
+    """A load uses the snapshot only when it holds what a parse of the files would give."""
+
+    IDS = ["p", "q", "p,1", 'q"2', "c,2"]
+    SPELLINGS = ["av", "availability", " av ", "la", "latency\t", "res", "response_time"]
+    SERVICES = ["Svc A", "svc,b", "Svc A "]
+
+    def random_command(self, rng, root, work, agreed):
+        """One submit-slo, submit-amv or import-qws of random rows on the store at ``root``."""
+        kind = rng.random()
+        if kind < 0.3 or not agreed:
+            rows = [[rng.choice(self.IDS), rng.choice(self.IDS), rng.choice(self.SPELLINGS),
+                     repr(rng.choice([rng.uniform(1, 100), 5e-324, 90.0]))]
+                    for _ in range(rng.randrange(1, 8))]
+            agreed.extend(row[:3] for row in rows)
+            argv = ["submit-slo", write_rows(work / "slos.csv", SLO_COLUMNS, rows)]
+        elif kind < 0.8:
+            rows = []
+            for _ in range(rng.randrange(1, 12)):
+                triple = rng.choice(agreed) if rng.random() < 0.9 else ["p", "nobody", "av"]
+                value = rng.choice([rng.uniform(0, 100), -0.0, 0.0, 2.5])
+                sequence = rng.choice(["", "", "", rng.randrange(1, 4),
+                                       2 ** 63 + rng.randrange(3)])
+                rows.append([*triple, repr(value), sequence])
+            argv = ["submit-amv", write_rows(work / "amvs.csv", AMV_COLUMNS, rows)]
+        else:
+            columns = list(STANDARD_QWS_MAPPING)
+            rows = [[rng.choice(self.SERVICES)]
+                    + [rng.choice(["-0.0", "1.5", repr(rng.uniform(0, 100))]) for _ in columns]
+                    for _ in range(rng.randrange(1, 4))]
+            argv = ["import-qws", write_rows(work / "qws.csv", ["Service Name", *columns], rows)]
+        main(["--store", str(root)] + argv)
+
+    def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(14)
+        seen = {"negative zero": 0, "long sequence": 0}
+        for n in range(16):
+            root, work = tmp_path / f"store{n}", tmp_path / f"work{n}"
+            work.mkdir()
+            assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
+            agreed = []
+            for _ in range(rng.randrange(1, 12)):
+                self.random_command(rng, root, work, agreed)
+                loaded, parsed = load_recorded(Store(root), monkeypatch)
+                assert not parsed  # every writer left a snapshot of what it saved
+                assert loaded == parsed_outcome(Store(root))
+            registry = Store(root).load()
+            seen["negative zero"] += any(math.copysign(1, v) < 0 for v in registry._values)
+            seen["long sequence"] += any(s > 2 ** 63 for s in registry._sequences)
+        capsys.readouterr()
+        assert min(seen.values()) > 0, seen
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        root = str(tmp_path / "store")
+        slos = write_rows(tmp_path / "slos.csv", SLO_COLUMNS,
+                          [["p1", "c1", "av", "90"], ["p1", "c2", "la", "12.5"]])
+        amvs = write_rows(tmp_path / "amvs.csv", AMV_COLUMNS,
+                          [["p1", "c1", "av", "91.5", ""], ["p1", "c2", "la", "11.25", ""],
+                           ["p1", "c1", "av", "93", ""]])
+        for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", slos],
+                     ["submit-amv", amvs]):
+            assert main(["--store", root] + argv) == 0
+        return Store(root)
+
+    def test_a_cut_or_flipped_snapshot_is_not_used(self, store, monkeypatch):
+        path = store.root / Store.SNAPSHOT_FILE
+        blob = path.read_bytes()
+        expected = parsed_outcome(store)
+        assert load_recorded(store, monkeypatch) == (expected, False)
+        damaged = [blob[:end] for end in range(len(blob))]
+        damaged += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+        damaged.append(blob + b"\0")  # the tail of a longer snapshot, left untruncated
+        for data in damaged:
+            path.write_bytes(data)
+            assert load_recorded(store, monkeypatch) == (expected, True), data
+
+    def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch):
+        path = store.root / Store.SNAPSHOT_FILE
+        stream = io.BytesIO(path.read_bytes()[4:])
+        (tag, stamps), columns = marshal.load(stream), stream.read()
+        expected = parsed_outcome(store)
+
+        def checked(header):
+            body = marshal.dumps(header, 2) + columns
+            return zlib.crc32(body).to_bytes(4, "little") + body
+
+        path.write_bytes(checked((tag, stamps)))
+        assert load_recorded(store, monkeypatch) == (expected, False)
+        for header in ((tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps),
+                       ("fastcloud store snapshot 0", stamps), (tag, stamps, None), tag):
+            path.write_bytes(checked(header))
+            assert load_recorded(store, monkeypatch) == (expected, True), header
+
+    @pytest.mark.parametrize("name, old, new", [
+        (Store.ATTRIBUTES_FILE, b"latency,la,ms,", b"latency,la,mS,"),
+        (Store.SLOS_FILE, b",12.5\n", b",13.5\n"),
+        (Store.AMVS_FILE, b",11.25,", b",11.75,"),
+    ])
+    def test_a_same_length_hand_edit_is_not_hidden(self, store, monkeypatch, name, old, new):
+        before = outcome(store)
+        path = store.root / name
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        expected = parsed_outcome(store)
+        assert expected != before
+        assert load_recorded(store, monkeypatch) == (expected, True)
+
+    @pytest.mark.parametrize("name", Store.FILES)
+    def test_a_deleted_file_is_not_hidden(self, store, monkeypatch, name):
+        before = outcome(store)
+        (store.root / name).unlink()
+        expected = parsed_outcome(store)
+        assert expected != before
+        assert load_recorded(store, monkeypatch) == (expected, True)
+
+    def test_a_refused_row_appended_by_hand_is_refused(self, store, monkeypatch):
+        with open(store.root / Store.AMVS_FILE, "a", encoding="utf-8") as fh:
+            fh.write("p1,c1,av,-1,9\n")
+        refusal = (ValueError, f"{store.root / Store.AMVS_FILE}: line 5: monitored value must "
+                               "be finite and nonnegative, got -1.0")
+        assert load_recorded(store, monkeypatch) == (refusal, True)
+
+    @pytest.mark.parametrize("name, text", [
+        (Store.AMVS_FILE, '"p,1","c,2",av,5,1\n"p,1",c,av,6,1\n'),
+        (Store.AMVS_FILE, " p , c , av , 5 , 1 \n p,c ,la, 6,1\n\n\n"),
+        (Store.AMVS_FILE, "p,c,av,5,1\r\np,c2,la,6,1\r\n"),
+        (Store.AMVS_FILE, "p,c,av,5,3\np,c,availability,6,1\nq,c,la,1,2\np,c,av,7,2\n"),
+        (Store.AMVS_FILE, "p,c,av,\x1c1.5\x1c,1\np,c,la, 2 ,\x1c1\n"),
+        (Store.SLOS_FILE, ' p , c , av , 5 \n"p,1",c2 ,la, 6\n'),
+        (Store.SLOS_FILE, "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n"),
+    ], ids=["quoted-commas", "padded", "crlf", "abbreviations", "padded-value", "slos-padded",
+            "slos-repeated"])
+    def test_a_writer_after_a_hand_edit_leaves_a_snapshot_of_what_a_parse_gives(
+            self, store, tmp_path, monkeypatch, capsys, name, text):
+        header = AMV_HEADER if name == Store.AMVS_FILE else SLO_HEADER
+        (store.root / name).write_bytes((header + text).encode("utf-8"))
+        # a writer that leaves the edited file as it is, bar the rows it appends
+        qws = write_rows(tmp_path / "qws.csv", ["Service Name", *STANDARD_QWS_MAPPING],
+                         [["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]])
+        assert main(["--store", str(store.root), "import-qws", qws]) == 0
+        assert (store.root / name).read_bytes().startswith((header + text).encode("utf-8"))
+        loaded, parsed = load_recorded(store, monkeypatch)
+        assert not parsed
+        assert loaded == parsed_outcome(store)
+        capsys.readouterr()
+
+    def test_the_snapshot_is_as_private_as_the_files_it_holds(self, store):
+        modes = {path.name: path.stat().st_mode & 0o777 for path in store.root.iterdir()
+                 if path.name != Store.LOCK_FILE}
+        assert modes == dict.fromkeys([*Store.FILES, Store.SNAPSHOT_FILE], 0o600)
+
+    def test_assess_leaves_the_snapshot_as_it_found_it(self, store, tmp_path, capsys):
+        request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
+        path = store.root / Store.SNAPSHOT_FILE
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        main(["--store", str(store.root), "assess", request])
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        path.unlink()
+        main(["--store", str(store.root), "assess", request])
+        assert not path.exists()
+        capsys.readouterr()
+
+    def test_a_writer_rewrites_the_snapshot_only_when_it_is_out_of_date(
+            self, store, tmp_path, monkeypatch, capsys):
+        path = store.root / Store.SNAPSHOT_FILE
+        slos = write_rows(tmp_path / "same.csv", SLO_COLUMNS, [["p1", "c1", "av", "90"]])
+        argv = ["--store", str(store.root), "submit-slo", slos]
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        assert main(argv) == 0  # replaces an objective with its own value: no file changes
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        path.unlink()
+        assert main(argv) == 0  # a writer whose load parsed the files
+        assert path.read_bytes() == before[0]
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
+        capsys.readouterr()

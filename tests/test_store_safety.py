@@ -146,3 +146,24 @@ def test_writer_killed_mid_append(store, tmp_path):
             assert f"{Store.AMVS_FILE}: line 2: " in str(exc)
         else:
             assert loaded == (before if end == len(stored) else after)
+
+
+@pytest.mark.parametrize("kill_at", ["pwrite", "ftruncate"])
+def test_writer_killed_in_the_snapshot_write(store, tmp_path, monkeypatch, kill_at):
+    path = tmp_path / "amv.csv"
+    write_csv(path, ["csp_id", "csc_id", "attribute", "value", "sequence"],
+              [TRIPLES[0] + (91.25, "")])
+    argv = ["--store", str(store.root), "submit-amv", str(path)]
+    # killed once the CSV files are durable, inside the snapshot's rewrite
+    assert run_children(tmp_path, [[argv]], kill_at=kill_at) == [-signal.SIGKILL]
+    snapshot = store.root / Store.SNAPSHOT_FILE
+    blob = snapshot.read_bytes()
+    snapshot.unlink()
+    parsed = Store(store.root).load()  # what the CSV files hold
+    assert [(r.value, r.sequence) for r in parsed.amvs] == [(91.25, 1)]
+    snapshot.write_bytes(blob)
+    assert store.load() == parsed
+    # the next writer leaves a snapshot that the next load uses
+    assert main(argv) == 0
+    monkeypatch.setattr(Store, "_parse", lambda self, contents: pytest.fail("files parsed"))
+    assert [(r.value, r.sequence) for r in store.load().amvs] == [(91.25, 1), (91.25, 2)]
