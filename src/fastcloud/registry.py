@@ -4,12 +4,9 @@ The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
 amvs.csv) under one directory. The store, the submit commands and the
 request file share one record format, defined here: a header of the kind's
 columns, then one record per row, read by ``read_rows`` and parsed by
-``parse_*``. Loading applies the same record checks as submission:
-slos.csv and amvs.csv are each read in one pass by one reader, which keys
-each row by its (csp, csc, attribute) triple, checks each distinct triple
-once and each other column a whole column at a time; only a refused file
-is read again row by row, to name the refused row. A registry holds its
-monitored values as a log of three columns.
+``parse_*``. Loading applies the same record checks as submission, since
+each file is read by that row loop, which names a refused row. A registry
+holds its monitored values as a log of three columns.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -37,10 +34,9 @@ import tempfile
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice, repeat
 from operator import add, setitem
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .intervals import IntervalNumber
 
@@ -199,22 +195,19 @@ class refused_at(contextlib.AbstractContextManager):
             raise self(exc) from exc
 
 
-def _check_header(header: list[str] | None, columns: tuple[str, ...]) -> None:
-    """Refuse a missing header, or one that does not name exactly ``columns``."""
-    if header is None:
-        raise ValueError("file is empty")
-    if list(map(str.strip, header)) != list(columns):
-        raise ValueError(f"line 1: header must be {','.join(columns)!r}, got {','.join(header)!r}")
-
-
 def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """The rows of a record file whose header is ``columns``.
 
     Yields ``_rows`` after the header, which is checked before the first
-    row; the field count is left to the row parsers.
+    row: a missing one, or one that does not name exactly ``columns``, is
+    refused. The field count is left to the row parsers.
     """
     rows = _rows(source)
-    _check_header(next(rows, (1, None))[1], columns)
+    header = next(rows, (1, None))[1]
+    if header is None:
+        raise ValueError("file is empty")
+    if header != list(columns):
+        raise ValueError(f"line 1: header must be {','.join(columns)!r}, got {','.join(header)!r}")
     yield from rows
 
 
@@ -284,7 +277,8 @@ class Registry:
     values are held once, as a log of three columns in submission order
     (each row's ``(csp, csc, attribute)`` triple, its value and its
     sequence), and indexed per triple; ``amvs`` is a read-only view of that
-    log. The rows that ``Store.load`` restores share one tuple per triple.
+    log. The rows that ``Store.load`` restores from its snapshot share one
+    tuple per triple.
     SLO records are also indexed per (provider, attribute).
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
@@ -299,11 +293,11 @@ class Registry:
     _values: list[float] = field(default_factory=list, init=False, repr=False)
     _sequences: list[int] = field(default_factory=list, init=False, repr=False)
     # (csp, csc, attribute) -> {sequence: value}: filled by _append_amv, and
-    # by _restore_amv_columns on load
+    # by Store._restore_snapshot on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # (csp, attribute) -> {csc: SloRecord}: filled by _file_slo, and by
-    # _restore_slo_columns on load
+    # _file_slo_columns on a load from the snapshot
     _slo_index: dict[tuple[str, str], dict[str, SloRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -521,72 +515,6 @@ def import_qws(
                          tuple(rejections))
 
 
-# The characters that ``str.strip`` removes, bar the line end "\n".
-_PADDING = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
-            "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-
-
-def _keyed_columns(registry: Registry, data: bytes, columns: tuple[str, ...]
-                   ) -> tuple[list, dict, list[Sequence[str]]]:
-    """The rows of a record file whose first three ``columns`` are a triple, read in one pass.
-
-    Returns each row's key, the canonical triple of each distinct key, in
-    the order the triples first appear (spellings of one triple share one
-    tuple), and the stripped columns after the triple. Text with no quote,
-    CR or NUL and no line over ``csv.field_size_limit()`` is split once per
-    line from the right, which reads it as the csv module does, and a row
-    is keyed by its triple's text; other text is read by the csv module,
-    and a row is keyed by its triple's fields, as a quoted id may hold a
-    comma. Blank lines are skipped. Each distinct key is split, checked and
-    resolved once. A byte that is not UTF-8, another header, a row with
-    another field count, an empty id or an unregistered attribute raises
-    ValueError, and a row the csv module cannot read raises csv.Error: the
-    cue to leave the file to the row loop, which names the refused row.
-    """
-    text = data.decode("utf-8")
-    trailing = len(columns) - 3
-    lines = text.split("\n")
-    limit = csv.field_size_limit()
-    by_csv = (any(map(text.__contains__, '"\r\x00'))
-              or len(text) > limit and max(map(len, lines)) > limit)
-    if by_csv:
-        reader = csv.reader(record_text(data))
-        header, rows = next(reader, None), list(filter(None, reader))
-        if not set(map(len, rows)) <= {len(columns)}:
-            raise ValueError("a row with another field count")
-        keys = [tuple(row[:3]) for row in rows]
-        tails = list(zip(*rows))[3:] or [()] * trailing
-    else:
-        header = lines[0].split(",")
-        rows = map(str.rsplit, filter(None, islice(lines, 1, None)), repeat(","), repeat(trailing))
-        keys, *tails = list(zip(*rows)) or [()] * (trailing + 1)
-        del lines, rows  # so that the lines are freed before the columns are read
-        if len(tails) != trailing:  # a row with fewer fields
-            raise ValueError("a row with another field count")
-    _check_header(header, columns)
-    distinct = list(dict.fromkeys(keys))
-    fields = distinct if by_csv else list(map(str.split, distinct, repeat(",")))
-    if any(map(text.__contains__, _PADDING)):
-        fields = [tuple(map(str.strip, triple)) for triple in fields]
-        tails = [list(map(str.strip, column)) for column in tails]
-    # split from the right, a row of more fields has a key of more commas
-    if not set(map(len, fields)) <= {3}:
-        raise ValueError("a row with another field count")
-    csps, cscs, spellings = zip(*fields) if fields else ((), (), ())
-    if not (all(csps) and all(cscs)):
-        raise ValueError("an empty id")
-    canonical: dict[tuple[str, str, str], tuple[str, str, str]] = {}
-    triple_of = {key: canonical.setdefault(triple, triple)
-                 for key, triple in zip(distinct, zip(csps, cscs, _names(registry, spellings)))}
-    return keys, triple_of, tails
-
-
-def _names(registry: Registry, spellings: Sequence[str]) -> list[str]:
-    """The registered name of each spelling, resolving each spelling once."""
-    names = {spelling: registry.resolve_attribute(spelling).name for spelling in set(spellings)}
-    return list(map(names.__getitem__, spellings))
-
-
 def _set_items(dicts: Iterable[dict], keys: Iterable, values: Iterable) -> None:
     """``d[key] = value`` for each dict, key and value in turn, in one C loop."""
     deque(map(setitem, dicts, keys, values), maxlen=0)
@@ -594,13 +522,12 @@ def _set_items(dicts: Iterable[dict], keys: Iterable, values: Iterable) -> None:
 
 @contextlib.contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a whole file is restored.
+    """Pause the cyclic garbage collector while the snapshot is restored.
 
-    A restore makes no reference cycle, but the list each line splits into
+    A restore makes no reference cycle, but the records and dicts it builds
     would set the collector off many times, and each run would trace the
-    restore's whole-file lists again: without the pause, restoring a
-    144k-row amvs.csv takes about twice as long. The collector's state is
-    restored on exit.
+    restore's whole-store lists again. The collector's state is restored on
+    exit.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -609,22 +536,6 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
-
-
-def _restore_slo_columns(registry: Registry, data: bytes) -> bool:
-    """Restore a whole slos.csv into a ``registry`` that holds no SLO yet.
-
-    Each record is built as a ``SloRecord``, with its checks, and all are
-    filed in file order as ``submit_slo`` files them. Returns False, with
-    the registry untouched, when any check fails, so that the row loop can
-    name the refused row.
-    """
-    try:
-        keys, triple_of, (values,) = _keyed_columns(registry, data, SLO_COLUMNS)
-        _file_slo_columns(registry, list(map(triple_of.__getitem__, keys)), map(float, values))
-    except (csv.Error, ValueError):
-        return False
-    return True
 
 
 def _file_slo_columns(registry: Registry, triples: list[tuple[str, str, str]],
@@ -641,37 +552,6 @@ def _file_slo_columns(registry: Registry, triples: list[tuple[str, str, str]],
     index = registry._slo_index
     index.update({key: {} for key in dict.fromkeys(zip(csps, names))})
     _set_items(map(index.__getitem__, zip(csps, names)), cscs, records)
-
-
-def _restore_amv_columns(registry: Registry, data: bytes) -> bool:
-    """Restore a whole amvs.csv into a ``registry`` that holds no AMV yet.
-
-    Each check of the row loop, ``_restore_amv``, runs once over a whole
-    column or once per distinct triple, and the rows are filed in file
-    order, as the row loop files them. Returns False, with the registry
-    untouched, when any check fails, so that the row loop can name the
-    refused row.
-    """
-    try:
-        keys, triple_of, (values, sequences) = _keyed_columns(registry, data, AMV_COLUMNS)
-        # each column is replaced by what it reads as, so that its text is freed
-        values = list(map(float, values))
-        sequences = list(map(int, sequences))  # refuses an empty one too
-    except (csv.Error, ValueError):
-        return False
-    # a NaN anywhere makes the sum NaN; min and max then bound the rest
-    if (math.isnan(sum(values)) or min(values, default=0) < 0
-            or max(values, default=0) == math.inf or not data.endswith(b"\n")):
-        return False
-    # a triple spelled two ways keeps its first place
-    samples = {triple: {} for triple in triple_of.values()}
-    inner = {key: samples[triple] for key, triple in triple_of.items()}
-    _set_items(map(inner.__getitem__, keys), sequences, values)
-    if sum(map(len, samples.values())) != len(values):  # a (triple, sequence) repeats
-        return False
-    registry._triples = list(map(triple_of.__getitem__, keys))
-    registry._values, registry._sequences, registry._samples = values, sequences, samples
-    return True
 
 
 def _restore_amv(registry: Registry, fields: list[str]) -> None:
@@ -712,14 +592,8 @@ class Store:
     non-finite or out-of-range value, an unregistered attribute, an empty
     sequence or a repeated (triple, sequence) in amvs.csv, or a byte that is
     not UTF-8. Attribute abbreviations resolve to names. Each file is read
-    and decoded whole. attributes.csv is read a row at a time. slos.csv and
-    amvs.csv are each read in one pass over the whole file by one reader
-    (``_keyed_columns``), which keys each row by its triple: each distinct
-    triple is checked and resolved once, each other column is checked a
-    whole column at a time, and the rows are filed into the registry's
-    indexes in file order, with the garbage collector held off. Only if a
-    check fails is the file read again row by row, and that row loop names
-    the refused row.
+    and decoded whole, then parsed a row at a time by the row loop of the
+    submit commands, which names the refused row.
 
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
     It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
@@ -808,27 +682,19 @@ class Store:
         return registry
 
     def _parse(self, contents: dict[str, bytes | None]) -> Registry:
-        """The registry that the CSV files' bytes hold, each read by its column pass or row loop."""
+        """The registry that the CSV files' bytes hold, each read by the row loop."""
         registry = Registry()
-        for name, columns, add, restore_columns in (
+        for name, columns, add in (
             (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-             lambda fields: registry.register_attribute(parse_attribute(fields)), None),
-            (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields)),
-             _restore_slo_columns),
-            (self.AMVS_FILE, AMV_COLUMNS, lambda fields: _restore_amv(registry, fields),
-             _restore_amv_columns),
+             lambda fields: registry.register_attribute(parse_attribute(fields))),
+            (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields))),
+            (self.AMVS_FILE, AMV_COLUMNS, lambda fields: _restore_amv(registry, fields)),
         ):
             data = contents[name]
             if data is None:
                 continue
-            if restore_columns is not None:
-                with _collector_paused():
-                    restored = restore_columns(registry, data)
-                if restored:
-                    continue
-            path = self.root / name
-            line = 1  # the row loop names the refused row
-            with refused_at(path):
+            line = 1  # the header's, if no row follows
+            with refused_at(self.root / name):
                 for line, fields in read_rows(record_text(data), columns):
                     with refused_at(line=line):
                         add(fields)

@@ -6,8 +6,8 @@ attribute, they hold at least one agreed SLO and their actual (rate-scaled)
 interval intersects the requested span. The qualified set is then scored by
 the trust engine and returned with every intermediate retained for audit.
 
-Assessments are read-only over a registry snapshot; any number may run
-concurrently against the same snapshot.
+Assessments are read-only over a loaded registry; any number may run
+concurrently against the same registry.
 """
 
 from __future__ import annotations

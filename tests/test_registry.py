@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import gc
 import io
@@ -11,7 +10,6 @@ import zlib
 
 import pytest
 
-import fastcloud.registry as registry_module
 from fastcloud.cli import main
 from fastcloud.registry import (
     AMV_COLUMNS,
@@ -434,7 +432,7 @@ ID_MESSAGE = "provider and consumer ids must be non-empty without surrounding wh
 
 
 class TestAmvLoad:
-    """amvs.csv loads a column at a time; the row loop names a refused row."""
+    """amvs.csv loads by the row loop, which names a refused row."""
 
     @staticmethod
     def store_with_amvs(tmp_path, text):
@@ -445,17 +443,10 @@ class TestAmvLoad:
         (store.root / Store.SNAPSHOT_FILE).unlink()
         return store
 
-    @staticmethod
-    def row_loop_load(store, monkeypatch):
-        """The registry that the row loop alone loads: the reference."""
-        with monkeypatch.context() as patch:
-            patch.setattr(registry_module, "_restore_amv_columns", lambda registry, fh: False)
-            return store.load()
-
     @pytest.mark.parametrize("rows, kind, message", [
         ("p,c,av,5\n", ValueError, "malformed row: 4 fields, expected 5"),
         ("p,c,av,5,2,x\n", ValueError, "malformed row: 6 fields, expected 5"),
-        # split from the right, these rows key as "p,5" and "p,c,la,x"
+        # a short and a long row whose last fields read as a value and a sequence
         ("p,5,2,1\n", ValueError, "malformed row: 4 fields, expected 5"),
         ("p,c,la,x,5,2\n", ValueError, "malformed row: 6 fields, expected 5"),
         (",c,av,5,2\n", ValueError, f"{ID_MESSAGE}, got '' and 'c'"),
@@ -508,21 +499,25 @@ class TestAmvLoad:
         "p" * 100_000 + "," + "c" * 100_000 + ",av,5,1\np,c,la,6,1\n",
     ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations",
             "out-of-order", "padded-value", "no-rows", "long-line"])
-    def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
-        self.assert_column_load_matches(tmp_path, monkeypatch, AMV_HEADER + text)
+    def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, text):
+        self.assert_load_matches(tmp_path, AMV_HEADER + text)
 
     def test_spellings_of_a_triple_load_as_one_in_file_order(self, tmp_path, monkeypatch):
-        loaded = self.assert_column_load_matches(
-            tmp_path, monkeypatch,
-            AMV_HEADER + "p,c,av,5,2\nq,c,la,1,1\np,c,availability,6,1\np,c, av ,7,3\n")
+        store, loaded = self.assert_load_matches(
+            tmp_path, AMV_HEADER + "p,c,av,5,2\nq,c,la,1,1\np,c,availability,6,1\np,c, av ,7,3\n")
         assert list(loaded._samples.items()) == [
             (("p", "c", "availability"), {2: 5.0, 1: 6.0, 3: 7.0}),
             (("q", "c", "latency"), {1: 1.0})]
         assert loaded.amv_samples("p", "c", "availability") == [6.0, 5.0, 7.0]
+        store.save(loaded)  # leaves a snapshot of the registry
+        with monkeypatch.context() as patch:
+            patch.delattr(Store, "_parse")  # so that only the snapshot can load the store
+            restored = Store(store.root).load()
+        assert contents(restored) == contents(loaded)
         # the rows of one triple share its tuple
-        assert loaded._triples[0] is loaded._triples[2] is loaded._triples[3]
+        assert restored._triples[0] is restored._triples[2] is restored._triples[3]
 
-    def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
+    def test_many_rows_load_as_their_rows(self, tmp_path):
         rng = random.Random(7)
         chunk = 512
         spellings = {"av": "availability", "availability": "availability", " th ": "throughput",
@@ -535,45 +530,35 @@ class TestAmvLoad:
             key = (csp_id, csc_id, spellings[spelling])
             sequence = next_sequence[key] = next_sequence.get(key, 0) + 1
             lines.append(f"{csp_id},{csc_id},{spelling},{rng.uniform(0, 100)!r},{sequence}")
-            if i == chunk // 2:  # a whole column pass of blank lines
+            if i == chunk // 2:  # a long run of blank lines
                 lines.extend([""] * (chunk + 1))
-        self.assert_column_load_matches(tmp_path, monkeypatch,
-                                        AMV_HEADER + "\n".join(lines) + "\n")
+        self.assert_load_matches(tmp_path, AMV_HEADER + "\n".join(lines) + "\n")
 
-    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path):
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch):
+        """A load through the snapshot, and one whose stale snapshot leaves a refusing parse."""
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
             try:
-                for rows, refused in ((AMV_ACCEPTED, False), ("p,c,av,x,1\n", True)):
-                    store = self.store_with_amvs(tmp_path / f"{enabled}{refused}",
-                                                 AMV_HEADER + rows)
-                    with pytest.raises(ValueError) if refused else contextlib.nullcontext():
-                        store.load()
-                    assert gc.isenabled() is enabled
+                store = self.store_with_amvs(tmp_path / str(enabled), AMV_HEADER + AMV_ACCEPTED)
+                store.save(store.load())  # leaves a snapshot of the files
+                _, parsed = load_recorded(store, monkeypatch)
+                assert not parsed and gc.isenabled() is enabled
+                with open(store.root / Store.AMVS_FILE, "a", encoding="utf-8") as fh:
+                    fh.write("p,c,av,x,1\n")
+                (refusal, _), parsed = load_recorded(store, monkeypatch)
+                assert refusal is ValueError and parsed and gc.isenabled() is enabled
             finally:
                 gc.enable()
 
-    def assert_column_load_matches(self, tmp_path, monkeypatch, text):
+    def assert_load_matches(self, tmp_path, text):
         store = self.store_with_amvs(tmp_path, text)
-        passes = []
-        restore = registry_module._restore_amv_columns
-
-        def recorded(registry, fh):
-            passes.append(restore(registry, fh))
-            return passes[-1]
-
-        monkeypatch.setattr(registry_module, "_restore_amv_columns", recorded)
         loaded = store.load()
-        assert passes == [True]  # the column pass loaded the file, not the row loop
-        reference = self.row_loop_load(store, monkeypatch)
+        reference = loaded_by_hand(text, AMV_COLUMNS)
         assert loaded == reference
-        assert loaded._rows == reference._rows
-        assert list(loaded._samples.items()) == list(reference._samples.items())
-        assert all(list(loaded._samples[key]) == list(samples)
-                   for key, samples in reference._samples.items())
+        assert contents(loaded) == contents(reference)
         for key in reference._samples:
             assert loaded.amv_samples(*key) == reference.amv_samples(*key)
-        return loaded
+        return store, loaded
 
 
 SLO_HEADER = "csp_id,csc_id,attribute,value\n"
@@ -582,7 +567,7 @@ SLO_ACCEPTED = "p,c,av,1\n\np,c,la,2\n"
 
 
 class TestSloLoad:
-    """slos.csv loads a column at a time; the row loop names a refused row."""
+    """slos.csv loads by the row loop, which names a refused row."""
 
     @staticmethod
     def store_with_slos(tmp_path, text):
@@ -592,13 +577,6 @@ class TestSloLoad:
         # a text equal to the file saved would otherwise load from the snapshot
         (store.root / Store.SNAPSHOT_FILE).unlink()
         return store
-
-    @staticmethod
-    def row_loop_load(store, monkeypatch):
-        """The registry that the row loop alone loads: the reference."""
-        with monkeypatch.context() as patch:
-            patch.setattr(registry_module, "_restore_slo_columns", lambda registry, data: False)
-            return store.load()
 
     @pytest.mark.parametrize("rows, kind, message", [
         ("p,c,av\n", ValueError, "malformed row: 3 fields, expected 4"),
@@ -639,119 +617,32 @@ class TestSloLoad:
         "p" * 100_000 + "," + "c" * 100_000 + ",av,5\np,c,la,6\n",
     ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations", "repeated",
             "no-rows", "long-line"])
-    def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, monkeypatch, text):
-        self.assert_column_load_matches(tmp_path, monkeypatch, SLO_HEADER + text)
+    def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, text):
+        self.assert_load_matches(tmp_path, SLO_HEADER + text)
 
-    def test_repeated_triple_keeps_later_value_at_first_position(self, tmp_path, monkeypatch):
-        loaded = self.assert_column_load_matches(
-            tmp_path, monkeypatch,
-            SLO_HEADER + "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n")
+    def test_repeated_triple_keeps_later_value_at_first_position(self, tmp_path):
+        loaded = self.assert_load_matches(
+            tmp_path, SLO_HEADER + "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n")
         assert [(key, r.value) for key, r in loaded.slos.items()] == [
             (("p", "c", "availability"), 9.0), (("q", "c", "latency"), 1.0),
             (("p", "c2", "availability"), 3.0)]
         assert [r.value for r in loaded.slos_for("p", "availability")] == [9.0, 3.0]
 
-    def test_many_rows_across_column_passes(self, tmp_path, monkeypatch):
+    def test_many_rows_load_as_their_rows(self, tmp_path):
         rng = random.Random(11)
         chunk = 512
         spellings = ["av", "availability", " th ", "la", "latency", "res"]
         lines = [f"p{rng.randrange(40)},c{rng.randrange(8)},{rng.choice(spellings)},"
                  f"{rng.uniform(1, 100)!r}" for _ in range(3 * chunk + 17)]
-        lines[chunk // 2:chunk // 2] = [""] * (chunk + 1)  # a whole column pass of blank lines
-        self.assert_column_load_matches(tmp_path, monkeypatch,
-                                        SLO_HEADER + "\n".join(lines) + "\n")
+        lines[chunk // 2:chunk // 2] = [""] * (chunk + 1)  # a long run of blank lines
+        self.assert_load_matches(tmp_path, SLO_HEADER + "\n".join(lines) + "\n")
 
-    def assert_column_load_matches(self, tmp_path, monkeypatch, text):
-        store = self.store_with_slos(tmp_path, text)
-        passes = []
-        restore = registry_module._restore_slo_columns
-
-        def recorded(registry, data):
-            passes.append(restore(registry, data))
-            return passes[-1]
-
-        monkeypatch.setattr(registry_module, "_restore_slo_columns", recorded)
-        loaded = store.load()
-        assert passes == [True]  # the column pass loaded the file, not the row loop
-        reference = self.row_loop_load(store, monkeypatch)
+    def assert_load_matches(self, tmp_path, text):
+        loaded = self.store_with_slos(tmp_path, text).load()
+        reference = loaded_by_hand(text, SLO_COLUMNS)
         assert loaded == reference
-        assert list(loaded.slos.items()) == list(reference.slos.items())
-        assert ([(key, list(by_csc.items())) for key, by_csc in loaded._slo_index.items()]
-                == [(key, list(by_csc.items())) for key, by_csc in reference._slo_index.items()])
+        assert contents(loaded) == contents(reference)
         return loaded
-
-
-class TestSplitTokenizer:
-    """The keyed reader loads a record file as the row loop loads it, or both refuse it."""
-
-    # one text draws the fields of each column from one of these; a text
-    # holding a quote, CR or NUL is read by the csv module
-    IDS = [["p", "q"], ["p", "qé", "p "], ["p", "\tq ", ""], ["p", '"p,1"', 'q"']]
-    SPELLINGS = [["av", "availability", " av ", "la", "latency"],
-                 ["av", "la", "bogus", "\x1cres"]]
-    VALUES = [["1", "2.5", "30"], ["1", " 2.5", "\x1c3\x1c", "0"],
-              ["1", "2", "-1", "nan", "x", ""]]
-    SEQUENCES = [["1", "2", "3", "4"], ["1", " 2", "\u30003", "4 "],
-                 ["1", "2", "", "1.5", "2\x00"]]
-
-    def random_text(self, rng, columns):
-        ids, spellings, values, sequences = (
-            rng.choice(choices) for choices in (self.IDS, self.SPELLINGS, self.VALUES,
-                                                self.SEQUENCES))
-        header = rng.choice([",".join(columns)] * 4
-                            + [" , ".join(columns), ",".join(columns[:-1])])
-        lines = [header]
-        for _ in range(rng.randrange(8)):
-            fields = [rng.choice(ids), rng.choice(ids), rng.choice(spellings), rng.choice(values),
-                      rng.choice(sequences)][:len(columns)]
-            kind = rng.random()
-            if kind < 0.1:
-                lines.append("")  # a blank line
-                continue
-            if kind < 0.2:  # a field more or less, so a key of more or fewer commas
-                fields.insert(rng.randrange(len(fields) + 1), rng.choice(values + spellings))
-                if kind < 0.13:
-                    del fields[rng.randrange(len(fields))]
-                    del fields[rng.randrange(len(fields))]
-            lines.append(",".join(fields))
-        end = rng.choice(["\n", "\n", "\r\n"])
-        return end.join(lines) + rng.choice([end, end, "", "\n\n"])
-
-    def test_split_reads_as_the_csv_module_reads(self, tmp_path, monkeypatch):
-        """At least 3,000 random texts, each loaded by the reader and by the row loop."""
-        restores = {Store.SLOS_FILE: (SLO_COLUMNS, registry_module._restore_slo_columns),
-                    Store.AMVS_FILE: (AMV_COLUMNS, registry_module._restore_amv_columns)}
-        stores = {}
-        for name in restores:
-            stores[name] = Store(tmp_path / name)
-            stores[name].save(fresh_registry())
-            (stores[name].root / Store.SNAPSHOT_FILE).unlink()  # so that every load parses
-        # Store.load then reads every file with the row loop: the reference
-        monkeypatch.setattr(registry_module, "_restore_slo_columns", lambda registry, data: False)
-        monkeypatch.setattr(registry_module, "_restore_amv_columns", lambda registry, data: False)
-        rng = random.Random(12)
-        outcomes = {True: 0, False: 0}
-        for _ in range(3000):
-            name = rng.choice(sorted(restores))
-            columns, restore = restores[name]
-            data = self.random_text(rng, columns).encode("utf-8")
-            read = fresh_registry()
-            if not restore(read, data):
-                read = None
-            (stores[name].root / name).write_bytes(data)
-            try:
-                reference = stores[name].load()
-            except ValueError:
-                reference = None
-            assert (read is None) == (reference is None), data
-            if read is not None:
-                assert read == reference and contents(read) == contents(reference), data
-            outcomes[read is not None] += 1
-        assert min(outcomes.values()) > 500
-
-    def test_padding_is_what_strip_removes_bar_the_line_end(self):
-        spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
-        assert set(registry_module._PADDING) == spaces - {"\n"}
 
 
 def contents(registry):
@@ -760,6 +651,23 @@ def contents(registry):
             [(key, list(by_csc.items())) for key, by_csc in registry._slo_index.items()],
             registry._rows,
             [(key, list(samples.items())) for key, samples in registry._samples.items()])
+
+
+def loaded_by_hand(text, columns):
+    """The registry that a record file's rows give, read by the csv module, stripped, and
+    handed to the registry one by one in file order."""
+    registry = fresh_registry()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    assert list(map(str.strip, next(reader))) == list(columns)
+    for fields in filter(None, reader):
+        csp_id, csc_id, attribute, value, *sequence = map(str.strip, fields)
+        if columns == SLO_COLUMNS:
+            registry.submit_slo(SloRecord(csp_id, csc_id, attribute, float(value)))
+        else:
+            record = registry._named(AmvRecord(csp_id, csc_id, attribute, float(value),
+                                               int(*sequence)))
+            registry._append_amv(*record.key, record.value, record.sequence)
+    return registry
 
 
 class TestUndecodableByte:
