@@ -6,16 +6,24 @@ attribute's polarity, and scale the provider's declared SLO span
 [min SLO, max SLO] by the fraction of consumers whose checks pass. The
 result is the interval the provider demonstrably delivers.
 
+``consistency_profile`` is that formula, over an attribute already resolved
+and the provider's objectives on it. Candidate matching calls it once per
+(provider, attribute) in its one pass over the registry's SLO index;
+``actual_slo_interval`` is the same formula for one pair named by attribute
+name or abbreviation.
+
 All functions are pure over a registry snapshot and safe to evaluate in
 parallel across (provider, attribute) pairs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 from .intervals import IntervalNumber
-from .registry import MissingSloError, Polarity, Registry
+from .registry import MissingSloError, Polarity, QosAttribute, Registry, SloRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,51 +46,58 @@ def average_amv(samples: list[float]) -> float:
     return sum(samples) / len(samples)
 
 
+# the polarity check, as a comparison of (amv, slo)
+_MEETS = {Polarity.BENEFIT: operator.ge, Polarity.COST: operator.le}
+
+
 def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
     """Does the monitored average meet the agreed objective?
 
     Benefit attributes require amv >= slo, cost attributes amv <= slo;
     equality counts as satisfied either way.
     """
-    if polarity is Polarity.BENEFIT:
-        return amv >= slo
-    return amv <= slo
+    return _MEETS[polarity](amv, slo)
 
 
 def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> ConsistencyProfile:
+    """The provider's profile on one attribute, named by name or abbreviation.
+
+    Raises MissingSloError when the provider agreed no SLO on the attribute.
+    """
+    attr = registry.resolve_attribute(attribute)
+    slos = registry.slos_for(csp_id, attr.name)
+    if not slos:
+        raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
+    return consistency_profile(registry, csp_id, attr, slos)
+
+
+def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
+                        slos: Iterable[SloRecord]) -> ConsistencyProfile:
     """Declared SLO span scaled by the consistency rate.
 
-    The span is [min, max] over every SLO the provider agreed for this
-    attribute; scaling by the rate shrinks it toward zero as consumers'
-    experience diverges from the agreements. The scaling is applied the same
-    way for benefit and cost attributes; polarity is honored later, during
-    decision-matrix normalization.
+    ``slos`` are the provider's objectives on ``attr``, at least one, in
+    submission order. The span is [min, max] over their values; scaling by
+    the rate shrinks it toward zero as consumers' experience diverges from
+    the agreements. The scaling is applied the same way for benefit and cost
+    attributes; polarity is honored later, during decision-matrix
+    normalization.
 
     A consumer counts as agreed when it holds an SLO for the attribute, and
     as satisfied only when it also submitted at least one monitored value
     whose average passes the polarity check: an unverifiable claim does not
     raise the rate.
     """
-    attr = registry.resolve_attribute(attribute)
-    slos = registry.slos_for(csp_id, attr.name)
-    if not slos:
-        raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
+    mean, name, meets = registry.amv_mean, attr.name, _MEETS[attr.polarity]
     satisfied = 0
+    values = []
     for record in slos:
-        samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
-        if samples and satisfies_consistency(attr.polarity, record.value, average_amv(samples)):
+        value = record.value
+        values.append(value)
+        amv = mean(csp_id, record.csc_id, name)
+        if amv is not None and meets(amv, value):
             satisfied += 1
-    agreed = len(slos)
+    agreed = len(values)
     rate = satisfied / agreed
-    values = [r.value for r in slos]
     lo, hi = min(values), max(values)
-    return ConsistencyProfile(
-        csp_id=csp_id,
-        attribute=attr.name,
-        consistency_rate=rate,
-        satisfied_count=satisfied,
-        agreed_count=agreed,
-        slo_span=IntervalNumber(lo, hi),
-        actual_interval=IntervalNumber(rate * lo, rate * hi),
-    )
-
+    return ConsistencyProfile(csp_id, name, rate, satisfied, agreed,
+                              IntervalNumber(lo, hi), IntervalNumber(rate * lo, rate * hi))

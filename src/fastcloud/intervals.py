@@ -23,14 +23,18 @@ class IntervalNumber:
     upper: float
 
     def __post_init__(self) -> None:
-        lower = float(self.lower)
-        upper = float(self.upper)
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise ValueError(f"interval endpoints must be finite, got [{lower}, {upper}]")
-        if lower > upper:
+        lower, upper = self.lower, self.upper
+        # an endpoint that is not exactly a float (an int, a str, a bool or a
+        # float subclass) is stored as its plain float
+        if type(lower) is not float or type(upper) is not float:
+            lower, upper = float(lower), float(upper)
+            object.__setattr__(self, "lower", lower)
+            object.__setattr__(self, "upper", upper)
+        # one chained comparison passes every valid interval; nan fails it
+        if not -math.inf < lower <= upper < math.inf:
+            if not (math.isfinite(lower) and math.isfinite(upper)):
+                raise ValueError(f"interval endpoints must be finite, got [{lower}, {upper}]")
             raise ValueError(f"interval lower bound exceeds upper bound: [{lower}, {upper}]")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def width(self) -> float:

@@ -415,6 +415,17 @@ class Registry:
         samples = self._samples.get((csp_id, csc_id, attribute), {})
         return [samples[sequence] for sequence in sorted(samples)]
 
+    def amv_mean(self, csp_id: str, csc_id: str, attribute: str) -> float | None:
+        """The mean of one triple's monitored values, or None if it has none.
+
+        The values are summed in sequence order, then divided by their
+        count, so the mean is ``average_amv(amv_samples(...))`` to the bit.
+        """
+        samples = self._samples.get((csp_id, csc_id, attribute))
+        if not samples:
+            return None
+        return sum(map(samples.__getitem__, sorted(samples))) / len(samples)
+
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
         """The provider's objectives on a registered attribute, in submission order."""
         return list(self._slo_index.get((csp_id, attribute), {}).values())
@@ -459,6 +470,13 @@ def import_qws(
     already holds a different value is reported as a conflict, counted in
     ``records_conflicting`` and not stored.
 
+    The provider id is a slug of the service name, and two names can share
+    one (``Svc A`` and ``Svc-A`` both give ``Svc-A``). Within one import,
+    the rows of a second name whose slug the rows of another name already
+    took are rejected, naming both. The registry keeps ids, not names, so a
+    later import cannot detect such a collision: it files the rows under
+    the provider that holds the id.
+
     Rows with missing, non-numeric, non-finite or negative values in a mapped
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
@@ -481,6 +499,7 @@ def import_qws(
     accepted = added = skipped = conflicting = 0
     rejections: list[str] = []  # a line per rejected row or conflicting record
     group_counts: dict[str, int] = {}
+    owners: dict[str, str] = {}  # provider id -> the service name whose rows took it
     for line_no, fields in rows:
         fields += [""] * (len(header) - len(fields))
         service = fields[place[service_column]]
@@ -493,6 +512,11 @@ def import_qws(
             rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
             continue
         csp_id = _slugify(service)
+        owner = owners.get(csp_id, service)
+        if owner != service:
+            rejections.append(f"line {line_no}: service {service!r} maps to provider id "
+                              f"{csp_id!r}, already taken by service {owner!r}")
+            continue
         sequence = group_counts.get(csp_id, 0) + 1
         try:
             records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
@@ -501,6 +525,7 @@ def import_qws(
             rejections.append(f"line {line_no}: {exc}")
             continue
         group_counts[csp_id] = sequence
+        owners[csp_id] = service
         accepted += 1
         for record in records:
             try:

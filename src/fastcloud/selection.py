@@ -3,8 +3,13 @@
 A request names the attributes the requester cares about together with an
 acceptable span per attribute. Providers qualify when, for every requested
 attribute, they hold at least one agreed SLO and their actual (rate-scaled)
-interval intersects the requested span. The qualified set is then scored by
-the trust engine and returned with every intermediate retained for audit.
+interval intersects the requested span. ``match_candidates`` decides that in
+one pass over the registry's SLO index: it resolves each requested attribute
+once, builds each provider's profiles in request order, and stops at the
+first cause that excludes the provider. Its result carries those causes, and
+a request that matches fewer than two providers is refused with them. The
+qualified set is then scored by the trust engine and returned with every
+intermediate retained for audit.
 
 Assessments are read-only over a loaded registry; any number may run
 concurrently against the same registry.
@@ -17,10 +22,11 @@ import time
 from dataclasses import dataclass
 from typing import TextIO
 
-from .consistency import ConsistencyProfile, actual_slo_interval
+# actual_slo_interval is no stage of the pass, but stays importable here: the
+# benchmark's layer tracer wraps it by this name
+from .consistency import ConsistencyProfile, actual_slo_interval, consistency_profile
 from .intervals import IntervalNumber
-from .registry import (
-    REQUEST_COLUMNS, MissingSloError, Polarity, Registry, parse_request, read_rows, refused_at)
+from .registry import REQUEST_COLUMNS, Polarity, Registry, parse_request, read_rows, refused_at
 from .trust import (
     DecisionContext,
     DecisionMatrix,
@@ -80,43 +86,52 @@ class AssessmentResult:
         return ranking_chain(self.ranking)
 
 
-def match_candidates(
-    registry: Registry, request: AssessmentRequest
-) -> dict[str, tuple[ConsistencyProfile, ...]]:
+class Candidates(dict):
+    """The matched providers, sorted, each mapped to its profiles in request order.
+
+    ``excluded`` maps every other provider that holds an SLO, sorted, to the
+    first cause that excluded it.
+    """
+
+    def __init__(self, matched: dict[str, tuple[ConsistencyProfile, ...]],
+                 excluded: dict[str, str]):
+        super().__init__(matched)
+        self.excluded = excluded
+
+
+def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidates:
     """Providers whose actual interval intersects every requested span.
 
-    Missing SLO coverage on any requested attribute excludes a provider. So
-    does a zero consistency rate on a cost attribute: the actual interval is
-    then [0, 0], whose reciprocal, which normalization takes for cost
-    attributes, is undefined. Maps each matched id, sorted for determinism,
-    to its profiles in request order.
+    One pass over the registry's SLO index builds each provider's profiles
+    in request order, and stops at the provider's first cause of exclusion:
+    no SLO on a requested attribute, an actual interval that misses the
+    requested span, or a zero consistency rate on a cost attribute (the
+    interval [0, 0] has no reciprocal, which normalization takes for cost
+    attributes). Every provider that holds an SLO is either matched or
+    excluded.
     """
-    matched = {}
+    requested = [(registry.resolve_attribute(name), span) for name, span in request.requested]
+    index = registry._slo_index
+    matched, excluded = {}, {}
     for csp_id in sorted(registry.providers):
-        profiles, cause = _profiles_or_cause(registry, csp_id, request)
-        if cause is None:
-            matched[csp_id] = profiles
-    return matched
-
-
-def _profiles_or_cause(
-    registry: Registry, csp_id: str, request: AssessmentRequest
-) -> tuple[tuple[ConsistencyProfile, ...], str | None]:
-    """The provider's profiles in request order, or the first cause that excludes it."""
-    profiles = []
-    for name, span in request.requested:
-        try:
-            profile = actual_slo_interval(registry, csp_id, name)
-        except MissingSloError:
-            return (), f"no SLO on {registry.resolve_attribute(name).name!r}"
-        actual = profile.actual_interval
-        if not actual.intersects(span):
-            return (), f"actual interval {actual} misses {span} on {profile.attribute!r}"
-        if (actual.lower == 0
-                and registry.attributes[profile.attribute].polarity is Polarity.COST):
-            return (), f"zero consistency rate on cost attribute {profile.attribute!r}"
-        profiles.append(profile)
-    return tuple(profiles), None
+        profiles = []
+        for attr, span in requested:
+            slos = index.get((csp_id, attr.name))
+            if not slos:
+                excluded[csp_id] = f"no SLO on {attr.name!r}"
+                break
+            profile = consistency_profile(registry, csp_id, attr, slos.values())
+            actual = profile.actual_interval
+            if not actual.intersects(span):
+                excluded[csp_id] = f"actual interval {actual} misses {span} on {attr.name!r}"
+                break
+            if actual.lower == 0 and attr.polarity is Polarity.COST:
+                excluded[csp_id] = f"zero consistency rate on cost attribute {attr.name!r}"
+                break
+            profiles.append(profile)
+        else:
+            matched[csp_id] = tuple(profiles)
+    return Candidates(matched, excluded)
 
 
 def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
@@ -139,7 +154,7 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
     matched = match_candidates(registry, request)
     candidates = tuple(matched)
     if len(candidates) < 2:
-        raise _too_few(registry, request, candidates)
+        raise _too_few(candidates, matched.excluded)
     for k, attr in enumerate(attributes):
         if (attr.polarity is Polarity.BENEFIT
                 and not any(row[k].satisfied_count for row in matched.values())):
@@ -163,15 +178,13 @@ def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
     )
 
 
-def _too_few(registry: Registry, request: AssessmentRequest,
-             candidates: tuple[str, ...]) -> InsufficientCandidatesError:
+def _too_few(candidates: tuple[str, ...],
+             excluded: dict[str, str]) -> InsufficientCandidatesError:
     """The refusal of a request that matched fewer than two providers.
 
-    It names each excluded provider's first cause, and advises relaxing the
-    spans only when a span was a cause.
+    It names each excluded provider's first cause, as matching found it, and
+    advises relaxing the spans only when a span was a cause.
     """
-    excluded = {csp_id: _profiles_or_cause(registry, csp_id, request)[1]
-                for csp_id in sorted(registry.providers) if csp_id not in candidates}
     detail = "; ".join([
         f"only {', '.join(candidates)} matched" if candidates else "no provider matched",
         *(f"{csp_id} excluded: {cause}" for csp_id, cause in excluded.items())])

@@ -35,6 +35,28 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             x.lower = 0  # type: ignore[misc]
 
+    def test_endpoints_come_out_as_plain_floats(self):
+        class Tagged(float):
+            pass
+
+        for lower, upper in ((1, 2), ("1.5", "2"), (False, True), (Tagged(0.5), 3.0),
+                             (0.5, Tagged(3.0)), (True, 2.5)):
+            x = IntervalNumber(lower, upper)
+            assert (type(x.lower), type(x.upper)) == (float, float)
+            assert (x.lower, x.upper) == (float(lower), float(upper))
+            assert repr(x) == f"IntervalNumber(lower={float(lower)!r}, upper={float(upper)!r})"
+
+    def test_refusals_name_the_float_endpoints(self):
+        with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[nan, 1.0\]$"):
+            IntervalNumber("nan", 1)
+        with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[2.0, inf\]$"):
+            IntervalNumber(2, math.inf)
+        with pytest.raises(ValueError,
+                           match=r"^interval lower bound exceeds upper bound: \[3.0, 1.0\]$"):
+            IntervalNumber(3, True)
+        with pytest.raises(ValueError, match="could not convert"):
+            IntervalNumber("x", 1.0)
+
 
 def separation(x, y):
     """L1 separation, as weighting totals it: half a two-cell column's deviation."""

@@ -810,6 +810,24 @@ class TestImport:
         )
         assert sequences == [1, 2, 3]
 
+    def test_second_name_of_one_provider_id_rejected(self):
+        rows = qws_rows(2, service="Svc A").splitlines()
+        rows += qws_rows(2, service="Svc-A").splitlines()[1:]
+        rows += qws_rows(1, service="Svc A").splitlines()[1:]
+        registry = fresh_registry()
+        summary = import_qws(registry, io.StringIO("\n".join(rows) + "\n"))
+        assert str(summary) == "3 rows accepted, 2 rejected; 18 records added, 0 duplicates skipped"
+        assert summary.rejections == tuple(
+            f"line {n}: service 'Svc-A' maps to provider id 'Svc-A', "
+            "already taken by service 'Svc A'" for n in (4, 5))
+        assert registry.amv_samples("Svc-A", "Svc-A/monitor", "latency") == [10.0, 11.0, 10.0]
+        # a row rejected before it took an id leaves the id free
+        rows = qws_rows(1, service="Svc A").replace("90.5", "oops").splitlines()
+        rows += qws_rows(1, service="Svc-A").splitlines()[1:]
+        summary = import_qws(fresh_registry(), io.StringIO("\n".join(rows) + "\n"))
+        assert (summary.rows_accepted, summary.rows_rejected) == (1, 1)
+        assert summary.rejections[0].startswith("line 2: non-numeric")
+
     def test_mapping_targets_must_be_registered(self):
         registry = Registry()  # no attributes at all
         with pytest.raises(UnknownAttributeError):

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import random
@@ -5,7 +6,13 @@ import random
 import pytest
 
 from conftest import COST_ONLY_CHAIN, case_registry, case_request
-from fastcloud.consistency import actual_slo_interval
+from fastcloud.consistency import (
+    ConsistencyProfile,
+    actual_slo_interval,
+    average_amv,
+    consistency_profile,
+    satisfies_consistency,
+)
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
     AmvRecord,
@@ -143,6 +150,156 @@ class TestMatching:
             assert set(match_candidates(registry, base)) <= set(
                 match_candidates(registry, wider)
             )
+
+
+def reference_profile(registry, csp_id, attribute):
+    """A profile from the registry's public reads, consumer by consumer."""
+    attr = registry.resolve_attribute(attribute)
+    slos = registry.slos_for(csp_id, attr.name)
+    if not slos:
+        return None
+    satisfied = 0
+    for record in slos:
+        samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
+        if samples and satisfies_consistency(attr.polarity, record.value, average_amv(samples)):
+            satisfied += 1
+    rate = satisfied / len(slos)
+    lo, hi = min(r.value for r in slos), max(r.value for r in slos)
+    return ConsistencyProfile(csp_id, attr.name, rate, satisfied, len(slos),
+                              IntervalNumber(lo, hi), IntervalNumber(rate * lo, rate * hi))
+
+
+def reference_cause(registry, csp_id, request):
+    """The first cause that excludes the provider, attribute by attribute, or None."""
+    for name, requested_span in request.requested:
+        attr = registry.resolve_attribute(name)
+        profile = reference_profile(registry, csp_id, name)
+        if profile is None:
+            return f"no SLO on {attr.name!r}"
+        actual = profile.actual_interval
+        if not actual.intersects(requested_span):
+            return f"actual interval {actual} misses {requested_span} on {attr.name!r}"
+        if actual.lower == 0 and attr.polarity is Polarity.COST:
+            return f"zero consistency rate on cost attribute {attr.name!r}"
+    return None
+
+
+def random_store(rng):
+    """A registry of a few providers, with attributes spelled either way, replaced
+    SLOs, SLOs without monitored values and explicit sequences out of order."""
+    registry = fresh_registry()
+    spellings = [(a.name, a.abbreviation) for a in STANDARD_ATTRIBUTES]
+    for p in rng.sample(range(10), rng.randint(1, 6)):
+        csp_id = f"p{p}"
+        for name, abbreviation in rng.sample(spellings, rng.randint(2, 6)):
+            for c in range(rng.randint(1, 4)):
+                csc_id = f"{csp_id}-c{c}"
+                for _ in range(rng.choice((1, 1, 2))):  # a second submission replaces
+                    registry.submit_slo(SloRecord(csp_id, csc_id, rng.choice((name, abbreviation)),
+                                                  rng.uniform(1, 100)))
+                n = rng.choice((0, 1, 3, 5))
+                explicit = rng.random() < 0.5
+                for sequence in rng.sample(range(1, n + 1), n):
+                    registry.submit_amv(AmvRecord(csp_id, csc_id, rng.choice((name, abbreviation)),
+                                                  rng.uniform(0, 120),
+                                                  sequence if explicit else None))
+    return registry
+
+
+def random_request(rng):
+    requested = []
+    for attr in rng.sample(STANDARD_ATTRIBUTES, rng.randint(1, 3)):
+        lo = rng.choice((0.0, rng.uniform(0, 40)))
+        requested.append((rng.choice((attr.name, attr.abbreviation)),
+                          span(lo, lo + rng.choice((5, 60, 200)))))
+    return AssessmentRequest(tuple(requested))
+
+
+class TestMatchingPass:
+    def test_agrees_with_the_per_pair_profiles_on_random_stores(self):
+        rng = random.Random(2016)
+        matched_profiles, causes = 0, collections.Counter()
+        for _ in range(150):
+            registry = random_store(rng)
+            for key, samples in registry._samples.items():
+                assert repr(registry.amv_mean(*key)) == repr(
+                    average_amv(registry.amv_samples(*key)) if samples else None)
+            request = random_request(rng)
+            result = match_candidates(registry, request)
+            assert list(result) == sorted(result)
+            assert list(result.excluded) == sorted(result.excluded)
+            assert set(result) | set(result.excluded) == registry.providers
+            assert not set(result) & set(result.excluded)
+            for csp_id, profiles in result.items():
+                assert reference_cause(registry, csp_id, request) is None
+                assert len(profiles) == len(request.requested)
+                for profile, (name, _) in zip(profiles, request.requested):
+                    assert repr(profile) == repr(actual_slo_interval(registry, csp_id, name))
+                    assert repr(profile) == repr(reference_profile(registry, csp_id, name))
+                    matched_profiles += 1
+            for csp_id, cause in result.excluded.items():
+                assert cause == reference_cause(registry, csp_id, request)
+                causes[cause.split(" ")[0]] += 1
+        assert matched_profiles > 100 and min(causes.values()) > 20 and len(causes) == 3
+
+    def crafted_store(self):
+        registry = fresh_registry()
+        seed_provider(registry, "p0", "availability", 70, 95)
+        seed_provider(registry, "p0", "latency", 5, 10)
+        seed_provider(registry, "p1", "availability", 80, 90)
+        seed_provider(registry, "p1", "latency", 6, 12)
+        seed_provider(registry, "p2", "availability", 40, 50)  # misses the span
+        seed_provider(registry, "p3", "latency", 5, 10)  # no availability SLO
+        seed_provider(registry, "p4", "availability", 80, 90)
+        seed_provider(registry, "p4", "latency", 5, 10, satisfy=False)  # actual [0, 0]
+        seed_provider(registry, "p5", "availability", 80, 90)  # no latency SLO
+        return registry
+
+    def test_result_maps_the_sorted_matches_and_carries_each_exclusion(self):
+        registry = self.crafted_store()
+        request = AssessmentRequest((("av", span(60, 100)), ("la", span(0, 100))))
+        result = match_candidates(registry, request)
+        assert isinstance(result, dict)
+        assert len(result) == 2
+        assert list(result) == ["p0", "p1"]
+        assert [[p.attribute for p in profiles] for profiles in result.values()] == [
+            ["availability", "latency"]] * 2
+        assert [p.actual_interval for p in result["p1"]] == [span(80, 90), span(6, 12)]
+        assert result.excluded == {
+            "p2": "actual interval [40, 50] misses [60, 100] on 'availability'",
+            "p3": "no SLO on 'availability'",
+            "p4": "zero consistency rate on cost attribute 'latency'",
+            "p5": "no SLO on 'latency'",
+        }
+        assert list(result.excluded) == ["p2", "p3", "p4", "p5"]
+        assert assess(registry, request).candidates == ("p0", "p1")
+        empty = match_candidates(fresh_registry(), request)
+        assert (len(empty), list(empty), empty.excluded) == (0, [], {})
+
+    def test_refusal_names_the_exclusions_matching_found(self, monkeypatch):
+        registry = self.crafted_store()
+        request = AssessmentRequest((("av", span(91, 100)), ("la", span(0, 100))))
+        built = []
+
+        def counted(*args):
+            built.append(args[1:3])
+            return consistency_profile(*args)
+
+        monkeypatch.setattr("fastcloud.selection.consistency_profile", counted)
+        with pytest.raises(InsufficientCandidatesError) as refused:
+            assess(registry, request)
+        assert str(refused.value) == (
+            "insufficient candidates for a ranking (only p0 matched; "
+            "p1 excluded: actual interval [80, 90] misses [91, 100] on 'availability'; "
+            "p2 excluded: actual interval [40, 50] misses [91, 100] on 'availability'; "
+            "p3 excluded: no SLO on 'availability'; "
+            "p4 excluded: actual interval [80, 90] misses [91, 100] on 'availability'; "
+            "p5 excluded: actual interval [80, 90] misses [91, 100] on 'availability'); "
+            "relax the requested spans")
+        # one profile per (provider, attribute) that matching reached, and no more
+        assert [(csp_id, attr.name) for csp_id, attr in built] == [
+            ("p0", "availability"), ("p0", "latency"), ("p1", "availability"),
+            ("p2", "availability"), ("p4", "availability"), ("p5", "availability")]
 
 
 class TestAssess:
