@@ -6,7 +6,8 @@ request file share one record format, defined here: a header of the kind's
 columns, then one record per row, read by ``read_rows`` and parsed by
 ``parse_*``. Loading applies the same record checks as submission, since
 each file is read by that row loop, which names a refused row. A registry
-holds its monitored values as a log of three columns.
+holds its monitored values as a log of three columns: each row's place
+among the distinct triples, its value and its sequence.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -245,22 +246,24 @@ def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
 class AmvView:
     """Read-only view of a registry's monitored values, in submission order.
 
-    Its length is the row count, two views are equal when their columns are,
-    and an ``AmvRecord`` is built for a row only when the view is iterated.
+    Its length is the row count, two views are equal when their distinct
+    triples and columns are, and an ``AmvRecord`` is built for a row only
+    when the view is iterated.
     """
 
     __slots__ = ("_columns",)
 
-    def __init__(self, triples: list[tuple[str, str, str]], values: list[float],
-                 sequences: list[int]):
-        self._columns = (triples, values, sequences)
+    def __init__(self, triples: list[tuple[str, str, str]], places: list[int],
+                 values: list[float], sequences: list[int]):
+        self._columns = (triples, places, values, sequences)
 
     def __len__(self) -> int:
-        return len(self._columns[1])
+        return len(self._columns[2])
 
     def __iter__(self) -> Iterator[AmvRecord]:
-        return (AmvRecord(*triple, value, sequence)
-                for triple, value, sequence in zip(*self._columns))
+        triples, *columns = self._columns
+        return (AmvRecord(*triples[place], value, sequence)
+                for place, value, sequence in zip(*columns))
 
     def __eq__(self, other: object) -> bool:
         return self._columns == other._columns if isinstance(other, AmvView) else NotImplemented
@@ -275,10 +278,10 @@ class Registry:
     (csp, csc, attribute) triple; AMV records append. Every path resolves a
     record's attribute and files it under the registered name. Monitored
     values are held once, as a log of three columns in submission order
-    (each row's ``(csp, csc, attribute)`` triple, its value and its
-    sequence), and indexed per triple; ``amvs`` is a read-only view of that
-    log. The rows that ``Store.load`` restores from its snapshot share one
-    tuple per triple.
+    (each row's place among the distinct ``(csp, csc, attribute)`` triples,
+    in order of their first row, its value and its sequence), and indexed
+    per triple; ``amvs`` is a read-only view of that log. ``Store`` writes
+    these columns to its snapshot as they are.
     SLO records are also indexed per (provider, attribute).
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
@@ -289,11 +292,14 @@ class Registry:
     slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict)
     # the monitored values in submission order, a column each; amvs.csv
     # holds the same rows
-    _triples: list[tuple[str, str, str]] = field(default_factory=list, init=False, repr=False)
+    _places: list[int] = field(default_factory=list, init=False, repr=False)
     _values: list[float] = field(default_factory=list, init=False, repr=False)
     _sequences: list[int] = field(default_factory=list, init=False, repr=False)
-    # (csp, csc, attribute) -> {sequence: value}: filled by _append_amv, and
-    # by Store._restore_snapshot on load
+    # (csp, csc, attribute) -> its place, in order of its first row: compared,
+    # since the places mean nothing without it
+    _place: dict[tuple[str, str, str], int] = field(default_factory=dict, init=False, repr=False)
+    # (csp, csc, attribute) -> {sequence: value}, in the order of _place:
+    # filled by _append_amv, and by Store._restore_snapshot on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # (csp, attribute) -> {csc: SloRecord}: filled by _file_slo, and by
@@ -303,15 +309,12 @@ class Registry:
 
     @property
     def amvs(self) -> AmvView:
-        return AmvView(self._triples, self._values, self._sequences)
+        return AmvView(list(self._samples), self._places, self._values, self._sequences)
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
         """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
-        return list(map(add, self._triples[start:],
+        return list(map(add, map(list(self._samples).__getitem__, self._places[start:]),
                         zip(self._values[start:], self._sequences[start:])))
-
-    # the whole log as rows, read-only
-    _rows = property(_amv_rows)
 
     # -- attribute handling ------------------------------------------------
 
@@ -405,7 +408,7 @@ class Registry:
                 f"value {existing}, refusing to overwrite with {value}"
             )
         samples[sequence] = value
-        self._triples.append(key)
+        self._places.append(self._place.setdefault(key, len(self._place)))
         self._values.append(value)
         self._sequences.append(sequence)
         return sequence
@@ -624,12 +627,13 @@ class Store:
     It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
     the Python version, the CRC-32 and length of each CSV file it was made
     from (None for a missing one), and the registry as columns: attribute
-    definitions, SLO columns, and the AMV log as its distinct triples plus
-    per-row triple places, values and sequences. A load reads each CSV file
-    whole, and uses the snapshot in place of parsing them only when its
-    CRC, its tag and every file's CRC-32 and length match the bytes read;
-    each ``SloRecord`` is still built with its checks. Any other snapshot
-    (torn, foreign, or made before a hand edit) leaves the load to the
+    definitions, the SLO triples and values, and the AMV log as the
+    registry holds it (distinct triples, then per-row places, values and
+    sequences). A load reads each CSV file whole, and uses the snapshot in
+    place of parsing them only when its CRC, its tag and every file's
+    CRC-32 and length match the bytes read; each ``SloRecord`` is still
+    built with its checks. Any other snapshot (unreadable, torn, foreign,
+    of another shape, or made before a hand edit) leaves the load to the
     parse, with its refusals. Only ``save`` writes the snapshot, once the
     CSV files are durable, rewriting it in place; it carries the amvs.csv
     CRC forward over the appended bytes, so no file is read again. A save
@@ -652,15 +656,15 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 1 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 2 {sys.implementation.cache_tag}"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         # the registry last loaded or saved here, with what each file holds
         # of it (its attributes, its SLOs and its AMV row count; None: no
-        # file), each file's CRC-32 and length, the index of its AMV log
-        # (``_log_index``), and the file stamps that the snapshot holds
-        # with this registry (None: it does not hold this registry)
+        # file), each file's CRC-32 and length, and the file stamps that the
+        # snapshot holds with this registry (None: it does not hold this
+        # registry)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -698,12 +702,11 @@ class Store:
         stamps = {name: None if data is None else (zlib.crc32(data), len(data))
                   for name, data in contents.items()}
         with _collector_paused():
-            restored = self._restore_snapshot(stamps)
-        if restored is None:
-            registry, log_index, snapshot_stamps = self._parse(contents), None, None
-        else:
-            (registry, log_index), snapshot_stamps = restored, stamps
-        self._remember(registry, stamps, log_index, snapshot_stamps)
+            registry = self._restore_snapshot(stamps)
+        snapshot_stamps = stamps
+        if registry is None:
+            registry, snapshot_stamps = self._parse(contents), None
+        self._remember(registry, stamps, snapshot_stamps)
         return registry
 
     def _parse(self, contents: dict[str, bytes | None]) -> Registry:
@@ -734,9 +737,9 @@ class Store:
         unless it already holds this registry and these files.
         """
         if self._synced and self._synced[0] is registry:
-            _, synced, stamps, log_index, snapshot_stamps = self._synced
+            _, synced, stamps, snapshot_stamps = self._synced
         else:
-            synced, stamps, log_index, snapshot_stamps = {}, {}, None, None
+            synced, stamps, snapshot_stamps = {}, {}, None
         stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
         if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
@@ -750,7 +753,8 @@ class Store:
                 ([r.csp_id, r.csc_id, r.attribute, repr(r.value)] for r in registry.slos.values()))
         logged = synced.get(self.AMVS_FILE)
         if logged is None:
-            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS, registry._rows)
+            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
+                                                   registry._amv_rows())
         elif logged < len(registry.amvs):
             appended = _csv_text(registry._amv_rows(logged)).encode("utf-8")
             with open(self.root / self.AMVS_FILE, "ab") as fh:
@@ -759,62 +763,45 @@ class Store:
                 os.fsync(fh.fileno())
             crc, length = stamps[self.AMVS_FILE]
             stamps[self.AMVS_FILE] = (zlib.crc32(appended, crc), length + len(appended))
-        log_index = self._log_index(registry, log_index)
         if stamps != snapshot_stamps:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
             snapshot_stamps = None
             with contextlib.suppress(OSError):
-                self._write_snapshot(registry, stamps, log_index)
+                self._write_snapshot(registry, stamps)
                 snapshot_stamps = stamps
-        self._remember(registry, stamps, log_index, snapshot_stamps)
+        self._remember(registry, stamps, snapshot_stamps)
 
     def _remember(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
-                  log_index: tuple[list, list[int]] | None,
                   snapshot_stamps: dict[str, tuple[int, int] | None] | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry.slos),
                  self.AMVS_FILE: len(registry.amvs)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
-        self._synced = (registry, files, stamps, log_index, snapshot_stamps)
+        self._synced = (registry, files, stamps, snapshot_stamps)
 
     # -- the snapshot ------------------------------------------------------
-
-    @staticmethod
-    def _log_index(registry: Registry, known: tuple[list, list[int]] | None
-                   ) -> tuple[list, list[int]]:
-        """The registry's AMV log as its distinct triples and each row's place among them.
-
-        ``known`` is the index of a prefix of the same log, which is extended.
-        """
-        distinct, rows = known or ([], [])
-        if len(rows) < len(registry._triples):
-            place = dict(zip(distinct, range(len(distinct))))
-            rows = rows + [place.setdefault(triple, len(place))
-                           for triple in registry._triples[len(rows):]]
-            distinct = list(place)
-        return distinct, rows
 
     def _stamps_of(self, stamps: dict[str, tuple[int, int] | None]) -> tuple:
         return tuple(stamps[name] for name in self.FILES)
 
-    def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
-                        log_index: tuple[list, list[int]]) -> None:
+    def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None]
+                        ) -> None:
         """Rewrite ``<root>/.snapshot`` in place to hold ``registry`` and the files' stamps.
 
         No temp file, rename or fsync: a snapshot torn by a crash fails its
         own CRC, and a stale one its files' stamps, so no load uses either.
+        ``marshal`` version 2 shares no object, so the bytes depend only on
+        the registry's contents, not on how its load built them.
         """
-        distinct, rows = log_index
-        slos = registry.slos
-        csps, cscs, names = zip(*slos) if slos else ((), (), ())
         # the tag and the stamps come first, so that a stale snapshot is
         # refused without decoding the registry
         body = marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps)), 2) + marshal.dumps((
             [[a.name, a.abbreviation, a.unit, a.polarity.value]
              for a in registry.attributes.values()],
-            (csps, cscs, names, [float(r.value) for r in slos.values()]),
-            (distinct, rows, list(map(float, registry._values)), registry._sequences),
+            (list(registry.slos), [float(r.value) for r in registry.slos.values()]),
+            (list(registry._place), registry._places, list(map(float, registry._values)),
+             registry._sequences),
         ), 2)
         blob = zlib.crc32(body).to_bytes(4, "little") + body
         # private, as the CSV files that the temp files become are
@@ -825,43 +812,37 @@ class Store:
         finally:
             os.close(fd)
 
-    def _restore_snapshot(self, stamps: dict[str, tuple[int, int] | None]
-                          ) -> tuple[Registry, tuple[list, list[int]]] | None:
-        """The registry that the snapshot holds, with its log index, if it can be trusted.
+    def _restore_snapshot(self, stamps: dict[str, tuple[int, int] | None]) -> Registry | None:
+        """The registry that the snapshot holds, if it can be trusted.
 
-        That is when the snapshot passes its own CRC, carries this format's
-        tag, and was made from files of exactly the stamps (CRC-32 and
-        length) given. Otherwise None, and the CSV files are parsed.
+        That is when the snapshot can be read, passes its own CRC, carries
+        this format's tag, was made from files of exactly the stamps (CRC-32
+        and length) given, and decodes into columns of the registry's shape.
+        The log's columns are used as decoded. Otherwise None, and the CSV
+        files are parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
-        except FileNotFoundError:
-            return None
-        if blob[:4] != zlib.crc32(memoryview(blob)[4:]).to_bytes(4, "little"):
-            return None  # torn, or not a snapshot
-        stream = io.BytesIO(blob)
-        stream.seek(4)
-        try:
-            header = marshal.load(stream)  # leaves the stream at the registry's columns
-        except (EOFError, ValueError, TypeError):
-            return None
-        if header != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
-            return None  # another format, or files changed since the snapshot was made
-        attributes, (csps, cscs, names, slo_values), (distinct, rows, values, sequences) = (
-            marshal.loads(memoryview(blob)[stream.tell():]))
-        registry = Registry()
-        try:
+            if blob[:4] != zlib.crc32(memoryview(blob)[4:]).to_bytes(4, "little"):
+                return None  # torn, or not a snapshot
+            stream = io.BytesIO(blob)
+            stream.seek(4)
+            if marshal.load(stream) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
+                return None  # another format, or files changed since the snapshot was made
+            attributes, (slos, slo_values), (distinct, places, values, sequences) = (
+                marshal.loads(memoryview(blob)[stream.tell():]))
+            registry = Registry()
             for fields in attributes:
                 registry.register_attribute(parse_attribute(fields))
-            _file_slo_columns(registry, list(zip(csps, cscs, names)), slo_values)
-        except ValueError:
-            return None
-        registry._triples = list(map(distinct.__getitem__, rows))
-        registry._values, registry._sequences = values, sequences
-        registry._samples = {triple: {} for triple in distinct}
-        inner = list(registry._samples.values())
-        _set_items(map(inner.__getitem__, rows), sequences, values)
-        return registry, (distinct, rows)
+            _file_slo_columns(registry, slos, slo_values)
+            registry._places, registry._values, registry._sequences = places, values, sequences
+            registry._place = dict(zip(distinct, range(len(distinct))))
+            registry._samples = {triple: {} for triple in distinct}
+            inner = list(registry._samples.values())
+            _set_items(map(inner.__getitem__, places), sequences, values)
+        except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
+            return None  # unreadable, or columns of another shape
+        return registry
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

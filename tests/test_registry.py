@@ -400,6 +400,19 @@ class TestPersistence:
         twin.submit_amv(AmvRecord("p", "c", "av", 92))
         assert twin.amvs != view and len(view) == 1
 
+    def test_logs_that_differ_only_in_one_row_triple_are_not_equal(self):
+        logs = []
+        for csp_id in ("q", "r"):
+            registry = fresh_registry()
+            for agreed in ("p", "q", "r"):
+                registry.submit_slo(SloRecord(agreed, "c", "av", 90))
+            registry.submit_amv(AmvRecord("p", "c", "av", 91))
+            # the same place, value and sequence, of another triple
+            registry.submit_amv(AmvRecord(csp_id, "c", "av", 92))
+            logs.append(registry)
+        assert logs[0]._places == logs[1]._places == [0, 1]
+        assert logs[0] != logs[1] and logs[0].amvs != logs[1].amvs
+
     def test_referential_integrity_after_random_interleaving(self, tmp_path):
         rng = random.Random(42)
         registry = fresh_registry()
@@ -514,8 +527,8 @@ class TestAmvLoad:
             patch.delattr(Store, "_parse")  # so that only the snapshot can load the store
             restored = Store(store.root).load()
         assert contents(restored) == contents(loaded)
-        # the rows of one triple share its tuple
-        assert restored._triples[0] is restored._triples[2] is restored._triples[3]
+        # the rows of one triple share its place
+        assert restored._places == [0, 1, 0, 0]
 
     def test_many_rows_load_as_their_rows(self, tmp_path):
         rng = random.Random(7)
@@ -649,7 +662,7 @@ def contents(registry):
     """A registry's records and indexes, with the order of every dict."""
     return (list(registry.slos.items()),
             [(key, list(by_csc.items())) for key, by_csc in registry._slo_index.items()],
-            registry._rows,
+            registry._amv_rows(),
             [(key, list(samples.items())) for key, samples in registry._samples.items()])
 
 
@@ -961,7 +974,7 @@ class TestSnapshotLoad:
         (tag, stamps), columns = marshal.load(stream), stream.read()
         expected = parsed_outcome(store)
 
-        def checked(header):
+        def checked(header, columns=columns):
             body = marshal.dumps(header, 2) + columns
             return zlib.crc32(body).to_bytes(4, "little") + body
 
@@ -971,6 +984,29 @@ class TestSnapshotLoad:
                        ("fastcloud store snapshot 0", stamps), (tag, stamps, None), tag):
             path.write_bytes(checked(header))
             assert load_recorded(store, monkeypatch) == (expected, True), header
+        # this format's header, over columns of another shape
+        attributes, slos, log = marshal.loads(columns)
+        distinct, places, values, sequences = log
+        for shape in (7, (attributes, slos), (attributes, slos, log[:3]),
+                      (attributes, (*slos, values), log),
+                      ([[*attributes[0][:3], 1]], slos, log),
+                      (attributes, slos, (distinct, [len(distinct)] * len(places), values,
+                                          sequences)),
+                      (attributes, slos, (distinct, places, values, [[1]] * len(sequences)))):
+            path.write_bytes(checked((tag, stamps), marshal.dumps(shape, 2)))
+            assert load_recorded(store, monkeypatch) == (expected, True), shape
+
+    def test_an_unreadable_snapshot_is_not_used(self, store, monkeypatch, capsys):
+        expected = parsed_outcome(store)
+        path = store.root / Store.SNAPSHOT_FILE
+        path.unlink()
+        path.mkdir()  # reading it raises IsADirectoryError
+        assert load_recorded(store, monkeypatch) == (expected, True)
+        # a writer saves its records, though it cannot write the snapshot either
+        assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+        assert path.is_dir()
+        assert load_recorded(store, monkeypatch) == (expected, True)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("name, old, new", [
         (Store.ATTRIBUTES_FILE, b"latency,la,ms,", b"latency,la,mS,"),
