@@ -33,9 +33,8 @@ import re
 import sys
 import tempfile
 import zlib
-from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import add, setitem
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -288,8 +287,8 @@ class Registry:
     monitored values, and the stored ones that load restores, have none.
     """
 
-    attributes: dict[str, QosAttribute] = field(default_factory=dict)
-    slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict)
+    attributes: dict[str, QosAttribute] = field(default_factory=dict, init=False)
+    slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict, init=False)
     # the monitored values in submission order, a column each; amvs.csv
     # holds the same rows
     _places: list[int] = field(default_factory=list, init=False, repr=False)
@@ -303,7 +302,7 @@ class Registry:
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # (csp, attribute) -> {csc: SloRecord}: filled by _file_slo, and by
-    # _file_slo_columns on a load from the snapshot
+    # Store._restore_snapshot on load
     _slo_index: dict[tuple[str, str], dict[str, SloRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -543,11 +542,6 @@ def import_qws(
                          tuple(rejections))
 
 
-def _set_items(dicts: Iterable[dict], keys: Iterable, values: Iterable) -> None:
-    """``d[key] = value`` for each dict, key and value in turn, in one C loop."""
-    deque(map(setitem, dicts, keys, values), maxlen=0)
-
-
 @contextlib.contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while the snapshot is restored.
@@ -564,22 +558,6 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
-
-
-def _file_slo_columns(registry: Registry, triples: list[tuple[str, str, str]],
-                      values: Iterable[float]) -> None:
-    """File a ``SloRecord`` per triple and value, in order, as ``submit_slo`` files them.
-
-    Each record is built with its checks before any is filed: a failed
-    check raises ValueError with the registry untouched.
-    """
-    csps, cscs, names = zip(*triples) if triples else ((), (), ())
-    records = list(map(SloRecord, csps, cscs, names, values))
-    # a repeated triple keeps its first place and its last record
-    registry.slos.update(zip(triples, records))
-    index = registry._slo_index
-    index.update({key: {} for key in dict.fromkeys(zip(csps, names))})
-    _set_items(map(index.__getitem__, zip(csps, names)), cscs, records)
 
 
 def _restore_amv(registry: Registry, fields: list[str]) -> None:
@@ -633,12 +611,12 @@ class Store:
     place of parsing them only when its CRC, its tag and every file's
     CRC-32 and length match the bytes read; each ``SloRecord`` is still
     built with its checks. Any other snapshot (unreadable, torn, foreign,
-    of another shape, or made before a hand edit) leaves the load to the
-    parse, with its refusals. Only ``save`` writes the snapshot, once the
-    CSV files are durable, rewriting it in place; it carries the amvs.csv
-    CRC forward over the appended bytes, so no file is read again. A save
-    that changes no file leaves a snapshot that already holds the registry
-    as it is. Readers never write it.
+    of another shape, with columns that disagree, or made before a hand
+    edit) leaves the load to the parse, with its refusals. Only ``save``
+    writes the snapshot, once the CSV files are durable, rewriting it in
+    place; it carries the amvs.csv CRC forward over the appended bytes, so
+    no file is read again. A save that changes no file leaves a snapshot
+    that already holds the registry as it is. Readers never write it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -755,7 +733,7 @@ class Store:
         if logged is None:
             stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
                                                    registry._amv_rows())
-        elif logged < len(registry.amvs):
+        elif logged < len(registry._values):
             appended = _csv_text(registry._amv_rows(logged)).encode("utf-8")
             with open(self.root / self.AMVS_FILE, "ab") as fh:
                 fh.write(appended)
@@ -776,7 +754,7 @@ class Store:
                   snapshot_stamps: dict[str, tuple[int, int] | None] | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry.slos),
-                 self.AMVS_FILE: len(registry.amvs)}
+                 self.AMVS_FILE: len(registry._values)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
         self._synced = (registry, files, stamps, snapshot_stamps)
 
@@ -817,9 +795,11 @@ class Store:
 
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
-        and length) given, and decodes into columns of the registry's shape.
-        The log's columns are used as decoded. Otherwise None, and the CSV
-        files are parsed.
+        and length) given, and decodes into columns of the registry's shape
+        that agree: of one length, with no negative place, no repeated
+        distinct triple and no repeated (triple, sequence). The log's
+        columns are used as decoded. Otherwise None, and the CSV files are
+        parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -834,14 +814,22 @@ class Store:
             registry = Registry()
             for fields in attributes:
                 registry.register_attribute(parse_attribute(fields))
-            _file_slo_columns(registry, slos, slo_values)
+            # a repeated triple keeps its first place and its last record
+            for triple, value in zip(slos, slo_values, strict=True):
+                csp_id, csc_id, attribute = triple
+                registry.slos[triple] = record = SloRecord(csp_id, csc_id, attribute, value)
+                registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = record
             registry._places, registry._values, registry._sequences = places, values, sequences
             registry._place = dict(zip(distinct, range(len(distinct))))
             registry._samples = {triple: {} for triple in distinct}
-            inner = list(registry._samples.values())
-            _set_items(map(inner.__getitem__, places), sequences, values)
+            samples = list(registry._samples.values())
+            for place, sequence, value in zip(places, sequences, values, strict=True):
+                samples[place][sequence] = value
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
+        if (min(places, default=0) < 0 or len(samples) != len(distinct)
+                or sum(map(len, samples)) != len(values)):
+            return None  # columns that disagree, which no parse gives
         return registry
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]

@@ -136,6 +136,12 @@ class TestSubmitSlo:
         with pytest.raises(UnknownAttributeError):
             registry.submit_slo(SloRecord("p", "c", "foo", 90))
 
+    def test_records_enter_only_through_the_filers(self):
+        # a record handed to the constructor would skip its checks and the indexes
+        for fields in ({"slos": {}}, {"attributes": {}}):
+            with pytest.raises(TypeError):
+                Registry(**fields)
+
     def test_non_positive_value_rejected(self):
         with pytest.raises(ValueError):
             SloRecord("p", "c", "av", 0)
@@ -992,7 +998,18 @@ class TestSnapshotLoad:
                       ([[*attributes[0][:3], 1]], slos, log),
                       (attributes, slos, (distinct, [len(distinct)] * len(places), values,
                                           sequences)),
-                      (attributes, slos, (distinct, places, values, [[1]] * len(sequences)))):
+                      (attributes, slos, (distinct, places, values, [[1]] * len(sequences))),
+                      # columns that disagree: a negative place (filed as a valid
+                      # one), a short values column, a repeated triple or (triple,
+                      # sequence), and a short SLO values column
+                      (attributes, slos, (distinct, [places[0] - len(distinct), *places[1:]],
+                                          values, sequences)),
+                      (attributes, slos, (distinct, places, values[:-1], sequences)),
+                      (attributes, slos, ([distinct[0], *distinct], places, values,
+                                          sequences)),
+                      (attributes, slos, (distinct, places, values,
+                                          [sequences[0]] * len(sequences))),
+                      (attributes, (slos[0], slos[1][:-1]), log)):
             path.write_bytes(checked((tag, stamps), marshal.dumps(shape, 2)))
             assert load_recorded(store, monkeypatch) == (expected, True), shape
 
