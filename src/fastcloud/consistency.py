@@ -19,16 +19,18 @@ parallel across (provider, attribute) pairs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping, NamedTuple
 
 from .intervals import IntervalNumber
-from .registry import MissingSloError, Polarity, QosAttribute, Registry, SloRecord
+from .registry import MissingSloError, Polarity, QosAttribute, Registry
 
 
-@dataclass(frozen=True, slots=True)
-class ConsistencyProfile:
-    """Per (provider, attribute) compliance summary and derived interval."""
+class ConsistencyProfile(NamedTuple):
+    """Per (provider, attribute) compliance summary and derived interval.
+
+    A tuple, built once per (provider, attribute) that matching reaches:
+    it takes a third of a frozen dataclass's construction time.
+    """
 
     csp_id: str
     attribute: str
@@ -65,20 +67,21 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
     Raises MissingSloError when the provider agreed no SLO on the attribute.
     """
     attr = registry.resolve_attribute(attribute)
-    slos = registry.slos_for(csp_id, attr.name)
+    slos = registry._slo_index.get((csp_id, attr.name))
     if not slos:
         raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
     return consistency_profile(registry, csp_id, attr, slos)
 
 
 def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
-                        slos: Iterable[SloRecord]) -> ConsistencyProfile:
+                        slos: Mapping[str, float]) -> ConsistencyProfile:
     """Declared SLO span scaled by the consistency rate.
 
-    ``slos`` are the provider's objectives on ``attr``, at least one, in
-    submission order. The span is [min, max] over their values; scaling by
-    the rate shrinks it toward zero as consumers' experience diverges from
-    the agreements. The scaling is applied the same way for benefit and cost
+    ``slos`` maps each consumer that agreed an objective on ``attr`` with
+    the provider, at least one, to the objective's value, in submission
+    order. The span is [min, max] over the values; scaling by the rate
+    shrinks it toward zero as consumers' experience diverges from the
+    agreements. The scaling is applied the same way for benefit and cost
     attributes; polarity is honored later, during decision-matrix
     normalization.
 
@@ -89,15 +92,13 @@ def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
     """
     mean, name, meets = registry.amv_mean, attr.name, _MEETS[attr.polarity]
     satisfied = 0
-    values = []
-    for record in slos:
-        value = record.value
-        values.append(value)
-        amv = mean(csp_id, record.csc_id, name)
+    for csc_id, value in slos.items():
+        amv = mean(csp_id, csc_id, name)
         if amv is not None and meets(amv, value):
             satisfied += 1
-    agreed = len(values)
+    agreed = len(slos)
     rate = satisfied / agreed
+    values = slos.values()
     lo, hi = min(values), max(values)
     return ConsistencyProfile(csp_id, name, rate, satisfied, agreed,
                               IntervalNumber(lo, hi), IntervalNumber(rate * lo, rate * hi))

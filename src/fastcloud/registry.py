@@ -36,7 +36,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .intervals import IntervalNumber
 
@@ -242,6 +242,27 @@ def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
     return attribute, span
 
 
+class SloView(Mapping):
+    """Read-only view of a registry's SLOs by triple; a ``SloRecord`` is built when read."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: dict[tuple[str, str, str], float]):
+        self._values = values
+
+    def __getitem__(self, key: tuple[str, str, str]) -> SloRecord:
+        return SloRecord(*key, self._values[key])
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._values
+
+
 class AmvView:
     """Read-only view of a registry's monitored values, in submission order.
 
@@ -275,20 +296,21 @@ class Registry:
     Attributes are keyed by name and by abbreviation, and each spelling
     names one attribute. SLO records replace on resubmission of the same
     (csp, csc, attribute) triple; AMV records append. Every path resolves a
-    record's attribute and files it under the registered name. Monitored
-    values are held once, as a log of three columns in submission order
-    (each row's place among the distinct ``(csp, csc, attribute)`` triples,
-    in order of their first row, its value and its sequence), and indexed
-    per triple; ``amvs`` is a read-only view of that log. ``Store`` writes
-    these columns to its snapshot as they are.
-    SLO records are also indexed per (provider, attribute).
+    record's attribute and files it under the registered name. SLOs are
+    held as values by triple and indexed per (provider, attribute).
+    Monitored values are held once, as a log of three columns in submission
+    order (each row's place among the distinct ``(csp, csc, attribute)``
+    triples, in order of their first row, its value and its sequence), and
+    indexed per triple. ``slos`` and ``amvs`` are read-only views; ``Store``
+    writes the columns to its snapshot as they are.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict, init=False)
-    slos: dict[tuple[str, str, str], SloRecord] = field(default_factory=dict, init=False)
+    # (csp, csc, attribute) -> agreed value, in submission order
+    _slo_values: dict[tuple[str, str, str], float] = field(default_factory=dict, init=False)
     # the monitored values in submission order, a column each; amvs.csv
     # holds the same rows
     _places: list[int] = field(default_factory=list, init=False, repr=False)
@@ -301,10 +323,14 @@ class Registry:
     # filled by _append_amv, and by Store._restore_snapshot on load
     _samples: dict[tuple[str, str, str], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # (csp, attribute) -> {csc: SloRecord}: filled by _file_slo, and by
+    # (csp, attribute) -> {csc: agreed value}: filled by _file_slo, and by
     # Store._restore_snapshot on load
-    _slo_index: dict[tuple[str, str], dict[str, SloRecord]] = field(
+    _slo_index: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def slos(self) -> SloView:
+        return SloView(self._slo_values)
 
     @property
     def amvs(self) -> AmvView:
@@ -357,11 +383,11 @@ class Registry:
 
     def _file_slo(self, record: SloRecord) -> bool:
         """File an SLO already under its registered attribute name."""
-        key = record.key
-        replaced = key in self.slos
-        self.slos[key] = record
+        csp_id, csc_id, attribute = key = record.key
+        replaced = key in self._slo_values
         # a resubmission keeps its place, so slos_for keeps the order of slos
-        self._slo_index.setdefault((record.csp_id, record.attribute), {})[record.csc_id] = record
+        self._slo_values[key] = record.value
+        self._slo_index.setdefault((csp_id, attribute), {})[csc_id] = record.value
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -373,7 +399,7 @@ class Registry:
         and the same key with a different value is a conflict (ValueError).
         """
         record = self._named(record)
-        if record.key not in self.slos:
+        if record.key not in self._slo_values:
             raise MissingSloError(
                 f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
             )
@@ -430,7 +456,8 @@ class Registry:
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
         """The provider's objectives on a registered attribute, in submission order."""
-        return list(self._slo_index.get((csp_id, attribute), {}).values())
+        return [SloRecord(csp_id, csc_id, attribute, value)
+                for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
 
 @dataclass(frozen=True)
@@ -609,12 +636,11 @@ class Store:
     registry holds it (distinct triples, then per-row places, values and
     sequences). A load reads each CSV file whole, and uses the snapshot in
     place of parsing them only when its CRC, its tag and every file's
-    CRC-32 and length match the bytes read; each ``SloRecord`` is still
-    built with its checks. Any other snapshot (unreadable, torn, foreign,
-    of another shape, with columns that disagree, or made before a hand
-    edit) leaves the load to the parse, with its refusals. Only ``save``
-    writes the snapshot, once the CSV files are durable, rewriting it in
-    place; it carries the amvs.csv CRC forward over the appended bytes, so
+    CRC-32 and length match the bytes read. Any other snapshot (unreadable,
+    torn, foreign, of another shape, with columns no parse gives, or made
+    before a hand edit) leaves the load to the parse, with its refusals.
+    Only ``save`` writes the snapshot, in place, once the CSV files are
+    durable; it carries the amvs.csv CRC forward over the appended bytes, so
     no file is read again. A save that changes no file leaves a snapshot
     that already holds the registry as it is. Readers never write it.
 
@@ -725,10 +751,10 @@ class Store:
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
                 ([a.name, a.abbreviation, a.unit, a.polarity.value]
                  for a in registry.attributes.values()))
-        if synced.get(self.SLOS_FILE) != registry.slos:
+        if synced.get(self.SLOS_FILE) != registry._slo_values:
             stamps[self.SLOS_FILE] = self._replace(
                 self.SLOS_FILE, SLO_COLUMNS,
-                ([r.csp_id, r.csc_id, r.attribute, repr(r.value)] for r in registry.slos.values()))
+                ([*key, repr(value)] for key, value in registry._slo_values.items()))
         logged = synced.get(self.AMVS_FILE)
         if logged is None:
             stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
@@ -753,7 +779,7 @@ class Store:
     def _remember(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
                   snapshot_stamps: dict[str, tuple[int, int] | None] | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
-                 self.SLOS_FILE: dict(registry.slos),
+                 self.SLOS_FILE: dict(registry._slo_values),
                  self.AMVS_FILE: len(registry._values)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
         self._synced = (registry, files, stamps, snapshot_stamps)
@@ -777,7 +803,7 @@ class Store:
         body = marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps)), 2) + marshal.dumps((
             [[a.name, a.abbreviation, a.unit, a.polarity.value]
              for a in registry.attributes.values()],
-            (list(registry.slos), [float(r.value) for r in registry.slos.values()]),
+            (list(registry._slo_values), list(map(float, registry._slo_values.values()))),
             (list(registry._place), registry._places, list(map(float, registry._values)),
              registry._sequences),
         ), 2)
@@ -796,10 +822,11 @@ class Store:
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
         and length) given, and decodes into columns of the registry's shape
-        that agree: of one length, with no negative place, no repeated
-        distinct triple and no repeated (triple, sequence). The log's
-        columns are used as decoded. Otherwise None, and the CSV files are
-        parsed.
+        that a parse could give: of one length, with no negative place, no
+        repeated distinct triple or (triple, sequence), SLO values finite
+        and positive, and triples of checked ids and registered names. The
+        columns are checked whole, and used as decoded. Otherwise None, and
+        the CSV files are parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -814,22 +841,26 @@ class Store:
             registry = Registry()
             for fields in attributes:
                 registry.register_attribute(parse_attribute(fields))
-            # a repeated triple keeps its first place and its last record
-            for triple, value in zip(slos, slo_values, strict=True):
-                csp_id, csc_id, attribute = triple
-                registry.slos[triple] = record = SloRecord(csp_id, csc_id, attribute, value)
-                registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = record
+            # a repeated triple keeps its first place and its last value
+            registry._slo_values = dict(zip(slos, slo_values, strict=True))
+            for (csp_id, csc_id, attribute), value in registry._slo_values.items():
+                registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
             registry._places, registry._values, registry._sequences = places, values, sequences
             registry._place = dict(zip(distinct, range(len(distinct))))
             registry._samples = {triple: {} for triple in distinct}
             samples = list(registry._samples.values())
             for place, sequence, value in zip(places, sequences, values, strict=True):
                 samples[place][sequence] = value
+            triples = (*registry._slo_values, *distinct)
+            for csp_id, csc_id in {(csp_id, csc_id) for csp_id, csc_id, _ in triples}:
+                _check_ids(csp_id, csc_id)
+            checked = (all(map(math.isfinite, slo_values)) and min(slo_values, default=1) > 0
+                       and {name for _, _, name in triples} <= registry.attributes.keys())
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
-        if (min(places, default=0) < 0 or len(samples) != len(distinct)
+        if (not checked or min(places, default=0) < 0 or len(samples) != len(distinct)
                 or sum(map(len, samples)) != len(values)):
-            return None  # columns that disagree, which no parse gives
+            return None  # columns that no parse gives
         return registry
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]

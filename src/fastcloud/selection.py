@@ -17,9 +17,9 @@ concurrently against the same registry.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import TextIO
 
 # actual_slo_interval is no stage of the pass, but stays importable here: the
@@ -120,7 +120,7 @@ def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidat
             if not slos:
                 excluded[csp_id] = f"no SLO on {attr.name!r}"
                 break
-            profile = consistency_profile(registry, csp_id, attr, slos.values())
+            profile = consistency_profile(registry, csp_id, attr, slos)
             actual = profile.actual_interval
             if not actual.intersects(span):
                 excluded[csp_id] = f"actual interval {actual} misses {span} on {attr.name!r}"
@@ -256,18 +256,28 @@ def render_structured(document: dict) -> str:
     """A result document as JSON text, with one line per top-level key.
 
     A non-empty top-level list puts each element on a line of its own;
-    every value is written by ``json.dumps`` without ``indent``, which keeps
-    the C encoder (any ``indent`` falls back to the pure-Python one). The
-    text parses to the same document as ``json.dumps(document, indent=2)``.
+    every key, element and other value is written as ``json.dumps`` writes
+    it, by one C encoder made with ``json.dumps``'s default settings, so the
+    encoder is set up once per document rather than once per value (any
+    ``indent`` would fall back to the pure-Python encoder). The text parses
+    to the same document as ``json.dumps(document, indent=2)``.
     """
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: as json.dumps passes them by default
+    encoder = c_make_encoder({}, JSONEncoder().default, encode_basestring_ascii, None,
+                             ": ", ", ", False, False, True)
+
+    def dumps(value: object) -> str:
+        return "".join(encoder(value, 0))
+
     lines = []
     for key, value in document.items():
-        head = f"  {json.dumps(key)}: "
+        head = f"  {dumps(key)}: "
         if isinstance(value, list) and value:
-            elements = ",\n    ".join(map(json.dumps, value))
+            elements = ",\n    ".join(map(dumps, value))
             lines.append(f"{head}[\n    {elements}\n  ]")
         else:
-            lines.append(head + json.dumps(value))
+            lines.append(head + dumps(value))
     return "{\n" + ",\n".join(lines) + "\n}"
 
 

@@ -136,6 +136,37 @@ class TestSubmitSlo:
         with pytest.raises(UnknownAttributeError):
             registry.submit_slo(SloRecord("p", "c", "foo", 90))
 
+    def test_the_view_reads_as_the_filed_records(self):
+        registry = fresh_registry()
+        for record in (SloRecord("p", "c", "av", 90.0), SloRecord("q", "c", "latency", 12.5),
+                       SloRecord("p", "c2", "availability", 80.0),
+                       SloRecord("p", "c", "availability", 95.0)):  # replaces the first
+            registry.submit_slo(record)
+        filed = {("p", "c", "availability"): SloRecord("p", "c", "availability", 95.0),
+                 ("q", "c", "latency"): SloRecord("q", "c", "latency", 12.5),
+                 ("p", "c2", "availability"): SloRecord("p", "c2", "availability", 80.0)}
+        slos = registry.slos
+        assert list(slos) == list(filed)  # a replacement keeps its place
+        assert len(slos) == 3
+        for key, record in filed.items():
+            assert key in slos and slos[key] == record
+        assert ("p", "c", "av") not in slos and slos.get(("p", "c", "av")) is None
+        with pytest.raises(KeyError):
+            slos[("p", "c", "av")]
+        assert list(slos.values()) == list(filed.values())
+        assert list(slos.items()) == list(filed.items())
+        assert slos == filed and filed == slos
+        assert slos != {**filed, ("q", "c", "latency"): SloRecord("q", "c", "latency", 13.5)}
+        with pytest.raises(TypeError):
+            slos[("q", "c", "latency")] = SloRecord("q", "c", "latency", 13.5)
+        # another registry that holds the same records, filed in another order
+        other = fresh_registry()
+        for record in reversed(filed.values()):
+            other.submit_slo(record)
+        assert other.slos == slos and list(other.slos) != list(slos)
+        other.submit_slo(SloRecord("q", "c", "la", 13.5))
+        assert other.slos != slos
+
     def test_records_enter_only_through_the_filers(self):
         # a record handed to the constructor would skip its checks and the indexes
         for fields in ({"slos": {}}, {"attributes": {}}):
@@ -993,6 +1024,21 @@ class TestSnapshotLoad:
         # this format's header, over columns of another shape
         attributes, slos, log = marshal.loads(columns)
         distinct, places, values, sequences = log
+        slo_triples, slo_values = slos
+
+        def first_set(triples, at, value):
+            """The triples with field ``at`` of the first one set to ``value``."""
+            return [(*triples[0][:at], value, *triples[0][at + 1:]), *triples[1:]]
+
+        # triples and SLO values that a parse refuses or files under another
+        # name: an abbreviation, an unregistered attribute, a padded id, and
+        # an SLO value that is not finite and positive
+        refused = [shape for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"))
+                   for shape in ((attributes, (first_set(slo_triples, at, value), slo_values), log),
+                                 (attributes, slos, (first_set(distinct, at, value), places,
+                                                     values, sequences)))]
+        refused += [(attributes, (slo_triples, [value, *slo_values[1:]]), log)
+                    for value in (math.nan, math.inf, 0.0, -1.0)]
         for shape in (7, (attributes, slos), (attributes, slos, log[:3]),
                       (attributes, (*slos, values), log),
                       ([[*attributes[0][:3], 1]], slos, log),
@@ -1009,7 +1055,7 @@ class TestSnapshotLoad:
                                           sequences)),
                       (attributes, slos, (distinct, places, values,
                                           [sequences[0]] * len(sequences))),
-                      (attributes, (slos[0], slos[1][:-1]), log)):
+                      (attributes, (slos[0], slos[1][:-1]), log), *refused):
             path.write_bytes(checked((tag, stamps), marshal.dumps(shape, 2)))
             assert load_recorded(store, monkeypatch) == (expected, True), shape
 

@@ -1,6 +1,8 @@
 import collections
 import io
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from fastcloud.selection import (
     match_candidates,
     read_request,
     render_human,
+    render_structured,
     result_document,
 )
 from fastcloud.trust import (
@@ -499,6 +502,19 @@ class TestAssess:
                 assert cell.lower == lo and cell.upper == hi
 
 
+def render_by_dumps(document):
+    """The structured layout written by one ``json.dumps`` call per key, element and value."""
+    lines = []
+    for key, value in document.items():
+        head = f"  {json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            elements = ",\n    ".join(map(json.dumps, value))
+            lines.append(f"{head}[\n    {elements}\n  ]")
+        else:
+            lines.append(head + json.dumps(value))
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
 class TestResultDocument:
     def test_contains_all_sections_in_stable_order(self):
         result = assess(case_registry(), case_request())
@@ -515,6 +531,41 @@ class TestResultDocument:
         assert json.dumps(doc) == json.dumps(doc2)
         assert isinstance(text1, str)
 
+    def test_structured_rendering_writes_what_json_dumps_writes(self):
+        registry, request = case_registry(), case_request()
+        names = [name for name, _ in request.requested]
+        documents = []
+        for size in range(1, len(names) + 1):
+            for subset in itertools.combinations(names, size):
+                try:
+                    result = assess(registry, request.restrict(list(subset)))
+                except InsufficientCandidatesError:
+                    continue
+                documents.append(result_document(result))
+        assert len(documents) == 63
+        rng = random.Random(11)
+        pieces = ['"', "\\", "}, {", "\x00", "\n", "\u00e9", "\u2603", "\U0001f600", "a", " "]
+
+        def text():
+            return "".join(rng.choice(pieces) for _ in range(rng.randrange(5)))
+
+        def value(depth):
+            kind = rng.randrange(6 if depth < 3 else 3)
+            if kind == 0:
+                return text()
+            if kind == 1:
+                return rng.choice([rng.uniform(-1e6, 1e6), 0.0, -0.0, 5e-324, 1e308, math.inf,
+                                   -math.inf, math.nan, None, True, False, 0, -3, 2 ** 70])
+            if kind == 2:
+                return []
+            if kind in (3, 4):
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            return {text(): value(depth + 1) for _ in range(rng.randrange(4))}
+
+        documents += [{text(): value(0) for _ in range(rng.randrange(1, 6))} for _ in range(300)]
+        for document in documents:
+            assert render_structured(document) == render_by_dumps(document), document
+
     def test_human_rendering_has_chain_and_weights(self):
         result = assess(case_registry(), case_request())
         text = render_human(result)
@@ -522,3 +573,4 @@ class TestResultDocument:
         assert "weights:" in text
         for attr in result.context.decision.attributes:
             assert attr.name in text
+
