@@ -8,6 +8,7 @@ from .registry import (
     MissingSloError,
     Polarity,
     QosAttribute,
+    ReadOnlyRegistryError,
     Registry,
     SloRecord,
     Store,
@@ -48,7 +49,8 @@ __version__ = "0.1.0"
 __all__ = [
     "IntervalNumber", "possibility_degree",
     "AmvRecord", "DuplicateSubmissionError", "ImportSummary", "MissingSloError", "Polarity", "QosAttribute",
-    "Registry", "SloRecord", "Store", "UnknownAttributeError", "import_qws",
+    "ReadOnlyRegistryError", "Registry", "SloRecord", "Store", "UnknownAttributeError",
+    "import_qws",
     "ConsistencyProfile", "actual_slo_interval", "average_amv",
     "satisfies_consistency",
     "DecisionContext", "DecisionMatrix", "RankedProvider",

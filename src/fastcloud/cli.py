@@ -165,7 +165,7 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
 def cmd_assess(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked(shared=True):
-        registry = store.load()
+        registry = store.load(log=False)
     with refused_at(args.request):
         request = read_request(record_text(Path(args.request).read_bytes()))
     if args.attributes:

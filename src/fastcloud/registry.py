@@ -15,7 +15,7 @@ and only when they changed. Writers serialize on an ``flock`` of the
 store's ``.lock`` file across processes (see ``Store``). Each save also
 rewrites ``.snapshot``, a derived file that is safe to delete: a load that
 finds the CSV files as that save left them restores the registry from it
-in place of parsing them.
+in place of parsing them; a reader restores only its part ahead of the log.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ class MissingSloError(ValueError):
 
 class DuplicateSubmissionError(ValueError):
     """A monitored value identical to one already held at the same sequence."""
+
+
+class ReadOnlyRegistryError(TypeError):
+    """A registry loaded without its AMV log was asked to read, append to or save it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,8 +305,10 @@ class Registry:
     Monitored values are held once, as a log of three columns in submission
     order (each row's place among the distinct ``(csp, csc, attribute)``
     triples, in order of their first row, its value and its sequence), and
-    indexed per triple. ``slos`` and ``amvs`` are read-only views; ``Store``
-    writes the columns to its snapshot as they are.
+    indexed per triple, with each triple's mean cached. ``slos`` and ``amvs``
+    are read-only views; ``Store`` writes the columns to its snapshot as
+    they are. A read-only registry (``Store.load(log=False)``) holds no log:
+    reading, appending to or saving it raises ReadOnlyRegistryError.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -327,6 +333,11 @@ class Registry:
     # Store._restore_snapshot on load
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # (csp, csc, attribute) -> amv_mean, until _append_amv appends to the triple
+    _means: dict[tuple[str, str, str], float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # set by Store.load(log=False): the log columns are empty, not the store's
+    _read_only: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def slos(self) -> SloView:
@@ -335,6 +346,10 @@ class Registry:
     @property
     def amvs(self) -> AmvView:
         return AmvView(list(self._samples), self._places, self._values, self._sequences)
+
+    def _check_log(self) -> None:
+        if self._read_only:
+            raise ReadOnlyRegistryError("the registry was loaded without its AMV log")
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
         """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
@@ -386,8 +401,8 @@ class Registry:
         csp_id, csc_id, attribute = key = record.key
         replaced = key in self._slo_values
         # a resubmission keeps its place, so slos_for keeps the order of slos
-        self._slo_values[key] = record.value
-        self._slo_index.setdefault((csp_id, attribute), {})[csc_id] = record.value
+        self._slo_values[key] = value = float(record.value)  # as a parse gives it
+        self._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -420,6 +435,7 @@ class Registry:
         DuplicateSubmissionError; one holding another value is a conflict
         (ValueError). Either way nothing is stored.
         """
+        self._check_log()
         key = (csp_id, csc_id, attribute)
         samples = self._samples.setdefault(key, {})
         if sequence is None:
@@ -432,7 +448,8 @@ class Registry:
                 f"sequence {sequence} for {key} already holds "
                 f"value {existing}, refusing to overwrite with {value}"
             )
-        samples[sequence] = value
+        samples[sequence] = value = float(value)  # as a parse gives it
+        self._means.pop(key, None)
         self._places.append(self._place.setdefault(key, len(self._place)))
         self._values.append(value)
         self._sequences.append(sequence)
@@ -440,6 +457,7 @@ class Registry:
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
+        self._check_log()
         samples = self._samples.get((csp_id, csc_id, attribute), {})
         return [samples[sequence] for sequence in sorted(samples)]
 
@@ -449,10 +467,14 @@ class Registry:
         The values are summed in sequence order, then divided by their
         count, so the mean is ``average_amv(amv_samples(...))`` to the bit.
         """
-        samples = self._samples.get((csp_id, csc_id, attribute))
-        if not samples:
-            return None
-        return sum(map(samples.__getitem__, sorted(samples))) / len(samples)
+        key = (csp_id, csc_id, attribute)
+        mean = self._means.get(key, self)
+        if mean is self:
+            self._check_log()  # a read-only registry holds its SLO triples' means alone
+            samples = self._samples.get(key)
+            mean = self._means[key] = (sum(map(samples.__getitem__, sorted(samples)))
+                                       / len(samples) if samples else None)
+        return mean
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
         """The provider's objectives on a registered attribute, in submission order."""
@@ -510,6 +532,7 @@ def import_qws(
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
+    registry._check_log()
     mapping = dict(mapping or STANDARD_QWS_MAPPING)
     rows = _rows(source)
     _, header = next(rows, (1, None))
@@ -631,14 +654,19 @@ class Store:
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
     It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
     the Python version, the CRC-32 and length of each CSV file it was made
-    from (None for a missing one), and the registry as columns: attribute
-    definitions, the SLO triples and values, and the AMV log as the
-    registry holds it (distinct triples, then per-row places, values and
-    sequences). A load reads each CSV file whole, and uses the snapshot in
-    place of parsing them only when its CRC, its tag and every file's
-    CRC-32 and length match the bytes read. Any other snapshot (unreadable,
-    torn, foreign, of another shape, with columns no parse gives, or made
-    before a hand edit) leaves the load to the parse, with its refusals.
+    from (None for a missing one), the byte length of part 1, and the
+    registry as columns in two parts: part 1, the attribute definitions, the
+    SLO triples and values, and each SLO triple's ``amv_mean``; part 2, the
+    AMV log as the registry holds it (distinct triples, then per-row places,
+    values and sequences). A load reads each CSV file whole, and uses the
+    snapshot in place of parsing them only when its CRC, its tag and every
+    file's CRC-32 and length match the bytes read: so no torn or stale
+    snapshot is used. Its columns must be what a parse gives; the means,
+    derived data that only this program writes, are checked for shape
+    alone. Any other snapshot (unreadable, torn, foreign, of another shape,
+    with columns no parse gives, or made before a hand edit) leaves the load
+    to the parse, with its refusals. ``load(log=False)``, the reader's,
+    decodes part 1 alone into a read-only registry, which cannot be saved.
     Only ``save`` writes the snapshot, in place, once the CSV files are
     durable; it carries the amvs.csv CRC forward over the appended bytes, so
     no file is read again. A save that changes no file leaves a snapshot
@@ -660,7 +688,7 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 2 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 3 {sys.implementation.cache_tag}"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -696,7 +724,7 @@ class Store:
         finally:
             os.close(fd)
 
-    def load(self) -> Registry:
+    def load(self, *, log: bool = True) -> Registry:
         contents = {}
         for name in self.FILES:
             try:
@@ -706,7 +734,7 @@ class Store:
         stamps = {name: None if data is None else (zlib.crc32(data), len(data))
                   for name, data in contents.items()}
         with _collector_paused():
-            registry = self._restore_snapshot(stamps)
+            registry = self._restore_snapshot(stamps, log)
         snapshot_stamps = stamps
         if registry is None:
             registry, snapshot_stamps = self._parse(contents), None
@@ -740,6 +768,7 @@ class Store:
         Once the CSV files are durable, the snapshot is rewritten in place,
         unless it already holds this registry and these files.
         """
+        registry._check_log()
         if self._synced and self._synced[0] is registry:
             _, synced, stamps, snapshot_stamps = self._synced
         else:
@@ -798,15 +827,19 @@ class Store:
         ``marshal`` version 2 shares no object, so the bytes depend only on
         the registry's contents, not on how its load built them.
         """
-        # the tag and the stamps come first, so that a stale snapshot is
-        # refused without decoding the registry
-        body = marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps)), 2) + marshal.dumps((
+        for key in registry._slo_values.keys() - registry._means.keys():
+            registry.amv_mean(*key)  # the means not held: of triples appended to or new
+        head = marshal.dumps((
             [[a.name, a.abbreviation, a.unit, a.polarity.value]
              for a in registry.attributes.values()],
-            (list(registry._slo_values), list(map(float, registry._slo_values.values()))),
-            (list(registry._place), registry._places, list(map(float, registry._values)),
-             registry._sequences),
+            (list(registry._slo_values), list(registry._slo_values.values())),
+            list(map(registry._means.__getitem__, registry._slo_values)),
         ), 2)
+        # the tag and the stamps come first, so that a stale snapshot is
+        # refused without decoding the registry, then the first part's length
+        body = marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps), len(head)), 2) + head
+        body += marshal.dumps((list(registry._place), registry._places,
+                               registry._values, registry._sequences), 2)
         blob = zlib.crc32(body).to_bytes(4, "little") + body
         # private, as the CSV files that the temp files become are
         fd = os.open(self.root / self.SNAPSHOT_FILE, os.O_RDWR | os.O_CREAT, 0o600)
@@ -816,17 +849,17 @@ class Store:
         finally:
             os.close(fd)
 
-    def _restore_snapshot(self, stamps: dict[str, tuple[int, int] | None]) -> Registry | None:
-        """The registry that the snapshot holds, if it can be trusted.
+    def _restore_snapshot(self, stamps: dict, log: bool) -> Registry | None:
+        """The registry that the snapshot holds, if it can be trusted; without ``log``, read-only.
 
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
         and length) given, and decodes into columns of the registry's shape
         that a parse could give: of one length, with no negative place, no
         repeated distinct triple or (triple, sequence), SLO values finite
-        and positive, and triples of checked ids and registered names. The
-        columns are checked whole, and used as decoded. Otherwise None, and
-        the CSV files are parsed.
+        and positive, triples of checked ids and registered names, and a
+        mean per SLO triple, None or a finite number of at least 0; checked
+        whole and used as decoded. Otherwise None, and the files are parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -834,10 +867,11 @@ class Store:
                 return None  # torn, or not a snapshot
             stream = io.BytesIO(blob)
             stream.seek(4)
-            if marshal.load(stream) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
+            tag, file_stamps, size = marshal.load(stream)
+            if (tag, file_stamps) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
                 return None  # another format, or files changed since the snapshot was made
-            attributes, (slos, slo_values), (distinct, places, values, sequences) = (
-                marshal.loads(memoryview(blob)[stream.tell():]))
+            start, end = stream.tell(), stream.tell() + size
+            attributes, (slos, slo_values), means = marshal.loads(memoryview(blob)[start:end])
             registry = Registry()
             for fields in attributes:
                 registry.register_attribute(parse_attribute(fields))
@@ -845,23 +879,29 @@ class Store:
             registry._slo_values = dict(zip(slos, slo_values, strict=True))
             for (csp_id, csc_id, attribute), value in registry._slo_values.items():
                 registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
-            registry._places, registry._values, registry._sequences = places, values, sequences
-            registry._place = dict(zip(distinct, range(len(distinct))))
-            registry._samples = {triple: {} for triple in distinct}
-            samples = list(registry._samples.values())
-            for place, sequence, value in zip(places, sequences, values, strict=True):
-                samples[place][sequence] = value
-            triples = (*registry._slo_values, *distinct)
+            registry._means = dict(zip(slos, means, strict=True))
+            registry._read_only, triples = not log, [*registry._slo_values]
+            if log:
+                distinct, places, values, sequences = marshal.loads(memoryview(blob)[end:])
+                registry._places, registry._values, registry._sequences = places, values, sequences
+                registry._place = dict(zip(distinct, range(len(distinct))))
+                registry._samples = {triple: {} for triple in distinct}
+                samples = list(registry._samples.values())
+                for place, sequence, value in zip(places, sequences, values, strict=True):
+                    samples[place][sequence] = value
+                if (min(places, default=0) < 0 or len(samples) != len(distinct)
+                        or sum(map(len, samples)) != len(values)):
+                    return None  # columns that no parse gives
+                triples += distinct
             for csp_id, csc_id in {(csp_id, csc_id) for csp_id, csc_id, _ in triples}:
                 _check_ids(csp_id, csc_id)
-            checked = (all(map(math.isfinite, slo_values)) and min(slo_values, default=1) > 0
+            present = [mean for mean in means if mean is not None]
+            checked = (all(map(math.isfinite, (*slo_values, *present)))
+                       and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
                        and {name for _, _, name in triples} <= registry.attributes.keys())
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
-        if (not checked or min(places, default=0) < 0 or len(samples) != len(distinct)
-                or sum(map(len, samples)) != len(values)):
-            return None  # columns that no parse gives
-        return registry
+        return registry if checked else None  # else columns that no parse gives
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

@@ -5,6 +5,7 @@ import marshal
 import math
 import os
 import random
+import re
 import sys
 import zlib
 
@@ -20,6 +21,7 @@ from fastcloud.registry import (
     MissingSloError,
     Polarity,
     QosAttribute,
+    ReadOnlyRegistryError,
     Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
@@ -354,6 +356,19 @@ class TestPersistence:
             "p,c,availability,nan,1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="finite"):
             store.load()
+
+    def test_values_are_held_as_the_floats_a_parse_gives(self, tmp_path):
+        registry = fresh_registry()
+        registry.submit_slo(SloRecord("p", "c", "av", 90))
+        for value in (2 ** 53, 1, 1):  # summed as ints, they give another mean
+            registry.submit_amv(AmvRecord("p", "c", "av", value))
+        store = Store(tmp_path / "store")
+        store.save(registry)
+        (store.root / Store.SNAPSHOT_FILE).unlink()
+        parsed = store.load()
+        assert repr(contents(registry)) == repr(contents(parsed))
+        assert registry.amv_mean("p", "c", "availability") == parsed.amv_mean(
+            "p", "c", "availability") == 2 ** 53 / 3
 
     def test_sequence_continues_after_load(self, tmp_path):
         registry = fresh_registry()
@@ -884,14 +899,15 @@ class TestImport:
             import_qws(registry, io.StringIO(qws_rows(1)), STANDARD_QWS_MAPPING)
 
 
-def outcome(store):
+def outcome(store, log=True):
     """What a load of the store gives: its records, with every dict order and float
-    sign, or the refusal's type and text."""
+    sign, and the mean of each SLO triple, or the refusal's type and text."""
     try:
-        registry = store.load()
+        registry = store.load(log=log)
     except ValueError as exc:
         return type(exc), str(exc)
-    return list(registry.attributes.items()), repr(contents(registry))
+    return (list(registry.attributes.items()), repr(contents(registry)),
+            repr([registry.amv_mean(*key) for key in registry.slos]))
 
 
 def parsed_outcome(store):
@@ -906,7 +922,7 @@ def parsed_outcome(store):
             path.write_bytes(blob)
 
 
-def load_recorded(store, monkeypatch):
+def load_recorded(store, monkeypatch, log=True):
     """(what a load gives, whether it parsed the CSV files rather than using the snapshot)."""
     parses = []
     parse = Store._parse
@@ -917,7 +933,19 @@ def load_recorded(store, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(Store, "_parse", recorded)
-        return outcome(store), bool(parses)
+        return outcome(store, log), bool(parses)
+
+
+def hexed(mean):
+    return None if mean is None else mean.hex()
+
+
+def snapshot_parts(path):
+    """The snapshot's header, decoded, and the bytes of its two parts."""
+    stream = io.BytesIO(path.read_bytes()[4:])
+    header = marshal.load(stream)
+    rest = stream.read()
+    return header, rest[:header[2]], rest[header[2]:]
 
 
 def write_rows(path, header, rows):
@@ -961,19 +989,54 @@ class TestSnapshotLoad:
             argv = ["import-qws", write_rows(work / "qws.csv", ["Service Name", *columns], rows)]
         main(["--store", str(root)] + argv)
 
+    def assessed(self, root, request, monkeypatch, capsys):
+        """(whether its load gave a read-only registry, exit code, stdout with
+        elapsed_seconds masked, stderr) of ``assess --format structured`` on ``root``."""
+        capsys.readouterr()
+        loaded = []
+        load = Store.load
+
+        def recorded(self, **kwargs):
+            loaded.append(load(self, **kwargs))
+            return loaded[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Store, "load", recorded)
+            code = main(["--store", str(root), "assess", "--format", "structured", request])
+        out, err = capsys.readouterr()
+        return (loaded[-1]._read_only, code, re.sub(r'"elapsed_seconds": [^,}]+', "", out),
+                err)
+
     def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(14)
-        seen = {"negative zero": 0, "long sequence": 0}
+        seen = {"negative zero": 0, "long sequence": 0, "ranked": 0, "refused": 0}
         for n in range(16):
             root, work = tmp_path / f"store{n}", tmp_path / f"work{n}"
             work.mkdir()
             assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
             agreed = []
-            for _ in range(rng.randrange(1, 12)):
+            for _ in range(rng.randrange(1, 24)):
                 self.random_command(rng, root, work, agreed)
                 loaded, parsed = load_recorded(Store(root), monkeypatch)
                 assert not parsed  # every writer left a snapshot of what it saved
                 assert loaded == parsed_outcome(Store(root))
+                # the snapshot's means are amv_mean's on a parse, to the bit
+                (_, (slos, _), means), _ = map(marshal.loads,
+                                               snapshot_parts(root / Store.SNAPSHOT_FILE)[1:])
+                registry = Store(root)._parse({name: (root / name).read_bytes()
+                                               for name in Store.FILES})
+                assert list(map(hexed, means)) == [hexed(registry.amv_mean(*key)) for key in slos]
+                # assess reads the snapshot's first part alone, and gives what a parse gives
+                spans = [(0, 1e3)] * 3 + [sorted(rng.uniform(0, 100) for _ in "lu")]
+                request = write_rows(work / "request.csv", REQUEST_COLUMNS, [
+                    [spelling, *rng.choice(spans)] for spelling in
+                    rng.sample(["av", "latency", "res"], rng.choice([1, 1, 1, 2, 3]))])
+                restored = self.assessed(root, request, monkeypatch, capsys)
+                snapshot = (root / Store.SNAPSHOT_FILE).read_bytes()
+                (root / Store.SNAPSHOT_FILE).unlink()
+                assert restored == (True, *self.assessed(root, request, monkeypatch, capsys)[1:])
+                (root / Store.SNAPSHOT_FILE).write_bytes(snapshot)
+                seen["ranked" if restored[1] == 0 else "refused"] += 1
             registry = Store(root).load()
             seen["negative zero"] += any(math.copysign(1, v) < 0 for v in registry._values)
             seen["long sequence"] += any(s > 2 ** 63 for s in registry._sequences)
@@ -1007,57 +1070,105 @@ class TestSnapshotLoad:
 
     def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch):
         path = store.root / Store.SNAPSHOT_FILE
-        stream = io.BytesIO(path.read_bytes()[4:])
-        (tag, stamps), columns = marshal.load(stream), stream.read()
+        (tag, stamps, size), head, log = snapshot_parts(path)
         expected = parsed_outcome(store)
+        read_only = outcome(store, log=False)
 
-        def checked(header, columns=columns):
-            body = marshal.dumps(header, 2) + columns
-            return zlib.crc32(body).to_bytes(4, "little") + body
+        def checked(header, *parts):
+            body = marshal.dumps(header, 2) + b"".join(parts)
+            path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
 
-        path.write_bytes(checked((tag, stamps)))
+        def first_part(*columns):
+            part = marshal.dumps(columns, 2)
+            checked((tag, stamps, len(part)), part, log)
+
+        checked((tag, stamps, size), head, log)
         assert load_recorded(store, monkeypatch) == (expected, False)
-        for header in ((tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps),
-                       ("fastcloud store snapshot 0", stamps), (tag, stamps, None), tag):
-            path.write_bytes(checked(header))
-            assert load_recorded(store, monkeypatch) == (expected, True), header
-        # this format's header, over columns of another shape
-        attributes, slos, log = marshal.loads(columns)
-        distinct, places, values, sequences = log
+        assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+        assert read_only != expected  # it holds no log
+        previous = tag.replace("snapshot 3", "snapshot 2")
+        attributes, slos, means = marshal.loads(head)
+        distinct, places, values, sequences = marshal.loads(log)
         slo_triples, slo_values = slos
 
         def first_set(triples, at, value):
             """The triples with field ``at`` of the first one set to ``value``."""
             return [(*triples[0][:at], value, *triples[0][at + 1:]), *triples[1:]]
 
-        # triples and SLO values that a parse refuses or files under another
-        # name: an abbreviation, an unregistered attribute, a padded id, and
-        # an SLO value that is not finite and positive
-        refused = [shape for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"))
-                   for shape in ((attributes, (first_set(slo_triples, at, value), slo_values), log),
-                                 (attributes, slos, (first_set(distinct, at, value), places,
-                                                     values, sequences)))]
-        refused += [(attributes, (slo_triples, [value, *slo_values[1:]]), log)
-                    for value in (math.nan, math.inf, 0.0, -1.0)]
-        for shape in (7, (attributes, slos), (attributes, slos, log[:3]),
-                      (attributes, (*slos, values), log),
-                      ([[*attributes[0][:3], 1]], slos, log),
-                      (attributes, slos, (distinct, [len(distinct)] * len(places), values,
-                                          sequences)),
-                      (attributes, slos, (distinct, places, values, [[1]] * len(sequences))),
-                      # columns that disagree: a negative place (filed as a valid
-                      # one), a short values column, a repeated triple or (triple,
-                      # sequence), and a short SLO values column
-                      (attributes, slos, (distinct, [places[0] - len(distinct), *places[1:]],
-                                          values, sequences)),
-                      (attributes, slos, (distinct, places, values[:-1], sequences)),
-                      (attributes, slos, ([distinct[0], *distinct], places, values,
-                                          sequences)),
-                      (attributes, slos, (distinct, places, values,
-                                          [sequences[0]] * len(sequences))),
-                      (attributes, (slos[0], slos[1][:-1]), log), *refused):
-            path.write_bytes(checked((tag, stamps), marshal.dumps(shape, 2)))
-            assert load_recorded(store, monkeypatch) == (expected, True), shape
+        # that neither kind of load uses: another header, another first part,
+        # or a body in the previous format's layout
+        for write in [
+            *(lambda header=header: checked(header, head, log) for header in (
+                (tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps, size),
+                ("fastcloud store snapshot 0", stamps, size), (previous, stamps, size),
+                (tag, stamps), (tag, stamps, size, None), (tag, stamps, None),
+                (tag, stamps, size - 1), tag)),
+            lambda: checked((previous, stamps), marshal.dumps((attributes, slos, (
+                distinct, places, values, sequences)), 2)),
+            lambda: first_part(attributes, slos, (distinct, places, values, sequences)),
+            lambda: first_part(7), lambda: first_part(attributes, slos),
+            lambda: first_part([[*attributes[0][:3], 1]], slos, means),
+            lambda: first_part(attributes, (*slos, values), means),
+            # a short SLO values column; a means column one short or one long
+            lambda: first_part(attributes, (slo_triples, slo_values[:-1]), means),
+            lambda: first_part(attributes, slos, means[:-1]),
+            lambda: first_part(attributes, slos, [*means, 1.0]),
+            # SLO triples that a parse refuses or files under another name: an
+            # abbreviation, an unregistered attribute and a padded id
+            *(lambda at=at, value=value: first_part(
+                attributes, (first_set(slo_triples, at, value), slo_values), means)
+              for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"))),
+            # an SLO value that is not finite and positive, and a mean that is
+            # not None or a finite number of at least 0
+            *(lambda value=value: first_part(
+                attributes, (slo_triples, [value, *slo_values[1:]]), means)
+              for value in (math.nan, math.inf, 0.0, -1.0)),
+            *(lambda value=value: first_part(attributes, slos, [value, *means[1:]])
+              for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
+        ]:
+            write()
+            assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
+            assert load_recorded(store, monkeypatch, log=False) == (expected, True)
+        # a log that no parse gives, which only a full load decodes: none at
+        # all, past a first part whose length takes it in, or columns of
+        # another shape
+        checked((tag, stamps, len(head) + len(log)), head, log)
+        assert load_recorded(store, monkeypatch) == (expected, True)
+        assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+        for columns in (7, (distinct, places, values), (distinct, places, values, sequences, 1),
+                        (distinct, [len(distinct)] * len(places), values, sequences),
+                        (distinct, places, values, [[1]] * len(sequences)),
+                        # columns that disagree: a negative place (filed as a valid
+                        # one), a short values column, a repeated triple or (triple,
+                        # sequence)
+                        (distinct, [places[0] - len(distinct), *places[1:]], values, sequences),
+                        (distinct, places, values[:-1], sequences),
+                        ([distinct[0], *distinct], places, values, sequences),
+                        (distinct, places, values, [sequences[0]] * len(sequences)),
+                        # AMV triples that a parse refuses or files under another name
+                        *((first_set(distinct, at, value), places, values, sequences)
+                          for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p")))):
+            checked((tag, stamps, size), head, marshal.dumps(columns, 2))
+            assert load_recorded(store, monkeypatch) == (expected, True), columns
+            assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+
+    def test_a_read_only_registry_is_not_written(self, store):
+        files = {path.name: path.read_bytes() for path in store.root.iterdir()}
+        registry = store.load(log=False)
+        assert (len(registry.slos), len(registry.amvs)) == (2, 0)
+        assert registry.amv_mean("p1", "c1", "availability") == 92.25
+        held = repr(contents(registry))
+        for write in (lambda: store.save(registry), lambda: Store(store.root).save(registry),
+                      lambda: registry.submit_amv(AmvRecord("p1", "c1", "av", 95.0)),
+                      lambda: import_qws(registry, io.StringIO(qws_rows(1))),
+                      lambda: import_qws(registry, io.StringIO(qws_rows(0))),  # before reading
+                      # reads of the log it does not hold
+                      lambda: registry.amv_samples("p1", "c1", "availability"),
+                      lambda: registry.amv_mean("p1", "nobody", "availability")):
+            with pytest.raises(ReadOnlyRegistryError):
+                write()
+        assert {path.name: path.read_bytes() for path in store.root.iterdir()} == files
+        assert repr(contents(registry)) == held
 
     def test_an_unreadable_snapshot_is_not_used(self, store, monkeypatch, capsys):
         expected = parsed_outcome(store)
