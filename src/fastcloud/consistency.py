@@ -7,13 +7,14 @@ attribute's polarity, and scale the provider's declared SLO span
 result is the interval the provider demonstrably delivers.
 
 ``consistency_profile`` is that formula, over an attribute already resolved
-and the provider's objectives on it. Candidate matching calls it once per
-(provider, attribute) in its one pass over the registry's SLO index;
-``actual_slo_interval`` is the same formula for one pair named by attribute
-name or abbreviation.
+and the provider's objectives on it. The registry keeps its result as a
+cache, one profile per (provider, attribute) with an SLO, which candidate
+matching reads; ``actual_slo_interval`` is the cached profile of one pair
+named by attribute name or abbreviation.
 
-All functions are pure over a registry snapshot and safe to evaluate in
-parallel across (provider, attribute) pairs.
+``consistency_profile`` is pure over the registry's SLOs and means; the
+others read the registry's profile cache, which builds through it the
+profiles it does not hold.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
     Raises MissingSloError when the provider agreed no SLO on the attribute.
     """
     attr = registry.resolve_attribute(attribute)
-    slos = registry._slo_index.get((csp_id, attr.name))
-    if not slos:
+    row = registry._profile_table().get((csp_id, attr.name))
+    if row is None:
         raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
-    return consistency_profile(registry, csp_id, attr, slos)
+    return _from_row(csp_id, attr.name, row)
 
 
 def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
@@ -90,6 +91,17 @@ def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
     whose average passes the polarity check: an unverifiable claim does not
     raise the rate.
     """
+    return _from_row(csp_id, attr.name, _profile_row(registry, csp_id, attr, slos))
+
+
+def _profile_row(registry: Registry, csp_id: str, attr: QosAttribute,
+                 slos: Mapping[str, float]) -> tuple:
+    """``consistency_profile``'s formula, as a row of the registry's profile table.
+
+    The row is (rate, satisfied, agreed, span lower and upper, actual lower
+    and upper): writers build and store rows, and only a reader's match
+    makes profiles of them.
+    """
     mean, name, meets = registry.amv_mean, attr.name, _MEETS[attr.polarity]
     satisfied = 0
     for csc_id, value in slos.items():
@@ -100,5 +112,12 @@ def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
     rate = satisfied / agreed
     values = slos.values()
     lo, hi = min(values), max(values)
-    return ConsistencyProfile(csp_id, name, rate, satisfied, agreed,
-                              IntervalNumber(lo, hi), IntervalNumber(rate * lo, rate * hi))
+    return rate, satisfied, agreed, lo, hi, rate * lo, rate * hi
+
+
+def _from_row(csp_id: str, attribute: str, row: tuple) -> ConsistencyProfile:
+    """The profile that a row of the registry's profile table holds."""
+    rate, satisfied, agreed, lower, upper, actual_lower, actual_upper = row
+    return ConsistencyProfile(csp_id, attribute, rate, satisfied, agreed,
+                              IntervalNumber(lower, upper),
+                              IntervalNumber(actual_lower, actual_upper))

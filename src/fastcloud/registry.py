@@ -7,7 +7,8 @@ columns, then one record per row, read by ``read_rows`` and parsed by
 ``parse_*``. Loading applies the same record checks as submission, since
 each file is read by that row loop, which names a refused row. A registry
 holds its monitored values as a log of three columns: each row's place
-among the distinct triples, its value and its sequence.
+among the distinct triples, its value and its sequence, and caches one
+consistency profile per (provider, attribute) with an SLO.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -15,7 +16,8 @@ and only when they changed. Writers serialize on an ``flock`` of the
 store's ``.lock`` file across processes (see ``Store``). Each save also
 rewrites ``.snapshot``, a derived file that is safe to delete: a load that
 finds the CSV files as that save left them restores the registry from it
-in place of parsing them; a reader restores only its part ahead of the log.
+in place of parsing them; a reader restores only its first part, the
+attributes and the profiles.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import sys
 import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
-from operator import add
+from itertools import accumulate
+from operator import add, itemgetter, le, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -61,7 +64,7 @@ class DuplicateSubmissionError(ValueError):
 
 
 class ReadOnlyRegistryError(TypeError):
-    """A registry loaded without its AMV log was asked to read, append to or save it."""
+    """A registry loaded with its profiles alone was asked to read, change or save its records."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +80,11 @@ def _check_ids(csp_id: str, csc_id: str) -> None:
     if not (csp_id and csc_id and csp_id.strip() == csp_id and csc_id.strip() == csc_id):
         raise ValueError("provider and consumer ids must be non-empty without surrounding "
                          f"whitespace, got {csp_id!r} and {csc_id!r}")
+
+
+def _unpadded(ids: set[str]) -> bool:
+    """Whether each id passes ``_check_ids``: one C-level pass over the set."""
+    return "" not in ids and set(map(str.strip, ids)) == ids
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,10 +313,13 @@ class Registry:
     Monitored values are held once, as a log of three columns in submission
     order (each row's place among the distinct ``(csp, csc, attribute)``
     triples, in order of their first row, its value and its sequence), and
-    indexed per triple, with each triple's mean cached. ``slos`` and ``amvs``
-    are read-only views; ``Store`` writes the columns to its snapshot as
-    they are. A read-only registry (``Store.load(log=False)``) holds no log:
-    reading, appending to or saving it raises ReadOnlyRegistryError.
+    indexed per triple, with each triple's mean cached. The consistency
+    profile of each (provider, attribute) with an SLO is cached too: filing
+    an SLO or appending a value drops its pair's. ``slos`` and ``amvs`` are
+    read-only views; ``Store`` writes the columns to its snapshot as they
+    are. A read-only registry (``Store.load(log=False)``) holds the
+    attributes and the profiles alone: reading its SLOs or log, submitting
+    to it or saving it raises ReadOnlyRegistryError.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -336,7 +347,13 @@ class Registry:
     # (csp, csc, attribute) -> amv_mean, until _append_amv appends to the triple
     _means: dict[tuple[str, str, str], float | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # set by Store.load(log=False): the log columns are empty, not the store's
+    # (csp, attribute) -> its consistency profile as a row (rate, satisfied,
+    # agreed, span lower and upper, actual lower and upper), until _file_slo
+    # or _append_amv touches the pair: filled by _profile_table
+    _profiles: dict[tuple[str, str], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # set by Store.load(log=False): the SLO and log columns are empty, not
+    # the store's, and _profiles is the store's whole table
     _read_only: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
@@ -347,9 +364,9 @@ class Registry:
     def amvs(self) -> AmvView:
         return AmvView(list(self._samples), self._places, self._values, self._sequences)
 
-    def _check_log(self) -> None:
+    def _check_records(self) -> None:
         if self._read_only:
-            raise ReadOnlyRegistryError("the registry was loaded without its AMV log")
+            raise ReadOnlyRegistryError("the registry was loaded with its profiles alone")
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
         """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
@@ -388,7 +405,26 @@ class Registry:
 
     @property
     def providers(self) -> set[str]:
-        return {csp_id for csp_id, _ in self._slo_index}
+        # a read-only registry holds no SLO, but a profile per pair with one
+        pairs = self._profiles if self._read_only else self._slo_index
+        return {csp_id for csp_id, _ in pairs}
+
+    def _profile_table(self) -> dict[tuple[str, str], tuple]:
+        """(csp, attribute) -> the profile row of each pair with an SLO.
+
+        The rows not held, of pairs filed or appended to since they were
+        built, are built now by ``consistency_profile``'s formula, which
+        reads the mean of each of the pair's SLO triples. A read-only
+        registry holds every row.
+        """
+        profiles, index = self._profiles, self._slo_index
+        if len(profiles) < len(index):  # it holds rows of indexed pairs alone
+            from .consistency import _profile_row  # that module imports this one
+            for (csp_id, attribute), slos in index.items():
+                if (csp_id, attribute) not in profiles:
+                    profiles[csp_id, attribute] = _profile_row(
+                        self, csp_id, self.attributes[attribute], slos)
+        return profiles
 
     # -- submissions --------------------------------------------------------
 
@@ -398,11 +434,14 @@ class Registry:
 
     def _file_slo(self, record: SloRecord) -> bool:
         """File an SLO already under its registered attribute name."""
+        self._check_records()
         csp_id, csc_id, attribute = key = record.key
         replaced = key in self._slo_values
         # a resubmission keeps its place, so slos_for keeps the order of slos
         self._slo_values[key] = value = float(record.value)  # as a parse gives it
-        self._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
+        pair = (csp_id, attribute)
+        self._slo_index.setdefault(pair, {})[csc_id] = value
+        self._profiles.pop(pair, None)
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -413,13 +452,15 @@ class Registry:
         record already present is a no-op signalled by DuplicateSubmissionError,
         and the same key with a different value is a conflict (ValueError).
         """
+        self._check_records()
         record = self._named(record)
         if record.key not in self._slo_values:
             raise MissingSloError(
                 f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
             )
         sequence = self._append_amv(*record.key, record.value, record.sequence)
-        return record if record.sequence == sequence else replace(record, sequence=sequence)
+        return (record if record.sequence == sequence
+                else AmvRecord(*record.key, record.value, sequence))
 
     def _named(self, record: SloRecord | AmvRecord) -> SloRecord | AmvRecord:
         """The record with its attribute spelled by the registered name."""
@@ -435,7 +476,6 @@ class Registry:
         DuplicateSubmissionError; one holding another value is a conflict
         (ValueError). Either way nothing is stored.
         """
-        self._check_log()
         key = (csp_id, csc_id, attribute)
         samples = self._samples.setdefault(key, {})
         if sequence is None:
@@ -450,6 +490,7 @@ class Registry:
             )
         samples[sequence] = value = float(value)  # as a parse gives it
         self._means.pop(key, None)
+        self._profiles.pop((csp_id, attribute), None)
         self._places.append(self._place.setdefault(key, len(self._place)))
         self._values.append(value)
         self._sequences.append(sequence)
@@ -457,7 +498,7 @@ class Registry:
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
-        self._check_log()
+        self._check_records()
         samples = self._samples.get((csp_id, csc_id, attribute), {})
         return [samples[sequence] for sequence in sorted(samples)]
 
@@ -470,7 +511,7 @@ class Registry:
         key = (csp_id, csc_id, attribute)
         mean = self._means.get(key, self)
         if mean is self:
-            self._check_log()  # a read-only registry holds its SLO triples' means alone
+            self._check_records()  # a read-only registry holds no mean
             samples = self._samples.get(key)
             mean = self._means[key] = (sum(map(samples.__getitem__, sorted(samples)))
                                        / len(samples) if samples else None)
@@ -478,6 +519,7 @@ class Registry:
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
         """The provider's objectives on a registered attribute, in submission order."""
+        self._check_records()
         return [SloRecord(csp_id, csc_id, attribute, value)
                 for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
@@ -532,7 +574,7 @@ def import_qws(
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
-    registry._check_log()
+    registry._check_records()
     mapping = dict(mapping or STANDARD_QWS_MAPPING)
     rows = _rows(source)
     _, header = next(rows, (1, None))
@@ -627,6 +669,20 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
+def _log_bytes(registry: Registry, held: tuple | None) -> tuple:
+    """``marshal.dumps(column, 2)`` of the log's places, values and sequences.
+
+    The log only grows, and marshal writes a list as "[", its length and its
+    elements: where ``held`` has the bytes that marshal wrote for a column's
+    first rows, only the rows added since are written.
+    """
+    columns = (registry._places, registry._values, registry._sequences)
+    return tuple(marshal.dumps(column, 2) if old is None else
+                 b"[" + len(column).to_bytes(4, "little") + old[5:]
+                 + marshal.dumps(column[int.from_bytes(old[1:5], "little"):], 2)[5:]
+                 for old, column in zip(held or (None,) * 3, columns))
+
+
 class Store:
     """Directory-backed persistence for a registry.
 
@@ -654,19 +710,23 @@ class Store:
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
     It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
     the Python version, the CRC-32 and length of each CSV file it was made
-    from (None for a missing one), the byte length of part 1, and the
-    registry as columns in two parts: part 1, the attribute definitions, the
-    SLO triples and values, and each SLO triple's ``amv_mean``; part 2, the
-    AMV log as the registry holds it (distinct triples, then per-row places,
-    values and sequences). A load reads each CSV file whole, and uses the
-    snapshot in place of parsing them only when its CRC, its tag and every
-    file's CRC-32 and length match the bytes read: so no torn or stale
-    snapshot is used. Its columns must be what a parse gives; the means,
-    derived data that only this program writes, are checked for shape
+    from (None for a missing one), the byte length of each section but the
+    last, and the registry as columns in two parts: part 1, the attribute
+    definitions and the profile table, one consistency profile per
+    (provider, attribute) with an SLO, in the SLO index's order; part 2, the
+    SLO triples and values, each SLO triple's ``amv_mean`` and the distinct
+    AMV triples, then the AMV log's places, values and sequences, a section
+    each. A load reads each CSV file whole, and uses the snapshot in place
+    of parsing them only when its CRC, its tag and every file's CRC-32 and
+    length match the bytes read: so no torn or stale snapshot is used. Its
+    SLO and log columns must be what a parse gives; the profiles and the
+    means, derived data that only this program writes, are checked for shape
     alone. Any other snapshot (unreadable, torn, foreign, of another shape,
     with columns no parse gives, or made before a hand edit) leaves the load
     to the parse, with its refusals. ``load(log=False)``, the reader's,
-    decodes part 1 alone into a read-only registry, which cannot be saved.
+    decodes part 1 alone into a read-only registry, which holds no SLO, mean
+    or log and cannot be saved. A save extends the log's sections as it
+    loaded them, writing only the rows added since.
     Only ``save`` writes the snapshot, in place, once the CSV files are
     durable; it carries the amvs.csv CRC forward over the appended bytes, so
     no file is read again. A save that changes no file leaves a snapshot
@@ -688,7 +748,7 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 3 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 4 {sys.implementation.cache_tag}"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -696,7 +756,7 @@ class Store:
         # of it (its attributes, its SLOs and its AMV row count; None: no
         # file), each file's CRC-32 and length, and the file stamps that the
         # snapshot holds with this registry (None: it does not hold this
-        # registry)
+        # registry), and the bytes of its log columns (see _log_bytes)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -734,11 +794,12 @@ class Store:
         stamps = {name: None if data is None else (zlib.crc32(data), len(data))
                   for name, data in contents.items()}
         with _collector_paused():
-            registry = self._restore_snapshot(stamps, log)
-        snapshot_stamps = stamps
-        if registry is None:
-            registry, snapshot_stamps = self._parse(contents), None
-        self._remember(registry, stamps, snapshot_stamps)
+            restored = self._restore_snapshot(stamps, log)
+        if restored is None:
+            registry, snapshot_stamps, encoded = self._parse(contents), None, None
+        else:
+            (registry, encoded), snapshot_stamps = restored, stamps
+        self._remember(registry, stamps, snapshot_stamps, encoded)
         return registry
 
     def _parse(self, contents: dict[str, bytes | None]) -> Registry:
@@ -768,11 +829,11 @@ class Store:
         Once the CSV files are durable, the snapshot is rewritten in place,
         unless it already holds this registry and these files.
         """
-        registry._check_log()
+        registry._check_records()
         if self._synced and self._synced[0] is registry:
-            _, synced, stamps, snapshot_stamps = self._synced
+            _, synced, stamps, snapshot_stamps, encoded = self._synced
         else:
-            synced, stamps, snapshot_stamps = {}, {}, None
+            synced, stamps, snapshot_stamps, encoded = {}, {}, None, None
         stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
         if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
@@ -799,47 +860,52 @@ class Store:
         if stamps != snapshot_stamps:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
-            snapshot_stamps = None
+            snapshot_stamps, encoded = None, _log_bytes(registry, encoded)
             with contextlib.suppress(OSError):
-                self._write_snapshot(registry, stamps)
+                self._write_snapshot(registry, stamps, encoded)
                 snapshot_stamps = stamps
-        self._remember(registry, stamps, snapshot_stamps)
+        self._remember(registry, stamps, snapshot_stamps, encoded)
 
     def _remember(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
-                  snapshot_stamps: dict[str, tuple[int, int] | None] | None) -> None:
+                  snapshot_stamps: dict[str, tuple[int, int] | None] | None,
+                  encoded: tuple | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry._slo_values),
                  self.AMVS_FILE: len(registry._values)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
-        self._synced = (registry, files, stamps, snapshot_stamps)
+        self._synced = (registry, files, stamps, snapshot_stamps, encoded)
 
     # -- the snapshot ------------------------------------------------------
 
     def _stamps_of(self, stamps: dict[str, tuple[int, int] | None]) -> tuple:
         return tuple(stamps[name] for name in self.FILES)
 
-    def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None]
-                        ) -> None:
+    def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
+                        log: tuple) -> None:
         """Rewrite ``<root>/.snapshot`` in place to hold ``registry`` and the files' stamps.
 
-        No temp file, rename or fsync: a snapshot torn by a crash fails its
-        own CRC, and a stale one its files' stamps, so no load uses either.
-        ``marshal`` version 2 shares no object, so the bytes depend only on
-        the registry's contents, not on how its load built them.
+        ``log`` is ``_log_bytes(registry, ...)``. No temp file, rename or
+        fsync: a snapshot torn by a crash fails its own CRC, and a stale one
+        its files' stamps, so no load uses either. ``marshal`` version 2
+        shares no object, so the bytes depend only on the registry's
+        contents, not on how its load built them.
         """
-        for key in registry._slo_values.keys() - registry._means.keys():
-            registry.amv_mean(*key)  # the means not held: of triples appended to or new
+        profiles, index = registry._profile_table(), registry._slo_index  # every row now held
         head = marshal.dumps((
             [[a.name, a.abbreviation, a.unit, a.polarity.value]
              for a in registry.attributes.values()],
-            (list(registry._slo_values), list(registry._slo_values.values())),
-            list(map(registry._means.__getitem__, registry._slo_values)),
+            # the table's columns: csp ids, names, then each of the rows'
+            [*zip(*map(add, index, map(profiles.__getitem__, index)))] or [()] * 9,
         ), 2)
+        # every SLO triple's mean is held: its pair's profile read it
+        records = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values()),
+                                 list(map(registry._means.__getitem__, registry._slo_values)),
+                                 list(registry._place)), 2)
         # the tag and the stamps come first, so that a stale snapshot is
-        # refused without decoding the registry, then the first part's length
-        body = marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps), len(head)), 2) + head
-        body += marshal.dumps((list(registry._place), registry._places,
-                               registry._values, registry._sequences), 2)
+        # refused without decoding the registry, then the sections' lengths
+        sizes = (len(head), len(records), len(log[0]), len(log[1]))
+        body = b"".join((marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps), sizes), 2),
+                         head, records, *log))
         blob = zlib.crc32(body).to_bytes(4, "little") + body
         # private, as the CSV files that the temp files become are
         fd = os.open(self.root / self.SNAPSHOT_FILE, os.O_RDWR | os.O_CREAT, 0o600)
@@ -849,17 +915,27 @@ class Store:
         finally:
             os.close(fd)
 
-    def _restore_snapshot(self, stamps: dict, log: bool) -> Registry | None:
-        """The registry that the snapshot holds, if it can be trusted; without ``log``, read-only.
+    def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple] | None:
+        """The snapshot's registry and its log's bytes, if it can be trusted.
+
+        Without ``log``, a read-only registry and no bytes; the bytes are
+        ``_log_bytes``'s ``held``.
 
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
-        and length) given, and decodes into columns of the registry's shape
-        that a parse could give: of one length, with no negative place, no
-        repeated distinct triple or (triple, sequence), SLO values finite
-        and positive, triples of checked ids and registered names, and a
-        mean per SLO triple, None or a finite number of at least 0; checked
-        whole and used as decoded. Otherwise None, and the files are parsed.
+        and length) given, and decodes into columns of the registry's shape:
+        a profile table of one length, with no pair twice, unpadded provider
+        ids, registered names, float rates in [0, 1], int counts with
+        0 <= satisfied <= agreed and agreed > 0, and finite float bounds,
+        each lower at most its upper. With ``log``, also columns that a
+        parse could give: of one length, with no negative place, no repeated
+        SLO triple, distinct triple or (triple, sequence), SLO and AMV values
+        finite, SLO values positive and AMV values at least 0, places and
+        AMV values as marshal writes ints and floats, triples of checked ids
+        and registered names, a mean per SLO triple, None or a finite number
+        of at least 0, and a profile per pair with an SLO, in the SLO index's
+        order. All is checked whole and used as decoded. Otherwise None, and
+        the files are parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -867,41 +943,81 @@ class Store:
                 return None  # torn, or not a snapshot
             stream = io.BytesIO(blob)
             stream.seek(4)
-            tag, file_stamps, size = marshal.load(stream)
+            tag, file_stamps, sizes = marshal.load(stream)
             if (tag, file_stamps) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
                 return None  # another format, or files changed since the snapshot was made
-            start, end = stream.tell(), stream.tell() + size
-            attributes, (slos, slo_values), means = marshal.loads(memoryview(blob)[start:end])
+            # where each section starts: the table, the records, then the
+            # places, values and sequences, which run to the end
+            starts = list(accumulate(sizes, initial=stream.tell()))
+            view = memoryview(blob)
+            attributes, (csp_ids, names, rates, satisfied, agreed, lows, highs, actual_lows,
+                         actual_highs) = marshal.loads(view[starts[0]:starts[1]])
             registry = Registry()
             for fields in attributes:
                 registry.register_attribute(parse_attribute(fields))
-            # a repeated triple keeps its first place and its last value
+            registry._profiles = dict(zip(zip(csp_ids, names, strict=True), zip(
+                rates, satisfied, agreed, lows, highs, actual_lows, actual_highs, strict=True),
+                strict=True))
+            bounds = (*lows, *highs, *actual_lows, *actual_highs)
+            # a sum that overflows on huge values only leaves the load to the parse
+            if not (len(starts) == 5
+                    and len(registry._profiles) == len(csp_ids)
+                    and _unpadded(set(csp_ids))
+                    and set(names) <= registry.attributes.keys()
+                    and set(map(type, (*rates, *bounds))) <= {float}
+                    and set(map(type, (*satisfied, *agreed))) <= {int}
+                    and math.isfinite(sum(rates) + sum(bounds))
+                    and min(rates, default=0) >= 0 and max(rates, default=1) <= 1
+                    and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
+                    and min(map(sub, agreed, satisfied), default=0) >= 0
+                    and all(map(le, lows, highs)) and all(map(le, actual_lows, actual_highs))):
+                return None  # a table of another shape
+            if not log:
+                registry._read_only = True
+                return registry, None
+            slos, slo_values, means, distinct = marshal.loads(view[starts[1]:starts[2]])
+            held = (view[starts[2]:starts[3]], view[starts[3]:starts[4]], view[starts[4]:])
+            places, values, sequences = map(marshal.loads, held)
             registry._slo_values = dict(zip(slos, slo_values, strict=True))
             for (csp_id, csc_id, attribute), value in registry._slo_values.items():
                 registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
             registry._means = dict(zip(slos, means, strict=True))
-            registry._read_only, triples = not log, [*registry._slo_values]
-            if log:
-                distinct, places, values, sequences = marshal.loads(memoryview(blob)[end:])
-                registry._places, registry._values, registry._sequences = places, values, sequences
-                registry._place = dict(zip(distinct, range(len(distinct))))
-                registry._samples = {triple: {} for triple in distinct}
-                samples = list(registry._samples.values())
-                for place, sequence, value in zip(places, sequences, values, strict=True):
-                    samples[place][sequence] = value
-                if (min(places, default=0) < 0 or len(samples) != len(distinct)
-                        or sum(map(len, samples)) != len(values)):
-                    return None  # columns that no parse gives
-                triples += distinct
-            for csp_id, csc_id in {(csp_id, csc_id) for csp_id, csc_id, _ in triples}:
-                _check_ids(csp_id, csc_id)
+            registry._places, registry._values, registry._sequences = places, values, sequences
+            registry._place = dict(zip(distinct, range(len(distinct))))
+            registry._samples = {triple: {} for triple in distinct}
+            samples = list(registry._samples.values())
+            for place, sequence, value in zip(places, sequences, values, strict=True):
+                samples[place][sequence] = value
+            if (min(places, default=0) < 0 or len(samples) != len(distinct)
+                    or sum(map(len, samples)) != len(values)):
+                return None  # columns that no parse gives
+            triples = [*registry._slo_values, *distinct]
             present = [mean for mean in means if mean is not None]
-            checked = (all(map(math.isfinite, (*slo_values, *present)))
+            # each place written as marshal writes an int, "i" and 4 bytes, and
+            # each value as it writes a float, "g" and 8: so these bytes hold
+            # just these rows, and a save can extend them. A float's last byte
+            # holds its sign bit and the top of its exponent: with no sign bit
+            # set and no exponent at 0x7f0 or above, every value is finite and
+            # at least 0; else a sum (which overflows only on huge values) and
+            # the least value decide
+            rows = len(places)
+            tops = blob[starts[3] + 13:starts[4]:9]
+            checked = (type(places) is type(values) is type(sequences) is list
+                       and blob[starts[2] + 5:starts[3]:5] == b"i" * rows
+                       and blob[starts[3] + 5:starts[4]:9] == b"g" * rows
+                       and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
+                       and len(registry._slo_values) == len(slos)  # no triple twice
+                       and all(map(math.isfinite, (*slo_values, *present)))
                        and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
-                       and {name for _, _, name in triples} <= registry.attributes.keys())
+                       and (tops.isascii() and b"\x7f" not in tops
+                            or math.isfinite(sum(values)) and min(values, default=0) >= 0)
+                       and {name for _, _, name in triples} <= registry.attributes.keys()
+                       and list(registry._profiles) == list(registry._slo_index))
+            if blob[starts[4] + 5::5] != b"i" * rows:
+                held = (*held[:2], None)  # a sequence past 32 bits: written whole
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
-        return registry if checked else None  # else columns that no parse gives
+        return (registry, held) if checked else None  # else columns that no parse gives
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

@@ -6,12 +6,14 @@ import math
 import os
 import random
 import re
+import struct
 import sys
 import zlib
 
 import pytest
 
 from fastcloud.cli import main
+from fastcloud.consistency import actual_slo_interval, consistency_profile
 from fastcloud.registry import (
     AMV_COLUMNS,
     REQUEST_COLUMNS,
@@ -901,13 +903,15 @@ class TestImport:
 
 def outcome(store, log=True):
     """What a load of the store gives: its records, with every dict order and float
-    sign, and the mean of each SLO triple, or the refusal's type and text."""
+    sign, the mean of each SLO triple and the profile of each pair with an SLO, or the
+    refusal's type and text."""
     try:
         registry = store.load(log=log)
     except ValueError as exc:
         return type(exc), str(exc)
     return (list(registry.attributes.items()), repr(contents(registry)),
-            repr([registry.amv_mean(*key) for key in registry.slos]))
+            repr([registry.amv_mean(*key) for key in registry.slos]),
+            repr(sorted(registry._profile_table().items())))
 
 
 def parsed_outcome(store):
@@ -936,16 +940,27 @@ def load_recorded(store, monkeypatch, log=True):
         return outcome(store, log), bool(parses)
 
 
-def hexed(mean):
-    return None if mean is None else mean.hex()
+def hexed(profile):
+    """A profile's fields, each float as its ``float.hex``."""
+    csp_id, attribute, rate, satisfied, agreed, span, actual = profile
+    return (csp_id, attribute, float.hex(rate), satisfied, agreed,
+            *map(float.hex, (span.lower, span.upper, actual.lower, actual.upper)))
+
+
+def profile_rows(part):
+    """The profile table of a snapshot's first part, a row per profile."""
+    _, columns = marshal.loads(part)
+    return [(csp_id, attribute, float.hex(rate), satisfied, agreed, *map(float.hex, bounds))
+            for csp_id, attribute, rate, satisfied, agreed, *bounds in zip(*columns)]
 
 
 def snapshot_parts(path):
-    """The snapshot's header, decoded, and the bytes of its two parts."""
+    """The snapshot's header, decoded, and the bytes of its sections: the profile table,
+    the records, and the log's places, values and sequences."""
     stream = io.BytesIO(path.read_bytes()[4:])
     header = marshal.load(stream)
-    rest = stream.read()
-    return header, rest[:header[2]], rest[header[2]:]
+    sections = [stream.read(size) for size in header[2]]
+    return header, *sections, stream.read()
 
 
 def write_rows(path, header, rows):
@@ -1020,12 +1035,18 @@ class TestSnapshotLoad:
                 loaded, parsed = load_recorded(Store(root), monkeypatch)
                 assert not parsed  # every writer left a snapshot of what it saved
                 assert loaded == parsed_outcome(Store(root))
-                # the snapshot's means are amv_mean's on a parse, to the bit
-                (_, (slos, _), means), _ = map(marshal.loads,
-                                               snapshot_parts(root / Store.SNAPSHOT_FILE)[1:])
+                # the snapshot's profiles are consistency_profile's on a parse, to the bit
                 registry = Store(root)._parse({name: (root / name).read_bytes()
                                                for name in Store.FILES})
-                assert list(map(hexed, means)) == [hexed(registry.amv_mean(*key)) for key in slos]
+                assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[1]) == [
+                    hexed(consistency_profile(registry, csp_id, registry.attributes[name], slos))
+                    for (csp_id, name), slos in registry._slo_index.items()]
+                # the writer, which extended the log's bytes as it loaded them, wrote
+                # what a writer that parses the files and changes nothing writes
+                snapshot = (root / Store.SNAPSHOT_FILE).read_bytes()
+                (root / Store.SNAPSHOT_FILE).unlink()
+                assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
+                assert (root / Store.SNAPSHOT_FILE).read_bytes() == snapshot
                 # assess reads the snapshot's first part alone, and gives what a parse gives
                 spans = [(0, 1e3)] * 3 + [sorted(rng.uniform(0, 100) for _ in "lu")]
                 request = write_rows(work / "request.csv", REQUEST_COLUMNS, [
@@ -1068,28 +1089,40 @@ class TestSnapshotLoad:
             path.write_bytes(data)
             assert load_recorded(store, monkeypatch) == (expected, True), data
 
-    def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch):
+    def checked_writer(self, store):
+        """A writer of snapshot bodies under a valid CRC, from a header and parts."""
         path = store.root / Store.SNAPSHOT_FILE
-        (tag, stamps, size), head, log = snapshot_parts(path)
-        expected = parsed_outcome(store)
-        read_only = outcome(store, log=False)
 
         def checked(header, *parts):
             body = marshal.dumps(header, 2) + b"".join(parts)
             path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
 
-        def first_part(*columns):
-            part = marshal.dumps(columns, 2)
-            checked((tag, stamps, len(part)), part, log)
+        return checked
 
-        checked((tag, stamps, size), head, log)
+    def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch):
+        path = store.root / Store.SNAPSHOT_FILE
+        (tag, stamps, sizes), head, records, *log = snapshot_parts(path)
+        expected = parsed_outcome(store)
+        read_only = outcome(store, log=False)
+        checked = self.checked_writer(store)
+
+        def sectioned(*parts):
+            """A body of these sections, each marshalled unless given as bytes."""
+            parts = [part if isinstance(part, bytes) else marshal.dumps(part, 2)
+                     for part in parts]
+            checked((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
+
+        sectioned(head, records, *log)
         assert load_recorded(store, monkeypatch) == (expected, False)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        assert read_only != expected  # it holds no log
-        previous = tag.replace("snapshot 3", "snapshot 2")
-        attributes, slos, means = marshal.loads(head)
-        distinct, places, values, sequences = marshal.loads(log)
-        slo_triples, slo_values = slos
+        assert read_only != expected  # it holds no SLO, mean or log
+        assert read_only[-1] == expected[-1]  # but the same profiles
+        previous = tag.replace("snapshot 4", "snapshot 3")
+        attributes, table = marshal.loads(head)
+        slos, slo_values, means, distinct = marshal.loads(records)
+        places, values, sequences = map(marshal.loads, log)
+        layout_3 = (marshal.dumps((attributes, (slos, slo_values), means), 2),
+                    marshal.dumps((distinct, places, values, sequences), 2))
 
         def first_set(triples, at, value):
             """The triples with field ``at`` of the first one set to ``value``."""
@@ -1098,77 +1131,224 @@ class TestSnapshotLoad:
         # that neither kind of load uses: another header, another first part,
         # or a body in the previous format's layout
         for write in [
-            *(lambda header=header: checked(header, head, log) for header in (
-                (tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps, size),
-                ("fastcloud store snapshot 0", stamps, size), (previous, stamps, size),
-                (tag, stamps), (tag, stamps, size, None), (tag, stamps, None),
-                (tag, stamps, size - 1), tag)),
-            lambda: checked((previous, stamps), marshal.dumps((attributes, slos, (
-                distinct, places, values, sequences)), 2)),
-            lambda: first_part(attributes, slos, (distinct, places, values, sequences)),
-            lambda: first_part(7), lambda: first_part(attributes, slos),
-            lambda: first_part([[*attributes[0][:3], 1]], slos, means),
-            lambda: first_part(attributes, (*slos, values), means),
-            # a short SLO values column; a means column one short or one long
-            lambda: first_part(attributes, (slo_triples, slo_values[:-1]), means),
-            lambda: first_part(attributes, slos, means[:-1]),
-            lambda: first_part(attributes, slos, [*means, 1.0]),
-            # SLO triples that a parse refuses or files under another name: an
-            # abbreviation, an unregistered attribute and a padded id
-            *(lambda at=at, value=value: first_part(
-                attributes, (first_set(slo_triples, at, value), slo_values), means)
-              for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"))),
-            # an SLO value that is not finite and positive, and a mean that is
-            # not None or a finite number of at least 0
-            *(lambda value=value: first_part(
-                attributes, (slo_triples, [value, *slo_values[1:]]), means)
-              for value in (math.nan, math.inf, 0.0, -1.0)),
-            *(lambda value=value: first_part(attributes, slos, [value, *means[1:]])
-              for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
+            *(lambda header=header: checked(header, head, records, *log) for header in (
+                (tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps, sizes),
+                ("fastcloud store snapshot 0", stamps, sizes), (previous, stamps, sizes),
+                (tag, stamps), (tag, stamps, sizes, None), (tag, stamps, None),
+                (tag, stamps, (sizes[0] - 1, *sizes[1:])), (tag, stamps, sizes[:-1]),
+                (tag, stamps, (*sizes, 0)), tag)),
+            lambda: checked((previous, stamps, len(layout_3[0])), *layout_3),
+            lambda: checked((tag, stamps, len(layout_3[0])), *layout_3),
+            lambda: sectioned((attributes, (slos, slo_values), means), records, *log),
+            lambda: sectioned(7, records, *log), lambda: sectioned((attributes,), records, *log),
+            lambda: sectioned((attributes, table, means), records, *log),
+            lambda: sectioned(([[*attributes[0][:3], 1]], table), records, *log),
         ]:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # a log that no parse gives, which only a full load decodes: none at
-        # all, past a first part whose length takes it in, or columns of
-        # another shape
-        checked((tag, stamps, len(head) + len(log)), head, log)
+        # records and a log that no parse gives, which only a full load
+        # decodes: a first part whose length takes the records in, or
+        # sections of another shape
+        checked((tag, stamps, (len(head) + len(records), *sizes[2:], 0)), head, records, *log)
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        for columns in (7, (distinct, places, values), (distinct, places, values, sequences, 1),
-                        (distinct, [len(distinct)] * len(places), values, sequences),
-                        (distinct, places, values, [[1]] * len(sequences)),
-                        # columns that disagree: a negative place (filed as a valid
-                        # one), a short values column, a repeated triple or (triple,
-                        # sequence)
-                        (distinct, [places[0] - len(distinct), *places[1:]], values, sequences),
-                        (distinct, places, values[:-1], sequences),
-                        ([distinct[0], *distinct], places, values, sequences),
-                        (distinct, places, values, [sequences[0]] * len(sequences)),
-                        # AMV triples that a parse refuses or files under another name
-                        *((first_set(distinct, at, value), places, values, sequences)
-                          for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p")))):
-            checked((tag, stamps, size), head, marshal.dumps(columns, 2))
-            assert load_recorded(store, monkeypatch) == (expected, True), columns
+        slo_columns = (slos, slo_values, means)
+        for sections in (
+                (7, *log), (layout_3[1], *log), ((*slo_columns,), *log),
+                ((*slo_columns, distinct, 1), *log),
+                # a short SLO values column; a means column one short or one
+                # long; an SLO triple twice, the second time with another value
+                ((slos, slo_values[:-1], means, distinct), *log),
+                ((slos, slo_values, means[:-1], distinct), *log),
+                ((slos, slo_values, [*means, 1.0], distinct), *log),
+                (([*slos, slos[0]], [*slo_values, slo_values[0] + 1], [*means, means[0]],
+                  distinct), *log),
+                # SLO triples that a parse refuses or files under another name: an
+                # abbreviation, an unregistered attribute, a padded id and an empty one
+                *(((first_set(slos, at, value), slo_values, means, distinct), *log)
+                  for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (1, ""))),
+                # an SLO value that is not finite and positive, and a mean that is
+                # not None or a finite number of at least 0
+                *(((slos, [value, *slo_values[1:]], means, distinct), *log)
+                  for value in (math.nan, math.inf, 0.0, -1.0)),
+                *(((slos, slo_values, [value, *means[1:]], distinct), *log)
+                  for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
+                ((*slo_columns, distinct), [len(distinct)] * len(places), values, sequences),
+                ((*slo_columns, distinct), places, values, [[1]] * len(sequences)),
+                # log columns that disagree: a negative place (filed as a valid
+                # one), a short values column, a repeated triple or (triple,
+                # sequence)
+                ((*slo_columns, distinct), [places[0] - len(distinct), *places[1:]], values,
+                 sequences),
+                ((*slo_columns, distinct), places, values[:-1], sequences),
+                ((*slo_columns, [distinct[0], *distinct]), places, values, sequences),
+                ((*slo_columns, distinct), places, values, [sequences[0]] * len(sequences)),
+                # AMV triples that a parse refuses or files under another name
+                *(((*slo_columns, first_set(distinct, at, value)), places, values, sequences)
+                  for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (0, ""))),
+                # columns that a parse gives as lists of ints and floats: a tuple,
+                # a place that is a bool, a value that is an int
+                ((*slo_columns, distinct), tuple(places), values, sequences),
+                ((*slo_columns, distinct), places, tuple(values), sequences),
+                ((*slo_columns, distinct), places, values, tuple(sequences)),
+                ((*slo_columns, distinct), [bool(place) if place < 2 else place
+                                            for place in places], values, sequences),
+                ((*slo_columns, distinct), places, [int(values[0]), *values[1:]], sequences),
+                # a place and a value that marshal reads but does not write: 0 as a
+                # long of no digits, and 93 as the text "-1.0000", a float of the
+                # same length whose sign no byte of a written float shows
+                ((*slo_columns, distinct), b"[" + log[0][1:5] + b"l\0\0\0\0" + log[0][10:],
+                 *log[1:]),
+                ((*slo_columns, distinct), log[0],
+                 log[1].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000"), log[2])):
+            sectioned(head, *sections)
+            assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+
+    def test_a_profile_table_of_another_shape_is_not_used(self, store, monkeypatch):
+        (tag, stamps, sizes), head, *rest = snapshot_parts(store.root / Store.SNAPSHOT_FILE)
+        expected = parsed_outcome(store)
+        checked = self.checked_writer(store)
+        attributes, table = marshal.loads(head)
+        # csp ids, names, rates, satisfied, agreed, the spans' lower and upper
+        # bounds and the actual intervals', of (p1, availability) and (p1, latency)
+        assert [len(column) for column in table] == [2] * 9
+
+        def replaced(columns):
+            part = marshal.dumps((attributes, columns), 2)
+            checked((tag, stamps, (len(part), *sizes[1:])), part, *rest)
+
+        def column_set(at, column, columns=table):
+            return [*columns[:at], column, *columns[at + 1:]]
+
+        def first_set(at, value, columns=table):
+            return column_set(at, [value, *columns[at][1:]], columns)
+
+        for columns in [
+            # a row missing from a column, or one added to it
+            *(column_set(at, table[at][:-1]) for at in range(9)),
+            *(column_set(at, [*table[at], table[at][0]]) for at in range(9)),
+            # a rate that is not in [0, 1], first or last (min and max pass a
+            # nan that is not first)
+            *(first_set(2, rate) for rate in (math.nan, -0.1, 1.5, math.inf)),
+            column_set(2, [*table[2][:-1], math.nan]),
+            # more consumers satisfied than agreed, fewer than none, or none agreed
+            first_set(3, table[4][0] + 1), first_set(3, -1), first_set(3, 0, first_set(4, 0)),
+            # a span or an actual interval whose lower bound exceeds its upper,
+            # or with a bound that is not finite
+            first_set(5, table[6][0] + 1), first_set(7, table[8][0] + 1),
+            *(first_set(at, bound) for at in range(5, 9)
+              for bound in (math.nan, math.inf, -math.inf)),
+            # an attribute that is not a registered name, a provider id that a
+            # parse refuses, and a pair twice
+            *(first_set(1, name) for name in ("av", "nosuch", 7)),
+            *(first_set(0, csp_id) for csp_id in (" p1", "p1 ", "", 7)),
+            [column[:1] * 2 for column in table],
+            # a row of the wrong type
+            first_set(2, 1), first_set(2, "1.0"), first_set(3, 1.0), first_set(3, True),
+            first_set(4, 1.0), first_set(5, 90), first_set(6, "90"),
+            first_set(7, (90.0, 90.0)), first_set(8, None), column_set(2, 7),
+        ]:
+            replaced(columns)
+            assert load_recorded(store, monkeypatch) == (expected, True), columns
+            assert load_recorded(store, monkeypatch, log=False) == (expected, True), columns
+        # a table that lacks a pair with an SLO, or holds one without: the full
+        # load, which holds the SLOs, does not use it (a read-only load checks
+        # the table's shape alone)
+        row = ("p9", "availability", 1.0, 1, 1, 5.0, 5.0, 5.0, 5.0)
+        for columns in ([column[:1] for column in table],
+                        [[*column, value] for column, value in zip(table, row)]):
+            replaced(columns)
+            assert load_recorded(store, monkeypatch) == (expected, True), columns
 
     def test_a_read_only_registry_is_not_written(self, store):
         files = {path.name: path.read_bytes() for path in store.root.iterdir()}
         registry = store.load(log=False)
-        assert (len(registry.slos), len(registry.amvs)) == (2, 0)
-        assert registry.amv_mean("p1", "c1", "availability") == 92.25
-        held = repr(contents(registry))
+        # it holds the attributes and the profile table, and no record: the
+        # benchmark's layer tracer counts these lengths on every load
+        assert (len(registry.slos), len(registry.amvs)) == (0, 0)
+        assert registry.attributes == store.load().attributes
+        assert repr(sorted(registry._profile_table().items())) == repr(
+            sorted(store.load()._profile_table().items()))
+        assert registry.providers == {"p1"}
+        assert actual_slo_interval(registry, "p1", "av").satisfied_count == 1
+        held = repr(contents(registry)), repr(registry._profiles)
         for write in (lambda: store.save(registry), lambda: Store(store.root).save(registry),
+                      lambda: registry.submit_slo(SloRecord("p1", "c1", "av", 95.0)),
                       lambda: registry.submit_amv(AmvRecord("p1", "c1", "av", 95.0)),
                       lambda: import_qws(registry, io.StringIO(qws_rows(1))),
                       lambda: import_qws(registry, io.StringIO(qws_rows(0))),  # before reading
-                      # reads of the log it does not hold
+                      # reads of the records it does not hold
+                      lambda: registry.slos_for("p1", "availability"),
                       lambda: registry.amv_samples("p1", "c1", "availability"),
-                      lambda: registry.amv_mean("p1", "nobody", "availability")):
+                      lambda: registry.amv_mean("p1", "c1", "availability")):
             with pytest.raises(ReadOnlyRegistryError):
                 write()
         assert {path.name: path.read_bytes() for path in store.root.iterdir()} == files
-        assert repr(contents(registry)) == held
+        assert (repr(contents(registry)), repr(registry._profiles)) == held
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_a_monitored_value_that_a_parse_refuses_is_not_restored(
+            self, store, monkeypatch, value):
+        path = store.root / Store.SNAPSHOT_FILE
+        read_only = outcome(store, log=False)
+        # marshal's binary float of 93, which only the log's values column holds
+        held = b"g" + struct.pack("<d", 93.0)
+        body = path.read_bytes()[4:]
+        assert body.count(held) == 1
+        body = body.replace(held, b"g" + struct.pack("<d", value))
+        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
+        # a read-only load does not decode the log
+        assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+
+    def test_a_save_writes_the_log_as_a_writer_that_parsed_the_files_does(
+            self, store, tmp_path, monkeypatch, capsys):
+        # a sequence that marshal reads but does not write so, 1 as a long of
+        # one digit: the snapshot is used, but its bytes are not extended
+        path = store.root / Store.SNAPSHOT_FILE
+        (tag, stamps, sizes), *sections, sequences = snapshot_parts(path)
+        assert marshal.loads(sequences)[0] == 1
+        odd = b"[" + sequences[1:5] + b"l\x01\x00\x00\x00\x01\x00" + sequences[10:]
+        body = marshal.dumps((tag, stamps, sizes), 2) + b"".join(sections) + odd
+        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
+        amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c1", "av", "95", ""]])
+        assert main(["--store", str(store.root), "submit-amv", amvs]) == 0
+        written = path.read_bytes()
+        path.unlink()
+        assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+        assert path.read_bytes() == written
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, rows", [
+        ("submit-slo", [["p2", "c1", "av", "92"]]),  # p2's c1 mean of 91 no longer meets it
+        ("submit-amv", [["p2", "c2", "av", "80", ""]]),  # p2's c2 mean falls to 88.5 < 95
+    ], ids=["slo-replaced", "amv-appended"])
+    def test_a_writer_profiles_again_the_pair_it_touched(
+            self, tmp_path, monkeypatch, capsys, command, rows):
+        root = str(tmp_path / "store")
+        slos = write_rows(tmp_path / "slos.csv", SLO_COLUMNS, [
+            ["p1", "c1", "av", "90"], ["p1", "c2", "av", "95"],
+            ["p2", "c1", "av", "90"], ["p2", "c2", "av", "95"]])
+        amvs = write_rows(tmp_path / "amvs.csv", AMV_COLUMNS, [
+            ["p1", "c1", "av", "93", ""], ["p1", "c2", "av", "96", ""],
+            ["p2", "c1", "av", "91", ""], ["p2", "c2", "av", "97", ""]])
+        for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", slos],
+                     ["submit-amv", amvs]):
+            assert main(["--store", root] + argv) == 0
+        request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
+        p2 = '"csp_id": "p2", "attribute": "availability", "consistency_rate": {}, "satisfied": {},'
+        assert p2.format(1.0, 2) in self.assessed(root, request, monkeypatch, capsys)[2]
+        # a writer that loads the snapshot's profiles, then changes one of p2's checks
+        columns = SLO_COLUMNS if command == "submit-slo" else AMV_COLUMNS
+        assert main(["--store", root, command, write_rows(tmp_path / "c.csv", columns, rows)]) == 0
+        restored = self.assessed(root, request, monkeypatch, capsys)
+        assert restored[:2] == (True, 0)
+        assert p2.format(0.5, 1) in restored[2]
+        (tmp_path / "store" / Store.SNAPSHOT_FILE).unlink()
+        assert restored == (True, *self.assessed(root, request, monkeypatch, capsys)[1:])
 
     def test_an_unreadable_snapshot_is_not_used(self, store, monkeypatch, capsys):
         expected = parsed_outcome(store)

@@ -10,9 +10,9 @@ import pytest
 from conftest import COST_ONLY_CHAIN, case_registry, case_request
 from fastcloud.consistency import (
     ConsistencyProfile,
+    _profile_row,
     actual_slo_interval,
     average_amv,
-    consistency_profile,
     satisfies_consistency,
 )
 from fastcloud.intervals import IntervalNumber
@@ -286,9 +286,9 @@ class TestMatchingPass:
 
         def counted(*args):
             built.append(args[1:3])
-            return consistency_profile(*args)
+            return _profile_row(*args)
 
-        monkeypatch.setattr("fastcloud.selection.consistency_profile", counted)
+        monkeypatch.setattr("fastcloud.consistency._profile_row", counted)
         with pytest.raises(InsufficientCandidatesError) as refused:
             assess(registry, request)
         assert str(refused.value) == (
@@ -299,10 +299,13 @@ class TestMatchingPass:
             "p4 excluded: actual interval [80, 90] misses [91, 100] on 'availability'; "
             "p5 excluded: actual interval [80, 90] misses [91, 100] on 'availability'); "
             "relax the requested spans")
-        # one profile per (provider, attribute) that matching reached, and no more
-        assert [(csp_id, attr.name) for csp_id, attr in built] == [
-            ("p0", "availability"), ("p0", "latency"), ("p1", "availability"),
-            ("p2", "availability"), ("p4", "availability"), ("p5", "availability")]
+        # one profile per (provider, attribute) with an SLO, built once: a
+        # second assessment reads every profile from the registry's cache
+        assert [(csp_id, attr.name) for csp_id, attr in built] == list(registry._slo_index)
+        built.clear()
+        with pytest.raises(InsufficientCandidatesError):
+            assess(registry, request)
+        assert built == []
 
 
 class TestAssess:
