@@ -7,14 +7,12 @@ attribute's polarity, and scale the provider's declared SLO span
 result is the interval the provider demonstrably delivers.
 
 ``consistency_profile`` is that formula, over an attribute already resolved
-and the provider's objectives on it. The registry keeps its result as a
-cache, one profile per (provider, attribute) with an SLO, which candidate
-matching reads; ``actual_slo_interval`` is the cached profile of one pair
-named by attribute name or abbreviation.
-
-``consistency_profile`` is pure over the registry's SLOs and means; the
-others read the registry's profile cache, which builds through it the
-profiles it does not hold.
+and the provider's objectives on it; it is pure over the registry's SLOs
+and means. ``actual_slo_interval`` is the profile of one pair named by
+attribute name or abbreviation. Both it and candidate matching read a
+read-only registry's profile table, the one that the store's last writer
+built by this formula, and build the profile of any other registry when
+asked.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
     Raises MissingSloError when the provider agreed no SLO on the attribute.
     """
     attr = registry.resolve_attribute(attribute)
-    row = registry._profile_table().get((csp_id, attr.name))
+    row = _profile_of(registry, csp_id, attr)
     if row is None:
         raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
     return _from_row(csp_id, attr.name, row)
@@ -99,8 +97,7 @@ def _profile_row(registry: Registry, csp_id: str, attr: QosAttribute,
     """``consistency_profile``'s formula, as a row of the registry's profile table.
 
     The row is (rate, satisfied, agreed, span lower and upper, actual lower
-    and upper): writers build and store rows, and only a reader's match
-    makes profiles of them.
+    and upper), as the snapshot's profile table holds it.
     """
     mean, name, meets = registry.amv_mean, attr.name, _MEETS[attr.polarity]
     satisfied = 0
@@ -113,6 +110,17 @@ def _profile_row(registry: Registry, csp_id: str, attr: QosAttribute,
     values = slos.values()
     lo, hi = min(values), max(values)
     return rate, satisfied, agreed, lo, hi, rate * lo, rate * hi
+
+
+def _profile_of(registry: Registry, csp_id: str, attr: QosAttribute) -> tuple | None:
+    """The row of the provider's profile on ``attr``, or None if it agreed no SLO on it.
+
+    A read-only registry holds the row; any other builds it now.
+    """
+    if registry._profiles is not None:
+        return registry._profiles.get((csp_id, attr.name))
+    slos = registry._slo_index.get((csp_id, attr.name))
+    return _profile_row(registry, csp_id, attr, slos) if slos else None
 
 
 def _from_row(csp_id: str, attribute: str, row: tuple) -> ConsistencyProfile:

@@ -7,8 +7,7 @@ columns, then one record per row, read by ``read_rows`` and parsed by
 ``parse_*``. Loading applies the same record checks as submission, since
 each file is read by that row loop, which names a refused row. A registry
 holds its monitored values as a log of three columns: each row's place
-among the distinct triples, its value and its sequence, and caches one
-consistency profile per (provider, attribute) with an SLO.
+among the distinct triples, its value and its sequence.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -16,8 +15,8 @@ and only when they changed. Writers serialize on an ``flock`` of the
 store's ``.lock`` file across processes (see ``Store``). Each save also
 rewrites ``.snapshot``, a derived file that is safe to delete: a load that
 finds the CSV files as that save left them restores the registry from it
-in place of parsing them; a reader restores only its first part, the
-attributes and the profiles.
+in place of parsing them; a reader restores only the attributes and the
+consistency profile of each (provider, attribute) with an SLO.
 """
 
 from __future__ import annotations
@@ -313,13 +312,12 @@ class Registry:
     Monitored values are held once, as a log of three columns in submission
     order (each row's place among the distinct ``(csp, csc, attribute)``
     triples, in order of their first row, its value and its sequence), and
-    indexed per triple, with each triple's mean cached. The consistency
-    profile of each (provider, attribute) with an SLO is cached too: filing
-    an SLO or appending a value drops its pair's. ``slos`` and ``amvs`` are
-    read-only views; ``Store`` writes the columns to its snapshot as they
-    are. A read-only registry (``Store.load(log=False)``) holds the
-    attributes and the profiles alone: reading its SLOs or log, submitting
-    to it or saving it raises ReadOnlyRegistryError.
+    indexed per triple, with each triple's mean cached. ``slos`` and
+    ``amvs`` are read-only views; ``Store`` writes the columns to its
+    snapshot as they are. A read-only registry (``Store.load(log=False)``)
+    holds the attributes and the consistency profile of each (provider,
+    attribute) with an SLO alone: reading its SLOs or log, submitting to it
+    or saving it raises ReadOnlyRegistryError.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -347,14 +345,12 @@ class Registry:
     # (csp, csc, attribute) -> amv_mean, until _append_amv appends to the triple
     _means: dict[tuple[str, str, str], float | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # (csp, attribute) -> its consistency profile as a row (rate, satisfied,
-    # agreed, span lower and upper, actual lower and upper), until _file_slo
-    # or _append_amv touches the pair: filled by _profile_table
-    _profiles: dict[tuple[str, str], tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # set by Store.load(log=False): the SLO and log columns are empty, not
-    # the store's, and _profiles is the store's whole table
-    _read_only: bool = field(default=False, init=False, repr=False, compare=False)
+    # set by Store.load(log=False) alone, which leaves the SLO and log
+    # columns empty: (csp, attribute) -> the consistency profile of each pair
+    # with an SLO, as a row (rate, satisfied, agreed, span lower and upper,
+    # actual lower and upper)
+    _profiles: dict[tuple[str, str], tuple] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def slos(self) -> SloView:
@@ -365,7 +361,7 @@ class Registry:
         return AmvView(list(self._samples), self._places, self._values, self._sequences)
 
     def _check_records(self) -> None:
-        if self._read_only:
+        if self._profiles is not None:
             raise ReadOnlyRegistryError("the registry was loaded with its profiles alone")
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
@@ -406,25 +402,8 @@ class Registry:
     @property
     def providers(self) -> set[str]:
         # a read-only registry holds no SLO, but a profile per pair with one
-        pairs = self._profiles if self._read_only else self._slo_index
+        pairs = self._slo_index if self._profiles is None else self._profiles
         return {csp_id for csp_id, _ in pairs}
-
-    def _profile_table(self) -> dict[tuple[str, str], tuple]:
-        """(csp, attribute) -> the profile row of each pair with an SLO.
-
-        The rows not held, of pairs filed or appended to since they were
-        built, are built now by ``consistency_profile``'s formula, which
-        reads the mean of each of the pair's SLO triples. A read-only
-        registry holds every row.
-        """
-        profiles, index = self._profiles, self._slo_index
-        if len(profiles) < len(index):  # it holds rows of indexed pairs alone
-            from .consistency import _profile_row  # that module imports this one
-            for (csp_id, attribute), slos in index.items():
-                if (csp_id, attribute) not in profiles:
-                    profiles[csp_id, attribute] = _profile_row(
-                        self, csp_id, self.attributes[attribute], slos)
-        return profiles
 
     # -- submissions --------------------------------------------------------
 
@@ -439,9 +418,7 @@ class Registry:
         replaced = key in self._slo_values
         # a resubmission keeps its place, so slos_for keeps the order of slos
         self._slo_values[key] = value = float(record.value)  # as a parse gives it
-        pair = (csp_id, attribute)
-        self._slo_index.setdefault(pair, {})[csc_id] = value
-        self._profiles.pop(pair, None)
+        self._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -490,7 +467,6 @@ class Registry:
             )
         samples[sequence] = value = float(value)  # as a parse gives it
         self._means.pop(key, None)
-        self._profiles.pop((csp_id, attribute), None)
         self._places.append(self._place.setdefault(key, len(self._place)))
         self._values.append(value)
         self._sequences.append(sequence)
@@ -711,22 +687,24 @@ class Store:
     It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
     the Python version, the CRC-32 and length of each CSV file it was made
     from (None for a missing one), the byte length of each section but the
-    last, and the registry as columns in two parts: part 1, the attribute
-    definitions and the profile table, one consistency profile per
-    (provider, attribute) with an SLO, in the SLO index's order; part 2, the
-    SLO triples and values, each SLO triple's ``amv_mean`` and the distinct
-    AMV triples, then the AMV log's places, values and sequences, a section
-    each. A load reads each CSV file whole, and uses the snapshot in place
-    of parsing them only when its CRC, its tag and every file's CRC-32 and
-    length match the bytes read: so no torn or stale snapshot is used. Its
-    SLO and log columns must be what a parse gives; the profiles and the
-    means, derived data that only this program writes, are checked for shape
-    alone. Any other snapshot (unreadable, torn, foreign, of another shape,
-    with columns no parse gives, or made before a hand edit) leaves the load
-    to the parse, with its refusals. ``load(log=False)``, the reader's,
-    decodes part 1 alone into a read-only registry, which holds no SLO, mean
-    or log and cannot be saved. A save extends the log's sections as it
-    loaded them, writing only the rows added since.
+    last, and the registry as columns in six sections: the attribute
+    definitions; the profile table, one consistency profile per (provider,
+    attribute) with an SLO, in the SLO index's order; the SLO triples and
+    values, each SLO triple's ``amv_mean`` and the distinct AMV triples;
+    then the AMV log's places, values and sequences. A load reads each CSV
+    file whole, and uses the snapshot in place of parsing them only when its
+    CRC, its tag and every file's CRC-32 and length match the bytes read: so
+    no torn or stale snapshot is used. Its SLO and log columns must be what
+    a parse gives; the profiles and the means, derived data that only this
+    program writes, are checked for shape alone. Any other snapshot
+    (unreadable, torn, foreign, of another shape, with columns no parse
+    gives, or made before a hand edit) leaves the load to the parse, with
+    its refusals. ``load(log=False)``, the reader's, decodes the attributes
+    and the profile table alone into a read-only registry, which holds no
+    SLO, mean or log and cannot be saved. A writer's load decodes every
+    section but the profile table, and its save builds the whole table
+    again; it extends the log's sections as it loaded them, writing only the
+    rows added since.
     Only ``save`` writes the snapshot, in place, once the CSV files are
     durable; it carries the amvs.csv CRC forward over the appended bytes, so
     no file is read again. A save that changes no file leaves a snapshot
@@ -890,22 +868,24 @@ class Store:
         shares no object, so the bytes depend only on the registry's
         contents, not on how its load built them.
         """
-        profiles, index = registry._profile_table(), registry._slo_index  # every row now held
-        head = marshal.dumps((
-            [[a.name, a.abbreviation, a.unit, a.polarity.value]
-             for a in registry.attributes.values()],
-            # the table's columns: csp ids, names, then each of the rows'
-            [*zip(*map(add, index, map(profiles.__getitem__, index)))] or [()] * 9,
-        ), 2)
-        # every SLO triple's mean is held: its pair's profile read it
-        records = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values()),
-                                 list(map(registry._means.__getitem__, registry._slo_values)),
-                                 list(registry._place)), 2)
+        from .consistency import _profile_row  # that module imports this one
+        attributes = registry.attributes
+        # the profile of every pair with an SLO: csp id, name, then the row's fields
+        table = [(csp_id, name, *_profile_row(registry, csp_id, attributes[name], slos))
+                 for (csp_id, name), slos in registry._slo_index.items()]
+        sections = (
+            marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
+                           for a in attributes.values()], 2),
+            marshal.dumps([*zip(*table)] or [()] * 9, 2),  # the table's columns
+            # every SLO triple's mean is held: its pair's profile read it
+            marshal.dumps((list(registry._slo_values), list(registry._slo_values.values()),
+                           list(map(registry._means.__getitem__, registry._slo_values)),
+                           list(registry._place)), 2),
+            *log)
         # the tag and the stamps come first, so that a stale snapshot is
         # refused without decoding the registry, then the sections' lengths
-        sizes = (len(head), len(records), len(log[0]), len(log[1]))
-        body = b"".join((marshal.dumps((self._SNAPSHOT_TAG, self._stamps_of(stamps), sizes), 2),
-                         head, records, *log))
+        header = (self._SNAPSHOT_TAG, self._stamps_of(stamps), tuple(map(len, sections[:-1])))
+        body = b"".join((marshal.dumps(header, 2), *sections))
         blob = zlib.crc32(body).to_bytes(4, "little") + body
         # private, as the CSV files that the temp files become are
         fd = os.open(self.root / self.SNAPSHOT_FILE, os.O_RDWR | os.O_CREAT, 0o600)
@@ -918,24 +898,25 @@ class Store:
     def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple] | None:
         """The snapshot's registry and its log's bytes, if it can be trusted.
 
-        Without ``log``, a read-only registry and no bytes; the bytes are
-        ``_log_bytes``'s ``held``.
+        With ``log``, the writer's registry, which holds the attributes, the
+        SLOs, the means and the log, and the bytes that are ``_log_bytes``'s
+        ``held``. Without, a read-only registry, which holds the attributes
+        and the profile table, and no bytes.
 
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
-        and length) given, and decodes into columns of the registry's shape:
-        a profile table of one length, with no pair twice, unpadded provider
-        ids, registered names, float rates in [0, 1], int counts with
-        0 <= satisfied <= agreed and agreed > 0, and finite float bounds,
-        each lower at most its upper. With ``log``, also columns that a
-        parse could give: of one length, with no negative place, no repeated
+        and length) given, and decodes into columns of the registry's shape.
+        Without ``log``: a profile table of one length, with no pair twice,
+        unpadded provider ids, registered names, float rates in [0, 1], int
+        counts with 0 <= satisfied <= agreed and agreed > 0, and finite float
+        bounds, each lower at most its upper. With ``log``: columns that a
+        parse could give, of one length, with no negative place, no repeated
         SLO triple, distinct triple or (triple, sequence), SLO and AMV values
         finite, SLO values positive and AMV values at least 0, places and
         AMV values as marshal writes ints and floats, triples of checked ids
-        and registered names, a mean per SLO triple, None or a finite number
-        of at least 0, and a profile per pair with an SLO, in the SLO index's
-        order. All is checked whole and used as decoded. Otherwise None, and
-        the files are parsed.
+        and registered names, and a mean per SLO triple, None or a finite
+        number of at least 0. All is checked whole and used as decoded.
+        Otherwise None, and the files are parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -946,37 +927,19 @@ class Store:
             tag, file_stamps, sizes = marshal.load(stream)
             if (tag, file_stamps) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
                 return None  # another format, or files changed since the snapshot was made
-            # where each section starts: the table, the records, then the
-            # places, values and sequences, which run to the end
+            if len(sizes) != 5:
+                return None  # sections of another layout
+            # where each section starts: the attributes, the profile table, the
+            # records, then the places, values and sequences, which run to the end
             starts = list(accumulate(sizes, initial=stream.tell()))
             view = memoryview(blob)
-            attributes, (csp_ids, names, rates, satisfied, agreed, lows, highs, actual_lows,
-                         actual_highs) = marshal.loads(view[starts[0]:starts[1]])
             registry = Registry()
-            for fields in attributes:
+            for fields in marshal.loads(view[starts[0]:starts[1]]):
                 registry.register_attribute(parse_attribute(fields))
-            registry._profiles = dict(zip(zip(csp_ids, names, strict=True), zip(
-                rates, satisfied, agreed, lows, highs, actual_lows, actual_highs, strict=True),
-                strict=True))
-            bounds = (*lows, *highs, *actual_lows, *actual_highs)
-            # a sum that overflows on huge values only leaves the load to the parse
-            if not (len(starts) == 5
-                    and len(registry._profiles) == len(csp_ids)
-                    and _unpadded(set(csp_ids))
-                    and set(names) <= registry.attributes.keys()
-                    and set(map(type, (*rates, *bounds))) <= {float}
-                    and set(map(type, (*satisfied, *agreed))) <= {int}
-                    and math.isfinite(sum(rates) + sum(bounds))
-                    and min(rates, default=0) >= 0 and max(rates, default=1) <= 1
-                    and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
-                    and min(map(sub, agreed, satisfied), default=0) >= 0
-                    and all(map(le, lows, highs)) and all(map(le, actual_lows, actual_highs))):
-                return None  # a table of another shape
             if not log:
-                registry._read_only = True
-                return registry, None
-            slos, slo_values, means, distinct = marshal.loads(view[starts[1]:starts[2]])
-            held = (view[starts[2]:starts[3]], view[starts[3]:starts[4]], view[starts[4]:])
+                return self._restore_profiles(registry, view[starts[1]:starts[2]])
+            slos, slo_values, means, distinct = marshal.loads(view[starts[2]:starts[3]])
+            held = (view[starts[3]:starts[4]], view[starts[4]:starts[5]], view[starts[5]:])
             places, values, sequences = map(marshal.loads, held)
             registry._slo_values = dict(zip(slos, slo_values, strict=True))
             for (csp_id, csc_id, attribute), value in registry._slo_values.items():
@@ -995,29 +958,50 @@ class Store:
             present = [mean for mean in means if mean is not None]
             # each place written as marshal writes an int, "i" and 4 bytes, and
             # each value as it writes a float, "g" and 8: so these bytes hold
-            # just these rows, and a save can extend them. A float's last byte
-            # holds its sign bit and the top of its exponent: with no sign bit
-            # set and no exponent at 0x7f0 or above, every value is finite and
-            # at least 0; else a sum (which overflows only on huge values) and
-            # the least value decide
+            # just these rows, and a save can extend them
             rows = len(places)
-            tops = blob[starts[3] + 13:starts[4]:9]
             checked = (type(places) is type(values) is type(sequences) is list
-                       and blob[starts[2] + 5:starts[3]:5] == b"i" * rows
-                       and blob[starts[3] + 5:starts[4]:9] == b"g" * rows
+                       and blob[starts[3] + 5:starts[4]:5] == b"i" * rows
+                       and blob[starts[4] + 5:starts[5]:9] == b"g" * rows
                        and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
                        and len(registry._slo_values) == len(slos)  # no triple twice
                        and all(map(math.isfinite, (*slo_values, *present)))
                        and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
-                       and (tops.isascii() and b"\x7f" not in tops
-                            or math.isfinite(sum(values)) and min(values, default=0) >= 0)
-                       and {name for _, _, name in triples} <= registry.attributes.keys()
-                       and list(registry._profiles) == list(registry._slo_index))
-            if blob[starts[4] + 5::5] != b"i" * rows:
+                       # a sum that overflows on huge values only leaves the load to the parse
+                       and math.isfinite(sum(values)) and min(values, default=0) >= 0
+                       and {name for _, _, name in triples} <= registry.attributes.keys())
+            if blob[starts[5] + 5::5] != b"i" * rows:
                 held = (*held[:2], None)  # a sequence past 32 bits: written whole
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
         return (registry, held) if checked else None  # else columns that no parse gives
+
+    @staticmethod
+    def _restore_profiles(registry: Registry, section: memoryview) -> tuple[Registry, None] | None:
+        """``registry``, read-only, with the profile table that ``section`` holds.
+
+        None, or an error that ``_restore_snapshot`` catches, for a table of
+        another shape.
+        """
+        (csp_ids, names, rates, satisfied, agreed, lows, highs, actual_lows,
+         actual_highs) = marshal.loads(section)
+        registry._profiles = dict(zip(zip(csp_ids, names, strict=True), zip(
+            rates, satisfied, agreed, lows, highs, actual_lows, actual_highs, strict=True),
+            strict=True))
+        bounds = (*lows, *highs, *actual_lows, *actual_highs)
+        # a sum that overflows on huge values only leaves the load to the parse
+        if not (len(registry._profiles) == len(csp_ids)
+                and _unpadded(set(csp_ids))
+                and set(names) <= registry.attributes.keys()
+                and set(map(type, (*rates, *bounds))) <= {float}
+                and set(map(type, (*satisfied, *agreed))) <= {int}
+                and math.isfinite(sum(rates) + sum(bounds))
+                and min(rates, default=0) >= 0 and max(rates, default=1) <= 1
+                and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
+                and min(map(sub, agreed, satisfied), default=0) >= 0
+                and all(map(le, lows, highs)) and all(map(le, actual_lows, actual_highs))):
+            return None  # a table of another shape
+        return registry, None
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

@@ -4,12 +4,12 @@ A request names the attributes the requester cares about together with an
 acceptable span per attribute. Providers qualify when, for every requested
 attribute, they hold at least one agreed SLO and their actual (rate-scaled)
 interval intersects the requested span. ``match_candidates`` decides that in
-one pass over the registry's profile table: it resolves each requested
-attribute once, looks up each provider's profiles in request order, and
-stops at the first cause that excludes the provider. Its result carries
-those causes, and a request that matches fewer than two providers is
-refused with them. The qualified set is then scored by the trust engine and
-returned with every intermediate retained for audit.
+one pass over the providers: it resolves each requested attribute once,
+takes each provider's profiles in request order, and stops at the first
+cause that excludes the provider. Its result carries those causes, and a
+request that matches fewer than two providers is refused with them. The
+qualified set is then scored by the trust engine and returned with every
+intermediate retained for audit.
 
 Assessments are read-only over a loaded registry; any number may run
 concurrently against the same registry.
@@ -24,7 +24,7 @@ from typing import TextIO
 
 # actual_slo_interval is no stage of the pass, but stays importable here: the
 # benchmark's layer tracer wraps it by this name
-from .consistency import ConsistencyProfile, _from_row, actual_slo_interval
+from .consistency import ConsistencyProfile, _from_row, _profile_of, actual_slo_interval
 from .intervals import IntervalNumber
 from .registry import REQUEST_COLUMNS, Polarity, Registry, parse_request, read_rows, refused_at
 from .trust import (
@@ -102,21 +102,20 @@ class Candidates(dict):
 def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidates:
     """Providers whose actual interval intersects every requested span.
 
-    One pass over the registry's profile table looks up each provider's
-    profiles in request order, and stops at the provider's first cause of
-    exclusion: no SLO on a requested attribute, an actual interval that
-    misses the requested span, or a zero consistency rate on a cost
-    attribute (the interval [0, 0] has no reciprocal, which normalization
-    takes for cost attributes). Every provider that holds an SLO is either
-    matched or excluded.
+    One pass takes each provider's profiles in request order, from a
+    read-only registry's profile table or built for the pairs it reaches,
+    and stops at the provider's first cause of exclusion: no SLO on a
+    requested attribute, an actual interval that misses the requested span,
+    or a zero consistency rate on a cost attribute (the interval [0, 0] has
+    no reciprocal, which normalization takes for cost attributes). Every
+    provider that holds an SLO is either matched or excluded.
     """
     requested = [(registry.resolve_attribute(name), span) for name, span in request.requested]
-    table = registry._profile_table()
     matched, excluded = {}, {}
     for csp_id in sorted(registry.providers):
         profiles = []
         for attr, span in requested:
-            row = table.get((csp_id, attr.name))
+            row = _profile_of(registry, csp_id, attr)
             if row is None:
                 excluded[csp_id] = f"no SLO on {attr.name!r}"
                 break

@@ -13,7 +13,7 @@ import zlib
 import pytest
 
 from fastcloud.cli import main
-from fastcloud.consistency import actual_slo_interval, consistency_profile
+from fastcloud.consistency import _profile_of, actual_slo_interval, consistency_profile
 from fastcloud.registry import (
     AMV_COLUMNS,
     REQUEST_COLUMNS,
@@ -911,7 +911,14 @@ def outcome(store, log=True):
         return type(exc), str(exc)
     return (list(registry.attributes.items()), repr(contents(registry)),
             repr([registry.amv_mean(*key) for key in registry.slos]),
-            repr(sorted(registry._profile_table().items())))
+            repr(sorted(profile_table(registry).items())))
+
+
+def profile_table(registry):
+    """(csp, attribute) -> the profile row of each pair with an SLO, as the registry gives it."""
+    pairs = registry._slo_index if registry._profiles is None else registry._profiles
+    return {(csp_id, name): _profile_of(registry, csp_id, registry.attributes[name])
+            for csp_id, name in pairs}
 
 
 def parsed_outcome(store):
@@ -947,16 +954,16 @@ def hexed(profile):
             *map(float.hex, (span.lower, span.upper, actual.lower, actual.upper)))
 
 
-def profile_rows(part):
-    """The profile table of a snapshot's first part, a row per profile."""
-    _, columns = marshal.loads(part)
+def profile_rows(section):
+    """The profile table of a snapshot's section, a row per profile."""
+    columns = marshal.loads(section)
     return [(csp_id, attribute, float.hex(rate), satisfied, agreed, *map(float.hex, bounds))
             for csp_id, attribute, rate, satisfied, agreed, *bounds in zip(*columns)]
 
 
 def snapshot_parts(path):
-    """The snapshot's header, decoded, and the bytes of its sections: the profile table,
-    the records, and the log's places, values and sequences."""
+    """The snapshot's header, decoded, and the bytes of its sections: the attributes,
+    the profile table, the records, and the log's places, values and sequences."""
     stream = io.BytesIO(path.read_bytes()[4:])
     header = marshal.load(stream)
     sections = [stream.read(size) for size in header[2]]
@@ -1019,7 +1026,7 @@ class TestSnapshotLoad:
             patch.setattr(Store, "load", recorded)
             code = main(["--store", str(root), "assess", "--format", "structured", request])
         out, err = capsys.readouterr()
-        return (loaded[-1]._read_only, code, re.sub(r'"elapsed_seconds": [^,}]+', "", out),
+        return (loaded[-1]._profiles is not None, code, re.sub(r'"elapsed_seconds": [^,}]+', "", out),
                 err)
 
     def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
@@ -1038,7 +1045,7 @@ class TestSnapshotLoad:
                 # the snapshot's profiles are consistency_profile's on a parse, to the bit
                 registry = Store(root)._parse({name: (root / name).read_bytes()
                                                for name in Store.FILES})
-                assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[1]) == [
+                assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
                     hexed(consistency_profile(registry, csp_id, registry.attributes[name], slos))
                     for (csp_id, name), slos in registry._slo_index.items()]
                 # the writer, which extended the log's bytes as it loaded them, wrote
@@ -1047,7 +1054,8 @@ class TestSnapshotLoad:
                 (root / Store.SNAPSHOT_FILE).unlink()
                 assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
                 assert (root / Store.SNAPSHOT_FILE).read_bytes() == snapshot
-                # assess reads the snapshot's first part alone, and gives what a parse gives
+                # assess reads the attributes and the profile table alone, and gives
+                # what a parse gives
                 spans = [(0, 1e3)] * 3 + [sorted(rng.uniform(0, 100) for _ in "lu")]
                 request = write_rows(work / "request.csv", REQUEST_COLUMNS, [
                     [spelling, *rng.choice(spans)] for spelling in
@@ -1101,7 +1109,7 @@ class TestSnapshotLoad:
 
     def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch):
         path = store.root / Store.SNAPSHOT_FILE
-        (tag, stamps, sizes), head, records, *log = snapshot_parts(path)
+        (tag, stamps, sizes), head, table_part, records, *log = snapshot_parts(path)
         expected = parsed_outcome(store)
         read_only = outcome(store, log=False)
         checked = self.checked_writer(store)
@@ -1112,13 +1120,13 @@ class TestSnapshotLoad:
                      for part in parts]
             checked((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
 
-        sectioned(head, records, *log)
+        sectioned(head, table_part, records, *log)
         assert load_recorded(store, monkeypatch) == (expected, False)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
         previous = tag.replace("snapshot 4", "snapshot 3")
-        attributes, table = marshal.loads(head)
+        attributes, table = marshal.loads(head), marshal.loads(table_part)
         slos, slo_values, means, distinct = marshal.loads(records)
         places, values, sequences = map(marshal.loads, log)
         layout_3 = (marshal.dumps((attributes, (slos, slo_values), means), 2),
@@ -1128,29 +1136,38 @@ class TestSnapshotLoad:
             """The triples with field ``at`` of the first one set to ``value``."""
             return [(*triples[0][:at], value, *triples[0][at + 1:]), *triples[1:]]
 
-        # that neither kind of load uses: another header, another first part,
-        # or a body in the previous format's layout
+        # that neither kind of load uses: another header, attributes of another
+        # shape, or a body in the previous format's layout, or with the
+        # attributes and the table in one section
         for write in [
-            *(lambda header=header: checked(header, head, records, *log) for header in (
-                (tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps, sizes),
-                ("fastcloud store snapshot 0", stamps, sizes), (previous, stamps, sizes),
-                (tag, stamps), (tag, stamps, sizes, None), (tag, stamps, None),
-                (tag, stamps, (sizes[0] - 1, *sizes[1:])), (tag, stamps, sizes[:-1]),
-                (tag, stamps, (*sizes, 0)), tag)),
+            *(lambda header=header: checked(header, head, table_part, records, *log)
+              for header in (
+                  (tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps, sizes),
+                  ("fastcloud store snapshot 0", stamps, sizes), (previous, stamps, sizes),
+                  (tag, stamps), (tag, stamps, sizes, None), (tag, stamps, None),
+                  (tag, stamps, (sizes[0] - 1, *sizes[1:])), (tag, stamps, sizes[:-1]),
+                  (tag, stamps, (*sizes, 0)), tag)),
             lambda: checked((previous, stamps, len(layout_3[0])), *layout_3),
             lambda: checked((tag, stamps, len(layout_3[0])), *layout_3),
-            lambda: sectioned((attributes, (slos, slo_values), means), records, *log),
-            lambda: sectioned(7, records, *log), lambda: sectioned((attributes,), records, *log),
-            lambda: sectioned((attributes, table, means), records, *log),
-            lambda: sectioned(([[*attributes[0][:3], 1]], table), records, *log),
+            lambda: sectioned((attributes, table), records, *log),
+            lambda: sectioned(7, table, records, *log),
+            lambda: sectioned((attributes, table), table, records, *log),
+            lambda: sectioned([[*attributes[0][:3], 1]], table, records, *log),
+            lambda: sectioned(attributes[1:], table, records, *log),  # availability unregistered
         ]:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
+        # a table section of another shape, which only a read-only load decodes
+        for part in (7, (attributes, table), table[:-1], [table]):
+            sectioned(head, part, records, *log)
+            assert load_recorded(store, monkeypatch) == (expected, False)
+            assert load_recorded(store, monkeypatch, log=False) == (expected, True)
         # records and a log that no parse gives, which only a full load
-        # decodes: a first part whose length takes the records in, or
+        # decodes: a table section whose length takes the records in, or
         # sections of another shape
-        checked((tag, stamps, (len(head) + len(records), *sizes[2:], 0)), head, records, *log)
+        checked((tag, stamps, (sizes[0], sizes[1] + sizes[2], *sizes[3:], 0)),
+                head, table_part, records, *log)
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         slo_columns = (slos, slo_values, means)
@@ -1202,22 +1219,24 @@ class TestSnapshotLoad:
                  *log[1:]),
                 ((*slo_columns, distinct), log[0],
                  log[1].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000"), log[2])):
-            sectioned(head, *sections)
+            sectioned(head, table_part, *sections)
             assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
 
-    def test_a_profile_table_of_another_shape_is_not_used(self, store, monkeypatch):
-        (tag, stamps, sizes), head, *rest = snapshot_parts(store.root / Store.SNAPSHOT_FILE)
+    def test_a_profile_table_of_another_shape_is_not_used(
+            self, store, tmp_path, monkeypatch, capsys):
+        (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(
+            store.root / Store.SNAPSHOT_FILE)
         expected = parsed_outcome(store)
         checked = self.checked_writer(store)
-        attributes, table = marshal.loads(head)
+        table = marshal.loads(table_part)
         # csp ids, names, rates, satisfied, agreed, the spans' lower and upper
         # bounds and the actual intervals', of (p1, availability) and (p1, latency)
         assert [len(column) for column in table] == [2] * 9
 
         def replaced(columns):
-            part = marshal.dumps((attributes, columns), 2)
-            checked((tag, stamps, (len(part), *sizes[1:])), part, *rest)
+            part = marshal.dumps(columns, 2)
+            checked((tag, stamps, (sizes[0], len(part), *sizes[2:])), head, part, *rest)
 
         def column_set(at, column, columns=table):
             return [*columns[:at], column, *columns[at + 1:]]
@@ -1251,16 +1270,20 @@ class TestSnapshotLoad:
             first_set(7, (90.0, 90.0)), first_set(8, None), column_set(2, 7),
         ]:
             replaced(columns)
-            assert load_recorded(store, monkeypatch) == (expected, True), columns
+            # a writer does not decode the table: it builds it again when it saves
+            assert load_recorded(store, monkeypatch) == (expected, False), columns
             assert load_recorded(store, monkeypatch, log=False) == (expected, True), columns
-        # a table that lacks a pair with an SLO, or holds one without: the full
-        # load, which holds the SLOs, does not use it (a read-only load checks
-        # the table's shape alone)
-        row = ("p9", "availability", 1.0, 1, 1, 5.0, 5.0, 5.0, 5.0)
-        for columns in ([column[:1] for column in table],
-                        [[*column, value] for column, value in zip(table, row)]):
-            replaced(columns)
-            assert load_recorded(store, monkeypatch) == (expected, True), columns
+        # a table that lacks a pair with an SLO has a table's shape, and a reader
+        # takes it as it is: profiles are derived data, which only this program
+        # writes. The next writer to change a file writes the whole table again
+        replaced([column[:1] for column in table])
+        loaded, parsed = load_recorded(store, monkeypatch, log=False)
+        assert not parsed and loaded[-1] != expected[-1]
+        amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c2", "la", "20", ""]])
+        assert main(["--store", str(store.root), "submit-amv", amvs]) == 0
+        loaded, parsed = load_recorded(store, monkeypatch, log=False)
+        assert not parsed and loaded[-1] == parsed_outcome(store)[-1] != expected[-1]
+        capsys.readouterr()
 
     def test_a_read_only_registry_is_not_written(self, store):
         files = {path.name: path.read_bytes() for path in store.root.iterdir()}
@@ -1269,8 +1292,8 @@ class TestSnapshotLoad:
         # benchmark's layer tracer counts these lengths on every load
         assert (len(registry.slos), len(registry.amvs)) == (0, 0)
         assert registry.attributes == store.load().attributes
-        assert repr(sorted(registry._profile_table().items())) == repr(
-            sorted(store.load()._profile_table().items()))
+        assert repr(sorted(profile_table(registry).items())) == repr(
+            sorted(profile_table(store.load()).items()))
         assert registry.providers == {"p1"}
         assert actual_slo_interval(registry, "p1", "av").satisfied_count == 1
         held = repr(contents(registry)), repr(registry._profiles)
@@ -1326,7 +1349,7 @@ class TestSnapshotLoad:
         ("submit-slo", [["p2", "c1", "av", "92"]]),  # p2's c1 mean of 91 no longer meets it
         ("submit-amv", [["p2", "c2", "av", "80", ""]]),  # p2's c2 mean falls to 88.5 < 95
     ], ids=["slo-replaced", "amv-appended"])
-    def test_a_writer_profiles_again_the_pair_it_touched(
+    def test_a_writer_leaves_the_profiles_of_what_it_saved(
             self, tmp_path, monkeypatch, capsys, command, rows):
         root = str(tmp_path / "store")
         slos = write_rows(tmp_path / "slos.csv", SLO_COLUMNS, [
@@ -1341,7 +1364,7 @@ class TestSnapshotLoad:
         request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
         p2 = '"csp_id": "p2", "attribute": "availability", "consistency_rate": {}, "satisfied": {},'
         assert p2.format(1.0, 2) in self.assessed(root, request, monkeypatch, capsys)[2]
-        # a writer that loads the snapshot's profiles, then changes one of p2's checks
+        # a writer that loads the snapshot, then changes one of p2's checks
         columns = SLO_COLUMNS if command == "submit-slo" else AMV_COLUMNS
         assert main(["--store", root, command, write_rows(tmp_path / "c.csv", columns, rows)]) == 0
         restored = self.assessed(root, request, monkeypatch, capsys)

@@ -299,13 +299,10 @@ class TestMatchingPass:
             "p4 excluded: actual interval [80, 90] misses [91, 100] on 'availability'; "
             "p5 excluded: actual interval [80, 90] misses [91, 100] on 'availability'); "
             "relax the requested spans")
-        # one profile per (provider, attribute) with an SLO, built once: a
-        # second assessment reads every profile from the registry's cache
-        assert [(csp_id, attr.name) for csp_id, attr in built] == list(registry._slo_index)
-        built.clear()
-        with pytest.raises(InsufficientCandidatesError):
-            assess(registry, request)
-        assert built == []
+        # one profile per (provider, attribute) that matching reached, and no more
+        assert [(csp_id, attr.name) for csp_id, attr in built] == [
+            ("p0", "availability"), ("p0", "latency"), ("p1", "availability"),
+            ("p2", "availability"), ("p4", "availability"), ("p5", "availability")]
 
 
 class TestAssess:
