@@ -10,9 +10,10 @@ result is the interval the provider demonstrably delivers.
 and the provider's objectives on it; it is pure over the registry's SLOs
 and means. ``actual_slo_interval`` is the profile of one pair named by
 attribute name or abbreviation. Both it and candidate matching read a
-read-only registry's profile table, the one that the store's last writer
-built by this formula, and build the profile of any other registry when
-asked.
+read-only registry's profile table, which holds each pair's counts and
+span as the store's last writer computed them, and build the profile of any
+other registry when asked; either way ``_from_row`` computes the rate and
+the actual interval.
 """
 
 from __future__ import annotations
@@ -94,10 +95,10 @@ def consistency_profile(registry: Registry, csp_id: str, attr: QosAttribute,
 
 def _profile_row(registry: Registry, csp_id: str, attr: QosAttribute,
                  slos: Mapping[str, float]) -> tuple:
-    """``consistency_profile``'s formula, as a row of the registry's profile table.
+    """The inputs of ``consistency_profile``'s formula, as a row of the profile table.
 
-    The row is (rate, satisfied, agreed, span lower and upper, actual lower
-    and upper), as the snapshot's profile table holds it.
+    The row is (satisfied, agreed, span lower and upper), as the snapshot's
+    profile table holds it; ``_from_row`` scales the span by the rate.
     """
     mean, name, meets = registry.amv_mean, attr.name, _MEETS[attr.polarity]
     satisfied = 0
@@ -105,11 +106,8 @@ def _profile_row(registry: Registry, csp_id: str, attr: QosAttribute,
         amv = mean(csp_id, csc_id, name)
         if amv is not None and meets(amv, value):
             satisfied += 1
-    agreed = len(slos)
-    rate = satisfied / agreed
     values = slos.values()
-    lo, hi = min(values), max(values)
-    return rate, satisfied, agreed, lo, hi, rate * lo, rate * hi
+    return satisfied, len(slos), min(values), max(values)
 
 
 def _profile_of(registry: Registry, csp_id: str, attr: QosAttribute) -> tuple | None:
@@ -124,8 +122,9 @@ def _profile_of(registry: Registry, csp_id: str, attr: QosAttribute) -> tuple | 
 
 
 def _from_row(csp_id: str, attribute: str, row: tuple) -> ConsistencyProfile:
-    """The profile that a row of the registry's profile table holds."""
-    rate, satisfied, agreed, lower, upper, actual_lower, actual_upper = row
+    """The profile whose inputs a row of the registry's profile table holds."""
+    satisfied, agreed, lower, upper = row
+    rate = satisfied / agreed
     return ConsistencyProfile(csp_id, attribute, rate, satisfied, agreed,
                               IntervalNumber(lower, upper),
-                              IntervalNumber(actual_lower, actual_upper))
+                              IntervalNumber(rate * lower, rate * upper))

@@ -16,7 +16,7 @@ store's ``.lock`` file across processes (see ``Store``). Each save also
 rewrites ``.snapshot``, a derived file that is safe to delete: a load that
 finds the CSV files as that save left them restores the registry from it
 in place of parsing them; a reader restores only the attributes and the
-consistency profile of each (provider, attribute) with an SLO.
+inputs of the consistency profile of each (provider, attribute) with an SLO.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import contextlib
 import csv
 import enum
 import fcntl
-import gc
 import io
 import marshal
 import math
@@ -312,12 +311,13 @@ class Registry:
     Monitored values are held once, as a log of three columns in submission
     order (each row's place among the distinct ``(csp, csc, attribute)``
     triples, in order of their first row, its value and its sequence), and
-    indexed per triple, with each triple's mean cached. ``slos`` and
-    ``amvs`` are read-only views; ``Store`` writes the columns to its
-    snapshot as they are. A read-only registry (``Store.load(log=False)``)
-    holds the attributes and the consistency profile of each (provider,
-    attribute) with an SLO alone: reading its SLOs or log, submitting to it
-    or saving it raises ReadOnlyRegistryError.
+    indexed by place: each triple's values by sequence, and its mean, cached
+    until an append to the triple. ``slos`` and ``amvs`` are read-only
+    views; ``Store`` writes the columns to its snapshot as they are. A
+    read-only registry (``Store.load(log=False)``) holds the attributes and
+    the profile table's row of each (provider, attribute) with an SLO alone:
+    reading its SLOs or log, submitting to it or saving it raises
+    ReadOnlyRegistryError.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -334,21 +334,21 @@ class Registry:
     # (csp, csc, attribute) -> its place, in order of its first row: compared,
     # since the places mean nothing without it
     _place: dict[tuple[str, str, str], int] = field(default_factory=dict, init=False, repr=False)
-    # (csp, csc, attribute) -> {sequence: value}, in the order of _place:
-    # filled by _append_amv, and by Store._restore_snapshot on load
-    _samples: dict[tuple[str, str, str], dict[int, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # by place, {sequence: value}: filled by _append_amv, and by
+    # Store._restore_snapshot on load
+    _samples: list[dict[int, float]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
     # (csp, attribute) -> {csc: agreed value}: filled by _file_slo, and by
     # Store._restore_snapshot on load
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # (csp, csc, attribute) -> amv_mean, until _append_amv appends to the triple
-    _means: dict[tuple[str, str, str], float | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # by place, amv_mean, or None until it is computed: _append_amv resets it
+    _means: list[float | None] = field(
+        default_factory=list, init=False, repr=False, compare=False)
     # set by Store.load(log=False) alone, which leaves the SLO and log
-    # columns empty: (csp, attribute) -> the consistency profile of each pair
-    # with an SLO, as a row (rate, satisfied, agreed, span lower and upper,
-    # actual lower and upper)
+    # columns empty: (csp, attribute) -> the inputs of the consistency profile
+    # of each pair with an SLO, as a row (satisfied, agreed, span lower and
+    # upper)
     _profiles: dict[tuple[str, str], tuple] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -358,7 +358,7 @@ class Registry:
 
     @property
     def amvs(self) -> AmvView:
-        return AmvView(list(self._samples), self._places, self._values, self._sequences)
+        return AmvView(list(self._place), self._places, self._values, self._sequences)
 
     def _check_records(self) -> None:
         if self._profiles is not None:
@@ -366,7 +366,7 @@ class Registry:
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
         """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
-        return list(map(add, map(list(self._samples).__getitem__, self._places[start:]),
+        return list(map(add, map(list(self._place).__getitem__, self._places[start:]),
                         zip(self._values[start:], self._sequences[start:])))
 
     # -- attribute handling ------------------------------------------------
@@ -454,7 +454,11 @@ class Registry:
         (ValueError). Either way nothing is stored.
         """
         key = (csp_id, csc_id, attribute)
-        samples = self._samples.setdefault(key, {})
+        place = self._place.setdefault(key, len(self._place))
+        if place == len(self._samples):
+            self._samples.append({})
+            self._means.append(None)
+        samples = self._samples[place]
         if sequence is None:
             sequence = 1 + max(samples, default=0)
         elif sequence in samples:
@@ -466,8 +470,8 @@ class Registry:
                 f"value {existing}, refusing to overwrite with {value}"
             )
         samples[sequence] = value = float(value)  # as a parse gives it
-        self._means.pop(key, None)
-        self._places.append(self._place.setdefault(key, len(self._place)))
+        self._means[place] = None
+        self._places.append(place)
         self._values.append(value)
         self._sequences.append(sequence)
         return sequence
@@ -475,7 +479,8 @@ class Registry:
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
         self._check_records()
-        samples = self._samples.get((csp_id, csc_id, attribute), {})
+        place = self._place.get((csp_id, csc_id, attribute))
+        samples = {} if place is None else self._samples[place]
         return [samples[sequence] for sequence in sorted(samples)]
 
     def amv_mean(self, csp_id: str, csc_id: str, attribute: str) -> float | None:
@@ -484,13 +489,15 @@ class Registry:
         The values are summed in sequence order, then divided by their
         count, so the mean is ``average_amv(amv_samples(...))`` to the bit.
         """
-        key = (csp_id, csc_id, attribute)
-        mean = self._means.get(key, self)
-        if mean is self:
+        place = self._place.get((csp_id, csc_id, attribute))
+        if place is None:
             self._check_records()  # a read-only registry holds no mean
-            samples = self._samples.get(key)
-            mean = self._means[key] = (sum(map(samples.__getitem__, sorted(samples)))
-                                       / len(samples) if samples else None)
+            return None
+        mean = self._means[place]
+        if mean is None:
+            samples = self._samples[place]
+            mean = sum(map(samples.__getitem__, sorted(samples))) / len(samples)
+            self._means[place] = mean
         return mean
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
@@ -610,24 +617,6 @@ def import_qws(
                          tuple(rejections))
 
 
-@contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while the snapshot is restored.
-
-    A restore makes no reference cycle, but the records and dicts it builds
-    would set the collector off many times, and each run would trace the
-    restore's whole-store lists again. The collector's state is restored on
-    exit.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _restore_amv(registry: Registry, fields: list[str]) -> None:
     """File one amvs.csv row as ``submit_amv`` files it, bar the SLO check.
 
@@ -688,10 +677,11 @@ class Store:
     the Python version, the CRC-32 and length of each CSV file it was made
     from (None for a missing one), the byte length of each section but the
     last, and the registry as columns in six sections: the attribute
-    definitions; the profile table, one consistency profile per (provider,
-    attribute) with an SLO, in the SLO index's order; the SLO triples and
-    values, each SLO triple's ``amv_mean`` and the distinct AMV triples;
-    then the AMV log's places, values and sequences. A load reads each CSV
+    definitions; the profile table, the satisfied and agreed counts and the
+    SLO span of each (provider, attribute) with an SLO, in the SLO index's
+    order; the SLO triples and values, the distinct AMV triples and the
+    ``amv_mean`` of each, or None where none was computed; then the AMV
+    log's places, values and sequences. A load reads each CSV
     file whole, and uses the snapshot in place of parsing them only when its
     CRC, its tag and every file's CRC-32 and length match the bytes read: so
     no torn or stale snapshot is used. Its SLO and log columns must be what
@@ -726,7 +716,7 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 4 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 5 {sys.implementation.cache_tag}"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -771,8 +761,7 @@ class Store:
                 contents[name] = None
         stamps = {name: None if data is None else (zlib.crc32(data), len(data))
                   for name, data in contents.items()}
-        with _collector_paused():
-            restored = self._restore_snapshot(stamps, log)
+        restored = self._restore_snapshot(stamps, log)
         if restored is None:
             registry, snapshot_stamps, encoded = self._parse(contents), None, None
         else:
@@ -876,11 +865,9 @@ class Store:
         sections = (
             marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
                            for a in attributes.values()], 2),
-            marshal.dumps([*zip(*table)] or [()] * 9, 2),  # the table's columns
-            # every SLO triple's mean is held: its pair's profile read it
+            marshal.dumps([*zip(*table)] or [()] * 6, 2),  # the table's columns
             marshal.dumps((list(registry._slo_values), list(registry._slo_values.values()),
-                           list(map(registry._means.__getitem__, registry._slo_values)),
-                           list(registry._place)), 2),
+                           list(registry._place), registry._means), 2),
             *log)
         # the tag and the stamps come first, so that a stale snapshot is
         # refused without decoding the registry, then the sections' lengths
@@ -907,14 +894,15 @@ class Store:
         this format's tag, was made from files of exactly the stamps (CRC-32
         and length) given, and decodes into columns of the registry's shape.
         Without ``log``: a profile table of one length, with no pair twice,
-        unpadded provider ids, registered names, float rates in [0, 1], int
-        counts with 0 <= satisfied <= agreed and agreed > 0, and finite float
-        bounds, each lower at most its upper. With ``log``: columns that a
-        parse could give, of one length, with no negative place, no repeated
-        SLO triple, distinct triple or (triple, sequence), SLO and AMV values
-        finite, SLO values positive and AMV values at least 0, places and
-        AMV values as marshal writes ints and floats, triples of checked ids
-        and registered names, and a mean per SLO triple, None or a finite
+        unpadded provider ids, registered names, int counts with 0 <=
+        satisfied <= agreed and agreed > 0, and finite float span bounds,
+        the lower at most the upper. With ``log``: columns that a parse
+        could give, of one length, with no negative place, no repeated SLO
+        triple, distinct triple or (triple, sequence), no distinct triple
+        that no row uses, SLO and AMV values finite, SLO values positive and
+        AMV values at least 0, places and AMV values as marshal writes ints
+        and floats, int sequences, triples of checked ids and registered
+        names, and a list of a mean per distinct triple, None or a finite
         number of at least 0. All is checked whole and used as decoded.
         Otherwise None, and the files are parsed.
         """
@@ -938,20 +926,21 @@ class Store:
                 registry.register_attribute(parse_attribute(fields))
             if not log:
                 return self._restore_profiles(registry, view[starts[1]:starts[2]])
-            slos, slo_values, means, distinct = marshal.loads(view[starts[2]:starts[3]])
+            slos, slo_values, distinct, means = marshal.loads(view[starts[2]:starts[3]])
             held = (view[starts[3]:starts[4]], view[starts[4]:starts[5]], view[starts[5]:])
             places, values, sequences = map(marshal.loads, held)
             registry._slo_values = dict(zip(slos, slo_values, strict=True))
             for (csp_id, csc_id, attribute), value in registry._slo_values.items():
                 registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
-            registry._means = dict(zip(slos, means, strict=True))
             registry._places, registry._values, registry._sequences = places, values, sequences
             registry._place = dict(zip(distinct, range(len(distinct))))
-            registry._samples = {triple: {} for triple in distinct}
-            samples = list(registry._samples.values())
+            registry._samples = samples = [{} for _ in distinct]
+            registry._means = means
             for place, sequence, value in zip(places, sequences, values, strict=True):
                 samples[place][sequence] = value
-            if (min(places, default=0) < 0 or len(samples) != len(distinct)
+            # every distinct triple once, and used by a row
+            if (min(places, default=0) < 0 or len(registry._place) != len(distinct)
+                    or len(means) != len(distinct) or not all(samples)
                     or sum(map(len, samples)) != len(values)):
                 return None  # columns that no parse gives
             triples = [*registry._slo_values, *distinct]
@@ -960,7 +949,7 @@ class Store:
             # each value as it writes a float, "g" and 8: so these bytes hold
             # just these rows, and a save can extend them
             rows = len(places)
-            checked = (type(places) is type(values) is type(sequences) is list
+            checked = (type(places) is type(values) is type(sequences) is type(means) is list
                        and blob[starts[3] + 5:starts[4]:5] == b"i" * rows
                        and blob[starts[4] + 5:starts[5]:9] == b"g" * rows
                        and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
@@ -972,6 +961,7 @@ class Store:
                        and {name for _, _, name in triples} <= registry.attributes.keys())
             if blob[starts[5] + 5::5] != b"i" * rows:
                 held = (*held[:2], None)  # a sequence past 32 bits: written whole
+                checked = checked and set(map(type, sequences)) <= {int}
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
         return (registry, held) if checked else None  # else columns that no parse gives
@@ -983,23 +973,21 @@ class Store:
         None, or an error that ``_restore_snapshot`` catches, for a table of
         another shape.
         """
-        (csp_ids, names, rates, satisfied, agreed, lows, highs, actual_lows,
-         actual_highs) = marshal.loads(section)
-        registry._profiles = dict(zip(zip(csp_ids, names, strict=True), zip(
-            rates, satisfied, agreed, lows, highs, actual_lows, actual_highs, strict=True),
-            strict=True))
-        bounds = (*lows, *highs, *actual_lows, *actual_highs)
+        csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(section)
+        registry._profiles = dict(zip(zip(csp_ids, names, strict=True),
+                                      zip(satisfied, agreed, lows, highs, strict=True),
+                                      strict=True))
+        bounds = (*lows, *highs)
         # a sum that overflows on huge values only leaves the load to the parse
         if not (len(registry._profiles) == len(csp_ids)
                 and _unpadded(set(csp_ids))
                 and set(names) <= registry.attributes.keys()
-                and set(map(type, (*rates, *bounds))) <= {float}
+                and set(map(type, bounds)) <= {float}
                 and set(map(type, (*satisfied, *agreed))) <= {int}
-                and math.isfinite(sum(rates) + sum(bounds))
-                and min(rates, default=0) >= 0 and max(rates, default=1) <= 1
+                and math.isfinite(sum(bounds))
                 and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
                 and min(map(sub, agreed, satisfied), default=0) >= 0
-                and all(map(le, lows, highs)) and all(map(le, actual_lows, actual_highs))):
+                and all(map(le, lows, highs))):
             return None  # a table of another shape
         return registry, None
 

@@ -13,7 +13,12 @@ import zlib
 import pytest
 
 from fastcloud.cli import main
-from fastcloud.consistency import _profile_of, actual_slo_interval, consistency_profile
+from fastcloud.consistency import (
+    _from_row,
+    _profile_of,
+    actual_slo_interval,
+    consistency_profile,
+)
 from fastcloud.registry import (
     AMV_COLUMNS,
     REQUEST_COLUMNS,
@@ -572,7 +577,7 @@ class TestAmvLoad:
     def test_spellings_of_a_triple_load_as_one_in_file_order(self, tmp_path, monkeypatch):
         store, loaded = self.assert_load_matches(
             tmp_path, AMV_HEADER + "p,c,av,5,2\nq,c,la,1,1\np,c,availability,6,1\np,c, av ,7,3\n")
-        assert list(loaded._samples.items()) == [
+        assert list(zip(loaded._place, loaded._samples)) == [
             (("p", "c", "availability"), {2: 5.0, 1: 6.0, 3: 7.0}),
             (("q", "c", "latency"), {1: 1.0})]
         assert loaded.amv_samples("p", "c", "availability") == [6.0, 5.0, 7.0]
@@ -623,7 +628,7 @@ class TestAmvLoad:
         reference = loaded_by_hand(text, AMV_COLUMNS)
         assert loaded == reference
         assert contents(loaded) == contents(reference)
-        for key in reference._samples:
+        for key in reference._place:
             assert loaded.amv_samples(*key) == reference.amv_samples(*key)
         return store, loaded
 
@@ -717,7 +722,8 @@ def contents(registry):
     return (list(registry.slos.items()),
             [(key, list(by_csc.items())) for key, by_csc in registry._slo_index.items()],
             registry._amv_rows(),
-            [(key, list(samples.items())) for key, samples in registry._samples.items()])
+            [(key, list(samples.items())) for key, samples in zip(registry._place,
+                                                                  registry._samples)])
 
 
 def loaded_by_hand(text, columns):
@@ -955,10 +961,9 @@ def hexed(profile):
 
 
 def profile_rows(section):
-    """The profile table of a snapshot's section, a row per profile."""
-    columns = marshal.loads(section)
-    return [(csp_id, attribute, float.hex(rate), satisfied, agreed, *map(float.hex, bounds))
-            for csp_id, attribute, rate, satisfied, agreed, *bounds in zip(*columns)]
+    """The profiles of a snapshot's profile table section, each ``hexed``."""
+    return [hexed(_from_row(csp_id, attribute, row))
+            for csp_id, attribute, *row in zip(*marshal.loads(section))]
 
 
 def snapshot_parts(path):
@@ -984,12 +989,14 @@ class TestSnapshotLoad:
     IDS = ["p", "q", "p,1", 'q"2', "c,2"]
     SPELLINGS = ["av", "availability", " av ", "la", "latency\t", "res", "response_time"]
     SERVICES = ["Svc A", "svc,b", "Svc A "]
+    IMPORTED = ["Svc-A", "Svc-A/monitor"]  # the ids that import-qws gives "Svc A"
 
     def random_command(self, rng, root, work, agreed):
         """One submit-slo, submit-amv or import-qws of random rows on the store at ``root``."""
         kind = rng.random()
         if kind < 0.3 or not agreed:
-            rows = [[rng.choice(self.IDS), rng.choice(self.IDS), rng.choice(self.SPELLINGS),
+            rows = [[*(self.IMPORTED if rng.random() < 0.2 else rng.choices(self.IDS, k=2)),
+                     rng.choice(self.SPELLINGS),
                      repr(rng.choice([rng.uniform(1, 100), 5e-324, 90.0]))]
                     for _ in range(rng.randrange(1, 8))]
             agreed.extend(row[:3] for row in rows)
@@ -1031,14 +1038,25 @@ class TestSnapshotLoad:
 
     def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(14)
-        seen = {"negative zero": 0, "long sequence": 0, "ranked": 0, "refused": 0}
+        seen = {"negative zero": 0, "long sequence": 0, "ranked": 0, "refused": 0,
+                "restored mean computed": 0}
+
+        def unset_means(root):
+            """The distinct triples whose mean the snapshot holds as not computed yet."""
+            *_, distinct, means = marshal.loads(snapshot_parts(root / Store.SNAPSHOT_FILE)[3])
+            return {triple for triple, mean in zip(distinct, means) if mean is None}
+
         for n in range(16):
             root, work = tmp_path / f"store{n}", tmp_path / f"work{n}"
             work.mkdir()
             assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
             agreed = []
             for _ in range(rng.randrange(1, 24)):
+                unset = unset_means(root)
                 self.random_command(rng, root, work, agreed)
+                # an SLO on an imported triple, whose mean the writer computed
+                # from the values that it restored
+                seen["restored mean computed"] += bool(unset - unset_means(root))
                 loaded, parsed = load_recorded(Store(root), monkeypatch)
                 assert not parsed  # every writer left a snapshot of what it saved
                 assert loaded == parsed_outcome(Store(root))
@@ -1107,8 +1125,9 @@ class TestSnapshotLoad:
 
         return checked
 
-    def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch):
+    def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch, capsys):
         path = store.root / Store.SNAPSHOT_FILE
+        blob = path.read_bytes()
         (tag, stamps, sizes), head, table_part, records, *log = snapshot_parts(path)
         expected = parsed_outcome(store)
         read_only = outcome(store, log=False)
@@ -1125,9 +1144,10 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 4", "snapshot 3")
+        previous = tag.replace("snapshot 5", "snapshot 4")
+        assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
-        slos, slo_values, means, distinct = marshal.loads(records)
+        slos, slo_values, distinct, means = marshal.loads(records)
         places, values, sequences = map(marshal.loads, log)
         layout_3 = (marshal.dumps((attributes, (slos, slo_values), means), 2),
                     marshal.dumps((distinct, places, values, sequences), 2))
@@ -1158,6 +1178,11 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
+        # a writer replaces a snapshot of the previous format
+        checked((previous, stamps, sizes), head, table_part, records, *log)
+        assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+        assert path.read_bytes() == blob
+        capsys.readouterr()
         # a table section of another shape, which only a read-only load decodes
         for part in (7, (attributes, table), table[:-1], [table]):
             sectioned(head, part, records, *log)
@@ -1170,54 +1195,59 @@ class TestSnapshotLoad:
                 head, table_part, records, *log)
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        slo_columns = (slos, slo_values, means)
+        columns = (slos, slo_values, distinct, means)
         for sections in (
-                (7, *log), (layout_3[1], *log), ((*slo_columns,), *log),
-                ((*slo_columns, distinct, 1), *log),
+                (7, *log), (layout_3[1], *log), (columns[:3], *log), ((*columns, 1), *log),
                 # a short SLO values column; a means column one short or one
                 # long; an SLO triple twice, the second time with another value
-                ((slos, slo_values[:-1], means, distinct), *log),
-                ((slos, slo_values, means[:-1], distinct), *log),
-                ((slos, slo_values, [*means, 1.0], distinct), *log),
-                (([*slos, slos[0]], [*slo_values, slo_values[0] + 1], [*means, means[0]],
-                  distinct), *log),
+                ((slos, slo_values[:-1], distinct, means), *log),
+                ((slos, slo_values, distinct, means[:-1]), *log),
+                ((slos, slo_values, distinct, [*means, 1.0]), *log),
+                (([*slos, slos[0]], [*slo_values, slo_values[0] + 1], distinct, means), *log),
                 # SLO triples that a parse refuses or files under another name: an
                 # abbreviation, an unregistered attribute, a padded id and an empty one
-                *(((first_set(slos, at, value), slo_values, means, distinct), *log)
+                *(((first_set(slos, at, value), slo_values, distinct, means), *log)
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (1, ""))),
                 # an SLO value that is not finite and positive, and a mean that is
                 # not None or a finite number of at least 0
-                *(((slos, [value, *slo_values[1:]], means, distinct), *log)
+                *(((slos, [value, *slo_values[1:]], distinct, means), *log)
                   for value in (math.nan, math.inf, 0.0, -1.0)),
-                *(((slos, slo_values, [value, *means[1:]], distinct), *log)
+                *(((slos, slo_values, distinct, [value, *means[1:]]), *log)
                   for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
-                ((*slo_columns, distinct), [len(distinct)] * len(places), values, sequences),
-                ((*slo_columns, distinct), places, values, [[1]] * len(sequences)),
+                (columns, [len(distinct)] * len(places), values, sequences),
+                (columns, places, values, [[1]] * len(sequences)),
                 # log columns that disagree: a negative place (filed as a valid
                 # one), a short values column, a repeated triple or (triple,
-                # sequence)
-                ((*slo_columns, distinct), [places[0] - len(distinct), *places[1:]], values,
-                 sequences),
-                ((*slo_columns, distinct), places, values[:-1], sequences),
-                ((*slo_columns, [distinct[0], *distinct]), places, values, sequences),
-                ((*slo_columns, distinct), places, values, [sequences[0]] * len(sequences)),
+                # sequence), a triple that no row uses
+                (columns, [places[0] - len(distinct), *places[1:]], values, sequences),
+                (columns, places, values[:-1], sequences),
+                ((slos, slo_values, [distinct[0], *distinct], [means[0], *means]), places,
+                 values, sequences),
+                (columns, places, values, [sequences[0]] * len(sequences)),
+                ((slos, slo_values, [*distinct, ("p1", "c9", "availability")], [*means, None]),
+                 places, values, sequences),
                 # AMV triples that a parse refuses or files under another name
-                *(((*slo_columns, first_set(distinct, at, value)), places, values, sequences)
+                *(((slos, slo_values, first_set(distinct, at, value), means), places, values,
+                   sequences)
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (0, ""))),
                 # columns that a parse gives as lists of ints and floats: a tuple,
-                # a place that is a bool, a value that is an int
-                ((*slo_columns, distinct), tuple(places), values, sequences),
-                ((*slo_columns, distinct), places, tuple(values), sequences),
-                ((*slo_columns, distinct), places, values, tuple(sequences)),
-                ((*slo_columns, distinct), [bool(place) if place < 2 else place
-                                            for place in places], values, sequences),
-                ((*slo_columns, distinct), places, [int(values[0]), *values[1:]], sequences),
+                # a place that is a bool, a value that is an int, a sequence that
+                # is a float, a str or a bool, none of them a duplicate
+                ((slos, slo_values, distinct, tuple(means)), places, values, sequences),
+                (columns, tuple(places), values, sequences),
+                (columns, places, tuple(values), sequences),
+                (columns, places, values, tuple(sequences)),
+                (columns, [bool(place) if place < 2 else place for place in places], values,
+                 sequences),
+                (columns, places, [int(values[0]), *values[1:]], sequences),
+                *((columns, places, values, [*sequences[:-1], sequence])
+                  for sequence in (float(sequences[-1]), str(sequences[-1]))),
+                (columns, places, values, [sequences[0], True, *sequences[2:]]),
                 # a place and a value that marshal reads but does not write: 0 as a
                 # long of no digits, and 93 as the text "-1.0000", a float of the
                 # same length whose sign no byte of a written float shows
-                ((*slo_columns, distinct), b"[" + log[0][1:5] + b"l\0\0\0\0" + log[0][10:],
-                 *log[1:]),
-                ((*slo_columns, distinct), log[0],
+                (columns, b"[" + log[0][1:5] + b"l\0\0\0\0" + log[0][10:], *log[1:]),
+                (columns, log[0],
                  log[1].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000"), log[2])):
             sectioned(head, table_part, *sections)
             assert load_recorded(store, monkeypatch) == (expected, True), sections
@@ -1230,9 +1260,9 @@ class TestSnapshotLoad:
         expected = parsed_outcome(store)
         checked = self.checked_writer(store)
         table = marshal.loads(table_part)
-        # csp ids, names, rates, satisfied, agreed, the spans' lower and upper
-        # bounds and the actual intervals', of (p1, availability) and (p1, latency)
-        assert [len(column) for column in table] == [2] * 9
+        # csp ids, names, satisfied, agreed, and the spans' lower and upper
+        # bounds, of (p1, availability) and (p1, latency)
+        assert [len(column) for column in table] == [2] * 6
 
         def replaced(columns):
             part = marshal.dumps(columns, 2)
@@ -1246,18 +1276,14 @@ class TestSnapshotLoad:
 
         for columns in [
             # a row missing from a column, or one added to it
-            *(column_set(at, table[at][:-1]) for at in range(9)),
-            *(column_set(at, [*table[at], table[at][0]]) for at in range(9)),
-            # a rate that is not in [0, 1], first or last (min and max pass a
-            # nan that is not first)
-            *(first_set(2, rate) for rate in (math.nan, -0.1, 1.5, math.inf)),
-            column_set(2, [*table[2][:-1], math.nan]),
+            *(column_set(at, table[at][:-1]) for at in range(6)),
+            *(column_set(at, [*table[at], table[at][0]]) for at in range(6)),
             # more consumers satisfied than agreed, fewer than none, or none agreed
-            first_set(3, table[4][0] + 1), first_set(3, -1), first_set(3, 0, first_set(4, 0)),
-            # a span or an actual interval whose lower bound exceeds its upper,
-            # or with a bound that is not finite
-            first_set(5, table[6][0] + 1), first_set(7, table[8][0] + 1),
-            *(first_set(at, bound) for at in range(5, 9)
+            first_set(2, table[3][0] + 1), first_set(2, -1), first_set(2, 0, first_set(3, 0)),
+            # a span whose lower bound exceeds its upper, or with a bound that
+            # is not finite
+            first_set(4, table[5][0] + 1),
+            *(first_set(at, bound) for at in range(4, 6)
               for bound in (math.nan, math.inf, -math.inf)),
             # an attribute that is not a registered name, a provider id that a
             # parse refuses, and a pair twice
@@ -1265,9 +1291,9 @@ class TestSnapshotLoad:
             *(first_set(0, csp_id) for csp_id in (" p1", "p1 ", "", 7)),
             [column[:1] * 2 for column in table],
             # a row of the wrong type
-            first_set(2, 1), first_set(2, "1.0"), first_set(3, 1.0), first_set(3, True),
-            first_set(4, 1.0), first_set(5, 90), first_set(6, "90"),
-            first_set(7, (90.0, 90.0)), first_set(8, None), column_set(2, 7),
+            first_set(2, 1.0), first_set(2, True), first_set(3, 1.0), first_set(4, 90),
+            first_set(5, "90"), first_set(4, (90.0, 90.0)), first_set(5, None),
+            column_set(2, 7),
         ]:
             replaced(columns)
             # a writer does not decode the table: it builds it again when it saves

@@ -224,7 +224,7 @@ class TestMatchingPass:
         matched_profiles, causes = 0, collections.Counter()
         for _ in range(150):
             registry = random_store(rng)
-            for key, samples in registry._samples.items():
+            for key, samples in zip(registry._place, registry._samples):
                 assert repr(registry.amv_mean(*key)) == repr(
                     average_amv(registry.amv_samples(*key)) if samples else None)
             request = random_request(rng)
