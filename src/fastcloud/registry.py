@@ -34,7 +34,7 @@ import sys
 import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, itemgetter, le, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
@@ -635,17 +635,44 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
 
 
 def _log_bytes(registry: Registry, held: tuple | None) -> tuple:
-    """``marshal.dumps(column, 2)`` of the log's places, values and sequences.
+    """``marshal.dumps(column, 2)`` of the distinct AMV triples, places, values and sequences.
 
-    The log only grows, and marshal writes a list as "[", its length and its
-    elements: where ``held`` has the bytes that marshal wrote for a column's
-    first rows, only the rows added since are written.
+    These columns only grow, and marshal writes a list as "[", its length and
+    its elements: where ``held`` has the bytes that marshal wrote for a
+    column's first entries, only the entries added since are written.
     """
-    columns = (registry._places, registry._values, registry._sequences)
+    columns = (list(registry._place), registry._places, registry._values, registry._sequences)
     return tuple(marshal.dumps(column, 2) if old is None else
                  b"[" + len(column).to_bytes(4, "little") + old[5:]
                  + marshal.dumps(column[int.from_bytes(old[1:5], "little"):], 2)[5:]
-                 for old, column in zip(held or (None,) * 3, columns))
+                 for old, column in zip(held or (None,) * 4, columns))
+
+
+def _sections(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
+    """The table's and the SLOs' bytes, the means the table read, then ``_log_bytes``.
+
+    ``held`` is what the registry's load or last save gave, or None. The SLO
+    bytes are kept if ``slos_kept``, and the table's too if no mean that it
+    read has changed and no place added since is an SLO triple: a row reads
+    only SLOs and their triples' means. Else each is encoded again.
+    """
+    table, slos, means, *log = held or (None,) * 7
+    if not slos_kept:
+        table = slos = None
+    elif table is not None and (registry._means[:len(means)] != means or not
+                                registry._slo_values.keys().isdisjoint(
+                                    islice(registry._place, len(means), None))):
+        table = None
+    if slos is None:
+        slos = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values())), 2)
+    if table is None:
+        from .consistency import _profile_row  # that module imports this one
+        attributes = registry.attributes
+        # the profile of every pair with an SLO: csp id, name, then the row's fields
+        rows = [(csp_id, name, *_profile_row(registry, csp_id, attributes[name], agreed))
+                for (csp_id, name), agreed in registry._slo_index.items()]
+        table = marshal.dumps([*zip(*rows)] or [()] * 6, 2)  # the table's columns
+    return (table, slos, registry._means.copy(), *_log_bytes(registry, log))
 
 
 class Store:
@@ -676,25 +703,28 @@ class Store:
     It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
     the Python version, the CRC-32 and length of each CSV file it was made
     from (None for a missing one), the byte length of each section but the
-    last, and the registry as columns in six sections: the attribute
+    last, and the registry as columns in eight sections: the attribute
     definitions; the profile table, the satisfied and agreed counts and the
     SLO span of each (provider, attribute) with an SLO, in the SLO index's
-    order; the SLO triples and values, the distinct AMV triples and the
-    ``amv_mean`` of each, or None where none was computed; then the AMV
-    log's places, values and sequences. A load reads each CSV
-    file whole, and uses the snapshot in place of parsing them only when its
-    CRC, its tag and every file's CRC-32 and length match the bytes read: so
-    no torn or stale snapshot is used. Its SLO and log columns must be what
-    a parse gives; the profiles and the means, derived data that only this
-    program writes, are checked for shape alone. Any other snapshot
-    (unreadable, torn, foreign, of another shape, with columns no parse
-    gives, or made before a hand edit) leaves the load to the parse, with
-    its refusals. ``load(log=False)``, the reader's, decodes the attributes
-    and the profile table alone into a read-only registry, which holds no
-    SLO, mean or log and cannot be saved. A writer's load decodes every
-    section but the profile table, and its save builds the whole table
-    again; it extends the log's sections as it loaded them, writing only the
-    rows added since.
+    order; the SLO triples and values; by place, the ``amv_mean`` of each
+    distinct AMV triple, or None where none was computed; the distinct AMV
+    triples; then the AMV log's places, values and sequences. A load reads
+    each CSV file whole, and uses the snapshot in place of parsing them
+    only when its CRC, its tag and every file's CRC-32 and length match the
+    bytes read: so no torn or stale snapshot is used. Its SLO and log
+    columns must be what a parse gives; the profiles and the means, derived
+    data that only this program writes, are checked for shape alone. Any
+    other snapshot (unreadable, torn, foreign, of another shape, with
+    columns no parse gives, or made before a hand edit) leaves the load to
+    the parse, with its refusals. ``load(log=False)``, the reader's,
+    decodes the attributes and the profile table alone into a read-only
+    registry, which holds no SLO, mean or log and cannot be saved. A
+    writer's load decodes every section but the profile table. Its save
+    encodes the attributes and the means again, keeps the SLOs and the
+    table until what each is made from changes (see ``_sections``), and
+    extends the last four sections with the entries added since: so a
+    crafted section that passes the load's checks keeps its encoding, and a
+    crafted table its rows, until then.
     Only ``save`` writes the snapshot, in place, once the CSV files are
     durable; it carries the amvs.csv CRC forward over the appended bytes, so
     no file is read again. A save that changes no file leaves a snapshot
@@ -716,15 +746,16 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 5 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 6 {sys.implementation.cache_tag}"
+    _STRAY_PREFIXES = tuple(f"{name}." for name in FILES)
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         # the registry last loaded or saved here, with what each file holds
         # of it (its attributes, its SLOs and its AMV row count; None: no
-        # file), each file's CRC-32 and length, and the file stamps that the
+        # file), each file's CRC-32 and length, the file stamps that the
         # snapshot holds with this registry (None: it does not hold this
-        # registry), and the bytes of its log columns (see _log_bytes)
+        # registry), and the sections that a save may keep (see _sections)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -744,10 +775,10 @@ class Store:
         try:
             fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
             if not shared:
-                # no writer is at work: a temp file left is a dead writer's
-                for name in self.FILES:
-                    for stray in self.root.glob(f"{name}.*.tmp"):
-                        stray.unlink(missing_ok=True)
+                # no writer is at work: a temp file left, <file>.*.tmp, is a dead writer's
+                for name in os.listdir(self.root):
+                    if name.endswith(".tmp") and name[:-4].startswith(self._STRAY_PREFIXES):
+                        (self.root / name).unlink(missing_ok=True)
             yield
         finally:
             os.close(fd)
@@ -763,10 +794,10 @@ class Store:
                   for name, data in contents.items()}
         restored = self._restore_snapshot(stamps, log)
         if restored is None:
-            registry, snapshot_stamps, encoded = self._parse(contents), None, None
+            registry, snapshot_stamps, held = self._parse(contents), None, None
         else:
-            (registry, encoded), snapshot_stamps = restored, stamps
-        self._remember(registry, stamps, snapshot_stamps, encoded)
+            (registry, held), snapshot_stamps = restored, stamps
+        self._remember(registry, stamps, snapshot_stamps, held)
         return registry
 
     def _parse(self, contents: dict[str, bytes | None]) -> Registry:
@@ -798,9 +829,9 @@ class Store:
         """
         registry._check_records()
         if self._synced and self._synced[0] is registry:
-            _, synced, stamps, snapshot_stamps, encoded = self._synced
+            _, synced, stamps, snapshot_stamps, held = self._synced
         else:
-            synced, stamps, snapshot_stamps, encoded = {}, {}, None, None
+            synced, stamps, snapshot_stamps, held = {}, {}, None, None
         stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
         if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
@@ -808,7 +839,8 @@ class Store:
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
                 ([a.name, a.abbreviation, a.unit, a.polarity.value]
                  for a in registry.attributes.values()))
-        if synced.get(self.SLOS_FILE) != registry._slo_values:
+        slos_kept = synced.get(self.SLOS_FILE) == registry._slo_values
+        if not slos_kept:
             stamps[self.SLOS_FILE] = self._replace(
                 self.SLOS_FILE, SLO_COLUMNS,
                 ([*key, repr(value)] for key, value in registry._slo_values.items()))
@@ -827,20 +859,20 @@ class Store:
         if stamps != snapshot_stamps:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
-            snapshot_stamps, encoded = None, _log_bytes(registry, encoded)
+            snapshot_stamps, held = None, _sections(registry, held, slos_kept)
             with contextlib.suppress(OSError):
-                self._write_snapshot(registry, stamps, encoded)
+                self._write_snapshot(registry, stamps, held)
                 snapshot_stamps = stamps
-        self._remember(registry, stamps, snapshot_stamps, encoded)
+        self._remember(registry, stamps, snapshot_stamps, held)
 
     def _remember(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
                   snapshot_stamps: dict[str, tuple[int, int] | None] | None,
-                  encoded: tuple | None) -> None:
+                  held: tuple | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry._slo_values),
                  self.AMVS_FILE: len(registry._values)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
-        self._synced = (registry, files, stamps, snapshot_stamps, encoded)
+        self._synced = (registry, files, stamps, snapshot_stamps, held)
 
     # -- the snapshot ------------------------------------------------------
 
@@ -848,27 +880,19 @@ class Store:
         return tuple(stamps[name] for name in self.FILES)
 
     def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
-                        log: tuple) -> None:
+                        held: tuple) -> None:
         """Rewrite ``<root>/.snapshot`` in place to hold ``registry`` and the files' stamps.
 
-        ``log`` is ``_log_bytes(registry, ...)``. No temp file, rename or
+        ``held`` is ``_sections(registry, ...)``. No temp file, rename or
         fsync: a snapshot torn by a crash fails its own CRC, and a stale one
         its files' stamps, so no load uses either. ``marshal`` version 2
         shares no object, so the bytes depend only on the registry's
-        contents, not on how its load built them.
+        contents, not on how its load built them or which sections were kept.
         """
-        from .consistency import _profile_row  # that module imports this one
-        attributes = registry.attributes
-        # the profile of every pair with an SLO: csp id, name, then the row's fields
-        table = [(csp_id, name, *_profile_row(registry, csp_id, attributes[name], slos))
-                 for (csp_id, name), slos in registry._slo_index.items()]
-        sections = (
-            marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
-                           for a in attributes.values()], 2),
-            marshal.dumps([*zip(*table)] or [()] * 6, 2),  # the table's columns
-            marshal.dumps((list(registry._slo_values), list(registry._slo_values.values()),
-                           list(registry._place), registry._means), 2),
-            *log)
+        table, slos, means, *log = held
+        sections = (marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
+                                   for a in registry.attributes.values()], 2),
+                    table, slos, marshal.dumps(means, 2), *log)
         # the tag and the stamps come first, so that a stale snapshot is
         # refused without decoding the registry, then the sections' lengths
         header = (self._SNAPSHOT_TAG, self._stamps_of(stamps), tuple(map(len, sections[:-1])))
@@ -883,12 +907,13 @@ class Store:
             os.close(fd)
 
     def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple] | None:
-        """The snapshot's registry and its log's bytes, if it can be trusted.
+        """The snapshot's registry and the sections a save may keep, if it can be trusted.
 
         With ``log``, the writer's registry, which holds the attributes, the
-        SLOs, the means and the log, and the bytes that are ``_log_bytes``'s
-        ``held``. Without, a read-only registry, which holds the attributes
-        and the profile table, and no bytes.
+        SLOs, the means and the log, and ``_sections``'s ``held``: the
+        table's and the SLOs' bytes, a copy of the means, and the bytes of
+        the columns that ``_log_bytes`` extends. Without, a read-only
+        registry, which holds the attributes and the profile table, and None.
 
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
@@ -899,8 +924,8 @@ class Store:
         the lower at most the upper. With ``log``: columns that a parse
         could give, of one length, with no negative place, no repeated SLO
         triple, distinct triple or (triple, sequence), no distinct triple
-        that no row uses, SLO and AMV values finite, SLO values positive and
-        AMV values at least 0, places and AMV values as marshal writes ints
+        that no row uses, SLO values positive finite floats and AMV values
+        finite and at least 0, places and AMV values as marshal writes ints
         and floats, int sequences, triples of checked ids and registered
         names, and a list of a mean per distinct triple, None or a finite
         number of at least 0. All is checked whole and used as decoded.
@@ -915,20 +940,21 @@ class Store:
             tag, file_stamps, sizes = marshal.load(stream)
             if (tag, file_stamps) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
                 return None  # another format, or files changed since the snapshot was made
-            if len(sizes) != 5:
+            if len(sizes) != 7:
                 return None  # sections of another layout
-            # where each section starts: the attributes, the profile table, the
-            # records, then the places, values and sequences, which run to the end
+            # where each section starts: the attributes, the profile table, the SLOs,
+            # the means, the distinct triples, places, values and sequences (to the end)
             starts = list(accumulate(sizes, initial=stream.tell()))
             view = memoryview(blob)
+            head, table, slo_part, means_part, *columns = (
+                view[start:end] for start, end in zip(starts, [*starts[1:], len(blob)]))
             registry = Registry()
-            for fields in marshal.loads(view[starts[0]:starts[1]]):
+            for fields in marshal.loads(head):
                 registry.register_attribute(parse_attribute(fields))
             if not log:
-                return self._restore_profiles(registry, view[starts[1]:starts[2]])
-            slos, slo_values, distinct, means = marshal.loads(view[starts[2]:starts[3]])
-            held = (view[starts[3]:starts[4]], view[starts[4]:starts[5]], view[starts[5]:])
-            places, values, sequences = map(marshal.loads, held)
+                return self._restore_profiles(registry, table)
+            (slos, slo_values), means = map(marshal.loads, (slo_part, means_part))
+            distinct, places, values, sequences = map(marshal.loads, columns)
             registry._slo_values = dict(zip(slos, slo_values, strict=True))
             for (csp_id, csc_id, attribute), value in registry._slo_values.items():
                 registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
@@ -949,22 +975,25 @@ class Store:
             # each value as it writes a float, "g" and 8: so these bytes hold
             # just these rows, and a save can extend them
             rows = len(places)
-            checked = (type(places) is type(values) is type(sequences) is type(means) is list
-                       and blob[starts[3] + 5:starts[4]:5] == b"i" * rows
-                       and blob[starts[4] + 5:starts[5]:9] == b"g" * rows
+            checked = (type(places) is type(values) is type(sequences) is type(means)
+                       is type(distinct) is list
+                       and blob[starts[5] + 5:starts[6]:5] == b"i" * rows
+                       and blob[starts[6] + 5:starts[7]:9] == b"g" * rows
                        and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
                        and len(registry._slo_values) == len(slos)  # no triple twice
+                       # SLO values as a parse gives them, which a save may keep
+                       and set(map(type, slo_values)) <= {float}
                        and all(map(math.isfinite, (*slo_values, *present)))
                        and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
                        # a sum that overflows on huge values only leaves the load to the parse
                        and math.isfinite(sum(values)) and min(values, default=0) >= 0
                        and {name for _, _, name in triples} <= registry.attributes.keys())
-            if blob[starts[5] + 5::5] != b"i" * rows:
-                held = (*held[:2], None)  # a sequence past 32 bits: written whole
+            if blob[starts[7] + 5::5] != b"i" * rows:
+                columns[3] = None  # a sequence past 32 bits: written whole
                 checked = checked and set(map(type, sequences)) <= {int}
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
-        return (registry, held) if checked else None  # else columns that no parse gives
+        return (registry, (table, slo_part, list(means), *columns)) if checked else None
 
     @staticmethod
     def _restore_profiles(registry: Registry, section: memoryview) -> tuple[Registry, None] | None:

@@ -6,12 +6,14 @@ import math
 import os
 import random
 import re
+import shutil
 import struct
 import sys
 import zlib
 
 import pytest
 
+from fastcloud import consistency
 from fastcloud.cli import main
 from fastcloud.consistency import (
     _from_row,
@@ -21,6 +23,7 @@ from fastcloud.consistency import (
 )
 from fastcloud.registry import (
     AMV_COLUMNS,
+    ATTRIBUTE_COLUMNS,
     REQUEST_COLUMNS,
     SLO_COLUMNS,
     AmvRecord,
@@ -968,7 +971,8 @@ def profile_rows(section):
 
 def snapshot_parts(path):
     """The snapshot's header, decoded, and the bytes of its sections: the attributes,
-    the profile table, the records, and the log's places, values and sequences."""
+    the profile table, the SLOs, the means, the distinct AMV triples, and the log's
+    places, values and sequences."""
     stream = io.BytesIO(path.read_bytes()[4:])
     header = marshal.load(stream)
     sections = [stream.read(size) for size in header[2]]
@@ -1043,7 +1047,7 @@ class TestSnapshotLoad:
 
         def unset_means(root):
             """The distinct triples whose mean the snapshot holds as not computed yet."""
-            *_, distinct, means = marshal.loads(snapshot_parts(root / Store.SNAPSHOT_FILE)[3])
+            means, distinct = map(marshal.loads, snapshot_parts(root / Store.SNAPSHOT_FILE)[4:6])
             return {triple for triple, mean in zip(distinct, means) if mean is None}
 
         for n in range(16):
@@ -1066,8 +1070,9 @@ class TestSnapshotLoad:
                 assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
                     hexed(consistency_profile(registry, csp_id, registry.attributes[name], slos))
                     for (csp_id, name), slos in registry._slo_index.items()]
-                # the writer, which extended the log's bytes as it loaded them, wrote
-                # what a writer that parses the files and changes nothing writes
+                # the writer, which kept the sections that its command left alone and
+                # extended the log's as it loaded them, wrote what a writer that
+                # parses the files and changes nothing writes
                 snapshot = (root / Store.SNAPSHOT_FILE).read_bytes()
                 (root / Store.SNAPSHOT_FILE).unlink()
                 assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
@@ -1128,7 +1133,7 @@ class TestSnapshotLoad:
     def test_a_snapshot_of_another_format_is_not_used(self, store, monkeypatch, capsys):
         path = store.root / Store.SNAPSHOT_FILE
         blob = path.read_bytes()
-        (tag, stamps, sizes), head, table_part, records, *log = snapshot_parts(path)
+        (tag, stamps, sizes), head, table_part, slo_part, means_part, *log = snapshot_parts(path)
         expected = parsed_outcome(store)
         read_only = outcome(store, log=False)
         checked = self.checked_writer(store)
@@ -1139,16 +1144,22 @@ class TestSnapshotLoad:
                      for part in parts]
             checked((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
 
-        sectioned(head, table_part, records, *log)
+        sectioned(head, table_part, slo_part, means_part, *log)
         assert load_recorded(store, monkeypatch) == (expected, False)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 5", "snapshot 4")
+        previous = tag.replace("snapshot 6", "snapshot 5")
         assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
-        slos, slo_values, distinct, means = marshal.loads(records)
-        places, values, sequences = map(marshal.loads, log)
+        slos, slo_values = marshal.loads(slo_part)
+        means = marshal.loads(means_part)
+        distinct, places, values, sequences = map(marshal.loads, log)
+        # the sections of the previous format after the table: the SLOs, the
+        # distinct triples and the means in one, then the places, values and
+        # sequences
+        layout_5 = (marshal.dumps((slos, slo_values, distinct, means), 2), *log[1:])
+        sizes_5 = (*sizes[:2], *map(len, layout_5[:-1]))
         layout_3 = (marshal.dumps((attributes, (slos, slo_values), means), 2),
                     marshal.dumps((distinct, places, values, sequences), 2))
 
@@ -1157,10 +1168,10 @@ class TestSnapshotLoad:
             return [(*triples[0][:at], value, *triples[0][at + 1:]), *triples[1:]]
 
         # that neither kind of load uses: another header, attributes of another
-        # shape, or a body in the previous format's layout, or with the
+        # shape, or a body in a previous format's layout, or with the
         # attributes and the table in one section
         for write in [
-            *(lambda header=header: checked(header, head, table_part, records, *log)
+            *(lambda header=header: checked(header, head, table_part, slo_part, means_part, *log)
               for header in (
                   (tag.replace(sys.implementation.cache_tag, "cpython-39"), stamps, sizes),
                   ("fastcloud store snapshot 0", stamps, sizes), (previous, stamps, sizes),
@@ -1169,86 +1180,95 @@ class TestSnapshotLoad:
                   (tag, stamps, (*sizes, 0)), tag)),
             lambda: checked((previous, stamps, len(layout_3[0])), *layout_3),
             lambda: checked((tag, stamps, len(layout_3[0])), *layout_3),
-            lambda: sectioned((attributes, table), records, *log),
-            lambda: sectioned(7, table, records, *log),
-            lambda: sectioned((attributes, table), table, records, *log),
-            lambda: sectioned([[*attributes[0][:3], 1]], table, records, *log),
-            lambda: sectioned(attributes[1:], table, records, *log),  # availability unregistered
+            lambda: checked((previous, stamps, sizes_5), head, table_part, *layout_5),
+            lambda: checked((tag, stamps, sizes_5), head, table_part, *layout_5),
+            lambda: sectioned((attributes, table), slo_part, means_part, *log),
+            lambda: sectioned(7, table, slo_part, means_part, *log),
+            lambda: sectioned((attributes, table), table, slo_part, means_part, *log),
+            lambda: sectioned([[*attributes[0][:3], 1]], table, slo_part, means_part, *log),
+            # availability unregistered
+            lambda: sectioned(attributes[1:], table, slo_part, means_part, *log),
         ]:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # a writer replaces a snapshot of the previous format
-        checked((previous, stamps, sizes), head, table_part, records, *log)
-        assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
-        assert path.read_bytes() == blob
+        # a writer replaces a snapshot 5 file, in this format's layout or in its
+        # own, with the current format's bytes
+        for write in (
+                lambda: checked((previous, stamps, sizes), head, table_part, slo_part, means_part,
+                                *log),
+                lambda: checked((previous, stamps, sizes_5), head, table_part, *layout_5)):
+            write()
+            assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+            assert path.read_bytes() == blob
         capsys.readouterr()
         # a table section of another shape, which only a read-only load decodes
         for part in (7, (attributes, table), table[:-1], [table]):
-            sectioned(head, part, records, *log)
+            sectioned(head, part, slo_part, means_part, *log)
             assert load_recorded(store, monkeypatch) == (expected, False)
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # records and a log that no parse gives, which only a full load
-        # decodes: a table section whose length takes the records in, or
+        # SLOs, means and a log that no parse gives, which only a full load
+        # decodes: a table section whose length takes the SLOs in, or
         # sections of another shape
         checked((tag, stamps, (sizes[0], sizes[1] + sizes[2], *sizes[3:], 0)),
-                head, table_part, records, *log)
+                head, table_part, slo_part, means_part, *log)
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        columns = (slos, slo_values, distinct, means)
+        parts = {"slos": (slos, slo_values), "means": means, "distinct": distinct,
+                 "places": log[1], "values": log[2], "sequences": log[3]}
+
+        def but(**changed):
+            """The sections after the table, with the named ones changed."""
+            return {**parts, **changed}.values()
+
         for sections in (
-                (7, *log), (layout_3[1], *log), (columns[:3], *log), ((*columns, 1), *log),
+                but(slos=7), but(means=7), but(distinct=7),
+                but(slos=layout_3[1]), but(slos=layout_5[0]),
+                but(slos=(slos,)), but(slos=(slos, slo_values, 1)),
                 # a short SLO values column; a means column one short or one
                 # long; an SLO triple twice, the second time with another value
-                ((slos, slo_values[:-1], distinct, means), *log),
-                ((slos, slo_values, distinct, means[:-1]), *log),
-                ((slos, slo_values, distinct, [*means, 1.0]), *log),
-                (([*slos, slos[0]], [*slo_values, slo_values[0] + 1], distinct, means), *log),
+                but(slos=(slos, slo_values[:-1])),
+                but(means=means[:-1]), but(means=[*means, 1.0]),
+                but(slos=([*slos, slos[0]], [*slo_values, slo_values[0] + 1])),
                 # SLO triples that a parse refuses or files under another name: an
                 # abbreviation, an unregistered attribute, a padded id and an empty one
-                *(((first_set(slos, at, value), slo_values, distinct, means), *log)
+                *(but(slos=(first_set(slos, at, value), slo_values))
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (1, ""))),
                 # an SLO value that is not finite and positive, and a mean that is
                 # not None or a finite number of at least 0
-                *(((slos, [value, *slo_values[1:]], distinct, means), *log)
+                *(but(slos=(slos, [value, *slo_values[1:]]))
                   for value in (math.nan, math.inf, 0.0, -1.0)),
-                *(((slos, slo_values, distinct, [value, *means[1:]]), *log)
+                *(but(means=[value, *means[1:]])
                   for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
-                (columns, [len(distinct)] * len(places), values, sequences),
-                (columns, places, values, [[1]] * len(sequences)),
+                but(places=[len(distinct)] * len(places)),
+                but(sequences=[[1]] * len(sequences)),
                 # log columns that disagree: a negative place (filed as a valid
                 # one), a short values column, a repeated triple or (triple,
                 # sequence), a triple that no row uses
-                (columns, [places[0] - len(distinct), *places[1:]], values, sequences),
-                (columns, places, values[:-1], sequences),
-                ((slos, slo_values, [distinct[0], *distinct], [means[0], *means]), places,
-                 values, sequences),
-                (columns, places, values, [sequences[0]] * len(sequences)),
-                ((slos, slo_values, [*distinct, ("p1", "c9", "availability")], [*means, None]),
-                 places, values, sequences),
+                but(places=[places[0] - len(distinct), *places[1:]]),
+                but(values=values[:-1]),
+                but(distinct=[distinct[0], *distinct], means=[means[0], *means]),
+                but(sequences=[sequences[0]] * len(sequences)),
+                but(distinct=[*distinct, ("p1", "c9", "availability")], means=[*means, None]),
                 # AMV triples that a parse refuses or files under another name
-                *(((slos, slo_values, first_set(distinct, at, value), means), places, values,
-                   sequences)
+                *(but(distinct=first_set(distinct, at, value))
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (0, ""))),
                 # columns that a parse gives as lists of ints and floats: a tuple,
                 # a place that is a bool, a value that is an int, a sequence that
                 # is a float, a str or a bool, none of them a duplicate
-                ((slos, slo_values, distinct, tuple(means)), places, values, sequences),
-                (columns, tuple(places), values, sequences),
-                (columns, places, tuple(values), sequences),
-                (columns, places, values, tuple(sequences)),
-                (columns, [bool(place) if place < 2 else place for place in places], values,
-                 sequences),
-                (columns, places, [int(values[0]), *values[1:]], sequences),
-                *((columns, places, values, [*sequences[:-1], sequence])
+                but(means=tuple(means)), but(distinct=tuple(distinct)),
+                but(places=tuple(places)), but(values=tuple(values)),
+                but(sequences=tuple(sequences)),
+                but(places=[bool(place) if place < 2 else place for place in places]),
+                but(values=[int(values[0]), *values[1:]]),
+                *(but(sequences=[*sequences[:-1], sequence])
                   for sequence in (float(sequences[-1]), str(sequences[-1]))),
-                (columns, places, values, [sequences[0], True, *sequences[2:]]),
+                but(sequences=[sequences[0], True, *sequences[2:]]),
                 # a place and a value that marshal reads but does not write: 0 as a
                 # long of no digits, and 93 as the text "-1.0000", a float of the
                 # same length whose sign no byte of a written float shows
-                (columns, b"[" + log[0][1:5] + b"l\0\0\0\0" + log[0][10:], *log[1:]),
-                (columns, log[0],
-                 log[1].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000"), log[2])):
+                but(places=b"[" + log[1][1:5] + b"l\0\0\0\0" + log[1][10:]),
+                but(values=log[2].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000"))):
             sectioned(head, table_part, *sections)
             assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
@@ -1296,19 +1316,101 @@ class TestSnapshotLoad:
             column_set(2, 7),
         ]:
             replaced(columns)
-            # a writer does not decode the table: it builds it again when it saves
+            # a writer does not decode the table
             assert load_recorded(store, monkeypatch) == (expected, False), columns
             assert load_recorded(store, monkeypatch, log=False) == (expected, True), columns
         # a table that lacks a pair with an SLO has a table's shape, and a reader
         # takes it as it is: profiles are derived data, which only this program
-        # writes. The next writer to change a file writes the whole table again
+        # writes. A writer that changes no SLO and no mean of an SLO triple keeps
+        # it; the next writer that changes one builds the whole table again
         replaced([column[:1] for column in table])
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
         assert not parsed and loaded[-1] != expected[-1]
+        qws = write_rows(tmp_path / "qws.csv", ["Service Name", *STANDARD_QWS_MAPPING],
+                         [["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]])
+        assert main(["--store", str(store.root), "import-qws", qws]) == 0
+        assert load_recorded(store, monkeypatch, log=False) == (loaded, False)
         amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c2", "la", "20", ""]])
         assert main(["--store", str(store.root), "submit-amv", amvs]) == 0
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
         assert not parsed and loaded[-1] == parsed_outcome(store)[-1] != expected[-1]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [True, 90])
+    def test_an_slo_value_that_a_parse_does_not_give_is_not_restored(
+            self, store, tmp_path, monkeypatch, capsys, value):
+        path = store.root / Store.SNAPSHOT_FILE
+        (tag, stamps, sizes), head, table_part, slo_part, *rest = snapshot_parts(path)
+        slos, slo_values = marshal.loads(slo_part)
+        assert slo_values[0] == 90.0  # p1's objective with c1 on availability
+        part = marshal.dumps((slos, [value, *slo_values[1:]]), 2)
+        self.checked_writer(store)((tag, stamps, (*sizes[:2], len(part), *sizes[3:])),
+                                   head, table_part, part, *rest)
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
+        # a writer that replaces another objective writes slos.csv as a parse
+        # gives it, and the next command parses it
+        more = write_rows(tmp_path / "more.csv", SLO_COLUMNS, [["p1", "c2", "la", "13"]])
+        argv = ["--store", str(store.root), "submit-slo", more]
+        assert main(argv) == 0
+        assert (store.root / Store.SLOS_FILE).read_text() == (
+            SLO_HEADER + "p1,c1,availability,90.0\np1,c2,latency,13.0\n")
+        path.unlink()
+        assert main(argv) == 0
+        capsys.readouterr()
+
+    def parsed_snapshot(self, root, tmp_path):
+        """The .snapshot bytes that a writer which parsed the files of the store leaves."""
+        copy = tmp_path / "parsed"
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.copytree(root, copy)
+        (copy / Store.SNAPSHOT_FILE).unlink()
+        assert main(["--store", str(copy), "register-attributes", "--qws-defaults"]) == 0
+        return (copy / Store.SNAPSHOT_FILE).read_bytes()
+
+    @staticmethod
+    def library_append(root, work):
+        """An append through the library, a profile that computes its triple's mean, a save."""
+        store = Store(root)
+        registry = store.load()
+        registry.submit_amv(AmvRecord("p1", "c1", "av", 50.0))
+        assert actual_slo_interval(registry, "p1", "av").satisfied_count == 0
+        store.save(registry)
+
+    @pytest.mark.parametrize("step, built", [
+        (["register-attributes", ["uptime", "up", "%", "benefit"]], False),
+        (["submit-slo", ["p1", "c1", "av", "92"]], True),
+        (["submit-slo", ["p1", "c1", "av", "90"]], False),  # its own value: no file changes
+        (["submit-amv", ["p1", "c2", "la", "20", ""]], True),
+        (["submit-amv", ["p1", "c1", "av", "91.5", "1"]], False),  # a duplicate
+        (["import-qws", ["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]], False),
+        (library_append, True),
+        (["submit-amv", ["p1", "c3", "av", "96", ""]], True),  # c3's first: 1 of 2 met, now 2
+    ], ids=["attribute-added", "slo-changed", "slo-same-value", "amv-appended",
+            "amv-duplicates", "import-qws", "library-mean-recomputed", "first-amv-of-slo-triple"])
+    def test_a_save_writes_the_snapshot_that_a_parse_gives(
+            self, store, tmp_path, monkeypatch, capsys, step, built):
+        root = store.root
+        slos = write_rows(tmp_path / "c3.csv", SLO_COLUMNS, [["p1", "c3", "av", "95"]])
+        assert main(["--store", str(root), "submit-slo", slos]) == 0  # an SLO with no AMV
+        assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
+        rows = []
+        with monkeypatch.context() as patch:
+            profile_row = consistency._profile_row
+            patch.setattr(consistency, "_profile_row", lambda *args: rows.append(args)
+                          or profile_row(*args))
+            if callable(step):
+                step(root, tmp_path)
+            else:
+                command, row = step
+                header = {"register-attributes": ATTRIBUTE_COLUMNS, "submit-slo": SLO_COLUMNS,
+                          "submit-amv": AMV_COLUMNS}.get(command, ["Service Name",
+                                                                  *STANDARD_QWS_MAPPING])
+                assert main(["--store", str(root), command,
+                             write_rows(tmp_path / "step.csv", header, [row])]) == 0
+        # the save kept the table unless the step changed an SLO or an SLO
+        # triple's mean, and wrote what a writer that parsed the files writes
+        assert bool(rows) == built
+        assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
         capsys.readouterr()
 
     def test_a_read_only_registry_is_not_written(self, store):

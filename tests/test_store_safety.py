@@ -123,6 +123,20 @@ def test_writer_killed_between_temp_write_and_rename(store, tmp_path):
     assert not list(store.root.glob("*.tmp"))
 
 
+def test_a_writer_removes_the_temp_files_of_dead_writers_alone(store):
+    # the names that <file>.*.tmp matches, and names next to them that it does not
+    strays = [f"{name}.{middle}.tmp" for name in Store.FILES for middle in ("k2x_9", "", "a.b")]
+    others = ["amvs.csv.tmp", "notes.tmp", "slos.csv.bak", "xamvs.csv.1.tmp",
+              "attributes.csv.1.tmpx", "notes"]
+    for name in strays + others:
+        (store.root / name).write_bytes(b"")
+    assert {path.name for name in Store.FILES
+            for path in store.root.glob(f"{name}.*.tmp")} == set(strays)
+    assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+    left = {path.name for path in store.root.iterdir()}
+    assert left == {*others, *Store.FILES, Store.LOCK_FILE, Store.SNAPSHOT_FILE}
+
+
 def test_writer_killed_mid_append(store, tmp_path):
     amvs_file = store.root / Store.AMVS_FILE
     path = tmp_path / "amv.csv"
