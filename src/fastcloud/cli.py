@@ -143,14 +143,20 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
     if args.map:
         mapping = {}
         for pair in args.map.split(","):
-            column, _, attr = pair.partition("=")
+            column, _, attr = map(str.strip, pair.partition("="))
             if not column or not attr:
                 raise ValueError(f"bad --map entry {pair!r}: expected COLUMN=attribute")
-            mapping[column.strip()] = attr.strip()
+            if column in mapping:
+                raise ValueError(f"bad --map: column {column!r} is mapped twice")
+            mapping[column] = attr
     with store.locked():
         registry = store.load()
-        for attr in mapping.values():
-            registry.resolve_attribute(attr)  # an unknown target is not the dataset's fault
+        mapped = {}  # a bad target is not the dataset's fault: refused without its name
+        for column, attr in mapping.items():
+            name = registry.resolve_attribute(attr).name
+            if mapped.setdefault(name, column) != column:
+                raise ValueError(f"bad --map: columns {mapped[name]!r} and {column!r} both name "
+                                 f"{name!r}")
         with refused_at(args.file):
             summary = import_qws(registry, record_text(Path(args.file).read_bytes()), mapping,
                                  service_column=args.service_column)

@@ -34,8 +34,8 @@ import sys
 import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice
-from operator import add, itemgetter, le, sub
+from itertools import accumulate
+from operator import add, ge, itemgetter, le, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -47,6 +47,15 @@ class Polarity(enum.Enum):
 
     BENEFIT = "benefit"
     COST = "cost"
+
+
+# the polarity check, as a comparison of (amv, slo)
+_MEETS = {Polarity.BENEFIT: ge, Polarity.COST: le}
+
+
+def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
+    """Whether a monitored mean meets its objective: benefit amv >= slo, cost amv <= slo."""
+    return _MEETS[polarity](amv, slo)
 
 
 class UnknownAttributeError(ValueError):
@@ -313,7 +322,9 @@ class Registry:
     triples, in order of their first row, its value and its sequence), and
     indexed by place: each triple's values by sequence, and its mean, cached
     until an append to the triple. ``slos`` and ``amvs`` are read-only
-    views; ``Store`` writes the columns to its snapshot as they are. A
+    views; ``Store`` writes the columns to its snapshot as they are.
+    ``profile_row`` gives the inputs of one (provider, attribute)'s
+    consistency profile, the row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
     the profile table's row of each (provider, attribute) with an SLO alone:
     reading its SLOs or log, submitting to it or saving it raises
@@ -346,9 +357,8 @@ class Registry:
     _means: list[float | None] = field(
         default_factory=list, init=False, repr=False, compare=False)
     # set by Store.load(log=False) alone, which leaves the SLO and log
-    # columns empty: (csp, attribute) -> the inputs of the consistency profile
-    # of each pair with an SLO, as a row (satisfied, agreed, span lower and
-    # upper)
+    # columns empty: (csp, attribute) -> the profile_row of each pair with
+    # an SLO
     _profiles: dict[tuple[str, str], tuple] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -506,6 +516,31 @@ class Registry:
         return [SloRecord(csp_id, csc_id, attribute, value)
                 for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
+    def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
+        """The provider's profile table row on ``attr``, or None if it agreed no SLO on it.
+
+        The row is (satisfied, agreed, span lower, span upper): a read-only
+        registry holds it, and any other builds it now. A consumer that holds
+        an SLO counts as agreed, and as satisfied only if it also has
+        monitored values whose mean passes the polarity check: an
+        unverifiable claim does not raise the rate. The span is [min, max] of
+        the SLO values; ``consistency.from_row`` scales it by the rate the
+        same way for both polarities, which normalization honors later.
+        """
+        if self._profiles is not None:
+            return self._profiles.get((csp_id, attr.name))
+        slos = self._slo_index.get((csp_id, attr.name))
+        if slos is None:
+            return None
+        mean, name, meets = self.amv_mean, attr.name, _MEETS[attr.polarity]
+        satisfied = 0
+        for csc_id, value in slos.items():
+            amv = mean(csp_id, csc_id, name)
+            if amv is not None and meets(amv, value):
+                satisfied += 1
+        values = slos.values()
+        return satisfied, len(slos), min(values), max(values)
+
 
 @dataclass(frozen=True)
 class ImportSummary:
@@ -553,6 +588,7 @@ def import_qws(
     later import cannot detect such a collision: it files the rows under
     the provider that holds the id.
 
+    Two columns mapped to one attribute are refused before any row is filed.
     Rows with missing, non-numeric, non-finite or negative values in a mapped
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
@@ -571,7 +607,12 @@ def import_qws(
     # a name given twice reads its last column; a short row reads "" past its end
     place = {name: i for i, name in enumerate(header)}
     # resolve targets up front so a bad mapping fails before any mutation
-    targets = {place[col]: registry.resolve_attribute(attr).name for col, attr in mapping.items()}
+    mapped = {}  # attribute name -> the column mapped to it
+    for col, attr in mapping.items():
+        name = registry.resolve_attribute(attr).name
+        if mapped.setdefault(name, col) != col:
+            raise ValueError(f"mapped columns {mapped[name]!r} and {col!r} both name {name!r}")
+    targets = {place[col]: name for name, col in mapped.items()}
 
     accepted = added = skipped = conflicting = 0
     rejections: list[str] = []  # a line per rejected row or conflicting record
@@ -634,45 +675,51 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def _log_bytes(registry: Registry, held: tuple | None) -> tuple:
-    """``marshal.dumps(column, 2)`` of the distinct AMV triples, places, values and sequences.
+# marshal's bytes of a list with no entries, from which _log_bytes extends a column
+_NO_ENTRIES = marshal.dumps([], 2)
+
+
+def _log_bytes(columns: tuple, held: tuple) -> tuple:
+    """``marshal.dumps(column, 2)`` of each of ``columns``, from the bytes ``held`` for it.
 
     These columns only grow, and marshal writes a list as "[", its length and
-    its elements: where ``held`` has the bytes that marshal wrote for a
-    column's first entries, only the entries added since are written.
+    its elements: ``held`` has the bytes that marshal wrote for each column's
+    first entries, ``_NO_ENTRIES`` at the least, and only the entries added
+    since are written.
     """
-    columns = (list(registry._place), registry._places, registry._values, registry._sequences)
-    return tuple(marshal.dumps(column, 2) if old is None else
-                 b"[" + len(column).to_bytes(4, "little") + old[5:]
+    return tuple(b"[" + len(column).to_bytes(4, "little") + old[5:]
                  + marshal.dumps(column[int.from_bytes(old[1:5], "little"):], 2)[5:]
-                 for old, column in zip(held or (None,) * 4, columns))
+                 for old, column in zip(held, columns))
 
 
-def _sections(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
-    """The table's and the SLOs' bytes, the means the table read, then ``_log_bytes``.
+def _sections(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
+              ) -> tuple:
+    """The table's and the SLOs' bytes, then those of the distinct AMV triples and the log.
 
-    ``held`` is what the registry's load or last save gave, or None. The SLO
-    bytes are kept if ``slos_kept``, and the table's too if no mean that it
-    read has changed and no place added since is an SLO triple: a row reads
-    only SLOs and their triples' means. Else each is encoded again.
+    ``held`` is what the registry's load or last save gave, or None, and
+    ``logged`` the log's row count then. The SLO bytes are kept if
+    ``slos_kept``, and the table's too if no row appended since lies on an
+    SLO triple: a table row reads only the pair's SLOs and the means of
+    their triples, and a mean changes only by an append to its triple. Else
+    each is encoded again. ``_log_bytes`` extends the last four sections.
     """
-    table, slos, means, *log = held or (None,) * 7
+    table, slos, *log = held or (None, None, *(_NO_ENTRIES,) * 4)
+    distinct = list(registry._place)
     if not slos_kept:
         table = slos = None
-    elif table is not None and (registry._means[:len(means)] != means or not
-                                registry._slo_values.keys().isdisjoint(
-                                    islice(registry._place, len(means), None))):
+    elif table is not None and not registry._slo_values.keys().isdisjoint(
+            map(distinct.__getitem__, registry._places[logged:])):
         table = None
     if slos is None:
         slos = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values())), 2)
     if table is None:
-        from .consistency import _profile_row  # that module imports this one
         attributes = registry.attributes
         # the profile of every pair with an SLO: csp id, name, then the row's fields
-        rows = [(csp_id, name, *_profile_row(registry, csp_id, attributes[name], agreed))
-                for (csp_id, name), agreed in registry._slo_index.items()]
+        rows = [(csp_id, name, *registry.profile_row(csp_id, attributes[name]))
+                for csp_id, name in registry._slo_index]
         table = marshal.dumps([*zip(*rows)] or [()] * 6, 2)  # the table's columns
-    return (table, slos, registry._means.copy(), *_log_bytes(registry, log))
+    columns = (distinct, registry._places, registry._values, registry._sequences)
+    return (table, slos, *_log_bytes(columns, log))
 
 
 class Store:
@@ -704,11 +751,11 @@ class Store:
     the Python version, the CRC-32 and length of each CSV file it was made
     from (None for a missing one), the byte length of each section but the
     last, and the registry as columns in eight sections: the attribute
-    definitions; the profile table, the satisfied and agreed counts and the
-    SLO span of each (provider, attribute) with an SLO, in the SLO index's
-    order; the SLO triples and values; by place, the ``amv_mean`` of each
-    distinct AMV triple, or None where none was computed; the distinct AMV
-    triples; then the AMV log's places, values and sequences. A load reads
+    definitions; the profile table, the ``Registry.profile_row`` of each
+    (provider, attribute) with an SLO, in the SLO index's order; the SLO
+    triples and values; by place, the ``amv_mean`` of each distinct AMV
+    triple, or None where none was computed; the distinct AMV triples; then
+    the AMV log's places, values and sequences. A load reads
     each CSV file whole, and uses the snapshot in place of parsing them
     only when its CRC, its tag and every file's CRC-32 and length match the
     bytes read: so no torn or stale snapshot is used. Its SLO and log
@@ -720,11 +767,11 @@ class Store:
     decodes the attributes and the profile table alone into a read-only
     registry, which holds no SLO, mean or log and cannot be saved. A
     writer's load decodes every section but the profile table. Its save
-    encodes the attributes and the means again, keeps the SLOs and the
-    table until what each is made from changes (see ``_sections``), and
-    extends the last four sections with the entries added since: so a
-    crafted section that passes the load's checks keeps its encoding, and a
-    crafted table its rows, until then.
+    encodes the attributes and the means again, keeps the SLOs until an SLO
+    changes and the table until then or until a row is appended on an SLO
+    triple (see ``_sections``), and extends the last four sections with the
+    entries added since: so a crafted section that passes the load's checks
+    keeps its encoding, and a crafted table its rows, until then.
     Only ``save`` writes the snapshot, in place, once the CSV files are
     durable; it carries the amvs.csv CRC forward over the appended bytes, so
     no file is read again. A save that changes no file leaves a snapshot
@@ -859,7 +906,7 @@ class Store:
         if stamps != snapshot_stamps:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
-            snapshot_stamps, held = None, _sections(registry, held, slos_kept)
+            snapshot_stamps, held = None, _sections(registry, held, slos_kept, logged)
             with contextlib.suppress(OSError):
                 self._write_snapshot(registry, stamps, held)
                 snapshot_stamps = stamps
@@ -889,10 +936,10 @@ class Store:
         shares no object, so the bytes depend only on the registry's
         contents, not on how its load built them or which sections were kept.
         """
-        table, slos, means, *log = held
+        table, slos, *log = held
         sections = (marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
                                    for a in registry.attributes.values()], 2),
-                    table, slos, marshal.dumps(means, 2), *log)
+                    table, slos, marshal.dumps(registry._means, 2), *log)
         # the tag and the stamps come first, so that a stale snapshot is
         # refused without decoding the registry, then the sections' lengths
         header = (self._SNAPSHOT_TAG, self._stamps_of(stamps), tuple(map(len, sections[:-1])))
@@ -911,9 +958,9 @@ class Store:
 
         With ``log``, the writer's registry, which holds the attributes, the
         SLOs, the means and the log, and ``_sections``'s ``held``: the
-        table's and the SLOs' bytes, a copy of the means, and the bytes of
-        the columns that ``_log_bytes`` extends. Without, a read-only
-        registry, which holds the attributes and the profile table, and None.
+        table's and the SLOs' bytes, and those of the columns that
+        ``_log_bytes`` extends. Without, a read-only registry, which holds
+        the attributes and the profile table, and None.
 
         That is when the snapshot can be read, passes its own CRC, carries
         this format's tag, was made from files of exactly the stamps (CRC-32
@@ -922,14 +969,15 @@ class Store:
         unpadded provider ids, registered names, int counts with 0 <=
         satisfied <= agreed and agreed > 0, and finite float span bounds,
         the lower at most the upper. With ``log``: columns that a parse
-        could give, of one length, with no negative place, no repeated SLO
-        triple, distinct triple or (triple, sequence), no distinct triple
-        that no row uses, SLO values positive finite floats and AMV values
-        finite and at least 0, places and AMV values as marshal writes ints
-        and floats, int sequences, triples of checked ids and registered
-        names, and a list of a mean per distinct triple, None or a finite
-        number of at least 0. All is checked whole and used as decoded.
-        Otherwise None, and the files are parsed.
+        could give, of one length, with the places in order of each distinct
+        triple's first row (so every distinct triple is used by a row), no
+        repeated SLO triple, distinct triple or (triple, sequence), SLO
+        values positive finite floats and AMV values finite and at least 0,
+        places and AMV values as marshal writes ints and floats, int
+        sequences, triples of checked ids and registered names, and a list of
+        a mean per distinct triple, None or a finite number of at least 0.
+        All is checked whole and used as decoded. Otherwise None, and the
+        files are parsed.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -964,9 +1012,9 @@ class Store:
             registry._means = means
             for place, sequence, value in zip(places, sequences, values, strict=True):
                 samples[place][sequence] = value
-            # every distinct triple once, and used by a row
-            if (min(places, default=0) < 0 or len(registry._place) != len(distinct)
-                    or len(means) != len(distinct) or not all(samples)
+            # every distinct triple once, and placed in order of its first row
+            if (list(dict.fromkeys(places)) != list(range(len(distinct)))
+                    or len(registry._place) != len(distinct) or len(means) != len(distinct)
                     or sum(map(len, samples)) != len(values)):
                 return None  # columns that no parse gives
             triples = [*registry._slo_values, *distinct]
@@ -989,11 +1037,11 @@ class Store:
                        and math.isfinite(sum(values)) and min(values, default=0) >= 0
                        and {name for _, _, name in triples} <= registry.attributes.keys())
             if blob[starts[7] + 5::5] != b"i" * rows:
-                columns[3] = None  # a sequence past 32 bits: written whole
+                columns[3] = _NO_ENTRIES  # a sequence past 32 bits: written whole
                 checked = checked and set(map(type, sequences)) <= {int}
         except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
             return None  # unreadable, or columns of another shape
-        return (registry, (table, slo_part, list(means), *columns)) if checked else None
+        return (registry, (table, slo_part, *columns)) if checked else None
 
     @staticmethod
     def _restore_profiles(registry: Registry, section: memoryview) -> tuple[Registry, None] | None:

@@ -24,7 +24,7 @@ from typing import TextIO
 
 # actual_slo_interval is no stage of the pass, but stays importable here: the
 # benchmark's layer tracer wraps it by this name
-from .consistency import ConsistencyProfile, _from_row, _profile_of, actual_slo_interval
+from .consistency import ConsistencyProfile, actual_slo_interval, from_row
 from .intervals import IntervalNumber
 from .registry import REQUEST_COLUMNS, Polarity, Registry, parse_request, read_rows, refused_at
 from .trust import (
@@ -115,11 +115,11 @@ def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidat
     for csp_id in sorted(registry.providers):
         profiles = []
         for attr, span in requested:
-            row = _profile_of(registry, csp_id, attr)
+            row = registry.profile_row(csp_id, attr)
             if row is None:
                 excluded[csp_id] = f"no SLO on {attr.name!r}"
                 break
-            profile = _from_row(csp_id, attr.name, row)
+            profile = from_row(csp_id, attr.name, row)
             actual = profile.actual_interval
             if not actual.intersects(span):
                 excluded[csp_id] = f"actual interval {actual} misses {span} on {attr.name!r}"

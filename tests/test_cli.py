@@ -679,6 +679,20 @@ class TestImportQws:
         ]) == 2
         assert "NotAColumn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("Availability=av,Reliability=availability",
+         "bad --map: columns 'Availability' and 'Reliability' both name 'availability'"),
+        ("Availability=av,Availability=re", "bad --map: column 'Availability' is mapped twice"),
+        (" =av", "bad --map entry ' =av': expected COLUMN=attribute"),
+    ], ids=["two-columns-one-attribute", "one-column-twice", "blank-column"])
+    def test_a_mapping_that_drops_or_names_no_column_is_refused(
+            self, store_dir, capsys, spec, reason):
+        sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
+        files = {path.name: path.read_bytes() for path in store_dir.iterdir()}
+        assert main(["--store", str(store_dir), "import-qws", str(sample), "--map", spec]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == files
+
 
 class TestBench:
     def test_smoke_run(self, capsys):

@@ -13,14 +13,8 @@ import zlib
 
 import pytest
 
-from fastcloud import consistency
 from fastcloud.cli import main
-from fastcloud.consistency import (
-    _from_row,
-    _profile_of,
-    actual_slo_interval,
-    consistency_profile,
-)
+from fastcloud.consistency import actual_slo_interval, from_row
 from fastcloud.registry import (
     AMV_COLUMNS,
     ATTRIBUTE_COLUMNS,
@@ -904,6 +898,14 @@ class TestImport:
         assert (summary.rows_accepted, summary.rows_rejected) == (1, 1)
         assert summary.rejections[0].startswith("line 2: non-numeric")
 
+    def test_two_columns_mapped_to_one_attribute_are_refused(self):
+        registry = fresh_registry()
+        mapping = {"Availability": "av", "Reliability": "availability"}
+        with pytest.raises(ValueError, match="^mapped columns 'Availability' and 'Reliability' "
+                                             "both name 'availability'$"):
+            import_qws(registry, io.StringIO(qws_rows(1)), mapping)
+        assert len(registry.amvs) == 0
+
     def test_mapping_targets_must_be_registered(self):
         registry = Registry()  # no attributes at all
         with pytest.raises(UnknownAttributeError):
@@ -926,7 +928,7 @@ def outcome(store, log=True):
 def profile_table(registry):
     """(csp, attribute) -> the profile row of each pair with an SLO, as the registry gives it."""
     pairs = registry._slo_index if registry._profiles is None else registry._profiles
-    return {(csp_id, name): _profile_of(registry, csp_id, registry.attributes[name])
+    return {(csp_id, name): registry.profile_row(csp_id, registry.attributes[name])
             for csp_id, name in pairs}
 
 
@@ -965,7 +967,7 @@ def hexed(profile):
 
 def profile_rows(section):
     """The profiles of a snapshot's profile table section, each ``hexed``."""
-    return [hexed(_from_row(csp_id, attribute, row))
+    return [hexed(from_row(csp_id, attribute, row))
             for csp_id, attribute, *row in zip(*marshal.loads(section))]
 
 
@@ -1064,12 +1066,12 @@ class TestSnapshotLoad:
                 loaded, parsed = load_recorded(Store(root), monkeypatch)
                 assert not parsed  # every writer left a snapshot of what it saved
                 assert loaded == parsed_outcome(Store(root))
-                # the snapshot's profiles are consistency_profile's on a parse, to the bit
+                # the snapshot's profiles are those a parse builds, to the bit
                 registry = Store(root)._parse({name: (root / name).read_bytes()
                                                for name in Store.FILES})
                 assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
-                    hexed(consistency_profile(registry, csp_id, registry.attributes[name], slos))
-                    for (csp_id, name), slos in registry._slo_index.items()]
+                    hexed(actual_slo_interval(registry, csp_id, name))
+                    for csp_id, name in registry._slo_index]
                 # the writer, which kept the sections that its command left alone and
                 # extended the log's as it loaded them, wrote what a writer that
                 # parses the files and changes nothing writes
@@ -1273,6 +1275,25 @@ class TestSnapshotLoad:
             assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
 
+    def test_places_out_of_first_row_order_are_not_restored(self, store, monkeypatch, capsys):
+        path = store.root / Store.SNAPSHOT_FILE
+        blob = path.read_bytes()
+        (tag, stamps, _), head, table_part, slo_part, means_part, *log = snapshot_parts(path)
+        distinct, places = map(marshal.loads, log[:2])
+        assert places == [0, 1, 0]
+        # the distinct triples and their means reversed, and the places remapped:
+        # each row still files under its own triple, but no parse places the
+        # triples so
+        parts = (head, table_part, slo_part, marshal.dumps(marshal.loads(means_part)[::-1], 2),
+                 marshal.dumps(distinct[::-1], 2),
+                 marshal.dumps([len(distinct) - 1 - place for place in places], 2), *log[2:])
+        self.checked_writer(store)((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
+        # a writer then leaves the snapshot that a parse gives
+        assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+        assert path.read_bytes() == blob
+        capsys.readouterr()
+
     def test_a_profile_table_of_another_shape_is_not_used(
             self, store, tmp_path, monkeypatch, capsys):
         (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(
@@ -1395,8 +1416,8 @@ class TestSnapshotLoad:
         assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
         rows = []
         with monkeypatch.context() as patch:
-            profile_row = consistency._profile_row
-            patch.setattr(consistency, "_profile_row", lambda *args: rows.append(args)
+            profile_row = Registry.profile_row
+            patch.setattr(Registry, "profile_row", lambda *args: rows.append(args)
                           or profile_row(*args))
             if callable(step):
                 step(root, tmp_path)

@@ -10,7 +10,6 @@ import pytest
 from conftest import COST_ONLY_CHAIN, case_registry, case_request
 from fastcloud.consistency import (
     ConsistencyProfile,
-    _profile_row,
     actual_slo_interval,
     average_amv,
     satisfies_consistency,
@@ -283,12 +282,15 @@ class TestMatchingPass:
         registry = self.crafted_store()
         request = AssessmentRequest((("av", span(91, 100)), ("la", span(0, 100))))
         built = []
+        profile_row = Registry.profile_row
 
-        def counted(*args):
-            built.append(args[1:3])
-            return _profile_row(*args)
+        def counted(self, *args):
+            row = profile_row(self, *args)
+            if row is not None:  # a row built: this registry holds no profile table
+                built.append(args)
+            return row
 
-        monkeypatch.setattr("fastcloud.consistency._profile_row", counted)
+        monkeypatch.setattr(Registry, "profile_row", counted)
         with pytest.raises(InsufficientCandidatesError) as refused:
             assess(registry, request)
         assert str(refused.value) == (
