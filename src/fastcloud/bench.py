@@ -66,8 +66,9 @@ def generate_instance(providers: int, attributes: int, seed: int) -> DecisionMat
     """Reproducible random decision matrix of interval cells.
 
     Each cell is [v, v + w] with v uniform in VALUE_RANGE and w zero for about
-    one cell in five, else uniform in [0, 0.6 v], so the possibility degree
-    meets both its interval and its point-vs-point branches. Attribute
+    one cell in five, else uniform in [0, 0.6 v]. Normalization widens a
+    point cell unless its whole column is points, so the trust levels are
+    points only in the rare instance whose every cell is. Attribute
     polarities alternate benefit/cost so both normalization branches get
     exercised.
     """

@@ -52,7 +52,7 @@ def possibility_degree(a: IntervalNumber, b: IntervalNumber) -> float:
 
     The pairwise form of ``possibility_row``, which gives the formula and the
     point-interval convention. No stage calls it: it stays public as the
-    pairwise reference that the tests hold possibility-matrix rows to.
+    pairwise form, on which the tests check the degree's properties.
     """
     return possibility_row(a.lower, a.upper, a.width, ((b.lower, b.width),))[0]
 
@@ -74,9 +74,16 @@ def possibility_row(
 
     Works on plain floats so a whole possibility-matrix row is one pass.
     """
-    # min(total, max(d, 0.0)) spelled with the comparisons that min and max
-    # make, so every result is the same to the bit (signed zeros and an
-    # overflowed total included) at a quarter of the cost per entry
+    # min(total, max(d, 0.0)) / total spelled with the comparisons that min
+    # and max make, so every result is the same to the bit (signed zeros and
+    # an overflowed total included). With a positive width every total is
+    # positive: the row needs no point convention, and a negative d gives 0.0
+    # without the division (a d of -0.0 still divides, to -0.0)
+    if width > 0.0:
+        return [
+            0.0 if (d := upper - b_lower) < 0.0 else d / t if d < (t := width + b_width) else t / t
+            for b_lower, b_width in others
+        ]
     return [
         (0.0 if (d := upper - b_lower) < 0.0 else d if d < total else total) / total
         if (total := width + b_width)

@@ -284,12 +284,13 @@ def render_human(result: AssessmentResult) -> str:
     """Readable multi-line report with the one-line ranking chain first."""
     ctx = result.context
     lines = [f"ranking: {result.chain}", ""]
-    lines.append(f"{'rank':<5}{'provider':<16}{'score':<10}{'trust level':<24}vs next")
+    # 16 wide, or wider by as much as the longest id needs to keep a space
+    width = max(16, 1 + max(len(r.csp_id) for r in result.ranking))
+    lines.append(f"{'rank':<5}{'provider':<{width}}{'score':<10}{'trust level':<24}vs next")
     for pos, r in enumerate(result.ranking, start=1):
         vs = "-" if r.possibility_vs_next is None else f"{r.possibility_vs_next:.3f}"
-        lines.append(
-            f"{pos:<5}{r.csp_id:<16}{r.ordering_score:<10.4f}{str(r.trust_level):<24}{vs}"
-        )
+        lines.append(f"{pos:<5}{r.csp_id:<{width}}{r.ordering_score:<10.4f}"
+                     f"{str(r.trust_level):<24}{vs}")
     lines.append("")
     lines.append("weights:")
     for attr, w in zip(ctx.decision.attributes, ctx.weights.weights):

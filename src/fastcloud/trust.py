@@ -9,7 +9,9 @@ Five stages over an interval-valued decision matrix (providers x attributes):
                     O(P log P) per attribute;
 3. trust_levels   - per-provider weighted interval aggregate;
 4. possibility_matrix - pairwise "at least as good" degrees between the
-                    trust intervals;
+                    trust intervals, a row per provider; a row of positive
+                    width takes a form without the point convention, which
+                    only a point row can need;
 5. ordering_vector / rank - scalar priority per provider derived from the
                     possibility matrix, descending order with id tie-break.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from .intervals import IntervalNumber, possibility_row
 from .registry import Polarity, QosAttribute
@@ -124,7 +127,7 @@ def normalize(decision: DecisionMatrix) -> Grid:
         column = [(lo / sum_upper, hi / sum_lower) for lo, hi in zip(lowers, uppers)]
         # each cell is 0 <= lower <= upper, so the uppers bound the column;
         # a sum, unlike a max, also shows a NaN (inf / inf) wherever it is
-        if not math.isfinite(sum(hi for _, hi in column)):
+        if not math.isfinite(sum(map(itemgetter(1), column))):
             raise ValueError(
                 f"{attr.polarity.value} attribute {attr.name!r} overflows when normalized"
             )
@@ -150,9 +153,9 @@ def column_deviation(column: list[tuple[float, float]]) -> float:
 
 
 def _pairwise_abs_sum(values: list[float]) -> float:
-    xs = sorted(values)
-    n = len(xs)
-    return 2.0 * math.fsum((2 * i - n + 1) * x for i, x in enumerate(xs))
+    n = len(values)
+    # the coefficients 2i - n + 1 for i = 0 .. n - 1, against the sorted values
+    return 2.0 * math.fsum(map(mul, range(1 - n, n, 2), sorted(values)))
 
 
 def deviation_weights(normalized: Grid, attributes: tuple[QosAttribute, ...]) -> WeightVector:

@@ -576,3 +576,17 @@ class TestResultDocument:
         for attr in result.context.decision.attributes:
             assert attr.name in text
 
+    def test_human_rendering_aligns_the_score_column_past_long_ids(self):
+        registry = fresh_registry()
+        ids = ("FlightStatusFeed", "CurrencyConverter", "p1")  # 16, 17 and 2 characters
+        for csp_id, lo in zip(ids, (70, 80, 90)):
+            seed_provider(registry, csp_id, "availability", lo, lo + 5)
+        result = assess(registry, AssessmentRequest((("availability", span(50, 100)),)))
+        header, *rows = render_human(result).split("\n\n")[1].splitlines()
+        offset = header.index("score")
+        assert offset == 5 + len("CurrencyConverter") + 1
+        for row, r in zip(rows, result.ranking):
+            assert row[5:offset].rstrip() == r.csp_id
+            assert row[offset - 1] == " "
+            assert row[offset:].startswith(f"{r.ordering_score:.4f}")
+        assert len(rows) == len(ids)

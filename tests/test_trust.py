@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,9 +10,13 @@ from conftest import (
     REFERENCE_TRUST,
     REFERENCE_WEIGHTS,
     case_decision_matrix,
+    case_registry,
+    case_request,
 )
-from fastcloud.intervals import IntervalNumber, possibility_degree
+from fastcloud.bench import generate_instance
+from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import Polarity, QosAttribute
+from fastcloud.selection import assess, render_structured, result_document
 from fastcloud.trust import (
     DecisionContext,
     DecisionMatrix,
@@ -254,16 +259,27 @@ class TestFloatCore:
                 [(lower.hex(), upper.hex()) for lower, upper in expected]
 
     def test_possibility_entries_equal_possibility_degree(self):
+        def reference(a, b):
+            total = a.width + b.width
+            if total == 0:
+                return 1.0 if a.lower > b.lower else 0.0 if a.lower < b.lower else 0.5
+            return min(total, max(a.upper - b.lower, 0.0)) / total
+
+        # equal and unequal points, upper bounds of -0.0 against lower bounds
+        # of 0.0, and widths whose totals overflow to inf, in every matrix
+        edges = [IntervalNumber(0.5, 0.5), IntervalNumber(0.5, 0.5), IntervalNumber(0.25, 0.25),
+                 IntervalNumber(-0.0, -0.0), IntervalNumber(0.0, 0.0), IntervalNumber(-1.0, -0.0),
+                 IntervalNumber(0.0, 2.0), IntervalNumber(-1e308, -0.0),
+                 IntervalNumber(0.0, 1.7e308), IntervalNumber(-1.7e308, 1.7e308)]
         rng = random.Random(32)
         for _ in range(20):
-            # equal and unequal point-vs-point pairs always present
-            points = (IntervalNumber(0.5, 0.5), IntervalNumber(0.5, 0.5),
-                      IntervalNumber(0.25, 0.25))
-            z = tuple(self.random_column(rng, rng.randint(2, 30))) + points
-            p = possibility_matrix(z)
+            z = self.random_column(rng, rng.randint(2, 30)) + edges
+            rng.shuffle(z)
+            p = possibility_matrix(tuple(z))
             for i, zi in enumerate(z):
-                assert [x.hex() for x in p[i]] == \
-                    [possibility_degree(zi, ze).hex() for ze in z]
+                expected = [reference(zi, ze).hex() for ze in z]
+                expected[i] = (0.5).hex()
+                assert [x.hex() for x in p[i]] == expected
 
 
 class TestWeightVector:
@@ -428,3 +444,45 @@ class TestRankAndPipeline:
         # CSP ids round-trip from the fixture
         assert set(ranking_chain(rank(evaluate(case_decision_matrix()))).split(" > ")) \
             == set(CASE_PROVIDERS)
+
+
+class TestGoldenDigest:
+    """Every intermediate of the scoring core, pinned to the bit.
+
+    The digest was taken before the core's inner loops were last rewritten;
+    a rewrite that keeps the arithmetic and its order keeps it. A normalized
+    cell is a point only where its whole column is, so the last three
+    instances are seeds whose cells are all points: their trust levels are
+    points, and possibility rows of zero width run as well as positive ones.
+    """
+
+    INSTANCES = [(providers, attributes, providers * 10 + attributes)
+                 for providers in (2, 7, 60, 200) for attributes in (1, 2, 8)]
+    INSTANCES += [(2, 1, 4), (2, 2, 736), (7, 1, 31806)]
+    DIGEST = "622aca39ae2655f1ffd82ba5a9a510c196d30c2995275fe0990368905ab0b48d"
+
+    @staticmethod
+    def core_lines(providers, attributes, seed):
+        ctx = evaluate(generate_instance(providers, attributes, seed))
+        yield f"instance {providers} x {attributes}, seed {seed}"
+        for row in ctx.normalized:
+            yield " ".join(x.hex() for cell in row for x in cell)
+        yield " ".join(w.hex() for w in ctx.weights.weights)
+        yield " ".join(f"{z.lower.hex()} {z.upper.hex()}" for z in ctx.trust_levels)
+        for row in ctx.possibility:
+            yield " ".join(x.hex() for x in row)
+        yield " ".join(x.hex() for x in ctx.ordering)
+        for r in rank(ctx):
+            vs = "-" if r.possibility_vs_next is None else r.possibility_vs_next.hex()
+            yield (f"{r.csp_id} {r.ordering_score.hex()} {r.trust_level.lower.hex()} "
+                   f"{r.trust_level.upper.hex()} {vs}")
+
+    def test_core_and_case_document_digest(self):
+        digest = hashlib.sha256()
+        for instance in self.INSTANCES:
+            for line in self.core_lines(*instance):
+                digest.update(line.encode() + b"\n")
+        document = result_document(assess(case_registry(), case_request()))
+        del document["elapsed_seconds"]
+        digest.update(render_structured(document).encode())
+        assert digest.hexdigest() == self.DIGEST
