@@ -345,12 +345,10 @@ class Registry:
     # (csp, csc, attribute) -> its place, in order of its first row: compared,
     # since the places mean nothing without it
     _place: dict[tuple[str, str, str], int] = field(default_factory=dict, init=False, repr=False)
-    # by place, {sequence: value}: filled by _append_amv, and by
-    # Store._restore_snapshot on load
+    # by place, {sequence: value}: filled by _append_amv, and by _decode
     _samples: list[dict[int, float]] = field(
         default_factory=list, init=False, repr=False, compare=False)
-    # (csp, attribute) -> {csc: agreed value}: filled by _file_slo, and by
-    # Store._restore_snapshot on load
+    # (csp, attribute) -> {csc: agreed value}: filled by _file_slo and _decode
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # by place, amv_mean, or None until it is computed: _append_amv resets it
@@ -692,18 +690,30 @@ def _log_bytes(columns: tuple, held: tuple) -> tuple:
                  for old, column in zip(held, columns))
 
 
-def _sections(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
-              ) -> tuple:
-    """The table's and the SLOs' bytes, then those of the distinct AMV triples and the log.
+def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
+            ) -> tuple:
+    """The eight sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
 
-    ``held`` is what the registry's load or last save gave, or None, and
-    ``logged`` the log's row count then. The SLO bytes are kept if
-    ``slos_kept``, and the table's too if no row appended since lies on an
-    SLO triple: a table row reads only the pair's SLOs and the means of
-    their triples, and a mean changes only by an append to its triple. Else
-    each is encoded again. ``_log_bytes`` extends the last four sections.
+    They are: the attribute definitions; the profile table, the
+    ``Registry.profile_row`` of each (provider, attribute) with an SLO, in
+    the SLO index's order, as six columns; the SLO triples and values; by
+    place, the ``amv_mean`` of each distinct AMV triple, or None where none
+    was computed; the distinct AMV triples; then the AMV log's places,
+    values and sequences. Version 2 shares no object, so the bytes depend
+    only on the registry's contents, not on how its load built it or which
+    sections were kept.
+
+    ``held`` is the sections that the registry's load or last save gave, or
+    None, and ``logged`` the log's row count then. The attributes and the
+    means are encoded again. The SLOs are kept if ``slos_kept``, and the
+    table too if no row appended since lies on an SLO triple: a table row
+    reads only the pair's SLOs and the means of their triples, and a mean
+    changes only by an append to its triple. Else each is encoded again.
+    ``_log_bytes`` extends the last four. So a crafted section that
+    ``_decode`` accepted keeps its encoding, and a crafted table its rows,
+    until what it is made from changes.
     """
-    table, slos, *log = held or (None, None, *(_NO_ENTRIES,) * 4)
+    _, table, slos, _, *log = held or (None,) * 4 + (_NO_ENTRIES,) * 4
     distinct = list(registry._place)
     if not slos_kept:
         table = slos = None
@@ -719,7 +729,100 @@ def _sections(registry: Registry, held: tuple | None, slos_kept: bool, logged: i
                 for csp_id, name in registry._slo_index]
         table = marshal.dumps([*zip(*rows)] or [()] * 6, 2)  # the table's columns
     columns = (distinct, registry._places, registry._values, registry._sequences)
-    return (table, slos, *_log_bytes(columns, log))
+    return (marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
+                           for a in registry.attributes.values()], 2),
+            table, slos, marshal.dumps(registry._means, 2), *_log_bytes(columns, log))
+
+
+def _decode(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
+    """The registry that ``_encode``'s eight sections hold, if a parse could give it.
+
+    With ``log``, the writer's registry, which holds the attributes, the
+    SLOs, the means and the log, and the sections as the ``held`` of its
+    save. Without, a read-only registry, which holds the attributes and the
+    profile table, and None. A section that the registry does not hold is
+    not decoded.
+
+    Without ``log``, the table must have columns of one length, with no
+    pair twice, unpadded provider ids, registered names, int counts with 0
+    <= satisfied <= agreed and agreed > 0, and finite positive float span
+    bounds, the lower at most the upper: every SLO value is positive. With
+    ``log``: columns that a parse could give, of one length, with the
+    places in order of each distinct triple's first row (so every distinct
+    triple is used by a row), no repeated SLO triple, distinct triple or
+    (triple, sequence), SLO values positive finite floats and AMV values
+    finite and at least 0, places and AMV values as marshal writes ints and
+    floats, int sequences, triples of checked ids and registered names, and
+    a list of a mean per distinct triple, None or a finite number of at
+    least 0. All is checked whole and used as decoded. The profiles and the
+    means are derived data that only this program writes, so they are
+    checked for shape alone. Any other sections give None.
+    """
+    try:
+        (head, table, slo_part, means_part,
+         distinct_part, places_part, values_part, sequences_part) = sections
+        registry = Registry()
+        for fields in marshal.loads(head):
+            registry.register_attribute(parse_attribute(fields))
+        if not log:
+            csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(table)
+            registry._profiles = dict(zip(zip(csp_ids, names, strict=True),
+                                          zip(satisfied, agreed, lows, highs, strict=True),
+                                          strict=True))
+            bounds = (*lows, *highs)
+            # a sum that overflows on huge values only leaves the load to the parse
+            checked = (len(registry._profiles) == len(csp_ids)
+                       and _unpadded(set(csp_ids))
+                       and set(names) <= registry.attributes.keys()
+                       and set(map(type, bounds)) <= {float}
+                       and set(map(type, (*satisfied, *agreed))) <= {int}
+                       and math.isfinite(sum(bounds)) and min(lows, default=1) > 0
+                       and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
+                       and min(map(sub, agreed, satisfied), default=0) >= 0
+                       and all(map(le, lows, highs)))
+            return (registry, None) if checked else None
+        (slos, slo_values), means = map(marshal.loads, (slo_part, means_part))
+        distinct, places, values, sequences = map(
+            marshal.loads, (distinct_part, places_part, values_part, sequences_part))
+        registry._slo_values = dict(zip(slos, slo_values, strict=True))
+        for (csp_id, csc_id, attribute), value in registry._slo_values.items():
+            registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
+        registry._places, registry._values, registry._sequences = places, values, sequences
+        registry._place = dict(zip(distinct, range(len(distinct))))
+        registry._samples = samples = [{} for _ in distinct]
+        registry._means = means
+        for place, sequence, value in zip(places, sequences, values, strict=True):
+            samples[place][sequence] = value
+        # every distinct triple once, and placed in order of its first row
+        if (list(dict.fromkeys(places)) != list(range(len(distinct)))
+                or len(registry._place) != len(distinct) or len(means) != len(distinct)
+                or sum(map(len, samples)) != len(values)):
+            return None  # columns that no parse gives
+        triples = [*registry._slo_values, *distinct]
+        present = [mean for mean in means if mean is not None]
+        # each place written as marshal writes an int, "i" and 4 bytes, and
+        # each value as it writes a float, "g" and 8: so these bytes hold
+        # just these rows, and a save can extend them
+        rows = len(places)
+        checked = (type(places) is type(values) is type(sequences) is type(means)
+                   is type(distinct) is list
+                   and bytes(places_part)[5::5] == b"i" * rows
+                   and bytes(values_part)[5::9] == b"g" * rows
+                   and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
+                   and len(registry._slo_values) == len(slos)  # no triple twice
+                   # SLO values as a parse gives them, which a save may keep
+                   and set(map(type, slo_values)) <= {float}
+                   and all(map(math.isfinite, (*slo_values, *present)))
+                   and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
+                   # a sum that overflows on huge values only leaves the load to the parse
+                   and math.isfinite(sum(values)) and min(values, default=0) >= 0
+                   and {name for _, _, name in triples} <= registry.attributes.keys())
+        if bytes(sequences_part)[5::5] != b"i" * rows:
+            sequences_part = _NO_ENTRIES  # a sequence past 32 bits: written whole
+            checked = checked and set(map(type, sequences)) <= {int}
+    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
+        return None  # columns of another shape
+    return (registry, (*sections[:7], sequences_part)) if checked else None
 
 
 class Store:
@@ -747,35 +850,22 @@ class Store:
     submit commands, which names the refused row.
 
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
-    It holds, as a ``marshal`` blob, its own CRC-32, a tag of its format and
-    the Python version, the CRC-32 and length of each CSV file it was made
-    from (None for a missing one), the byte length of each section but the
-    last, and the registry as columns in eight sections: the attribute
-    definitions; the profile table, the ``Registry.profile_row`` of each
-    (provider, attribute) with an SLO, in the SLO index's order; the SLO
-    triples and values; by place, the ``amv_mean`` of each distinct AMV
-    triple, or None where none was computed; the distinct AMV triples; then
-    the AMV log's places, values and sequences. A load reads
-    each CSV file whole, and uses the snapshot in place of parsing them
-    only when its CRC, its tag and every file's CRC-32 and length match the
-    bytes read: so no torn or stale snapshot is used. Its SLO and log
-    columns must be what a parse gives; the profiles and the means, derived
-    data that only this program writes, are checked for shape alone. Any
-    other snapshot (unreadable, torn, foreign, of another shape, with
-    columns no parse gives, or made before a hand edit) leaves the load to
-    the parse, with its refusals. ``load(log=False)``, the reader's,
-    decodes the attributes and the profile table alone into a read-only
-    registry, which holds no SLO, mean or log and cannot be saved. A
-    writer's load decodes every section but the profile table. Its save
-    encodes the attributes and the means again, keeps the SLOs until an SLO
-    changes and the table until then or until a row is appended on an SLO
-    triple (see ``_sections``), and extends the last four sections with the
-    entries added since: so a crafted section that passes the load's checks
-    keeps its encoding, and a crafted table its rows, until then.
-    Only ``save`` writes the snapshot, in place, once the CSV files are
-    durable; it carries the amvs.csv CRC forward over the appended bytes, so
-    no file is read again. A save that changes no file leaves a snapshot
-    that already holds the registry as it is. Readers never write it.
+    It holds, as a ``marshal`` blob, its own CRC-32, then a header of a tag
+    of its format and the Python version, the CRC-32 and length of each CSV
+    file it was made from (None for a missing one) and the byte length of
+    each section but the last, then the eight sections that ``_encode``
+    gives. A load reads each CSV file whole, and uses the snapshot in place
+    of parsing them only when its CRC, its tag and every file's CRC-32 and
+    length match the bytes read, so that no torn or stale snapshot is used,
+    and ``_decode`` accepts its sections. Any other snapshot (unreadable,
+    torn, foreign, of another shape, with columns no parse gives, or made
+    before a hand edit) leaves the load to the parse, with its refusals.
+    ``load(log=False)``, the reader's, gives a read-only registry, which
+    cannot be saved. Only ``save`` writes the snapshot, in place, once the
+    CSV files are durable; it carries the amvs.csv CRC forward over the
+    appended bytes, so no file is read again. A save that changes no file
+    leaves a snapshot that already holds the registry as it is. Readers
+    never write it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -802,7 +892,7 @@ class Store:
         # of it (its attributes, its SLOs and its AMV row count; None: no
         # file), each file's CRC-32 and length, the file stamps that the
         # snapshot holds with this registry (None: it does not hold this
-        # registry), and the sections that a save may keep (see _sections)
+        # registry), and the sections that a save may keep (see _encode)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -906,9 +996,9 @@ class Store:
         if stamps != snapshot_stamps:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
-            snapshot_stamps, held = None, _sections(registry, held, slos_kept, logged)
+            snapshot_stamps, held = None, _encode(registry, held, slos_kept, logged)
             with contextlib.suppress(OSError):
-                self._write_snapshot(registry, stamps, held)
+                self._write_snapshot(stamps, held)
                 snapshot_stamps = stamps
         self._remember(registry, stamps, snapshot_stamps, held)
 
@@ -926,20 +1016,13 @@ class Store:
     def _stamps_of(self, stamps: dict[str, tuple[int, int] | None]) -> tuple:
         return tuple(stamps[name] for name in self.FILES)
 
-    def _write_snapshot(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
-                        held: tuple) -> None:
-        """Rewrite ``<root>/.snapshot`` in place to hold ``registry`` and the files' stamps.
+    def _write_snapshot(self, stamps: dict[str, tuple[int, int] | None], sections: tuple
+                        ) -> None:
+        """Rewrite ``<root>/.snapshot`` in place to hold ``sections`` and the files' stamps.
 
-        ``held`` is ``_sections(registry, ...)``. No temp file, rename or
-        fsync: a snapshot torn by a crash fails its own CRC, and a stale one
-        its files' stamps, so no load uses either. ``marshal`` version 2
-        shares no object, so the bytes depend only on the registry's
-        contents, not on how its load built them or which sections were kept.
+        No temp file, rename or fsync: a snapshot torn by a crash fails its
+        own CRC, and a stale one its files' stamps, so no load uses either.
         """
-        table, slos, *log = held
-        sections = (marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
-                                   for a in registry.attributes.values()], 2),
-                    table, slos, marshal.dumps(registry._means, 2), *log)
         # the tag and the stamps come first, so that a stale snapshot is
         # refused without decoding the registry, then the sections' lengths
         header = (self._SNAPSHOT_TAG, self._stamps_of(stamps), tuple(map(len, sections[:-1])))
@@ -953,31 +1036,12 @@ class Store:
         finally:
             os.close(fd)
 
-    def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple] | None:
-        """The snapshot's registry and the sections a save may keep, if it can be trusted.
+    def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple | None] | None:
+        """``_decode`` of the snapshot's sections, or None if the snapshot cannot be trusted.
 
-        With ``log``, the writer's registry, which holds the attributes, the
-        SLOs, the means and the log, and ``_sections``'s ``held``: the
-        table's and the SLOs' bytes, and those of the columns that
-        ``_log_bytes`` extends. Without, a read-only registry, which holds
-        the attributes and the profile table, and None.
-
-        That is when the snapshot can be read, passes its own CRC, carries
-        this format's tag, was made from files of exactly the stamps (CRC-32
-        and length) given, and decodes into columns of the registry's shape.
-        Without ``log``: a profile table of one length, with no pair twice,
-        unpadded provider ids, registered names, int counts with 0 <=
-        satisfied <= agreed and agreed > 0, and finite float span bounds,
-        the lower at most the upper. With ``log``: columns that a parse
-        could give, of one length, with the places in order of each distinct
-        triple's first row (so every distinct triple is used by a row), no
-        repeated SLO triple, distinct triple or (triple, sequence), SLO
-        values positive finite floats and AMV values finite and at least 0,
-        places and AMV values as marshal writes ints and floats, int
-        sequences, triples of checked ids and registered names, and a list of
-        a mean per distinct triple, None or a finite number of at least 0.
-        All is checked whole and used as decoded. Otherwise None, and the
-        files are parsed.
+        That is unless it can be read, passes its own CRC, carries this
+        format's tag, and was made from files of exactly the stamps (CRC-32
+        and length) given.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -988,85 +1052,13 @@ class Store:
             tag, file_stamps, sizes = marshal.load(stream)
             if (tag, file_stamps) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
                 return None  # another format, or files changed since the snapshot was made
-            if len(sizes) != 7:
-                return None  # sections of another layout
-            # where each section starts: the attributes, the profile table, the SLOs,
-            # the means, the distinct triples, places, values and sequences (to the end)
             starts = list(accumulate(sizes, initial=stream.tell()))
             view = memoryview(blob)
-            head, table, slo_part, means_part, *columns = (
-                view[start:end] for start, end in zip(starts, [*starts[1:], len(blob)]))
-            registry = Registry()
-            for fields in marshal.loads(head):
-                registry.register_attribute(parse_attribute(fields))
-            if not log:
-                return self._restore_profiles(registry, table)
-            (slos, slo_values), means = map(marshal.loads, (slo_part, means_part))
-            distinct, places, values, sequences = map(marshal.loads, columns)
-            registry._slo_values = dict(zip(slos, slo_values, strict=True))
-            for (csp_id, csc_id, attribute), value in registry._slo_values.items():
-                registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
-            registry._places, registry._values, registry._sequences = places, values, sequences
-            registry._place = dict(zip(distinct, range(len(distinct))))
-            registry._samples = samples = [{} for _ in distinct]
-            registry._means = means
-            for place, sequence, value in zip(places, sequences, values, strict=True):
-                samples[place][sequence] = value
-            # every distinct triple once, and placed in order of its first row
-            if (list(dict.fromkeys(places)) != list(range(len(distinct)))
-                    or len(registry._place) != len(distinct) or len(means) != len(distinct)
-                    or sum(map(len, samples)) != len(values)):
-                return None  # columns that no parse gives
-            triples = [*registry._slo_values, *distinct]
-            present = [mean for mean in means if mean is not None]
-            # each place written as marshal writes an int, "i" and 4 bytes, and
-            # each value as it writes a float, "g" and 8: so these bytes hold
-            # just these rows, and a save can extend them
-            rows = len(places)
-            checked = (type(places) is type(values) is type(sequences) is type(means)
-                       is type(distinct) is list
-                       and blob[starts[5] + 5:starts[6]:5] == b"i" * rows
-                       and blob[starts[6] + 5:starts[7]:9] == b"g" * rows
-                       and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
-                       and len(registry._slo_values) == len(slos)  # no triple twice
-                       # SLO values as a parse gives them, which a save may keep
-                       and set(map(type, slo_values)) <= {float}
-                       and all(map(math.isfinite, (*slo_values, *present)))
-                       and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
-                       # a sum that overflows on huge values only leaves the load to the parse
-                       and math.isfinite(sum(values)) and min(values, default=0) >= 0
-                       and {name for _, _, name in triples} <= registry.attributes.keys())
-            if blob[starts[7] + 5::5] != b"i" * rows:
-                columns[3] = _NO_ENTRIES  # a sequence past 32 bits: written whole
-                checked = checked and set(map(type, sequences)) <= {int}
-        except (OSError, EOFError, ValueError, TypeError, IndexError, AttributeError):
-            return None  # unreadable, or columns of another shape
-        return (registry, (table, slo_part, *columns)) if checked else None
-
-    @staticmethod
-    def _restore_profiles(registry: Registry, section: memoryview) -> tuple[Registry, None] | None:
-        """``registry``, read-only, with the profile table that ``section`` holds.
-
-        None, or an error that ``_restore_snapshot`` catches, for a table of
-        another shape.
-        """
-        csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(section)
-        registry._profiles = dict(zip(zip(csp_ids, names, strict=True),
-                                      zip(satisfied, agreed, lows, highs, strict=True),
-                                      strict=True))
-        bounds = (*lows, *highs)
-        # a sum that overflows on huge values only leaves the load to the parse
-        if not (len(registry._profiles) == len(csp_ids)
-                and _unpadded(set(csp_ids))
-                and set(names) <= registry.attributes.keys()
-                and set(map(type, bounds)) <= {float}
-                and set(map(type, (*satisfied, *agreed))) <= {int}
-                and math.isfinite(sum(bounds))
-                and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
-                and min(map(sub, agreed, satisfied), default=0) >= 0
-                and all(map(le, lows, highs))):
-            return None  # a table of another shape
-        return registry, None
+            sections = tuple(view[start:end]
+                             for start, end in zip(starts, [*starts[1:], len(blob)]))
+        except (OSError, EOFError, ValueError, TypeError):
+            return None  # unreadable, or a header of another shape
+        return _decode(sections, log)
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

@@ -293,6 +293,7 @@ def render_human(result: AssessmentResult) -> str:
                      f"{str(r.trust_level):<24}{vs}")
     lines.append("")
     lines.append("weights:")
+    width = max(16, 1 + max(len(attr.name) for attr in ctx.decision.attributes))
     for attr, w in zip(ctx.decision.attributes, ctx.weights.weights):
-        lines.append(f"  {attr.name:<16}{w:.4f} ({attr.polarity.value})")
+        lines.append(f"  {attr.name:<{width}}{w:.4f} ({attr.polarity.value})")
     return "\n".join(lines)

@@ -1,0 +1,103 @@
+"""The case study on the bundled QWS sample, run through the CLI (README "Case study").
+
+The sample holds monitored values alone. The rule that gives it SLOs is
+this repository's own construction: each service's five rows become five
+consumers, and consumer ``<service>/c<j>`` monitored row j and agreed, on
+each attribute, the mean of the service's other four rows. The service
+names are their own ``import-qws`` slugs.
+"""
+
+import csv
+import importlib.util
+import io
+import json
+from importlib import resources
+from pathlib import Path
+
+from fastcloud.cli import main
+from fastcloud.registry import (
+    AMV_COLUMNS,
+    SLO_COLUMNS,
+    STANDARD_ATTRIBUTES,
+    STANDARD_QWS_MAPPING,
+)
+
+DATA = resources.files("fastcloud") / "data"
+SLO_FILE, AMV_FILE = DATA / "qws_sample_slos.csv", DATA / "qws_sample_amvs.csv"
+CHAIN = ("StockQuoteHub > CurrencyConverter > FlightStatusFeed > RouteFinder > SmsGatewayLite"
+         " > GeoCoderPlus > IbanValidator > MailCheckPro > WeatherPoint > TaxCalcService")
+
+
+def case_files():
+    """The SLO and AMV files' text that the rule builds from the sample."""
+    services = {}
+    with (DATA / "qws_sample.csv").open(newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            services.setdefault(row["Service Name"], []).append(row)
+    slos, amvs = io.StringIO(), io.StringIO()
+    slo_writer, amv_writer = (csv.writer(out, lineterminator="\n") for out in (slos, amvs))
+    slo_writer.writerow(SLO_COLUMNS)
+    amv_writer.writerow(AMV_COLUMNS)
+    for service, rows in services.items():
+        for j, row in enumerate(rows, start=1):
+            consumer, others = f"{service}/c{j}", rows[:j - 1] + rows[j:]
+            for column, attribute in STANDARD_QWS_MAPPING.items():
+                agreed = [float(other[column]) for other in others]
+                slo_writer.writerow([service, consumer, attribute, repr(sum(agreed) / len(agreed))])
+                amv_writer.writerow([service, consumer, attribute, repr(float(row[column])), 1])
+    return slos.getvalue(), amvs.getvalue()
+
+
+def perfbench_oracle():
+    """The benchmark's independent reference, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_committed_files_are_the_rule_applied_to_the_sample():
+    slos, amvs = case_files()
+    assert SLO_FILE.read_bytes() == slos.encode("utf-8")
+    assert AMV_FILE.read_bytes() == amvs.encode("utf-8")
+    assert slos.count("\n") == amvs.count("\n") == 1 + 10 * 5 * 6
+
+
+def test_the_case_study_ranks_the_sample_through_the_cli(tmp_path, capsys):
+    store = ["--store", str(tmp_path / "store")]
+    for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", str(SLO_FILE)],
+                 ["submit-amv", str(AMV_FILE)]):
+        assert main([*store, *argv]) == 0
+    request = tmp_path / "request.csv"
+    request.write_text("attribute,min,max\n" + "".join(
+        f"{attr.abbreviation},0,1e6\n" for attr in STANDARD_ATTRIBUTES), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*store, "assess", str(request), "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chain"] == CHAIN
+    # the interval part of the model at work: every rate and possibility
+    # degree off its ends, and every trust level of positive width
+    rates = [profile["consistency_rate"] for profile in doc["profiles"]]
+    assert len(rates) == 60 and all(0 < rate < 1 for rate in rates)
+    widths = [upper - lower for lower, upper in (r["trust_level"] for r in doc["ranking"])]
+    assert round(min(widths), 4) == 0.0233
+    degrees = [degree for row in doc["possibility_matrix"] for degree in row]
+    assert len(degrees) == 100 and sum(0 < degree < 1 for degree in degrees) == 78
+    # and the benchmark's straight-line reference agrees
+    names = {attr.abbreviation: attr.name for attr in STANDARD_ATTRIBUTES}
+
+    def records(path):
+        with path.open(newline="", encoding="utf-8") as fh:
+            return [(row["csp_id"], row["csc_id"], names[row["attribute"]], float(row["value"]))
+                    for row in csv.DictReader(fh)]
+
+    oracle = perfbench_oracle()
+    reference = oracle.AssessOracle(records(SLO_FILE), records(AMV_FILE),
+                                    {attr.name: attr.polarity.value for attr in STANDARD_ATTRIBUTES})
+    candidates, scores = reference.assess([(attr.name, 0.0, 1e6) for attr in STANDARD_ATTRIBUTES])
+    assert sorted(doc["candidates"]) == candidates and len(candidates) == 10
+    assert oracle.ranking_errors([(r["csp_id"], r["ordering_score"]) for r in doc["ranking"]],
+                                 scores) == []
+    assert main([*store, "assess", str(request)]) == 0
+    assert capsys.readouterr().out.startswith(f"ranking: {CHAIN}\n")

@@ -638,6 +638,14 @@ class TestAssess:
         assert main(["--store", str(store_dir), "assess", str(request_file)]) == 3
         assert "insufficient candidates" in capsys.readouterr().err
 
+    def test_request_row_without_an_attribute_is_refused_at_its_line(
+            self, store_dir, tmp_path, capsys):
+        seed_case_store(store_dir, tmp_path)
+        request_file = tmp_path / "request.csv"
+        request_file.write_text("attribute,min,max\n,1,100\n", encoding="utf-8")
+        assert main(["--store", str(store_dir), "assess", str(request_file)]) == 2
+        assert capsys.readouterr().err == f"error: {request_file}: line 2: missing attribute name\n"
+
 
 class TestImportQws:
     def test_bundled_sample_round_trip(self, store_dir, capsys):
@@ -670,6 +678,19 @@ class TestImportQws:
         captured = capsys.readouterr()
         assert "0 records added, 5 duplicates skipped, 1 conflicting" in captured.out
         assert "line 2" in captured.err and "refusing to overwrite" in captured.err
+
+    def test_row_without_a_service_name_is_rejected_and_counted(
+            self, store_dir, tmp_path, capsys):
+        sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
+        header, first = sample.read_text(encoding="utf-8").splitlines()[:2]
+        fields = next(csv.reader([first]))
+        fields[next(csv.reader([header])).index("Service Name")] = ""
+        path = tmp_path / "q.csv"
+        write_csv(path, next(csv.reader([header])), [fields, next(csv.reader([first]))])
+        assert main(["--store", str(store_dir), "import-qws", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"  {path}: line 2: missing service identity\n"
+        assert captured.out.startswith("1 rows accepted, 1 rejected; 6 records added")
 
     def test_bad_mapping_lists_missing_columns(self, store_dir, tmp_path, capsys):
         sample = resources.files("fastcloud") / "data" / "qws_sample.csv"

@@ -32,6 +32,8 @@ from fastcloud.registry import (
     STANDARD_QWS_MAPPING,
     Store,
     UnknownAttributeError,
+    _decode,
+    _encode,
     import_qws,
     parse_amv,
     parse_slo,
@@ -1294,6 +1296,30 @@ class TestSnapshotLoad:
         assert path.read_bytes() == blob
         capsys.readouterr()
 
+    def test_a_span_bound_that_no_slo_gives_is_not_used(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "store"
+        slos = write_rows(tmp_path / "slos.csv", SLO_COLUMNS, [
+            [csp_id, csc_id, "av", value] for csp_id in ("p1", "p2")
+            for csc_id, value in (("c1", "90"), ("c2", "95"))])
+        amvs = write_rows(tmp_path / "amvs.csv", AMV_COLUMNS, [
+            [csp_id, csc_id, "av", "96", ""] for csp_id in ("p1", "p2") for csc_id in ("c1", "c2")])
+        for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", slos],
+                     ["submit-amv", amvs]):
+            assert main(["--store", str(root)] + argv) == 0
+        request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", -1000, 100]])
+        parsed = self.assessed(root, request, monkeypatch, capsys)
+        assert parsed[:2] == (True, 0)
+        # p2's span on availability as [-50, 95]: finite and ordered, but every
+        # SLO value is positive, so no parse gives a bound below 0
+        path = root / Store.SNAPSHOT_FILE
+        (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(path)
+        csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(table_part)
+        assert (csp_ids, lows) == (("p1", "p2"), (90.0, 90.0))
+        part = marshal.dumps([csp_ids, names, satisfied, agreed, (90.0, -50.0), highs], 2)
+        self.checked_writer(Store(root))((tag, stamps, (sizes[0], len(part), *sizes[2:])),
+                                         head, part, *rest)
+        assert self.assessed(root, request, monkeypatch, capsys) == (False, *parsed[1:])
+
     def test_a_profile_table_of_another_shape_is_not_used(
             self, store, tmp_path, monkeypatch, capsys):
         (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(
@@ -1617,3 +1643,199 @@ class TestSnapshotLoad:
         assert path.read_bytes() == before[0]
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
         capsys.readouterr()
+
+
+class TestDecodeMutations:
+    """``_decode`` on snapshot sections with one typed mutation each, no file between.
+
+    A writer's decode gives None, or a registry that a parse of its own CSV
+    bytes gives again; a reader's decode gives None, or a profile table
+    whose every row could be a parse's ``Registry.profile_row``. The means
+    and the profile table are derived data that only this program writes:
+    a well-formed but wrong mean or table row is accepted (README "Store").
+    """
+
+    @staticmethod
+    def corpus_registry(long_sequence):
+        """A small registry of SLOs, auto and explicit sequences, and an imported triple."""
+        registry = fresh_registry()
+        for csp_id, csc_id, attribute, value in (
+                ("p1", "c1", "av", 90.0), ("p1", "c2", "availability", 95.0),
+                ("p1", "c1", "la", 12.5), ("p2", "c1", "la", 20.0), ("p2", "c2", "la", 15.0)):
+            registry.submit_slo(SloRecord(csp_id, csc_id, attribute, value))
+        for csp_id, csc_id, attribute, value, sequence in (
+                ("p1", "c1", "av", 91.0, None), ("p1", "c2", "av", 0.0, None),
+                ("p1", "c1", "av", 93.5, None), ("p2", "c1", "la", 19.0, 5),
+                ("p2", "c1", "la", 21.0, 2), ("p1", "c1", "la", 11.0, None),
+                ("p2", "c2", "la", 14.0, 2 ** 31 if long_sequence else 7)):
+            registry.submit_amv(AmvRecord(csp_id, csc_id, attribute, value, sequence))
+        import_qws(registry, io.StringIO(qws_rows(2)))  # SvcA's triples, with no SLO
+        return registry
+
+    @staticmethod
+    def saved(registry, root):
+        """The CSV files' bytes of a save of ``registry`` to a new store at ``root``."""
+        shutil.rmtree(root, ignore_errors=True)
+        Store(root).save(registry)
+        return {name: (root / name).read_bytes() for name in Store.FILES}
+
+    @staticmethod
+    def decoded_columns(sections):
+        """The sections' decoded columns, by name, each a list."""
+        table = marshal.loads(sections[1])
+        (slos, slo_values), means = map(marshal.loads, sections[2:4])
+        names = ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")
+        return {**{name: list(column) for name, column in zip(names, table)},
+                "slos": slos, "slo_values": slo_values, "means": means,
+                **dict(zip(("distinct", "places", "values", "sequences"),
+                           map(marshal.loads, sections[4:])))}
+
+    @staticmethod
+    def encoded_sections(head, columns):
+        """The eight sections of the attributes section ``head`` and ``columns``."""
+        table = [columns[name] for name in
+                 ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")]
+        return (head, marshal.dumps(table, 2),
+                marshal.dumps((columns["slos"], columns["slo_values"]), 2),
+                *(marshal.dumps(columns[name], 2)
+                  for name in ("means", "distinct", "places", "values", "sequences")))
+
+    NUMBERS = ("satisfied", "agreed", "lows", "highs", "slo_values", "means", "places",
+               "values", "sequences")
+    # the columns that are read together, a row at a time
+    GROUPS = (("csp_ids", "names", "satisfied", "agreed", "lows", "highs"),
+              ("slos", "slo_values"), ("distinct", "means"), ("places", "values", "sequences"))
+
+    def mutate(self, rng, columns, kind, n):
+        """Apply the ``n``-th mutation of ``kind`` to ``columns``.
+
+        ``n`` picks the column of a number or type change and the change, in
+        turn, so that every pair of them is tried; the rest is left to ``rng``.
+        """
+        if kind == "number":
+            column = self.NUMBERS[n % len(self.NUMBERS)]
+            at = rng.randrange(len(columns[column]))
+            value = columns[column][at]
+            columns[column][at] = (-value if isinstance(value, (int, float)) else -1, math.nan,
+                                   math.inf, -math.inf)[n // len(self.NUMBERS) % 4]
+        elif kind == "reorder":
+            order = list(range(len(columns["distinct"])))
+            while order == sorted(order):
+                rng.shuffle(order)
+            where = {old: new for new, old in enumerate(order)}
+            columns["distinct"] = [columns["distinct"][old] for old in order]
+            columns["means"] = [columns["means"][old] for old in order]
+            columns["places"] = [where[place] for place in columns["places"]]
+        elif kind == "unused":
+            columns["distinct"].append(("p1", "c9", "availability"))
+            columns["means"].append(rng.choice([None, 1.0]))
+        elif kind == "spelling":
+            column = rng.choice(("csp_ids", "names", "slos", "distinct"))
+            at = rng.randrange(len(columns[column]))
+            old = columns[column][at]
+            # a field of a triple, or the one field of a provider id or a name
+            fields = [old] if isinstance(old, str) else list(old)
+            field = rng.randrange(len(fields))
+            spelled = fields[field]
+            fields[field] = (
+                {"availability": "av", "latency": "la"}.get(spelled, "nosuch")
+                if column == "names" or field == 2
+                else rng.choice([f" {spelled}", f"{spelled} ", ""]))
+            columns[column][at] = fields[0] if isinstance(old, str) else tuple(fields)
+        elif kind == "rows":
+            names = rng.choice([(rng.choice(list(columns)),), *self.GROUPS])
+            at = rng.randrange(len(columns[names[0]]))
+            repeat = rng.random() < 0.5
+            for name in names:
+                rows = columns[name]
+                columns[name] = rows[:at + 1] + rows[at:] if repeat else rows[:at] + rows[at + 1:]
+        elif kind == "type":
+            column = list(columns)[n % len(columns)]
+            to = (int, float, bool, str)[n // len(columns) % 4]
+            at = rng.randrange(len(columns[column]))
+            try:
+                columns[column][at] = to(columns[column][at])
+            except (TypeError, ValueError, OverflowError):
+                columns[column][at] = to(7)
+        elif kind == "counts":
+            at = rng.randrange(len(columns["agreed"]))
+            if rng.random() < 0.5:
+                columns["satisfied"][at] = columns["agreed"][at] + 1
+            else:  # no consumer agreed, so none is satisfied
+                columns["satisfied"][at] = columns["agreed"][at] = 0
+        else:  # "pair": one table pair, SLO triple or distinct triple twice
+            keys = rng.choice((("csp_ids", "names"), ("slos",), ("distinct",)))
+            first, second = rng.sample(range(len(columns[keys[0]])), 2)
+            for name in keys:
+                columns[name][second] = columns[name][first]
+
+    KINDS = ("number", "reorder", "unused", "spelling", "rows", "type", "counts", "pair")
+
+    def test_a_decoded_registry_is_one_that_a_parse_gives(self, tmp_path):
+        rng = random.Random(27)
+        corpus = []
+        for long_sequence in (False, True):
+            root = tmp_path / f"corpus{long_sequence}"
+            files = self.saved(self.corpus_registry(long_sequence), root)
+            _, head, *rest = snapshot_parts(root / Store.SNAPSHOT_FILE)
+            sections = (head, *rest)
+            registry, held = _decode(sections, True)
+            assert registry == Store(root)._parse(files)
+            # a sequence past 32 bits: a save writes the sequences whole
+            assert (held[7] == marshal.dumps([], 2)) == long_sequence
+            corpus.append((head, self.decoded_columns(sections)))
+        # refusals of each kind, and mutated sections that a decode that reads them accepted
+        seen = dict.fromkeys([*self.KINDS, "writer accepted", "reader accepted"], 0)
+        for trial in range(400):
+            kind = self.KINDS[trial % len(self.KINDS)]
+            head, columns = rng.choice(corpus)
+            original = self.encoded_sections(head, columns)
+            columns = {name: list(column) for name, column in columns.items()}
+            self.mutate(rng, columns, kind, trial // len(self.KINDS))
+            sections = self.encoded_sections(head, columns)
+            decoded = _decode(sections, True)
+            # a writer reads no table: its other sections unchanged, it decodes the corpus
+            if decoded is not None and sections[2:] != original[2:]:
+                # the writer's invariant: what it saves, a parse gives again
+                registry, held = decoded
+                files = self.saved(registry, tmp_path / "saved")
+                parsed = Store(tmp_path)._parse(files)
+                assert parsed == registry, (kind, columns)
+                assert self.saved(parsed, tmp_path / "saved") == files
+                kept = _encode(registry, held, True, len(registry._values))
+                fresh = _encode(parsed, None, False, None)
+                assert (kept[2], *kept[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
+            read = _decode(sections, False)
+            if read is not None:
+                # the reader's invariant: a row a pair, each as a parse's profile_row gives it
+                registry, _ = read
+                assert len(registry._profiles) == len(columns["csp_ids"]), (kind, columns)
+                for (csp_id, name), row in registry._profiles.items():
+                    satisfied, agreed, low, high = row
+                    assert type(csp_id) is str and csp_id and csp_id.strip() == csp_id
+                    assert name in registry.attributes
+                    assert type(satisfied) is type(agreed) is int and 0 <= satisfied <= agreed
+                    assert agreed > 0 and type(low) is type(high) is float
+                    assert 0 < low <= high < math.inf, (kind, columns)
+            seen[kind] += decoded is None or read is None
+            seen["writer accepted"] += decoded is not None and sections[2:] != original[2:]
+            seen["reader accepted"] += read is not None and sections[1] != original[1]
+        assert min(seen.values()) > 0, seen
+
+    def test_a_well_formed_but_wrong_mean_or_table_row_is_accepted(self, tmp_path):
+        """The accepted threat model: derived data is checked for shape alone."""
+        root = tmp_path / "store"
+        self.saved(self.corpus_registry(False), root)
+        _, head, *rest = snapshot_parts(root / Store.SNAPSHOT_FILE)
+        columns = self.decoded_columns((head, *rest))
+        assert columns["distinct"][0] == ("p1", "c1", "availability")
+        assert columns["csp_ids"][0] == "p1" and columns["names"][0] == "availability"
+        assert (columns["satisfied"][0], columns["agreed"][0]) == (1, 2)
+        columns["means"][0] = 1.0
+        columns["satisfied"][0] = 2
+        sections = self.encoded_sections(head, columns)
+        registry, _ = _decode(sections, True)
+        assert registry.amv_mean("p1", "c1", "availability") == 1.0
+        registry, _ = _decode(sections, False)
+        assert registry.profile_row("p1", registry.attributes["availability"]) == (
+            2, 2, 90.0, 95.0)

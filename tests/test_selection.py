@@ -18,6 +18,7 @@ from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
     AmvRecord,
     Polarity,
+    QosAttribute,
     Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
@@ -590,3 +591,21 @@ class TestResultDocument:
             assert row[offset - 1] == " "
             assert row[offset:].startswith(f"{r.ordering_score:.4f}")
         assert len(rows) == len(ids)
+
+    def test_human_rendering_aligns_the_weight_column_past_long_names(self):
+        registry = fresh_registry()
+        registry.register_attribute(
+            QosAttribute("documentation_quality", "dq", "%", Polarity.BENEFIT))  # 21 characters
+        for csp_id, lo in (("p1", 70), ("p2", 80)):
+            for attribute in ("availability", "documentation_quality"):
+                seed_provider(registry, csp_id, attribute, lo, lo + 5)
+        result = assess(registry, AssessmentRequest(
+            (("availability", span(50, 100)), ("dq", span(50, 100)))))
+        rows = render_human(result).split("weights:\n")[1].splitlines()
+        offset = 2 + len("documentation_quality") + 1
+        for row, attr, weight in zip(rows, result.context.decision.attributes,
+                                     result.context.weights.weights):
+            assert row[2:offset].rstrip() == attr.name
+            assert row[offset - 1] == " "
+            assert row[offset:] == f"{weight:.4f} ({attr.polarity.value})"
+        assert len(rows) == 2

@@ -137,6 +137,21 @@ def test_a_writer_removes_the_temp_files_of_dead_writers_alone(store):
     assert left == {*others, *Store.FILES, Store.LOCK_FILE, Store.SNAPSHOT_FILE}
 
 
+def test_a_rename_that_fails_leaves_the_old_file_and_no_temp_file(store, monkeypatch):
+    slos_file = store.root / Store.SLOS_FILE
+    stored = slos_file.read_bytes()
+
+    def failing(source, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="^rename refused$"):
+        store._replace(Store.SLOS_FILE, ("csp_id", "csc_id", "attribute", "value"),
+                       [TRIPLES[0] + (70,)])
+    assert slos_file.read_bytes() == stored
+    assert not list(store.root.glob("*.tmp"))
+
+
 def test_writer_killed_mid_append(store, tmp_path):
     amvs_file = store.root / Store.AMVS_FILE
     path = tmp_path / "amv.csv"

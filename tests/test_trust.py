@@ -117,6 +117,13 @@ class TestNormalize:
                 for lower, upper in row:
                     assert 0 <= lower <= upper
 
+    def test_an_all_zero_benefit_column_is_refused_by_name(self):
+        m = DecisionMatrix(("a", "b"), (benefit("availability"),),
+                           ((IntervalNumber(0, 0),), (IntervalNumber(0, 0),)))
+        with pytest.raises(ValueError, match="^benefit attribute 'availability' has no "
+                                             "positive values to normalize$"):
+            evaluate(m)
+
     def test_no_attributes_keeps_one_row_per_provider(self):
         m = DecisionMatrix(("a", "b"), (), ((), ()))
         assert normalize(m) == ((), ())
