@@ -3,8 +3,9 @@
 Two sweep modes: hold the provider count fixed and sweep the attribute count,
 or hold the attribute count fixed and sweep providers. Each sweep point runs
 the full normalize -> weights -> trust -> possibility -> ordering pipeline on
-fresh seeded instances and records wall-clock mean and standard deviation.
-Timed runs stay on a single thread so points are comparable.
+fresh seeded instances and records the median and standard deviation of
+its process CPU times, so time the host gives other processes is not
+counted. Timed runs stay on a single thread so points are comparable.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class BenchConfig:
 class BenchPoint:
     providers: int
     attributes: int
-    mean_ms: float
+    median_ms: float
     stddev_ms: float
 
 
@@ -58,7 +59,7 @@ class BenchPoint:
 class BenchReport:
     mode: BenchMode
     points: tuple[BenchPoint, ...]
-    # least-squares slope of log(mean time) against log(swept variable)
+    # least-squares slope of log(median time) against log(swept variable)
     loglog_slope: float
 
 
@@ -115,18 +116,18 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             instance = generate_instance(
                 providers, attributes, seed=config.seed + 1000 * index + rep
             )
-            started = time.perf_counter()
+            started = time.process_time()
             evaluate(instance)
-            durations.append((time.perf_counter() - started) * 1000.0)
+            durations.append((time.process_time() - started) * 1000.0)
         points.append(BenchPoint(
             providers=providers,
             attributes=attributes,
-            mean_ms=statistics.mean(durations),
+            median_ms=statistics.median(durations),
             stddev_ms=statistics.pstdev(durations),
         ))
     xs = [math.log(swept) for swept in config.sweep]
-    # perf_counter resolution makes exact zeros implausible; guard regardless
-    ys = [math.log(max(p.mean_ms, 1e-9)) for p in points]
+    # a coarse process clock could read an exact zero; guard the logarithm
+    ys = [math.log(max(p.median_ms, 1e-9)) for p in points]
     if len(xs) >= 2:
         slope = statistics.linear_regression(xs, ys).slope
     else:
@@ -138,12 +139,12 @@ def render_report(report: BenchReport) -> str:
     """Delimiter-separated report: one row per sweep point plus a fit line."""
     lines = [
         f"# value range: uniform[{VALUE_RANGE[0]:g}, {VALUE_RANGE[1]:g}]",
-        "mode,m,n,mean_ms,stddev_ms",
+        "mode,m,n,median_ms,stddev_ms",
     ]
     for p in report.points:
         lines.append(
             f"{report.mode.value},{p.providers},{p.attributes},"
-            f"{p.mean_ms:.4f},{p.stddev_ms:.4f}"
+            f"{p.median_ms:.4f},{p.stddev_ms:.4f}"
         )
     swept = "m" if report.mode is BenchMode.FIXED_ATTRIBUTES else "n"
     lines.append(f"# fit: log-log slope in {swept} = {report.loglog_slope:.3f}")

@@ -15,12 +15,21 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalNumber:
     """Closed interval [lower, upper] with finite endpoints and lower <= upper."""
 
     lower: float
     upper: float
+
+    def __init__(self, lower: float, upper: float) -> None:
+        # the slots' own setters store the endpoints past the frozen
+        # __setattr__, without the per-field object.__setattr__ calls of the
+        # generated __init__. __post_init__, looked up on the class, stays
+        # the one validator, and runs once per construction
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         lower, upper = self.lower, self.upper
@@ -28,8 +37,8 @@ class IntervalNumber:
         # float subclass) is stored as its plain float
         if type(lower) is not float or type(upper) is not float:
             lower, upper = float(lower), float(upper)
-            object.__setattr__(self, "lower", lower)
-            object.__setattr__(self, "upper", upper)
+            _set_lower(self, lower)
+            _set_upper(self, upper)
         # one chained comparison passes every valid interval; nan fails it
         if not -math.inf < lower <= upper < math.inf:
             if not (math.isfinite(lower) and math.isfinite(upper)):
@@ -45,6 +54,11 @@ class IntervalNumber:
 
     def __str__(self) -> str:
         return f"[{self.lower:g}, {self.upper:g}]"
+
+
+# the member descriptors of IntervalNumber's slots, as bound setters
+_set_lower = IntervalNumber.lower.__set__
+_set_upper = IntervalNumber.upper.__set__
 
 
 def possibility_degree(a: IntervalNumber, b: IntervalNumber) -> float:

@@ -245,10 +245,18 @@ def result_document(result: AssessmentResult) -> dict:
                 "slo_span": [p.slo_span.lower, p.slo_span.upper],
                 "actual_interval": [p.actual_interval.lower, p.actual_interval.upper],
             }
-            for p in sorted(result.profiles.values(), key=lambda p: (p.csp_id, p.attribute))
+            # the profile tuples order by their (csp_id, attribute) lead, unique in the map
+            for p in sorted(result.profiles.values())
         ],
         "elapsed_seconds": result.elapsed_seconds,
     }
+
+
+# markers (None: no circular check), default, string encoder, indent, key
+# and item separators, sort_keys, skipkeys, allow_nan: but for the markers,
+# as json.dumps passes them by default
+_encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", ", ", False, False, True)
 
 
 def render_structured(document: dict) -> str:
@@ -256,28 +264,35 @@ def render_structured(document: dict) -> str:
 
     A non-empty top-level list puts each element on a line of its own;
     every key, element and other value is written as ``json.dumps`` writes
-    it, by one C encoder made with ``json.dumps``'s default settings, so the
-    encoder is set up once per document rather than once per value (any
-    ``indent`` would fall back to the pure-Python encoder). The text parses
-    to the same document as ``json.dumps(document, indent=2)``.
+    it, by one C encoder made once with ``json.dumps``'s default settings
+    (any ``indent`` would fall back to the pure-Python encoder). The text
+    parses to the same document as ``json.dumps(document, indent=2)``.
+
+    One pass pushes every piece of the text onto one list, joined once, so
+    no line or element is built as a string of its own first. The encoder
+    keeps no markers for a circular check, because a result document is a
+    fresh tree that holds no container twice; a document that contains
+    itself still raises ``RecursionError`` instead of returning text.
     """
-    # markers, default, string encoder, indent, key and item separators,
-    # sort_keys, skipkeys, allow_nan: as json.dumps passes them by default
-    encoder = c_make_encoder({}, JSONEncoder().default, encode_basestring_ascii, None,
-                             ": ", ", ", False, False, True)
-
-    def dumps(value: object) -> str:
-        return "".join(encoder(value, 0))
-
-    lines = []
+    pieces = ["{\n"]
+    push, extend = pieces.append, pieces.extend
+    opener = "  "
     for key, value in document.items():
-        head = f"  {dumps(key)}: "
+        push(opener)
+        extend(_encode(key, 0))
         if isinstance(value, list) and value:
-            elements = ",\n    ".join(map(dumps, value))
-            lines.append(f"{head}[\n    {elements}\n  ]")
+            separator = ": [\n    "
+            for element in value:
+                push(separator)
+                extend(_encode(element, 0))
+                separator = ",\n    "
+            push("\n  ]")
         else:
-            lines.append(head + dumps(value))
-    return "{\n" + ",\n".join(lines) + "\n}"
+            push(": ")
+            extend(_encode(value, 0))
+        opener = ",\n  "
+    push("\n}")
+    return "".join(pieces)
 
 
 def render_human(result: AssessmentResult) -> str:
@@ -286,11 +301,15 @@ def render_human(result: AssessmentResult) -> str:
     lines = [f"ranking: {result.chain}", ""]
     # 16 wide, or wider by as much as the longest id needs to keep a space
     width = max(16, 1 + max(len(r.csp_id) for r in result.ranking))
-    lines.append(f"{'rank':<5}{'provider':<{width}}{'score':<10}{'trust level':<24}vs next")
-    for pos, r in enumerate(result.ranking, start=1):
+    levels = [str(r.trust_level) for r in result.ranking]
+    # 24 wide, or wider by as much as the longest level needs to keep a space
+    level_width = max(24, 1 + max(map(len, levels)))
+    lines.append(f"{'rank':<5}{'provider':<{width}}{'score':<10}"
+                 f"{'trust level':<{level_width}}vs next")
+    for pos, (r, level) in enumerate(zip(result.ranking, levels), start=1):
         vs = "-" if r.possibility_vs_next is None else f"{r.possibility_vs_next:.3f}"
         lines.append(f"{pos:<5}{r.csp_id:<{width}}{r.ordering_score:<10.4f}"
-                     f"{str(r.trust_level):<24}{vs}")
+                     f"{level:<{level_width}}{vs}")
     lines.append("")
     lines.append("weights:")
     width = max(16, 1 + max(len(attr.name) for attr in ctx.decision.attributes))

@@ -61,8 +61,8 @@ class TestRunBenchmark:
         )
         assert len(report.points) == 1
         point = report.points[0]
-        assert point == BenchPoint(4, 8, point.mean_ms, 0.0)
-        assert point.mean_ms > 0
+        assert point == BenchPoint(4, 8, point.median_ms, 0.0)
+        assert point.median_ms > 0
         assert report.loglog_slope == 0.0
 
     def test_sweep_shapes(self):
@@ -84,7 +84,7 @@ class TestRunBenchmark:
         text = render_report(report)
         lines = text.splitlines()
         assert lines[0].startswith("# value range:")
-        assert lines[1] == "mode,m,n,mean_ms,stddev_ms"
+        assert lines[1] == "mode,m,n,median_ms,stddev_ms"
         assert lines[2].startswith("fixed-providers,3,2,")
         assert lines[-1].startswith("# fit: log-log slope in n =")
 
@@ -92,4 +92,4 @@ class TestRunBenchmark:
         report = run_benchmark(
             BenchConfig(BenchMode.FIXED_ATTRIBUTES, 4, (2, 3, 4), repetitions=3, seed=7)
         )
-        assert all(p.mean_ms > 0 for p in report.points)
+        assert all(p.median_ms > 0 for p in report.points)

@@ -722,7 +722,7 @@ class TestBench:
             "--sweep", "2:6:2", "--reps", "1", "--seed", "1",
         ]) == 0
         out = capsys.readouterr().out
-        assert "mode,m,n,mean_ms,stddev_ms" in out
+        assert "mode,m,n,median_ms,stddev_ms" in out
         assert out.count("fixed-providers,4,") == 3
 
     def test_bad_sweep_spec(self, capsys):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -32,19 +35,56 @@ class TestConstruction:
 
     def test_immutable(self):
         x = IntervalNumber(1, 2)
-        with pytest.raises(AttributeError):
-            x.lower = 0  # type: ignore[misc]
+        for name in ("lower", "upper"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert (x.lower, x.upper) == (1.0, 2.0)
 
     def test_endpoints_come_out_as_plain_floats(self):
         class Tagged(float):
             pass
 
         for lower, upper in ((1, 2), ("1.5", "2"), (False, True), (Tagged(0.5), 3.0),
-                             (0.5, Tagged(3.0)), (True, 2.5)):
+                             (0.5, Tagged(3.0)), (True, 2.5), (-3, 2 ** 53), ("-0", "0.1"),
+                             (0, False), (False, "7"), (" 1e3 ", 10 ** 4), (0.5, 1)):
             x = IntervalNumber(lower, upper)
             assert (type(x.lower), type(x.upper)) == (float, float)
-            assert (x.lower, x.upper) == (float(lower), float(upper))
+            # exact: the same bits as float() gives, the sign of a zero included
+            assert (x.lower.hex(), x.upper.hex()) == (float(lower).hex(), float(upper).hex())
             assert repr(x) == f"IntervalNumber(lower={float(lower)!r}, upper={float(upper)!r})"
+
+    def test_post_init_runs_once_per_construction_when_wrapped_on_the_class(self, monkeypatch):
+        # wrapped as a tracer that counts constructions wraps it: on the class, by name
+        post_init = IntervalNumber.__post_init__
+        seen = []
+
+        def counted(instance):
+            seen.append(instance)
+            post_init(instance)
+
+        monkeypatch.setattr(IntervalNumber, "__post_init__", counted)
+        made = [IntervalNumber(1, 2), IntervalNumber(0.5, 0.5), IntervalNumber("3", 4.0)]
+        with pytest.raises(ValueError):
+            IntervalNumber(2.0, 1.0)
+        assert len(seen) == 4
+        assert all(a is b for a, b in zip(seen, made))
+        # the wrapped validator still coerced the endpoints
+        assert [(x.lower, x.upper) for x in made] == [(1.0, 2.0), (0.5, 0.5), (3.0, 4.0)]
+        assert all(type(x.lower) is float for x in made)
+
+    def test_replace_pickle_and_deepcopy_round_trip(self):
+        x = IntervalNumber(0.25, 7)
+        copies = [dataclasses.replace(x), copy.deepcopy(x), copy.copy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is IntervalNumber and other == x and hash(other) == hash(x)
+            assert (type(other.lower), type(other.upper)) == (float, float)
+        assert dataclasses.replace(x, upper=8) == IntervalNumber(0.25, 8.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(x, lower=9)
 
     def test_refusals_name_the_float_endpoints(self):
         with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[nan, 1.0\]$"):

@@ -566,8 +566,20 @@ class TestResultDocument:
             return {text(): value(depth + 1) for _ in range(rng.randrange(4))}
 
         documents += [{text(): value(0) for _ in range(rng.randrange(1, 6))} for _ in range(300)]
+        # no key, and top-level values that are empty containers
+        documents += [{}, {"a": []}, {"a": {}}, {"a": [], "b": {}, "c": [[], {}]}]
         for document in documents:
             assert render_structured(document) == render_by_dumps(document), document
+        assert render_structured({}) == "{\n\n}"
+
+    def test_structured_rendering_refuses_a_document_that_contains_itself(self):
+        document = {"chain": "p1 > p2"}
+        document["self"] = document
+        looped = [0.5]
+        looped.append(looped)
+        for cyclic in (document, {"ranking": looped}, {"ranking": [{"row": looped}]}):
+            with pytest.raises((RecursionError, ValueError)):
+                render_structured(cyclic)
 
     def test_human_rendering_has_chain_and_weights(self):
         result = assess(case_registry(), case_request())
@@ -591,6 +603,25 @@ class TestResultDocument:
             assert row[offset - 1] == " "
             assert row[offset:].startswith(f"{r.ordering_score:.4f}")
         assert len(rows) == len(ids)
+
+    def test_human_rendering_keeps_a_space_before_vs_next_past_long_levels(self):
+        registry = fresh_registry()
+        # 110 providers put each trust level near 0.01, where many take 24 characters
+        for i in range(110):
+            lo = 60 + i * 0.3
+            seed_provider(registry, f"p{i:03d}", "availability", lo, lo + 7)
+        result = assess(registry, AssessmentRequest((("availability", span(50, 100)),)))
+        header, *rows = render_human(result).split("\n\n")[1].splitlines()
+        levels = [str(r.trust_level) for r in result.ranking]
+        assert max(map(len, levels)) >= 24
+        start, offset = header.index("trust level"), header.index("vs next")
+        assert offset == start + max(map(len, levels)) + 1
+        for row, r, level in zip(rows, result.ranking, levels):
+            assert row[start:offset].rstrip() == level
+            assert row[offset - 1] == " "
+            vs = "-" if r.possibility_vs_next is None else f"{r.possibility_vs_next:.3f}"
+            assert row[offset:] == vs
+        assert len(rows) == 110
 
     def test_human_rendering_aligns_the_weight_column_past_long_names(self):
         registry = fresh_registry()
