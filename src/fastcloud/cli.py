@@ -28,12 +28,10 @@ from .registry import (
     AMV_COLUMNS,
     ATTRIBUTE_COLUMNS,
     DuplicateSubmissionError,
-    MissingSloError,
     SLO_COLUMNS,
     STANDARD_ATTRIBUTES,
     STANDARD_QWS_MAPPING,
     Store,
-    UnknownAttributeError,
     import_qws,
     parse_amv,
     parse_attribute,
@@ -175,15 +173,11 @@ def cmd_assess(args: argparse.Namespace) -> int:
     with refused_at(args.request):
         request = read_request(record_text(Path(args.request).read_bytes()))
     if args.attributes:
-        # keep the request's own spelling of each attribute the subset names
-        spelled = {registry.resolve_attribute(name).name: name for name, _ in request.requested}
         names = [registry.resolve_attribute(n.strip()).name for n in args.attributes.split(",")]
-        request = request.restrict([spelled.get(name, name) for name in names])
+        request = request.resolved(registry).restrict(names)
     result = assess(registry, request)
-    if args.format == "structured":
-        output = render_structured(result_document(result))
-    else:
-        output = render_human(result)
+    output = (render_structured(result_document(result)) if args.format == "structured"
+              else render_human(result))
     if args.out:
         Path(args.out).write_text(output + "\n", encoding="utf-8")
         print(f"result written to {args.out}")
@@ -280,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientCandidatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CANDIDATES
-    except (UnknownAttributeError, MissingSloError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -81,12 +81,15 @@ class QosAttribute:
     unit: str
     polarity: Polarity
 
+    def __post_init__(self) -> None:
+        _check_ids(self.name, self.abbreviation, "attribute name and abbreviation")
 
-def _check_ids(csp_id: str, csc_id: str) -> None:
-    """Refuse an empty provider or consumer id, or one with surrounding whitespace."""
-    if not (csp_id and csc_id and csp_id.strip() == csp_id and csc_id.strip() == csc_id):
-        raise ValueError("provider and consumer ids must be non-empty without surrounding "
-                         f"whitespace, got {csp_id!r} and {csc_id!r}")
+
+def _check_ids(first: str, second: str, kind: str = "provider and consumer ids") -> None:
+    """Refuse an empty id of the two, or one with surrounding whitespace."""
+    if not (first and second and first.strip() == first and second.strip() == second):
+        raise ValueError(f"{kind} must be non-empty without surrounding whitespace, got "
+                         f"{first!r} and {second!r}")
 
 
 def _unpadded(ids: set[str]) -> bool:
@@ -241,6 +244,11 @@ def parse_attribute(fields: list[str]) -> QosAttribute:
     return QosAttribute(name, abbreviation, unit, Polarity(polarity.lower()))
 
 
+def attribute_fields(attr: QosAttribute) -> list[str]:
+    """The fields that ``parse_attribute`` reads back as ``attr``."""
+    return [attr.name, attr.abbreviation, attr.unit, attr.polarity.value]
+
+
 def parse_slo(fields: list[str]) -> SloRecord:
     csp_id, csc_id, attribute, value = _fields(fields, SLO_COLUMNS)
     return SloRecord(csp_id, csc_id, attribute, float(value))
@@ -327,8 +335,9 @@ class Registry:
     consistency profile, the row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
     the profile table's row of each (provider, attribute) with an SLO alone:
-    reading its SLOs or log, submitting to it or saving it raises
-    ReadOnlyRegistryError.
+    its ``slos`` and ``amvs`` read as empty views, and ``slos_for``,
+    ``amv_samples``, ``amv_mean``, a submission, ``import_qws`` and
+    ``Store.save`` raise ReadOnlyRegistryError.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -385,8 +394,7 @@ class Registry:
         if existing is not None and existing.polarity is not attr.polarity:
             raise ValueError(f"attribute {attr.name!r} already registered with different polarity")
         if existing is not None and existing != attr:
-            stored = ",".join([existing.name, existing.abbreviation, existing.unit,
-                               existing.polarity.value])
+            stored = ",".join(attribute_fields(existing))
             raise ValueError(f"attribute {attr.name!r} already registered as {stored!r}")
         for other in self.attributes.values():
             clash = {attr.name, attr.abbreviation} & {other.name, other.abbreviation}
@@ -397,13 +405,12 @@ class Registry:
 
     def resolve_attribute(self, name: str) -> QosAttribute:
         """Look up an attribute by name or abbreviation."""
-        attr = self.attributes.get(name)
-        if attr is None:
-            for candidate in self.attributes.values():
-                if candidate.abbreviation == name:
-                    return candidate
-            raise UnknownAttributeError(f"unknown attribute {name!r}")
-        return attr
+        if name in self.attributes:
+            return self.attributes[name]
+        for attr in self.attributes.values():
+            if attr.abbreviation == name:
+                return attr
+        raise UnknownAttributeError(f"unknown attribute {name!r}")
 
     # -- derived entity sets ----------------------------------------------
 
@@ -729,8 +736,7 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
                 for csp_id, name in registry._slo_index]
         table = marshal.dumps([*zip(*rows)] or [()] * 6, 2)  # the table's columns
     columns = (distinct, registry._places, registry._values, registry._sequences)
-    return (marshal.dumps([[a.name, a.abbreviation, a.unit, a.polarity.value]
-                           for a in registry.attributes.values()], 2),
+    return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
             table, slos, marshal.dumps(registry._means, 2), *_log_bytes(columns, log))
 
 
@@ -974,8 +980,7 @@ class Store:
         if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
             stamps[self.ATTRIBUTES_FILE] = self._replace(
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-                ([a.name, a.abbreviation, a.unit, a.polarity.value]
-                 for a in registry.attributes.values()))
+                map(attribute_fields, registry.attributes.values()))
         slos_kept = synced.get(self.SLOS_FILE) == registry._slo_values
         if not slos_kept:
             stamps[self.SLOS_FILE] = self._replace(

@@ -64,12 +64,21 @@ class AssessmentRequest:
 
     def restrict(self, names: list[str]) -> "AssessmentRequest":
         """Sub-request over a subset of the requested attributes."""
-        keep = {n for n in names}
-        picked = tuple((n, s) for n, s in self.requested if n in keep)
-        missing = keep - {n for n, _ in picked}
+        missing = set(names) - {n for n, _ in self.requested}
         if missing:
             raise ValueError(f"attributes not in the request: {', '.join(sorted(missing))}")
-        return AssessmentRequest(picked)
+        return AssessmentRequest(tuple((n, s) for n, s in self.requested if n in names))
+
+    def resolved(self, registry: Registry) -> "AssessmentRequest":
+        """This request spelled by registered names; two spellings of one attribute are refused."""
+        requested = tuple((registry.resolve_attribute(name).name, span)
+                          for name, span in self.requested)
+        spelled: dict[str, str] = {}  # registered name -> the request's spelling
+        for (name, _), (registered, _) in zip(self.requested, requested):
+            if spelled.setdefault(registered, name) != name:
+                raise ValueError(f"requested attributes {spelled[registered]!r} and {name!r} "
+                                 f"both name {registered!r}")
+        return AssessmentRequest(requested)
 
 
 @dataclass(frozen=True)
@@ -136,20 +145,12 @@ def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidat
 def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
     """Full assessment pipeline over the matched candidate set.
 
-    Attribute names resolve here, once: the result's request spells each
-    attribute by its registered name, and two spellings of one attribute
-    are refused.
+    Attribute names resolve here, once, by ``request.resolved``: the
+    result's request spells each attribute by its registered name.
     """
     started = time.perf_counter()
-    attributes = tuple(registry.resolve_attribute(name) for name, _ in request.requested)
-    spellings: dict[str, str] = {}
-    for (name, _), attr in zip(request.requested, attributes):
-        other = spellings.setdefault(attr.name, name)
-        if other != name:
-            raise ValueError(f"requested attributes {other!r} and {name!r} both name {attr.name!r}")
-    # from here on the request spells each attribute by its registered name
-    request = AssessmentRequest(tuple(
-        (attr.name, span) for attr, (_, span) in zip(attributes, request.requested)))
+    request = request.resolved(registry)
+    attributes = tuple(registry.attributes[name] for name, _ in request.requested)
     matched = match_candidates(registry, request)
     candidates = tuple(matched)
     if len(candidates) < 2:

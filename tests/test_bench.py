@@ -53,6 +53,10 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(BenchMode.FIXED_PROVIDERS, 6, (10, 20), 0, 0)
 
+    def test_sweep_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="^sweep must not be empty$"):
+            BenchConfig(BenchMode.FIXED_PROVIDERS, 6, (), 1, 0)
+
 
 class TestRunBenchmark:
     def test_single_point_single_rep(self):

@@ -224,6 +224,22 @@ class TestRecordFiles:
         assert main(["--store", str(store_dir), "register-attributes", str(empty)]) == 2
         assert "nothing to register" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [["uptime", "", "%", "benefit"], ["", "", "%", "benefit"]],
+                             ids=["abbreviation", "name-and-abbreviation"])
+    def test_empty_spelling_refused_at_its_line(self, store_dir, tmp_path, capsys, row):
+        path = tmp_path / "attrs.csv"
+        write_csv(path, ["name", "abbreviation", "unit", "polarity"], [row])
+        before = (store_dir / Store.ATTRIBUTES_FILE).read_bytes()
+        assert main(["--store", str(store_dir), "register-attributes", str(path)]) == 2
+        assert (f"{path}: line 2: attribute name and abbreviation must be non-empty without "
+                "surrounding whitespace" in capsys.readouterr().err)
+        assert (store_dir / Store.ATTRIBUTES_FILE).read_bytes() == before
+        # an SLO row with an empty attribute names no attribute
+        slo = tmp_path / "s.csv"
+        write_csv(slo, ["csp_id", "csc_id", "attribute", "value"], [["p1", "c1", "", 90]])
+        assert main(["--store", str(store_dir), "submit-slo", str(slo)]) == 2
+        assert f"{slo}: line 2: unknown attribute ''" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row",[["availability", "avl", "%", "benefit"],
                                      ["availability", "av", "ratio", "benefit"]],
                              ids=["abbreviation", "unit"])
@@ -465,6 +481,19 @@ class TestAssess:
                   [["av", 0, 100], ["la", 0, 100], ["availability", 50, 100]])
         capsys.readouterr()
         assert main(["--store", str(store_dir), "assess", str(request_file)]) == 2
+        assert capsys.readouterr().err == (
+            "error: requested attributes 'av' and 'availability' both name 'availability'\n")
+
+    @pytest.mark.parametrize("subset", ["av", "la"])
+    def test_two_spellings_refused_whichever_subset_is_taken(
+            self, store_dir, tmp_path, capsys, subset):
+        seed_case_store(store_dir, tmp_path)
+        request_file = tmp_path / "request.csv"
+        write_csv(request_file, ["attribute", "min", "max"],
+                  [["av", 0, 1e6], ["availability", 0, 1], ["la", 0, 1e6]])
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file),
+                     "--attributes", subset]) == 2
         assert capsys.readouterr().err == (
             "error: requested attributes 'av' and 'availability' both name 'availability'\n")
 
@@ -724,6 +753,12 @@ class TestBench:
         out = capsys.readouterr().out
         assert "mode,m,n,median_ms,stddev_ms" in out
         assert out.count("fixed-providers,4,") == 3
+
+    def test_sweep_without_a_step_exits_2_naming_the_form(self, capsys):
+        assert main(["bench", "--mode", "fixed-providers", "--fixed", "4",
+                     "--sweep", "1:2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad sweep '1:2': expected START:STOP:STEP\n")
 
     def test_bad_sweep_spec(self, capsys):
         assert main([

@@ -34,8 +34,10 @@ from fastcloud.registry import (
     UnknownAttributeError,
     _decode,
     _encode,
+    attribute_fields,
     import_qws,
     parse_amv,
+    parse_attribute,
     parse_slo,
     read_rows,
 )
@@ -98,10 +100,30 @@ class TestAttributes:
             registry.register_attribute(second)
         assert registry.resolve_attribute("av") == first
 
+    @pytest.mark.parametrize("name, abbreviation", [
+        ("uptime", ""), ("", ""), (" uptime", "up"), ("uptime", "up "),
+    ])
+    def test_empty_or_padded_name_or_abbreviation_refused(self, name, abbreviation):
+        with pytest.raises(ValueError, match="^attribute name and abbreviation must be "
+                                             "non-empty without surrounding whitespace"):
+            QosAttribute(name, abbreviation, "%", Polarity.BENEFIT)
+
+    def test_fields_parse_back_to_the_attribute(self):
+        for attr in STANDARD_ATTRIBUTES:
+            assert parse_attribute(attribute_fields(attr)) == attr
+
     def test_abbreviation_may_be_its_own_name(self):
         registry = fresh_registry()
         registry.register_attribute(QosAttribute("a0", "a0", "u", Polarity.COST))
         assert registry.resolve_attribute("a0").name == "a0"
+
+    def test_stored_empty_abbreviation_refused_at_its_line(self, tmp_path):
+        (tmp_path / Store.ATTRIBUTES_FILE).write_text(
+            "name,abbreviation,unit,polarity\navailability,av,%,benefit\nuptime,,%,benefit\n",
+            encoding="utf-8")
+        with pytest.raises(ValueError, match="^.*attributes.csv: line 3: attribute name and "
+                                             "abbreviation must be non-empty"):
+            Store(tmp_path).load()
 
     def test_stored_spelling_of_two_attributes_refused_at_its_line(self, tmp_path):
         (tmp_path / Store.ATTRIBUTES_FILE).write_text(

@@ -80,6 +80,11 @@ class TestRequest:
         with pytest.raises(ValueError):
             request.restrict(["th"])
 
+    def test_resolved_spells_registered_names(self):
+        request = AssessmentRequest((("la", span(0, 100)), ("availability", span(1, 2))))
+        assert request.resolved(fresh_registry()).requested == (
+            ("latency", span(0, 100)), ("availability", span(1, 2)))
+
     def test_parse_request_file(self):
         text = "attribute,min,max\nav,50,100\nla,1,100\n"
         request = read_request(io.StringIO(text))

@@ -77,6 +77,14 @@ class TestDecisionMatrix:
                 cells=((IntervalNumber(1, 2),), ()),
             )
 
+    def test_rejects_fewer_rows_than_providers(self):
+        with pytest.raises(ValueError, match="^one cell row required per provider$"):
+            DecisionMatrix(
+                providers=("a", "b"),
+                attributes=(benefit("x"),),
+                cells=((IntervalNumber(1, 2),),),
+            )
+
     def test_rejects_nonpositive_cost_lower(self):
         with pytest.raises(ValueError, match="non-positive lower"):
             matrix([[(0, 5)], [(1, 2)]], [Polarity.COST])
@@ -123,6 +131,10 @@ class TestNormalize:
         with pytest.raises(ValueError, match="^benefit attribute 'availability' has no "
                                              "positive values to normalize$"):
             evaluate(m)
+
+    def test_no_providers_refused(self):
+        with pytest.raises(ValueError, match="^decision matrix has no providers$"):
+            normalize(DecisionMatrix((), (benefit("x"),), ()))
 
     def test_no_attributes_keeps_one_row_per_provider(self):
         m = DecisionMatrix(("a", "b"), (), ((), ()))
