@@ -137,8 +137,8 @@ def cmd_submit_amv(args: argparse.Namespace) -> int:
 
 def cmd_import_qws(args: argparse.Namespace) -> int:
     store = _store(args)
-    mapping = dict(STANDARD_QWS_MAPPING)
-    if args.map:
+    mapping = STANDARD_QWS_MAPPING
+    if args.map is not None:
         mapping = {}
         for pair in args.map.split(","):
             column, _, attr = map(str.strip, pair.partition("="))
@@ -149,12 +149,7 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
             mapping[column] = attr
     with store.locked():
         registry = store.load()
-        mapped = {}  # a bad target is not the dataset's fault: refused without its name
-        for column, attr in mapping.items():
-            name = registry.resolve_attribute(attr).name
-            if mapped.setdefault(name, column) != column:
-                raise ValueError(f"bad --map: columns {mapped[name]!r} and {column!r} both name "
-                                 f"{name!r}")
+        registry.resolve_names(mapping, "mapped columns")  # a bad target: refused without a path
         with refused_at(args.file):
             summary = import_qws(registry, record_text(Path(args.file).read_bytes()), mapping,
                                  service_column=args.service_column)
@@ -172,7 +167,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
         registry = store.load(log=False)
     with refused_at(args.request):
         request = read_request(record_text(Path(args.request).read_bytes()))
-    if args.attributes:
+    if args.attributes is not None:
         names = [registry.resolve_attribute(n.strip()).name for n in args.attributes.split(",")]
         request = request.resolved(registry).restrict(names)
     result = assess(registry, request)

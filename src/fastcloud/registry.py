@@ -217,6 +217,14 @@ class refused_at(contextlib.AbstractContextManager):
             raise self(exc) from exc
 
 
+def _header(source: Iterable[str]) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header's fields and the ``_rows`` after it: a file with no line is refused."""
+    rows = _rows(source)
+    for _, header in rows:
+        return header, rows
+    raise ValueError("file is empty")
+
+
 def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """The rows of a record file whose header is ``columns``.
 
@@ -224,10 +232,7 @@ def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple
     row: a missing one, or one that does not name exactly ``columns``, is
     refused. The field count is left to the row parsers.
     """
-    rows = _rows(source)
-    header = next(rows, (1, None))[1]
-    if header is None:
-        raise ValueError("file is empty")
+    header, rows = _header(source)
     if header != list(columns):
         raise ValueError(f"line 1: header must be {','.join(columns)!r}, got {','.join(header)!r}")
     yield from rows
@@ -412,6 +417,15 @@ class Registry:
                 return attr
         raise UnknownAttributeError(f"unknown attribute {name!r}")
 
+    def resolve_names(self, entries: Mapping[str, str], kind: str) -> dict[str, str]:
+        """Each entry's registered name; after all resolve, two entries naming one are refused."""
+        names = {entry: self.resolve_attribute(spelled).name for entry, spelled in entries.items()}
+        first: dict[str, str] = {}  # registered name -> the first entry that names it
+        for entry, name in names.items():
+            if first.setdefault(name, entry) != entry:
+                raise ValueError(f"{kind} {first[name]!r} and {entry!r} both name {name!r}")
+        return names
+
     # -- derived entity sets ----------------------------------------------
 
     @property
@@ -593,31 +607,24 @@ def import_qws(
     later import cannot detect such a collision: it files the rows under
     the provider that holds the id.
 
-    Two columns mapped to one attribute are refused before any row is filed.
+    The mapping is resolved by ``Registry.resolve_names`` before ``source``
+    is read: an unknown target, or two columns on one attribute, is refused
+    first.
     Rows with missing, non-numeric, non-finite or negative values in a mapped
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
     registry._check_records()
-    mapping = dict(mapping or STANDARD_QWS_MAPPING)
-    rows = _rows(source)
-    _, header = next(rows, (1, None))
-    if header is None:
-        raise ValueError("file is empty")
-    missing = [col for col in mapping if col not in header]
+    names = registry.resolve_names(mapping or STANDARD_QWS_MAPPING, "mapped columns")
+    header, rows = _header(source)
+    missing = [col for col in names if col not in header]
     if missing:
         raise ValueError(f"line 1: mapped columns missing from header: {', '.join(sorted(missing))}")
     if service_column not in header:
         raise ValueError(f"line 1: service identity column {service_column!r} missing from header")
     # a name given twice reads its last column; a short row reads "" past its end
     place = {name: i for i, name in enumerate(header)}
-    # resolve targets up front so a bad mapping fails before any mutation
-    mapped = {}  # attribute name -> the column mapped to it
-    for col, attr in mapping.items():
-        name = registry.resolve_attribute(attr).name
-        if mapped.setdefault(name, col) != col:
-            raise ValueError(f"mapped columns {mapped[name]!r} and {col!r} both name {name!r}")
-    targets = {place[col]: name for name, col in mapped.items()}
+    targets = {place[col]: name for col, name in names.items()}
 
     accepted = added = skipped = conflicting = 0
     rejections: list[str] = []  # a line per rejected row or conflicting record

@@ -71,14 +71,8 @@ class AssessmentRequest:
 
     def resolved(self, registry: Registry) -> "AssessmentRequest":
         """This request spelled by registered names; two spellings of one attribute are refused."""
-        requested = tuple((registry.resolve_attribute(name).name, span)
-                          for name, span in self.requested)
-        spelled: dict[str, str] = {}  # registered name -> the request's spelling
-        for (name, _), (registered, _) in zip(self.requested, requested):
-            if spelled.setdefault(registered, name) != name:
-                raise ValueError(f"requested attributes {spelled[registered]!r} and {name!r} "
-                                 f"both name {registered!r}")
-        return AssessmentRequest(requested)
+        names = registry.resolve_names({n: n for n, _ in self.requested}, "requested attributes")
+        return AssessmentRequest(tuple((names[name], span) for name, span in self.requested))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import json
 import re
 from importlib import resources
@@ -7,6 +9,7 @@ import pytest
 
 from conftest import CASE_INTERVALS, CASE_PROVIDERS, COST_ONLY_CHAIN, REQUEST_SPANS
 from fastcloud.cli import build_parser, main
+from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
     STANDARD_ATTRIBUTES,
     AmvRecord,
@@ -15,8 +18,10 @@ from fastcloud.registry import (
     Registry,
     SloRecord,
     Store,
+    UnknownAttributeError,
+    import_qws,
 )
-from fastcloud.selection import assess, read_request, result_document
+from fastcloud.selection import AssessmentRequest, assess, read_request, result_document
 
 
 def write_csv(path, header, rows):
@@ -484,6 +489,14 @@ class TestAssess:
         assert capsys.readouterr().err == (
             "error: requested attributes 'av' and 'availability' both name 'availability'\n")
 
+    def test_an_empty_subset_is_refused(self, store_dir, tmp_path, capsys):
+        seed_case_store(store_dir, tmp_path)
+        request_file = write_request(tmp_path)
+        capsys.readouterr()
+        assert main(["--store", str(store_dir), "assess", str(request_file),
+                     "--attributes", ""]) == 2
+        assert capsys.readouterr().err == "error: unknown attribute ''\n"
+
     @pytest.mark.parametrize("subset", ["av", "la"])
     def test_two_spellings_refused_whichever_subset_is_taken(
             self, store_dir, tmp_path, capsys, subset):
@@ -731,10 +744,11 @@ class TestImportQws:
 
     @pytest.mark.parametrize("spec, reason", [
         ("Availability=av,Reliability=availability",
-         "bad --map: columns 'Availability' and 'Reliability' both name 'availability'"),
+         "mapped columns 'Availability' and 'Reliability' both name 'availability'"),
         ("Availability=av,Availability=re", "bad --map: column 'Availability' is mapped twice"),
         (" =av", "bad --map entry ' =av': expected COLUMN=attribute"),
-    ], ids=["two-columns-one-attribute", "one-column-twice", "blank-column"])
+        ("", "bad --map entry '': expected COLUMN=attribute"),
+    ], ids=["two-columns-one-attribute", "one-column-twice", "blank-column", "empty"])
     def test_a_mapping_that_drops_or_names_no_column_is_refused(
             self, store_dir, capsys, spec, reason):
         sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
@@ -742,6 +756,66 @@ class TestImportQws:
         assert main(["--store", str(store_dir), "import-qws", str(sample), "--map", spec]) == 2
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == files
+
+
+# every spelling of the standard attributes -> the attribute's name
+NAMED = {spelling: attr.name for attr in STANDARD_ATTRIBUTES
+         for spelling in (attr.name, attr.abbreviation)}
+
+
+class TestOneAttributePerEntry:
+    """A request's rows and a mapping's columns each name their own attribute.
+
+    The one rule and its refusal, ``<kind> <first> and <second> both name
+    <attribute>``, hold for every pair of standard spellings, and a mapping
+    is checked before its dataset is read, by the library and the CLI alike.
+    """
+
+    @pytest.mark.parametrize("first, second", itertools.combinations(NAMED, 2))
+    def test_refused_exactly_when_two_entries_name_one_attribute(
+            self, store_dir, tmp_path, capsys, first, second):
+        registry = Store(store_dir).load()
+        shared = NAMED[first] == NAMED[second]
+        both = f"both name {NAMED[first]!r}"
+        span = IntervalNumber(0, 1)
+        request = AssessmentRequest(((first, span), (second, span)))
+        mapping = {"Availability": first, "Reliability": second}
+        mapped = f"mapped columns 'Availability' and 'Reliability' {both}"
+        if shared:
+            with pytest.raises(ValueError, match="^requested attributes ") as refused:
+                request.resolved(registry)
+            assert str(refused.value) == f"requested attributes {first!r} and {second!r} {both}"
+            with pytest.raises(ValueError, match="^mapped columns ") as refused:
+                registry.resolve_names(mapping, "mapped columns")
+            assert str(refused.value) == mapped
+        else:
+            assert request.resolved(registry).requested == (
+                (NAMED[first], span), (NAMED[second], span))
+            assert registry.resolve_names(mapping, "mapped columns") == {
+                "Availability": NAMED[first], "Reliability": NAMED[second]}
+
+        # with an empty dataset, a bad mapping is the fault reported
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError) as refused:
+            import_qws(registry, io.StringIO(""), mapping)
+        assert str(refused.value) == (mapped if shared else "file is empty")
+        files = {path.name: path.read_bytes() for path in store_dir.iterdir()}
+        assert main(["--store", str(store_dir), "import-qws", str(empty),
+                     "--map", f"Availability={first},Reliability={second}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {mapped}\n" if shared else f"error: {empty}: file is empty\n")
+        assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == files
+
+    def test_an_unknown_target_is_reported_before_an_empty_dataset(
+            self, store_dir, tmp_path, capsys):
+        with pytest.raises(UnknownAttributeError, match="^unknown attribute 'zz'$"):
+            import_qws(Store(store_dir).load(), io.StringIO(""), {"Availability": "zz"})
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert main(["--store", str(store_dir), "import-qws", str(empty),
+                     "--map", "Availability=zz"]) == 2
+        assert capsys.readouterr().err == "error: unknown attribute 'zz'\n"
 
 
 class TestBench:
