@@ -168,8 +168,9 @@ def cmd_assess(args: argparse.Namespace) -> int:
     with refused_at(args.request):
         request = read_request(record_text(Path(args.request).read_bytes()))
     if args.attributes is not None:
-        names = [registry.resolve_attribute(n.strip()).name for n in args.attributes.split(",")]
-        request = request.resolved(registry).restrict(names)
+        entries = [n.strip() for n in args.attributes.split(",")]
+        subset = registry.resolve_names({n: n for n in entries}, "selected attributes")
+        request = request.resolved(registry).restrict(list(subset.values()))
     result = assess(registry, request)
     output = (render_structured(result_document(result)) if args.format == "structured"
               else render_human(result))

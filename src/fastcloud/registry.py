@@ -396,8 +396,6 @@ class Registry:
     def register_attribute(self, attr: QosAttribute) -> bool:
         """Register ``attr``; returns False if the same definition was registered already."""
         existing = self.attributes.get(attr.name)
-        if existing is not None and existing.polarity is not attr.polarity:
-            raise ValueError(f"attribute {attr.name!r} already registered with different polarity")
         if existing is not None and existing != attr:
             stored = ",".join(attribute_fields(existing))
             raise ValueError(f"attribute {attr.name!r} already registered as {stored!r}")
@@ -607,15 +605,18 @@ def import_qws(
     later import cannot detect such a collision: it files the rows under
     the provider that holds the id.
 
-    The mapping is resolved by ``Registry.resolve_names`` before ``source``
-    is read: an unknown target, or two columns on one attribute, is refused
-    first.
+    ``mapping=None`` maps the standard six columns. Before ``source`` is
+    read, an empty mapping is refused, and ``Registry.resolve_names``
+    refuses an unknown target or two columns on one attribute.
     Rows with missing, non-numeric, non-finite or negative values in a mapped
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
     registry._check_records()
-    names = registry.resolve_names(mapping or STANDARD_QWS_MAPPING, "mapped columns")
+    mapping = STANDARD_QWS_MAPPING if mapping is None else mapping
+    if not mapping:
+        raise ValueError("a mapping must name at least one column")
+    names = registry.resolve_names(mapping, "mapped columns")
     header, rows = _header(source)
     missing = [col for col in names if col not in header]
     if missing:

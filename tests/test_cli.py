@@ -497,9 +497,14 @@ class TestAssess:
                      "--attributes", ""]) == 2
         assert capsys.readouterr().err == "error: unknown attribute ''\n"
 
-    @pytest.mark.parametrize("subset", ["av", "la"])
+    @pytest.mark.parametrize("subset, entries", [
+        ("av", "requested attributes 'av' and 'availability'"),
+        ("la", "requested attributes 'av' and 'availability'"),
+        # a subset at fault too is refused first
+        ("availability,av", "selected attributes 'availability' and 'av'"),
+    ], ids=["av", "la", "availability,av"])
     def test_two_spellings_refused_whichever_subset_is_taken(
-            self, store_dir, tmp_path, capsys, subset):
+            self, store_dir, tmp_path, capsys, subset, entries):
         seed_case_store(store_dir, tmp_path)
         request_file = tmp_path / "request.csv"
         write_csv(request_file, ["attribute", "min", "max"],
@@ -507,8 +512,7 @@ class TestAssess:
         capsys.readouterr()
         assert main(["--store", str(store_dir), "assess", str(request_file),
                      "--attributes", subset]) == 2
-        assert capsys.readouterr().err == (
-            "error: requested attributes 'av' and 'availability' both name 'availability'\n")
+        assert capsys.readouterr().err == f"error: {entries} both name 'availability'\n"
 
     def test_structured_output_is_diffable(self, store_dir, tmp_path, capsys):
         seed_case_store(store_dir, tmp_path)
@@ -764,11 +768,12 @@ NAMED = {spelling: attr.name for attr in STANDARD_ATTRIBUTES
 
 
 class TestOneAttributePerEntry:
-    """A request's rows and a mapping's columns each name their own attribute.
+    """Request rows, subset entries and mapping columns each name their own attribute.
 
     The one rule and its refusal, ``<kind> <first> and <second> both name
     <attribute>``, hold for every pair of standard spellings, and a mapping
     is checked before its dataset is read, by the library and the CLI alike.
+    ``assess --attributes`` applies it to the subset before the request.
     """
 
     @pytest.mark.parametrize("first, second", itertools.combinations(NAMED, 2))
@@ -806,6 +811,18 @@ class TestOneAttributePerEntry:
         assert capsys.readouterr().err == (
             f"error: {mapped}\n" if shared else f"error: {empty}: file is empty\n")
         assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == files
+
+        # a subset of a request that names all six: the store holds no provider,
+        # so a subset that passes the rule is refused for too few candidates
+        request_file = write_request(tmp_path)
+        code = main(["--store", str(store_dir), "assess", str(request_file),
+                     "--attributes", f"{first},{second}"])
+        err = capsys.readouterr().err
+        if shared:
+            assert code == 2
+            assert err == f"error: selected attributes {first!r} and {second!r} {both}\n"
+        else:
+            assert code == 3 and "both name" not in err
 
     def test_an_unknown_target_is_reported_before_an_empty_dataset(
             self, store_dir, tmp_path, capsys):

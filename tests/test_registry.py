@@ -10,6 +10,7 @@ import shutil
 import struct
 import sys
 import zlib
+from importlib import resources
 
 import pytest
 
@@ -61,18 +62,11 @@ class TestAttributes:
         with pytest.raises(UnknownAttributeError):
             registry.resolve_attribute("foo")
 
-    def test_polarity_is_fixed(self):
-        registry = fresh_registry()
-        with pytest.raises(ValueError, match="^attribute 'availability' already registered with "
-                                             "different polarity$"):
-            registry.register_attribute(
-                QosAttribute("availability", "av", "%", Polarity.COST)
-            )
-
     @pytest.mark.parametrize("changed", [
         QosAttribute("availability", "avl", "%", Polarity.BENEFIT),
         QosAttribute("availability", "av", "ratio", Polarity.BENEFIT),
-    ], ids=["abbreviation", "unit"])
+        QosAttribute("availability", "av", "%", Polarity.COST),
+    ], ids=["abbreviation", "unit", "polarity"])
     def test_changed_definition_refused_naming_the_stored_one(self, changed):
         registry = fresh_registry()
         with pytest.raises(ValueError, match="^attribute 'availability' already registered as "
@@ -929,6 +923,19 @@ class TestImport:
                                              "both name 'availability'$"):
             import_qws(registry, io.StringIO(qws_rows(1)), mapping)
         assert len(registry.amvs) == 0
+
+    def test_an_empty_mapping_is_refused_and_none_maps_the_standard_six(self):
+        registry = fresh_registry()
+        sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
+        with sample.open(newline="", encoding="utf-8") as source:
+            for stream in (io.StringIO(""), source):
+                with pytest.raises(ValueError, match="^a mapping must name at least one column$"):
+                    import_qws(registry, stream, {})
+                assert stream.tell() == 0  # refused before the dataset is read
+            assert registry == fresh_registry()
+            summary = import_qws(registry, source, None)
+        assert str(summary) == "50 rows accepted, 0 rejected; 300 records added, 0 duplicates skipped"
+        assert {r.attribute for r in registry.amvs} == {a.name for a in STANDARD_ATTRIBUTES}
 
     def test_mapping_targets_must_be_registered(self):
         registry = Registry()  # no attributes at all
