@@ -169,7 +169,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
         request = read_request(record_text(Path(args.request).read_bytes()))
     if args.attributes is not None:
         entries = [n.strip() for n in args.attributes.split(",")]
-        subset = registry.resolve_names({n: n for n in entries}, "selected attributes")
+        subset = registry.resolve_names(entries, "selected attributes")
         request = request.resolved(registry).restrict(list(subset.values()))
     result = assess(registry, request)
     output = (render_structured(result_document(result)) if args.format == "structured"

@@ -16,7 +16,8 @@ store's ``.lock`` file across processes (see ``Store``). Each save also
 rewrites ``.snapshot``, a derived file that is safe to delete: a load that
 finds the CSV files as that save left them restores the registry from it
 in place of parsing them; a reader restores only the attributes and the
-inputs of the consistency profile of each (provider, attribute) with an SLO.
+inputs of the consistency profile of each (provider, attribute) with an
+SLO, and a writer restores the rows of its log at their first read.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import contextlib
 import csv
 import enum
 import fcntl
+import functools
 import io
 import marshal
 import math
@@ -32,12 +34,13 @@ import os
 import re
 import sys
 import tempfile
+import weakref
 import zlib
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import add, ge, itemgetter, le, sub
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .intervals import IntervalNumber
 
@@ -321,6 +324,10 @@ class AmvView:
         return self._columns == other._columns if isinstance(other, AmvView) else NotImplemented
 
 
+# the fields of the AMV log that a writer's load decodes at their first read
+_ROW_FIELDS = ("_places", "_values", "_sequences", "_samples")
+
+
 @dataclass
 class Registry:
     """In-memory registry of attributes, SLO records and AMV records.
@@ -335,7 +342,10 @@ class Registry:
     triples, in order of their first row, its value and its sequence), and
     indexed by place: each triple's values by sequence, and its mean, cached
     until an append to the triple. ``slos`` and ``amvs`` are read-only
-    views; ``Store`` writes the columns to its snapshot as they are.
+    views; ``Store`` writes the columns to its snapshot as they are. A
+    registry that a writer's load restored from the snapshot decodes the
+    log's rows, ``_ROW_FIELDS``, at the first read of one of them: a
+    command that reads no row decodes none.
     ``profile_row`` gives the inputs of one (provider, attribute)'s
     consistency profile, the row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
@@ -373,6 +383,20 @@ class Registry:
     # an SLO
     _profiles: dict[tuple[str, str], tuple] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # set by Store.load alone, while the snapshot's log rows are not decoded:
+    # the call that decodes them into the _ROW_FIELDS, or takes the log from
+    # a parse, and sets this back to None
+    _rows: Callable[[Registry], None] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _read_rows(self) -> None:
+        """Decode the log's rows now, if a writer's load deferred them.
+
+        A refused rows part replaces ``_place`` and ``_means`` too, so a
+        reader of ``_place`` that goes on to read a row reads the rows first.
+        """
+        if self._rows is not None:
+            self._rows(self)
 
     @property
     def slos(self) -> SloView:
@@ -380,7 +404,8 @@ class Registry:
 
     @property
     def amvs(self) -> AmvView:
-        return AmvView(list(self._place), self._places, self._values, self._sequences)
+        places = self._places  # the rows first, then _place
+        return AmvView(list(self._place), places, self._values, self._sequences)
 
     def _check_records(self) -> None:
         if self._profiles is not None:
@@ -388,7 +413,8 @@ class Registry:
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
         """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
-        return list(map(add, map(list(self._place).__getitem__, self._places[start:]),
+        places = self._places[start:]  # the rows first, then _place
+        return list(map(add, map(list(self._place).__getitem__, places),
                         zip(self._values[start:], self._sequences[start:])))
 
     # -- attribute handling ------------------------------------------------
@@ -415,14 +441,21 @@ class Registry:
                 return attr
         raise UnknownAttributeError(f"unknown attribute {name!r}")
 
-    def resolve_names(self, entries: Mapping[str, str], kind: str) -> dict[str, str]:
-        """Each entry's registered name; after all resolve, two entries naming one are refused."""
-        names = {entry: self.resolve_attribute(spelled).name for entry, spelled in entries.items()}
+    def resolve_names(self, entries: Mapping[str, str] | Iterable[str], kind: str
+                      ) -> dict[str, str]:
+        """Each entry's registered name; after all resolve, two entries naming one are refused.
+
+        ``entries`` maps each entry to the spelling it gives, or lists
+        spellings, each its own entry: one spelling listed twice is refused.
+        """
+        spelled = entries.items() if isinstance(entries, Mapping) else [(e, e) for e in entries]
+        names = [(entry, self.resolve_attribute(spelling).name) for entry, spelling in spelled]
         first: dict[str, str] = {}  # registered name -> the first entry that names it
-        for entry, name in names.items():
-            if first.setdefault(name, entry) != entry:
+        for entry, name in names:
+            if name in first:
                 raise ValueError(f"{kind} {first[name]!r} and {entry!r} both name {name!r}")
-        return names
+            first[name] = entry
+        return dict(names)
 
     # -- derived entity sets ----------------------------------------------
 
@@ -480,12 +513,13 @@ class Registry:
         DuplicateSubmissionError; one holding another value is a conflict
         (ValueError). Either way nothing is stored.
         """
+        by_place = self._samples  # the rows first, then _place
         key = (csp_id, csc_id, attribute)
         place = self._place.setdefault(key, len(self._place))
-        if place == len(self._samples):
-            self._samples.append({})
+        if place == len(by_place):
+            by_place.append({})
             self._means.append(None)
-        samples = self._samples[place]
+        samples = by_place[place]
         if sequence is None:
             sequence = 1 + max(samples, default=0)
         elif sequence in samples:
@@ -506,8 +540,9 @@ class Registry:
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
         self._check_records()
+        by_place = self._samples  # the rows first, then _place
         place = self._place.get((csp_id, csc_id, attribute))
-        samples = {} if place is None else self._samples[place]
+        samples = {} if place is None else by_place[place]
         return [samples[sequence] for sequence in sorted(samples)]
 
     def amv_mean(self, csp_id: str, csc_id: str, attribute: str) -> float | None:
@@ -522,6 +557,9 @@ class Registry:
             return None
         mean = self._means[place]
         if mean is None:
+            if self._rows is not None:  # a mean not computed: the rows first, then _place
+                self._read_rows()
+                return self.amv_mean(csp_id, csc_id, attribute)
             samples = self._samples[place]
             mean = sum(map(samples.__getitem__, sorted(samples))) / len(samples)
             self._means[place] = mean
@@ -557,6 +595,29 @@ class Registry:
                 satisfied += 1
         values = slos.values()
         return satisfied, len(slos), min(values), max(values)
+
+
+class _RowField:
+    """A row field of ``Registry``, as a descriptor without ``__set__``.
+
+    A registry's own value, once set, is read in its place, so this is
+    reached only while a writer's load has left the rows undecoded: it
+    decodes them. Unlike a ``__getattr__`` hook, it leaves the lookup of
+    every other attribute on the interpreter's fast path.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, registry: Registry | None, owner: type | None = None) -> object:
+        if registry is None:
+            return self
+        registry._read_rows()
+        return registry.__dict__[self.name]
+
+
+for _name in _ROW_FIELDS:
+    setattr(Registry, _name, _RowField(_name))
 
 
 @dataclass(frozen=True)
@@ -613,6 +674,8 @@ def import_qws(
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
     registry._check_records()
+    # a store that a parse refuses is refused here, not as a conflicting record
+    registry._read_rows()
     mapping = STANDARD_QWS_MAPPING if mapping is None else mapping
     if not mapping:
         raise ValueError("a mapping must name at least one column")
@@ -705,6 +768,15 @@ def _log_bytes(columns: tuple, held: tuple) -> tuple:
                  for old, column in zip(held, columns))
 
 
+def _table(registry: Registry) -> bytes:
+    """The profile table section: the profile of every pair with an SLO, as six columns."""
+    attributes = registry.attributes
+    # csp id, name, then the row's fields
+    rows = [(csp_id, name, *registry.profile_row(csp_id, attributes[name]))
+            for csp_id, name in registry._slo_index]
+    return marshal.dumps([*zip(*rows)] or [()] * 6, 2)
+
+
 def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
             ) -> tuple:
     """The eight sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
@@ -724,28 +796,34 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     table too if no row appended since lies on an SLO triple: a table row
     reads only the pair's SLOs and the means of their triples, and a mean
     changes only by an append to its triple. Else each is encoded again.
-    ``_log_bytes`` extends the last four. So a crafted section that
-    ``_decode`` accepted keeps its encoding, and a crafted table its rows,
-    until what it is made from changes.
+    ``_log_bytes`` extends the last four, and while no row of a deferred
+    log was read, none was appended: they are kept as held. A table build
+    that reads the deferred rows (a mean not computed) has them written
+    whole. So a crafted section that ``_decode`` accepted keeps its
+    encoding, and a crafted table its rows, until what it is made from
+    changes.
     """
     _, table, slos, _, *log = held or (None,) * 4 + (_NO_ENTRIES,) * 4
-    distinct = list(registry._place)
+    deferred = registry._rows is not None  # no row read: none appended since
     if not slos_kept:
         table = slos = None
-    elif table is not None and not registry._slo_values.keys().isdisjoint(
-            map(distinct.__getitem__, registry._places[logged:])):
+    elif table is not None and not deferred and not registry._slo_values.keys().isdisjoint(
+            map(list(registry._place).__getitem__, registry._places[logged:])):
         table = None
     if slos is None:
         slos = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values())), 2)
     if table is None:
-        attributes = registry.attributes
-        # the profile of every pair with an SLO: csp id, name, then the row's fields
-        rows = [(csp_id, name, *registry.profile_row(csp_id, attributes[name]))
-                for csp_id, name in registry._slo_index]
-        table = marshal.dumps([*zip(*rows)] or [()] * 6, 2)  # the table's columns
-    columns = (distinct, registry._places, registry._values, registry._sequences)
+        table = _table(registry)
+        if deferred and registry._rows is None:
+            # the build read the deferred rows, which a refused rows part
+            # replaces with the parse's log and means: built again on them
+            table, log = _table(registry), (_NO_ENTRIES,) * 4
+    if registry._rows is None:
+        columns = (list(registry._place), registry._places, registry._values,
+                   registry._sequences)
+        log = _log_bytes(columns, log)
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
-            table, slos, marshal.dumps(registry._means, 2), *_log_bytes(columns, log))
+            table, slos, marshal.dumps(registry._means, 2), *log)
 
 
 def _decode(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
@@ -753,28 +831,36 @@ def _decode(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
 
     With ``log``, the writer's registry, which holds the attributes, the
     SLOs, the means and the log, and the sections as the ``held`` of its
-    save. Without, a read-only registry, which holds the attributes and the
-    profile table, and None. A section that the registry does not hold is
-    not decoded.
+    save: ``_decode_records``, then ``_decode_rows``, and None if either
+    refuses. Without, a read-only registry, which holds the attributes and
+    the profile table, and None. A section that the registry does not hold
+    is not decoded. ``Store.load`` runs the records part at load, and a
+    writer's rows part at the first read of a row.
+    """
+    decoded = _decode_records(sections, log)
+    if decoded is None or not log:
+        return decoded
+    registry, held = decoded
+    kept = _decode_rows(registry, *held[5:])
+    return None if kept is None else (registry, (*held[:7], kept))
+
+
+def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
+    """``_decode`` but a writer's rows: the registry, with no row field set, and the sections.
 
     Without ``log``, the table must have columns of one length, with no
     pair twice, unpadded provider ids, registered names, int counts with 0
     <= satisfied <= agreed and agreed > 0, and finite positive float span
     bounds, the lower at most the upper: every SLO value is positive. With
-    ``log``: columns that a parse could give, of one length, with the
-    places in order of each distinct triple's first row (so every distinct
-    triple is used by a row), no repeated SLO triple, distinct triple or
-    (triple, sequence), SLO values positive finite floats and AMV values
-    finite and at least 0, places and AMV values as marshal writes ints and
-    floats, int sequences, triples of checked ids and registered names, and
-    a list of a mean per distinct triple, None or a finite number of at
-    least 0. All is checked whole and used as decoded. The profiles and the
-    means are derived data that only this program writes, so they are
-    checked for shape alone. Any other sections give None.
+    ``log``: no repeated SLO triple or distinct triple, SLO values positive
+    finite floats, triples of checked ids and registered names, and a list
+    of a mean per distinct triple, None or a finite number of at least 0.
+    All is checked whole and used as decoded. The profiles and the means
+    are derived data that only this program writes, so they are checked for
+    shape alone. Any other sections give None.
     """
     try:
-        (head, table, slo_part, means_part,
-         distinct_part, places_part, values_part, sequences_part) = sections
+        head, table, slo_part, means_part, distinct_part, _, _, _ = sections
         registry = Registry()
         for fields in marshal.loads(head):
             registry.register_attribute(parse_attribute(fields))
@@ -795,48 +881,72 @@ def _decode(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
                        and min(map(sub, agreed, satisfied), default=0) >= 0
                        and all(map(le, lows, highs)))
             return (registry, None) if checked else None
-        (slos, slo_values), means = map(marshal.loads, (slo_part, means_part))
-        distinct, places, values, sequences = map(
-            marshal.loads, (distinct_part, places_part, values_part, sequences_part))
+        (slos, slo_values), means, distinct = map(
+            marshal.loads, (slo_part, means_part, distinct_part))
         registry._slo_values = dict(zip(slos, slo_values, strict=True))
         for (csp_id, csc_id, attribute), value in registry._slo_values.items():
             registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
-        registry._places, registry._values, registry._sequences = places, values, sequences
         registry._place = dict(zip(distinct, range(len(distinct))))
-        registry._samples = samples = [{} for _ in distinct]
         registry._means = means
-        for place, sequence, value in zip(places, sequences, values, strict=True):
-            samples[place][sequence] = value
-        # every distinct triple once, and placed in order of its first row
-        if (list(dict.fromkeys(places)) != list(range(len(distinct)))
-                or len(registry._place) != len(distinct) or len(means) != len(distinct)
-                or sum(map(len, samples)) != len(values)):
-            return None  # columns that no parse gives
         triples = [*registry._slo_values, *distinct]
         present = [mean for mean in means if mean is not None]
-        # each place written as marshal writes an int, "i" and 4 bytes, and
-        # each value as it writes a float, "g" and 8: so these bytes hold
-        # just these rows, and a save can extend them
-        rows = len(places)
-        checked = (type(places) is type(values) is type(sequences) is type(means)
-                   is type(distinct) is list
-                   and bytes(places_part)[5::5] == b"i" * rows
-                   and bytes(values_part)[5::9] == b"g" * rows
+        checked = (type(means) is type(distinct) is list
+                   and len(registry._place) == len(distinct) == len(means)
                    and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
                    and len(registry._slo_values) == len(slos)  # no triple twice
                    # SLO values as a parse gives them, which a save may keep
                    and set(map(type, slo_values)) <= {float}
                    and all(map(math.isfinite, (*slo_values, *present)))
                    and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
-                   # a sum that overflows on huge values only leaves the load to the parse
-                   and math.isfinite(sum(values)) and min(values, default=0) >= 0
                    and {name for _, _, name in triples} <= registry.attributes.keys())
+    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
+        return None  # sections of another shape
+    if not checked:
+        return None
+    for name in _ROW_FIELDS:
+        delattr(registry, name)  # left to _decode_rows
+    return registry, sections
+
+
+def _decode_rows(registry: Registry, places_part: bytes, values_part: bytes,
+                 sequences_part: bytes) -> bytes | None:
+    """Set ``registry``'s row fields from the log's sections, if a parse could give them.
+
+    ``registry`` holds what ``_decode_records`` gave. The columns must be
+    lists of one length, with the places in order of each distinct triple's
+    first row (so every distinct triple is used by a row), no repeated
+    (triple, sequence), AMV values finite and at least 0, places and values
+    as marshal writes ints and floats, and int sequences. Returns the
+    sequences section that a save may extend (``_NO_ENTRIES`` if it is
+    written whole), or None, setting no field.
+    """
+    try:
+        places, values, sequences = map(marshal.loads, (places_part, values_part, sequences_part))
+        samples = [{} for _ in registry._place]
+        for place, sequence, value in zip(places, sequences, values, strict=True):
+            samples[place][sequence] = value
+        # each place written as marshal writes an int, "i" and 4 bytes, and
+        # each value as it writes a float, "g" and 8: so these bytes hold
+        # just these rows, and a save can extend them
+        rows = len(places)
+        checked = (type(places) is type(values) is type(sequences) is list
+                   # every distinct triple once, and placed in order of its first row
+                   and list(dict.fromkeys(places)) == list(range(len(samples)))
+                   and sum(map(len, samples)) == rows  # no (triple, sequence) twice
+                   and bytes(places_part)[5::5] == b"i" * rows
+                   and bytes(values_part)[5::9] == b"g" * rows
+                   # a sum that overflows on huge values only leaves the load to the parse
+                   and math.isfinite(sum(values)) and min(values, default=0) >= 0)
         if bytes(sequences_part)[5::5] != b"i" * rows:
             sequences_part = _NO_ENTRIES  # a sequence past 32 bits: written whole
             checked = checked and set(map(type, sequences)) <= {int}
     except (EOFError, ValueError, TypeError, IndexError, AttributeError):
         return None  # columns of another shape
-    return (registry, (*sections[:7], sequences_part)) if checked else None
+    if not checked:
+        return None
+    registry._places, registry._values, registry._sequences = places, values, sequences
+    registry._samples = samples
+    return sequences_part
 
 
 class Store:
@@ -871,15 +981,21 @@ class Store:
     gives. A load reads each CSV file whole, and uses the snapshot in place
     of parsing them only when its CRC, its tag and every file's CRC-32 and
     length match the bytes read, so that no torn or stale snapshot is used,
-    and ``_decode`` accepts its sections. Any other snapshot (unreadable,
-    torn, foreign, of another shape, with columns no parse gives, or made
-    before a hand edit) leaves the load to the parse, with its refusals.
-    ``load(log=False)``, the reader's, gives a read-only registry, which
-    cannot be saved. Only ``save`` writes the snapshot, in place, once the
-    CSV files are durable; it carries the amvs.csv CRC forward over the
-    appended bytes, so no file is read again. A save that changes no file
-    leaves a snapshot that already holds the registry as it is. Readers
-    never write it.
+    and ``_decode_records`` accepts its sections. Any other snapshot
+    (unreadable, torn, foreign, of another shape, with columns no parse
+    gives, or made before a hand edit) leaves the load to the parse, with
+    its refusals. ``load(log=False)``, the reader's, decodes and checks the
+    attributes and the profile table, and gives a read-only registry, which
+    cannot be saved. A writer's load decodes and checks its records (the
+    attributes, the SLOs, the means and the distinct triples), and leaves
+    the rows of its log to their first read (``_restore_rows``); a refused
+    rows part leaves the log to the parse of the bytes the load read. A
+    command that reads no row keeps the row sections as it read them, as a
+    reader leaves the sections it does not decode. Only ``save`` writes the
+    snapshot, in place, once the CSV files are durable; it carries the
+    amvs.csv CRC forward over the appended bytes, so no file is read again.
+    A save that changes no file leaves a snapshot that already holds the
+    registry as it is. Readers never write it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -902,9 +1018,10 @@ class Store:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        # the registry last loaded or saved here, with what each file holds
-        # of it (its attributes, its SLOs and its AMV row count; None: no
-        # file), each file's CRC-32 and length, the file stamps that the
+        # the registry last loaded or saved here, by a weak reference (one
+        # whose rows are deferred refers to this store), with what each file
+        # holds of it (its attributes, its SLOs and its AMV row count; None:
+        # no file), each file's CRC-32 and length, the file stamps that the
         # snapshot holds with this registry (None: it does not hold this
         # registry), and the sections that a save may keep (see _encode)
         self._synced: tuple | None = None
@@ -948,8 +1065,34 @@ class Store:
             registry, snapshot_stamps, held = self._parse(contents), None, None
         else:
             (registry, held), snapshot_stamps = restored, stamps
+            if log:  # the rows at their first read
+                registry._rows = functools.partial(self._restore_rows, contents, held[5:])
         self._remember(registry, stamps, snapshot_stamps, held)
+        if contents[self.AMVS_FILE] is None:
+            registry._read_rows()  # a save writes amvs.csv whole, from the rows
         return registry
+
+    def _restore_rows(self, contents: dict[str, bytes | None], sections: tuple,
+                      registry: Registry) -> None:
+        """Set the rows of ``registry``, which this store's load restored without them.
+
+        They are ``_decode_rows`` of the snapshot's row ``sections``. If it
+        refuses them, the log, ``_place`` and ``_means`` are those of a parse
+        of ``contents``, the bytes the load read, and the next save encodes
+        every section afresh. A parse that refuses the files raises here.
+        """
+        kept = _decode_rows(registry, *sections)
+        if kept is None:
+            parsed = self._parse(contents)
+            for name in (*_ROW_FIELDS, "_place", "_means"):
+                setattr(registry, name, getattr(parsed, name))
+        registry._rows = None
+        if self._synced and self._synced[0]() is registry:
+            _, files, stamps, snapshot_stamps, held = self._synced
+            if files[self.AMVS_FILE] is not None:
+                files[self.AMVS_FILE] = len(registry._values)
+            self._synced = (self._synced[0], files, stamps, *(
+                (None, None) if kept is None else (snapshot_stamps, (*held[:7], kept))))
 
     def _parse(self, contents: dict[str, bytes | None]) -> Registry:
         """The registry that the CSV files' bytes hold, each read by the row loop."""
@@ -979,7 +1122,7 @@ class Store:
         unless it already holds this registry and these files.
         """
         registry._check_records()
-        if self._synced and self._synced[0] is registry:
+        if self._synced and self._synced[0]() is registry:
             _, synced, stamps, snapshot_stamps, held = self._synced
         else:
             synced, stamps, snapshot_stamps, held = {}, {}, None, None
@@ -998,7 +1141,7 @@ class Store:
         if logged is None:
             stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
                                                    registry._amv_rows())
-        elif logged < len(registry._values):
+        elif registry._rows is None and logged < len(registry._values):
             appended = _csv_text(registry._amv_rows(logged)).encode("utf-8")
             with open(self.root / self.AMVS_FILE, "ab") as fh:
                 fh.write(appended)
@@ -1020,9 +1163,11 @@ class Store:
                   held: tuple | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry._slo_values),
-                 self.AMVS_FILE: len(registry._values)}
+                 # no row read: the count of the held places section
+                 self.AMVS_FILE: len(registry._values) if registry._rows is None
+                 else int.from_bytes(held[5][1:5], "little")}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
-        self._synced = (registry, files, stamps, snapshot_stamps, held)
+        self._synced = (weakref.ref(registry), files, stamps, snapshot_stamps, held)
 
     # -- the snapshot ------------------------------------------------------
 
@@ -1050,7 +1195,7 @@ class Store:
             os.close(fd)
 
     def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple | None] | None:
-        """``_decode`` of the snapshot's sections, or None if the snapshot cannot be trusted.
+        """``_decode_records`` of the snapshot's sections, or None if it cannot be trusted.
 
         That is unless it can be read, passes its own CRC, carries this
         format's tag, and was made from files of exactly the stamps (CRC-32
@@ -1071,7 +1216,7 @@ class Store:
                              for start, end in zip(starts, [*starts[1:], len(blob)]))
         except (OSError, EOFError, ValueError, TypeError):
             return None  # unreadable, or a header of another shape
-        return _decode(sections, log)
+        return _decode_records(sections, log)
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

@@ -71,7 +71,7 @@ class AssessmentRequest:
 
     def resolved(self, registry: Registry) -> "AssessmentRequest":
         """This request spelled by registered names; two spellings of one attribute are refused."""
-        names = registry.resolve_names({n: n for n, _ in self.requested}, "requested attributes")
+        names = registry.resolve_names([n for n, _ in self.requested], "requested attributes")
         return AssessmentRequest(tuple((names[name], span) for name, span in self.requested))
 
 

@@ -773,7 +773,8 @@ class TestOneAttributePerEntry:
     The one rule and its refusal, ``<kind> <first> and <second> both name
     <attribute>``, hold for every pair of standard spellings, and a mapping
     is checked before its dataset is read, by the library and the CLI alike.
-    ``assess --attributes`` applies it to the subset before the request.
+    ``assess --attributes`` applies it to the subset before the request, and
+    to one spelling given twice.
     """
 
     @pytest.mark.parametrize("first, second", itertools.combinations(NAMED, 2))
@@ -812,15 +813,20 @@ class TestOneAttributePerEntry:
             f"error: {mapped}\n" if shared else f"error: {empty}: file is empty\n")
         assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == files
 
+    @pytest.mark.parametrize("first, second", itertools.combinations_with_replacement(NAMED, 2))
+    def test_a_subset_names_each_attribute_once(self, store_dir, tmp_path, capsys,
+                                                first, second):
         # a subset of a request that names all six: the store holds no provider,
-        # so a subset that passes the rule is refused for too few candidates
+        # so a subset that passes the rule is refused for too few candidates. One
+        # spelling twice names its attribute twice too
         request_file = write_request(tmp_path)
         code = main(["--store", str(store_dir), "assess", str(request_file),
                      "--attributes", f"{first},{second}"])
         err = capsys.readouterr().err
-        if shared:
+        if NAMED[first] == NAMED[second]:
             assert code == 2
-            assert err == f"error: selected attributes {first!r} and {second!r} {both}\n"
+            assert err == (f"error: selected attributes {first!r} and {second!r} "
+                           f"both name {NAMED[first]!r}\n")
         else:
             assert code == 3 and "both name" not in err
 

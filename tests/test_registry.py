@@ -34,6 +34,7 @@ from fastcloud.registry import (
     Store,
     UnknownAttributeError,
     _decode,
+    _decode_rows,
     _encode,
     attribute_fields,
     import_qws,
@@ -1319,9 +1320,16 @@ class TestSnapshotLoad:
                  marshal.dumps(distinct[::-1], 2),
                  marshal.dumps([len(distinct) - 1 - place for place in places], 2), *log[2:])
         self.checked_writer(store)((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
+        crafted = path.read_bytes()
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
-        # a writer then leaves the snapshot that a parse gives
+        # a writer that reads no row keeps the row sections as it read them
         assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
+        assert path.read_bytes() == crafted
+        # a writer that reads a row takes the log from the parse, and its save
+        # leaves the snapshot that a parse gives
+        registry = store.load()
+        assert len(registry.amvs) == 3
+        store.save(registry)
         assert path.read_bytes() == blob
         capsys.readouterr()
 
@@ -1868,3 +1876,170 @@ class TestDecodeMutations:
         registry, _ = _decode(sections, False)
         assert registry.profile_row("p1", registry.attributes["availability"]) == (
             2, 2, 90.0, 95.0)
+
+
+class TestDeferredRows:
+    """A writer's load decodes the snapshot's AMV rows at their first read.
+
+    A command that reads no row keeps the row sections as it read them, and
+    a refused rows part leaves the log to the parse of the files: so no
+    command's outcome depends on the row sections.
+    """
+
+    def build(self, root, work):
+        """A store of SLOs, appended values and an imported service, whose
+        ``SvcA/monitor`` triples have values but no SLO."""
+        slos = write_rows(work / "slos.csv", SLO_COLUMNS, [
+            ["p1", "c1", "av", "90"], ["p1", "c2", "av", "95"],
+            ["p2", "c1", "la", "20"], ["p2", "c2", "la", "15"]])
+        amvs = write_rows(work / "amvs.csv", AMV_COLUMNS, [
+            ["p1", "c1", "av", "91", ""], ["p1", "c2", "av", "96", ""],
+            ["p1", "c1", "av", "93.5", ""], ["p2", "c1", "la", "19", "5"],
+            ["p2", "c1", "la", "21", "2"], ["p2", "c2", "la", "14", ""]])
+        qws = work / "qws.csv"
+        qws.write_text(qws_rows(2), encoding="utf-8")
+        for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", slos],
+                     ["submit-amv", amvs], ["import-qws", str(qws)]):
+            assert main(["--store", str(root)] + argv) == 0
+
+    def commands(self, work):
+        """Each command's argv, by name, on input files under ``work``."""
+        qws = work / "more-qws.csv"
+        qws.write_text(qws_rows(3), encoding="utf-8")  # SvcA's third row is new
+
+        def rows(name, columns, *rows):
+            return write_rows(work / f"{name}.csv", columns, rows)
+
+        return {
+            "register-attributes": ["register-attributes", "--qws-defaults", rows(
+                "uptime", ATTRIBUTE_COLUMNS, ["uptime", "up", "%", "benefit"])],
+            "submit-slo": ["submit-slo", rows("replace", SLO_COLUMNS, ["p1", "c1", "av", "92"])],
+            # the first SLO of an imported triple: a table row needs a mean not computed
+            "submit-slo-monitor": ["submit-slo", rows(
+                "monitor", SLO_COLUMNS, ["SvcA", "SvcA/monitor", "av", "60"])],
+            "submit-amv-append": ["submit-amv", rows(
+                "append", AMV_COLUMNS, ["p1", "c2", "av", "97", ""])],
+            "submit-amv-duplicate": ["submit-amv", rows(
+                "duplicate", AMV_COLUMNS, ["p2", "c1", "la", "19", "5"])],
+            "submit-amv-conflict": ["submit-amv", rows(
+                "conflict", AMV_COLUMNS, ["p2", "c1", "la", "18", "5"])],
+            "import-qws": ["import-qws", str(qws)],
+        }
+
+    # the row mutation kinds of TestDecodeMutations that the rows part refuses,
+    # each on the columns (distinct, means, places, values, sequences)
+    ROW_MUTATIONS = {
+        "number-value-negative": lambda d, m, p, v, s: (d, m, p, [-v[0], *v[1:]], s),
+        "number-value-nan": lambda d, m, p, v, s: (d, m, p, [v[0], math.nan, *v[2:]], s),
+        "number-value-inf": lambda d, m, p, v, s: (d, m, p, [*v[:-1], math.inf], s),
+        "number-place-negative": lambda d, m, p, v, s: (d, m, [*p[:-1], p[-1] - len(d)], v, s),
+        "reorder": lambda d, m, p, v, s: (d[::-1], m[::-1], [len(d) - 1 - x for x in p], v, s),
+        "unused": lambda d, m, p, v, s: ([*d, ("p1", "c9", "availability")], [*m, None], p, v, s),
+        "rows-repeated": lambda d, m, p, v, s: (d, m, [p[0], *p], [v[0], *v], [s[0], *s]),
+        "rows-dropped": lambda d, m, p, v, s: (d, m, p, v[:-1], s),
+        "type-place-bool": lambda d, m, p, v, s: (d, m, [x if x > 1 else bool(x) for x in p],
+                                                  v, s),
+        "type-value-int": lambda d, m, p, v, s: (d, m, p, [int(v[0]), *v[1:]], s),
+        "type-sequence-str": lambda d, m, p, v, s: (d, m, p, v, [*s[:-1], str(s[-1])]),
+        "type-column-tuple": lambda d, m, p, v, s: (d, m, tuple(p), v, s),
+        # p1's c1 av rows are the first and third: the third at the first's sequence
+        "pair": lambda d, m, p, v, s: (d, m, p, v, [*s[:2], s[0], *s[3:]]),
+    }
+
+    def mutated(self, path):
+        """Each of ``ROW_MUTATIONS``, and a place as marshal reads but does not write it, as
+        a snapshot under a valid CRC and the stamps of the files."""
+        (tag, stamps, _), head, table, slo_part, means_part, *log = snapshot_parts(path)
+        distinct, places, values, sequences = map(marshal.loads, log)
+        means = marshal.loads(means_part)
+        assert places[:3] == [0, 1, 0] and sequences[:3] == [1, 1, 2]
+        columns = {kind: mutation(distinct, means, places, values, sequences)
+                   for kind, mutation in self.ROW_MUTATIONS.items()}
+        parts = {kind: (marshal.dumps(m, 2), *(marshal.dumps(c, 2) for c in (d, *rows)))
+                 for kind, (d, m, *rows) in columns.items()}
+        # 0 as a long of no digits
+        parts["byte-place-long"] = (means_part, log[0], b"[" + log[1][1:5] + b"l\0\0\0\0"
+                                    + log[1][10:], *log[2:])
+        for kind, rows in parts.items():
+            sections = (head, table, slo_part, *rows)
+            assert _decode(sections, True) is None, kind
+            body = marshal.dumps((tag, stamps, tuple(map(len, sections[:-1]))), 2)
+            body += b"".join(sections)
+            yield kind, zlib.crc32(body).to_bytes(4, "little") + body
+
+    @staticmethod
+    def run(root, argv, capsys):
+        """(exit code, stdout, stderr, the CSV files' bytes) of a command on ``root``."""
+        capsys.readouterr()
+        code = main(["--store", str(root)] + argv)
+        out, err = capsys.readouterr()
+        return code, out, err, {name: (root / name).read_bytes() for name in Store.FILES}
+
+    @staticmethod
+    def loads_as_parsed(root):
+        """Whether a load of ``root`` gives what a parse of its files gives."""
+        parsed = Store(root)._parse({name: (root / name).read_bytes() for name in Store.FILES})
+        registry = Store(root).load()
+        return registry == parsed and contents(registry) == contents(parsed)
+
+    def test_an_outcome_does_not_depend_on_the_row_sections(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        built = tmp_path / "built"
+        self.build(built, work)
+        snapshot = built / Store.SNAPSHOT_FILE
+        mutated = dict(self.mutated(snapshot))
+        assert len(mutated) == len(self.ROW_MUTATIONS) + 1
+        for name, argv in self.commands(work).items():
+            copies = {}
+            for kind in ("healthy", "no snapshot", *mutated):
+                root = tmp_path / name / kind
+                shutil.copytree(built, root)
+                if kind == "no snapshot":
+                    (root / Store.SNAPSHOT_FILE).unlink()
+                elif kind != "healthy":
+                    (root / Store.SNAPSHOT_FILE).write_bytes(mutated[kind])
+                    # the records part accepts the snapshot, and leaves the rows
+                    assert Store(root).load()._rows is not None
+                copies[kind] = root
+            outcomes = {kind: self.run(root, argv, capsys) for kind, root in copies.items()}
+            expected = outcomes["healthy"]
+            assert expected[0] == (2 if name == "submit-amv-conflict" else 0), expected
+            for kind, root in copies.items():
+                assert outcomes[kind] == expected, (name, kind)
+                assert self.loads_as_parsed(root), (name, kind)
+            # a save that reads no row keeps the row sections as it read them; one
+            # that reads them writes what a writer of a healthy snapshot writes;
+            # a command that saves nothing leaves the snapshot as it was
+            healthy = (copies["healthy"] / Store.SNAPSHOT_FILE).read_bytes()
+            for kind, blob in mutated.items():
+                path = copies[kind] / Store.SNAPSHOT_FILE
+                if name in ("register-attributes", "submit-slo"):
+                    assert path.read_bytes() not in (blob, healthy), (name, kind)
+                    parts = snapshot_parts(path)
+                    path.write_bytes(blob)
+                    assert snapshot_parts(path)[5:] == parts[5:], (name, kind)
+                else:
+                    saved = name not in ("submit-amv-duplicate", "submit-amv-conflict")
+                    assert path.read_bytes() == (healthy if saved else blob), (name, kind)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name, runs", [
+        ("register-attributes", 0), ("submit-slo", 0), ("submit-slo-monitor", 1),
+        ("submit-amv-append", 1), ("import-qws", 1)])
+    def test_a_command_decodes_the_rows_only_when_it_reads_one(
+            self, tmp_path, monkeypatch, capsys, name, runs):
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "store"
+        self.build(root, work)
+        calls = []
+        monkeypatch.setattr("fastcloud.registry._decode_rows",
+                            lambda *args: calls.append(args) or _decode_rows(*args))
+        assert main(["--store", str(root)] + self.commands(work)[name]) == 0
+        assert len(calls) == runs
+        # an assess reads the profile table alone
+        request = write_rows(work / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
+        main(["--store", str(root), "assess", request])
+        assert len(calls) == runs
+        capsys.readouterr()
