@@ -36,8 +36,9 @@ import sys
 import tempfile
 import weakref
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, ge, itemgetter, le, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
@@ -301,34 +302,54 @@ class SloView(Mapping):
 class AmvView:
     """Read-only view of a registry's monitored values, in submission order.
 
-    Its length is the row count, two views are equal when their distinct
-    triples and columns are, and an ``AmvRecord`` is built for a row only
-    when the view is iterated.
+    Its length is the row count, which reads no row. Two views are equal
+    when their distinct triples and columns are, and an ``AmvRecord`` is
+    built for a row only when the view is iterated: both read the whole log.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_registry",)
 
-    def __init__(self, triples: list[tuple[str, str, str]], places: list[int],
-                 values: list[float], sequences: list[int]):
-        self._columns = (triples, places, values, sequences)
+    def __init__(self, registry: Registry):
+        self._registry = registry
 
     def __len__(self) -> int:
-        return len(self._columns[2])
+        return self._registry._log_start + len(self._registry._values)
+
+    def _columns(self) -> tuple:
+        registry = self._registry
+        registry._read_log()
+        return list(registry._place), registry._places, registry._values, registry._sequences
 
     def __iter__(self) -> Iterator[AmvRecord]:
-        triples, *columns = self._columns
+        triples, *columns = self._columns()
         return (AmvRecord(*triples[place], value, sequence)
                 for place, value, sequence in zip(*columns))
 
     def __eq__(self, other: object) -> bool:
-        return self._columns == other._columns if isinstance(other, AmvView) else NotImplemented
+        if not isinstance(other, AmvView):
+            return NotImplemented
+        return self._columns() == other._columns()
 
 
-# the fields of the AMV log that a writer's load decodes at their first read
-_ROW_FIELDS = ("_places", "_values", "_sequences", "_samples")
+class _HeldRows:
+    """The AMV rows that a writer's load left in the snapshot's sections.
+
+    ``places`` is the log's places section, in submission order; ``values``
+    and ``sequences`` hold the rows grouped by place, each place's together
+    and in submission order. ``counts`` is the row count of each place, and
+    ``starts`` where its rows start in the grouped sections. ``refuse``, set
+    by ``Store.load``, takes the registry's rows from a parse of the files.
+    """
+
+    __slots__ = ("places", "values", "sequences", "counts", "starts", "refuse")
+
+    def __init__(self, places: bytes, values: bytes, sequences: bytes, counts: list[int]):
+        self.places, self.values, self.sequences, self.counts = places, values, sequences, counts
+        self.starts = list(accumulate(counts, initial=0))
+        self.refuse: Callable[[Registry], None] | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Registry:
     """In-memory registry of attributes, SLO records and AMV records.
 
@@ -342,10 +363,12 @@ class Registry:
     triples, in order of their first row, its value and its sequence), and
     indexed by place: each triple's values by sequence, and its mean, cached
     until an append to the triple. ``slos`` and ``amvs`` are read-only
-    views; ``Store`` writes the columns to its snapshot as they are. A
-    registry that a writer's load restored from the snapshot decodes the
-    log's rows, ``_ROW_FIELDS``, at the first read of one of them: a
-    command that reads no row decodes none.
+    views. A registry that a writer's load restored from the snapshot holds
+    the rows there (``_HeldRows``): it decodes one triple's rows at the
+    first read of that triple (``_samples_of``), and the whole log at its
+    first whole read (``_read_log``): iterating or comparing ``amvs``,
+    ``_amv_rows()`` from a row it holds there, or comparing registries.
+    ``len(amvs)`` reads no row, and a command that reads no row decodes none.
     ``profile_row`` gives the inputs of one (provider, attribute)'s
     consistency profile, the row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
@@ -356,47 +379,69 @@ class Registry:
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
+    Two registries are equal when their attributes, SLOs and logs are.
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict, init=False)
     # (csp, csc, attribute) -> agreed value, in submission order
     _slo_values: dict[tuple[str, str, str], float] = field(default_factory=dict, init=False)
-    # the monitored values in submission order, a column each; amvs.csv
-    # holds the same rows
+    # the monitored values in submission order from row _log_start on, a
+    # column each; amvs.csv holds the same rows
     _places: list[int] = field(default_factory=list, init=False, repr=False)
     _values: list[float] = field(default_factory=list, init=False, repr=False)
     _sequences: list[int] = field(default_factory=list, init=False, repr=False)
-    # (csp, csc, attribute) -> its place, in order of its first row: compared,
-    # since the places mean nothing without it
+    # (csp, csc, attribute) -> its place, in order of its first row
     _place: dict[tuple[str, str, str], int] = field(default_factory=dict, init=False, repr=False)
-    # by place, {sequence: value}: filled by _append_amv, and by _decode
-    _samples: list[dict[int, float]] = field(
-        default_factory=list, init=False, repr=False, compare=False)
+    # by place, {sequence: value} in submission order, or None while its rows
+    # are held in the snapshot: filled by _append_amv and _samples_of
+    _samples: list[dict[int, float] | None] = field(default_factory=list, init=False, repr=False)
     # (csp, attribute) -> {csc: agreed value}: filled by _file_slo and _decode
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+        default_factory=dict, init=False, repr=False)
     # by place, amv_mean, or None until it is computed: _append_amv resets it
-    _means: list[float | None] = field(
-        default_factory=list, init=False, repr=False, compare=False)
+    _means: list[float | None] = field(default_factory=list, init=False, repr=False)
     # set by Store.load(log=False) alone, which leaves the SLO and log
     # columns empty: (csp, attribute) -> the profile_row of each pair with
     # an SLO
-    _profiles: dict[tuple[str, str], tuple] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # set by Store.load alone, while the snapshot's log rows are not decoded:
-    # the call that decodes them into the _ROW_FIELDS, or takes the log from
-    # a parse, and sets this back to None
-    _rows: Callable[[Registry], None] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _profiles: dict[tuple[str, str], tuple] | None = field(default=None, init=False, repr=False)
+    # set by Store.load alone: the rows held in the snapshot, until the
+    # whole log is read or taken from a parse; _log_start rows of the log
+    # lie there, before those of the columns
+    _rows: _HeldRows | None = field(default=None, init=False, repr=False)
+    _log_start: int = field(default=0, init=False, repr=False)
 
-    def _read_rows(self) -> None:
-        """Decode the log's rows now, if a writer's load deferred them.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Registry):
+            return NotImplemented
+        return ((self.attributes, self._slo_values, self.amvs)
+                == (other.attributes, other._slo_values, other.amvs))
 
-        A refused rows part replaces ``_place`` and ``_means`` too, so a
-        reader of ``_place`` that goes on to read a row reads the rows first.
+    def _samples_of(self, key: tuple[str, str, str]) -> dict[int, float] | None:
+        """The {sequence: value} of a triple, or None if it has no value.
+
+        Rows held in the snapshot are decoded at the first read of their
+        triple (``_decode_place``). Refused ones leave every row, ``_place``
+        and ``_means`` to a parse, and the triple is looked up again there.
         """
-        if self._rows is not None:
-            self._rows(self)
+        place = self._place.get(key)
+        if place is None:
+            return None
+        samples = self._samples[place]
+        if samples is None:
+            samples = _decode_place(self._rows, place)
+            if samples is None:
+                self._rows.refuse(self)
+                return self._samples_of(key)
+            self._samples[place] = samples
+        return samples
+
+    def _read_log(self) -> None:
+        """Decode the rows of the log held in the snapshot, if any (``_decode_log``).
+
+        Refused ones leave every row, ``_place`` and ``_means`` to a parse.
+        """
+        if self._log_start and not _decode_log(self):
+            self._rows.refuse(self)
 
     @property
     def slos(self) -> SloView:
@@ -404,8 +449,7 @@ class Registry:
 
     @property
     def amvs(self) -> AmvView:
-        places = self._places  # the rows first, then _place
-        return AmvView(list(self._place), places, self._values, self._sequences)
+        return AmvView(self)
 
     def _check_records(self) -> None:
         if self._profiles is not None:
@@ -413,8 +457,10 @@ class Registry:
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
         """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
-        places = self._places[start:]  # the rows first, then _place
-        return list(map(add, map(list(self._place).__getitem__, places),
+        if start < self._log_start:
+            self._read_log()
+        start -= self._log_start
+        return list(map(add, map(list(self._place).__getitem__, self._places[start:]),
                         zip(self._values[start:], self._sequences[start:])))
 
     # -- attribute handling ------------------------------------------------
@@ -513,13 +559,15 @@ class Registry:
         DuplicateSubmissionError; one holding another value is a conflict
         (ValueError). Either way nothing is stored.
         """
-        by_place = self._samples  # the rows first, then _place
         key = (csp_id, csc_id, attribute)
         place = self._place.setdefault(key, len(self._place))
-        if place == len(by_place):
-            by_place.append({})
+        if place == len(self._samples):
+            self._samples.append({})
             self._means.append(None)
-        samples = by_place[place]
+        samples = self._samples[place]
+        if samples is None:  # rows held in the snapshot: read, then appended to
+            self._samples_of(key)
+            return self._append_amv(csp_id, csc_id, attribute, value, sequence)
         if sequence is None:
             sequence = 1 + max(samples, default=0)
         elif sequence in samples:
@@ -540,9 +588,7 @@ class Registry:
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
         self._check_records()
-        by_place = self._samples  # the rows first, then _place
-        place = self._place.get((csp_id, csc_id, attribute))
-        samples = {} if place is None else by_place[place]
+        samples = self._samples_of((csp_id, csc_id, attribute)) or {}
         return [samples[sequence] for sequence in sorted(samples)]
 
     def amv_mean(self, csp_id: str, csc_id: str, attribute: str) -> float | None:
@@ -551,16 +597,17 @@ class Registry:
         The values are summed in sequence order, then divided by their
         count, so the mean is ``average_amv(amv_samples(...))`` to the bit.
         """
-        place = self._place.get((csp_id, csc_id, attribute))
+        key = (csp_id, csc_id, attribute)
+        place = self._place.get(key)
         if place is None:
             self._check_records()  # a read-only registry holds no mean
             return None
         mean = self._means[place]
         if mean is None:
-            if self._rows is not None:  # a mean not computed: the rows first, then _place
-                self._read_rows()
-                return self.amv_mean(csp_id, csc_id, attribute)
             samples = self._samples[place]
+            if samples is None:  # rows held in the snapshot: read, then looked up again
+                self._samples_of(key)
+                return self.amv_mean(csp_id, csc_id, attribute)
             mean = sum(map(samples.__getitem__, sorted(samples))) / len(samples)
             self._means[place] = mean
         return mean
@@ -595,29 +642,6 @@ class Registry:
                 satisfied += 1
         values = slos.values()
         return satisfied, len(slos), min(values), max(values)
-
-
-class _RowField:
-    """A row field of ``Registry``, as a descriptor without ``__set__``.
-
-    A registry's own value, once set, is read in its place, so this is
-    reached only while a writer's load has left the rows undecoded: it
-    decodes them. Unlike a ``__getattr__`` hook, it leaves the lookup of
-    every other attribute on the interpreter's fast path.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, registry: Registry | None, owner: type | None = None) -> object:
-        if registry is None:
-            return self
-        registry._read_rows()
-        return registry.__dict__[self.name]
-
-
-for _name in _ROW_FIELDS:
-    setattr(Registry, _name, _RowField(_name))
 
 
 @dataclass(frozen=True)
@@ -674,8 +698,6 @@ def import_qws(
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
     registry._check_records()
-    # a store that a parse refuses is refused here, not as a conflicting record
-    registry._read_rows()
     mapping = STANDARD_QWS_MAPPING if mapping is None else mapping
     if not mapping:
         raise ValueError("a mapping must name at least one column")
@@ -722,6 +744,8 @@ def import_qws(
         owners[csp_id] = service
         accepted += 1
         for record in records:
+            # a store that a parse refuses is refused here, not as a conflicting record
+            registry._samples_of(record.key)
             try:
                 registry._append_amv(*record.key, record.value, record.sequence)
                 added += 1
@@ -745,122 +769,185 @@ def _restore_amv(registry: Registry, fields: list[str]) -> None:
     registry._append_amv(*record.key, record.value, record.sequence)
 
 
+def _stamp(data: bytes | None) -> tuple[int, int] | None:
+    """A file's CRC-32 and length, or None for a missing one."""
+    return None if data is None else (zlib.crc32(data), len(data))
+
+
 def _csv_text(rows: Iterable[Iterable]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-# marshal's bytes of a list with no entries, from which _log_bytes extends a column
+# marshal's bytes of a list with no entries: held in place of a sequences
+# section whose entries are not all 32-bit ints, so that a save writes it whole
 _NO_ENTRIES = marshal.dumps([], 2)
 
 
-def _log_bytes(columns: tuple, held: tuple) -> tuple:
-    """``marshal.dumps(column, 2)`` of each of ``columns``, from the bytes ``held`` for it.
+def _extended(part: bytes, entries: list) -> bytes:
+    """marshal's bytes of the list that ``part`` holds, with ``entries`` after its own.
 
-    These columns only grow, and marshal writes a list as "[", its length and
-    its elements: ``held`` has the bytes that marshal wrote for each column's
-    first entries, ``_NO_ENTRIES`` at the least, and only the entries added
-    since are written.
+    marshal writes a list as "[", its length and its elements, so only the
+    entries are written.
     """
-    return tuple(b"[" + len(column).to_bytes(4, "little") + old[5:]
-                 + marshal.dumps(column[int.from_bytes(old[1:5], "little"):], 2)[5:]
-                 for old, column in zip(held, columns))
+    count = int.from_bytes(part[1:5], "little") + len(entries)
+    return b"[" + count.to_bytes(4, "little") + part[5:] + marshal.dumps(entries, 2)[5:]
 
 
-def _table(registry: Registry) -> bytes:
-    """The profile table section: the profile of every pair with an SLO, as six columns."""
-    attributes = registry.attributes
-    # csp id, name, then the row's fields
-    rows = [(csp_id, name, *registry.profile_row(csp_id, attributes[name]))
-            for csp_id, name in registry._slo_index]
-    return marshal.dumps([*zip(*rows)] or [()] * 6, 2)
+def _regrouped(part: bytes, width: int, ends: list[int], groups: dict[int, list]) -> bytes:
+    """``part``, a grouped section of ``width``-byte entries, with ``groups`` spliced in.
+
+    Held place ``p``'s entries end at entry ``ends[p]``; ``groups[p]`` goes
+    right after them, and the group of a place past ``ends``, a new one,
+    after every held entry, in place order. The held entries keep their bytes.
+    """
+    held = ends[-1] if ends else 0
+    count = held + sum(map(len, groups.values()))
+    chunks, at = [b"[" + count.to_bytes(4, "little")], 5
+    for place in sorted(groups):
+        end = 5 + width * (ends[place] if place < len(ends) else held)
+        chunks += (part[at:end], marshal.dumps(groups[place], 2)[5:])
+        at = end
+    chunks.append(part[at:5 + width * held])
+    return b"".join(chunks)
+
+
+def _table(registry: Registry, held: bytes | None = None,
+           pairs: Iterable[tuple[str, str]] = ()) -> bytes:
+    """The profile table section: the profile of every pair with an SLO, as six columns.
+
+    Given the ``held`` section, the rows of ``pairs`` are built again and
+    the others kept, unless it does not list the pairs with an SLO in the
+    SLO index's order: then, as without it, every row is built.
+    """
+    rows = {}  # (csp id, name) -> the table row: csp id, name, then the row's fields
+    if held is not None:
+        with contextlib.suppress(EOFError, ValueError, TypeError):  # a table of another shape
+            rows = {row[:2]: row for row in zip(*marshal.loads(held), strict=True)}
+        if list(rows) != list(registry._slo_index):
+            rows = {}
+    for csp_id, name in pairs if rows else registry._slo_index:
+        rows[csp_id, name] = (csp_id, name,
+                              *registry.profile_row(csp_id, registry.attributes[name]))
+    return marshal.dumps([*zip(*rows.values())] or [()] * 6, 2)
 
 
 def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
             ) -> tuple:
-    """The eight sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
+    """The nine sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
 
     They are: the attribute definitions; the profile table, the
     ``Registry.profile_row`` of each (provider, attribute) with an SLO, in
     the SLO index's order, as six columns; the SLO triples and values; by
     place, the ``amv_mean`` of each distinct AMV triple, or None where none
-    was computed; the distinct AMV triples; then the AMV log's places,
-    values and sequences. Version 2 shares no object, so the bytes depend
-    only on the registry's contents, not on how its load built it or which
-    sections were kept.
+    was computed; the distinct AMV triples; the AMV log's places, in
+    submission order; by place, its row count; then the values and the
+    sequences grouped by place, each place's rows together, in place order,
+    and in submission order within a place. Version 2 shares no object, so
+    the bytes depend only on the registry's contents, not on how its load
+    built it or which sections were kept.
 
     ``held`` is the sections that the registry's load or last save gave, or
-    None, and ``logged`` the log's row count then. The attributes and the
-    means are encoded again. The SLOs are kept if ``slos_kept``, and the
-    table too if no row appended since lies on an SLO triple: a table row
-    reads only the pair's SLOs and the means of their triples, and a mean
-    changes only by an append to its triple. Else each is encoded again.
-    ``_log_bytes`` extends the last four, and while no row of a deferred
-    log was read, none was appended: they are kept as held. A table build
-    that reads the deferred rows (a mean not computed) has them written
-    whole. So a crafted section that ``_decode`` accepted keeps its
-    encoding, and a crafted table its rows, until what it is made from
-    changes.
+    None, and ``logged`` the log's row count then. The attributes, the
+    means and the counts are encoded again, and the SLOs unless
+    ``slos_kept``. The table is kept but for the rows of the pairs on whose
+    SLO triples a row was appended since (``_table``): a table row reads
+    only the pair's SLOs and the means of their triples, and a mean changes
+    only by an append to its triple. The distinct triples and the places
+    are extended, and each place's appended values and sequences spliced in
+    after its held ones (``_regrouped``), so no held row is decoded. The
+    log is read and encoded whole without ``held``, when ``held`` holds a
+    sequence that is not a 32-bit int, or after the table read a place
+    that was refused. So a crafted section that ``_decode`` accepted keeps
+    its encoding, and a crafted table or place its rows, until what it is
+    made from changes.
     """
-    _, table, slos, _, *log = held or (None,) * 4 + (_NO_ENTRIES,) * 4
-    deferred = registry._rows is not None  # no row read: none appended since
+    _, table, slos, _, *log = held or (None,) * 9
+    spliced = held is not None and logged is not None and len(log[4]) == 5 + 5 * logged
+    if not spliced:
+        registry._read_log()
+    rows, triples = registry._rows, list(registry._place)
+    appended = slice((logged or 0) - registry._log_start, None)
+    places = registry._places[appended]
     if not slos_kept:
         table = slos = None
-    elif table is not None and not deferred and not registry._slo_values.keys().isdisjoint(
-            map(list(registry._place).__getitem__, registry._places[logged:])):
-        table = None
     if slos is None:
         slos = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values())), 2)
-    if table is None:
-        table = _table(registry)
-        if deferred and registry._rows is None:
-            # the build read the deferred rows, which a refused rows part
-            # replaces with the parse's log and means: built again on them
-            table, log = _table(registry), (_NO_ENTRIES,) * 4
-    if registry._rows is None:
-        columns = (list(registry._place), registry._places, registry._values,
-                   registry._sequences)
-        log = _log_bytes(columns, log)
+    touched = {(key[0], key[2]) for key in map(triples.__getitem__, set(places))
+               if key in registry._slo_values}
+    if table is None or touched:
+        table = _table(registry, table, touched)
+    if rows is not None and registry._rows is None:
+        # a place that the table read was refused: the log, the places and
+        # the means are the parse's, and the table is built again on them
+        table, spliced = _table(registry), False
+    if spliced:
+        distinct, places_part, counts_part, values_part, sequences_part = log
+        counts = marshal.loads(counts_part)
+        ends = list(accumulate(counts))
+        values, sequences = {}, {}  # place -> its appended rows' column
+        for place, value, sequence in zip(places, registry._values[appended],
+                                          registry._sequences[appended]):
+            values.setdefault(place, []).append(value)
+            sequences.setdefault(place, []).append(sequence)
+        counts += [0] * (len(triples) - len(counts))
+        for place, group in values.items():
+            counts[place] += len(group)
+        log = (_extended(distinct, triples[len(ends):]), _extended(places_part, places),
+               marshal.dumps(counts, 2), _regrouped(values_part, 9, ends, values),
+               _regrouped(sequences_part, 5, ends, sequences))
+    else:
+        samples = registry._samples
+        log = tuple(marshal.dumps(column, 2) for column in (
+            list(registry._place), registry._places, [*map(len, samples)],
+            [*chain.from_iterable(map(dict.values, samples))], [*chain.from_iterable(samples)]))
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
             table, slos, marshal.dumps(registry._means, 2), *log)
 
 
 def _decode(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
-    """The registry that ``_encode``'s eight sections hold, if a parse could give it.
+    """The registry that ``_encode``'s nine sections hold, if a parse could give it.
 
     With ``log``, the writer's registry, which holds the attributes, the
     SLOs, the means and the log, and the sections as the ``held`` of its
-    save: ``_decode_records``, then ``_decode_rows``, and None if either
+    save: ``_decode_records``, then ``_decode_log``, and None if either
     refuses. Without, a read-only registry, which holds the attributes and
     the profile table, and None. A section that the registry does not hold
     is not decoded. ``Store.load`` runs the records part at load, and a
-    writer's rows part at the first read of a row.
+    writer decodes one place's rows at the first read of its triple
+    (``_decode_place``), and the whole log at its first whole read.
     """
     decoded = _decode_records(sections, log)
-    if decoded is None or not log:
+    if decoded is None or decoded[0]._rows is None or _decode_log(decoded[0]):
         return decoded
-    registry, held = decoded
-    kept = _decode_rows(registry, *held[5:])
-    return None if kept is None else (registry, (*held[:7], kept))
+    return None
 
 
 def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
-    """``_decode`` but a writer's rows: the registry, with no row field set, and the sections.
+    """``_decode`` but a writer's rows: the registry, its rows held, and the sections.
 
     Without ``log``, the table must have columns of one length, with no
     pair twice, unpadded provider ids, registered names, int counts with 0
     <= satisfied <= agreed and agreed > 0, and finite positive float span
     bounds, the lower at most the upper: every SLO value is positive. With
     ``log``: no repeated SLO triple or distinct triple, SLO values positive
-    finite floats, triples of checked ids and registered names, and a list
-    of a mean per distinct triple, None or a finite number of at least 0.
-    All is checked whole and used as decoded. The profiles and the means
-    are derived data that only this program writes, so they are checked for
+    finite floats, triples of checked ids and registered names, a list of a
+    mean per distinct triple, None or a finite number of at least 0, and a
+    list of a row count per distinct triple, ints of at least 1 whose sum is
+    the length of the places, values and sequences lists. All is checked
+    whole and used as decoded. The profiles and the means are
+    derived data that only this program writes, so they are checked for
     shape alone. Any other sections give None.
+
+    The rows are left in the sections (``_HeldRows``), unless the sequences
+    section is not as long as that many 32-bit ints: then they are decoded
+    whole now (``_decode_log``), and held as ``_NO_ENTRIES``, which a save
+    writes whole.
     """
     try:
-        head, table, slo_part, means_part, distinct_part, _, _, _ = sections
+        (head, table, slo_part, means_part, distinct_part, places_part, counts_part,
+         values_part, sequences_part) = sections
         registry = Registry()
         for fields in marshal.loads(head):
             registry.register_attribute(parse_attribute(fields))
@@ -881,8 +968,8 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
                        and min(map(sub, agreed, satisfied), default=0) >= 0
                        and all(map(le, lows, highs)))
             return (registry, None) if checked else None
-        (slos, slo_values), means, distinct = map(
-            marshal.loads, (slo_part, means_part, distinct_part))
+        (slos, slo_values), means, distinct, counts = map(
+            marshal.loads, (slo_part, means_part, distinct_part, counts_part))
         registry._slo_values = dict(zip(slos, slo_values, strict=True))
         for (csp_id, csc_id, attribute), value in registry._slo_values.items():
             registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
@@ -890,63 +977,98 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
         registry._means = means
         triples = [*registry._slo_values, *distinct]
         present = [mean for mean in means if mean is not None]
-        checked = (type(means) is type(distinct) is list
-                   and len(registry._place) == len(distinct) == len(means)
+        checked = (type(means) is type(distinct) is type(counts) is list
+                   and len(registry._place) == len(distinct) == len(means) == len(counts)
                    and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
                    and len(registry._slo_values) == len(slos)  # no triple twice
                    # SLO values as a parse gives them, which a save may keep
                    and set(map(type, slo_values)) <= {float}
                    and all(map(math.isfinite, (*slo_values, *present)))
                    and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
-                   and {name for _, _, name in triples} <= registry.attributes.keys())
-    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
+                   and {name for _, _, name in triples} <= registry.attributes.keys()
+                   and set(map(type, counts)) <= {int} and min(counts, default=1) > 0)
+        rows = sum(counts) if checked else 0
+        header = b"[" + rows.to_bytes(4, "little")
+        checked = checked and places_part[:5] == values_part[:5] == sequences_part[:5] == header
+    except (EOFError, ValueError, TypeError, IndexError, AttributeError, OverflowError):
         return None  # sections of another shape
     if not checked:
         return None
-    for name in _ROW_FIELDS:
-        delattr(registry, name)  # left to _decode_rows
+    registry._samples = [None] * len(counts)
+    if rows:
+        registry._rows = _HeldRows(places_part, values_part, sequences_part, counts)
+        registry._log_start = rows
+        if len(sequences_part) != 5 + 5 * rows:  # a sequence past 32 bits
+            if not _decode_log(registry):
+                return None
+            sections = (*sections[:8], _NO_ENTRIES)
     return registry, sections
 
 
-def _decode_rows(registry: Registry, places_part: bytes, values_part: bytes,
-                 sequences_part: bytes) -> bytes | None:
-    """Set ``registry``'s row fields from the log's sections, if a parse could give them.
+def _decode_place(rows: _HeldRows, place: int) -> dict[int, float] | None:
+    """The {sequence: value} of one place's rows in ``rows``, if a parse could give them.
 
-    ``registry`` holds what ``_decode_records`` gave. The columns must be
-    lists of one length, with the places in order of each distinct triple's
-    first row (so every distinct triple is used by a row), no repeated
-    (triple, sequence), AMV values finite and at least 0, places and values
-    as marshal writes ints and floats, and int sequences. Returns the
-    sequences section that a save may extend (``_NO_ENTRIES`` if it is
-    written whole), or None, setting no field.
+    They are a slice of each grouped section: the values must be written
+    as marshal writes floats, "g" and 8 bytes, finite and at least 0, and
+    the sequences as it writes ints, "i" and 4, none of them twice.
     """
-    try:
-        places, values, sequences = map(marshal.loads, (places_part, values_part, sequences_part))
-        samples = [{} for _ in registry._place]
-        for place, sequence, value in zip(places, sequences, values, strict=True):
-            samples[place][sequence] = value
-        # each place written as marshal writes an int, "i" and 4 bytes, and
-        # each value as it writes a float, "g" and 8: so these bytes hold
-        # just these rows, and a save can extend them
-        rows = len(places)
-        checked = (type(places) is type(values) is type(sequences) is list
-                   # every distinct triple once, and placed in order of its first row
-                   and list(dict.fromkeys(places)) == list(range(len(samples)))
-                   and sum(map(len, samples)) == rows  # no (triple, sequence) twice
-                   and bytes(places_part)[5::5] == b"i" * rows
-                   and bytes(values_part)[5::9] == b"g" * rows
-                   # a sum that overflows on huge values only leaves the load to the parse
-                   and math.isfinite(sum(values)) and min(values, default=0) >= 0)
-        if bytes(sequences_part)[5::5] != b"i" * rows:
-            sequences_part = _NO_ENTRIES  # a sequence past 32 bits: written whole
-            checked = checked and set(map(type, sequences)) <= {int}
-    except (EOFError, ValueError, TypeError, IndexError, AttributeError):
-        return None  # columns of another shape
-    if not checked:
+    count, start = rows.counts[place], rows.starts[place]
+    values_part = bytes(rows.values[5 + 9 * start:5 + 9 * (start + count)])
+    sequences_part = bytes(rows.sequences[5 + 5 * start:5 + 5 * (start + count)])
+    if values_part[::9] != b"g" * count or sequences_part[::5] != b"i" * count:
         return None
-    registry._places, registry._values, registry._sequences = places, values, sequences
-    registry._samples = samples
-    return sequences_part
+    header = b"[" + count.to_bytes(4, "little")
+    values = marshal.loads(header + values_part)
+    samples = dict(zip(marshal.loads(header + sequences_part), values))
+    # a sum that overflows on huge values only leaves the rows to the parse
+    checked = len(samples) == count and math.isfinite(sum(values)) and min(values) >= 0
+    return samples if checked else None
+
+
+def _decode_log(registry: Registry) -> bool:
+    """Decode the log that ``registry``'s load held in the snapshot, if a parse could give it.
+
+    The places must be a list of ints as marshal writes them, in order of
+    each distinct triple's first row (so every distinct triple is used by a
+    row), with as many rows of each as its count; the values a list of
+    floats as marshal writes them, finite and at least 0; the sequences a
+    list of ints as marshal writes them, or, in a section longer than that,
+    of ints, none twice in a place. Each place not read yet gets its
+    samples, and the columns the held rows before their own; whether it
+    set them, and else nothing is set.
+    """
+    held, rows = registry._rows, registry._log_start
+    fixed = len(held.sequences) == 5 + 5 * rows
+    try:
+        places, values, sequences = map(marshal.loads, (held.places, held.values, held.sequences))
+        # a sum that overflows on huge values only leaves the log to the parse
+        checked = (list(dict.fromkeys(places)) == list(range(len(held.counts)))
+                   and Counter(places) == dict(enumerate(held.counts))
+                   and bytes(held.places)[5::5] == b"i" * rows
+                   and bytes(held.values)[5::9] == b"g" * rows
+                   and (bytes(held.sequences)[5::5] == b"i" * rows if fixed
+                        else set(map(type, sequences)) <= {int})
+                   and math.isfinite(sum(values)) and min(values, default=0) >= 0)
+    except (EOFError, ValueError, TypeError):
+        return False  # sections of another shape
+    if not checked:
+        return False
+    samples = registry._samples[:]
+    for place, (start, end) in enumerate(zip(held.starts, held.starts[1:])):
+        if samples[place] is None:
+            samples[place] = dict(zip(sequences[start:end], values[start:end]))
+            if len(samples[place]) != end - start:
+                return False  # a sequence twice
+    order = []  # by row, its entry in the grouped sections
+    at = held.starts[:-1]
+    for place in places:
+        order.append(at[place])
+        at[place] += 1
+    registry._places = places + registry._places
+    registry._values = [*map(values.__getitem__, order), *registry._values]
+    registry._sequences = [*map(sequences.__getitem__, order), *registry._sequences]
+    registry._samples, registry._rows, registry._log_start = samples, None, 0
+    return True
 
 
 class Store:
@@ -977,7 +1099,7 @@ class Store:
     It holds, as a ``marshal`` blob, its own CRC-32, then a header of a tag
     of its format and the Python version, the CRC-32 and length of each CSV
     file it was made from (None for a missing one) and the byte length of
-    each section but the last, then the eight sections that ``_encode``
+    each section but the last, then the nine sections that ``_encode``
     gives. A load reads each CSV file whole, and uses the snapshot in place
     of parsing them only when its CRC, its tag and every file's CRC-32 and
     length match the bytes read, so that no torn or stale snapshot is used,
@@ -987,11 +1109,14 @@ class Store:
     its refusals. ``load(log=False)``, the reader's, decodes and checks the
     attributes and the profile table, and gives a read-only registry, which
     cannot be saved. A writer's load decodes and checks its records (the
-    attributes, the SLOs, the means and the distinct triples), and leaves
-    the rows of its log to their first read (``_restore_rows``); a refused
-    rows part leaves the log to the parse of the bytes the load read. A
-    command that reads no row keeps the row sections as it read them, as a
-    reader leaves the sections it does not decode. Only ``save`` writes the
+    attributes, the SLOs, the means, the distinct triples and their row
+    counts), and leaves the rows of its log in the snapshot: a triple's
+    rows are decoded at the first read of that triple, and the whole log at
+    its first whole read (see ``Registry``). A refused place or log leaves
+    the rows to a parse of the files (``_reparse``), which are read again
+    then, under the lock, and refused if they are not as loaded. A command
+    keeps the held rows of each triple it reads no row of, as a reader
+    leaves the sections it does not decode. Only ``save`` writes the
     snapshot, in place, once the CSV files are durable; it carries the
     amvs.csv CRC forward over the appended bytes, so no file is read again.
     A save that changes no file leaves a snapshot that already holds the
@@ -1013,17 +1138,18 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 6 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 7 {sys.implementation.cache_tag}"
     _STRAY_PREFIXES = tuple(f"{name}." for name in FILES)
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         # the registry last loaded or saved here, by a weak reference (one
-        # whose rows are deferred refers to this store), with what each file
-        # holds of it (its attributes, its SLOs and its AMV row count; None:
-        # no file), each file's CRC-32 and length, the file stamps that the
-        # snapshot holds with this registry (None: it does not hold this
-        # registry), and the sections that a save may keep (see _encode)
+        # whose rows are held in the snapshot refers to this store), with
+        # what each file holds of it (its attributes, its SLOs and its AMV row
+        # count; None: no file), each file's CRC-32 and length, the file
+        # stamps that the snapshot holds with this registry (None: it does
+        # not hold this registry), and the sections that a save may keep
+        # (see _encode)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -1052,47 +1178,59 @@ class Store:
             os.close(fd)
 
     def load(self, *, log: bool = True) -> Registry:
+        contents = self._contents()
+        stamps = {name: _stamp(data) for name, data in contents.items()}
+        restored = self._restore_snapshot(stamps, log)
+        if restored is None:
+            registry, snapshot_stamps, held = self._parse(contents), None, None
+        else:
+            (registry, held), snapshot_stamps = restored, stamps
+            if registry._rows is not None:  # each place's rows at their first read
+                registry._rows.refuse = functools.partial(self._reparse, stamps,
+                                                          registry._log_start)
+        self._remember(registry, stamps, snapshot_stamps, held)
+        if contents[self.AMVS_FILE] is None:
+            registry._read_log()  # a save writes amvs.csv whole, from the rows
+        return registry
+
+    def _contents(self) -> dict[str, bytes | None]:
+        """Each CSV file's bytes, read whole, or None for a missing one."""
         contents = {}
         for name in self.FILES:
             try:
                 contents[name] = (self.root / name).read_bytes()
             except FileNotFoundError:
                 contents[name] = None
-        stamps = {name: None if data is None else (zlib.crc32(data), len(data))
-                  for name, data in contents.items()}
-        restored = self._restore_snapshot(stamps, log)
-        if restored is None:
-            registry, snapshot_stamps, held = self._parse(contents), None, None
-        else:
-            (registry, held), snapshot_stamps = restored, stamps
-            if log:  # the rows at their first read
-                registry._rows = functools.partial(self._restore_rows, contents, held[5:])
-        self._remember(registry, stamps, snapshot_stamps, held)
-        if contents[self.AMVS_FILE] is None:
-            registry._read_rows()  # a save writes amvs.csv whole, from the rows
-        return registry
+        return contents
 
-    def _restore_rows(self, contents: dict[str, bytes | None], sections: tuple,
-                      registry: Registry) -> None:
-        """Set the rows of ``registry``, which this store's load restored without them.
+    def _reparse(self, stamps: dict[str, tuple[int, int] | None], logged: int,
+                 registry: Registry) -> None:
+        """Take the rows of ``registry``, whose held rows were refused, from a parse of the files.
 
-        They are ``_decode_rows`` of the snapshot's row ``sections``. If it
-        refuses them, the log, ``_place`` and ``_means`` are those of a parse
-        of ``contents``, the bytes the load read, and the next save encodes
-        every section afresh. A parse that refuses the files raises here.
+        The files are read again, under the lock that the command holds:
+        they must be as the registry's load, or its last save here, left
+        them (``stamps``, and ``logged`` rows in amvs.csv), or a file whose
+        CRC-32 or length differs is refused. The log, ``_place``, ``_means``
+        and ``_samples`` become the parse's, and the rows appended since are
+        filed again. The next save encodes every section afresh. A parse
+        that refuses the files raises here.
         """
-        kept = _decode_rows(registry, *sections)
-        if kept is None:
-            parsed = self._parse(contents)
-            for name in (*_ROW_FIELDS, "_place", "_means"):
-                setattr(registry, name, getattr(parsed, name))
-        registry._rows = None
         if self._synced and self._synced[0]() is registry:
-            _, files, stamps, snapshot_stamps, held = self._synced
-            if files[self.AMVS_FILE] is not None:
-                files[self.AMVS_FILE] = len(registry._values)
-            self._synced = (self._synced[0], files, stamps, *(
-                (None, None) if kept is None else (snapshot_stamps, (*held[:7], kept))))
+            ref, files, stamps, _, _ = self._synced
+            logged = files[self.AMVS_FILE]
+            self._synced = (ref, files, stamps, None, None)
+        contents = self._contents()
+        for name, data in contents.items():
+            if _stamp(data) != stamps[name]:
+                raise ValueError(f"{self.root / name}: changed since the store was loaded "
+                                 "(its CRC-32 or length differs)")
+        parsed = self._parse(contents)
+        appended = registry._amv_rows(logged)
+        for name in ("_places", "_values", "_sequences", "_samples", "_place", "_means"):
+            setattr(registry, name, getattr(parsed, name))
+        registry._rows, registry._log_start = None, 0
+        for row in appended:
+            registry._append_amv(*row)
 
     def _parse(self, contents: dict[str, bytes | None]) -> Registry:
         """The registry that the CSV files' bytes hold, each read by the row loop."""
@@ -1119,7 +1257,9 @@ class Store:
         """Write ``registry``: only what changed if it was loaded or saved here.
 
         Once the CSV files are durable, the snapshot is rewritten in place,
-        unless it already holds this registry and these files.
+        unless it already holds this registry and these files. Its sections
+        are encoded before any file is written, so that a held place that
+        the encoding reads, and refuses, is parsed from the files as loaded.
         """
         registry._check_records()
         if self._synced and self._synced[0]() is registry:
@@ -1128,20 +1268,25 @@ class Store:
             synced, stamps, snapshot_stamps, held = {}, {}, None, None
         stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
-        if synced.get(self.ATTRIBUTES_FILE) != registry.attributes:
+        attributes_kept = synced.get(self.ATTRIBUTES_FILE) == registry.attributes
+        slos_kept = synced.get(self.SLOS_FILE) == registry._slo_values
+        logged = synced.get(self.AMVS_FILE)
+        sections = None
+        if not (attributes_kept and slos_kept and logged == len(registry.amvs)
+                and stamps == snapshot_stamps):
+            sections = _encode(registry, held, slos_kept, logged)
+        if not attributes_kept:
             stamps[self.ATTRIBUTES_FILE] = self._replace(
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
                 map(attribute_fields, registry.attributes.values()))
-        slos_kept = synced.get(self.SLOS_FILE) == registry._slo_values
         if not slos_kept:
             stamps[self.SLOS_FILE] = self._replace(
                 self.SLOS_FILE, SLO_COLUMNS,
                 ([*key, repr(value)] for key, value in registry._slo_values.items()))
-        logged = synced.get(self.AMVS_FILE)
         if logged is None:
             stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
                                                    registry._amv_rows())
-        elif registry._rows is None and logged < len(registry._values):
+        elif logged < len(registry.amvs):
             appended = _csv_text(registry._amv_rows(logged)).encode("utf-8")
             with open(self.root / self.AMVS_FILE, "ab") as fh:
                 fh.write(appended)
@@ -1149,10 +1294,10 @@ class Store:
                 os.fsync(fh.fileno())
             crc, length = stamps[self.AMVS_FILE]
             stamps[self.AMVS_FILE] = (zlib.crc32(appended, crc), length + len(appended))
-        if stamps != snapshot_stamps:
+        if sections is not None:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
-            snapshot_stamps, held = None, _encode(registry, held, slos_kept, logged)
+            snapshot_stamps, held = None, sections
             with contextlib.suppress(OSError):
                 self._write_snapshot(stamps, held)
                 snapshot_stamps = stamps
@@ -1163,9 +1308,7 @@ class Store:
                   held: tuple | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: dict(registry._slo_values),
-                 # no row read: the count of the held places section
-                 self.AMVS_FILE: len(registry._values) if registry._rows is None
-                 else int.from_bytes(held[5][1:5], "little")}
+                 self.AMVS_FILE: len(registry.amvs)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
         self._synced = (weakref.ref(registry), files, stamps, snapshot_stamps, held)
 

@@ -1,6 +1,9 @@
+import collections
 import csv
 import gc
+import importlib.util
 import io
+import itertools
 import marshal
 import math
 import os
@@ -11,6 +14,7 @@ import struct
 import sys
 import zlib
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +38,10 @@ from fastcloud.registry import (
     Store,
     UnknownAttributeError,
     _decode,
-    _decode_rows,
+    _decode_place,
+    _decode_records,
     _encode,
+    _table,
     attribute_fields,
     import_qws,
     parse_amv,
@@ -1013,6 +1019,13 @@ def snapshot_parts(path):
     return header, *sections, stream.read()
 
 
+def grouped_rows(columns):
+    """By place, its rows' (value, sequence) in the grouped columns of a log."""
+    starts = list(itertools.accumulate(columns["counts"], initial=0))
+    rows = list(zip(columns["values"], columns["sequences"]))
+    return [rows[start:end] for start, end in zip(starts, starts[1:])]
+
+
 def write_rows(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -1123,9 +1136,9 @@ class TestSnapshotLoad:
                 assert restored == (True, *self.assessed(root, request, monkeypatch, capsys)[1:])
                 (root / Store.SNAPSHOT_FILE).write_bytes(snapshot)
                 seen["ranked" if restored[1] == 0 else "refused"] += 1
-            registry = Store(root).load()
-            seen["negative zero"] += any(math.copysign(1, v) < 0 for v in registry._values)
-            seen["long sequence"] += any(s > 2 ** 63 for s in registry._sequences)
+            rows = list(Store(root).load().amvs)
+            seen["negative zero"] += any(math.copysign(1, row.value) < 0 for row in rows)
+            seen["long sequence"] += any(row.sequence > 2 ** 63 for row in rows)
         capsys.readouterr()
         assert min(seen.values()) > 0, seen
 
@@ -1183,19 +1196,28 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 6", "snapshot 5")
+        previous = tag.replace("snapshot 7", "snapshot 6")
         assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
         slos, slo_values = marshal.loads(slo_part)
         means = marshal.loads(means_part)
-        distinct, places, values, sequences = map(marshal.loads, log)
-        # the sections of the previous format after the table: the SLOs, the
-        # distinct triples and the means in one, then the places, values and
-        # sequences
-        layout_5 = (marshal.dumps((slos, slo_values, distinct, means), 2), *log[1:])
+        distinct, places, counts, values, sequences = map(marshal.loads, log)
+        assert (places, counts) == ([0, 1, 0], [2, 1])
+        # the log in submission order, as the previous formats held it
+        groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})
+        rows = [groups[place].pop(0) for place in places]
+        in_order = [marshal.dumps([row[at] for row in rows], 2) for at in (0, 1)]
+        # the sections of the previous format after the table: the means, the
+        # distinct triples, then the places, values and sequences
+        layout_6 = (means_part, log[0], log[1], *in_order)
+        sizes_6 = (*sizes[:3], *map(len, layout_6[:-1]))
+        # and of the one before: the SLOs, the distinct triples and the means
+        # in one, then the places, values and sequences
+        layout_5 = (marshal.dumps((slos, slo_values, distinct, means), 2), log[1], *in_order)
         sizes_5 = (*sizes[:2], *map(len, layout_5[:-1]))
         layout_3 = (marshal.dumps((attributes, (slos, slo_values), means), 2),
-                    marshal.dumps((distinct, places, values, sequences), 2))
+                    marshal.dumps((distinct, places, *(marshal.loads(column)
+                                                       for column in in_order)), 2))
 
         def first_set(triples, at, value):
             """The triples with field ``at`` of the first one set to ``value``."""
@@ -1216,6 +1238,8 @@ class TestSnapshotLoad:
             lambda: checked((tag, stamps, len(layout_3[0])), *layout_3),
             lambda: checked((previous, stamps, sizes_5), head, table_part, *layout_5),
             lambda: checked((tag, stamps, sizes_5), head, table_part, *layout_5),
+            lambda: checked((previous, stamps, sizes_6), head, table_part, slo_part, *layout_6),
+            lambda: checked((tag, stamps, sizes_6), head, table_part, slo_part, *layout_6),
             lambda: sectioned((attributes, table), slo_part, means_part, *log),
             lambda: sectioned(7, table, slo_part, means_part, *log),
             lambda: sectioned((attributes, table), table, slo_part, means_part, *log),
@@ -1226,12 +1250,13 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # a writer replaces a snapshot 5 file, in this format's layout or in its
+        # a writer replaces a snapshot 6 file, in this format's layout or in its
         # own, with the current format's bytes
         for write in (
                 lambda: checked((previous, stamps, sizes), head, table_part, slo_part, means_part,
                                 *log),
-                lambda: checked((previous, stamps, sizes_5), head, table_part, *layout_5)):
+                lambda: checked((previous, stamps, sizes_6), head, table_part, slo_part,
+                                *layout_6)):
             write()
             assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
             assert path.read_bytes() == blob
@@ -1249,7 +1274,7 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         parts = {"slos": (slos, slo_values), "means": means, "distinct": distinct,
-                 "places": log[1], "values": log[2], "sequences": log[3]}
+                 "places": log[1], "counts": log[2], "values": log[3], "sequences": log[4]}
 
         def but(**changed):
             """The sections after the table, with the named ones changed."""
@@ -1281,9 +1306,20 @@ class TestSnapshotLoad:
                 # sequence), a triple that no row uses
                 but(places=[places[0] - len(distinct), *places[1:]]),
                 but(values=values[:-1]),
-                but(distinct=[distinct[0], *distinct], means=[means[0], *means]),
+                but(distinct=[distinct[0], *distinct], means=[means[0], *means],
+                    counts=[counts[0], *counts]),
                 but(sequences=[sequences[0]] * len(sequences)),
-                but(distinct=[*distinct, ("p1", "c9", "availability")], means=[*means, None]),
+                but(distinct=[*distinct, ("p1", "c9", "availability")], means=[*means, None],
+                    counts=[*counts, 0]),
+                # row counts that disagree with the places: one short, one long, a
+                # row counted under the other place, and as many counts as places
+                # that the log does not hold
+                but(counts=[counts[0] - 1, *counts[1:]]),
+                but(counts=[*counts[:-1], counts[-1] + 1]),
+                but(counts=[counts[0] - 1, counts[1] + 1]),
+                but(counts=[counts[0] + 1, counts[1] - 1, *counts[2:]]),
+                but(counts=tuple(counts)), but(counts=[float(counts[0]), *counts[1:]]),
+                but(counts=[counts[0], True]),
                 # AMV triples that a parse refuses or files under another name
                 *(but(distinct=first_set(distinct, at, value))
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (0, ""))),
@@ -1302,7 +1338,11 @@ class TestSnapshotLoad:
                 # long of no digits, and 93 as the text "-1.0000", a float of the
                 # same length whose sign no byte of a written float shows
                 but(places=b"[" + log[1][1:5] + b"l\0\0\0\0" + log[1][10:]),
-                but(values=log[2].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000"))):
+                but(values=log[3].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000")),
+                # and a value and a sequence that a parse gives, as marshal reads
+                # but does not write them: a whole read refuses them
+                but(values=log[3].replace(b"g" + struct.pack("<d", 93.0), b"f\x0793.0000")),
+                but(sequences=b"[" + log[4][1:5] + b"l\0\0\0\0" + log[4][10:])):
             sectioned(head, table_part, *sections)
             assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
@@ -1311,24 +1351,35 @@ class TestSnapshotLoad:
         path = store.root / Store.SNAPSHOT_FILE
         blob = path.read_bytes()
         (tag, stamps, _), head, table_part, slo_part, means_part, *log = snapshot_parts(path)
-        distinct, places = map(marshal.loads, log[:2])
+        distinct, places, counts, values, sequences = map(marshal.loads, log)
         assert places == [0, 1, 0]
-        # the distinct triples and their means reversed, and the places remapped:
-        # each row still files under its own triple, but no parse places the
-        # triples so
+        # the distinct triples, their means, counts and groups of rows reversed,
+        # and the places remapped: each row still files under its own triple,
+        # but no parse places the triples so
+        groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})[::-1]
         parts = (head, table_part, slo_part, marshal.dumps(marshal.loads(means_part)[::-1], 2),
                  marshal.dumps(distinct[::-1], 2),
-                 marshal.dumps([len(distinct) - 1 - place for place in places], 2), *log[2:])
+                 marshal.dumps([len(distinct) - 1 - place for place in places], 2),
+                 marshal.dumps(counts[::-1], 2),
+                 *(marshal.dumps([row[at] for group in groups for row in group], 2)
+                   for at in (0, 1)))
         self.checked_writer(store)((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
         crafted = path.read_bytes()
+        # a read of one triple's rows accepts them: they are its own
+        parses = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Store, "_parse", lambda *args: parses.append(args))
+            assert store.load().amv_samples("p1", "c1", "availability") == [91.5, 93.0]
+        assert not parses
+        # a read of the whole log refuses them
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
         # a writer that reads no row keeps the row sections as it read them
         assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
         assert path.read_bytes() == crafted
-        # a writer that reads a row takes the log from the parse, and its save
+        # a writer that reads the whole log takes it from the parse, and its save
         # leaves the snapshot that a parse gives
         registry = store.load()
-        assert len(registry.amvs) == 3
+        assert len(list(registry.amvs)) == 3
         store.save(registry)
         assert path.read_bytes() == blob
         capsys.readouterr()
@@ -1406,8 +1457,9 @@ class TestSnapshotLoad:
         # a table that lacks a pair with an SLO has a table's shape, and a reader
         # takes it as it is: profiles are derived data, which only this program
         # writes. A writer that changes no SLO and no mean of an SLO triple keeps
-        # it; the next writer that changes one builds the whole table again
-        replaced([column[:1] for column in table])
+        # it; the next writer that changes one builds the whole table again,
+        # not only the rows of the pairs it changed: (p1, latency), the row kept
+        replaced([column[1:] for column in table])
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
         assert not parsed and loaded[-1] != expected[-1]
         qws = write_rows(tmp_path / "qws.csv", ["Service Name", *STANDARD_QWS_MAPPING],
@@ -1716,32 +1768,33 @@ class TestDecodeMutations:
         Store(root).save(registry)
         return {name: (root / name).read_bytes() for name in Store.FILES}
 
-    @staticmethod
-    def decoded_columns(sections):
+    LOG = ("distinct", "places", "counts", "values", "sequences")
+
+    @classmethod
+    def decoded_columns(cls, sections):
         """The sections' decoded columns, by name, each a list."""
         table = marshal.loads(sections[1])
         (slos, slo_values), means = map(marshal.loads, sections[2:4])
         names = ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")
         return {**{name: list(column) for name, column in zip(names, table)},
                 "slos": slos, "slo_values": slo_values, "means": means,
-                **dict(zip(("distinct", "places", "values", "sequences"),
-                           map(marshal.loads, sections[4:])))}
+                **dict(zip(cls.LOG, map(marshal.loads, sections[4:])))}
 
-    @staticmethod
-    def encoded_sections(head, columns):
-        """The eight sections of the attributes section ``head`` and ``columns``."""
+    @classmethod
+    def encoded_sections(cls, head, columns):
+        """The nine sections of the attributes section ``head`` and ``columns``."""
         table = [columns[name] for name in
                  ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")]
         return (head, marshal.dumps(table, 2),
                 marshal.dumps((columns["slos"], columns["slo_values"]), 2),
-                *(marshal.dumps(columns[name], 2)
-                  for name in ("means", "distinct", "places", "values", "sequences")))
+                *(marshal.dumps(columns[name], 2) for name in ("means", *cls.LOG)))
 
     NUMBERS = ("satisfied", "agreed", "lows", "highs", "slo_values", "means", "places",
-               "values", "sequences")
-    # the columns that are read together, a row at a time
+               "counts", "values", "sequences")
+    # the columns that are read together, a row at a time: by pair, by SLO
+    # triple, by distinct triple, and by grouped row
     GROUPS = (("csp_ids", "names", "satisfied", "agreed", "lows", "highs"),
-              ("slos", "slo_values"), ("distinct", "means"), ("places", "values", "sequences"))
+              ("slos", "slo_values"), ("distinct", "means", "counts"), ("values", "sequences"))
 
     def mutate(self, rng, columns, kind, n):
         """Apply the ``n``-th mutation of ``kind`` to ``columns``.
@@ -1756,16 +1809,33 @@ class TestDecodeMutations:
             columns[column][at] = (-value if isinstance(value, (int, float)) else -1, math.nan,
                                    math.inf, -math.inf)[n // len(self.NUMBERS) % 4]
         elif kind == "reorder":
+            # the distinct triples in another order, each row still under its own
             order = list(range(len(columns["distinct"])))
             while order == sorted(order):
                 rng.shuffle(order)
             where = {old: new for new, old in enumerate(order)}
-            columns["distinct"] = [columns["distinct"][old] for old in order]
-            columns["means"] = [columns["means"][old] for old in order]
+            groups = grouped_rows(columns)
             columns["places"] = [where[place] for place in columns["places"]]
+            for name in ("distinct", "means", "counts"):
+                columns[name] = [columns[name][old] for old in order]
+            columns["values"], columns["sequences"] = (
+                [row[at] for old in order for row in groups[old]] for at in (0, 1))
+        elif kind == "grouping":
+            # the same rows, counted by another grouping than the places
+            # column's: a row moved to the next place's group, or the rows of
+            # two places counted as one place's
+            counts = columns["counts"]
+            at = rng.randrange(len(counts) - 1)
+            if n % 2:
+                counts[at:at + 2] = [counts[at] + counts[at + 1]]
+            else:
+                shift = rng.choice([1, -1]) if counts[at] > 1 else 1
+                counts[at] -= shift
+                counts[at + 1] += shift
         elif kind == "unused":
             columns["distinct"].append(("p1", "c9", "availability"))
             columns["means"].append(rng.choice([None, 1.0]))
+            columns["counts"].append(0)
         elif kind == "spelling":
             column = rng.choice(("csp_ids", "names", "slos", "distinct"))
             at = rng.randrange(len(columns[column]))
@@ -1794,6 +1864,13 @@ class TestDecodeMutations:
                 columns[column][at] = to(columns[column][at])
             except (TypeError, ValueError, OverflowError):
                 columns[column][at] = to(7)
+        elif kind == "repeat":
+            # a sequence of a place given as another row's of that place
+            counts = columns["counts"]
+            place = rng.choice([place for place, count in enumerate(counts) if count > 1])
+            start = sum(counts[:place])
+            first, second = rng.sample(range(start, start + counts[place]), 2)
+            columns["sequences"][second] = columns["sequences"][first]
         elif kind == "counts":
             at = rng.randrange(len(columns["agreed"]))
             if rng.random() < 0.5:
@@ -1806,7 +1883,52 @@ class TestDecodeMutations:
             for name in keys:
                 columns[name][second] = columns[name][first]
 
-    KINDS = ("number", "reorder", "unused", "spelling", "rows", "type", "counts", "pair")
+    KINDS = ("number", "reorder", "grouping", "unused", "spelling", "rows", "type", "counts",
+             "repeat", "pair", "bytes")
+
+    @staticmethod
+    def unwritten(rng, sections, n):
+        """``sections`` with one grouped value or sequence as marshal reads but does not
+        write it, in as many bytes: a value as text, or a sequence as a long of no digits."""
+        at = 7 + n % 2
+        width = (9, 5)[n % 2]
+        part = sections[at]
+        entry = rng.randrange((len(part) - 5) // width)
+        start = 5 + width * entry
+        if at == 7:
+            text = f"{marshal.loads(b'g' + part[start + 1:start + 9]):.5f}"[:7].encode()
+            written = b"f\x07" + text.ljust(7, b"0")
+        else:
+            written = b"l\0\0\0\0"
+        return (*sections[:at], part[:start] + written + part[start + width:], *sections[at + 1:])
+
+    @staticmethod
+    def check_places(sections, columns, whole):
+        """Each place's rows that ``_decode_place`` accepts: a parse's, written as a
+        save writes them, and those of the whole decode ``whole`` when it accepts.
+        Returns whether it refused a place."""
+        registry, _ = _decode_records(sections, True)
+        if registry._rows is None:  # no row, or decoded whole at load
+            return False
+        refused = False
+        assert len(registry._rows.counts) == len(registry._place), columns
+        for place, count in enumerate(registry._rows.counts):
+            samples = _decode_place(registry._rows, place)
+            refused |= samples is None
+            if samples is None:
+                continue
+            start = registry._rows.starts[place]
+            assert len(samples) == count, columns
+            assert set(map(type, samples)) == {int}, columns
+            assert set(map(type, samples.values())) == {float}, columns
+            assert all(0 <= value < math.inf for value in samples.values()), columns
+            assert marshal.dumps(list(samples.values()), 2)[5:] == bytes(
+                sections[7][5 + 9 * start:5 + 9 * (start + count)]), columns
+            assert marshal.dumps(list(samples), 2)[5:] == bytes(
+                sections[8][5 + 5 * start:5 + 5 * (start + count)]), columns
+            if whole is not None:
+                assert samples == whole[0]._samples[place], columns
+        return refused
 
     def test_a_decoded_registry_is_one_that_a_parse_gives(self, tmp_path):
         rng = random.Random(27)
@@ -1818,18 +1940,24 @@ class TestDecodeMutations:
             sections = (head, *rest)
             registry, held = _decode(sections, True)
             assert registry == Store(root)._parse(files)
-            # a sequence past 32 bits: a save writes the sequences whole
-            assert (held[7] == marshal.dumps([], 2)) == long_sequence
+            # a sequence past 32 bits: the log is decoded whole at load, and a
+            # save writes the sequences whole
+            assert (held[8] == marshal.dumps([], 2)) == long_sequence
+            assert (_decode_records(sections, True)[0]._rows is None) == long_sequence
             corpus.append((head, self.decoded_columns(sections)))
         # refusals of each kind, and mutated sections that a decode that reads them accepted
-        seen = dict.fromkeys([*self.KINDS, "writer accepted", "reader accepted"], 0)
-        for trial in range(400):
+        seen = dict.fromkeys([*self.KINDS, "writer accepted", "reader accepted",
+                              "place refused", "place accepted, log refused"], 0)
+        for trial in range(600):
             kind = self.KINDS[trial % len(self.KINDS)]
             head, columns = rng.choice(corpus)
             original = self.encoded_sections(head, columns)
             columns = {name: list(column) for name, column in columns.items()}
-            self.mutate(rng, columns, kind, trial // len(self.KINDS))
+            if kind != "bytes":
+                self.mutate(rng, columns, kind, trial // len(self.KINDS))
             sections = self.encoded_sections(head, columns)
+            if kind == "bytes":
+                sections = self.unwritten(rng, sections, trial // len(self.KINDS))
             decoded = _decode(sections, True)
             # a writer reads no table: its other sections unchanged, it decodes the corpus
             if decoded is not None and sections[2:] != original[2:]:
@@ -1839,9 +1967,13 @@ class TestDecodeMutations:
                 parsed = Store(tmp_path)._parse(files)
                 assert parsed == registry, (kind, columns)
                 assert self.saved(parsed, tmp_path / "saved") == files
-                kept = _encode(registry, held, True, len(registry._values))
+                kept = _encode(registry, held, True, len(registry.amvs))
                 fresh = _encode(parsed, None, False, None)
                 assert (kept[2], *kept[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
+            if _decode_records(sections, True) is not None:
+                refused = self.check_places(sections, columns, decoded)
+                seen["place refused"] += refused
+                seen["place accepted, log refused"] += not refused and decoded is None
             read = _decode(sections, False)
             if read is not None:
                 # the reader's invariant: a row a pair, each as a parse's profile_row gives it
@@ -1879,10 +2011,10 @@ class TestDecodeMutations:
 
 
 class TestDeferredRows:
-    """A writer's load decodes the snapshot's AMV rows at their first read.
+    """A writer's load decodes a triple's AMV rows at the first read of that triple.
 
-    A command that reads no row keeps the row sections as it read them, and
-    a refused rows part leaves the log to the parse of the files: so no
+    A command keeps the held rows of every triple it does not read as it read
+    them, and a refused place leaves the log to the parse of the files: so no
     command's outcome depends on the row sections.
     """
 
@@ -1923,46 +2055,69 @@ class TestDeferredRows:
                 "duplicate", AMV_COLUMNS, ["p2", "c1", "la", "19", "5"])],
             "submit-amv-conflict": ["submit-amv", rows(
                 "conflict", AMV_COLUMNS, ["p2", "c1", "la", "18", "5"])],
+            "submit-amv-resend": ["submit-amv", rows(
+                "resend", AMV_COLUMNS, ["p1", "c1", "av", "91", "1"],
+                ["p2", "c1", "la", "19", "5"], ["p2", "c2", "la", "14", "1"],
+                ["p1", "c1", "av", "93.5", "2"])],
             "import-qws": ["import-qws", str(qws)],
+            "import-qws-new": ["import-qws", write_rows(
+                work / "new-qws.csv", ["Service Name", *STANDARD_QWS_MAPPING],
+                [["SvcB", *["1.5"] * len(STANDARD_QWS_MAPPING)]])],
         }
 
-    # the row mutation kinds of TestDecodeMutations that the rows part refuses,
-    # each on the columns (distinct, means, places, values, sequences)
+    # row mutations that a read of a place, or of the whole log, refuses: each on
+    # the columns (distinct, means, places, counts, values, sequences), the
+    # values and sequences grouped by place. Place 0 is p1's c1 on availability
+    # (rows 0-1 of the groups), 1 its c2 (row 2), 2 p2's c1 on latency (rows
+    # 3-4, sequences 5 and 2), and 4 the first SvcA/monitor triple (rows 6-7)
     ROW_MUTATIONS = {
-        "number-value-negative": lambda d, m, p, v, s: (d, m, p, [-v[0], *v[1:]], s),
-        "number-value-nan": lambda d, m, p, v, s: (d, m, p, [v[0], math.nan, *v[2:]], s),
-        "number-value-inf": lambda d, m, p, v, s: (d, m, p, [*v[:-1], math.inf], s),
-        "number-place-negative": lambda d, m, p, v, s: (d, m, [*p[:-1], p[-1] - len(d)], v, s),
-        "reorder": lambda d, m, p, v, s: (d[::-1], m[::-1], [len(d) - 1 - x for x in p], v, s),
-        "unused": lambda d, m, p, v, s: ([*d, ("p1", "c9", "availability")], [*m, None], p, v, s),
-        "rows-repeated": lambda d, m, p, v, s: (d, m, [p[0], *p], [v[0], *v], [s[0], *s]),
-        "rows-dropped": lambda d, m, p, v, s: (d, m, p, v[:-1], s),
-        "type-place-bool": lambda d, m, p, v, s: (d, m, [x if x > 1 else bool(x) for x in p],
-                                                  v, s),
-        "type-value-int": lambda d, m, p, v, s: (d, m, p, [int(v[0]), *v[1:]], s),
-        "type-sequence-str": lambda d, m, p, v, s: (d, m, p, v, [*s[:-1], str(s[-1])]),
-        "type-column-tuple": lambda d, m, p, v, s: (d, m, tuple(p), v, s),
-        # p1's c1 av rows are the first and third: the third at the first's sequence
-        "pair": lambda d, m, p, v, s: (d, m, p, v, [*s[:2], s[0], *s[3:]]),
+        "number-value-negative": lambda d, m, p, c, v, s: (d, m, p, c, [*v[:2], -v[2], *v[3:]],
+                                                           s),
+        "number-value-nan": lambda d, m, p, c, v, s: (d, m, p, c, [*v[:3], math.nan, *v[4:]], s),
+        "number-value-inf": lambda d, m, p, c, v, s: (d, m, p, c, [*v[:6], math.inf, *v[7:]], s),
+        "number-place-negative": lambda d, m, p, c, v, s: (d, m, [*p[:-1], p[-1] - len(d)], c,
+                                                           v, s),
+        "reorder": lambda d, m, p, c, v, s: (
+            d[::-1], m[::-1], [len(d) - 1 - x for x in p], c[::-1],
+            *([row[at] for group in grouped_rows(
+                {"counts": c, "values": v, "sequences": s})[::-1] for row in group]
+              for at in (0, 1))),
+        "type-place-bool": lambda d, m, p, c, v, s: (d, m, [x if x > 1 else bool(x) for x in p],
+                                                     c, v, s),
+        "pair": lambda d, m, p, c, v, s: (d, m, p, c, v, [*s[:4], s[3], *s[5:]]),
+    }
+    # entries as marshal reads but does not write them, in as many bytes: in
+    # section 6, 8 or 9 of the snapshot's parts (the places, the values or the
+    # sequences), the entry at, and its bytes
+    UNWRITTEN = {
+        "byte-place-long": (6, 0, b"l\0\0\0\0"),  # 0, as a long of no digits
+        "byte-value-text": (8, 2, b"f\x0796.0000"),  # place 1's 96.0, as text
+        "byte-sequence-long": (9, 6, b"l\0\0\0\0"),  # place 4's sequence 1, as a long 0
     }
 
-    def mutated(self, path):
-        """Each of ``ROW_MUTATIONS``, and a place as marshal reads but does not write it, as
-        a snapshot under a valid CRC and the stamps of the files."""
-        (tag, stamps, _), head, table, slo_part, means_part, *log = snapshot_parts(path)
-        distinct, places, values, sequences = map(marshal.loads, log)
+    def mutated(self, path, stamps=None):
+        """Each of ``ROW_MUTATIONS`` and ``UNWRITTEN``, as a snapshot under a valid CRC and
+        the stamps of the files (or ``stamps``), whose records part a load accepts."""
+        (tag, held_stamps, _), head, table, slo_part, means_part, *log = snapshot_parts(path)
+        stamps = held_stamps if stamps is None else stamps
+        distinct, places, counts, values, sequences = map(marshal.loads, log)
         means = marshal.loads(means_part)
-        assert places[:3] == [0, 1, 0] and sequences[:3] == [1, 1, 2]
-        columns = {kind: mutation(distinct, means, places, values, sequences)
-                   for kind, mutation in self.ROW_MUTATIONS.items()}
+        assert counts[:5] == [2, 1, 2, 1, 2] and sequences[3:5] == [5, 2]
+        assert values[2] == 96.0
         parts = {kind: (marshal.dumps(m, 2), *(marshal.dumps(c, 2) for c in (d, *rows)))
-                 for kind, (d, m, *rows) in columns.items()}
-        # 0 as a long of no digits
-        parts["byte-place-long"] = (means_part, log[0], b"[" + log[1][1:5] + b"l\0\0\0\0"
-                                    + log[1][10:], *log[2:])
+                 for kind, (d, m, *rows) in (
+                     (kind, mutation(distinct, means, places, counts, values, sequences))
+                     for kind, mutation in self.ROW_MUTATIONS.items())}
+        for kind, (at, entry, written) in self.UNWRITTEN.items():
+            width = 9 if at == 8 else 5
+            rows = [means_part, *log]
+            start = 5 + width * entry
+            rows[at - 4] = rows[at - 4][:start] + written + rows[at - 4][start + width:]
+            parts[kind] = tuple(rows)
         for kind, rows in parts.items():
             sections = (head, table, slo_part, *rows)
             assert _decode(sections, True) is None, kind
+            assert _decode_records(sections, True)[0]._rows is not None, kind
             body = marshal.dumps((tag, stamps, tuple(map(len, sections[:-1]))), 2)
             body += b"".join(sections)
             yield kind, zlib.crc32(body).to_bytes(4, "little") + body
@@ -1982,14 +2137,19 @@ class TestDeferredRows:
         registry = Store(root).load()
         return registry == parsed and contents(registry) == contents(parsed)
 
-    def test_an_outcome_does_not_depend_on_the_row_sections(self, tmp_path, capsys):
+    def test_an_outcome_does_not_depend_on_the_row_sections(self, tmp_path, monkeypatch, capsys):
         work = tmp_path / "work"
         work.mkdir()
         built = tmp_path / "built"
         self.build(built, work)
         snapshot = built / Store.SNAPSHOT_FILE
         mutated = dict(self.mutated(snapshot))
-        assert len(mutated) == len(self.ROW_MUTATIONS) + 1
+        assert len(mutated) == len(self.ROW_MUTATIONS) + len(self.UNWRITTEN)
+        refusals = []  # the stores whose held rows a read refused
+        reparse = Store._reparse
+        monkeypatch.setattr(Store, "_reparse", lambda store, *args: refusals.append(
+            store.root) or reparse(store, *args))
+        reparsed = set()  # the (command, kind) whose command read a refused held row
         for name, argv in self.commands(work).items():
             copies = {}
             for kind in ("healthy", "no snapshot", *mutated):
@@ -1999,47 +2159,169 @@ class TestDeferredRows:
                     (root / Store.SNAPSHOT_FILE).unlink()
                 elif kind != "healthy":
                     (root / Store.SNAPSHOT_FILE).write_bytes(mutated[kind])
-                    # the records part accepts the snapshot, and leaves the rows
-                    assert Store(root).load()._rows is not None
                 copies[kind] = root
-            outcomes = {kind: self.run(root, argv, capsys) for kind, root in copies.items()}
+            outcomes = {}
+            for kind, root in copies.items():
+                refusals.clear()
+                outcomes[kind] = self.run(root, argv, capsys)
+                if refusals:
+                    reparsed.add((name, kind))
             expected = outcomes["healthy"]
             assert expected[0] == (2 if name == "submit-amv-conflict" else 0), expected
             for kind, root in copies.items():
                 assert outcomes[kind] == expected, (name, kind)
-                assert self.loads_as_parsed(root), (name, kind)
-            # a save that reads no row keeps the row sections as it read them; one
-            # that reads them writes what a writer of a healthy snapshot writes;
-            # a command that saves nothing leaves the snapshot as it was
+            # a save that read a refused place writes what a writer of a healthy
+            # snapshot writes; one that read none keeps the held rows that a read
+            # of the whole log refuses; a command that saves nothing leaves the
+            # snapshot as it was
             healthy = (copies["healthy"] / Store.SNAPSHOT_FILE).read_bytes()
+            saved = name not in ("submit-amv-duplicate", "submit-amv-conflict",
+                                 "submit-amv-resend")
             for kind, blob in mutated.items():
                 path = copies[kind] / Store.SNAPSHOT_FILE
-                if name in ("register-attributes", "submit-slo"):
-                    assert path.read_bytes() not in (blob, healthy), (name, kind)
-                    parts = snapshot_parts(path)
-                    path.write_bytes(blob)
-                    assert snapshot_parts(path)[5:] == parts[5:], (name, kind)
-                else:
-                    saved = name not in ("submit-amv-duplicate", "submit-amv-conflict")
+                if (name, kind) in reparsed:
                     assert path.read_bytes() == (healthy if saved else blob), (name, kind)
+                elif saved:
+                    assert path.read_bytes() not in (blob, healthy), (name, kind)
+                    _, *sections = snapshot_parts(path)
+                    assert _decode_records(sections, True) is not None, (name, kind)
+                    assert _decode(sections, True) is None, (name, kind)
+                else:
+                    assert path.read_bytes() == blob, (name, kind)
+                assert self.loads_as_parsed(copies[kind]), (name, kind)
+        # each mutation is refused by the read of a place that some command reads,
+        # or of the whole log alone
+        whole = {"number-place-negative", "reorder", "type-place-bool", "byte-place-long"}
+        assert {kind for _, kind in reparsed} == set(mutated) - whole, reparsed
         capsys.readouterr()
 
-    @pytest.mark.parametrize("name, runs", [
-        ("register-attributes", 0), ("submit-slo", 0), ("submit-slo-monitor", 1),
-        ("submit-amv-append", 1), ("import-qws", 1)])
-    def test_a_command_decodes_the_rows_only_when_it_reads_one(
-            self, tmp_path, monkeypatch, capsys, name, runs):
+    @pytest.mark.parametrize("name, triples", [
+        ("register-attributes", []), ("submit-slo", []),
+        ("submit-slo-monitor", [("SvcA", "SvcA/monitor", "availability")]),
+        ("submit-amv-append", [("p1", "c2", "availability")]),
+        ("submit-amv-resend", [("p1", "c1", "availability"), ("p2", "c1", "latency"),
+                               ("p2", "c2", "latency")]),
+        ("import-qws", [("SvcA", "SvcA/monitor", name) for name in (
+            "availability", "throughput", "successability", "reliability", "latency",
+            "response_time")]),
+        ("import-qws-new", [])])
+    def test_a_command_decodes_the_rows_of_the_triples_it_reads(
+            self, tmp_path, monkeypatch, capsys, name, triples):
         work = tmp_path / "work"
         work.mkdir()
         root = tmp_path / "store"
         self.build(root, work)
+        places = list(Store(root).load()._place)
         calls = []
-        monkeypatch.setattr("fastcloud.registry._decode_rows",
-                            lambda *args: calls.append(args) or _decode_rows(*args))
+        monkeypatch.setattr("fastcloud.registry._decode_place",
+                            lambda rows, place: calls.append(places[place])
+                            or _decode_place(rows, place))
         assert main(["--store", str(root)] + self.commands(work)[name]) == 0
-        assert len(calls) == runs
+        assert calls == triples
         # an assess reads the profile table alone
         request = write_rows(work / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
         main(["--store", str(root), "assess", request])
-        assert len(calls) == runs
+        assert calls == triples
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name, kind", [("submit-amv-append", "number-value-negative"),
+                                            ("import-qws", "number-value-inf")])
+    def test_a_file_edited_since_the_load_is_refused_when_a_held_place_is(
+            self, tmp_path, monkeypatch, capsys, name, kind):
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "store"
+        self.build(root, work)
+        argv = self.commands(work)[name]
+        path = root / Store.SNAPSHOT_FILE
+        path.write_bytes(dict(self.mutated(path))[kind])
+        slos = root / Store.SLOS_FILE
+        edited = slos.read_bytes().replace(b"availability,90.0\n", b"availability,91.0\n")
+        assert edited != slos.read_bytes()
+        load = Store.load
+
+        def load_then_edit(self, **kwargs):
+            """A load, then a hand edit of slos.csv that bypasses the lock."""
+            registry = load(self, **kwargs)
+            slos.write_bytes(edited)
+            return registry
+
+        monkeypatch.setattr(Store, "load", load_then_edit)
+        code, _, err, files = self.run(root, argv, capsys)
+        # the place that the command reads is refused, and the files it would
+        # be parsed from are not those of the load: the command saves nothing
+        assert code == 2
+        assert f"{slos}: changed since the store was loaded (its CRC-32 or length differs)" in err
+        assert files[Store.SLOS_FILE] == edited
+        monkeypatch.undo()
+        assert self.run(root, argv, capsys)[0] == 0  # the next command parses the edit
+
+    def test_a_store_that_a_parse_refuses_is_refused_by_an_import_that_reads_it(
+            self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "store"
+        self.build(root, work)
+        path = root / Store.SNAPSHOT_FILE
+        # a hand-appended row that a parse refuses, under a snapshot crafted to
+        # match the files, with a place of SvcA's that a read refuses
+        with open(root / Store.AMVS_FILE, "a", encoding="utf-8") as fh:
+            fh.write("p1,c1,av,-1,9\n")
+        stamps = tuple((zlib.crc32(data), len(data)) for data in (
+            (root / name).read_bytes() for name in Store.FILES))
+        path.write_bytes(dict(self.mutated(path, stamps))["number-value-inf"])
+        refusal = (f"{root / Store.AMVS_FILE}: line 20: monitored value must be finite and "
+                   "nonnegative, got -1.0")
+        # an import that reads no held place saves, as a command that reads no row does
+        assert self.run(root, self.commands(work)["import-qws-new"], capsys)[0] == 0
+        with pytest.raises(ValueError) as refused:
+            import_qws(Store(root).load(), io.StringIO(qws_rows(3)))
+        assert str(refused.value) == refusal
+        files = {name: (root / name).read_bytes() for name in Store.FILES}
+        code, out, err, after = self.run(root, self.commands(work)["import-qws"], capsys)
+        assert (code, out, after) == (2, "", files)
+        assert refusal in err and "conflict" not in err
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestIngestBatches:
+    """The benchmark's write path, op by op: each save leaves what a parse gives."""
+
+    def test_each_op_leaves_the_log_and_table_that_a_parse_gives(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))  # for the workloads' own imports
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.IngestBatches()
+        state, _ = workload.setup(workload.generate(3, 60), tmp_path)
+        root = state["store"]
+        built = []  # the pairs whose profile rows the op built
+        profile_row = Registry.profile_row
+        monkeypatch.setattr(Registry, "profile_row",
+                            lambda registry, csp_id, attr: built.append((csp_id, attr.name))
+                            or profile_row(registry, csp_id, attr))
+        seen = collections.Counter()
+        for i in range(len(state["argvs"])):
+            built.clear()
+            ok, out = workload.run_op(state, i)
+            assert ok and workload.check_op(state, i, out) == [], (i, out)
+            kind = workload.ROUND[i % len(workload.ROUND)]
+            parsed = Store(root)._parse({name: (root / name).read_bytes() for name in Store.FILES})
+            pairs = len(parsed._slo_index)
+            # an append builds the rows of the pairs it lands on, a new objective
+            # every row, and a re-send or an import none
+            if kind == "append":
+                assert 0 < len(built) < pairs and len(set(built)) == len(built), (i, built)
+            else:
+                assert len(built) == (pairs if kind == "slo" else 0), (i, kind, built)
+            seen[kind, len(built)] += 1
+            # the table that the save patched is that of a whole build
+            assert snapshot_parts(root / Store.SNAPSHOT_FILE)[2] == _table(parsed), i
+            loaded = Store(root).load()
+            assert loaded._rows is not None
+            assert loaded == parsed and list(loaded.amvs) == list(parsed.amvs), i
+        assert workload.check_end(state) == []
+        assert len(seen) > 4, seen  # appends that built different numbers of rows
