@@ -32,6 +32,7 @@ from .registry import (
     STANDARD_ATTRIBUTES,
     STANDARD_QWS_MAPPING,
     Store,
+    StoreRefusedError,
     import_qws,
     parse_amv,
     parse_attribute,
@@ -67,9 +68,10 @@ def _store(args: argparse.Namespace) -> Store:
 def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[list, int]:
     """Parse and submit each row of a record file.
 
-    A refused row fails only its own line, reported on stderr. Returns what
-    ``submit`` gave for each submitted row, a duplicate standing as its
-    DuplicateSubmissionError, and the number of failed rows.
+    A refused row fails only its own line, reported on stderr, and a refusal
+    of the store the command. Returns what ``submit`` gave for each
+    submitted row, a duplicate standing as its DuplicateSubmissionError,
+    and the number of failed rows.
     """
     with refused_at(path):
         rows = list(read_rows(record_text(Path(path).read_bytes()), columns))
@@ -77,6 +79,8 @@ def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[li
     for line, fields in rows:
         try:
             results.append(submit(parse(fields)))
+        except StoreRefusedError:
+            raise
         except DuplicateSubmissionError as exc:
             results.append(exc)
         except ValueError as exc:

@@ -15,6 +15,7 @@ that of a pair named by attribute name or abbreviation.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .intervals import IntervalNumber
@@ -39,10 +40,10 @@ class ConsistencyProfile(NamedTuple):
 
 
 def average_amv(samples: list[float]) -> float:
-    """Arithmetic mean of a nonempty sample list."""
+    """Arithmetic mean of a nonempty sample list: its ``math.fsum`` over its length."""
     if not samples:
         raise ValueError("cannot average an empty sample list")
-    return sum(samples) / len(samples)
+    return math.fsum(samples) / len(samples)
 
 
 def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> ConsistencyProfile:

@@ -6,8 +6,8 @@ request file share one record format, defined here: a header of the kind's
 columns, then one record per row, read by ``read_rows`` and parsed by
 ``parse_*``. Loading applies the same record checks as submission, since
 each file is read by that row loop, which names a refused row. A registry
-holds its monitored values as a log of three columns: each row's place
-among the distinct triples, its value and its sequence.
+holds its monitored values by triple: each triple's values by sequence, in
+submission order, and the triples in order of their first row.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, while attributes.csv and slos.csv are replaced atomically,
@@ -36,7 +36,6 @@ import sys
 import tempfile
 import weakref
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from operator import add, ge, itemgetter, le, sub
@@ -76,6 +75,10 @@ class DuplicateSubmissionError(ValueError):
 
 class ReadOnlyRegistryError(TypeError):
     """A registry loaded with its profiles alone was asked to read, change or save its records."""
+
+
+class StoreRefusedError(ValueError):
+    """The store's own files, read again after its load, were refused: no input was."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,8 +205,9 @@ class refused_at(contextlib.AbstractContextManager):
 
     ``refused_at(path, line)(exc)`` is the refusal ``<path>: line N: <exc>``,
     leaving out a part not given; as a context manager, it raises that
-    refusal of a ValueError raised inside. A duplicate or an unknown
-    attribute keeps its error type, so callers can still tell them apart.
+    refusal of a ValueError raised inside, but a StoreRefusedError as it
+    is. A duplicate or an unknown attribute keeps its error type, so
+    callers can still tell them apart.
     """
 
     def __init__(self, path: object = None, line: int | None = None):
@@ -217,7 +221,7 @@ class refused_at(contextlib.AbstractContextManager):
         return kind(f"{where}{exc}")
 
     def __exit__(self, kind: type | None, exc: BaseException | None, traceback: object) -> None:
-        if isinstance(exc, ValueError):
+        if isinstance(exc, ValueError) and not isinstance(exc, StoreRefusedError):
             raise self(exc) from exc
 
 
@@ -300,11 +304,13 @@ class SloView(Mapping):
 
 
 class AmvView:
-    """Read-only view of a registry's monitored values, in submission order.
+    """Read-only view of a registry's monitored values, grouped by triple.
 
-    Its length is the row count, which reads no row. Two views are equal
-    when their distinct triples and columns are, and an ``AmvRecord`` is
-    built for a row only when the view is iterated: both read the whole log.
+    The triples come in order of their first row, and each triple's rows in
+    submission order, so a parse and a snapshot load of one store give equal
+    views. Its length is the row count, which reads no row. Two views are
+    equal when their rows are, in that order, and an ``AmvRecord`` is built
+    for a row only when the view is iterated: both read the whole log.
     """
 
     __slots__ = ("_registry",)
@@ -315,36 +321,30 @@ class AmvView:
     def __len__(self) -> int:
         return self._registry._log_start + len(self._registry._values)
 
-    def _columns(self) -> tuple:
-        registry = self._registry
-        registry._read_log()
-        return list(registry._place), registry._places, registry._values, registry._sequences
-
     def __iter__(self) -> Iterator[AmvRecord]:
-        triples, *columns = self._columns()
-        return (AmvRecord(*triples[place], value, sequence)
-                for place, value, sequence in zip(*columns))
+        return (AmvRecord(*row) for row in self._registry._grouped())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmvView):
             return NotImplemented
-        return self._columns() == other._columns()
+        return self._registry._grouped() == other._registry._grouped()
 
 
 class _HeldRows:
     """The AMV rows that a writer's load left in the snapshot's sections.
 
-    ``places`` is the log's places section, in submission order; ``values``
-    and ``sequences`` hold the rows grouped by place, each place's together
-    and in submission order. ``counts`` is the row count of each place, and
-    ``starts`` where its rows start in the grouped sections. ``refuse``, set
-    by ``Store.load``, takes the registry's rows from a parse of the files.
+    ``values`` and ``sequences`` are the snapshot's sections, the rows
+    grouped by place, each place's together and in submission order; the
+    sequences are a list where the load decoded them. ``counts`` is the row
+    count of each place, and ``starts`` where its rows start in the grouped
+    sections. ``refuse``, set by ``Store.load``, takes the rows from a parse
+    instead.
     """
 
-    __slots__ = ("places", "values", "sequences", "counts", "starts", "refuse")
+    __slots__ = ("values", "sequences", "counts", "starts", "refuse")
 
-    def __init__(self, places: bytes, values: bytes, sequences: bytes, counts: list[int]):
-        self.places, self.values, self.sequences, self.counts = places, values, sequences, counts
+    def __init__(self, values: bytes, sequences: bytes | list[int], counts: list[int]):
+        self.values, self.sequences, self.counts = values, sequences, counts
         self.starts = list(accumulate(counts, initial=0))
         self.refuse: Callable[[Registry], None] | None = None
 
@@ -358,17 +358,18 @@ class Registry:
     (csp, csc, attribute) triple; AMV records append. Every path resolves a
     record's attribute and files it under the registered name. SLOs are
     held as values by triple and indexed per (provider, attribute).
-    Monitored values are held once, as a log of three columns in submission
-    order (each row's place among the distinct ``(csp, csc, attribute)``
-    triples, in order of their first row, its value and its sequence), and
-    indexed by place: each triple's values by sequence, and its mean, cached
-    until an append to the triple. ``slos`` and ``amvs`` are read-only
-    views. A registry that a writer's load restored from the snapshot holds
-    the rows there (``_HeldRows``): it decodes one triple's rows at the
-    first read of that triple (``_samples_of``), and the whole log at its
-    first whole read (``_read_log``): iterating or comparing ``amvs``,
-    ``_amv_rows()`` from a row it holds there, or comparing registries.
-    ``len(amvs)`` reads no row, and a command that reads no row decodes none.
+    Monitored values are held by place, one per distinct ``(csp, csc,
+    attribute)`` triple, in order of its first row: its values by sequence,
+    in submission order, and its mean, cached until an append to the triple.
+    ``amvs`` reads the log in that one order. The rows not restored from a
+    snapshot are also held in submission order, as three columns (place,
+    value, sequence), for a save's append to amvs.csv. ``slos`` and ``amvs``
+    are read-only views. A registry that a writer's load restored from the
+    snapshot holds the rows there (``_HeldRows``): it decodes one triple's
+    rows at the first read of that triple (``_samples_of``), and the whole
+    log at its first whole read (``_read_log``): iterating or comparing
+    ``amvs``, ``_amv_rows()``, or comparing registries. ``len(amvs)`` reads
+    no row, and a command that reads no row decodes none.
     ``profile_row`` gives the inputs of one (provider, attribute)'s
     consistency profile, the row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
@@ -385,8 +386,8 @@ class Registry:
     attributes: dict[str, QosAttribute] = field(default_factory=dict, init=False)
     # (csp, csc, attribute) -> agreed value, in submission order
     _slo_values: dict[tuple[str, str, str], float] = field(default_factory=dict, init=False)
-    # the monitored values in submission order from row _log_start on, a
-    # column each; amvs.csv holds the same rows
+    # the monitored values not restored from the snapshot (from row
+    # _log_start on), in submission order, a column each
     _places: list[int] = field(default_factory=list, init=False, repr=False)
     _values: list[float] = field(default_factory=list, init=False, repr=False)
     _sequences: list[int] = field(default_factory=list, init=False, repr=False)
@@ -395,7 +396,7 @@ class Registry:
     # by place, {sequence: value} in submission order, or None while its rows
     # are held in the snapshot: filled by _append_amv and _samples_of
     _samples: list[dict[int, float] | None] = field(default_factory=list, init=False, repr=False)
-    # (csp, attribute) -> {csc: agreed value}: filled by _file_slo and _decode
+    # (csp, attribute) -> {csc: agreed value}: filled by _file_slo and _decode_records
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict, init=False, repr=False)
     # by place, amv_mean, or None until it is computed: _append_amv resets it
@@ -405,8 +406,8 @@ class Registry:
     # an SLO
     _profiles: dict[tuple[str, str], tuple] | None = field(default=None, init=False, repr=False)
     # set by Store.load alone: the rows held in the snapshot, until the
-    # whole log is read or taken from a parse; _log_start rows of the log
-    # lie there, before those of the columns
+    # whole log is read or taken from a parse; the load restored
+    # _log_start rows, which the columns do not hold
     _rows: _HeldRows | None = field(default=None, init=False, repr=False)
     _log_start: int = field(default=0, init=False, repr=False)
 
@@ -440,8 +441,14 @@ class Registry:
 
         Refused ones leave every row, ``_place`` and ``_means`` to a parse.
         """
-        if self._log_start and not _decode_log(self):
+        if self._rows is not None and not _decode_log(self):
             self._rows.refuse(self)
+
+    def _grouped(self) -> list[tuple[str, str, str, float, int]]:
+        """The whole log in ``amvs``' order, as rows ``(csp, csc, attribute, value, sequence)``."""
+        self._read_log()
+        return [(*key, value, sequence) for key, samples in zip(self._place, self._samples)
+                for sequence, value in samples.items()]
 
     @property
     def slos(self) -> SloView:
@@ -456,9 +463,13 @@ class Registry:
             raise ReadOnlyRegistryError("the registry was loaded with its profiles alone")
 
     def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
-        """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``."""
+        """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``.
+
+        From a row that the load restored (only 0 is asked for), which has no
+        submission order, it is the whole log, grouped (``_grouped``).
+        """
         if start < self._log_start:
-            self._read_log()
+            return self._grouped()
         start -= self._log_start
         return list(map(add, map(list(self._place).__getitem__, self._places[start:]),
                         zip(self._values[start:], self._sequences[start:])))
@@ -594,8 +605,9 @@ class Registry:
     def amv_mean(self, csp_id: str, csc_id: str, attribute: str) -> float | None:
         """The mean of one triple's monitored values, or None if it has none.
 
-        The values are summed in sequence order, then divided by their
-        count, so the mean is ``average_amv(amv_samples(...))`` to the bit.
+        The values are summed by ``math.fsum``, then divided by their count,
+        so the mean is ``average_amv(amv_samples(...))`` to the bit, in any
+        row order and on any interpreter.
         """
         key = (csp_id, csc_id, attribute)
         place = self._place.get(key)
@@ -608,7 +620,7 @@ class Registry:
             if samples is None:  # rows held in the snapshot: read, then looked up again
                 self._samples_of(key)
                 return self.amv_mean(csp_id, csc_id, attribute)
-            mean = sum(map(samples.__getitem__, sorted(samples))) / len(samples)
+            mean = math.fsum(samples.values()) / len(samples)
             self._means[place] = mean
         return mean
 
@@ -835,18 +847,18 @@ def _table(registry: Registry, held: bytes | None = None,
 
 def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
             ) -> tuple:
-    """The nine sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
+    """The eight sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
 
     They are: the attribute definitions; the profile table, the
     ``Registry.profile_row`` of each (provider, attribute) with an SLO, in
     the SLO index's order, as six columns; the SLO triples and values; by
     place, the ``amv_mean`` of each distinct AMV triple, or None where none
-    was computed; the distinct AMV triples; the AMV log's places, in
-    submission order; by place, its row count; then the values and the
-    sequences grouped by place, each place's rows together, in place order,
-    and in submission order within a place. Version 2 shares no object, so
-    the bytes depend only on the registry's contents, not on how its load
-    built it or which sections were kept.
+    was computed; the distinct AMV triples, in order of their first row; by
+    place, its row count; then the values and the sequences grouped by
+    place, each place's rows together, in place order, and in submission
+    order within a place: the log's one order. Version 2 shares no object,
+    so the bytes depend only on the registry's contents, not on how its
+    load built it or which sections were kept.
 
     ``held`` is the sections that the registry's load or last save gave, or
     None, and ``logged`` the log's row count then. The attributes, the
@@ -854,21 +866,21 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     ``slos_kept``. The table is kept but for the rows of the pairs on whose
     SLO triples a row was appended since (``_table``): a table row reads
     only the pair's SLOs and the means of their triples, and a mean changes
-    only by an append to its triple. The distinct triples and the places
-    are extended, and each place's appended values and sequences spliced in
-    after its held ones (``_regrouped``), so no held row is decoded. The
-    log is read and encoded whole without ``held``, when ``held`` holds a
-    sequence that is not a 32-bit int, or after the table read a place
-    that was refused. So a crafted section that ``_decode`` accepted keeps
-    its encoding, and a crafted table or place its rows, until what it is
-    made from changes.
+    only by an append to its triple. The distinct triples are extended, and
+    each place's appended values and sequences spliced in after its held
+    ones (``_regrouped``), so no held row is decoded. The log is read and
+    encoded whole without ``held``, when ``held`` holds a sequence that is
+    not a 32-bit int, or after the table read a place that was refused. So
+    a crafted section that the load accepted keeps its encoding, and a
+    crafted table or place its rows, until what it is made from changes.
     """
-    _, table, slos, _, *log = held or (None,) * 9
-    spliced = held is not None and logged is not None and len(log[4]) == 5 + 5 * logged
+    _, table, slos, _, *log = held or (None,) * 8
+    spliced = held is not None and logged is not None and len(log[3]) == 5 + 5 * logged
     if not spliced:
         registry._read_log()
     rows, triples = registry._rows, list(registry._place)
-    appended = slice((logged or 0) - registry._log_start, None)
+    # the rows appended since: all that the columns hold when nothing was logged
+    appended = slice(logged - registry._log_start if logged else 0, None)
     places = registry._places[appended]
     if not slos_kept:
         table = slos = None
@@ -883,7 +895,7 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
         # the means are the parse's, and the table is built again on them
         table, spliced = _table(registry), False
     if spliced:
-        distinct, places_part, counts_part, values_part, sequences_part = log
+        distinct, counts_part, values_part, sequences_part = log
         counts = marshal.loads(counts_part)
         ends = list(accumulate(counts))
         values, sequences = {}, {}  # place -> its appended rows' column
@@ -894,38 +906,28 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
         counts += [0] * (len(triples) - len(counts))
         for place, group in values.items():
             counts[place] += len(group)
-        log = (_extended(distinct, triples[len(ends):]), _extended(places_part, places),
-               marshal.dumps(counts, 2), _regrouped(values_part, 9, ends, values),
+        log = (_extended(distinct, triples[len(ends):]), marshal.dumps(counts, 2),
+               _regrouped(values_part, 9, ends, values),
                _regrouped(sequences_part, 5, ends, sequences))
     else:
         samples = registry._samples
         log = tuple(marshal.dumps(column, 2) for column in (
-            list(registry._place), registry._places, [*map(len, samples)],
-            [*chain.from_iterable(map(dict.values, samples))], [*chain.from_iterable(samples)]))
+            triples, [*map(len, samples)], [*chain.from_iterable(map(dict.values, samples))],
+            [*chain.from_iterable(samples)]))
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
             table, slos, marshal.dumps(registry._means, 2), *log)
 
 
-def _decode(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
-    """The registry that ``_encode``'s nine sections hold, if a parse could give it.
+def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
+    """The registry that ``_encode``'s eight sections hold, if a parse could give it.
 
     With ``log``, the writer's registry, which holds the attributes, the
-    SLOs, the means and the log, and the sections as the ``held`` of its
-    save: ``_decode_records``, then ``_decode_log``, and None if either
-    refuses. Without, a read-only registry, which holds the attributes and
-    the profile table, and None. A section that the registry does not hold
-    is not decoded. ``Store.load`` runs the records part at load, and a
-    writer decodes one place's rows at the first read of its triple
-    (``_decode_place``), and the whole log at its first whole read.
-    """
-    decoded = _decode_records(sections, log)
-    if decoded is None or decoded[0]._rows is None or _decode_log(decoded[0]):
-        return decoded
-    return None
-
-
-def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
-    """``_decode`` but a writer's rows: the registry, its rows held, and the sections.
+    SLOs and the means and leaves its rows in the sections (``_HeldRows``),
+    and the sections, as the ``held`` of its save. A writer decodes one place's
+    rows at the first read of its triple (``_decode_place``), and the whole
+    log at its first whole read (``_decode_log``). Without, a read-only
+    registry, which holds the attributes and the profile table, and None.
+    A section that the registry does not hold is not decoded.
 
     Without ``log``, the table must have columns of one length, with no
     pair twice, unpadded provider ids, registered names, int counts with 0
@@ -935,19 +937,19 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
     finite floats, triples of checked ids and registered names, a list of a
     mean per distinct triple, None or a finite number of at least 0, and a
     list of a row count per distinct triple, ints of at least 1 whose sum is
-    the length of the places, values and sequences lists. All is checked
-    whole and used as decoded. The profiles and the means are
-    derived data that only this program writes, so they are checked for
-    shape alone. Any other sections give None.
+    the length of the values and sequences lists. All is checked whole and
+    used as decoded. The profiles, the means and the rows' grouping by
+    triple are derived data that only this program writes, so they are
+    checked for shape alone. Any other sections give None.
 
-    The rows are left in the sections (``_HeldRows``), unless the sequences
-    section is not as long as that many 32-bit ints: then they are decoded
-    whole now (``_decode_log``), and held as ``_NO_ENTRIES``, which a save
+    The rows are left in the sections (``_HeldRows``). A sequences section
+    that is not as long as that many 32-bit ints is decoded now, its
+    sequences checked to be ints, and held as ``_NO_ENTRIES``, which a save
     writes whole.
     """
     try:
-        (head, table, slo_part, means_part, distinct_part, places_part, counts_part,
-         values_part, sequences_part) = sections
+        (head, table, slo_part, means_part, distinct_part, counts_part, values_part,
+         sequences_part) = sections
         registry = Registry()
         for fields in marshal.loads(head):
             registry.register_attribute(parse_attribute(fields))
@@ -989,19 +991,20 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
                    and set(map(type, counts)) <= {int} and min(counts, default=1) > 0)
         rows = sum(counts) if checked else 0
         header = b"[" + rows.to_bytes(4, "little")
-        checked = checked and places_part[:5] == values_part[:5] == sequences_part[:5] == header
+        checked = checked and values_part[:5] == sequences_part[:5] == header
+        sequences = sequences_part
+        if checked and len(sequences_part) != 5 + 5 * rows:  # a sequence past 32 bits
+            sequences = marshal.loads(sequences_part)
+            checked = set(map(type, sequences)) <= {int}
+            sections = (*sections[:7], _NO_ENTRIES)
     except (EOFError, ValueError, TypeError, IndexError, AttributeError, OverflowError):
         return None  # sections of another shape
     if not checked:
         return None
     registry._samples = [None] * len(counts)
     if rows:
-        registry._rows = _HeldRows(places_part, values_part, sequences_part, counts)
+        registry._rows = _HeldRows(values_part, sequences, counts)
         registry._log_start = rows
-        if len(sequences_part) != 5 + 5 * rows:  # a sequence past 32 bits
-            if not _decode_log(registry):
-                return None
-            sections = (*sections[:8], _NO_ENTRIES)
     return registry, sections
 
 
@@ -1010,64 +1013,39 @@ def _decode_place(rows: _HeldRows, place: int) -> dict[int, float] | None:
 
     They are a slice of each grouped section: the values must be written
     as marshal writes floats, "g" and 8 bytes, finite and at least 0, and
-    the sequences as it writes ints, "i" and 4, none of them twice.
+    the sequences as it writes ints, "i" and 4, unless the load decoded
+    them, none of them twice.
     """
     count, start = rows.counts[place], rows.starts[place]
-    values_part = bytes(rows.values[5 + 9 * start:5 + 9 * (start + count)])
-    sequences_part = bytes(rows.sequences[5 + 5 * start:5 + 5 * (start + count)])
-    if values_part[::9] != b"g" * count or sequences_part[::5] != b"i" * count:
-        return None
     header = b"[" + count.to_bytes(4, "little")
+    values_part = bytes(rows.values[5 + 9 * start:5 + 9 * (start + count)])
+    if values_part[::9] != b"g" * count:
+        return None
+    if isinstance(rows.sequences, list):  # decoded at load: a sequence past 32 bits
+        sequences = rows.sequences[start:start + count]
+    else:
+        sequences_part = bytes(rows.sequences[5 + 5 * start:5 + 5 * (start + count)])
+        if sequences_part[::5] != b"i" * count:
+            return None
+        sequences = marshal.loads(header + sequences_part)
     values = marshal.loads(header + values_part)
-    samples = dict(zip(marshal.loads(header + sequences_part), values))
+    samples = dict(zip(sequences, values))
     # a sum that overflows on huge values only leaves the rows to the parse
     checked = len(samples) == count and math.isfinite(sum(values)) and min(values) >= 0
     return samples if checked else None
 
 
 def _decode_log(registry: Registry) -> bool:
-    """Decode the log that ``registry``'s load held in the snapshot, if a parse could give it.
+    """Decode the rows of each place that ``registry``'s load held and no read decoded yet.
 
-    The places must be a list of ints as marshal writes them, in order of
-    each distinct triple's first row (so every distinct triple is used by a
-    row), with as many rows of each as its count; the values a list of
-    floats as marshal writes them, finite and at least 0; the sequences a
-    list of ints as marshal writes them, or, in a section longer than that,
-    of ints, none twice in a place. Each place not read yet gets its
-    samples, and the columns the held rows before their own; whether it
-    set them, and else nothing is set.
+    Each is checked by ``_decode_place``: whether all were accepted, and
+    only then are their samples set.
     """
-    held, rows = registry._rows, registry._log_start
-    fixed = len(held.sequences) == 5 + 5 * rows
-    try:
-        places, values, sequences = map(marshal.loads, (held.places, held.values, held.sequences))
-        # a sum that overflows on huge values only leaves the log to the parse
-        checked = (list(dict.fromkeys(places)) == list(range(len(held.counts)))
-                   and Counter(places) == dict(enumerate(held.counts))
-                   and bytes(held.places)[5::5] == b"i" * rows
-                   and bytes(held.values)[5::9] == b"g" * rows
-                   and (bytes(held.sequences)[5::5] == b"i" * rows if fixed
-                        else set(map(type, sequences)) <= {int})
-                   and math.isfinite(sum(values)) and min(values, default=0) >= 0)
-    except (EOFError, ValueError, TypeError):
-        return False  # sections of another shape
-    if not checked:
+    samples = [_decode_place(registry._rows, place) if held is None else held
+               for place, held in enumerate(registry._samples)]
+    if None in samples:
         return False
-    samples = registry._samples[:]
-    for place, (start, end) in enumerate(zip(held.starts, held.starts[1:])):
-        if samples[place] is None:
-            samples[place] = dict(zip(sequences[start:end], values[start:end]))
-            if len(samples[place]) != end - start:
-                return False  # a sequence twice
-    order = []  # by row, its entry in the grouped sections
-    at = held.starts[:-1]
-    for place in places:
-        order.append(at[place])
-        at[place] += 1
-    registry._places = places + registry._places
-    registry._values = [*map(values.__getitem__, order), *registry._values]
-    registry._sequences = [*map(sequences.__getitem__, order), *registry._sequences]
-    registry._samples, registry._rows, registry._log_start = samples, None, 0
+    registry._samples, registry._rows = samples, None
     return True
 
 
@@ -1081,6 +1059,9 @@ class Store:
     their records changed or the file is missing, and amvs.csv only when
     it is missing or the registry was not loaded here: temp file, fsync,
     rename, then fsync of the directory. Every save leaves all three files.
+    A whole write holds the rows in submission order, but those restored
+    from a snapshot, which holds no such order: then, the whole log as
+    ``Registry.amvs`` reads it, grouped by triple.
     A crash thus leaves each file as it was or as saved, except that an
     append cut short can leave a last amvs.csv row without its line end.
     Load refuses such a row, since a cut value or sequence (``...,9`` of
@@ -1099,7 +1080,7 @@ class Store:
     It holds, as a ``marshal`` blob, its own CRC-32, then a header of a tag
     of its format and the Python version, the CRC-32 and length of each CSV
     file it was made from (None for a missing one) and the byte length of
-    each section but the last, then the nine sections that ``_encode``
+    each section but the last, then the eight sections that ``_encode``
     gives. A load reads each CSV file whole, and uses the snapshot in place
     of parsing them only when its CRC, its tag and every file's CRC-32 and
     length match the bytes read, so that no torn or stale snapshot is used,
@@ -1114,7 +1095,8 @@ class Store:
     rows are decoded at the first read of that triple, and the whole log at
     its first whole read (see ``Registry``). A refused place or log leaves
     the rows to a parse of the files (``_reparse``), which are read again
-    then, under the lock, and refused if they are not as loaded. A command
+    then, under the lock, and refused if they are not as loaded: a refusal
+    of the store, not of the input that the command was filing. A command
     keeps the held rows of each triple it reads no row of, as a reader
     leaves the sections it does not decode. Only ``save`` writes the
     snapshot, in place, once the CSV files are durable; it carries the
@@ -1138,7 +1120,7 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 7 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 8 {sys.implementation.cache_tag}"
     _STRAY_PREFIXES = tuple(f"{name}." for name in FILES)
 
     def __init__(self, root: str | Path):
@@ -1189,8 +1171,6 @@ class Store:
                 registry._rows.refuse = functools.partial(self._reparse, stamps,
                                                           registry._log_start)
         self._remember(registry, stamps, snapshot_stamps, held)
-        if contents[self.AMVS_FILE] is None:
-            registry._read_log()  # a save writes amvs.csv whole, from the rows
         return registry
 
     def _contents(self) -> dict[str, bytes | None]:
@@ -1212,8 +1192,8 @@ class Store:
         them (``stamps``, and ``logged`` rows in amvs.csv), or a file whose
         CRC-32 or length differs is refused. The log, ``_place``, ``_means``
         and ``_samples`` become the parse's, and the rows appended since are
-        filed again. The next save encodes every section afresh. A parse
-        that refuses the files raises here.
+        filed again. The next save encodes every section afresh. A refusal,
+        of a changed file or by the parse, is raised as a StoreRefusedError.
         """
         if self._synced and self._synced[0]() is registry:
             ref, files, stamps, _, _ = self._synced
@@ -1222,9 +1202,12 @@ class Store:
         contents = self._contents()
         for name, data in contents.items():
             if _stamp(data) != stamps[name]:
-                raise ValueError(f"{self.root / name}: changed since the store was loaded "
-                                 "(its CRC-32 or length differs)")
-        parsed = self._parse(contents)
+                raise StoreRefusedError(f"{self.root / name}: changed since the store was "
+                                        "loaded (its CRC-32 or length differs)")
+        try:
+            parsed = self._parse(contents)
+        except ValueError as exc:
+            raise StoreRefusedError(exc) from exc
         appended = registry._amv_rows(logged)
         for name in ("_places", "_values", "_sequences", "_samples", "_place", "_means"):
             setattr(registry, name, getattr(parsed, name))

@@ -216,7 +216,7 @@ def test_c07_consistency_engine_matches_brute_force():
                         values = [a.value for a in amvs if a.key == record.key]
                         if not values:
                             continue
-                        mean = sum(values) / len(values)
+                        mean = math.fsum(values) / len(values)  # as the program sums them
                         ok = (mean >= record.value
                               if attr.polarity is Polarity.BENEFIT
                               else mean <= record.value)

@@ -13,6 +13,7 @@ import shutil
 import struct
 import sys
 import zlib
+from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from fastcloud.registry import (
     STANDARD_QWS_MAPPING,
     Store,
     UnknownAttributeError,
-    _decode,
+    _decode_log,
     _decode_place,
     _decode_records,
     _encode,
@@ -49,6 +50,16 @@ from fastcloud.registry import (
     parse_slo,
     read_rows,
 )
+
+
+def _decode(sections, log):
+    """What a load, then a whole read of the log, give of snapshot sections: the registry
+    and the sections a save may keep, or None if ``_decode_records`` or ``_decode_log``
+    refuses."""
+    decoded = _decode_records(sections, log)
+    if decoded is None or decoded[0]._rows is None or _decode_log(decoded[0]):
+        return decoded
+    return None
 
 
 def fresh_registry() -> Registry:
@@ -389,15 +400,17 @@ class TestPersistence:
     def test_values_are_held_as_the_floats_a_parse_gives(self, tmp_path):
         registry = fresh_registry()
         registry.submit_slo(SloRecord("p", "c", "av", 90))
-        for value in (2 ** 53, 1, 1):  # summed as ints, they give another mean
+        for value in (2 ** 53, 1, 1):
             registry.submit_amv(AmvRecord("p", "c", "av", value))
         store = Store(tmp_path / "store")
         store.save(registry)
         (store.root / Store.SNAPSHOT_FILE).unlink()
         parsed = store.load()
         assert repr(contents(registry)) == repr(contents(parsed))
+        # math.fsum's: the exact sum, rounded once. Float addition from the
+        # left, the built-in sum's before Python 3.12, drops both 1s
         assert registry.amv_mean("p", "c", "availability") == parsed.amv_mean(
-            "p", "c", "availability") == 2 ** 53 / 3
+            "p", "c", "availability") == (2 ** 53 + 2) / 3 != 2 ** 53 / 3
 
     def test_sequence_continues_after_load(self, tmp_path):
         registry = fresh_registry()
@@ -607,9 +620,12 @@ class TestAmvLoad:
         with monkeypatch.context() as patch:
             patch.delattr(Store, "_parse")  # so that only the snapshot can load the store
             restored = Store(store.root).load()
+        # the snapshot holds the rows of one triple together, in file order
+        assert restored._places == [] and restored._rows.counts == [3, 1]
         assert contents(restored) == contents(loaded)
-        # the rows of one triple share its place
-        assert restored._places == [0, 1, 0, 0]
+        assert [(*row.key, row.sequence) for row in restored.amvs] == [
+            ("p", "c", "availability", 2), ("p", "c", "availability", 1),
+            ("p", "c", "availability", 3), ("q", "c", "latency", 1)]
 
     def test_many_rows_load_as_their_rows(self, tmp_path):
         rng = random.Random(7)
@@ -743,7 +759,7 @@ def contents(registry):
     """A registry's records and indexes, with the order of every dict."""
     return (list(registry.slos.items()),
             [(key, list(by_csc.items())) for key, by_csc in registry._slo_index.items()],
-            registry._amv_rows(),
+            list(registry.amvs),
             [(key, list(samples.items())) for key, samples in zip(registry._place,
                                                                   registry._samples)])
 
@@ -1012,7 +1028,7 @@ def profile_rows(section):
 def snapshot_parts(path):
     """The snapshot's header, decoded, and the bytes of its sections: the attributes,
     the profile table, the SLOs, the means, the distinct AMV triples, and the log's
-    places, values and sequences."""
+    counts, values and sequences."""
     stream = io.BytesIO(path.read_bytes()[4:])
     header = marshal.load(stream)
     sections = [stream.read(size) for size in header[2]]
@@ -1196,24 +1212,34 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 7", "snapshot 6")
+        previous = tag.replace("snapshot 8", "snapshot 7")
         assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
         slos, slo_values = marshal.loads(slo_part)
         means = marshal.loads(means_part)
-        distinct, places, counts, values, sequences = map(marshal.loads, log)
-        assert (places, counts) == ([0, 1, 0], [2, 1])
-        # the log in submission order, as the previous formats held it
+        distinct, counts, values, sequences = map(marshal.loads, log)
+        assert counts == [2, 1]
+        # each row's place in submission order, which the previous formats
+        # held: the fixture's rows are p1's c1 on availability, its c2 on
+        # latency, then its c1 again
+        places = [0, 1, 0]
+        places_part = marshal.dumps(places, 2)
+        # the log in submission order, as the formats before that held it
         groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})
         rows = [groups[place].pop(0) for place in places]
         in_order = [marshal.dumps([row[at] for row in rows], 2) for at in (0, 1)]
-        # the sections of the previous format after the table: the means, the
-        # distinct triples, then the places, values and sequences
-        layout_6 = (means_part, log[0], log[1], *in_order)
+        # the sections of the previous format after the means: the distinct
+        # triples, the places, then the counts and the grouped values and
+        # sequences
+        layout_7 = (log[0], places_part, *log[1:])
+        sizes_7 = (*sizes[:4], *map(len, layout_7[:-1]))
+        # and of the one before, after the table: the means, the distinct
+        # triples, then the places, values and sequences
+        layout_6 = (means_part, log[0], places_part, *in_order)
         sizes_6 = (*sizes[:3], *map(len, layout_6[:-1]))
         # and of the one before: the SLOs, the distinct triples and the means
         # in one, then the places, values and sequences
-        layout_5 = (marshal.dumps((slos, slo_values, distinct, means), 2), log[1], *in_order)
+        layout_5 = (marshal.dumps((slos, slo_values, distinct, means), 2), places_part, *in_order)
         sizes_5 = (*sizes[:2], *map(len, layout_5[:-1]))
         layout_3 = (marshal.dumps((attributes, (slos, slo_values), means), 2),
                     marshal.dumps((distinct, places, *(marshal.loads(column)
@@ -1239,7 +1265,10 @@ class TestSnapshotLoad:
             lambda: checked((previous, stamps, sizes_5), head, table_part, *layout_5),
             lambda: checked((tag, stamps, sizes_5), head, table_part, *layout_5),
             lambda: checked((previous, stamps, sizes_6), head, table_part, slo_part, *layout_6),
-            lambda: checked((tag, stamps, sizes_6), head, table_part, slo_part, *layout_6),
+            lambda: checked((previous, stamps, sizes_7), head, table_part, slo_part, means_part,
+                            *layout_7),
+            lambda: checked((tag, stamps, sizes_7), head, table_part, slo_part, means_part,
+                            *layout_7),
             lambda: sectioned((attributes, table), slo_part, means_part, *log),
             lambda: sectioned(7, table, slo_part, means_part, *log),
             lambda: sectioned((attributes, table), table, slo_part, means_part, *log),
@@ -1250,13 +1279,19 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # a writer replaces a snapshot 6 file, in this format's layout or in its
+        # the previous format but one has as many sections, and its first two
+        # are this format's: under this tag, a reader takes them, and a writer
+        # refuses the rest
+        checked((tag, stamps, sizes_6), head, table_part, slo_part, *layout_6)
+        assert load_recorded(store, monkeypatch) == (expected, True)
+        assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+        # a writer replaces a snapshot 7 file, in this format's layout or in its
         # own, with the current format's bytes
         for write in (
                 lambda: checked((previous, stamps, sizes), head, table_part, slo_part, means_part,
                                 *log),
-                lambda: checked((previous, stamps, sizes_6), head, table_part, slo_part,
-                                *layout_6)):
+                lambda: checked((previous, stamps, sizes_7), head, table_part, slo_part,
+                                means_part, *layout_7)):
             write()
             assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
             assert path.read_bytes() == blob
@@ -1274,7 +1309,7 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         parts = {"slos": (slos, slo_values), "means": means, "distinct": distinct,
-                 "places": log[1], "counts": log[2], "values": log[3], "sequences": log[4]}
+                 "counts": log[1], "values": log[2], "sequences": log[3]}
 
         def but(**changed):
             """The sections after the table, with the named ones changed."""
@@ -1299,24 +1334,20 @@ class TestSnapshotLoad:
                   for value in (math.nan, math.inf, 0.0, -1.0)),
                 *(but(means=[value, *means[1:]])
                   for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
-                but(places=[len(distinct)] * len(places)),
                 but(sequences=[[1]] * len(sequences)),
-                # log columns that disagree: a negative place (filed as a valid
-                # one), a short values column, a repeated triple or (triple,
-                # sequence), a triple that no row uses
-                but(places=[places[0] - len(distinct), *places[1:]]),
+                # log columns that disagree: a short values column, a repeated
+                # triple or (triple, sequence), a triple that no row uses
                 but(values=values[:-1]),
                 but(distinct=[distinct[0], *distinct], means=[means[0], *means],
                     counts=[counts[0], *counts]),
                 but(sequences=[sequences[0]] * len(sequences)),
                 but(distinct=[*distinct, ("p1", "c9", "availability")], means=[*means, None],
                     counts=[*counts, 0]),
-                # row counts that disagree with the places: one short, one long, a
-                # row counted under the other place, and as many counts as places
-                # that the log does not hold
+                # row counts that disagree with the log: one short, one long, a
+                # row moved so that a place counts none, and as many counts as
+                # places that the log does not hold
                 but(counts=[counts[0] - 1, *counts[1:]]),
                 but(counts=[*counts[:-1], counts[-1] + 1]),
-                but(counts=[counts[0] - 1, counts[1] + 1]),
                 but(counts=[counts[0] + 1, counts[1] - 1, *counts[2:]]),
                 but(counts=tuple(counts)), but(counts=[float(counts[0]), *counts[1:]]),
                 but(counts=[counts[0], True]),
@@ -1324,65 +1355,108 @@ class TestSnapshotLoad:
                 *(but(distinct=first_set(distinct, at, value))
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (0, ""))),
                 # columns that a parse gives as lists of ints and floats: a tuple,
-                # a place that is a bool, a value that is an int, a sequence that
-                # is a float, a str or a bool, none of them a duplicate
+                # a value that is an int, a sequence that is a float, a str or a
+                # bool, none of them a duplicate
                 but(means=tuple(means)), but(distinct=tuple(distinct)),
-                but(places=tuple(places)), but(values=tuple(values)),
-                but(sequences=tuple(sequences)),
-                but(places=[bool(place) if place < 2 else place for place in places]),
+                but(values=tuple(values)), but(sequences=tuple(sequences)),
                 but(values=[int(values[0]), *values[1:]]),
                 *(but(sequences=[*sequences[:-1], sequence])
                   for sequence in (float(sequences[-1]), str(sequences[-1]))),
                 but(sequences=[sequences[0], True, *sequences[2:]]),
-                # a place and a value that marshal reads but does not write: 0 as a
-                # long of no digits, and 93 as the text "-1.0000", a float of the
-                # same length whose sign no byte of a written float shows
-                but(places=b"[" + log[1][1:5] + b"l\0\0\0\0" + log[1][10:]),
-                but(values=log[3].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000")),
+                # a value that marshal reads but does not write: 93 as the text
+                # "-1.0000", a float of the same length whose sign no byte of a
+                # written float shows
+                but(values=log[2].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000")),
                 # and a value and a sequence that a parse gives, as marshal reads
                 # but does not write them: a whole read refuses them
-                but(values=log[3].replace(b"g" + struct.pack("<d", 93.0), b"f\x0793.0000")),
-                but(sequences=b"[" + log[4][1:5] + b"l\0\0\0\0" + log[4][10:])):
+                but(values=log[2].replace(b"g" + struct.pack("<d", 93.0), b"f\x0793.0000")),
+                but(sequences=b"[" + log[3][1:5] + b"l\0\0\0\0" + log[3][10:])):
             sectioned(head, table_part, *sections)
             assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
 
-    def test_places_out_of_first_row_order_are_not_restored(self, store, monkeypatch, capsys):
+    def test_triples_out_of_first_row_order_are_restored_as_written(
+            self, store, tmp_path, monkeypatch, capsys):
         path = store.root / Store.SNAPSHOT_FILE
-        blob = path.read_bytes()
         (tag, stamps, _), head, table_part, slo_part, means_part, *log = snapshot_parts(path)
-        distinct, places, counts, values, sequences = map(marshal.loads, log)
-        assert places == [0, 1, 0]
-        # the distinct triples, their means, counts and groups of rows reversed,
-        # and the places remapped: each row still files under its own triple,
-        # but no parse places the triples so
+        distinct, counts, values, sequences = map(marshal.loads, log)
+        assert counts == [2, 1]
+        # the distinct triples, their means, counts and groups of rows reversed:
+        # each row still files under its own triple, but no parse orders the
+        # triples so. No section holds the rows' order across triples, so the
+        # triples' order is derived data, like the means, and taken as written
         groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})[::-1]
         parts = (head, table_part, slo_part, marshal.dumps(marshal.loads(means_part)[::-1], 2),
-                 marshal.dumps(distinct[::-1], 2),
-                 marshal.dumps([len(distinct) - 1 - place for place in places], 2),
-                 marshal.dumps(counts[::-1], 2),
+                 marshal.dumps(distinct[::-1], 2), marshal.dumps(counts[::-1], 2),
                  *(marshal.dumps([row[at] for group in groups for row in group], 2)
                    for at in (0, 1)))
         self.checked_writer(store)((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
         crafted = path.read_bytes()
-        # a read of one triple's rows accepts them: they are its own
-        parses = []
+        parsed = list(Store(store.root)._parse(
+            {name: (store.root / name).read_bytes() for name in Store.FILES}).amvs)
         with monkeypatch.context() as patch:
-            patch.setattr(Store, "_parse", lambda *args: parses.append(args))
-            assert store.load().amv_samples("p1", "c1", "availability") == [91.5, 93.0]
-        assert not parses
-        # a read of the whole log refuses them
-        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
-        # a writer that reads no row keeps the row sections as it read them
+            patch.delattr(Store, "_parse")  # so that only the snapshot can load the store
+            registry = store.load()
+            # the same rows, sequences and means, with the triples in the written order
+            assert list(registry.amvs) == [parsed[2], *parsed[:2]]
+        assert registry.amv_mean("p1", "c1", "availability") == (91.5 + 93) / 2
+        # a writer that reads no row keeps the sections as it read them
         assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
         assert path.read_bytes() == crafted
-        # a writer that reads the whole log takes it from the parse, and its save
-        # leaves the snapshot that a parse gives
-        registry = store.load()
-        assert len(list(registry.amvs)) == 3
-        store.save(registry)
-        assert path.read_bytes() == blob
+        # a library save into a new root writes amvs.csv in that order
+        copy = Store(tmp_path / "copy")
+        copy.save(store.load())
+        assert (copy.root / Store.AMVS_FILE).read_text() == AMV_HEADER + (
+            "p1,c2,latency,11.25,1\np1,c1,availability,91.5,1\np1,c1,availability,93.0,2\n")
         capsys.readouterr()
+
+    def test_an_interleaved_log_loads_and_saves_grouped_by_triple(self, tmp_path, monkeypatch):
+        registry = fresh_registry()
+        triples = [("p1", "c1", "availability"), ("p2", "c1", "latency"),
+                   ("p1", "c2", "availability")]
+        for key in triples:
+            registry.submit_slo(SloRecord(*key, 90.0))
+        for row in range(3):  # the triples' rows interleaved, row by row
+            for at, key in enumerate(triples):
+                registry.submit_amv(AmvRecord(*key, 90.0 + 10 * at + row))
+        store = Store(tmp_path / "store")
+        store.save(registry)
+        interleaved = (store.root / Store.AMVS_FILE).read_bytes()
+        # the file holds the rows in submission order, the triples' interleaved
+        assert interleaved.decode().splitlines()[1:4] == [
+            "p1,c1,availability,90.0,1", "p2,c1,latency,100.0,1", "p1,c2,availability,110.0,1"]
+        grouped = [(*key, 90.0 + 10 * at + row, row + 1) for at, key in enumerate(triples)
+                   for row in range(3)]
+        # with and without the snapshot, a load gives equal registries, whose
+        # log reads grouped by triple, in order of each triple's first row
+        restored = Store(store.root).load()
+        assert restored._rows is not None  # the rows are held in the snapshot
+        (store.root / Store.SNAPSHOT_FILE).unlink()
+        parsed = Store(store.root).load()
+        assert restored == parsed == registry and contents(restored) == contents(parsed)
+        assert [astuple(record) for record in restored.amvs] == grouped
+        # a library save of the snapshot-loaded registry into a new root writes
+        # amvs.csv grouped, with the same sequences and means; a registry that
+        # a parse gave writes it in submission order, as it was
+        store.save(store.load())  # a snapshot again, which the next load restores
+        for directory, source, rows in (("grouped", Store(store.root).load(), grouped),
+                                        ("in order", parsed, None)):
+            copy = Store(tmp_path / directory)
+            copy.save(source)
+            written = (copy.root / Store.AMVS_FILE).read_bytes()
+            if rows is None:
+                assert written == interleaved
+            else:
+                assert written.decode() == AMV_HEADER + "".join(
+                    f"{csp},{csc},{name},{value!r},{sequence}\n"
+                    for csp, csc, name, value, sequence in rows)
+            for snapshot in (True, False):
+                if not snapshot:
+                    (copy.root / Store.SNAPSHOT_FILE).unlink()
+                reloaded = Store(copy.root).load()
+                assert reloaded == registry
+                assert [reloaded.amv_mean(*key) for key in triples] == [
+                    registry.amv_mean(*key) for key in triples]
 
     def test_a_span_bound_that_no_slo_gives_is_not_used(self, tmp_path, monkeypatch, capsys):
         root = tmp_path / "store"
@@ -1768,7 +1842,7 @@ class TestDecodeMutations:
         Store(root).save(registry)
         return {name: (root / name).read_bytes() for name in Store.FILES}
 
-    LOG = ("distinct", "places", "counts", "values", "sequences")
+    LOG = ("distinct", "counts", "values", "sequences")
 
     @classmethod
     def decoded_columns(cls, sections):
@@ -1782,15 +1856,15 @@ class TestDecodeMutations:
 
     @classmethod
     def encoded_sections(cls, head, columns):
-        """The nine sections of the attributes section ``head`` and ``columns``."""
+        """The eight sections of the attributes section ``head`` and ``columns``."""
         table = [columns[name] for name in
                  ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")]
         return (head, marshal.dumps(table, 2),
                 marshal.dumps((columns["slos"], columns["slo_values"]), 2),
                 *(marshal.dumps(columns[name], 2) for name in ("means", *cls.LOG)))
 
-    NUMBERS = ("satisfied", "agreed", "lows", "highs", "slo_values", "means", "places",
-               "counts", "values", "sequences")
+    NUMBERS = ("satisfied", "agreed", "lows", "highs", "slo_values", "means", "counts",
+               "values", "sequences")
     # the columns that are read together, a row at a time: by pair, by SLO
     # triple, by distinct triple, and by grouped row
     GROUPS = (("csp_ids", "names", "satisfied", "agreed", "lows", "highs"),
@@ -1808,22 +1882,10 @@ class TestDecodeMutations:
             value = columns[column][at]
             columns[column][at] = (-value if isinstance(value, (int, float)) else -1, math.nan,
                                    math.inf, -math.inf)[n // len(self.NUMBERS) % 4]
-        elif kind == "reorder":
-            # the distinct triples in another order, each row still under its own
-            order = list(range(len(columns["distinct"])))
-            while order == sorted(order):
-                rng.shuffle(order)
-            where = {old: new for new, old in enumerate(order)}
-            groups = grouped_rows(columns)
-            columns["places"] = [where[place] for place in columns["places"]]
-            for name in ("distinct", "means", "counts"):
-                columns[name] = [columns[name][old] for old in order]
-            columns["values"], columns["sequences"] = (
-                [row[at] for old in order for row in groups[old]] for at in (0, 1))
         elif kind == "grouping":
-            # the same rows, counted by another grouping than the places
-            # column's: a row moved to the next place's group, or the rows of
-            # two places counted as one place's
+            # the same rows, counted by another grouping: a row moved to the
+            # next place's group, which files it there, or the rows of two
+            # places counted as one place's
             counts = columns["counts"]
             at = rng.randrange(len(counts) - 1)
             if n % 2:
@@ -1883,19 +1945,19 @@ class TestDecodeMutations:
             for name in keys:
                 columns[name][second] = columns[name][first]
 
-    KINDS = ("number", "reorder", "grouping", "unused", "spelling", "rows", "type", "counts",
-             "repeat", "pair", "bytes")
+    KINDS = ("number", "grouping", "unused", "spelling", "rows", "type", "counts", "repeat",
+             "pair", "bytes")
 
     @staticmethod
     def unwritten(rng, sections, n):
         """``sections`` with one grouped value or sequence as marshal reads but does not
         write it, in as many bytes: a value as text, or a sequence as a long of no digits."""
-        at = 7 + n % 2
+        at = 6 + n % 2
         width = (9, 5)[n % 2]
         part = sections[at]
         entry = rng.randrange((len(part) - 5) // width)
         start = 5 + width * entry
-        if at == 7:
+        if at == 6:
             text = f"{marshal.loads(b'g' + part[start + 1:start + 9]):.5f}"[:7].encode()
             written = b"f\x07" + text.ljust(7, b"0")
         else:
@@ -1905,10 +1967,11 @@ class TestDecodeMutations:
     @staticmethod
     def check_places(sections, columns, whole):
         """Each place's rows that ``_decode_place`` accepts: a parse's, written as a
-        save writes them, and those of the whole decode ``whole`` when it accepts.
-        Returns whether it refused a place."""
+        save writes them (the sequences as the load decoded them, if it did), and
+        those of the whole decode ``whole`` when it accepts. Returns whether it
+        refused a place."""
         registry, _ = _decode_records(sections, True)
-        if registry._rows is None:  # no row, or decoded whole at load
+        if registry._rows is None:  # no row
             return False
         refused = False
         assert len(registry._rows.counts) == len(registry._place), columns
@@ -1923,9 +1986,13 @@ class TestDecodeMutations:
             assert set(map(type, samples.values())) == {float}, columns
             assert all(0 <= value < math.inf for value in samples.values()), columns
             assert marshal.dumps(list(samples.values()), 2)[5:] == bytes(
-                sections[7][5 + 9 * start:5 + 9 * (start + count)]), columns
-            assert marshal.dumps(list(samples), 2)[5:] == bytes(
-                sections[8][5 + 5 * start:5 + 5 * (start + count)]), columns
+                sections[6][5 + 9 * start:5 + 9 * (start + count)]), columns
+            sequences = registry._rows.sequences
+            if isinstance(sequences, list):
+                assert list(samples) == sequences[start:start + count], columns
+            else:
+                assert marshal.dumps(list(samples), 2)[5:] == bytes(
+                    sequences[5 + 5 * start:5 + 5 * (start + count)]), columns
             if whole is not None:
                 assert samples == whole[0]._samples[place], columns
         return refused
@@ -1940,14 +2007,15 @@ class TestDecodeMutations:
             sections = (head, *rest)
             registry, held = _decode(sections, True)
             assert registry == Store(root)._parse(files)
-            # a sequence past 32 bits: the log is decoded whole at load, and a
-            # save writes the sequences whole
-            assert (held[8] == marshal.dumps([], 2)) == long_sequence
-            assert (_decode_records(sections, True)[0]._rows is None) == long_sequence
+            # a sequence past 32 bits: the sequences are decoded at load, and a
+            # save writes them whole
+            assert (held[7] == marshal.dumps([], 2)) == long_sequence
+            assert isinstance(_decode_records(sections, True)[0]._rows.sequences,
+                              list) == long_sequence
             corpus.append((head, self.decoded_columns(sections)))
         # refusals of each kind, and mutated sections that a decode that reads them accepted
         seen = dict.fromkeys([*self.KINDS, "writer accepted", "reader accepted",
-                              "place refused", "place accepted, log refused"], 0)
+                              "place refused"], 0)
         for trial in range(600):
             kind = self.KINDS[trial % len(self.KINDS)]
             head, columns = rng.choice(corpus)
@@ -1971,9 +2039,7 @@ class TestDecodeMutations:
                 fresh = _encode(parsed, None, False, None)
                 assert (kept[2], *kept[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
             if _decode_records(sections, True) is not None:
-                refused = self.check_places(sections, columns, decoded)
-                seen["place refused"] += refused
-                seen["place accepted, log refused"] += not refused and decoded is None
+                seen["place refused"] += self.check_places(sections, columns, decoded)
             read = _decode(sections, False)
             if read is not None:
                 # the reader's invariant: a row a pair, each as a parse's profile_row gives it
@@ -2008,6 +2074,15 @@ class TestDecodeMutations:
         registry, _ = _decode(sections, False)
         assert registry.profile_row("p1", registry.attributes["availability"]) == (
             2, 2, 90.0, 95.0)
+        # no section holds the rows' order across triples, so which triple a
+        # row files under is as the counts group the rows: p1's c1 on
+        # availability gives its second row to its c2
+        assert columns["distinct"][1] == ("p1", "c2", "availability")
+        assert columns["counts"][:2] == [2, 1]
+        columns["counts"][:2] = [1, 2]
+        registry, _ = _decode(self.encoded_sections(head, columns), True)
+        assert registry.amv_samples("p1", "c1", "availability") == [91.0]
+        assert registry.amv_samples("p1", "c2", "availability") == [0.0, 93.5]
 
 
 class TestDeferredRows:
@@ -2066,33 +2141,22 @@ class TestDeferredRows:
         }
 
     # row mutations that a read of a place, or of the whole log, refuses: each on
-    # the columns (distinct, means, places, counts, values, sequences), the
-    # values and sequences grouped by place. Place 0 is p1's c1 on availability
-    # (rows 0-1 of the groups), 1 its c2 (row 2), 2 p2's c1 on latency (rows
-    # 3-4, sequences 5 and 2), and 4 the first SvcA/monitor triple (rows 6-7)
+    # the columns (distinct, means, counts, values, sequences), the values and
+    # sequences grouped by place. Place 0 is p1's c1 on availability (rows 0-1
+    # of the groups), 1 its c2 (row 2), 2 p2's c1 on latency (rows 3-4,
+    # sequences 5 and 2), and 4 the first SvcA/monitor triple (rows 6-7)
     ROW_MUTATIONS = {
-        "number-value-negative": lambda d, m, p, c, v, s: (d, m, p, c, [*v[:2], -v[2], *v[3:]],
-                                                           s),
-        "number-value-nan": lambda d, m, p, c, v, s: (d, m, p, c, [*v[:3], math.nan, *v[4:]], s),
-        "number-value-inf": lambda d, m, p, c, v, s: (d, m, p, c, [*v[:6], math.inf, *v[7:]], s),
-        "number-place-negative": lambda d, m, p, c, v, s: (d, m, [*p[:-1], p[-1] - len(d)], c,
-                                                           v, s),
-        "reorder": lambda d, m, p, c, v, s: (
-            d[::-1], m[::-1], [len(d) - 1 - x for x in p], c[::-1],
-            *([row[at] for group in grouped_rows(
-                {"counts": c, "values": v, "sequences": s})[::-1] for row in group]
-              for at in (0, 1))),
-        "type-place-bool": lambda d, m, p, c, v, s: (d, m, [x if x > 1 else bool(x) for x in p],
-                                                     c, v, s),
-        "pair": lambda d, m, p, c, v, s: (d, m, p, c, v, [*s[:4], s[3], *s[5:]]),
+        "number-value-negative": lambda d, m, c, v, s: (d, m, c, [*v[:2], -v[2], *v[3:]], s),
+        "number-value-nan": lambda d, m, c, v, s: (d, m, c, [*v[:3], math.nan, *v[4:]], s),
+        "number-value-inf": lambda d, m, c, v, s: (d, m, c, [*v[:6], math.inf, *v[7:]], s),
+        "pair": lambda d, m, c, v, s: (d, m, c, v, [*s[:4], s[3], *s[5:]]),
     }
     # entries as marshal reads but does not write them, in as many bytes: in
-    # section 6, 8 or 9 of the snapshot's parts (the places, the values or the
-    # sequences), the entry at, and its bytes
+    # section 7 or 8 of the snapshot's parts (the values or the sequences),
+    # the entry at, and its bytes
     UNWRITTEN = {
-        "byte-place-long": (6, 0, b"l\0\0\0\0"),  # 0, as a long of no digits
-        "byte-value-text": (8, 2, b"f\x0796.0000"),  # place 1's 96.0, as text
-        "byte-sequence-long": (9, 6, b"l\0\0\0\0"),  # place 4's sequence 1, as a long 0
+        "byte-value-text": (7, 2, b"f\x0796.0000"),  # place 1's 96.0, as text
+        "byte-sequence-long": (8, 6, b"l\0\0\0\0"),  # place 4's sequence 1, as a long 0
     }
 
     def mutated(self, path, stamps=None):
@@ -2100,16 +2164,16 @@ class TestDeferredRows:
         the stamps of the files (or ``stamps``), whose records part a load accepts."""
         (tag, held_stamps, _), head, table, slo_part, means_part, *log = snapshot_parts(path)
         stamps = held_stamps if stamps is None else stamps
-        distinct, places, counts, values, sequences = map(marshal.loads, log)
+        distinct, counts, values, sequences = map(marshal.loads, log)
         means = marshal.loads(means_part)
         assert counts[:5] == [2, 1, 2, 1, 2] and sequences[3:5] == [5, 2]
         assert values[2] == 96.0
         parts = {kind: (marshal.dumps(m, 2), *(marshal.dumps(c, 2) for c in (d, *rows)))
                  for kind, (d, m, *rows) in (
-                     (kind, mutation(distinct, means, places, counts, values, sequences))
+                     (kind, mutation(distinct, means, counts, values, sequences))
                      for kind, mutation in self.ROW_MUTATIONS.items())}
         for kind, (at, entry, written) in self.UNWRITTEN.items():
-            width = 9 if at == 8 else 5
+            width = 9 if at == 7 else 5
             rows = [means_part, *log]
             start = 5 + width * entry
             rows[at - 4] = rows[at - 4][:start] + written + rows[at - 4][start + width:]
@@ -2189,10 +2253,8 @@ class TestDeferredRows:
                 else:
                     assert path.read_bytes() == blob, (name, kind)
                 assert self.loads_as_parsed(copies[kind]), (name, kind)
-        # each mutation is refused by the read of a place that some command reads,
-        # or of the whole log alone
-        whole = {"number-place-negative", "reorder", "type-place-bool", "byte-place-long"}
-        assert {kind for _, kind in reparsed} == set(mutated) - whole, reparsed
+        # each mutation is refused by the read of a place that some command reads
+        assert {kind for _, kind in reparsed} == set(mutated), reparsed
         capsys.readouterr()
 
     @pytest.mark.parametrize("name, triples", [
@@ -2281,6 +2343,33 @@ class TestDeferredRows:
         code, out, err, after = self.run(root, self.commands(work)["import-qws"], capsys)
         assert (code, out, after) == (2, "", files)
         assert refusal in err and "conflict" not in err
+
+    @pytest.mark.parametrize("command, kind", [("import-qws", "number-value-inf"),
+                                               ("submit-amv", "number-value-negative")])
+    def test_a_store_that_a_parse_refuses_is_reported_as_the_store_s_refusal(
+            self, tmp_path, capsys, command, kind):
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "store"
+        self.build(root, work)
+        # a hand-appended row that a parse refuses, under a snapshot crafted to
+        # match the files, with a place that the command reads refused: SvcA's
+        # first triple, or p1's c2 on availability, after an append to p2's c2
+        with open(root / Store.AMVS_FILE, "a", encoding="utf-8") as fh:
+            fh.write("p1,c1,av,-1,9\n")
+        stamps = tuple((zlib.crc32(data), len(data)) for data in (
+            (root / name).read_bytes() for name in Store.FILES))
+        path = root / Store.SNAPSHOT_FILE
+        path.write_bytes(dict(self.mutated(path, stamps))[kind])
+        argv = self.commands(work)["import-qws"] if command == "import-qws" else [
+            "submit-amv", write_rows(work / "two.csv", AMV_COLUMNS, [
+                ["p2", "c2", "la", "13", ""], ["p1", "c2", "av", "97", ""]])]
+        files = {name: (root / name).read_bytes() for name in Store.FILES}
+        # the refusal names the store's file and line alone, fails the command,
+        # not an input row, and nothing is saved
+        assert self.run(root, argv, capsys) == (
+            2, "", f"error: {root / Store.AMVS_FILE}: line 20: monitored value must be finite "
+                   "and nonnegative, got -1.0\n", files)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

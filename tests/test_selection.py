@@ -22,6 +22,7 @@ from fastcloud.registry import (
     Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
+    Store,
 )
 from fastcloud.selection import (
     AssessmentRequest,
@@ -378,6 +379,27 @@ class TestAssess:
         result = assess(registry, request)
         assert [r.csp_id for r in result.ranking] == ["pA", "pB"]
         assert all(r.ordering_score == pytest.approx(0.5) for r in result.ranking)
+
+    def test_ten_readings_of_the_agreed_value_meet_it_on_every_interpreter(self, tmp_path):
+        # math.fsum averages ten readings of 0.1 to 0.1. Float addition from
+        # the left, the built-in sum's before Python 3.12, gives
+        # 0.09999999999999999, which missed both of p0's objectives and
+        # ranked it last
+        registry = fresh_registry()
+        for csp_id, agreed in (("p0", (0.1, 0.1)), ("p1", (0.05, 0.2)), ("p2", (0.2, 0.05))):
+            for csc_id, value in zip(("c1", "c2"), agreed):
+                registry.submit_slo(SloRecord(csp_id, csc_id, "av", value))
+                for _ in range(10):
+                    registry.submit_amv(AmvRecord(csp_id, csc_id, "av", 0.1))
+        request = AssessmentRequest((("av", span(0, 1)),))
+        assert assess(registry, request).chain == "p0 > p1 > p2"
+        # and so does a store's snapshot, and a parse of its files
+        store = Store(tmp_path / "store")
+        store.save(registry)
+        for snapshot in (True, False):
+            if not snapshot:
+                (store.root / Store.SNAPSHOT_FILE).unlink()
+            assert assess(store.load(log=False), request).chain == "p0 > p1 > p2"
 
     def test_failing_a_cost_check_flips_a_latency_tie(self):
         # the model scales a cost interval by the consistency rate, toward
