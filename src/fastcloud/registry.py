@@ -32,6 +32,7 @@ import marshal
 import math
 import os
 import re
+import struct
 import sys
 import tempfile
 import weakref
@@ -333,17 +334,16 @@ class AmvView:
 class _HeldRows:
     """The AMV rows that a writer's load left in the snapshot's sections.
 
-    ``values`` and ``sequences`` are the snapshot's sections, the rows
-    grouped by place, each place's together and in submission order; the
-    sequences are a list where the load decoded them. ``counts`` is the row
-    count of each place, and ``starts`` where its rows start in the grouped
-    sections. ``refuse``, set by ``Store.load``, takes the rows from a parse
-    instead.
+    ``values`` and ``sequences`` are the snapshot's sections, packed arrays
+    of 8 bytes a row, grouped by place, each place's rows together and in
+    submission order. ``counts`` is the row count of each place, and
+    ``starts`` the row where its rows start in the grouped sections.
+    ``refuse``, set by ``Store.load``, takes the rows from a parse instead.
     """
 
     __slots__ = ("values", "sequences", "counts", "starts", "refuse")
 
-    def __init__(self, values: bytes, sequences: bytes | list[int], counts: list[int]):
+    def __init__(self, values: bytes, sequences: bytes, counts: list[int]):
         self.values, self.sequences, self.counts = values, sequences, counts
         self.starts = list(accumulate(counts, initial=0))
         self.refuse: Callable[[Registry], None] | None = None
@@ -792,11 +792,6 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-# marshal's bytes of a list with no entries: held in place of a sequences
-# section whose entries are not all 32-bit ints, so that a save writes it whole
-_NO_ENTRIES = marshal.dumps([], 2)
-
-
 def _extended(part: bytes, entries: list) -> bytes:
     """marshal's bytes of the list that ``part`` holds, with ``entries`` after its own.
 
@@ -807,21 +802,27 @@ def _extended(part: bytes, entries: list) -> bytes:
     return b"[" + count.to_bytes(4, "little") + part[5:] + marshal.dumps(entries, 2)[5:]
 
 
-def _regrouped(part: bytes, width: int, ends: list[int], groups: dict[int, list]) -> bytes:
-    """``part``, a grouped section of ``width``-byte entries, with ``groups`` spliced in.
+def _packed(code: str, entries: list) -> bytes:
+    """``entries`` as a little-endian array of ``struct`` format ``code``, 8 bytes each.
+
+    A sequence outside int64 raises ``struct.error``.
+    """
+    return struct.pack(f"<{len(entries)}{code}", *entries)
+
+
+def _regrouped(part: bytes, code: str, ends: list[int], groups: dict[int, list]) -> bytes:
+    """``part``, a grouped section packed as ``code``, with ``groups`` spliced in.
 
     Held place ``p``'s entries end at entry ``ends[p]``; ``groups[p]`` goes
     right after them, and the group of a place past ``ends``, a new one,
     after every held entry, in place order. The held entries keep their bytes.
     """
-    held = ends[-1] if ends else 0
-    count = held + sum(map(len, groups.values()))
-    chunks, at = [b"[" + count.to_bytes(4, "little")], 5
+    chunks, at = [], 0
     for place in sorted(groups):
-        end = 5 + width * (ends[place] if place < len(ends) else held)
-        chunks += (part[at:end], marshal.dumps(groups[place], 2)[5:])
+        end = 8 * ends[place] if place < len(ends) else len(part)
+        chunks += (part[at:end], _packed(code, groups[place]))
         at = end
-    chunks.append(part[at:5 + width * held])
+    chunks.append(part[at:])
     return b"".join(chunks)
 
 
@@ -847,18 +848,20 @@ def _table(registry: Registry, held: bytes | None = None,
 
 def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
             ) -> tuple:
-    """The eight sections of ``registry``'s snapshot, each ``marshal`` version 2 bytes.
+    """The eight sections of ``registry``'s snapshot.
 
-    They are: the attribute definitions; the profile table, the
-    ``Registry.profile_row`` of each (provider, attribute) with an SLO, in
-    the SLO index's order, as six columns; the SLO triples and values; by
-    place, the ``amv_mean`` of each distinct AMV triple, or None where none
-    was computed; the distinct AMV triples, in order of their first row; by
-    place, its row count; then the values and the sequences grouped by
-    place, each place's rows together, in place order, and in submission
-    order within a place: the log's one order. Version 2 shares no object,
-    so the bytes depend only on the registry's contents, not on how its
-    load built it or which sections were kept.
+    The first six are ``marshal`` version 2 bytes: the attribute
+    definitions; the profile table, the ``Registry.profile_row`` of each
+    (provider, attribute) with an SLO, in the SLO index's order, as six
+    columns; the SLO triples and values; by place, the ``amv_mean`` of each
+    distinct AMV triple, or None where none was computed; the distinct AMV
+    triples, in order of their first row; and by place, its row count. The
+    last two are the values and the sequences, headerless little-endian
+    arrays of ``<d`` and ``<q``, 8 bytes a row, grouped by place: each
+    place's rows together, in place order, and in submission order within
+    a place, the log's one order. Version 2 shares no object, and each row
+    has one packed form, so the bytes depend only on the registry's
+    contents, not on how its load built it or which sections were kept.
 
     ``held`` is the sections that the registry's load or last save gave, or
     None, and ``logged`` the log's row count then. The attributes, the
@@ -869,13 +872,14 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     only by an append to its triple. The distinct triples are extended, and
     each place's appended values and sequences spliced in after its held
     ones (``_regrouped``), so no held row is decoded. The log is read and
-    encoded whole without ``held``, when ``held`` holds a sequence that is
-    not a 32-bit int, or after the table read a place that was refused. So
-    a crafted section that the load accepted keeps its encoding, and a
-    crafted table or place its rows, until what it is made from changes.
+    encoded whole without ``held``, or after the table read a place that
+    was refused. So a crafted section that the load accepted keeps its
+    encoding, and a crafted table or place its rows, until what it is made
+    from changes. A sequence outside int64, which no snapshot holds, raises
+    ``struct.error``.
     """
     _, table, slos, _, *log = held or (None,) * 8
-    spliced = held is not None and logged is not None and len(log[3]) == 5 + 5 * logged
+    spliced = held is not None and logged is not None
     if not spliced:
         registry._read_log()
     rows, triples = registry._rows, list(registry._place)
@@ -907,13 +911,13 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
         for place, group in values.items():
             counts[place] += len(group)
         log = (_extended(distinct, triples[len(ends):]), marshal.dumps(counts, 2),
-               _regrouped(values_part, 9, ends, values),
-               _regrouped(sequences_part, 5, ends, sequences))
+               _regrouped(values_part, "d", ends, values),
+               _regrouped(sequences_part, "q", ends, sequences))
     else:
         samples = registry._samples
-        log = tuple(marshal.dumps(column, 2) for column in (
-            triples, [*map(len, samples)], [*chain.from_iterable(map(dict.values, samples))],
-            [*chain.from_iterable(samples)]))
+        log = (marshal.dumps(triples, 2), marshal.dumps([*map(len, samples)], 2),
+               _packed("d", [*chain.from_iterable(map(dict.values, samples))]),
+               _packed("q", [*chain.from_iterable(samples)]))
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
             table, slos, marshal.dumps(registry._means, 2), *log)
 
@@ -937,15 +941,11 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
     finite floats, triples of checked ids and registered names, a list of a
     mean per distinct triple, None or a finite number of at least 0, and a
     list of a row count per distinct triple, ints of at least 1 whose sum is
-    the length of the values and sequences lists. All is checked whole and
-    used as decoded. The profiles, the means and the rows' grouping by
-    triple are derived data that only this program writes, so they are
-    checked for shape alone. Any other sections give None.
-
-    The rows are left in the sections (``_HeldRows``). A sequences section
-    that is not as long as that many 32-bit ints is decoded now, its
-    sequences checked to be ints, and held as ``_NO_ENTRIES``, which a save
-    writes whole.
+    the row count of the values and sequences sections, 8 bytes a row. All
+    is checked whole and used as decoded. The profiles, the means and the
+    rows' grouping by triple are derived data that only this program
+    writes, so they are checked for shape alone. Any other sections give
+    None. The rows are left in the sections (``_HeldRows``).
     """
     try:
         (head, table, slo_part, means_part, distinct_part, counts_part, values_part,
@@ -990,20 +990,14 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
                    and {name for _, _, name in triples} <= registry.attributes.keys()
                    and set(map(type, counts)) <= {int} and min(counts, default=1) > 0)
         rows = sum(counts) if checked else 0
-        header = b"[" + rows.to_bytes(4, "little")
-        checked = checked and values_part[:5] == sequences_part[:5] == header
-        sequences = sequences_part
-        if checked and len(sequences_part) != 5 + 5 * rows:  # a sequence past 32 bits
-            sequences = marshal.loads(sequences_part)
-            checked = set(map(type, sequences)) <= {int}
-            sections = (*sections[:7], _NO_ENTRIES)
+        checked = checked and len(values_part) == len(sequences_part) == 8 * rows
     except (EOFError, ValueError, TypeError, IndexError, AttributeError, OverflowError):
         return None  # sections of another shape
     if not checked:
         return None
     registry._samples = [None] * len(counts)
     if rows:
-        registry._rows = _HeldRows(values_part, sequences, counts)
+        registry._rows = _HeldRows(values_part, sequences_part, counts)
         registry._log_start = rows
     return registry, sections
 
@@ -1011,25 +1005,13 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
 def _decode_place(rows: _HeldRows, place: int) -> dict[int, float] | None:
     """The {sequence: value} of one place's rows in ``rows``, if a parse could give them.
 
-    They are a slice of each grouped section: the values must be written
-    as marshal writes floats, "g" and 8 bytes, finite and at least 0, and
-    the sequences as it writes ints, "i" and 4, unless the load decoded
-    them, none of them twice.
+    They are a slice of each grouped section, one ``struct.unpack_from``
+    each: the values must be finite and at least 0, and the sequences
+    distinct.
     """
-    count, start = rows.counts[place], rows.starts[place]
-    header = b"[" + count.to_bytes(4, "little")
-    values_part = bytes(rows.values[5 + 9 * start:5 + 9 * (start + count)])
-    if values_part[::9] != b"g" * count:
-        return None
-    if isinstance(rows.sequences, list):  # decoded at load: a sequence past 32 bits
-        sequences = rows.sequences[start:start + count]
-    else:
-        sequences_part = bytes(rows.sequences[5 + 5 * start:5 + 5 * (start + count)])
-        if sequences_part[::5] != b"i" * count:
-            return None
-        sequences = marshal.loads(header + sequences_part)
-    values = marshal.loads(header + values_part)
-    samples = dict(zip(sequences, values))
+    count, at = rows.counts[place], 8 * rows.starts[place]
+    values = struct.unpack_from(f"<{count}d", rows.values, at)
+    samples = dict(zip(struct.unpack_from(f"<{count}q", rows.sequences, at), values))
     # a sum that overflows on huge values only leaves the rows to the parse
     checked = len(samples) == count and math.isfinite(sum(values)) and min(values) >= 0
     return samples if checked else None
@@ -1077,14 +1059,15 @@ class Store:
     submit commands, which names the refused row.
 
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
-    It holds, as a ``marshal`` blob, its own CRC-32, then a header of a tag
-    of its format and the Python version, the CRC-32 and length of each CSV
-    file it was made from (None for a missing one) and the byte length of
-    each section but the last, then the eight sections that ``_encode``
-    gives. A load reads each CSV file whole, and uses the snapshot in place
-    of parsing them only when its CRC, its tag and every file's CRC-32 and
-    length match the bytes read, so that no torn or stale snapshot is used,
-    and ``_decode_records`` accepts its sections. Any other snapshot
+    It holds its own CRC-32, then a ``marshal`` header of a tag of its
+    format and the Python version, the CRC-32 and length of each CSV file
+    it was made from (None for a missing one) and the byte length of each
+    section but the last, then the eight sections that ``_encode`` gives:
+    six ``marshal`` sections, then the AMV values and sequences as packed
+    8-byte arrays. A load reads each CSV file whole, and uses the snapshot
+    in place of parsing them only when its CRC, its tag and every file's
+    CRC-32 and length match the bytes read, so that no torn or stale
+    snapshot is used, and ``_decode_records`` accepts its sections. Any other snapshot
     (unreadable, torn, foreign, of another shape, with columns no parse
     gives, or made before a hand edit) leaves the load to the parse, with
     its refusals. ``load(log=False)``, the reader's, decodes and checks the
@@ -1102,7 +1085,9 @@ class Store:
     snapshot, in place, once the CSV files are durable; it carries the
     amvs.csv CRC forward over the appended bytes, so no file is read again.
     A save that changes no file leaves a snapshot that already holds the
-    registry as it is. Readers never write it.
+    registry as it is. A log that holds a sequence outside int64, which no
+    snapshot can hold, is saved with no snapshot, so the next load parses
+    the files. Readers never write it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -1120,7 +1105,7 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 8 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 9 {sys.implementation.cache_tag}"
     _STRAY_PREFIXES = tuple(f"{name}." for name in FILES)
 
     def __init__(self, root: str | Path):
@@ -1257,7 +1242,10 @@ class Store:
         sections = None
         if not (attributes_kept and slos_kept and logged == len(registry.amvs)
                 and stamps == snapshot_stamps):
-            sections = _encode(registry, held, slos_kept, logged)
+            try:
+                sections = _encode(registry, held, slos_kept, logged)
+            except struct.error:  # a sequence outside int64: no snapshot holds this log
+                snapshot_stamps = held = None
         if not attributes_kept:
             stamps[self.ATTRIBUTES_FILE] = self._replace(
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,

@@ -1035,6 +1035,25 @@ def snapshot_parts(path):
     return header, *sections, stream.read()
 
 
+def packed(code, column):
+    """A log column as the snapshot holds it: a little-endian ``struct`` array of ``code``."""
+    return struct.pack(f"<{len(column)}{code}", *column)
+
+
+def log_columns(log):
+    """The distinct triples, row counts, values and sequences that the log sections hold."""
+    distinct, counts, values, sequences = log
+    return (marshal.loads(distinct), marshal.loads(counts),
+            *(list(struct.unpack(f"<{len(part) // 8}{code}", part))
+              for code, part in (("d", values), ("q", sequences))))
+
+
+def log_sections(distinct, counts, values, sequences):
+    """The log sections of these columns, as a save writes them."""
+    return (marshal.dumps(distinct, 2), marshal.dumps(counts, 2),
+            packed("d", values), packed("q", sequences))
+
+
 def grouped_rows(columns):
     """By place, its rows' (value, sequence) in the grouped columns of a log."""
     starts = list(itertools.accumulate(columns["counts"], initial=0))
@@ -1058,8 +1077,9 @@ class TestSnapshotLoad:
     SERVICES = ["Svc A", "svc,b", "Svc A "]
     IMPORTED = ["Svc-A", "Svc-A/monitor"]  # the ids that import-qws gives "Svc A"
 
-    def random_command(self, rng, root, work, agreed):
-        """One submit-slo, submit-amv or import-qws of random rows on the store at ``root``."""
+    def random_command(self, rng, root, work, agreed, longest):
+        """One submit-slo, submit-amv or import-qws of random rows on the store at ``root``,
+        whose longest explicit sequences are ``longest`` and the two below it."""
         kind = rng.random()
         if kind < 0.3 or not agreed:
             rows = [[*(self.IMPORTED if rng.random() < 0.2 else rng.choices(self.IDS, k=2)),
@@ -1074,7 +1094,7 @@ class TestSnapshotLoad:
                 triple = rng.choice(agreed) if rng.random() < 0.9 else ["p", "nobody", "av"]
                 value = rng.choice([rng.uniform(0, 100), -0.0, 0.0, 2.5])
                 sequence = rng.choice(["", "", "", rng.randrange(1, 4),
-                                       2 ** 63 + rng.randrange(3)])
+                                       longest - rng.randrange(3)])
                 rows.append([*triple, repr(value), sequence])
             argv = ["submit-amv", write_rows(work / "amvs.csv", AMV_COLUMNS, rows)]
         else:
@@ -1106,7 +1126,7 @@ class TestSnapshotLoad:
     def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(14)
         seen = {"negative zero": 0, "long sequence": 0, "ranked": 0, "refused": 0,
-                "restored mean computed": 0}
+                "restored mean computed": 0, "outside int64": 0}
 
         def unset_means(root):
             """The distinct triples whose mean the snapshot holds as not computed yet."""
@@ -1118,18 +1138,28 @@ class TestSnapshotLoad:
             work.mkdir()
             assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
             agreed = []
+            # past 32 bits, and in one store of three int64's largest, after
+            # which an auto sequence is outside int64
+            longest = 2 ** 63 - 1 if n % 3 == 2 else 2 ** 62
             for _ in range(rng.randrange(1, 24)):
                 unset = unset_means(root)
-                self.random_command(rng, root, work, agreed)
+                self.random_command(rng, root, work, agreed, longest)
                 # an SLO on an imported triple, whose mean the writer computed
                 # from the values that it restored
                 seen["restored mean computed"] += bool(unset - unset_means(root))
                 loaded, parsed = load_recorded(Store(root), monkeypatch)
-                assert not parsed  # every writer left a snapshot of what it saved
                 assert loaded == parsed_outcome(Store(root))
-                # the snapshot's profiles are those a parse builds, to the bit
                 registry = Store(root)._parse({name: (root / name).read_bytes()
                                                for name in Store.FILES})
+                # every writer left a snapshot of what it saved, but of a log
+                # with a sequence outside int64 (an auto sequence after the
+                # largest), which no snapshot holds: its load parses the files
+                outside = any(not -2 ** 63 <= row.sequence < 2 ** 63 for row in registry.amvs)
+                assert parsed == outside
+                if outside:
+                    seen["outside int64"] += 1
+                    continue
+                # the snapshot's profiles are those a parse builds, to the bit
                 assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
                     hexed(actual_slo_interval(registry, csp_id, name))
                     for csp_id, name in registry._slo_index]
@@ -1154,7 +1184,7 @@ class TestSnapshotLoad:
                 seen["ranked" if restored[1] == 0 else "refused"] += 1
             rows = list(Store(root).load().amvs)
             seen["negative zero"] += any(math.copysign(1, row.value) < 0 for row in rows)
-            seen["long sequence"] += any(row.sequence > 2 ** 63 for row in rows)
+            seen["long sequence"] += any(row.sequence >= 2 ** 62 - 2 for row in rows)
         capsys.readouterr()
         assert min(seen.values()) > 0, seen
 
@@ -1212,12 +1242,12 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 8", "snapshot 7")
+        previous = tag.replace("snapshot 9", "snapshot 8")
         assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
         slos, slo_values = marshal.loads(slo_part)
         means = marshal.loads(means_part)
-        distinct, counts, values, sequences = map(marshal.loads, log)
+        distinct, counts, values, sequences = log_columns(log)
         assert counts == [2, 1]
         # each row's place in submission order, which the previous formats
         # held: the fixture's rows are p1's c1 on availability, its c2 on
@@ -1228,10 +1258,13 @@ class TestSnapshotLoad:
         groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})
         rows = [groups[place].pop(0) for place in places]
         in_order = [marshal.dumps([row[at] for row in rows], 2) for at in (0, 1)]
-        # the sections of the previous format after the means: the distinct
-        # triples, the places, then the counts and the grouped values and
-        # sequences
-        layout_7 = (log[0], places_part, *log[1:])
+        # the sections of the previous format after the means: this format's,
+        # but the grouped values and sequences as marshal lists
+        layout_8 = (*log[:2], marshal.dumps(values, 2), marshal.dumps(sequences, 2))
+        sizes_8 = (*sizes[:4], *map(len, layout_8[:-1]))
+        # and of the one before: the distinct triples, the places, then the
+        # counts and the grouped values and sequences
+        layout_7 = (log[0], places_part, *layout_8[1:])
         sizes_7 = (*sizes[:4], *map(len, layout_7[:-1]))
         # and of the one before, after the table: the means, the distinct
         # triples, then the places, values and sequences
@@ -1267,6 +1300,8 @@ class TestSnapshotLoad:
             lambda: checked((previous, stamps, sizes_6), head, table_part, slo_part, *layout_6),
             lambda: checked((previous, stamps, sizes_7), head, table_part, slo_part, means_part,
                             *layout_7),
+            lambda: checked((previous, stamps, sizes_8), head, table_part, slo_part, means_part,
+                            *layout_8),
             lambda: checked((tag, stamps, sizes_7), head, table_part, slo_part, means_part,
                             *layout_7),
             lambda: sectioned((attributes, table), slo_part, means_part, *log),
@@ -1279,19 +1314,23 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # the previous format but one has as many sections, and its first two
-        # are this format's: under this tag, a reader takes them, and a writer
-        # refuses the rest
-        checked((tag, stamps, sizes_6), head, table_part, slo_part, *layout_6)
-        assert load_recorded(store, monkeypatch) == (expected, True)
-        assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        # a writer replaces a snapshot 7 file, in this format's layout or in its
+        # the previous format, and the one before that but one, have as many
+        # sections, and their first two are this format's: under this tag, a
+        # reader takes them, and a writer refuses the rest
+        for write in (
+                lambda: checked((tag, stamps, sizes_8), head, table_part, slo_part, means_part,
+                                *layout_8),
+                lambda: checked((tag, stamps, sizes_6), head, table_part, slo_part, *layout_6)):
+            write()
+            assert load_recorded(store, monkeypatch) == (expected, True)
+            assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
+        # a writer replaces a snapshot 8 file, in this format's layout or in its
         # own, with the current format's bytes
         for write in (
                 lambda: checked((previous, stamps, sizes), head, table_part, slo_part, means_part,
                                 *log),
-                lambda: checked((previous, stamps, sizes_7), head, table_part, slo_part,
-                                means_part, *layout_7)):
+                lambda: checked((previous, stamps, sizes_8), head, table_part, slo_part,
+                                means_part, *layout_8)):
             write()
             assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
             assert path.read_bytes() == blob
@@ -1335,12 +1374,14 @@ class TestSnapshotLoad:
                 *(but(means=[value, *means[1:]])
                   for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
                 but(sequences=[[1]] * len(sequences)),
-                # log columns that disagree: a short values column, a repeated
-                # triple or (triple, sequence), a triple that no row uses
-                but(values=values[:-1]),
+                # log columns that disagree: a short values or sequences column,
+                # one a byte long, a repeated triple or (triple, sequence), a
+                # triple that no row uses
+                but(values=packed("d", values[:-1])), but(sequences=packed("q", sequences[1:])),
+                but(values=log[2] + b"\0"), but(sequences=log[3] + b"\0"),
                 but(distinct=[distinct[0], *distinct], means=[means[0], *means],
                     counts=[counts[0], *counts]),
-                but(sequences=[sequences[0]] * len(sequences)),
+                but(sequences=packed("q", [sequences[0]] * len(sequences))),
                 but(distinct=[*distinct, ("p1", "c9", "availability")], means=[*means, None],
                     counts=[*counts, 0]),
                 # row counts that disagree with the log: one short, one long, a
@@ -1354,23 +1395,10 @@ class TestSnapshotLoad:
                 # AMV triples that a parse refuses or files under another name
                 *(but(distinct=first_set(distinct, at, value))
                   for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (0, ""))),
-                # columns that a parse gives as lists of ints and floats: a tuple,
-                # a value that is an int, a sequence that is a float, a str or a
-                # bool, none of them a duplicate
+                # columns that a parse gives as lists: a tuple, and the rows as
+                # the previous format's marshal lists
                 but(means=tuple(means)), but(distinct=tuple(distinct)),
-                but(values=tuple(values)), but(sequences=tuple(sequences)),
-                but(values=[int(values[0]), *values[1:]]),
-                *(but(sequences=[*sequences[:-1], sequence])
-                  for sequence in (float(sequences[-1]), str(sequences[-1]))),
-                but(sequences=[sequences[0], True, *sequences[2:]]),
-                # a value that marshal reads but does not write: 93 as the text
-                # "-1.0000", a float of the same length whose sign no byte of a
-                # written float shows
-                but(values=log[2].replace(b"g" + struct.pack("<d", 93.0), b"f\x07-1.0000")),
-                # and a value and a sequence that a parse gives, as marshal reads
-                # but does not write them: a whole read refuses them
-                but(values=log[2].replace(b"g" + struct.pack("<d", 93.0), b"f\x0793.0000")),
-                but(sequences=b"[" + log[3][1:5] + b"l\0\0\0\0" + log[3][10:])):
+                but(values=layout_8[2]), but(sequences=layout_8[3])):
             sectioned(head, table_part, *sections)
             assert load_recorded(store, monkeypatch) == (expected, True), sections
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
@@ -1379,7 +1407,7 @@ class TestSnapshotLoad:
             self, store, tmp_path, monkeypatch, capsys):
         path = store.root / Store.SNAPSHOT_FILE
         (tag, stamps, _), head, table_part, slo_part, means_part, *log = snapshot_parts(path)
-        distinct, counts, values, sequences = map(marshal.loads, log)
+        distinct, counts, values, sequences = log_columns(log)
         assert counts == [2, 1]
         # the distinct triples, their means, counts and groups of rows reversed:
         # each row still files under its own triple, but no parse orders the
@@ -1387,9 +1415,8 @@ class TestSnapshotLoad:
         # triples' order is derived data, like the means, and taken as written
         groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})[::-1]
         parts = (head, table_part, slo_part, marshal.dumps(marshal.loads(means_part)[::-1], 2),
-                 marshal.dumps(distinct[::-1], 2), marshal.dumps(counts[::-1], 2),
-                 *(marshal.dumps([row[at] for group in groups for row in group], 2)
-                   for at in (0, 1)))
+                 *log_sections(distinct[::-1], counts[::-1],
+                               *([row[at] for group in groups for row in group] for at in (0, 1))))
         self.checked_writer(store)((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
         crafted = path.read_bytes()
         parsed = list(Store(store.root)._parse(
@@ -1568,7 +1595,8 @@ class TestSnapshotLoad:
         assert main(argv) == 0
         capsys.readouterr()
 
-    def parsed_snapshot(self, root, tmp_path):
+    @staticmethod
+    def parsed_snapshot(root, tmp_path):
         """The .snapshot bytes that a writer which parsed the files of the store leaves."""
         copy = tmp_path / "parsed"
         shutil.rmtree(copy, ignore_errors=True)
@@ -1654,34 +1682,56 @@ class TestSnapshotLoad:
             self, store, monkeypatch, value):
         path = store.root / Store.SNAPSHOT_FILE
         read_only = outcome(store, log=False)
-        # marshal's binary float of 93, which only the log's values column holds
-        held = b"g" + struct.pack("<d", 93.0)
+        # the packed float of 93, which only the log's values column holds
+        held = struct.pack("<d", 93.0)
         body = path.read_bytes()[4:]
         assert body.count(held) == 1
-        body = body.replace(held, b"g" + struct.pack("<d", value))
+        body = body.replace(held, struct.pack("<d", value))
         path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
         # a read-only load does not decode the log
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
 
-    def test_a_save_writes_the_log_as_a_writer_that_parsed_the_files_does(
+    def test_a_log_with_a_sequence_outside_int64_is_saved_with_no_snapshot(
             self, store, tmp_path, monkeypatch, capsys):
-        # a sequence that marshal reads but does not write so, 1 as a long of
-        # one digit: the snapshot is used, but its bytes are not extended
-        path = store.root / Store.SNAPSHOT_FILE
-        (tag, stamps, sizes), *sections, sequences = snapshot_parts(path)
-        assert marshal.loads(sequences)[0] == 1
-        odd = b"[" + sequences[1:5] + b"l\x01\x00\x00\x00\x01\x00" + sequences[10:]
-        body = marshal.dumps((tag, stamps, sizes), 2) + b"".join(sections) + odd
-        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
-        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
-        amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c1", "av", "95", ""]])
-        assert main(["--store", str(store.root), "submit-amv", amvs]) == 0
-        written = path.read_bytes()
-        path.unlink()
-        assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
-        assert path.read_bytes() == written
-        capsys.readouterr()
+        root = store.root
+        p2 = write_rows(tmp_path / "p2.csv", SLO_COLUMNS, [["p2", "c1", "av", "90"]])
+        outside = write_rows(tmp_path / "outside.csv", AMV_COLUMNS, [
+            ["p2", "c1", "av", "92", ""], ["p1", "c2", "la", "11.5", str(2 ** 63)]])
+        for argv in (["submit-slo", p2], ["submit-amv", outside]):
+            assert main(["--store", str(root)] + argv) == 0
+        assert (root / Store.AMVS_FILE).read_text().endswith(f"p1,c2,latency,11.5,{2 ** 63}\n")
+        # the snapshot left is that of the files before: no load uses it
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
+        assert load_recorded(store, monkeypatch, log=False)[1]
+        # nor a snapshot of a writer that parsed the files, whose append after
+        # the sequence numbers the next row outside int64 too
+        more = write_rows(tmp_path / "more.csv", AMV_COLUMNS,
+                          [["p1", "c2", "la", "12", ""], ["p1", "c1", "av", "95", ""]])
+        assert main(["--store", str(root), "submit-amv", more]) == 0
+        assert (root / Store.AMVS_FILE).read_text().endswith(
+            f"p1,c2,latency,12.0,{2 ** 63 + 1}\np1,c1,availability,95.0,3\n")
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
+        # assess gives what it gives on the store without .snapshot
+        request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
+        assessed = self.assessed(root, request, monkeypatch, capsys)
+        assert assessed[:2] == (False, 0)  # a parse's registry, ranked
+        (root / Store.SNAPSHOT_FILE).unlink()
+        assert self.assessed(root, request, monkeypatch, capsys) == assessed
+
+    def test_a_library_save_after_a_sequence_outside_int64_splices_no_stale_sections(
+            self, store, monkeypatch):
+        registry = store.load()  # held in the snapshot
+        assert registry._rows is not None
+        registry.submit_amv(AmvRecord("p1", "c2", "la", 11.5, 2 ** 63))
+        store.save(registry)
+        # a second save of the same registry, whose append fits in int64, has
+        # no sections to splice it into: the log's sequence outside int64
+        # still leaves no snapshot
+        registry.submit_amv(AmvRecord("p1", "c1", "av", 95.0))
+        store.save(registry)
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
+        assert Store(store.root).load() == registry
 
     @pytest.mark.parametrize("command, rows", [
         ("submit-slo", [["p2", "c1", "av", "92"]]),  # p2's c1 mean of 91 no longer meets it
@@ -1852,7 +1902,7 @@ class TestDecodeMutations:
         names = ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")
         return {**{name: list(column) for name, column in zip(names, table)},
                 "slos": slos, "slo_values": slo_values, "means": means,
-                **dict(zip(cls.LOG, map(marshal.loads, sections[4:])))}
+                **dict(zip(cls.LOG, log_columns(sections[4:])))}
 
     @classmethod
     def encoded_sections(cls, head, columns):
@@ -1861,10 +1911,12 @@ class TestDecodeMutations:
                  ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")]
         return (head, marshal.dumps(table, 2),
                 marshal.dumps((columns["slos"], columns["slo_values"]), 2),
-                *(marshal.dumps(columns[name], 2) for name in ("means", *cls.LOG)))
+                marshal.dumps(columns["means"], 2), *log_sections(*map(columns.get, cls.LOG)))
 
     NUMBERS = ("satisfied", "agreed", "lows", "highs", "slo_values", "means", "counts",
                "values", "sequences")
+    # the columns packed as one type each, floats and int64s
+    PACKED = ("values", "sequences")
     # the columns that are read together, a row at a time: by pair, by SLO
     # triple, by distinct triple, and by grouped row
     GROUPS = (("csp_ids", "names", "satisfied", "agreed", "lows", "highs"),
@@ -1880,8 +1932,11 @@ class TestDecodeMutations:
             column = self.NUMBERS[n % len(self.NUMBERS)]
             at = rng.randrange(len(columns[column]))
             value = columns[column][at]
-            columns[column][at] = (-value if isinstance(value, (int, float)) else -1, math.nan,
-                                   math.inf, -math.inf)[n // len(self.NUMBERS) % 4]
+            changes = (-value if isinstance(value, (int, float)) else -1, math.nan, math.inf,
+                       -math.inf)
+            # a packed sequence is an int64: its one number change is a negation
+            columns[column][at] = changes[
+                0 if column == "sequences" else n // len(self.NUMBERS) % 4]
         elif kind == "grouping":
             # the same rows, counted by another grouping: a row moved to the
             # next place's group, which files it there, or the rows of two
@@ -1919,8 +1974,9 @@ class TestDecodeMutations:
                 rows = columns[name]
                 columns[name] = rows[:at + 1] + rows[at:] if repeat else rows[:at] + rows[at + 1:]
         elif kind == "type":
-            column = list(columns)[n % len(columns)]
-            to = (int, float, bool, str)[n // len(columns) % 4]
+            typed = [name for name in columns if name not in self.PACKED]
+            column = typed[n % len(typed)]
+            to = (int, float, bool, str)[n // len(typed) % 4]
             at = rng.randrange(len(columns[column]))
             try:
                 columns[column][at] = to(columns[column][at])
@@ -1946,30 +2002,13 @@ class TestDecodeMutations:
                 columns[name][second] = columns[name][first]
 
     KINDS = ("number", "grouping", "unused", "spelling", "rows", "type", "counts", "repeat",
-             "pair", "bytes")
-
-    @staticmethod
-    def unwritten(rng, sections, n):
-        """``sections`` with one grouped value or sequence as marshal reads but does not
-        write it, in as many bytes: a value as text, or a sequence as a long of no digits."""
-        at = 6 + n % 2
-        width = (9, 5)[n % 2]
-        part = sections[at]
-        entry = rng.randrange((len(part) - 5) // width)
-        start = 5 + width * entry
-        if at == 6:
-            text = f"{marshal.loads(b'g' + part[start + 1:start + 9]):.5f}"[:7].encode()
-            written = b"f\x07" + text.ljust(7, b"0")
-        else:
-            written = b"l\0\0\0\0"
-        return (*sections[:at], part[:start] + written + part[start + width:], *sections[at + 1:])
+             "pair")
 
     @staticmethod
     def check_places(sections, columns, whole):
         """Each place's rows that ``_decode_place`` accepts: a parse's, written as a
-        save writes them (the sequences as the load decoded them, if it did), and
-        those of the whole decode ``whole`` when it accepts. Returns whether it
-        refused a place."""
+        save writes them, and those of the whole decode ``whole`` when it accepts.
+        Returns whether it refused a place."""
         registry, _ = _decode_records(sections, True)
         if registry._rows is None:  # no row
             return False
@@ -1985,14 +2024,9 @@ class TestDecodeMutations:
             assert set(map(type, samples)) == {int}, columns
             assert set(map(type, samples.values())) == {float}, columns
             assert all(0 <= value < math.inf for value in samples.values()), columns
-            assert marshal.dumps(list(samples.values()), 2)[5:] == bytes(
-                sections[6][5 + 9 * start:5 + 9 * (start + count)]), columns
-            sequences = registry._rows.sequences
-            if isinstance(sequences, list):
-                assert list(samples) == sequences[start:start + count], columns
-            else:
-                assert marshal.dumps(list(samples), 2)[5:] == bytes(
-                    sequences[5 + 5 * start:5 + 5 * (start + count)]), columns
+            rows = slice(8 * start, 8 * (start + count))
+            assert packed("d", list(samples.values())) == sections[6][rows], columns
+            assert packed("q", list(samples)) == sections[7][rows], columns
             if whole is not None:
                 assert samples == whole[0]._samples[place], columns
         return refused
@@ -2007,11 +2041,6 @@ class TestDecodeMutations:
             sections = (head, *rest)
             registry, held = _decode(sections, True)
             assert registry == Store(root)._parse(files)
-            # a sequence past 32 bits: the sequences are decoded at load, and a
-            # save writes them whole
-            assert (held[7] == marshal.dumps([], 2)) == long_sequence
-            assert isinstance(_decode_records(sections, True)[0]._rows.sequences,
-                              list) == long_sequence
             corpus.append((head, self.decoded_columns(sections)))
         # refusals of each kind, and mutated sections that a decode that reads them accepted
         seen = dict.fromkeys([*self.KINDS, "writer accepted", "reader accepted",
@@ -2021,11 +2050,8 @@ class TestDecodeMutations:
             head, columns = rng.choice(corpus)
             original = self.encoded_sections(head, columns)
             columns = {name: list(column) for name, column in columns.items()}
-            if kind != "bytes":
-                self.mutate(rng, columns, kind, trial // len(self.KINDS))
+            self.mutate(rng, columns, kind, trial // len(self.KINDS))
             sections = self.encoded_sections(head, columns)
-            if kind == "bytes":
-                sections = self.unwritten(rng, sections, trial // len(self.KINDS))
             decoded = _decode(sections, True)
             # a writer reads no table: its other sections unchanged, it decodes the corpus
             if decoded is not None and sections[2:] != original[2:]:
@@ -2151,33 +2177,19 @@ class TestDeferredRows:
         "number-value-inf": lambda d, m, c, v, s: (d, m, c, [*v[:6], math.inf, *v[7:]], s),
         "pair": lambda d, m, c, v, s: (d, m, c, v, [*s[:4], s[3], *s[5:]]),
     }
-    # entries as marshal reads but does not write them, in as many bytes: in
-    # section 7 or 8 of the snapshot's parts (the values or the sequences),
-    # the entry at, and its bytes
-    UNWRITTEN = {
-        "byte-value-text": (7, 2, b"f\x0796.0000"),  # place 1's 96.0, as text
-        "byte-sequence-long": (8, 6, b"l\0\0\0\0"),  # place 4's sequence 1, as a long 0
-    }
 
     def mutated(self, path, stamps=None):
-        """Each of ``ROW_MUTATIONS`` and ``UNWRITTEN``, as a snapshot under a valid CRC and
-        the stamps of the files (or ``stamps``), whose records part a load accepts."""
+        """Each of ``ROW_MUTATIONS``, as a snapshot under a valid CRC and the stamps of
+        the files (or ``stamps``), whose records part a load accepts."""
         (tag, held_stamps, _), head, table, slo_part, means_part, *log = snapshot_parts(path)
         stamps = held_stamps if stamps is None else stamps
-        distinct, counts, values, sequences = map(marshal.loads, log)
+        distinct, counts, values, sequences = log_columns(log)
         means = marshal.loads(means_part)
         assert counts[:5] == [2, 1, 2, 1, 2] and sequences[3:5] == [5, 2]
-        assert values[2] == 96.0
-        parts = {kind: (marshal.dumps(m, 2), *(marshal.dumps(c, 2) for c in (d, *rows)))
+        parts = {kind: (marshal.dumps(m, 2), *log_sections(d, *rows))
                  for kind, (d, m, *rows) in (
                      (kind, mutation(distinct, means, counts, values, sequences))
                      for kind, mutation in self.ROW_MUTATIONS.items())}
-        for kind, (at, entry, written) in self.UNWRITTEN.items():
-            width = 9 if at == 7 else 5
-            rows = [means_part, *log]
-            start = 5 + width * entry
-            rows[at - 4] = rows[at - 4][:start] + written + rows[at - 4][start + width:]
-            parts[kind] = tuple(rows)
         for kind, rows in parts.items():
             sections = (head, table, slo_part, *rows)
             assert _decode(sections, True) is None, kind
@@ -2208,7 +2220,7 @@ class TestDeferredRows:
         self.build(built, work)
         snapshot = built / Store.SNAPSHOT_FILE
         mutated = dict(self.mutated(snapshot))
-        assert len(mutated) == len(self.ROW_MUTATIONS) + len(self.UNWRITTEN)
+        assert len(mutated) == len(self.ROW_MUTATIONS)
         refusals = []  # the stores whose held rows a read refused
         reparse = Store._reparse
         monkeypatch.setattr(Store, "_reparse", lambda store, *args: refusals.append(
@@ -2284,6 +2296,38 @@ class TestDeferredRows:
         request = write_rows(work / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
         main(["--store", str(root), "assess", request])
         assert calls == triples
+        capsys.readouterr()
+
+    def test_a_long_sequence_leaves_the_rows_of_other_triples_held(
+            self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "store"
+        self.build(root, work)
+        # a millisecond timestamp as a sequence, past 32 bits
+        stamped = write_rows(work / "stamped.csv", AMV_COLUMNS,
+                             [["p2", "c2", "la", "13", "1760000000000"]])
+        assert main(["--store", str(root), "submit-amv", stamped]) == 0
+        places = list(Store(root).load()._place)
+        calls, loaded = [], []
+        monkeypatch.setattr("fastcloud.registry._decode_place",
+                            lambda rows, place: calls.append(places[place])
+                            or _decode_place(rows, place))
+        load = Store.load
+        monkeypatch.setattr(Store, "load", lambda store, **kwargs: loaded.append(
+            load(store, **kwargs)) or loaded[-1])
+        append = write_rows(work / "append.csv", AMV_COLUMNS, [["p1", "c2", "av", "97", ""]])
+        assert main(["--store", str(root), "submit-amv", append]) == 0
+        # the command decoded the rows of the triple it appended to alone, and
+        # its save spliced the row in: every other triple's rows are still held
+        appended = ("p1", "c2", "availability")
+        assert calls == [appended]
+        [registry] = loaded
+        assert registry._rows is not None
+        assert [key for key, samples in zip(places, registry._samples) if samples is None] == [
+            key for key in places if key != appended]
+        assert (root / Store.SNAPSHOT_FILE).read_bytes() == TestSnapshotLoad.parsed_snapshot(
+            root, tmp_path)
         capsys.readouterr()
 
     @pytest.mark.parametrize("name, kind", [("submit-amv-append", "number-value-negative"),
