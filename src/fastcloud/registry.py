@@ -284,24 +284,26 @@ def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
 
 
 class SloView(Mapping):
-    """Read-only view of a registry's SLOs by triple; a ``SloRecord`` is built when read."""
+    """Read-only view of a registry's SLOs by triple, in the order of its SLO index.
 
-    __slots__ = ("_values",)
+    A ``SloRecord`` is built when read.
+    """
 
-    def __init__(self, values: dict[tuple[str, str, str], float]):
-        self._values = values
+    __slots__ = ("_index",)
+
+    def __init__(self, index: dict[tuple[str, str], dict[str, float]]):
+        self._index = index
 
     def __getitem__(self, key: tuple[str, str, str]) -> SloRecord:
-        return SloRecord(*key, self._values[key])
+        csp_id, csc_id, attribute = key
+        return SloRecord(*key, self._index[csp_id, attribute][csc_id])
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        return iter(self._values)
+        return ((csp_id, csc_id, attribute) for (csp_id, attribute), consumers
+                in self._index.items() for csc_id in consumers)
 
     def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._values
+        return sum(map(len, self._index.values()))
 
 
 class AmvView:
@@ -357,7 +359,9 @@ class Registry:
     names one attribute. SLO records replace on resubmission of the same
     (csp, csc, attribute) triple; AMV records append. Every path resolves a
     record's attribute and files it under the registered name. SLOs are
-    held as values by triple and indexed per (provider, attribute).
+    held once, as values by consumer per (provider, attribute), in the one
+    order of ``slos``: pairs in order of their first SLO, consumers in order
+    of theirs, and a resubmission keeps its place.
     Monitored values are held by place, one per distinct ``(csp, csc,
     attribute)`` triple, in order of its first row: its values by sequence,
     in submission order, and its mean, cached until an append to the triple.
@@ -384,8 +388,9 @@ class Registry:
     """
 
     attributes: dict[str, QosAttribute] = field(default_factory=dict, init=False)
-    # (csp, csc, attribute) -> agreed value, in submission order
-    _slo_values: dict[tuple[str, str, str], float] = field(default_factory=dict, init=False)
+    # (csp, attribute) -> {csc: agreed value}, each in order of its first
+    # SLO: filled by submit_slo, or taken whole from the snapshot
+    _slo_index: dict[tuple[str, str], dict[str, float]] = field(default_factory=dict, init=False)
     # the monitored values not restored from the snapshot (from row
     # _log_start on), in submission order, a column each
     _places: list[int] = field(default_factory=list, init=False, repr=False)
@@ -396,9 +401,6 @@ class Registry:
     # by place, {sequence: value} in submission order, or None while its rows
     # are held in the snapshot: filled by _append_amv and _samples_of
     _samples: list[dict[int, float] | None] = field(default_factory=list, init=False, repr=False)
-    # (csp, attribute) -> {csc: agreed value}: filled by _file_slo and _decode_records
-    _slo_index: dict[tuple[str, str], dict[str, float]] = field(
-        default_factory=dict, init=False, repr=False)
     # by place, amv_mean, or None until it is computed: _append_amv resets it
     _means: list[float | None] = field(default_factory=list, init=False, repr=False)
     # set by Store.load(log=False) alone, which leaves the SLO and log
@@ -414,8 +416,8 @@ class Registry:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Registry):
             return NotImplemented
-        return ((self.attributes, self._slo_values, self.amvs)
-                == (other.attributes, other._slo_values, other.amvs))
+        return ((self.attributes, self._slo_index, self.amvs)
+                == (other.attributes, other._slo_index, other.amvs))
 
     def _samples_of(self, key: tuple[str, str, str]) -> dict[int, float] | None:
         """The {sequence: value} of a triple, or None if it has no value.
@@ -452,7 +454,7 @@ class Registry:
 
     @property
     def slos(self) -> SloView:
-        return SloView(self._slo_values)
+        return SloView(self._slo_index)
 
     @property
     def amvs(self) -> AmvView:
@@ -525,17 +527,12 @@ class Registry:
     # -- submissions --------------------------------------------------------
 
     def submit_slo(self, record: SloRecord) -> bool:
-        """Store an agreed objective; returns True if it replaced a prior one."""
-        return self._file_slo(self._named(record))
-
-    def _file_slo(self, record: SloRecord) -> bool:
-        """File an SLO already under its registered attribute name."""
+        """Store an agreed objective; returns True if it replaced a prior one, in its place."""
         self._check_records()
-        csp_id, csc_id, attribute = key = record.key
-        replaced = key in self._slo_values
-        # a resubmission keeps its place, so slos_for keeps the order of slos
-        self._slo_values[key] = value = float(record.value)  # as a parse gives it
-        self._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
+        csp_id, csc_id, attribute = self._named(record).key
+        consumers = self._slo_index.setdefault((csp_id, attribute), {})
+        replaced = csc_id in consumers
+        consumers[csc_id] = float(record.value)  # as a parse gives it
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -548,7 +545,7 @@ class Registry:
         """
         self._check_records()
         record = self._named(record)
-        if record.key not in self._slo_values:
+        if record.csc_id not in self._slo_index.get((record.csp_id, record.attribute), ()):
             raise MissingSloError(
                 f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
             )
@@ -568,7 +565,8 @@ class Registry:
         A value without a sequence gets the next per-triple index, which is
         returned. A sequence already holding the same value raises
         DuplicateSubmissionError; one holding another value is a conflict
-        (ValueError). Either way nothing is stored.
+        (ValueError), and so is a sequence outside int64, which the snapshot
+        cannot hold. Either way nothing is stored.
         """
         key = (csp_id, csc_id, attribute)
         place = self._place.setdefault(key, len(self._place))
@@ -589,6 +587,8 @@ class Registry:
                 f"sequence {sequence} for {key} already holds "
                 f"value {existing}, refusing to overwrite with {value}"
             )
+        if not -2 ** 63 <= sequence < 2 ** 63:
+            raise ValueError(f"sequence {sequence} for {key} is outside int64")
         samples[sequence] = value = float(value)  # as a parse gives it
         self._means[place] = None
         self._places.append(place)
@@ -803,10 +803,7 @@ def _extended(part: bytes, entries: list) -> bytes:
 
 
 def _packed(code: str, entries: list) -> bytes:
-    """``entries`` as a little-endian array of ``struct`` format ``code``, 8 bytes each.
-
-    A sequence outside int64 raises ``struct.error``.
-    """
+    """``entries`` as a little-endian array of ``struct`` format ``code``, 8 bytes each."""
     return struct.pack(f"<{len(entries)}{code}", *entries)
 
 
@@ -853,15 +850,16 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     The first six are ``marshal`` version 2 bytes: the attribute
     definitions; the profile table, the ``Registry.profile_row`` of each
     (provider, attribute) with an SLO, in the SLO index's order, as six
-    columns; the SLO triples and values; by place, the ``amv_mean`` of each
-    distinct AMV triple, or None where none was computed; the distinct AMV
-    triples, in order of their first row; and by place, its row count. The
-    last two are the values and the sequences, headerless little-endian
-    arrays of ``<d`` and ``<q``, 8 bytes a row, grouped by place: each
-    place's rows together, in place order, and in submission order within
-    a place, the log's one order. Version 2 shares no object, and each row
-    has one packed form, so the bytes depend only on the registry's
-    contents, not on how its load built it or which sections were kept.
+    columns; the SLO index, ``(csp, attribute) -> {csc: value}``; by place,
+    the ``amv_mean`` of each distinct AMV triple, or None where none was
+    computed; the distinct AMV triples, in order of their first row; and by
+    place, its row count. The last two are the values and the sequences,
+    headerless little-endian arrays of ``<d`` and ``<q``, 8 bytes a row,
+    grouped by place: each place's rows together, in place order, and in
+    submission order within a place, the log's one order. Version 2 shares
+    no object, and each row has one packed form, so the bytes depend only
+    on the registry's contents, not on how its load built it or which
+    sections were kept.
 
     ``held`` is the sections that the registry's load or last save gave, or
     None, and ``logged`` the log's row count then. The attributes, the
@@ -875,8 +873,7 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     encoded whole without ``held``, or after the table read a place that
     was refused. So a crafted section that the load accepted keeps its
     encoding, and a crafted table or place its rows, until what it is made
-    from changes. A sequence outside int64, which no snapshot holds, raises
-    ``struct.error``.
+    from changes.
     """
     _, table, slos, _, *log = held or (None,) * 8
     spliced = held is not None and logged is not None
@@ -889,9 +886,9 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     if not slos_kept:
         table = slos = None
     if slos is None:
-        slos = marshal.dumps((list(registry._slo_values), list(registry._slo_values.values())), 2)
-    touched = {(key[0], key[2]) for key in map(triples.__getitem__, set(places))
-               if key in registry._slo_values}
+        slos = marshal.dumps(registry._slo_index, 2)
+    touched = {(csp_id, name) for csp_id, csc_id, name in map(triples.__getitem__, set(places))
+               if csc_id in registry._slo_index.get((csp_id, name), ())}
     if table is None or touched:
         table = _table(registry, table, touched)
     if rows is not None and registry._rows is None:
@@ -926,26 +923,29 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
     """The registry that ``_encode``'s eight sections hold, if a parse could give it.
 
     With ``log``, the writer's registry, which holds the attributes, the
-    SLOs and the means and leaves its rows in the sections (``_HeldRows``),
-    and the sections, as the ``held`` of its save. A writer decodes one place's
-    rows at the first read of its triple (``_decode_place``), and the whole
-    log at its first whole read (``_decode_log``). Without, a read-only
-    registry, which holds the attributes and the profile table, and None.
-    A section that the registry does not hold is not decoded.
+    SLO index as ``marshal.loads`` gives it and the means, and leaves its
+    rows in the sections (``_HeldRows``), and the sections, as the ``held``
+    of its save. A writer decodes one place's rows at the first read of its
+    triple (``_decode_place``), and the whole log at its first whole read
+    (``_decode_log``). Without, a read-only registry, which holds the
+    attributes and the profile table, and None. A section that the
+    registry does not hold is not decoded.
 
     Without ``log``, the table must have columns of one length, with no
     pair twice, unpadded provider ids, registered names, int counts with 0
     <= satisfied <= agreed and agreed > 0, and finite positive float span
     bounds, the lower at most the upper: every SLO value is positive. With
-    ``log``: no repeated SLO triple or distinct triple, SLO values positive
-    finite floats, triples of checked ids and registered names, a list of a
-    mean per distinct triple, None or a finite number of at least 0, and a
+    ``log``: an SLO index of (provider id, registered name) pairs, each to a
+    non-empty dict of consumer ids to positive finite floats; no repeated
+    distinct triple, each of checked ids and a registered name; a list of a
+    mean per distinct triple, None or a finite number of at least 0; and a
     list of a row count per distinct triple, ints of at least 1 whose sum is
     the row count of the values and sequences sections, 8 bytes a row. All
-    is checked whole and used as decoded. The profiles, the means and the
-    rows' grouping by triple are derived data that only this program
-    writes, so they are checked for shape alone. Any other sections give
-    None. The rows are left in the sections (``_HeldRows``).
+    is checked whole, with no Python loop per SLO or row, and used as
+    decoded. The profiles, the means and the rows' grouping by triple are
+    derived data that only this program writes, so they are checked for
+    shape alone. Any other sections give None. The rows are left in the
+    sections (``_HeldRows``).
     """
     try:
         (head, table, slo_part, means_part, distinct_part, counts_part, values_part,
@@ -970,24 +970,26 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
                        and min(map(sub, agreed, satisfied), default=0) >= 0
                        and all(map(le, lows, highs)))
             return (registry, None) if checked else None
-        (slos, slo_values), means, distinct, counts = map(
+        registry._slo_index, means, distinct, counts = map(
             marshal.loads, (slo_part, means_part, distinct_part, counts_part))
-        registry._slo_values = dict(zip(slos, slo_values, strict=True))
-        for (csp_id, csc_id, attribute), value in registry._slo_values.items():
-            registry._slo_index.setdefault((csp_id, attribute), {})[csc_id] = value
         registry._place = dict(zip(distinct, range(len(distinct))))
         registry._means = means
-        triples = [*registry._slo_values, *distinct]
+        pairs, consumers = list(registry._slo_index), list(registry._slo_index.values())
+        # an SLO section that is not a dict of dicts raises here
+        slo_values = [*chain.from_iterable(map(dict.values, consumers))]
         present = [mean for mean in means if mean is not None]
         checked = (type(means) is type(distinct) is type(counts) is list
                    and len(registry._place) == len(distinct) == len(means) == len(counts)
-                   and _unpadded({*map(itemgetter(0), triples), *map(itemgetter(1), triples)})
-                   and len(registry._slo_values) == len(slos)  # no triple twice
+                   and set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
+                   and min(map(len, consumers), default=1) > 0  # no pair without a consumer
+                   and _unpadded({*map(itemgetter(0), pairs), *chain.from_iterable(consumers),
+                                  *map(itemgetter(0), distinct), *map(itemgetter(1), distinct)})
                    # SLO values as a parse gives them, which a save may keep
                    and set(map(type, slo_values)) <= {float}
                    and all(map(math.isfinite, (*slo_values, *present)))
                    and min(slo_values, default=1) > 0 and min(present, default=0) >= 0
-                   and {name for _, _, name in triples} <= registry.attributes.keys()
+                   and {*map(itemgetter(1), pairs), *(name for _, _, name in distinct)}
+                   <= registry.attributes.keys()
                    and set(map(type, counts)) <= {int} and min(counts, default=1) > 0)
         rows = sum(counts) if checked else 0
         checked = checked and len(values_part) == len(sequences_part) == 8 * rows
@@ -1041,9 +1043,10 @@ class Store:
     their records changed or the file is missing, and amvs.csv only when
     it is missing or the registry was not loaded here: temp file, fsync,
     rename, then fsync of the directory. Every save leaves all three files.
-    A whole write holds the rows in submission order, but those restored
-    from a snapshot, which holds no such order: then, the whole log as
-    ``Registry.amvs`` reads it, grouped by triple.
+    slos.csv holds the SLOs as ``Registry.slos`` reads them, grouped by
+    (provider, attribute), and a whole amvs.csv the rows in submission
+    order, but for a log restored from a snapshot, which holds no such
+    order: then, the log as ``Registry.amvs`` reads it, grouped by triple.
     A crash thus leaves each file as it was or as saved, except that an
     append cut short can leave a last amvs.csv row without its line end.
     Load refuses such a row, since a cut value or sequence (``...,9`` of
@@ -1053,10 +1056,10 @@ class Store:
     with the file, and the line unless the file is empty: an empty file or
     another header, a row with a wrong field count, an empty or padded id, a
     non-finite or out-of-range value, an unregistered attribute, an empty
-    sequence or a repeated (triple, sequence) in amvs.csv, or a byte that is
-    not UTF-8. Attribute abbreviations resolve to names. Each file is read
-    and decoded whole, then parsed a row at a time by the row loop of the
-    submit commands, which names the refused row.
+    sequence, one outside int64 or a repeated (triple, sequence) in
+    amvs.csv, or a byte that is not UTF-8. Attribute abbreviations resolve
+    to names. Each file is read and decoded whole, then parsed a row at a
+    time by the row loop of the submit commands, which names the refused row.
 
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
     It holds its own CRC-32, then a ``marshal`` header of a tag of its
@@ -1073,8 +1076,8 @@ class Store:
     its refusals. ``load(log=False)``, the reader's, decodes and checks the
     attributes and the profile table, and gives a read-only registry, which
     cannot be saved. A writer's load decodes and checks its records (the
-    attributes, the SLOs, the means, the distinct triples and their row
-    counts), and leaves the rows of its log in the snapshot: a triple's
+    attributes, the SLO index, the means, the distinct triples and their
+    row counts), and leaves the rows of its log in the snapshot: a triple's
     rows are decoded at the first read of that triple, and the whole log at
     its first whole read (see ``Registry``). A refused place or log leaves
     the rows to a parse of the files (``_reparse``), which are read again
@@ -1085,9 +1088,7 @@ class Store:
     snapshot, in place, once the CSV files are durable; it carries the
     amvs.csv CRC forward over the appended bytes, so no file is read again.
     A save that changes no file leaves a snapshot that already holds the
-    registry as it is. A log that holds a sequence outside int64, which no
-    snapshot can hold, is saved with no snapshot, so the next load parses
-    the files. Readers never write it.
+    registry as it is. Readers never write it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -1105,7 +1106,7 @@ class Store:
     LOCK_FILE = ".lock"
     SNAPSHOT_FILE = ".snapshot"
     # marshal's format may change between Python minor versions
-    _SNAPSHOT_TAG = f"fastcloud store snapshot 9 {sys.implementation.cache_tag}"
+    _SNAPSHOT_TAG = f"fastcloud store snapshot 10 {sys.implementation.cache_tag}"
     _STRAY_PREFIXES = tuple(f"{name}." for name in FILES)
 
     def __init__(self, root: str | Path):
@@ -1237,15 +1238,11 @@ class Store:
         stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
         attributes_kept = synced.get(self.ATTRIBUTES_FILE) == registry.attributes
-        slos_kept = synced.get(self.SLOS_FILE) == registry._slo_values
+        slos_kept = synced.get(self.SLOS_FILE) == registry._slo_index
         logged = synced.get(self.AMVS_FILE)
-        sections = None
-        if not (attributes_kept and slos_kept and logged == len(registry.amvs)
-                and stamps == snapshot_stamps):
-            try:
-                sections = _encode(registry, held, slos_kept, logged)
-            except struct.error:  # a sequence outside int64: no snapshot holds this log
-                snapshot_stamps = held = None
+        unchanged = (attributes_kept and slos_kept and logged == len(registry.amvs)
+                     and stamps == snapshot_stamps)
+        sections = None if unchanged else _encode(registry, held, slos_kept, logged)
         if not attributes_kept:
             stamps[self.ATTRIBUTES_FILE] = self._replace(
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
@@ -1253,7 +1250,9 @@ class Store:
         if not slos_kept:
             stamps[self.SLOS_FILE] = self._replace(
                 self.SLOS_FILE, SLO_COLUMNS,
-                ([*key, repr(value)] for key, value in registry._slo_values.items()))
+                ((csp_id, csc_id, name, repr(value))
+                 for (csp_id, name), consumers in registry._slo_index.items()
+                 for csc_id, value in consumers.items()))
         if logged is None:
             stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
                                                    registry._amv_rows())
@@ -1278,7 +1277,7 @@ class Store:
                   snapshot_stamps: dict[str, tuple[int, int] | None] | None,
                   held: tuple | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
-                 self.SLOS_FILE: dict(registry._slo_values),
+                 self.SLOS_FILE: {pair: dict(slos) for pair, slos in registry._slo_index.items()},
                  self.AMVS_FILE: len(registry.amvs)}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
         self._synced = (weakref.ref(registry), files, stamps, snapshot_stamps, held)

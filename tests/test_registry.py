@@ -184,9 +184,10 @@ class TestSubmitSlo:
                        SloRecord("p", "c2", "availability", 80.0),
                        SloRecord("p", "c", "availability", 95.0)):  # replaces the first
             registry.submit_slo(record)
+        # grouped by (provider, attribute), each pair's consumers in filing order
         filed = {("p", "c", "availability"): SloRecord("p", "c", "availability", 95.0),
-                 ("q", "c", "latency"): SloRecord("q", "c", "latency", 12.5),
-                 ("p", "c2", "availability"): SloRecord("p", "c2", "availability", 80.0)}
+                 ("p", "c2", "availability"): SloRecord("p", "c2", "availability", 80.0),
+                 ("q", "c", "latency"): SloRecord("q", "c", "latency", 12.5)}
         slos = registry.slos
         assert list(slos) == list(filed)  # a replacement keeps its place
         assert len(slos) == 3
@@ -564,6 +565,9 @@ class TestAmvLoad:
         ("p,c,av,inf,2\n", ValueError, "monitored value must be finite and nonnegative, got inf"),
         ("p,c,av,5,\n", ValueError, "stored monitored value has no sequence"),
         ("p,c,av,5,1.5\n", ValueError, "invalid literal for int() with base 10: '1.5'"),
+        *((f"p,c,av,5,{sequence}\n", ValueError,
+           f"sequence {sequence} for ('p', 'c', 'availability') is outside int64")
+          for sequence in (2 ** 63, -2 ** 63 - 1)),
         ("p,c,bogus,5,2\n", UnknownAttributeError, "unknown attribute 'bogus'"),
         ("p,c,availability,1.0,1\n", DuplicateSubmissionError,
          "duplicate submission ('p', 'c', 'availability') sequence 1"),
@@ -582,7 +586,8 @@ class TestAmvLoad:
         # a torn last row is refused only once every row has passed
         ("p,c,av,nan,2", ValueError, "monitored value must be finite and nonnegative, got nan"),
     ], ids=["short", "long", "short-key", "long-key", "empty-csp", "empty-csc", "negative",
-            "non-numeric", "nan", "inf", "empty-sequence", "sequence-1.5", "unknown-attribute",
+            "non-numeric", "nan", "inf", "empty-sequence", "sequence-1.5", "sequence-2**63",
+            "sequence-below-int64", "unknown-attribute",
             "repeated", "conflicting", "conflicting-padded", "over-long", "two-faults",
             "first-row-wins", "torn", "torn-and-refused"])
     def test_refused_row_is_named(self, tmp_path, rows, kind, message):
@@ -601,11 +606,12 @@ class TestAmvLoad:
         "p,c,av,5,3\np,c,av,6,1\nq,c,la,1,2\np,c,av,7,2\nq,c,la,0,1\n",
         # float refuses "\x1c1.5\x1c", which str.strip turns into "1.5"
         "p,c,av,\x1c1.5\x1c,1\np,c,la, 2 ,\x1c1\n",
+        f"p,c,av,5,{2 ** 63 - 1}\np,c,av,6,{-2 ** 63}\n",
         "",
         # a line over the field limit, with no field over it
         "p" * 100_000 + "," + "c" * 100_000 + ",av,5,1\np,c,la,6,1\n",
     ], ids=["quoted-commas", "padded", "blank-lines", "crlf", "abbreviations",
-            "out-of-order", "padded-value", "no-rows", "long-line"])
+            "out-of-order", "padded-value", "int64-bounds", "no-rows", "long-line"])
     def test_accepted_file_loads_as_the_row_loop_loads_it(self, tmp_path, text):
         self.assert_load_matches(tmp_path, AMV_HEADER + text)
 
@@ -733,10 +739,36 @@ class TestSloLoad:
     def test_repeated_triple_keeps_later_value_at_first_position(self, tmp_path):
         loaded = self.assert_load_matches(
             tmp_path, SLO_HEADER + "p,c,av,5\nq,c,la,1\np,c2,av,3\np,c,availability,9\n")
+        # grouped by (provider, attribute): p's c2 comes before q's c
         assert [(key, r.value) for key, r in loaded.slos.items()] == [
-            (("p", "c", "availability"), 9.0), (("q", "c", "latency"), 1.0),
-            (("p", "c2", "availability"), 3.0)]
+            (("p", "c", "availability"), 9.0), (("p", "c2", "availability"), 3.0),
+            (("q", "c", "latency"), 1.0)]
         assert [r.value for r in loaded.slos_for("p", "availability")] == [9.0, 3.0]
+
+    def test_slos_are_written_and_read_grouped_by_pair(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "store"
+        interleaved = write_rows(tmp_path / "slos.csv", SLO_COLUMNS, [
+            ["p1", "c1", "av", "90"], ["p2", "c1", "av", "85"], ["p1", "c2", "av", "95"]])
+        for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", interleaved]):
+            assert main(["--store", str(root)] + argv) == 0
+        assert (root / Store.SLOS_FILE).read_text() == SLO_HEADER + (
+            "p1,c1,availability,90.0\np1,c2,availability,95.0\np2,c1,availability,85.0\n")
+        grouped = [("p1", "c1", "availability"), ("p1", "c2", "availability"),
+                   ("p2", "c1", "availability")]
+        loaded, parsed = load_recorded(Store(root), monkeypatch)
+        assert not parsed and loaded == parsed_outcome(Store(root))
+        assert list(Store(root).load().slos) == grouped
+        # slos.csv written by hand in submission order is kept byte for byte by
+        # a writer that changes no SLO, and read grouped
+        hand = (SLO_HEADER + "p1,c1,av,90\np2,c1,av,85\np1,c2,av,95\n").encode()
+        (root / Store.SLOS_FILE).write_bytes(hand)
+        amvs = write_rows(tmp_path / "amvs.csv", AMV_COLUMNS, [["p2", "c1", "av", "80", ""]])
+        assert main(["--store", str(root), "submit-amv", amvs]) == 0
+        assert (root / Store.SLOS_FILE).read_bytes() == hand
+        assert list(Store(root).load().slos) == grouped
+        assert (root / Store.SNAPSHOT_FILE).read_bytes() == TestSnapshotLoad.parsed_snapshot(
+            root, tmp_path)
+        capsys.readouterr()
 
     def test_many_rows_load_as_their_rows(self, tmp_path):
         rng = random.Random(11)
@@ -1027,7 +1059,7 @@ def profile_rows(section):
 
 def snapshot_parts(path):
     """The snapshot's header, decoded, and the bytes of its sections: the attributes,
-    the profile table, the SLOs, the means, the distinct AMV triples, and the log's
+    the profile table, the SLO index, the means, the distinct AMV triples, and the log's
     counts, values and sequences."""
     stream = io.BytesIO(path.read_bytes()[4:])
     header = marshal.load(stream)
@@ -1126,7 +1158,7 @@ class TestSnapshotLoad:
     def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(14)
         seen = {"negative zero": 0, "long sequence": 0, "ranked": 0, "refused": 0,
-                "restored mean computed": 0, "outside int64": 0}
+                "restored mean computed": 0, "outside int64 refused": 0}
 
         def unset_means(root):
             """The distinct triples whose mean the snapshot holds as not computed yet."""
@@ -1144,21 +1176,17 @@ class TestSnapshotLoad:
             for _ in range(rng.randrange(1, 24)):
                 unset = unset_means(root)
                 self.random_command(rng, root, work, agreed, longest)
+                # an auto sequence after int64's largest is refused at its row
+                seen["outside int64 refused"] += "is outside int64" in capsys.readouterr().err
                 # an SLO on an imported triple, whose mean the writer computed
                 # from the values that it restored
                 seen["restored mean computed"] += bool(unset - unset_means(root))
                 loaded, parsed = load_recorded(Store(root), monkeypatch)
                 assert loaded == parsed_outcome(Store(root))
+                # every writer left a snapshot of what it saved
+                assert not parsed
                 registry = Store(root)._parse({name: (root / name).read_bytes()
                                                for name in Store.FILES})
-                # every writer left a snapshot of what it saved, but of a log
-                # with a sequence outside int64 (an auto sequence after the
-                # largest), which no snapshot holds: its load parses the files
-                outside = any(not -2 ** 63 <= row.sequence < 2 ** 63 for row in registry.amvs)
-                assert parsed == outside
-                if outside:
-                    seen["outside int64"] += 1
-                    continue
                 # the snapshot's profiles are those a parse builds, to the bit
                 assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
                     hexed(actual_slo_interval(registry, csp_id, name))
@@ -1242,10 +1270,15 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 9", "snapshot 8")
+        previous = tag.replace("snapshot 10", "snapshot 9")
         assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
-        slos, slo_values = marshal.loads(slo_part)
+        index = marshal.loads(slo_part)
+        # the SLO triples and values, as the formats before this one held them
+        slos = [(csp_id, csc_id, name) for (csp_id, name), consumers in index.items()
+                for csc_id in consumers]
+        slo_values = [value for consumers in index.values() for value in consumers.values()]
+        slo_9 = marshal.dumps((slos, slo_values), 2)
         means = marshal.loads(means_part)
         distinct, counts, values, sequences = log_columns(log)
         assert counts == [2, 1]
@@ -1258,18 +1291,22 @@ class TestSnapshotLoad:
         groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})
         rows = [groups[place].pop(0) for place in places]
         in_order = [marshal.dumps([row[at] for row in rows], 2) for at in (0, 1)]
-        # the sections of the previous format after the means: this format's,
-        # but the grouped values and sequences as marshal lists
+        # the sections of the previous format: this format's, but the SLOs as
+        # triples and values
+        layout_9 = (head, table_part, slo_9, means_part, *log)
+        sizes_9 = tuple(map(len, layout_9[:-1]))
+        # and of the one before, after the means: the grouped values and
+        # sequences as marshal lists
         layout_8 = (*log[:2], marshal.dumps(values, 2), marshal.dumps(sequences, 2))
-        sizes_8 = (*sizes[:4], *map(len, layout_8[:-1]))
+        sizes_8 = (*sizes_9[:4], *map(len, layout_8[:-1]))
         # and of the one before: the distinct triples, the places, then the
         # counts and the grouped values and sequences
         layout_7 = (log[0], places_part, *layout_8[1:])
-        sizes_7 = (*sizes[:4], *map(len, layout_7[:-1]))
-        # and of the one before, after the table: the means, the distinct
+        sizes_7 = (*sizes_9[:4], *map(len, layout_7[:-1]))
+        # and of the one before, after the SLOs: the means, the distinct
         # triples, then the places, values and sequences
         layout_6 = (means_part, log[0], places_part, *in_order)
-        sizes_6 = (*sizes[:3], *map(len, layout_6[:-1]))
+        sizes_6 = (*sizes_9[:3], *map(len, layout_6[:-1]))
         # and of the one before: the SLOs, the distinct triples and the means
         # in one, then the places, values and sequences
         layout_5 = (marshal.dumps((slos, slo_values, distinct, means), 2), places_part, *in_order)
@@ -1297,12 +1334,13 @@ class TestSnapshotLoad:
             lambda: checked((tag, stamps, len(layout_3[0])), *layout_3),
             lambda: checked((previous, stamps, sizes_5), head, table_part, *layout_5),
             lambda: checked((tag, stamps, sizes_5), head, table_part, *layout_5),
-            lambda: checked((previous, stamps, sizes_6), head, table_part, slo_part, *layout_6),
-            lambda: checked((previous, stamps, sizes_7), head, table_part, slo_part, means_part,
+            lambda: checked((previous, stamps, sizes_6), head, table_part, slo_9, *layout_6),
+            lambda: checked((previous, stamps, sizes_7), head, table_part, slo_9, means_part,
                             *layout_7),
-            lambda: checked((previous, stamps, sizes_8), head, table_part, slo_part, means_part,
+            lambda: checked((previous, stamps, sizes_8), head, table_part, slo_9, means_part,
                             *layout_8),
-            lambda: checked((tag, stamps, sizes_7), head, table_part, slo_part, means_part,
+            lambda: checked((previous, stamps, sizes_9), *layout_9),
+            lambda: checked((tag, stamps, sizes_7), head, table_part, slo_9, means_part,
                             *layout_7),
             lambda: sectioned((attributes, table), slo_part, means_part, *log),
             lambda: sectioned(7, table, slo_part, means_part, *log),
@@ -1314,23 +1352,23 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # the previous format, and the one before that but one, have as many
-        # sections, and their first two are this format's: under this tag, a
-        # reader takes them, and a writer refuses the rest
+        # the previous format, the one before it, and the one before that but
+        # one, have as many sections, and their first two are this format's:
+        # under this tag, a reader takes them, and a writer refuses the rest
         for write in (
-                lambda: checked((tag, stamps, sizes_8), head, table_part, slo_part, means_part,
+                lambda: checked((tag, stamps, sizes_9), *layout_9),
+                lambda: checked((tag, stamps, sizes_8), head, table_part, slo_9, means_part,
                                 *layout_8),
-                lambda: checked((tag, stamps, sizes_6), head, table_part, slo_part, *layout_6)):
+                lambda: checked((tag, stamps, sizes_6), head, table_part, slo_9, *layout_6)):
             write()
             assert load_recorded(store, monkeypatch) == (expected, True)
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        # a writer replaces a snapshot 8 file, in this format's layout or in its
+        # a writer replaces a snapshot 9 file, in this format's layout or in its
         # own, with the current format's bytes
         for write in (
                 lambda: checked((previous, stamps, sizes), head, table_part, slo_part, means_part,
                                 *log),
-                lambda: checked((previous, stamps, sizes_8), head, table_part, slo_part,
-                                means_part, *layout_8)):
+                lambda: checked((previous, stamps, sizes_9), *layout_9)):
             write()
             assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
             assert path.read_bytes() == blob
@@ -1347,29 +1385,41 @@ class TestSnapshotLoad:
                 head, table_part, slo_part, means_part, *log)
         assert load_recorded(store, monkeypatch) == (expected, True)
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        parts = {"slos": (slos, slo_values), "means": means, "distinct": distinct,
+        parts = {"slos": index, "means": means, "distinct": distinct,
                  "counts": log[1], "values": log[2], "sequences": log[3]}
+        (pair, consumers), *other_pairs = index.items()
+        assert (pair, consumers) == (("p1", "availability"), {"c1": 90.0})
 
         def but(**changed):
             """The sections after the table, with the named ones changed."""
             return {**parts, **changed}.values()
 
+        def first_pair(key=pair, value=consumers):
+            """The SLO index with its first pair's key or consumers replaced."""
+            return {key: value, **dict(other_pairs)}
+
         for sections in (
+                # an SLO section that is not the index: another type, the
+                # previous format's triples and values, or the index's items
                 but(slos=7), but(means=7), but(distinct=7),
                 but(slos=layout_3[1]), but(slos=layout_5[0]),
-                but(slos=(slos,)), but(slos=(slos, slo_values, 1)),
-                # a short SLO values column; a means column one short or one
-                # long; an SLO triple twice, the second time with another value
-                but(slos=(slos, slo_values[:-1])),
+                but(slos=(slos, slo_values)), but(slos=[*index.items()]),
+                # a means column one short or one long
                 but(means=means[:-1]), but(means=[*means, 1.0]),
-                but(slos=([*slos, slos[0]], [*slo_values, slo_values[0] + 1])),
-                # SLO triples that a parse refuses or files under another name: an
-                # abbreviation, an unregistered attribute, a padded id and an empty one
-                *(but(slos=(first_set(slos, at, value), slo_values))
-                  for at, value in ((2, "av"), (2, "nosuch"), (0, " p"), (1, " p"), (1, ""))),
+                # a pair with no consumer, or consumers that are not a dict
+                but(slos={**index, ("p1", "reliability"): {}}),
+                *(but(slos=first_pair(value=value)) for value in (90.0, [("c1", 90.0)])),
+                # pair keys that a parse refuses or files under another name: an
+                # abbreviation, an unregistered attribute, a padded id and an
+                # empty one; and a key of one field or of three
+                *(but(slos=first_pair(key=key)) for key in (
+                    ("p1", "av"), ("p1", "nosuch"), (" p1", "availability"),
+                    ("", "availability"), ("p1",), ("p1", "availability", "c1"))),
+                # a padded or empty consumer id
+                *(but(slos=first_pair(value={csc_id: 90.0})) for csc_id in (" c1", "c1 ", "")),
                 # an SLO value that is not finite and positive, and a mean that is
                 # not None or a finite number of at least 0
-                *(but(slos=(slos, [value, *slo_values[1:]]))
+                *(but(slos=first_pair(value={"c1": value}))
                   for value in (math.nan, math.inf, 0.0, -1.0)),
                 *(but(means=[value, *means[1:]])
                   for value in (math.nan, math.inf, -math.inf, -1.0, "92.25", "", [92.25], [])),
@@ -1578,9 +1628,10 @@ class TestSnapshotLoad:
             self, store, tmp_path, monkeypatch, capsys, value):
         path = store.root / Store.SNAPSHOT_FILE
         (tag, stamps, sizes), head, table_part, slo_part, *rest = snapshot_parts(path)
-        slos, slo_values = marshal.loads(slo_part)
-        assert slo_values[0] == 90.0  # p1's objective with c1 on availability
-        part = marshal.dumps((slos, [value, *slo_values[1:]]), 2)
+        index = marshal.loads(slo_part)
+        assert index["p1", "availability"] == {"c1": 90.0}
+        index["p1", "availability"]["c1"] = value
+        part = marshal.dumps(index, 2)
         self.checked_writer(store)((tag, stamps, (*sizes[:2], len(part), *sizes[3:])),
                                    head, table_part, part, *rest)
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
@@ -1593,6 +1644,23 @@ class TestSnapshotLoad:
             SLO_HEADER + "p1,c1,availability,90.0\np1,c2,latency,13.0\n")
         path.unlink()
         assert main(argv) == 0
+        capsys.readouterr()
+
+    def test_an_slo_pair_that_is_not_a_tuple_is_not_restored(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "store"
+        # a one-letter attribute name, so that a two-letter string reads as a pair
+        attributes = write_rows(tmp_path / "attributes.csv", ATTRIBUTE_COLUMNS,
+                                [["a", "a1", "%", "benefit"]])
+        slos = write_rows(tmp_path / "slos.csv", SLO_COLUMNS, [["p", "c", "a", "5"]])
+        for argv in (["register-attributes", attributes], ["submit-slo", slos]):
+            assert main(["--store", str(root)] + argv) == 0
+        path = root / Store.SNAPSHOT_FILE
+        (tag, stamps, sizes), head, table_part, slo_part, *rest = snapshot_parts(path)
+        assert marshal.loads(slo_part) == {("p", "a"): {"c": 5.0}}
+        part = marshal.dumps({"pa": {"c": 5.0}}, 2)
+        self.checked_writer(Store(root))((tag, stamps, (*sizes[:2], len(part), *sizes[3:])),
+                                         head, table_part, part, *rest)
+        assert load_recorded(Store(root), monkeypatch) == (parsed_outcome(Store(root)), True)
         capsys.readouterr()
 
     @staticmethod
@@ -1692,46 +1760,44 @@ class TestSnapshotLoad:
         # a read-only load does not decode the log
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
 
-    def test_a_log_with_a_sequence_outside_int64_is_saved_with_no_snapshot(
+    def test_a_submitted_sequence_outside_int64_is_refused_at_its_row(
             self, store, tmp_path, monkeypatch, capsys):
         root = store.root
-        p2 = write_rows(tmp_path / "p2.csv", SLO_COLUMNS, [["p2", "c1", "av", "90"]])
-        outside = write_rows(tmp_path / "outside.csv", AMV_COLUMNS, [
-            ["p2", "c1", "av", "92", ""], ["p1", "c2", "la", "11.5", str(2 ** 63)]])
-        for argv in (["submit-slo", p2], ["submit-amv", outside]):
-            assert main(["--store", str(root)] + argv) == 0
-        assert (root / Store.AMVS_FILE).read_text().endswith(f"p1,c2,latency,11.5,{2 ** 63}\n")
-        # the snapshot left is that of the files before: no load uses it
-        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
-        assert load_recorded(store, monkeypatch, log=False)[1]
-        # nor a snapshot of a writer that parsed the files, whose append after
-        # the sequence numbers the next row outside int64 too
-        more = write_rows(tmp_path / "more.csv", AMV_COLUMNS,
-                          [["p1", "c2", "la", "12", ""], ["p1", "c1", "av", "95", ""]])
-        assert main(["--store", str(root), "submit-amv", more]) == 0
-        assert (root / Store.AMVS_FILE).read_text().endswith(
-            f"p1,c2,latency,12.0,{2 ** 63 + 1}\np1,c1,availability,95.0,3\n")
-        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
-        # assess gives what it gives on the store without .snapshot
-        request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", 1, 100]])
-        assessed = self.assessed(root, request, monkeypatch, capsys)
-        assert assessed[:2] == (False, 0)  # a parse's registry, ranked
-        (root / Store.SNAPSHOT_FILE).unlink()
-        assert self.assessed(root, request, monkeypatch, capsys) == assessed
+        rows = write_rows(tmp_path / "outside.csv", AMV_COLUMNS, [
+            ["p1", "c2", "la", "11.5", str(2 ** 63)], ["p1", "c2", "la", "12", str(-2 ** 63 - 1)],
+            ["p1", "c2", "la", "12.5", str(2 ** 63 - 1)]])
+        capsys.readouterr()
+        assert main(["--store", str(root), "submit-amv", rows]) == 0
+        out, err = capsys.readouterr()
+        assert out == "1 appended, 2 failed\n"
+        for line, sequence in ((2, 2 ** 63), (3, -2 ** 63 - 1)):
+            assert (f"{rows}: line {line}: sequence {sequence} for ('p1', 'c2', 'latency') is "
+                    "outside int64\n") in err
+        # the row in int64 is saved, and so is a snapshot that the next load uses
+        assert (root / Store.AMVS_FILE).read_text().endswith(f"p1,c2,latency,12.5,{2 ** 63 - 1}\n")
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
 
-    def test_a_library_save_after_a_sequence_outside_int64_splices_no_stale_sections(
-            self, store, monkeypatch):
-        registry = store.load()  # held in the snapshot
-        assert registry._rows is not None
-        registry.submit_amv(AmvRecord("p1", "c2", "la", 11.5, 2 ** 63))
-        store.save(registry)
-        # a second save of the same registry, whose append fits in int64, has
-        # no sections to splice it into: the log's sequence outside int64
-        # still leaves no snapshot
-        registry.submit_amv(AmvRecord("p1", "c1", "av", 95.0))
-        store.save(registry)
-        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
-        assert Store(store.root).load() == registry
+    def test_an_auto_sequence_past_int64_is_refused(self, store, tmp_path, monkeypatch, capsys):
+        root = store.root
+        largest = write_rows(tmp_path / "largest.csv", AMV_COLUMNS,
+                             [["p1", "c2", "la", "12", str(2 ** 63 - 1)]])
+        assert main(["--store", str(root), "submit-amv", largest]) == 0
+        files = {path.name: path.read_bytes() for path in root.iterdir()}
+        # the next row of the triple would be numbered 2**63: refused, and
+        # every store file is left as it was
+        auto = write_rows(tmp_path / "auto.csv", AMV_COLUMNS, [["p1", "c2", "la", "13", ""]])
+        capsys.readouterr()
+        assert main(["--store", str(root), "submit-amv", auto]) == 2
+        out, err = capsys.readouterr()
+        assert out == "0 appended, 1 failed\n"
+        assert f"line 2: sequence {2 ** 63} for ('p1', 'c2', 'latency') is outside int64" in err
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == files
+        # a library submission is refused so too, and files nothing
+        registry = store.load()
+        with pytest.raises(ValueError, match=f"^sequence {2 ** 63} .* is outside int64"):
+            registry.submit_amv(AmvRecord("p1", "c2", "la", 13.0))
+        assert registry == store.load() and len(registry.amvs) == 4
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
 
     @pytest.mark.parametrize("command, rows", [
         ("submit-slo", [["p2", "c1", "av", "92"]]),  # p2's c1 mean of 91 no longer meets it
@@ -1898,10 +1964,10 @@ class TestDecodeMutations:
     def decoded_columns(cls, sections):
         """The sections' decoded columns, by name, each a list."""
         table = marshal.loads(sections[1])
-        (slos, slo_values), means = map(marshal.loads, sections[2:4])
+        index, means = map(marshal.loads, sections[2:4])
         names = ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")
         return {**{name: list(column) for name, column in zip(names, table)},
-                "slos": slos, "slo_values": slo_values, "means": means,
+                "slo_pairs": list(index), "slo_consumers": list(index.values()), "means": means,
                 **dict(zip(cls.LOG, log_columns(sections[4:])))}
 
     @classmethod
@@ -1910,17 +1976,29 @@ class TestDecodeMutations:
         table = [columns[name] for name in
                  ("csp_ids", "names", "satisfied", "agreed", "lows", "highs")]
         return (head, marshal.dumps(table, 2),
-                marshal.dumps((columns["slos"], columns["slo_values"]), 2),
+                marshal.dumps(dict(zip(columns["slo_pairs"], columns["slo_consumers"])), 2),
                 marshal.dumps(columns["means"], 2), *log_sections(*map(columns.get, cls.LOG)))
 
+    # "slo_values" names the values of the SLO index's consumers dicts
     NUMBERS = ("satisfied", "agreed", "lows", "highs", "slo_values", "means", "counts",
                "values", "sequences")
     # the columns packed as one type each, floats and int64s
     PACKED = ("values", "sequences")
-    # the columns that are read together, a row at a time: by pair, by SLO
-    # triple, by distinct triple, and by grouped row
+    # the columns that are read together, a row at a time: by table pair, by
+    # SLO pair, by distinct triple, and by grouped row
     GROUPS = (("csp_ids", "names", "satisfied", "agreed", "lows", "highs"),
-              ("slos", "slo_values"), ("distinct", "means", "counts"), ("values", "sequences"))
+              ("slo_pairs", "slo_consumers"), ("distinct", "means", "counts"),
+              ("values", "sequences"))
+
+    @staticmethod
+    def entry(rng, columns, column):
+        """(holder, at): a random entry of ``column``, or of a random pair's consumers
+        dict, copied first, for "slo_values"."""
+        if column != "slo_values":
+            return columns[column], rng.randrange(len(columns[column]))
+        at = rng.randrange(len(columns["slo_consumers"]))
+        consumers = columns["slo_consumers"][at] = dict(columns["slo_consumers"][at])
+        return consumers, rng.choice(list(consumers))
 
     def mutate(self, rng, columns, kind, n):
         """Apply the ``n``-th mutation of ``kind`` to ``columns``.
@@ -1930,13 +2008,12 @@ class TestDecodeMutations:
         """
         if kind == "number":
             column = self.NUMBERS[n % len(self.NUMBERS)]
-            at = rng.randrange(len(columns[column]))
-            value = columns[column][at]
+            holder, at = self.entry(rng, columns, column)
+            value = holder[at]
             changes = (-value if isinstance(value, (int, float)) else -1, math.nan, math.inf,
                        -math.inf)
             # a packed sequence is an int64: its one number change is a negation
-            columns[column][at] = changes[
-                0 if column == "sequences" else n // len(self.NUMBERS) % 4]
+            holder[at] = changes[0 if column == "sequences" else n // len(self.NUMBERS) % 4]
         elif kind == "grouping":
             # the same rows, counted by another grouping: a row moved to the
             # next place's group, which files it there, or the rows of two
@@ -1950,22 +2027,31 @@ class TestDecodeMutations:
                 counts[at] -= shift
                 counts[at + 1] += shift
         elif kind == "unused":
-            columns["distinct"].append(("p1", "c9", "availability"))
-            columns["means"].append(rng.choice([None, 1.0]))
-            columns["counts"].append(0)
+            if n % 2:  # an SLO pair that no consumer agreed
+                columns["slo_pairs"].append(("p1", "reliability"))
+                columns["slo_consumers"].append({})
+            else:  # a distinct triple that no row uses
+                columns["distinct"].append(("p1", "c9", "availability"))
+                columns["means"].append(rng.choice([None, 1.0]))
+                columns["counts"].append(0)
         elif kind == "spelling":
-            column = rng.choice(("csp_ids", "names", "slos", "distinct"))
+            column = rng.choice(("csp_ids", "names", "slo_pairs", "slo_consumers", "distinct"))
             at = rng.randrange(len(columns[column]))
             old = columns[column][at]
-            # a field of a triple, or the one field of a provider id or a name
+            # a field of a pair or a triple, a consumer id, or the one field of
+            # a provider id or a name
             fields = [old] if isinstance(old, str) else list(old)
             field = rng.randrange(len(fields))
             spelled = fields[field]
             fields[field] = (
                 {"availability": "av", "latency": "la"}.get(spelled, "nosuch")
-                if column == "names" or field == 2
+                if field == {"names": 0, "slo_pairs": 1, "distinct": 2}.get(column)
                 else rng.choice([f" {spelled}", f"{spelled} ", ""]))
-            columns[column][at] = fields[0] if isinstance(old, str) else tuple(fields)
+            if column == "slo_consumers":
+                columns[column][at] = {(fields[field] if csc_id == spelled else csc_id): value
+                                       for csc_id, value in old.items()}
+            else:
+                columns[column][at] = fields[0] if isinstance(old, str) else tuple(fields)
         elif kind == "rows":
             names = rng.choice([(rng.choice(list(columns)),), *self.GROUPS])
             at = rng.randrange(len(columns[names[0]]))
@@ -1974,14 +2060,14 @@ class TestDecodeMutations:
                 rows = columns[name]
                 columns[name] = rows[:at + 1] + rows[at:] if repeat else rows[:at] + rows[at + 1:]
         elif kind == "type":
-            typed = [name for name in columns if name not in self.PACKED]
+            typed = [*(name for name in columns if name not in self.PACKED), "slo_values"]
             column = typed[n % len(typed)]
             to = (int, float, bool, str)[n // len(typed) % 4]
-            at = rng.randrange(len(columns[column]))
+            holder, at = self.entry(rng, columns, column)
             try:
-                columns[column][at] = to(columns[column][at])
+                holder[at] = to(holder[at])
             except (TypeError, ValueError, OverflowError):
-                columns[column][at] = to(7)
+                holder[at] = to(7)
         elif kind == "repeat":
             # a sequence of a place given as another row's of that place
             counts = columns["counts"]
@@ -1995,8 +2081,8 @@ class TestDecodeMutations:
                 columns["satisfied"][at] = columns["agreed"][at] + 1
             else:  # no consumer agreed, so none is satisfied
                 columns["satisfied"][at] = columns["agreed"][at] = 0
-        else:  # "pair": one table pair, SLO triple or distinct triple twice
-            keys = rng.choice((("csp_ids", "names"), ("slos",), ("distinct",)))
+        else:  # "pair": one table pair, SLO pair or distinct triple twice
+            keys = rng.choice((("csp_ids", "names"), ("slo_pairs",), ("distinct",)))
             first, second = rng.sample(range(len(columns[keys[0]])), 2)
             for name in keys:
                 columns[name][second] = columns[name][first]
