@@ -563,17 +563,13 @@ class Registry:
         """Append a checked monitored value under a registered attribute name.
 
         A value without a sequence gets the next per-triple index, which is
-        returned. A sequence already holding the same value raises
-        DuplicateSubmissionError; one holding another value is a conflict
-        (ValueError), and so is a sequence outside int64, which the snapshot
-        cannot hold. Either way nothing is stored.
+        returned. A sequence holding the same value raises
+        DuplicateSubmissionError; another value, or a sequence outside int64,
+        which the snapshot cannot hold, raises ValueError and files nothing.
         """
         key = (csp_id, csc_id, attribute)
-        place = self._place.setdefault(key, len(self._place))
-        if place == len(self._samples):
-            self._samples.append({})
-            self._means.append(None)
-        samples = self._samples[place]
+        place = self._place.get(key)
+        samples = {} if place is None else self._samples[place]
         if samples is None:  # rows held in the snapshot: read, then appended to
             self._samples_of(key)
             return self._append_amv(csp_id, csc_id, attribute, value, sequence)
@@ -589,6 +585,10 @@ class Registry:
             )
         if not -2 ** 63 <= sequence < 2 ** 63:
             raise ValueError(f"sequence {sequence} for {key} is outside int64")
+        if place is None:  # the triple's first row: its place is filed with it
+            place = self._place[key] = len(self._place)
+            self._samples.append(samples)
+            self._means.append(None)
         samples[sequence] = value = float(value)  # as a parse gives it
         self._means[place] = None
         self._places.append(place)

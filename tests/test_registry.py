@@ -1799,6 +1799,33 @@ class TestSnapshotLoad:
         assert registry == store.load() and len(registry.amvs) == 4
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
 
+    # a valid row on the refused row's (provider, attribute), and on another
+    @pytest.mark.parametrize("valid", [["p1", "c1", "av", "94", ""], ["p1", "c2", "la", "12", ""]],
+                             ids=["same-pair", "other-pair"])
+    def test_a_refused_first_row_of_a_triple_files_no_place(
+            self, store, tmp_path, monkeypatch, capsys, valid):
+        root = store.root
+        slos = write_rows(tmp_path / "c3.csv", SLO_COLUMNS, [["p1", "c3", "av", "95"]])
+        assert main(["--store", str(root), "submit-slo", slos]) == 0  # an SLO with no AMV
+        rows = write_rows(tmp_path / "rows.csv", AMV_COLUMNS,
+                          [["p1", "c3", "av", "97", str(2 ** 63)], valid])
+        capsys.readouterr()
+        assert main(["--store", str(root), "submit-amv", rows]) == 0
+        out, err = capsys.readouterr()
+        assert out == "1 appended, 1 failed\n"
+        assert f"line 2: sequence {2 ** 63} for ('p1', 'c3', 'availability')" in err
+        assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
+        assert load_recorded(store, monkeypatch) == (parsed_outcome(store), False)
+        # a library submission is refused so too, and leaves the triple without a row
+        registry = store.load()
+        with pytest.raises(ValueError, match=f"^sequence {2 ** 63} .* is outside int64"):
+            registry.submit_amv(AmvRecord("p1", "c3", "av", 97.0, 2 ** 63))
+        assert registry.amv_mean("p1", "c3", "availability") is None
+        assert registry.amv_samples("p1", "c3", "availability") == []
+        availability = registry.attributes["availability"]
+        assert registry.profile_row("p1", availability) == (1, 2, 90.0, 95.0)  # c3 unmet
+        assert registry == store.load()
+
     @pytest.mark.parametrize("command, rows", [
         ("submit-slo", [["p2", "c1", "av", "92"]]),  # p2's c1 mean of 91 no longer meets it
         ("submit-amv", [["p2", "c2", "av", "80", ""]]),  # p2's c2 mean falls to 88.5 < 95
