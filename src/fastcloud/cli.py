@@ -10,8 +10,8 @@ Subcommands:
     bench                run a scaling sweep of the scoring pipeline
 
 The store directory comes from --store or the FASTCLOUD_STORE environment
-variable (flag wins). Exit codes: 0 success, 2 validation error,
-3 insufficient candidates, 4 I/O error.
+variable (flag wins). Exit codes: 0 success, 2 validation error or a
+refused store, 3 insufficient candidates, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[li
     for line, fields in rows:
         try:
             results.append(submit(parse(fields)))
-        except StoreRefusedError:
-            raise
         except DuplicateSubmissionError as exc:
             results.append(exc)
         except ValueError as exc:
@@ -274,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientCandidatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CANDIDATES
-    except ValueError as exc:
+    except (ValueError, StoreRefusedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -78,7 +78,7 @@ class ReadOnlyRegistryError(TypeError):
     """A registry loaded with its profiles alone was asked to read, change or save its records."""
 
 
-class StoreRefusedError(ValueError):
+class StoreRefusedError(Exception):
     """The store's own files, read again after its load, were refused: no input was."""
 
 
@@ -206,9 +206,9 @@ class refused_at(contextlib.AbstractContextManager):
 
     ``refused_at(path, line)(exc)`` is the refusal ``<path>: line N: <exc>``,
     leaving out a part not given; as a context manager, it raises that
-    refusal of a ValueError raised inside, but a StoreRefusedError as it
-    is. A duplicate or an unknown attribute keeps its error type, so
-    callers can still tell them apart.
+    refusal of a ValueError raised inside. A StoreRefusedError is not a
+    ValueError, so it passes as it is. A duplicate or an unknown attribute
+    keeps its error type, so callers can still tell them apart.
     """
 
     def __init__(self, path: object = None, line: int | None = None):
@@ -222,7 +222,7 @@ class refused_at(contextlib.AbstractContextManager):
         return kind(f"{where}{exc}")
 
     def __exit__(self, kind: type | None, exc: BaseException | None, traceback: object) -> None:
-        if isinstance(exc, ValueError) and not isinstance(exc, StoreRefusedError):
+        if isinstance(exc, ValueError):
             raise self(exc) from exc
 
 
@@ -322,7 +322,7 @@ class AmvView:
         self._registry = registry
 
     def __len__(self) -> int:
-        return self._registry._log_start + len(self._registry._values)
+        return (self._registry._rows or _NO_ROWS).starts[-1] + len(self._registry._values)
 
     def __iter__(self) -> Iterator[AmvRecord]:
         return (AmvRecord(*row) for row in self._registry._grouped())
@@ -334,21 +334,28 @@ class AmvView:
 
 
 class _HeldRows:
-    """The AMV rows that a writer's load left in the snapshot's sections.
+    """The held log: the AMV rows that a writer's load left in the snapshot's sections.
 
-    ``values`` and ``sequences`` are the snapshot's sections, packed arrays
-    of 8 bytes a row, grouped by place, each place's rows together and in
-    submission order. ``counts`` is the row count of each place, and
-    ``starts`` the row where its rows start in the grouped sections.
-    ``refuse``, set by ``Store.load``, takes the rows from a parse instead.
+    ``distinct`` is the distinct triples section, and ``values`` and
+    ``sequences`` are packed arrays of 8 bytes a row, grouped by place,
+    each place's rows together and in submission order. ``counts`` is the
+    row count of each place, and ``starts`` the row where its rows start.
+    It lives as long as its registry: reads decode from it and saves splice
+    onto it (``_encode``), until ``refuse``, set by ``Store.load``, takes
+    the log from a parse instead.
     """
 
-    __slots__ = ("values", "sequences", "counts", "starts", "refuse")
+    __slots__ = ("distinct", "values", "sequences", "counts", "starts", "refuse")
 
-    def __init__(self, values: bytes, sequences: bytes, counts: list[int]):
-        self.values, self.sequences, self.counts = values, sequences, counts
+    def __init__(self, distinct: bytes, values: bytes, sequences: bytes, counts: list[int]):
+        self.distinct, self.values, self.sequences = distinct, values, sequences
+        self.counts = counts
         self.starts = list(accumulate(counts, initial=0))
         self.refuse: Callable[[Registry], None] | None = None
+
+
+# the held log of a registry that holds no row in a snapshot
+_NO_ROWS = _HeldRows(marshal.dumps([], 2), b"", b"", [])
 
 
 @dataclass(eq=False)
@@ -369,11 +376,13 @@ class Registry:
     snapshot are also held in submission order, as three columns (place,
     value, sequence), for a save's append to amvs.csv. ``slos`` and ``amvs``
     are read-only views. A registry that a writer's load restored from the
-    snapshot holds the rows there (``_HeldRows``): it decodes one triple's
-    rows at the first read of that triple (``_samples_of``), and the whole
-    log at its first whole read (``_read_log``): iterating or comparing
-    ``amvs``, ``_amv_rows()``, or comparing registries. ``len(amvs)`` reads
-    no row, and a command that reads no row decodes none.
+    snapshot holds the rows there, its held log (``_HeldRows``): it decodes
+    one triple's rows at the first read of that triple (``_samples_of``),
+    and the whole log at its first whole read (``_read_log``): iterating or
+    comparing ``amvs``, ``_amv_rows()``, or comparing registries. It keeps
+    the held log after either, as the base that its saves splice the rows
+    filed since onto. ``len(amvs)`` reads no row, and a command that reads
+    no row decodes none.
     ``profile_row`` gives the inputs of one (provider, attribute)'s
     consistency profile, the row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
@@ -391,8 +400,8 @@ class Registry:
     # (csp, attribute) -> {csc: agreed value}, each in order of its first
     # SLO: filled by submit_slo, or taken whole from the snapshot
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(default_factory=dict, init=False)
-    # the monitored values not restored from the snapshot (from row
-    # _log_start on), in submission order, a column each
+    # the monitored values not restored from the snapshot (those after the
+    # held log's), in submission order, a column each
     _places: list[int] = field(default_factory=list, init=False, repr=False)
     _values: list[float] = field(default_factory=list, init=False, repr=False)
     _sequences: list[int] = field(default_factory=list, init=False, repr=False)
@@ -407,11 +416,9 @@ class Registry:
     # columns empty: (csp, attribute) -> the profile_row of each pair with
     # an SLO
     _profiles: dict[tuple[str, str], tuple] | None = field(default=None, init=False, repr=False)
-    # set by Store.load alone: the rows held in the snapshot, until the
-    # whole log is read or taken from a parse; the load restored
-    # _log_start rows, which the columns do not hold
+    # set by Store.load alone: the held log, the rows that the load
+    # restored from the snapshot, until the log is taken from a parse
     _rows: _HeldRows | None = field(default=None, init=False, repr=False)
-    _log_start: int = field(default=0, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Registry):
@@ -439,12 +446,18 @@ class Registry:
         return samples
 
     def _read_log(self) -> None:
-        """Decode the rows of the log held in the snapshot, if any (``_decode_log``).
+        """Decode the rows of each held place that no read decoded yet (``_decode_place``).
 
-        Refused ones leave every row, ``_place`` and ``_means`` to a parse.
+        Only when all are accepted are their samples set: a refused one
+        leaves every row, ``_place`` and ``_means`` to a parse.
         """
-        if self._rows is not None and not _decode_log(self):
-            self._rows.refuse(self)
+        if self._rows is not None:
+            samples = [_decode_place(self._rows, place) if held is None else held
+                       for place, held in enumerate(self._samples)]
+            if None in samples:
+                self._rows.refuse(self)
+            else:
+                self._samples = samples
 
     def _grouped(self) -> list[tuple[str, str, str, float, int]]:
         """The whole log in ``amvs``' order, as rows ``(csp, csc, attribute, value, sequence)``."""
@@ -470,9 +483,10 @@ class Registry:
         From a row that the load restored (only 0 is asked for), which has no
         submission order, it is the whole log, grouped (``_grouped``).
         """
-        if start < self._log_start:
+        restored = (self._rows or _NO_ROWS).starts[-1]
+        if start < restored:
             return self._grouped()
-        start -= self._log_start
+        start -= restored
         return list(map(add, map(list(self._place).__getitem__, self._places[start:]),
                         zip(self._values[start:], self._sequences[start:])))
 
@@ -570,9 +584,9 @@ class Registry:
         key = (csp_id, csc_id, attribute)
         place = self._place.get(key)
         samples = {} if place is None else self._samples[place]
-        if samples is None:  # rows held in the snapshot: read, then appended to
-            self._samples_of(key)
-            return self._append_amv(csp_id, csc_id, attribute, value, sequence)
+        if samples is None:  # rows held in the snapshot: a refusal of them renumbers the places
+            samples = self._samples_of(key) or {}
+            place = self._place.get(key)
         if sequence is None:
             sequence = 1 + max(samples, default=0)
         elif sequence in samples:
@@ -617,9 +631,11 @@ class Registry:
         mean = self._means[place]
         if mean is None:
             samples = self._samples[place]
-            if samples is None:  # rows held in the snapshot: read, then looked up again
-                self._samples_of(key)
-                return self.amv_mean(csp_id, csc_id, attribute)
+            if samples is None:  # rows held in the snapshot: a refusal of them renumbers the places
+                samples = self._samples_of(key)
+                if samples is None:  # refused, and the parse holds no row of the triple
+                    return None
+                place = self._place[key]
             mean = math.fsum(samples.values()) / len(samples)
             self._means[place] = mean
         return mean
@@ -756,8 +772,6 @@ def import_qws(
         owners[csp_id] = service
         accepted += 1
         for record in records:
-            # a store that a parse refuses is refused here, not as a conflicting record
-            registry._samples_of(record.key)
             try:
                 registry._append_amv(*record.key, record.value, record.sequence)
                 added += 1
@@ -807,19 +821,21 @@ def _packed(code: str, entries: list) -> bytes:
     return struct.pack(f"<{len(entries)}{code}", *entries)
 
 
-def _regrouped(part: bytes, code: str, ends: list[int], groups: dict[int, list]) -> bytes:
-    """``part``, a grouped section packed as ``code``, with ``groups`` spliced in.
+def _regrouped(log: _HeldRows, part: bytes, code: str, column: Callable,
+               tails: dict[int, dict], new: list[dict]) -> bytes:
+    """``part``, a section of ``log`` packed as ``code``, with the rows filed since spliced in.
 
-    Held place ``p``'s entries end at entry ``ends[p]``; ``groups[p]`` goes
-    right after them, and the group of a place past ``ends``, a new one,
-    after every held entry, in place order. The held entries keep their bytes.
+    ``column`` gives a place's entries from its samples. Those of held place
+    ``p`` past its held rows, the end of ``tails[p]``, go right after its
+    held entries, and those of the places ``new`` after every held entry,
+    in place order. The held entries keep their bytes.
     """
     chunks, at = [], 0
-    for place in sorted(groups):
-        end = 8 * ends[place] if place < len(ends) else len(part)
-        chunks += (part[at:end], _packed(code, groups[place]))
+    for place, samples in sorted(tails.items()):
+        end = 8 * log.starts[place + 1]
+        chunks += (part[at:end], _packed(code, [*column(samples)][log.counts[place]:]))
         at = end
-    chunks.append(part[at:])
+    chunks += (part[at:], _packed(code, [*chain.from_iterable(map(column, new))]))
     return b"".join(chunks)
 
 
@@ -843,8 +859,7 @@ def _table(registry: Registry, held: bytes | None = None,
     return marshal.dumps([*zip(*rows.values())] or [()] * 6, 2)
 
 
-def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int | None
-            ) -> tuple:
+def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
     """The eight sections of ``registry``'s snapshot.
 
     The first six are ``marshal`` version 2 bytes: the attribute
@@ -862,61 +877,50 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool, logged: int
     sections were kept.
 
     ``held`` is the sections that the registry's load or last save gave, or
-    None, and ``logged`` the log's row count then. The attributes, the
-    means and the counts are encoded again, and the SLOs unless
-    ``slos_kept``. The table is kept but for the rows of the pairs on whose
-    SLO triples a row was appended since (``_table``): a table row reads
-    only the pair's SLOs and the means of their triples, and a mean changes
-    only by an append to its triple. The distinct triples are extended, and
-    each place's appended values and sequences spliced in after its held
-    ones (``_regrouped``), so no held row is decoded. The log is read and
-    encoded whole without ``held``, or after the table read a place that
-    was refused. So a crafted section that the load accepted keeps its
-    encoding, and a crafted table or place its rows, until what it is made
-    from changes.
+    None. The attributes and the means are encoded again, and the SLOs
+    unless ``slos_kept``. The table is kept but for the rows of the pairs on
+    whose SLO triples a row was filed since the load (``_table``): a table
+    row reads only the pair's SLOs and the means of their triples, and a
+    mean changes only by an append to its triple. The log is spliced: the
+    rows filed since the load go onto the registry's held log
+    (``_HeldRows``), or onto an empty one when it holds none. Each held
+    place's appended rows, at the end of its samples, go after its held
+    ones, and the places filed since after every held row (``_regrouped``),
+    whose triples extend the distinct ones, so no held row is decoded. A
+    place that the table read and refused leaves the log to the parse, and
+    the table is built again whole. So a crafted section that the load
+    accepted keeps its encoding, and a crafted table or place its rows,
+    until what it is made from changes.
     """
-    _, table, slos, _, *log = held or (None,) * 8
-    spliced = held is not None and logged is not None
-    if not spliced:
-        registry._read_log()
-    rows, triples = registry._rows, list(registry._place)
-    # the rows appended since: all that the columns hold when nothing was logged
-    appended = slice(logged - registry._log_start if logged else 0, None)
-    places = registry._places[appended]
+    _, table, slos, *_ = held or (None,) * 8
     if not slos_kept:
         table = slos = None
     if slos is None:
         slos = marshal.dumps(registry._slo_index, 2)
-    touched = {(csp_id, name) for csp_id, csc_id, name in map(triples.__getitem__, set(places))
+    triples, appended = list(registry._place), set(registry._places)
+    touched = {(csp_id, name) for csp_id, csc_id, name in map(triples.__getitem__, appended)
                if csc_id in registry._slo_index.get((csp_id, name), ())}
+    held_log = registry._rows
     if table is None or touched:
         table = _table(registry, table, touched)
-    if rows is not None and registry._rows is None:
+    if held_log is not None and registry._rows is None:
         # a place that the table read was refused: the log, the places and
         # the means are the parse's, and the table is built again on them
-        table, spliced = _table(registry), False
-    if spliced:
-        distinct, counts_part, values_part, sequences_part = log
-        counts = marshal.loads(counts_part)
-        ends = list(accumulate(counts))
-        values, sequences = {}, {}  # place -> its appended rows' column
-        for place, value, sequence in zip(places, registry._values[appended],
-                                          registry._sequences[appended]):
-            values.setdefault(place, []).append(value)
-            sequences.setdefault(place, []).append(sequence)
-        counts += [0] * (len(triples) - len(counts))
-        for place, group in values.items():
-            counts[place] += len(group)
-        log = (_extended(distinct, triples[len(ends):]), marshal.dumps(counts, 2),
-               _regrouped(values_part, "d", ends, values),
-               _regrouped(sequences_part, "q", ends, sequences))
-    else:
-        samples = registry._samples
-        log = (marshal.dumps(triples, 2), marshal.dumps([*map(len, samples)], 2),
-               _packed("d", [*chain.from_iterable(map(dict.values, samples))]),
-               _packed("q", [*chain.from_iterable(samples)]))
+        table = _table(registry)
+    log = registry._rows or _NO_ROWS
+    samples, held_count = registry._samples, len(log.counts)
+    new = samples[held_count:]
+    # each held place appended to since the load, by its samples
+    tails = {place: samples[place] for place in appended if place < held_count}
+    counts = [*log.counts, *map(len, new)]
+    for place, appended_to in tails.items():
+        counts[place] = len(appended_to)
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
-            table, slos, marshal.dumps(registry._means, 2), *log)
+            table, slos, marshal.dumps(registry._means, 2),
+            _extended(log.distinct, [*registry._place][held_count:]),
+            marshal.dumps(counts, 2),
+            _regrouped(log, log.values, "d", dict.values, tails, new),
+            _regrouped(log, log.sequences, "q", dict.keys, tails, new))
 
 
 def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
@@ -927,7 +931,7 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
     rows in the sections (``_HeldRows``), and the sections, as the ``held``
     of its save. A writer decodes one place's rows at the first read of its
     triple (``_decode_place``), and the whole log at its first whole read
-    (``_decode_log``). Without, a read-only registry, which holds the
+    (``Registry._read_log``). Without, a read-only registry, which holds the
     attributes and the profile table, and None. A section that the
     registry does not hold is not decoded.
 
@@ -999,8 +1003,7 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
         return None
     registry._samples = [None] * len(counts)
     if rows:
-        registry._rows = _HeldRows(values_part, sequences_part, counts)
-        registry._log_start = rows
+        registry._rows = _HeldRows(distinct_part, values_part, sequences_part, counts)
     return registry, sections
 
 
@@ -1017,20 +1020,6 @@ def _decode_place(rows: _HeldRows, place: int) -> dict[int, float] | None:
     # a sum that overflows on huge values only leaves the rows to the parse
     checked = len(samples) == count and math.isfinite(sum(values)) and min(values) >= 0
     return samples if checked else None
-
-
-def _decode_log(registry: Registry) -> bool:
-    """Decode the rows of each place that ``registry``'s load held and no read decoded yet.
-
-    Each is checked by ``_decode_place``: whether all were accepted, and
-    only then are their samples set.
-    """
-    samples = [_decode_place(registry._rows, place) if held is None else held
-               for place, held in enumerate(registry._samples)]
-    if None in samples:
-        return False
-    registry._samples, registry._rows = samples, None
-    return True
 
 
 class Store:
@@ -1154,8 +1143,7 @@ class Store:
         else:
             (registry, held), snapshot_stamps = restored, stamps
             if registry._rows is not None:  # each place's rows at their first read
-                registry._rows.refuse = functools.partial(self._reparse, stamps,
-                                                          registry._log_start)
+                registry._rows.refuse = functools.partial(self._reparse, stamps)
         self._remember(registry, stamps, snapshot_stamps, held)
         return registry
 
@@ -1169,18 +1157,18 @@ class Store:
                 contents[name] = None
         return contents
 
-    def _reparse(self, stamps: dict[str, tuple[int, int] | None], logged: int,
-                 registry: Registry) -> None:
+    def _reparse(self, stamps: dict[str, tuple[int, int] | None], registry: Registry) -> None:
         """Take the rows of ``registry``, whose held rows were refused, from a parse of the files.
 
         The files are read again, under the lock that the command holds:
         they must be as the registry's load, or its last save here, left
-        them (``stamps``, and ``logged`` rows in amvs.csv), or a file whose
+        them (``stamps``, and amvs.csv the held log's rows), or a file whose
         CRC-32 or length differs is refused. The log, ``_place``, ``_means``
         and ``_samples`` become the parse's, and the rows appended since are
         filed again. The next save encodes every section afresh. A refusal,
         of a changed file or by the parse, is raised as a StoreRefusedError.
         """
+        logged = registry._rows.starts[-1]
         if self._synced and self._synced[0]() is registry:
             ref, files, stamps, _, _ = self._synced
             logged = files[self.AMVS_FILE]
@@ -1197,7 +1185,7 @@ class Store:
         appended = registry._amv_rows(logged)
         for name in ("_places", "_values", "_sequences", "_samples", "_place", "_means"):
             setattr(registry, name, getattr(parsed, name))
-        registry._rows, registry._log_start = None, 0
+        registry._rows = None
         for row in appended:
             registry._append_amv(*row)
 
@@ -1229,6 +1217,8 @@ class Store:
         unless it already holds this registry and these files. Its sections
         are encoded before any file is written, so that a held place that
         the encoding reads, and refuses, is parsed from the files as loaded.
+        A save that writes amvs.csv whole reads the whole log first, so that
+        a refused held row sends both amvs.csv and the snapshot to the parse.
         """
         registry._check_records()
         if self._synced and self._synced[0]() is registry:
@@ -1242,7 +1232,9 @@ class Store:
         logged = synced.get(self.AMVS_FILE)
         unchanged = (attributes_kept and slos_kept and logged == len(registry.amvs)
                      and stamps == snapshot_stamps)
-        sections = None if unchanged else _encode(registry, held, slos_kept, logged)
+        if logged is None:
+            registry._read_log()
+        sections = None if unchanged else _encode(registry, held, slos_kept)
         if not attributes_kept:
             stamps[self.ATTRIBUTES_FILE] = self._replace(
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
