@@ -1,4 +1,4 @@
-"""Turns raw SLO and AMV submissions into per-provider actual service intervals.
+"""The model's per-(provider, attribute) rule: SLO and AMV submissions to an actual interval.
 
 For one (provider, attribute) pair: average each consumer's monitored values,
 check the average against that consumer's agreed objective under the
@@ -6,21 +6,37 @@ attribute's polarity, and scale the provider's declared SLO span
 [min SLO, max SLO] by the fraction of consumers whose checks pass. The
 result is the interval the provider demonstrably delivers.
 
-The registry owns the formula's inputs: ``Registry.profile_row`` gives a
-pair's row (satisfied, agreed, span lower, span upper), read from a
-read-only registry's profile table or built from any other's SLOs and
-means. ``from_row`` computes a row's profile, and ``actual_slo_interval``
-that of a pair named by attribute name or abbreviation.
+``profile_of`` gives a pair's row (satisfied, agreed, span lower, span
+upper) from its SLOs and their consumers' means: the only verdict and the
+only span in the package. ``from_row`` computes a row's profile, and
+``actual_slo_interval`` that of a pair named by attribute name or
+abbreviation. The registry (``fastcloud.registry``) holds the rule's
+inputs and imports it from here.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from typing import NamedTuple
+from operator import ge, le
+from typing import Collection, Iterable, NamedTuple
 
 from .intervals import IntervalNumber
-# satisfies_consistency, the polarity check, lives beside Polarity and stays importable here
-from .registry import MissingSloError, Registry, satisfies_consistency
+
+
+class Polarity(enum.Enum):
+    """Whether a higher attribute value is better (benefit) or worse (cost)."""
+
+    BENEFIT = "benefit"
+    COST = "cost"
+
+
+# the polarity check, as a comparison of (amv, slo)
+_MEETS = {Polarity.BENEFIT: ge, Polarity.COST: le}
+
+
+class MissingSloError(ValueError):
+    """A monitored value was submitted for a triple with no agreed objective."""
 
 
 class ConsistencyProfile(NamedTuple):
@@ -39,6 +55,11 @@ class ConsistencyProfile(NamedTuple):
     actual_interval: IntervalNumber
 
 
+def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
+    """Whether a monitored mean meets its objective: benefit amv >= slo, cost amv <= slo."""
+    return _MEETS[polarity](amv, slo)
+
+
 def average_amv(samples: list[float]) -> float:
     """Arithmetic mean of a nonempty sample list: its ``math.fsum`` over its length."""
     if not samples:
@@ -46,8 +67,28 @@ def average_amv(samples: list[float]) -> float:
     return math.fsum(samples) / len(samples)
 
 
-def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> ConsistencyProfile:
-    """The provider's profile on one attribute, named by name or abbreviation.
+def profile_of(polarity: Polarity, slos: Collection[float],
+               means: Iterable[float | None]) -> tuple[int, int, float, float]:
+    """A pair's row (satisfied, agreed, span lower, span upper).
+
+    ``slos`` holds the pair's agreed value per consumer, and ``means`` each
+    consumer's monitored mean in the same order, or None where it has no
+    monitored value. Each consumer counts as agreed, and as satisfied only
+    if its mean passes the polarity check: an unverifiable claim does not
+    raise the rate. The span is [min, max] of the SLO values; ``from_row``
+    scales it by the rate the same way for both polarities, which
+    normalization honors later.
+    """
+    meets = _MEETS[polarity]
+    satisfied = 0
+    for slo, mean in zip(slos, means):
+        if mean is not None and meets(mean, slo):
+            satisfied += 1
+    return satisfied, len(slos), min(slos), max(slos)
+
+
+def actual_slo_interval(registry, csp_id: str, attribute: str) -> ConsistencyProfile:
+    """The provider's profile on one attribute of a ``Registry``, named by name or abbreviation.
 
     Raises MissingSloError when the provider agreed no SLO on the attribute.
     """
@@ -59,7 +100,7 @@ def actual_slo_interval(registry: Registry, csp_id: str, attribute: str) -> Cons
 
 
 def from_row(csp_id: str, attribute: str, row: tuple) -> ConsistencyProfile:
-    """The profile of a ``Registry.profile_row``: rate satisfied / agreed, span scaled by it."""
+    """The profile of a ``profile_of`` row: rate satisfied / agreed, span scaled by it."""
     satisfied, agreed, lower, upper = row
     rate = satisfied / agreed
     return ConsistencyProfile(csp_id, attribute, rate, satisfied, agreed,

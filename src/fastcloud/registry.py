@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import enum
 import fcntl
 import functools
 import io
@@ -38,36 +37,17 @@ import tempfile
 import weakref
 import zlib
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
-from operator import add, ge, itemgetter, le, sub
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, le, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
+from .consistency import MissingSloError, Polarity, profile_of
 from .intervals import IntervalNumber
-
-
-class Polarity(enum.Enum):
-    """Whether a higher attribute value is better (benefit) or worse (cost)."""
-
-    BENEFIT = "benefit"
-    COST = "cost"
-
-
-# the polarity check, as a comparison of (amv, slo)
-_MEETS = {Polarity.BENEFIT: ge, Polarity.COST: le}
-
-
-def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
-    """Whether a monitored mean meets its objective: benefit amv >= slo, cost amv <= slo."""
-    return _MEETS[polarity](amv, slo)
 
 
 class UnknownAttributeError(ValueError):
     """A record references an attribute that is not registered."""
-
-
-class MissingSloError(ValueError):
-    """A monitored value was submitted for a triple with no agreed objective."""
 
 
 class DuplicateSubmissionError(ValueError):
@@ -383,8 +363,9 @@ class Registry:
     the held log after either, as the base that its saves splice the rows
     filed since onto. ``len(amvs)`` reads no row, and a command that reads
     no row decodes none.
-    ``profile_row`` gives the inputs of one (provider, attribute)'s
-    consistency profile, the row of the snapshot's profile table. A
+    ``profile_row`` gives the ``consistency.profile_of`` row of one
+    (provider, attribute), the inputs of its consistency profile and its
+    row of the snapshot's profile table. A
     read-only registry (``Store.load(log=False)``) holds the attributes and
     the profile table's row of each (provider, attribute) with an SLO alone:
     its ``slos`` and ``amvs`` read as empty views, and ``slos_for``,
@@ -647,29 +628,18 @@ class Registry:
                 for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
     def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
-        """The provider's profile table row on ``attr``, or None if it agreed no SLO on it.
+        """The provider's ``consistency.profile_of`` row on ``attr``, or None if it agreed no SLO on it.
 
-        The row is (satisfied, agreed, span lower, span upper): a read-only
-        registry holds it, and any other builds it now. A consumer that holds
-        an SLO counts as agreed, and as satisfied only if it also has
-        monitored values whose mean passes the polarity check: an
-        unverifiable claim does not raise the rate. The span is [min, max] of
-        the SLO values; ``consistency.from_row`` scales it by the rate the
-        same way for both polarities, which normalization honors later.
+        A read-only registry holds the row; any other builds it now, from
+        the pair's SLOs and their triples' ``amv_mean``.
         """
         if self._profiles is not None:
             return self._profiles.get((csp_id, attr.name))
         slos = self._slo_index.get((csp_id, attr.name))
         if slos is None:
             return None
-        mean, name, meets = self.amv_mean, attr.name, _MEETS[attr.polarity]
-        satisfied = 0
-        for csc_id, value in slos.items():
-            amv = mean(csp_id, csc_id, name)
-            if amv is not None and meets(amv, value):
-                satisfied += 1
-        values = slos.values()
-        return satisfied, len(slos), min(values), max(values)
+        return profile_of(attr.polarity, slos.values(),
+                          map(self.amv_mean, repeat(csp_id), slos, repeat(attr.name)))
 
 
 @dataclass(frozen=True)
@@ -841,7 +811,10 @@ def _regrouped(log: _HeldRows, part: bytes, code: str, column: Callable,
 
 def _table(registry: Registry, held: bytes | None = None,
            pairs: Iterable[tuple[str, str]] = ()) -> bytes:
-    """The profile table section: the profile of every pair with an SLO, as six columns.
+    """The profile table section: every pair with an SLO and its row, as six columns.
+
+    A pair's row is the ``consistency.profile_of`` row that
+    ``Registry.profile_row`` gives, built from the pair's SLOs and means.
 
     Given the ``held`` section, the rows of ``pairs`` are built again and
     the others kept, unless it does not list the pairs with an SLO in the

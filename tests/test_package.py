@@ -59,3 +59,20 @@ def test_modules_share_no_private_name_and_import_at_the_top():
                           for node in ast.walk(function)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_the_model_s_rule_imports_only_intervals_from_the_package():
+    """consistency.py, which owns the per-(provider, attribute) rule, imports nothing
+    of the package but ``intervals``: the registry imports the rule, not the other way."""
+    path = Path(fastcloud.__file__).parent / "consistency.py"
+    imported = set()
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "fastcloud":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "fastcloud"}
+    assert imported == {"intervals"}
