@@ -3,8 +3,9 @@
 For one (provider, attribute) pair: average each consumer's monitored values,
 check the average against that consumer's agreed objective under the
 attribute's polarity, and scale the provider's declared SLO span
-[min SLO, max SLO] by the fraction of consumers whose checks pass. The
-result is the interval the provider demonstrably delivers.
+[min SLO, max SLO], over the consumers with monitored values, by the
+fraction of consumers whose checks pass. The result is the interval the
+provider demonstrably delivers.
 
 ``profile_of`` gives a pair's row (satisfied, agreed, span lower, span
 upper) from its SLOs and their consumers' means: the only verdict and the
@@ -75,16 +76,22 @@ def profile_of(polarity: Polarity, slos: Collection[float],
     consumer's monitored mean in the same order, or None where it has no
     monitored value. Each consumer counts as agreed, and as satisfied only
     if its mean passes the polarity check: an unverifiable claim does not
-    raise the rate. The span is [min, max] of the SLO values; ``from_row``
-    scales it by the rate the same way for both polarities, which
+    raise the rate. The span is [min, max] of the SLO values of the
+    monitored consumers, so an unverifiable claim does not widen it either.
+    A pair with no monitored consumer keeps the span of all its SLOs: its
+    rate is 0, so ``from_row`` scales any span to [0, 0]. ``from_row``
+    scales the span by the rate the same way for both polarities, which
     normalization honors later.
     """
     meets = _MEETS[polarity]
-    satisfied = 0
+    satisfied, monitored = 0, []
     for slo, mean in zip(slos, means):
-        if mean is not None and meets(mean, slo):
-            satisfied += 1
-    return satisfied, len(slos), min(slos), max(slos)
+        if mean is not None:
+            monitored.append(slo)
+            if meets(mean, slo):
+                satisfied += 1
+    span = monitored or slos
+    return satisfied, len(slos), min(span), max(span)
 
 
 def actual_slo_interval(registry, csp_id: str, attribute: str) -> ConsistencyProfile:

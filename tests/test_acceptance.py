@@ -212,18 +212,21 @@ def test_c07_consistency_engine_matches_brute_force():
                     if not records:
                         continue
                     satisfied = 0
+                    monitored = []  # the SLO values of the agreements with monitored values
                     for record in records:
                         values = [a.value for a in amvs if a.key == record.key]
                         if not values:
                             continue
+                        monitored.append(record.value)
                         mean = math.fsum(values) / len(values)  # as the program sums them
                         ok = (mean >= record.value
                               if attr.polarity is Polarity.BENEFIT
                               else mean <= record.value)
                         satisfied += 1 if ok else 0
                     rate = satisfied / len(records)
-                    lo = min(r.value for r in records)
-                    hi = max(r.value for r in records)
+                    # with no monitored agreement, the span of all (the rate is 0)
+                    span = monitored or [r.value for r in records]
+                    lo, hi = min(span), max(span)
                     profile = actual_slo_interval(registry, csp, attr.name)
                     assert profile.consistency_rate == rate
                     assert profile.satisfied_count == satisfied

@@ -17,6 +17,8 @@ from importlib import resources
 from operator import add
 from pathlib import Path
 
+import pytest
+
 from fastcloud.cli import main
 from fastcloud.registry import (
     AMV_COLUMNS,
@@ -104,5 +106,27 @@ def test_the_case_study_ranks_the_sample_through_the_cli(tmp_path, capsys):
     assert sorted(doc["candidates"]) == candidates and len(candidates) == 10
     assert oracle.ranking_errors([(r["csp_id"], r["ordering_score"]) for r in doc["ranking"]],
                                  scores) == []
+    assert main([*store, "assess", str(request)]) == 0
+    assert capsys.readouterr().out.startswith(f"ranking: {CHAIN}\n")
+
+
+@pytest.mark.parametrize("row", [["TaxCalcService", "nobody", "av", "1000"],
+                                 ["TaxCalcService", "nobody", "la", "5"],
+                                 ["TaxCalcService", "nobody", "th", "60"]],
+                         ids=["availability", "latency", "throughput"])
+def test_an_unmonitored_agreement_moves_no_provider(tmp_path, capsys, row):
+    """One SLO row with no monitored value, the best on its attribute, agreed by a
+    consumer that monitored nothing: it is not satisfied and does not widen the
+    provider's span, so the case's ranking stays as it was."""
+    store = ["--store", str(tmp_path / "store")]
+    slo = tmp_path / "slo.csv"
+    slo.write_text(",".join(SLO_COLUMNS) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+    for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", str(SLO_FILE)],
+                 ["submit-amv", str(AMV_FILE)], ["submit-slo", str(slo)]):
+        assert main([*store, *argv]) == 0
+    request = tmp_path / "request.csv"
+    request.write_text("attribute,min,max\n" + "".join(
+        f"{attr.abbreviation},0,1e6\n" for attr in STANDARD_ATTRIBUTES), encoding="utf-8")
+    capsys.readouterr()
     assert main([*store, "assess", str(request)]) == 0
     assert capsys.readouterr().out.startswith(f"ranking: {CHAIN}\n")

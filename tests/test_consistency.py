@@ -195,17 +195,20 @@ class TestActualInterval:
                 continue
             polarity = registry.attributes[attr].polarity
             satisfied = 0
+            monitored = []  # the SLO values of the agreements with monitored values
             for record in slo_records:
                 values = [a.value for a in amvs if a.key == record.key]
                 if not values:
                     continue
+                monitored.append(record.value)
                 mean = sum(values) / len(values)
                 if (mean >= record.value if polarity is Polarity.BENEFIT
                         else mean <= record.value):
                     satisfied += 1
             expected_rate = satisfied / len(slo_records)
-            lo = min(r.value for r in slo_records)
-            hi = max(r.value for r in slo_records)
+            # with no monitored agreement, the span of all (the rate is 0)
+            span = monitored or [r.value for r in slo_records]
+            lo, hi = min(span), max(span)
             profile = actual_slo_interval(registry, "p", attr)
             assert profile.consistency_rate == expected_rate
             assert profile.slo_span == IntervalNumber(lo, hi)

@@ -1272,7 +1272,7 @@ class TestSnapshotLoad:
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
         assert read_only != expected  # it holds no SLO, mean or log
         assert read_only[-1] == expected[-1]  # but the same profiles
-        previous = tag.replace("snapshot 10", "snapshot 9")
+        previous = tag.replace("snapshot 11", "snapshot 10")
         assert previous != tag
         attributes, table = marshal.loads(head), marshal.loads(table_part)
         index = marshal.loads(slo_part)
@@ -1293,8 +1293,8 @@ class TestSnapshotLoad:
         groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})
         rows = [groups[place].pop(0) for place in places]
         in_order = [marshal.dumps([row[at] for row in rows], 2) for at in (0, 1)]
-        # the sections of the previous format: this format's, but the SLOs as
-        # triples and values
+        # the sections of snapshot 9: this format's, but the SLOs as triples
+        # and values (snapshot 10, the previous format, has this layout)
         layout_9 = (head, table_part, slo_9, means_part, *log)
         sizes_9 = tuple(map(len, layout_9[:-1]))
         # and of the one before, after the means: the grouped values and
@@ -1354,9 +1354,9 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
             assert load_recorded(store, monkeypatch, log=False) == (expected, True)
-        # the previous format, the one before it, and the one before that but
-        # one, have as many sections, and their first two are this format's:
-        # under this tag, a reader takes them, and a writer refuses the rest
+        # snapshots 9, 8 and 6 have as many sections, and their first two are
+        # this format's: under this tag, a reader takes them, and a writer
+        # refuses the rest
         for write in (
                 lambda: checked((tag, stamps, sizes_9), *layout_9),
                 lambda: checked((tag, stamps, sizes_8), head, table_part, slo_9, means_part,
@@ -1365,8 +1365,8 @@ class TestSnapshotLoad:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True)
             assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
-        # a writer replaces a snapshot 9 file, in this format's layout or in its
-        # own, with the current format's bytes
+        # a writer replaces a file of the previous tag, in this format's layout
+        # (snapshot 10's) or in snapshot 9's, with the current format's bytes
         for write in (
                 lambda: checked((previous, stamps, sizes), head, table_part, slo_part, means_part,
                                 *log),
@@ -1825,7 +1825,8 @@ class TestSnapshotLoad:
         assert registry.amv_mean("p1", "c3", "availability") is None
         assert registry.amv_samples("p1", "c3", "availability") == []
         availability = registry.attributes["availability"]
-        assert registry.profile_row("p1", availability) == (1, 2, 90.0, 95.0)  # c3 unmet
+        # c3 unmonitored: counted as agreed, not satisfied, and not in the span
+        assert registry.profile_row("p1", availability) == (1, 2, 90.0, 90.0)
         assert registry == store.load()
 
     @pytest.mark.parametrize("command, rows", [

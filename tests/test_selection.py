@@ -167,13 +167,17 @@ def reference_profile(registry, csp_id, attribute):
     slos = registry.slos_for(csp_id, attr.name)
     if not slos:
         return None
-    satisfied = 0
+    satisfied, monitored = 0, []
     for record in slos:
         samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
+        if samples:
+            monitored.append(record.value)
         if samples and satisfies_consistency(attr.polarity, record.value, average_amv(samples)):
             satisfied += 1
     rate = satisfied / len(slos)
-    lo, hi = min(r.value for r in slos), max(r.value for r in slos)
+    # the span of the monitored agreements; with none, that of all (the rate is 0)
+    span = monitored or [r.value for r in slos]
+    lo, hi = min(span), max(span)
     return ConsistencyProfile(csp_id, attr.name, rate, satisfied, len(slos),
                               IntervalNumber(lo, hi), IntervalNumber(rate * lo, rate * hi))
 
