@@ -1979,6 +1979,8 @@ class TestDecodeMutations:
                 ("p2", "c2", "la", 14.0, 2 ** 31 if long_sequence else 7)):
             registry.submit_amv(AmvRecord(csp_id, csc_id, attribute, value, sequence))
         import_qws(registry, io.StringIO(qws_rows(2)))  # SvcA's triples, with no SLO
+        # a one-character name, which the second character of a str SLO key names
+        registry.register_attribute(QosAttribute("x", "x1", "u", Polarity.BENEFIT))
         return registry
 
     @staticmethod
@@ -2111,6 +2113,14 @@ class TestDecodeMutations:
                 columns["satisfied"][at] = columns["agreed"][at] + 1
             else:  # no consumer agreed, so none is satisfied
                 columns["satisfied"][at] = columns["agreed"][at] = 0
+        elif kind == "container":
+            at = rng.randrange(len(columns["slo_pairs"]))
+            if n % 3 == 0:  # the means as a tuple, which an append cannot reset
+                columns["means"] = tuple(columns["means"])
+            elif n % 3 == 1:  # an SLO key of three fields
+                columns["slo_pairs"][at] = (*columns["slo_pairs"][at], "x")
+            else:  # an SLO key of two characters, whose second names attribute "x"
+                columns["slo_pairs"][at] = columns["slo_pairs"][at][0][0] + "x"
         else:  # "pair": one table pair, SLO pair or distinct triple twice
             keys = rng.choice((("csp_ids", "names"), ("slo_pairs",), ("distinct",)))
             first, second = rng.sample(range(len(columns[keys[0]])), 2)
@@ -2118,7 +2128,7 @@ class TestDecodeMutations:
                 columns[name][second] = columns[name][first]
 
     KINDS = ("number", "grouping", "unused", "spelling", "rows", "type", "counts", "repeat",
-             "pair")
+             "pair", "container")
 
     @staticmethod
     def check_places(sections, columns, whole):
@@ -2161,7 +2171,7 @@ class TestDecodeMutations:
         # refusals of each kind, and mutated sections that a decode that reads them accepted
         seen = dict.fromkeys([*self.KINDS, "writer accepted", "reader accepted",
                               "place refused"], 0)
-        for trial in range(600):
+        for trial in range(660):
             kind = self.KINDS[trial % len(self.KINDS)]
             head, columns = rng.choice(corpus)
             original = self.encoded_sections(head, columns)
@@ -2182,6 +2192,12 @@ class TestDecodeMutations:
                 kept = _encode(registry, held, True)
                 fresh = _encode(parsed, None, False)
                 assert (kept[2], *kept[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
+                # and an append to an SLO triple files the same row in a new decode
+                (csp_id, name), consumers = next(iter(parsed._slo_index.items()))
+                appended, _ = _decode(sections, True)
+                for target in (appended, parsed):
+                    target.submit_amv(AmvRecord(csp_id, next(iter(consumers)), name, 1.0))
+                assert appended == parsed, (kind, columns)
             if _decode_records(sections, True) is not None:
                 seen["place refused"] += self.check_places(sections, columns, decoded)
             read = _decode(sections, False)
