@@ -79,9 +79,9 @@ def profile_of(polarity: Polarity, slos: Collection[float],
     raise the rate. The span is [min, max] of the SLO values of the
     monitored consumers, so an unverifiable claim does not widen it either.
     A pair with no monitored consumer keeps the span of all its SLOs: its
-    rate is 0, so ``from_row`` scales any span to [0, 0]. ``from_row``
-    scales the span by the rate the same way for both polarities, which
-    normalization honors later.
+    rate is 0, so any span scales to [0, 0]. ``from_row`` scales the span
+    by the rate the same way for both polarities, which normalization
+    honors later.
     """
     meets = _MEETS[polarity]
     satisfied, monitored = 0, []

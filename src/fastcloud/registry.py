@@ -365,9 +365,9 @@ class Registry:
     no row decodes none.
     ``profile_row`` gives the ``consistency.profile_of`` row of one
     (provider, attribute), the inputs of its consistency profile and its
-    row of the snapshot's profile table. A
-    read-only registry (``Store.load(log=False)``) holds the attributes and
-    the profile table's row of each (provider, attribute) with an SLO alone:
+    row of the snapshot's profile table. A read-only registry
+    (``Store.load(log=False)``) holds the attributes and the profile
+    table's row of each (provider, attribute) with an SLO alone:
     its ``slos`` and ``amvs`` read as empty views, and ``slos_for``,
     ``amv_samples``, ``amv_mean``, a submission, ``import_qws`` and
     ``Store.save`` raise ReadOnlyRegistryError.
@@ -628,7 +628,7 @@ class Registry:
                 for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
     def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
-        """The provider's ``consistency.profile_of`` row on ``attr``, or None if it agreed no SLO on it.
+        """The provider's ``profile_of`` row on ``attr``, or None if it agreed no SLO on it.
 
         A read-only registry holds the row; any other builds it now, from
         the pair's SLOs and their triples' ``amv_mean``.

@@ -71,15 +71,28 @@ def test_the_committed_files_are_the_rule_applied_to_the_sample():
     assert slos.count("\n") == amvs.count("\n") == 1 + 10 * 5 * 6
 
 
-def test_the_case_study_ranks_the_sample_through_the_cli(tmp_path, capsys):
+def case_store(tmp_path, capsys, *slo_rows):
+    """The case store's ``--store`` arguments, built through the CLI from the committed
+    files and then ``slo_rows``, and a request for all six attributes."""
     store = ["--store", str(tmp_path / "store")]
-    for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", str(SLO_FILE)],
-                 ["submit-amv", str(AMV_FILE)]):
+    commands = [["register-attributes", "--qws-defaults"], ["submit-slo", str(SLO_FILE)],
+                ["submit-amv", str(AMV_FILE)]]
+    if slo_rows:
+        extra = tmp_path / "extra-slos.csv"
+        extra.write_text("\n".join(map(",".join, [SLO_COLUMNS, *slo_rows])) + "\n",
+                         encoding="utf-8")
+        commands.append(["submit-slo", str(extra)])
+    for argv in commands:
         assert main([*store, *argv]) == 0
     request = tmp_path / "request.csv"
     request.write_text("attribute,min,max\n" + "".join(
         f"{attr.abbreviation},0,1e6\n" for attr in STANDARD_ATTRIBUTES), encoding="utf-8")
     capsys.readouterr()
+    return store, request
+
+
+def test_the_case_study_ranks_the_sample_through_the_cli(tmp_path, capsys):
+    store, request = case_store(tmp_path, capsys)
     assert main([*store, "assess", str(request), "--format", "structured"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["chain"] == CHAIN
@@ -118,15 +131,6 @@ def test_an_unmonitored_agreement_moves_no_provider(tmp_path, capsys, row):
     """One SLO row with no monitored value, the best on its attribute, agreed by a
     consumer that monitored nothing: it is not satisfied and does not widen the
     provider's span, so the case's ranking stays as it was."""
-    store = ["--store", str(tmp_path / "store")]
-    slo = tmp_path / "slo.csv"
-    slo.write_text(",".join(SLO_COLUMNS) + "\n" + ",".join(row) + "\n", encoding="utf-8")
-    for argv in (["register-attributes", "--qws-defaults"], ["submit-slo", str(SLO_FILE)],
-                 ["submit-amv", str(AMV_FILE)], ["submit-slo", str(slo)]):
-        assert main([*store, *argv]) == 0
-    request = tmp_path / "request.csv"
-    request.write_text("attribute,min,max\n" + "".join(
-        f"{attr.abbreviation},0,1e6\n" for attr in STANDARD_ATTRIBUTES), encoding="utf-8")
-    capsys.readouterr()
+    store, request = case_store(tmp_path, capsys, row)
     assert main([*store, "assess", str(request)]) == 0
     assert capsys.readouterr().out.startswith(f"ranking: {CHAIN}\n")
