@@ -6,18 +6,19 @@ request file share one record format, defined here: a header of the kind's
 columns, then one record per row, read by ``read_rows`` and parsed by
 ``parse_*``. Loading applies the same record checks as submission, since
 each file is read by that row loop, which names a refused row. A registry
-holds its monitored values by triple: each triple's values by sequence, in
-submission order, and the triples in order of their first row.
+holds its monitored values in one order, the log's: by triple, in order of
+its first row, and each triple's by sequence, in submission order.
 
 amvs.csv is an append-only log: a save appends the monitored values added
-since the load, while attributes.csv and slos.csv are replaced atomically,
-and only when they changed. Writers serialize on an ``flock`` of the
-store's ``.lock`` file across processes (see ``Store``). Each save also
-rewrites ``.snapshot``, a derived file that is safe to delete: a load that
-finds the CSV files as that save left them restores the registry from it
-in place of parsing them; a reader restores only the attributes and the
-inputs of the consistency profile of each (provider, attribute) with an
-SLO, and a writer restores the rows of its log at their first read.
+since the load, in the log's order, while attributes.csv and slos.csv are
+replaced atomically, and only when they changed. Writers serialize on an
+``flock`` of the store's ``.lock`` file across processes (see ``Store``).
+Each save also rewrites ``.snapshot``, a derived file that is safe to
+delete: a load that finds the CSV files as that save left them restores the
+registry from it in place of parsing them; a reader restores only the
+attributes and the inputs of the consistency profile of each (provider,
+attribute) with an SLO, and a writer restores the rows of its log at their
+first read.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import tempfile
 import weakref
 import zlib
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, le, sub
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, le, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
@@ -302,7 +303,7 @@ class AmvView:
         self._registry = registry
 
     def __len__(self) -> int:
-        return (self._registry._rows or _NO_ROWS).starts[-1] + len(self._registry._values)
+        return sum(self._registry._counts)
 
     def __iter__(self) -> Iterator[AmvRecord]:
         return (AmvRecord(*row) for row in self._registry._grouped())
@@ -351,18 +352,17 @@ class Registry:
     of theirs, and a resubmission keeps its place.
     Monitored values are held by place, one per distinct ``(csp, csc,
     attribute)`` triple, in order of its first row: its values by sequence,
-    in submission order, and its mean, cached until an append to the triple.
-    ``amvs`` reads the log in that one order. The rows not restored from a
-    snapshot are also held in submission order, as three columns (place,
-    value, sequence), for a save's append to amvs.csv. ``slos`` and ``amvs``
-    are read-only views. A registry that a writer's load restored from the
-    snapshot holds the rows there, its held log (``_HeldRows``): it decodes
-    one triple's rows at the first read of that triple (``_samples_of``),
-    and the whole log at its first whole read (``_read_log``): iterating or
-    comparing ``amvs``, ``_amv_rows()``, or comparing registries. It keeps
-    the held log after either, as the base that its saves splice the rows
-    filed since onto. ``len(amvs)`` reads no row, and a command that reads
-    no row decodes none.
+    in submission order, its row count, and its mean, cached until an
+    append to the triple. That is the log's one order: ``amvs`` reads it,
+    and a save writes amvs.csv in it (``_rows_after``). ``slos`` and
+    ``amvs`` are read-only views. A registry that a writer's load restored
+    from the snapshot holds the rows there, its held log (``_HeldRows``):
+    it decodes one triple's rows at the first read of that triple
+    (``_samples_of``), and the whole log at its first whole read
+    (``_read_log``): iterating or comparing ``amvs``, comparing registries,
+    or writing amvs.csv whole. It keeps the held log after either, as the
+    base that its saves splice the rows filed since onto. ``len(amvs)``
+    reads no row, and a command that reads no row decodes none.
     ``profile_row`` gives the ``consistency.profile_of`` row of one
     (provider, attribute), the inputs of its consistency profile and its
     row of the snapshot's profile table. A read-only registry
@@ -381,11 +381,6 @@ class Registry:
     # (csp, attribute) -> {csc: agreed value}, each in order of its first
     # SLO: filled by submit_slo, or taken whole from the snapshot
     _slo_index: dict[tuple[str, str], dict[str, float]] = field(default_factory=dict, init=False)
-    # the monitored values not restored from the snapshot (those after the
-    # held log's), in submission order, a column each
-    _places: list[int] = field(default_factory=list, init=False, repr=False)
-    _values: list[float] = field(default_factory=list, init=False, repr=False)
-    _sequences: list[int] = field(default_factory=list, init=False, repr=False)
     # (csp, csc, attribute) -> its place, in order of its first row
     _place: dict[tuple[str, str, str], int] = field(default_factory=dict, init=False, repr=False)
     # by place, {sequence: value} in submission order, or None while its rows
@@ -393,6 +388,8 @@ class Registry:
     _samples: list[dict[int, float] | None] = field(default_factory=list, init=False, repr=False)
     # by place, amv_mean, or None until it is computed: _append_amv resets it
     _means: list[float | None] = field(default_factory=list, init=False, repr=False)
+    # by place, its row count, held or not: _append_amv adds 1 a row
+    _counts: list[int] = field(default_factory=list, init=False, repr=False)
     # set by Store.load(log=False) alone, which leaves the SLO and log
     # columns empty: (csp, attribute) -> the profile_row of each pair with
     # an SLO
@@ -441,10 +438,21 @@ class Registry:
                 self._samples = samples
 
     def _grouped(self) -> list[tuple[str, str, str, float, int]]:
-        """The whole log in ``amvs``' order, as rows ``(csp, csc, attribute, value, sequence)``."""
+        """The whole log (``_rows_after``), each held row decoded first (``_read_log``)."""
         self._read_log()
-        return [(*key, value, sequence) for key, samples in zip(self._place, self._samples)
-                for sequence, value in samples.items()]
+        return self._rows_after([])
+
+    def _rows_after(self, counts: list[int]) -> list[tuple[str, str, str, float, int]]:
+        """Each place's rows past its first ``counts[place]`` (all past the list's end).
+
+        They are rows ``(csp, csc, attribute, value, sequence)`` in the log's
+        one order: by place, each place's in submission order. Only places
+        whose count differs are read, which hold their samples: a row is
+        filed in a decoded place, and ``_grouped`` decodes every place.
+        """
+        return [(*key, value, sequence) for key, samples, count, start
+                in zip(self._place, self._samples, self._counts, chain(counts, repeat(0)))
+                if count != start for sequence, value in islice(samples.items(), start, None)]
 
     @property
     def slos(self) -> SloView:
@@ -457,19 +465,6 @@ class Registry:
     def _check_records(self) -> None:
         if self._profiles is not None:
             raise ReadOnlyRegistryError("the registry was loaded with its profiles alone")
-
-    def _amv_rows(self, start: int = 0) -> list[tuple[str, str, str, float, int]]:
-        """The log from row ``start`` on, as rows ``(csp, csc, attribute, value, sequence)``.
-
-        From a row that the load restored (only 0 is asked for), which has no
-        submission order, it is the whole log, grouped (``_grouped``).
-        """
-        restored = (self._rows or _NO_ROWS).starts[-1]
-        if start < restored:
-            return self._grouped()
-        start -= restored
-        return list(map(add, map(list(self._place).__getitem__, self._places[start:]),
-                        zip(self._values[start:], self._sequences[start:])))
 
     # -- attribute handling ------------------------------------------------
 
@@ -584,11 +579,10 @@ class Registry:
             place = self._place[key] = len(self._place)
             self._samples.append(samples)
             self._means.append(None)
-        samples[sequence] = value = float(value)  # as a parse gives it
+            self._counts.append(0)
+        samples[sequence] = float(value)  # as a parse gives it
         self._means[place] = None
-        self._places.append(place)
-        self._values.append(value)
-        self._sequences.append(sequence)
+        self._counts[place] += 1
         return sequence
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
@@ -870,10 +864,13 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
         table = slos = None
     if slos is None:
         slos = marshal.dumps(registry._slo_index, 2)
-    triples, appended = list(registry._place), set(registry._places)
+    held_log = registry._rows
+    # the places filed to since the load: each held one whose count grew, and each new one
+    appended = [place for place, (count, loaded) in enumerate(zip(
+        registry._counts, chain((held_log or _NO_ROWS).counts, repeat(0)))) if count != loaded]
+    triples = list(registry._place)
     touched = {(csp_id, name) for csp_id, csc_id, name in map(triples.__getitem__, appended)
                if csc_id in registry._slo_index.get((csp_id, name), ())}
-    held_log = registry._rows
     if table is None or touched:
         table = _table(registry, table, touched)
     if held_log is not None and registry._rows is None:
@@ -885,13 +882,10 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
     new = samples[held_count:]
     # each held place appended to since the load, by its samples
     tails = {place: samples[place] for place in appended if place < held_count}
-    counts = [*log.counts, *map(len, new)]
-    for place, appended_to in tails.items():
-        counts[place] = len(appended_to)
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
             table, slos, marshal.dumps(registry._means, 2),
             _extended(log.distinct, [*registry._place][held_count:]),
-            marshal.dumps(counts, 2),
+            marshal.dumps(registry._counts, 2),
             _regrouped(log, log.values, "d", dict.values, tails, new),
             _regrouped(log, log.sequences, "q", dict.keys, tails, new))
 
@@ -974,7 +968,7 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
         return None  # sections of another shape
     if not checked:
         return None
-    registry._samples = [None] * len(counts)
+    registry._samples, registry._counts = [None] * len(counts), [*counts]
     if rows:
         registry._rows = _HeldRows(distinct_part, values_part, sequences_part, counts)
     return registry, sections
@@ -1006,9 +1000,9 @@ class Store:
     it is missing or the registry was not loaded here: temp file, fsync,
     rename, then fsync of the directory. Every save leaves all three files.
     slos.csv holds the SLOs as ``Registry.slos`` reads them, grouped by
-    (provider, attribute), and a whole amvs.csv the rows in submission
-    order, but for a log restored from a snapshot, which holds no such
-    order: then, the log as ``Registry.amvs`` reads it, grouped by triple.
+    (provider, attribute). A whole amvs.csv holds the log as
+    ``Registry.amvs`` reads it, grouped by triple, and an append the rows
+    added since in that order, so equal registries write equal bytes.
     A crash thus leaves each file as it was or as saved, except that an
     append cut short can leave a last amvs.csv row without its line end.
     Load refuses such a row, since a cut value or sequence (``...,9`` of
@@ -1076,7 +1070,7 @@ class Store:
         # the registry last loaded or saved here, by a weak reference (one
         # whose rows are held in the snapshot refers to this store), with
         # what each file holds of it (its attributes, its SLOs and its AMV row
-        # count; None: no file), each file's CRC-32 and length, the file
+        # count by place; None: no file), each file's CRC-32 and length, the file
         # stamps that the snapshot holds with this registry (None: it does
         # not hold this registry), and the sections that a save may keep
         # (see _encode)
@@ -1135,13 +1129,14 @@ class Store:
 
         The files are read again, under the lock that the command holds:
         they must be as the registry's load, or its last save here, left
-        them (``stamps``, and amvs.csv the held log's rows), or a file whose
-        CRC-32 or length differs is refused. The log, ``_place``, ``_means``
-        and ``_samples`` become the parse's, and the rows appended since are
-        filed again. The next save encodes every section afresh. A refusal,
-        of a changed file or by the parse, is raised as a StoreRefusedError.
+        them (``stamps``, and amvs.csv the held log's counts, or that save's),
+        or a file whose CRC-32 or length differs is refused. The log,
+        ``_place``, ``_means``, ``_samples`` and ``_counts`` become the
+        parse's, and the rows past what amvs.csv holds are filed again. The
+        next save encodes every section afresh. A refusal, of a changed file
+        or by the parse, is raised as a StoreRefusedError.
         """
-        logged = registry._rows.starts[-1]
+        logged, files = registry._rows.counts, {}
         if self._synced and self._synced[0]() is registry:
             ref, files, stamps, _, _ = self._synced
             logged = files[self.AMVS_FILE]
@@ -1155,10 +1150,11 @@ class Store:
             parsed = self._parse(contents)
         except ValueError as exc:
             raise StoreRefusedError(exc) from exc
-        appended = registry._amv_rows(logged)
-        for name in ("_places", "_values", "_sequences", "_samples", "_place", "_means"):
+        appended = registry._rows_after(logged)
+        for name in ("_samples", "_place", "_means", "_counts"):
             setattr(registry, name, getattr(parsed, name))
         registry._rows = None
+        files[self.AMVS_FILE] = [*parsed._counts]  # what amvs.csv holds, by the parse's places
         for row in appended:
             registry._append_amv(*row)
 
@@ -1203,7 +1199,7 @@ class Store:
         attributes_kept = synced.get(self.ATTRIBUTES_FILE) == registry.attributes
         slos_kept = synced.get(self.SLOS_FILE) == registry._slo_index
         logged = synced.get(self.AMVS_FILE)
-        unchanged = (attributes_kept and slos_kept and logged == len(registry.amvs)
+        unchanged = (attributes_kept and slos_kept and logged == registry._counts
                      and stamps == snapshot_stamps)
         if logged is None:
             registry._read_log()
@@ -1218,11 +1214,12 @@ class Store:
                 ((csp_id, csc_id, name, repr(value))
                  for (csp_id, name), consumers in registry._slo_index.items()
                  for csc_id, value in consumers.items()))
+        logged = synced.get(self.AMVS_FILE)  # by the parse's places if _encode reparsed
+        rows = registry._rows_after(logged or [])
         if logged is None:
-            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS,
-                                                   registry._amv_rows())
-        elif logged < len(registry.amvs):
-            appended = _csv_text(registry._amv_rows(logged)).encode("utf-8")
+            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS, rows)
+        elif rows:
+            appended = _csv_text(rows).encode("utf-8")
             with open(self.root / self.AMVS_FILE, "ab") as fh:
                 fh.write(appended)
                 fh.flush()
@@ -1243,7 +1240,7 @@ class Store:
                   held: tuple | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: {pair: dict(slos) for pair, slos in registry._slo_index.items()},
-                 self.AMVS_FILE: len(registry.amvs)}
+                 self.AMVS_FILE: [*registry._counts]}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
         self._synced = (weakref.ref(registry), files, stamps, snapshot_stamps, held)
 

@@ -507,7 +507,7 @@ class TestPersistence:
             # the same place, value and sequence, of another triple
             registry.submit_amv(AmvRecord(csp_id, "c", "av", 92))
             logs.append(registry)
-        assert logs[0]._places == logs[1]._places == [0, 1]
+        assert logs[0]._counts == logs[1]._counts == [1, 1]
         assert logs[0] != logs[1] and logs[0].amvs != logs[1].amvs
 
     def test_referential_integrity_after_random_interleaving(self, tmp_path):
@@ -628,8 +628,9 @@ class TestAmvLoad:
         with monkeypatch.context() as patch:
             patch.delattr(Store, "_parse")  # so that only the snapshot can load the store
             restored = Store(store.root).load()
-        # the snapshot holds the rows of one triple together, in file order
-        assert restored._places == [] and restored._rows.counts == [3, 1]
+        # the snapshot holds the rows of one triple together, in file order,
+        # and no row is filed past them
+        assert restored._counts == restored._rows.counts == [3, 1]
         assert contents(restored) == contents(loaded)
         assert [(*row.key, row.sequence) for row in restored.amvs] == [
             ("p", "c", "availability", 2), ("p", "c", "availability", 1),
@@ -1489,46 +1490,67 @@ class TestSnapshotLoad:
             "p1,c2,latency,11.25,1\np1,c1,availability,91.5,1\np1,c1,availability,93.0,2\n")
         capsys.readouterr()
 
-    def test_an_interleaved_log_loads_and_saves_grouped_by_triple(self, tmp_path, monkeypatch):
+    def test_a_refused_held_triple_that_no_file_holds_has_no_mean(self, store):
+        path = store.root / Store.SNAPSHOT_FILE
+        (tag, stamps, _), head, table_part, slo_part, means_part, *log = snapshot_parts(path)
+        distinct, counts, values, sequences = log_columns(log)
+        # a third distinct triple, which no file holds, of one held row that its
+        # read refuses: the records part is accepted, so the load restores it
+        ghost = ("p2", "c1", "availability")
+        parts = (head, table_part, slo_part, marshal.dumps([*marshal.loads(means_part), None], 2),
+                 *log_sections([*distinct, ghost], [*counts, 1], [*values, -1.0],
+                               [*sequences, 1]))
+        self.checked_writer(store)((tag, stamps, tuple(map(len, parts[:-1]))), *parts)
+        registry = store.load()
+        assert ghost in registry._place and registry._rows is not None
+        # its mean reads the refused row, which leaves the log to the parse,
+        # and the parse holds no row of the triple
+        assert registry.amv_mean(*ghost) is None
+        assert registry._rows is None and ghost not in registry._place
+        parsed = Store(store.root)._parse(
+            {name: (store.root / name).read_bytes() for name in Store.FILES})
+        assert registry == parsed and contents(registry) == contents(parsed)
+
+    def test_an_interleaved_log_loads_and_saves_grouped_by_triple(self, tmp_path):
+        def text(rows):
+            return AMV_HEADER + "".join(f"{csp},{csc},{name},{value!r},{sequence}\n"
+                                        for csp, csc, name, value, sequence in rows)
+
         registry = fresh_registry()
         triples = [("p1", "c1", "availability"), ("p2", "c1", "latency"),
                    ("p1", "c2", "availability")]
         for key in triples:
             registry.submit_slo(SloRecord(*key, 90.0))
-        for row in range(3):  # the triples' rows interleaved, row by row
-            for at, key in enumerate(triples):
-                registry.submit_amv(AmvRecord(*key, 90.0 + 10 * at + row))
-        store = Store(tmp_path / "store")
-        store.save(registry)
-        interleaved = (store.root / Store.AMVS_FILE).read_bytes()
-        # the file holds the rows in submission order, the triples' interleaved
-        assert interleaved.decode().splitlines()[1:4] == [
-            "p1,c1,availability,90.0,1", "p2,c1,latency,100.0,1", "p1,c2,availability,110.0,1"]
+        # the triples' rows interleaved, row by row
+        submitted = [(*key, 90.0 + 10 * at + row, row + 1) for row in range(3)
+                     for at, key in enumerate(triples)]
+        for row in submitted:
+            registry.submit_amv(AmvRecord(*row[:4]))
         grouped = [(*key, 90.0 + 10 * at + row, row + 1) for at, key in enumerate(triples)
                    for row in range(3)]
+        # a whole write holds the log in its one order, grouped by triple
+        store = Store(tmp_path / "store")
+        store.save(registry)
+        assert (store.root / Store.AMVS_FILE).read_text() == text(grouped)
+        # amvs.csv written by hand in submission order, then snapshotted by a
+        # writer that parses it and changes no file
+        (store.root / Store.AMVS_FILE).write_text(text(submitted))
+        store.save(store.load())
+        assert (store.root / Store.AMVS_FILE).read_text() == text(submitted)
         # with and without the snapshot, a load gives equal registries, whose
         # log reads grouped by triple, in order of each triple's first row
         restored = Store(store.root).load()
         assert restored._rows is not None  # the rows are held in the snapshot
-        (store.root / Store.SNAPSHOT_FILE).unlink()
-        parsed = Store(store.root).load()
+        parsed = Store(store.root)._parse(
+            {name: (store.root / name).read_bytes() for name in Store.FILES})
         assert restored == parsed == registry and contents(restored) == contents(parsed)
         assert [astuple(record) for record in restored.amvs] == grouped
-        # a library save of the snapshot-loaded registry into a new root writes
-        # amvs.csv grouped, with the same sequences and means; a registry that
-        # a parse gave writes it in submission order, as it was
-        store.save(store.load())  # a snapshot again, which the next load restores
-        for directory, source, rows in (("grouped", Store(store.root).load(), grouped),
-                                        ("in order", parsed, None)):
+        # each, saved by the library into a new root, writes the same grouped
+        # bytes, with the same sequences and means
+        for directory, source in (("restored", restored), ("parsed", parsed)):
             copy = Store(tmp_path / directory)
             copy.save(source)
-            written = (copy.root / Store.AMVS_FILE).read_bytes()
-            if rows is None:
-                assert written == interleaved
-            else:
-                assert written.decode() == AMV_HEADER + "".join(
-                    f"{csp},{csc},{name},{value!r},{sequence}\n"
-                    for csp, csc, name, value, sequence in rows)
+            assert (copy.root / Store.AMVS_FILE).read_text() == text(grouped)
             for snapshot in (True, False):
                 if not snapshot:
                     (copy.root / Store.SNAPSHOT_FILE).unlink()
@@ -1536,6 +1558,20 @@ class TestSnapshotLoad:
                 assert reloaded == registry
                 assert [reloaded.amv_mean(*key) for key in triples] == [
                     registry.amv_mean(*key) for key in triples]
+        # an append of interleaved rows, to held triples and to a new one,
+        # writes them grouped by triple, in place order
+        loaded = store.load()
+        loaded.submit_slo(SloRecord("p3", "c1", "av", 90.0))
+        for csp, csc, name, value in (("p3", "c1", "av", 80.0), ("p1", "c2", "av", 120.0),
+                                      ("p2", "c1", "la", 130.0), ("p3", "c1", "av", 81.0),
+                                      ("p1", "c2", "av", 121.0)):
+            loaded.submit_amv(AmvRecord(csp, csc, name, value))
+        store.save(loaded)
+        assert (store.root / Store.AMVS_FILE).read_text() == text([
+            *submitted, ("p2", "c1", "latency", 130.0, 4),
+            ("p1", "c2", "availability", 120.0, 4), ("p1", "c2", "availability", 121.0, 5),
+            ("p3", "c1", "availability", 80.0, 1), ("p3", "c1", "availability", 81.0, 2)])
+        assert Store(store.root).load() == loaded
 
     def test_a_span_bound_that_no_slo_gives_is_not_used(self, tmp_path, monkeypatch, capsys):
         root = tmp_path / "store"
@@ -2286,6 +2322,10 @@ class TestDeferredRows:
                 "monitor", SLO_COLUMNS, ["SvcA", "SvcA/monitor", "av", "60"])],
             "submit-amv-append": ["submit-amv", rows(
                 "append", AMV_COLUMNS, ["p1", "c2", "av", "97", ""])],
+            # rows of two held triples, the later one's first: the save appends
+            # them in place order, and a refused place files them again
+            "submit-amv-two": ["submit-amv", rows(
+                "two", AMV_COLUMNS, ["p2", "c2", "la", "13", ""], ["p1", "c2", "av", "97", ""])],
             "submit-amv-duplicate": ["submit-amv", rows(
                 "duplicate", AMV_COLUMNS, ["p2", "c1", "la", "19", "5"])],
             "submit-amv-conflict": ["submit-amv", rows(
@@ -2514,6 +2554,39 @@ class TestDeferredRows:
         assert (other / Store.SNAPSHOT_FILE).read_bytes() == TestSnapshotLoad.parsed_snapshot(
             other, tmp_path)
         capsys.readouterr()
+
+    def test_a_save_whose_encoding_refuses_a_held_place_appends_by_the_parse_s_places(
+            self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "store"
+        self.build(root, work)
+        path = root / Store.SNAPSHOT_FILE
+        (tag, stamps, _), head, table, slo_part, means_part, *log = snapshot_parts(path)
+        distinct, counts, values, sequences = log_columns(log)
+        groups = grouped_rows({"counts": counts, "values": values, "sequences": sequences})
+        # the places in reverse, which no parse gives, and p1's c2 row, place
+        # 1's, negative, which its read refuses, with its mean not computed
+        groups[1] = [(-value, sequence) for value, sequence in groups[1]]
+        means = marshal.loads(means_part)
+        means[1] = None
+        parts = (head, table, slo_part, marshal.dumps(means[::-1], 2),
+                 *log_sections(distinct[::-1], counts[::-1],
+                               *([row[at] for group in groups[::-1] for row in group]
+                                 for at in (0, 1))))
+        body = marshal.dumps((tag, stamps, tuple(map(len, parts[:-1]))), 2) + b"".join(parts)
+        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
+        before = (root / Store.AMVS_FILE).read_text()
+        store = Store(root)
+        registry = store.load()
+        registry.submit_amv(AmvRecord("p1", "c1", "av", 50.0))
+        assert registry._rows is not None  # the appended place was accepted
+        # the profile table reads p1's c2 mean, which refuses its place: the
+        # places become the parse's, and the save appends the one row past them
+        store.save(registry)
+        assert registry._rows is None
+        assert (root / Store.AMVS_FILE).read_text() == before + "p1,c1,availability,50.0,3\n"
+        assert self.loads_as_parsed(root) and Store(root).load() == registry
 
     def test_a_store_that_a_parse_refuses_is_refused_by_an_import_that_reads_it(
             self, tmp_path, capsys):
