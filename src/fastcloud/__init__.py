@@ -7,8 +7,8 @@ from .registry import (
     ImportSummary,
     MissingSloError,
     Polarity,
+    ProfileTable,
     QosAttribute,
-    ReadOnlyRegistryError,
     Registry,
     SloRecord,
     Store,
@@ -48,8 +48,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntervalNumber", "possibility_degree",
-    "AmvRecord", "DuplicateSubmissionError", "ImportSummary", "MissingSloError", "Polarity", "QosAttribute",
-    "ReadOnlyRegistryError", "Registry", "SloRecord", "Store", "UnknownAttributeError",
+    "AmvRecord", "DuplicateSubmissionError", "ImportSummary", "MissingSloError", "Polarity", "ProfileTable",
+    "QosAttribute", "Registry", "SloRecord", "Store", "UnknownAttributeError",
     "import_qws",
     "ConsistencyProfile", "actual_slo_interval", "average_amv",
     "satisfies_consistency",

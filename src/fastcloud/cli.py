@@ -166,14 +166,14 @@ def cmd_import_qws(args: argparse.Namespace) -> int:
 def cmd_assess(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked(shared=True):
-        registry = store.load(log=False)
+        table = store.load(log=False)
     with refused_at(args.request):
         request = read_request(record_text(Path(args.request).read_bytes()))
     if args.attributes is not None:
         entries = [n.strip() for n in args.attributes.split(",")]
-        subset = registry.resolve_names(entries, "selected attributes")
-        request = request.resolved(registry).restrict(list(subset.values()))
-    result = assess(registry, request)
+        subset = table.resolve_names(entries, "selected attributes")
+        request = request.resolved(table).restrict(list(subset.values()))
+    result = assess(table, request)
     output = (render_structured(result_document(result)) if args.format == "structured"
               else render_human(result))
     if args.out:

@@ -95,7 +95,7 @@ def profile_of(polarity: Polarity, slos: Collection[float],
 
 
 def actual_slo_interval(registry, csp_id: str, attribute: str) -> ConsistencyProfile:
-    """The provider's profile on one attribute of a ``Registry``, named by name or abbreviation.
+    """The provider's profile on one attribute of a registry or table, by name or abbreviation.
 
     Raises MissingSloError when the provider agreed no SLO on the attribute.
     """

@@ -14,11 +14,9 @@ since the load, in the log's order, while attributes.csv and slos.csv are
 replaced atomically, and only when they changed. Writers serialize on an
 ``flock`` of the store's ``.lock`` file across processes (see ``Store``).
 Each save also rewrites ``.snapshot``, a derived file that is safe to
-delete: a load that finds the CSV files as that save left them restores the
-registry from it in place of parsing them; a reader restores only the
-attributes and the inputs of the consistency profile of each (provider,
-attribute) with an SLO, and a writer restores the rows of its log at their
-first read.
+delete: a load that finds the CSV files as that save left them restores
+from it in place of parsing them, a reader's ``ProfileTable`` whole and a
+writer's registry with the rows of its log held until their first read.
 """
 
 from __future__ import annotations
@@ -53,10 +51,6 @@ class UnknownAttributeError(ValueError):
 
 class DuplicateSubmissionError(ValueError):
     """A monitored value identical to one already held at the same sequence."""
-
-
-class ReadOnlyRegistryError(TypeError):
-    """A registry loaded with its profiles alone was asked to read, change or save its records."""
 
 
 class StoreRefusedError(Exception):
@@ -339,8 +333,61 @@ class _HeldRows:
 _NO_ROWS = _HeldRows(marshal.dumps([], 2), b"", b"", [])
 
 
+class _AttributeLookup:
+    """The lookup of ``attributes`` by name or abbreviation, shared by a registry and a table."""
+
+    def resolve_attribute(self, name: str) -> QosAttribute:
+        """Look up an attribute by name or abbreviation."""
+        if name in self.attributes:
+            return self.attributes[name]
+        for attr in self.attributes.values():
+            if attr.abbreviation == name:
+                return attr
+        raise UnknownAttributeError(f"unknown attribute {name!r}")
+
+    def resolve_names(self, entries: Mapping[str, str] | Iterable[str], kind: str
+                      ) -> dict[str, str]:
+        """Each entry's registered name; after all resolve, two entries naming one are refused.
+
+        ``entries`` maps each entry to the spelling it gives, or lists
+        spellings, each its own entry: one spelling listed twice is refused.
+        """
+        spelled = entries.items() if isinstance(entries, Mapping) else [(e, e) for e in entries]
+        names = [(entry, self.resolve_attribute(spelling).name) for entry, spelling in spelled]
+        first: dict[str, str] = {}  # registered name -> the first entry that names it
+        for entry, name in names:
+            if name in first:
+                raise ValueError(f"{kind} {first[name]!r} and {entry!r} both name {name!r}")
+            first[name] = entry
+        return dict(names)
+
+
+@dataclass
+class ProfileTable(_AttributeLookup):
+    """What ``assess`` reads: the attributes and the ``Registry.profile_row`` of each pair.
+
+    ``Store.load(log=False)`` gives one, from the snapshot or from a parse by
+    ``Registry.profile_table``. It holds no record: nothing submits to it,
+    and ``Store.save`` refuses it.
+    """
+
+    attributes: dict[str, QosAttribute]
+    rows: dict[tuple[str, str], tuple]  # (csp, attribute) -> row, each pair with an SLO
+    # empty: perfbench's layer tracer counts their lengths at every load,
+    # until it counts table rows (ROADMAP item 7), when they go
+    slos = amvs = ()
+
+    @property
+    def providers(self) -> set[str]:
+        return {csp_id for csp_id, _ in self.rows}
+
+    def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
+        """The provider's ``profile_of`` row on ``attr``, or None if it agreed no SLO on it."""
+        return self.rows.get((csp_id, attr.name))
+
+
 @dataclass(eq=False)
-class Registry:
+class Registry(_AttributeLookup):
     """In-memory registry of attributes, SLO records and AMV records.
 
     Attributes are keyed by name and by abbreviation, and each spelling
@@ -363,14 +410,6 @@ class Registry:
     or writing amvs.csv whole. It keeps the held log after either, as the
     base that its saves splice the rows filed since onto. ``len(amvs)``
     reads no row, and a command that reads no row decodes none.
-    ``profile_row`` gives the ``consistency.profile_of`` row of one
-    (provider, attribute), the inputs of its consistency profile and its
-    row of the snapshot's profile table. A read-only registry
-    (``Store.load(log=False)``) holds the attributes and the profile
-    table's row of each (provider, attribute) with an SLO alone:
-    its ``slos`` and ``amvs`` read as empty views, and ``slos_for``,
-    ``amv_samples``, ``amv_mean``, a submission, ``import_qws`` and
-    ``Store.save`` raise ReadOnlyRegistryError.
     Records enter only through ``submit_*``, ``import_qws`` and
     ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
     monitored values, and the stored ones that load restores, have none.
@@ -390,10 +429,6 @@ class Registry:
     _means: list[float | None] = field(default_factory=list, init=False, repr=False)
     # by place, its row count, held or not: _append_amv adds 1 a row
     _counts: list[int] = field(default_factory=list, init=False, repr=False)
-    # set by Store.load(log=False) alone, which leaves the SLO and log
-    # columns empty: (csp, attribute) -> the profile_row of each pair with
-    # an SLO
-    _profiles: dict[tuple[str, str], tuple] | None = field(default=None, init=False, repr=False)
     # set by Store.load alone: the held log, the rows that the load
     # restored from the snapshot, until the log is taken from a parse
     _rows: _HeldRows | None = field(default=None, init=False, repr=False)
@@ -462,11 +497,9 @@ class Registry:
     def amvs(self) -> AmvView:
         return AmvView(self)
 
-    def _check_records(self) -> None:
-        if self._profiles is not None:
-            raise ReadOnlyRegistryError("the registry was loaded with its profiles alone")
-
-    # -- attribute handling ------------------------------------------------
+    @property
+    def providers(self) -> set[str]:
+        return {csp_id for csp_id, _ in self._slo_index}
 
     def register_attribute(self, attr: QosAttribute) -> bool:
         """Register ``attr``; returns False if the same definition was registered already."""
@@ -481,44 +514,10 @@ class Registry:
         self.attributes[attr.name] = attr
         return existing is None
 
-    def resolve_attribute(self, name: str) -> QosAttribute:
-        """Look up an attribute by name or abbreviation."""
-        if name in self.attributes:
-            return self.attributes[name]
-        for attr in self.attributes.values():
-            if attr.abbreviation == name:
-                return attr
-        raise UnknownAttributeError(f"unknown attribute {name!r}")
-
-    def resolve_names(self, entries: Mapping[str, str] | Iterable[str], kind: str
-                      ) -> dict[str, str]:
-        """Each entry's registered name; after all resolve, two entries naming one are refused.
-
-        ``entries`` maps each entry to the spelling it gives, or lists
-        spellings, each its own entry: one spelling listed twice is refused.
-        """
-        spelled = entries.items() if isinstance(entries, Mapping) else [(e, e) for e in entries]
-        names = [(entry, self.resolve_attribute(spelling).name) for entry, spelling in spelled]
-        first: dict[str, str] = {}  # registered name -> the first entry that names it
-        for entry, name in names:
-            if name in first:
-                raise ValueError(f"{kind} {first[name]!r} and {entry!r} both name {name!r}")
-            first[name] = entry
-        return dict(names)
-
-    # -- derived entity sets ----------------------------------------------
-
-    @property
-    def providers(self) -> set[str]:
-        # a read-only registry holds no SLO, but a profile per pair with one
-        pairs = self._slo_index if self._profiles is None else self._profiles
-        return {csp_id for csp_id, _ in pairs}
-
     # -- submissions --------------------------------------------------------
 
     def submit_slo(self, record: SloRecord) -> bool:
         """Store an agreed objective; returns True if it replaced a prior one, in its place."""
-        self._check_records()
         csp_id, csc_id, attribute = self._named(record).key
         consumers = self._slo_index.setdefault((csp_id, attribute), {})
         replaced = csc_id in consumers
@@ -533,7 +532,6 @@ class Registry:
         record already present is a no-op signalled by DuplicateSubmissionError,
         and the same key with a different value is a conflict (ValueError).
         """
-        self._check_records()
         record = self._named(record)
         if record.csc_id not in self._slo_index.get((record.csp_id, record.attribute), ()):
             raise MissingSloError(
@@ -587,7 +585,6 @@ class Registry:
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
-        self._check_records()
         samples = self._samples_of((csp_id, csc_id, attribute)) or {}
         return [samples[sequence] for sequence in sorted(samples)]
 
@@ -601,39 +598,37 @@ class Registry:
         key = (csp_id, csc_id, attribute)
         place = self._place.get(key)
         if place is None:
-            self._check_records()  # a read-only registry holds no mean
             return None
         mean = self._means[place]
         if mean is None:
-            samples = self._samples[place]
-            if samples is None:  # rows held in the snapshot: a refusal of them renumbers the places
-                samples = self._samples_of(key)
-                if samples is None:  # refused, and the parse holds no row of the triple
-                    return None
-                place = self._place[key]
+            samples = self._samples_of(key)
+            if samples is None:  # held rows refused, and the parse holds no row of the triple
+                return None
             mean = math.fsum(samples.values()) / len(samples)
-            self._means[place] = mean
+            self._means[self._place[key]] = mean  # a refusal of held rows renumbers the places
         return mean
 
     def slos_for(self, csp_id: str, attribute: str) -> list[SloRecord]:
         """The provider's objectives on a registered attribute, in submission order."""
-        self._check_records()
         return [SloRecord(csp_id, csc_id, attribute, value)
                 for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
     def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
         """The provider's ``profile_of`` row on ``attr``, or None if it agreed no SLO on it.
 
-        A read-only registry holds the row; any other builds it now, from
-        the pair's SLOs and their triples' ``amv_mean``.
+        It is built from the pair's SLOs and their triples' ``amv_mean``.
         """
-        if self._profiles is not None:
-            return self._profiles.get((csp_id, attr.name))
         slos = self._slo_index.get((csp_id, attr.name))
         if slos is None:
             return None
         return profile_of(attr.polarity, slos.values(),
                           map(self.amv_mean, repeat(csp_id), slos, repeat(attr.name)))
+
+    def profile_table(self) -> ProfileTable:
+        """The table of this registry's ``profile_row`` for each pair with an SLO."""
+        return ProfileTable(dict(self.attributes), {
+            (csp_id, name): self.profile_row(csp_id, self.attributes[name])
+            for csp_id, name in self._slo_index})
 
 
 @dataclass(frozen=True)
@@ -689,7 +684,6 @@ def import_qws(
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
-    registry._check_records()
     mapping = STANDARD_QWS_MAPPING if mapping is None else mapping
     if not mapping:
         raise ValueError("a mapping must name at least one column")
@@ -890,17 +884,17 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
             _regrouped(log, log.sequences, "q", dict.keys, tails, new))
 
 
-def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None] | None:
-    """The registry that ``_encode``'s eight sections hold, if a parse could give it.
+def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple] | ProfileTable | None:
+    """What ``_encode``'s eight sections hold, if a parse could give it.
 
     With ``log``, the writer's registry, which holds the attributes, the
     SLO index as ``marshal.loads`` gives it and the means, and leaves its
     rows in the sections (``_HeldRows``), and the sections, as the ``held``
     of its save. A writer decodes one place's rows at the first read of its
     triple (``_decode_place``), and the whole log at its first whole read
-    (``Registry._read_log``). Without, a read-only registry, which holds the
-    attributes and the profile table, and None. A section that the
-    registry does not hold is not decoded.
+    (``Registry._read_log``). Without, the reader's ``ProfileTable``, of
+    the attributes and the profile table. A section that the result does
+    not hold is not decoded.
 
     Without ``log``, the table must have columns of one length, with no
     pair twice, unpadded provider ids, registered names, int counts with 0
@@ -926,12 +920,11 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
             registry.register_attribute(parse_attribute(fields))
         if not log:
             csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(table)
-            registry._profiles = dict(zip(zip(csp_ids, names, strict=True),
-                                          zip(satisfied, agreed, lows, highs, strict=True),
-                                          strict=True))
+            rows = dict(zip(zip(csp_ids, names, strict=True),
+                            zip(satisfied, agreed, lows, highs, strict=True), strict=True))
             bounds = (*lows, *highs)
             # a sum that overflows on huge values only leaves the load to the parse
-            checked = (len(registry._profiles) == len(csp_ids)
+            checked = (len(rows) == len(csp_ids)
                        and _unpadded(set(csp_ids))
                        and set(names) <= registry.attributes.keys()
                        and set(map(type, bounds)) <= {float}
@@ -940,7 +933,7 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple | None]
                        and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
                        and min(map(sub, agreed, satisfied), default=0) >= 0
                        and all(map(le, lows, highs)))
-            return (registry, None) if checked else None
+            return ProfileTable(registry.attributes, rows) if checked else None
         registry._slo_index, means, distinct, counts = map(
             marshal.loads, (slo_part, means_part, distinct_part, counts_part))
         registry._place = dict(zip(distinct, range(len(distinct))))
@@ -1030,8 +1023,8 @@ class Store:
     (unreadable, torn, foreign, of another shape, with columns no parse
     gives, or made before a hand edit) leaves the load to the parse, with
     its refusals. ``load(log=False)``, the reader's, decodes and checks the
-    attributes and the profile table, and gives a read-only registry, which
-    cannot be saved. A writer's load decodes and checks its records (the
+    attributes and the profile table, as a ``ProfileTable`` that ``save``
+    refuses. A writer's load decodes and checks its records (the
     attributes, the SLO index, the means, the distinct triples and their
     row counts), and leaves the rows of its log in the snapshot: a triple's
     rows are decoded at the first read of that triple, and the whole log at
@@ -1067,13 +1060,13 @@ class Store:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        # the registry last loaded or saved here, by a weak reference (one
-        # whose rows are held in the snapshot refers to this store), with
-        # what each file holds of it (its attributes, its SLOs and its AMV row
-        # count by place; None: no file), each file's CRC-32 and length, the file
-        # stamps that the snapshot holds with this registry (None: it does
-        # not hold this registry), and the sections that a save may keep
-        # (see _encode)
+        # the registry last loaded by a writer or saved here, by a weak
+        # reference (one whose rows are held in the snapshot refers to this
+        # store), with what each file holds of it (its attributes, its SLOs
+        # and its AMV row count by place; None: no file), each file's CRC-32
+        # and length, the file stamps that the snapshot holds with this
+        # registry (None: it does not hold this registry), and the sections
+        # that a save may keep (see _encode)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -1101,10 +1094,13 @@ class Store:
         finally:
             os.close(fd)
 
-    def load(self, *, log: bool = True) -> Registry:
+    def load(self, *, log: bool = True) -> Registry | ProfileTable:
+        """The writer's registry, or without ``log`` the reader's ``ProfileTable``."""
         contents = self._contents()
         stamps = {name: _stamp(data) for name, data in contents.items()}
         restored = self._restore_snapshot(stamps, log)
+        if not log:
+            return self._parse(contents).profile_table() if restored is None else restored
         if restored is None:
             registry, snapshot_stamps, held = self._parse(contents), None, None
         else:
@@ -1189,7 +1185,8 @@ class Store:
         A save that writes amvs.csv whole reads the whole log first, so that
         a refused held row sends both amvs.csv and the snapshot to the parse.
         """
-        registry._check_records()
+        if not isinstance(registry, Registry):
+            raise TypeError(f"only a writer's Registry is saved, not a {type(registry).__name__}")
         if self._synced and self._synced[0]() is registry:
             _, synced, stamps, snapshot_stamps, held = self._synced
         else:
@@ -1269,7 +1266,7 @@ class Store:
         finally:
             os.close(fd)
 
-    def _restore_snapshot(self, stamps: dict, log: bool) -> tuple[Registry, tuple | None] | None:
+    def _restore_snapshot(self, stamps: dict, log: bool) -> tuple | ProfileTable | None:
         """``_decode_records`` of the snapshot's sections, or None if it cannot be trusted.
 
         That is unless it can be read, passes its own CRC, carries this

@@ -11,8 +11,8 @@ request that matches fewer than two providers is refused with them. The
 qualified set is then scored by the trust engine and returned with every
 intermediate retained for audit.
 
-Assessments are read-only over a loaded registry; any number may run
-concurrently against the same registry.
+Assessments read a ``Registry`` or a ``ProfileTable`` alike and write
+neither; any number may run concurrently against the same one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import TextIO
 # benchmark's layer tracer wraps it by this name
 from .consistency import ConsistencyProfile, actual_slo_interval, from_row
 from .intervals import IntervalNumber
-from .registry import REQUEST_COLUMNS, Polarity, Registry, parse_request, read_rows, refused_at
+from .registry import (REQUEST_COLUMNS, Polarity, ProfileTable, Registry, parse_request,
+                       read_rows, refused_at)
 from .trust import (
     DecisionContext,
     DecisionMatrix,
@@ -69,7 +70,7 @@ class AssessmentRequest:
             raise ValueError(f"attributes not in the request: {', '.join(sorted(missing))}")
         return AssessmentRequest(tuple((n, s) for n, s in self.requested if n in names))
 
-    def resolved(self, registry: Registry) -> "AssessmentRequest":
+    def resolved(self, registry: Registry | ProfileTable) -> "AssessmentRequest":
         """This request spelled by registered names; two spellings of one attribute are refused."""
         names = registry.resolve_names([n for n, _ in self.requested], "requested attributes")
         return AssessmentRequest(tuple((names[name], span) for name, span in self.requested))
@@ -102,11 +103,11 @@ class Candidates(dict):
         self.excluded = excluded
 
 
-def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidates:
+def match_candidates(registry: Registry | ProfileTable, request: AssessmentRequest) -> Candidates:
     """Providers whose actual interval intersects every requested span.
 
     One pass takes each provider's profiles in request order, from a
-    read-only registry's profile table or built for the pairs it reaches,
+    table's rows or built by a registry for the pairs it reaches,
     and stops at the provider's first cause of exclusion: no SLO on a
     requested attribute, an actual interval that misses the requested span,
     or a zero consistency rate on a cost attribute (the interval [0, 0] has
@@ -136,7 +137,7 @@ def match_candidates(registry: Registry, request: AssessmentRequest) -> Candidat
     return Candidates(matched, excluded)
 
 
-def assess(registry: Registry, request: AssessmentRequest) -> AssessmentResult:
+def assess(registry: Registry | ProfileTable, request: AssessmentRequest) -> AssessmentResult:
     """Full assessment pipeline over the matched candidate set.
 
     Attribute names resolve here, once, by ``request.resolved``: the

@@ -12,6 +12,8 @@ import csv
 import importlib.util
 import io
 import json
+import re
+import shutil
 from functools import reduce
 from importlib import resources
 from operator import add
@@ -25,6 +27,8 @@ from fastcloud.registry import (
     SLO_COLUMNS,
     STANDARD_ATTRIBUTES,
     STANDARD_QWS_MAPPING,
+    ProfileTable,
+    Store,
 )
 
 DATA = resources.files("fastcloud") / "data"
@@ -134,3 +138,45 @@ def test_an_unmonitored_agreement_moves_no_provider(tmp_path, capsys, row):
     store, request = case_store(tmp_path, capsys, row)
     assert main([*store, "assess", str(request)]) == 0
     assert capsys.readouterr().out.startswith(f"ranking: {CHAIN}\n")
+
+
+@pytest.mark.parametrize("damage", ["snapshot missing", "slos.csv edited"])
+def test_a_reader_without_a_usable_snapshot_gives_a_fresh_parse_s_table(
+        tmp_path, capsys, monkeypatch, damage):
+    """A reader whose ``.snapshot`` is missing, or stale after a hand edit of slos.csv,
+    parses the files: it gives the table of a fresh parse of them, and ``assess`` gives
+    the bytes that a store re-snapshotted from the same files gives."""
+    store, request = case_store(tmp_path, capsys)
+    root = Path(store[1])
+    before = repr(sorted(Store(root).load(log=False).rows.items()))
+    if damage == "snapshot missing":
+        (root / Store.SNAPSHOT_FILE).unlink()
+    else:  # the first SLO agreed at 1.0: met by any monitored availability
+        lines = (root / Store.SLOS_FILE).read_text(encoding="utf-8").split("\n")
+        lines[1] = ",".join([*lines[1].split(",")[:3], "1.0"])
+        (root / Store.SLOS_FILE).write_text("\n".join(lines), encoding="utf-8")
+    # the fresh parse: the same CSV files in a new store, loaded by a writer,
+    # which then saves them with a snapshot
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for name in Store.FILES:
+        shutil.copy(root / name, fresh / name)
+    parsed = Store(fresh).load().profile_table()
+    assert main(["--store", str(fresh), "register-attributes", "--qws-defaults"]) == 0
+    parses = []
+    parse = Store._parse
+    monkeypatch.setattr(Store, "_parse", lambda *args: parses.append(args) or parse(*args))
+    table = Store(root).load(log=False)
+    assert isinstance(table, ProfileTable) and len(parses) == 1
+    assert table == parsed and table.attributes == parsed.attributes
+    rows = repr(sorted(table.rows.items()))
+    assert rows == repr(sorted(parsed.rows.items()))
+    assert (rows == before) == (damage == "snapshot missing")
+    outputs = []
+    for where, parsed_now in ((root, True), (fresh, False)):
+        capsys.readouterr()
+        parses.clear()
+        assert main(["--store", str(where), "assess", "--format", "structured", str(request)]) == 0
+        assert bool(parses) == parsed_now
+        outputs.append(re.sub(r'"elapsed_seconds": [^,}]+', "", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]

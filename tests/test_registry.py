@@ -30,8 +30,8 @@ from fastcloud.registry import (
     DuplicateSubmissionError,
     MissingSloError,
     Polarity,
+    ProfileTable,
     QosAttribute,
-    ReadOnlyRegistryError,
     Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
@@ -54,9 +54,10 @@ from fastcloud.registry import (
 
 def _decode(sections, log):
     """What a load, then a whole read of the log, give of snapshot sections: the registry
-    and the sections a save may keep, or None if ``_decode_records`` or the read refuses."""
+    and the sections a save may keep, or None if ``_decode_records`` or the read refuses.
+    Without ``log``, the reader's table, or None."""
     decoded = _decode_records(sections, log)
-    if decoded is None or decoded[0]._rows is None:
+    if decoded is None or not log or decoded[0]._rows is None:
         return decoded
     refusals = []
     decoded[0]._rows.refuse = refusals.append
@@ -1002,23 +1003,23 @@ class TestImport:
 
 
 def outcome(store, log=True):
-    """What a load of the store gives: its records, with every dict order and float
-    sign, the mean of each SLO triple and the profile of each pair with an SLO, or the
-    refusal's type and text."""
+    """What a load of the store gives: its attributes, a registry's records, with every
+    dict order and float sign, and the mean of each SLO triple, and the profile of each
+    pair with an SLO, or the refusal's type and text. A reader's table holds no record."""
     try:
-        registry = store.load(log=log)
+        loaded = store.load(log=log)
     except ValueError as exc:
         return type(exc), str(exc)
-    return (list(registry.attributes.items()), repr(contents(registry)),
-            repr([registry.amv_mean(*key) for key in registry.slos]),
-            repr(sorted(profile_table(registry).items())))
+    records = () if isinstance(loaded, ProfileTable) else (
+        repr(contents(loaded)), repr([loaded.amv_mean(*key) for key in loaded.slos]))
+    return (list(loaded.attributes.items()), *records,
+            repr(sorted(profile_table(loaded).items())))
 
 
-def profile_table(registry):
-    """(csp, attribute) -> the profile row of each pair with an SLO, as the registry gives it."""
-    pairs = registry._slo_index if registry._profiles is None else registry._profiles
-    return {(csp_id, name): registry.profile_row(csp_id, registry.attributes[name])
-            for csp_id, name in pairs}
+def profile_table(loaded):
+    """(csp, attribute) -> the profile row of each pair with an SLO, as a reader's table
+    holds it or a registry builds it."""
+    return (loaded if isinstance(loaded, ProfileTable) else loaded.profile_table()).rows
 
 
 def parsed_outcome(store):
@@ -1141,11 +1142,12 @@ class TestSnapshotLoad:
         main(["--store", str(root)] + argv)
 
     def assessed(self, root, request, monkeypatch, capsys):
-        """(whether its load gave a read-only registry, exit code, stdout with
-        elapsed_seconds masked, stderr) of ``assess --format structured`` on ``root``."""
+        """(whether its load parsed the CSV files rather than using the snapshot, exit
+        code, stdout with elapsed_seconds masked, stderr) of ``assess --format structured``
+        on ``root``. Its load gives a table either way."""
         capsys.readouterr()
-        loaded = []
-        load = Store.load
+        loaded, parses = [], []
+        load, parse = Store.load, Store._parse
 
         def recorded(self, **kwargs):
             loaded.append(load(self, **kwargs))
@@ -1153,10 +1155,11 @@ class TestSnapshotLoad:
 
         with monkeypatch.context() as patch:
             patch.setattr(Store, "load", recorded)
+            patch.setattr(Store, "_parse", lambda *args: parses.append(args) or parse(*args))
             code = main(["--store", str(root), "assess", "--format", "structured", request])
         out, err = capsys.readouterr()
-        return (loaded[-1]._profiles is not None, code, re.sub(r'"elapsed_seconds": [^,}]+', "", out),
-                err)
+        assert isinstance(loaded[-1], ProfileTable)
+        return (bool(parses), code, re.sub(r'"elapsed_seconds": [^,}]+', "", out), err)
 
     def test_a_snapshot_load_equals_a_parse_load(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(14)
@@ -1210,7 +1213,8 @@ class TestSnapshotLoad:
                 restored = self.assessed(root, request, monkeypatch, capsys)
                 snapshot = (root / Store.SNAPSHOT_FILE).read_bytes()
                 (root / Store.SNAPSHOT_FILE).unlink()
-                assert restored == (True, *self.assessed(root, request, monkeypatch, capsys)[1:])
+                parsed = self.assessed(root, request, monkeypatch, capsys)
+                assert (restored, parsed[0]) == ((False, *parsed[1:]), True)
                 (root / Store.SNAPSHOT_FILE).write_bytes(snapshot)
                 seen["ranked" if restored[1] == 0 else "refused"] += 1
             rows = list(Store(root).load().amvs)
@@ -1354,7 +1358,7 @@ class TestSnapshotLoad:
         ]:
             write()
             assert load_recorded(store, monkeypatch) == (expected, True), path.read_bytes()
-            assert load_recorded(store, monkeypatch, log=False) == (expected, True)
+            assert load_recorded(store, monkeypatch, log=False) == (read_only, True)
         # snapshots 9, 8 and 6 have as many sections, and their first two are
         # this format's: under this tag, a reader takes them, and a writer
         # refuses the rest
@@ -1376,11 +1380,11 @@ class TestSnapshotLoad:
             assert main(["--store", str(store.root), "register-attributes", "--qws-defaults"]) == 0
             assert path.read_bytes() == blob
         capsys.readouterr()
-        # a table section of another shape, which only a read-only load decodes
+        # a table section of another shape, which only a reader's load decodes
         for part in (7, (attributes, table), table[:-1], [table]):
             sectioned(head, part, slo_part, means_part, *log)
             assert load_recorded(store, monkeypatch) == (expected, False)
-            assert load_recorded(store, monkeypatch, log=False) == (expected, True)
+            assert load_recorded(store, monkeypatch, log=False) == (read_only, True)
         # SLOs, means and a log that no parse gives, which only a full load
         # decodes: a table section whose length takes the SLOs in, or
         # sections of another shape
@@ -1585,7 +1589,7 @@ class TestSnapshotLoad:
             assert main(["--store", str(root)] + argv) == 0
         request = write_rows(tmp_path / "request.csv", REQUEST_COLUMNS, [["av", -1000, 100]])
         parsed = self.assessed(root, request, monkeypatch, capsys)
-        assert parsed[:2] == (True, 0)
+        assert parsed[:2] == (False, 0)
         # p2's span on availability as [-50, 95]: finite and ordered, but every
         # SLO value is positive, so no parse gives a bound below 0
         path = root / Store.SNAPSHOT_FILE
@@ -1595,13 +1599,14 @@ class TestSnapshotLoad:
         part = marshal.dumps([csp_ids, names, satisfied, agreed, (90.0, -50.0), highs], 2)
         self.checked_writer(Store(root))((tag, stamps, (sizes[0], len(part), *sizes[2:])),
                                          head, part, *rest)
-        assert self.assessed(root, request, monkeypatch, capsys) == (False, *parsed[1:])
+        assert self.assessed(root, request, monkeypatch, capsys) == (True, *parsed[1:])
 
     def test_a_profile_table_of_another_shape_is_not_used(
             self, store, tmp_path, monkeypatch, capsys):
         (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(
             store.root / Store.SNAPSHOT_FILE)
         expected = parsed_outcome(store)
+        read_only = outcome(store, log=False)
         checked = self.checked_writer(store)
         table = marshal.loads(table_part)
         # csp ids, names, satisfied, agreed, and the spans' lower and upper
@@ -1642,7 +1647,7 @@ class TestSnapshotLoad:
             replaced(columns)
             # a writer does not decode the table
             assert load_recorded(store, monkeypatch) == (expected, False), columns
-            assert load_recorded(store, monkeypatch, log=False) == (expected, True), columns
+            assert load_recorded(store, monkeypatch, log=False) == (read_only, True), columns
         # a table that lacks a pair with an SLO has a table's shape, and a reader
         # takes it as it is: profiles are derived data, which only this program
         # writes. A writer that changes no SLO and no mean of an SLO triple keeps
@@ -1757,31 +1762,29 @@ class TestSnapshotLoad:
         assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
         capsys.readouterr()
 
-    def test_a_read_only_registry_is_not_written(self, store):
+    def test_a_reader_s_table_is_not_written(self, store, tmp_path):
         files = {path.name: path.read_bytes() for path in store.root.iterdir()}
-        registry = store.load(log=False)
+        table = store.load(log=False)
         # it holds the attributes and the profile table, and no record: the
         # benchmark's layer tracer counts these lengths on every load
-        assert (len(registry.slos), len(registry.amvs)) == (0, 0)
-        assert registry.attributes == store.load().attributes
-        assert repr(sorted(profile_table(registry).items())) == repr(
+        assert isinstance(table, ProfileTable)
+        assert (len(table.slos), len(table.amvs)) == (0, 0)
+        assert table.attributes == store.load().attributes
+        assert repr(sorted(table.rows.items())) == repr(
             sorted(profile_table(store.load()).items()))
-        assert registry.providers == {"p1"}
-        assert actual_slo_interval(registry, "p1", "av").satisfied_count == 1
-        held = repr(contents(registry)), repr(registry._profiles)
-        for write in (lambda: store.save(registry), lambda: Store(store.root).save(registry),
-                      lambda: registry.submit_slo(SloRecord("p1", "c1", "av", 95.0)),
-                      lambda: registry.submit_amv(AmvRecord("p1", "c1", "av", 95.0)),
-                      lambda: import_qws(registry, io.StringIO(qws_rows(1))),
-                      lambda: import_qws(registry, io.StringIO(qws_rows(0))),  # before reading
-                      # reads of the records it does not hold
-                      lambda: registry.slos_for("p1", "availability"),
-                      lambda: registry.amv_samples("p1", "c1", "availability"),
-                      lambda: registry.amv_mean("p1", "c1", "availability")):
-            with pytest.raises(ReadOnlyRegistryError):
-                write()
+        assert table.providers == {"p1"}
+        assert actual_slo_interval(table, "p1", "av").satisfied_count == 1
+        held = repr(table)
+        # nothing submits to it or reads records from it, and a save refuses it
+        # before it touches a file
+        assert not any(hasattr(table, name) for name in (
+            "submit_slo", "submit_amv", "slos_for", "amv_samples", "amv_mean"))
+        for target in (store, Store(store.root), Store(tmp_path / "new")):
+            with pytest.raises(TypeError):
+                target.save(table)
         assert {path.name: path.read_bytes() for path in store.root.iterdir()} == files
-        assert (repr(contents(registry)), repr(registry._profiles)) == held
+        assert not (tmp_path / "new").exists()
+        assert repr(table) == held
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
     def test_a_monitored_value_that_a_parse_refuses_is_not_restored(
@@ -1795,7 +1798,7 @@ class TestSnapshotLoad:
         body = body.replace(held, struct.pack("<d", value))
         path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
         assert load_recorded(store, monkeypatch) == (parsed_outcome(store), True)
-        # a read-only load does not decode the log
+        # a reader's load does not decode the log
         assert load_recorded(store, monkeypatch, log=False) == (read_only, False)
 
     def test_a_submitted_sequence_outside_int64_is_refused_at_its_row(
@@ -1888,10 +1891,10 @@ class TestSnapshotLoad:
         columns = SLO_COLUMNS if command == "submit-slo" else AMV_COLUMNS
         assert main(["--store", root, command, write_rows(tmp_path / "c.csv", columns, rows)]) == 0
         restored = self.assessed(root, request, monkeypatch, capsys)
-        assert restored[:2] == (True, 0)
+        assert restored[:2] == (False, 0)
         assert p2.format(0.5, 1) in restored[2]
         (tmp_path / "store" / Store.SNAPSHOT_FILE).unlink()
-        assert restored == (True, *self.assessed(root, request, monkeypatch, capsys)[1:])
+        assert self.assessed(root, request, monkeypatch, capsys) == (True, *restored[1:])
 
     def test_an_unreadable_snapshot_is_not_used(self, store, monkeypatch, capsys):
         expected = parsed_outcome(store)
@@ -2239,12 +2242,11 @@ class TestDecodeMutations:
             read = _decode(sections, False)
             if read is not None:
                 # the reader's invariant: a row a pair, each as a parse's profile_row gives it
-                registry, _ = read
-                assert len(registry._profiles) == len(columns["csp_ids"]), (kind, columns)
-                for (csp_id, name), row in registry._profiles.items():
+                assert len(read.rows) == len(columns["csp_ids"]), (kind, columns)
+                for (csp_id, name), row in read.rows.items():
                     satisfied, agreed, low, high = row
                     assert type(csp_id) is str and csp_id and csp_id.strip() == csp_id
-                    assert name in registry.attributes
+                    assert name in read.attributes
                     assert type(satisfied) is type(agreed) is int and 0 <= satisfied <= agreed
                     assert agreed > 0 and type(low) is type(high) is float
                     assert 0 < low <= high < math.inf, (kind, columns)
@@ -2267,9 +2269,8 @@ class TestDecodeMutations:
         sections = self.encoded_sections(head, columns)
         registry, _ = _decode(sections, True)
         assert registry.amv_mean("p1", "c1", "availability") == 1.0
-        registry, _ = _decode(sections, False)
-        assert registry.profile_row("p1", registry.attributes["availability"]) == (
-            2, 2, 90.0, 95.0)
+        table = _decode(sections, False)
+        assert table.profile_row("p1", table.attributes["availability"]) == (2, 2, 90.0, 95.0)
         # no section holds the rows' order across triples, so which triple a
         # row files under is as the counts group the rows: p1's c1 on
         # availability gives its second row to its c2
