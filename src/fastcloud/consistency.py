@@ -61,8 +61,8 @@ def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
     return _MEETS[polarity](amv, slo)
 
 
-def average_amv(samples: list[float]) -> float:
-    """Arithmetic mean of a nonempty sample list: its ``math.fsum`` over its length."""
+def average_amv(samples: Collection[float]) -> float:
+    """Arithmetic mean of a nonempty sample collection: its ``math.fsum`` over its length."""
     if not samples:
         raise ValueError("cannot average an empty sample list")
     return math.fsum(samples) / len(samples)

@@ -41,7 +41,7 @@ from operator import itemgetter, le, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
-from .consistency import MissingSloError, Polarity, profile_of
+from .consistency import MissingSloError, Polarity, average_amv, profile_of
 from .intervals import IntervalNumber
 
 
@@ -332,6 +332,9 @@ class _HeldRows:
 # the held log of a registry that holds no row in a snapshot
 _NO_ROWS = _HeldRows(marshal.dumps([], 2), b"", b"", [])
 
+# what decoding snapshot sections of another shape raises
+_SHAPE_ERRORS = (EOFError, ValueError, TypeError, IndexError, AttributeError, OverflowError)
+
 
 class _AttributeLookup:
     """The lookup of ``attributes`` by name or abbreviation, shared by a registry and a table."""
@@ -591,9 +594,8 @@ class Registry(_AttributeLookup):
     def amv_mean(self, csp_id: str, csc_id: str, attribute: str) -> float | None:
         """The mean of one triple's monitored values, or None if it has none.
 
-        The values are summed by ``math.fsum``, then divided by their count,
-        so the mean is ``average_amv(amv_samples(...))`` to the bit, in any
-        row order and on any interpreter.
+        It is ``average_amv`` of the values, so ``average_amv(amv_samples(...))``
+        to the bit, in any row order and on any interpreter.
         """
         key = (csp_id, csc_id, attribute)
         place = self._place.get(key)
@@ -604,7 +606,7 @@ class Registry(_AttributeLookup):
             samples = self._samples_of(key)
             if samples is None:  # held rows refused, and the parse holds no row of the triple
                 return None
-            mean = math.fsum(samples.values()) / len(samples)
+            mean = average_amv(samples.values())
             self._means[self._place[key]] = mean  # a refusal of held rows renumbers the places
         return mean
 
@@ -677,13 +679,15 @@ def import_qws(
     later import cannot detect such a collision: it files the rows under
     the provider that holds the id.
 
-    ``mapping=None`` maps the standard six columns. Before ``source`` is
-    read, an empty mapping is refused, and ``Registry.resolve_names``
-    refuses an unknown target or two columns on one attribute.
+    ``mapping=None`` maps the standard six columns. Before ``source`` is read,
+    anything but a ``Registry`` (TypeError) and an empty mapping are refused,
+    and ``Registry.resolve_names`` refuses an unknown or doubly mapped target.
     Rows with missing, non-numeric, non-finite or negative values in a mapped
     column are counted and reported, not fatal. These are bulk third-party
     observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
     """
+    if not isinstance(registry, Registry):
+        raise TypeError(f"only a Registry is imported into, not a {type(registry).__name__}")
     mapping = STANDARD_QWS_MAPPING if mapping is None else mapping
     if not mapping:
         raise ValueError("a mapping must name at least one column")
@@ -797,27 +801,49 @@ def _regrouped(log: _HeldRows, part: bytes, code: str, column: Callable,
     return b"".join(chunks)
 
 
+def _table_rows(section: bytes, attributes: Mapping[str, QosAttribute]
+                ) -> dict[tuple[str, str], tuple] | None:
+    """The profile table section's ``(csp, name) -> (satisfied, agreed, lower, upper)``.
+
+    None unless a parse could give it, checked whole: six columns of one
+    length, no pair twice, unpadded provider ids, names in ``attributes``,
+    int counts with 0 <= satisfied <= agreed and agreed > 0, and finite
+    positive float bounds, the lower at most the upper, as SLO values are.
+    """
+    try:
+        csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(section)
+        rows = dict(zip(zip(csp_ids, names, strict=True),
+                        zip(satisfied, agreed, lows, highs, strict=True), strict=True))
+        bounds = (*lows, *highs)
+        # a sum that overflows on huge values only leaves the load to the parse
+        checked = (len(rows) == len(csp_ids)
+                   and _unpadded(set(csp_ids))
+                   and set(names) <= attributes.keys()
+                   and set(map(type, bounds)) <= {float}
+                   and set(map(type, (*satisfied, *agreed))) <= {int}
+                   and math.isfinite(sum(bounds)) and min(lows, default=1) > 0
+                   and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
+                   and min(map(sub, agreed, satisfied), default=0) >= 0
+                   and all(map(le, lows, highs)))
+    except _SHAPE_ERRORS:
+        return None
+    return rows if checked else None
+
+
 def _table(registry: Registry, held: bytes | None = None,
            pairs: Iterable[tuple[str, str]] = ()) -> bytes:
-    """The profile table section: every pair with an SLO and its row, as six columns.
+    """The profile table section: each pair with an SLO and its ``Registry.profile_row``.
 
-    A pair's row is the ``consistency.profile_of`` row that
-    ``Registry.profile_row`` gives, built from the pair's SLOs and means.
-
-    Given the ``held`` section, the rows of ``pairs`` are built again and
-    the others kept, unless it does not list the pairs with an SLO in the
-    SLO index's order: then, as without it, every row is built.
+    Only the rows of ``pairs`` are built again onto a ``held`` section that
+    ``_table_rows`` accepts and that lists the SLO index's pairs in order.
     """
-    rows = {}  # (csp id, name) -> the table row: csp id, name, then the row's fields
-    if held is not None:
-        with contextlib.suppress(EOFError, ValueError, TypeError):  # a table of another shape
-            rows = {row[:2]: row for row in zip(*marshal.loads(held), strict=True)}
-        if list(rows) != list(registry._slo_index):
-            rows = {}
-    for csp_id, name in pairs if rows else registry._slo_index:
-        rows[csp_id, name] = (csp_id, name,
-                              *registry.profile_row(csp_id, registry.attributes[name]))
-    return marshal.dumps([*zip(*rows.values())] or [()] * 6, 2)
+    rows = None if held is None else _table_rows(held, registry.attributes)
+    if rows is None or list(rows) != list(registry._slo_index):
+        rows = registry.profile_table().rows
+    else:
+        for csp_id, name in pairs:
+            rows[csp_id, name] = registry.profile_row(csp_id, registry.attributes[name])
+    return marshal.dumps([*zip(*((*pair, *row) for pair, row in rows.items()))] or [()] * 6, 2)
 
 
 def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
@@ -839,19 +865,17 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
 
     ``held`` is the sections that the registry's load or last save gave, or
     None. The attributes and the means are encoded again, and the SLOs
-    unless ``slos_kept``. The table is kept but for the rows of the pairs on
-    whose SLO triples a row was filed since the load (``_table``): a table
-    row reads only the pair's SLOs and the means of their triples, and a
-    mean changes only by an append to its triple. The log is spliced: the
-    rows filed since the load go onto the registry's held log
-    (``_HeldRows``), or onto an empty one when it holds none. Each held
-    place's appended rows, at the end of its samples, go after its held
-    ones, and the places filed since after every held row (``_regrouped``),
-    whose triples extend the distinct ones, so no held row is decoded. A
-    place that the table read and refused leaves the log to the parse, and
-    the table is built again whole. So a crafted section that the load
-    accepted keeps its encoding, and a crafted table or place its rows,
-    until what it is made from changes.
+    unless ``slos_kept``. The table is kept unless a row was filed since the
+    load on a pair's SLO triple, as a table row reads only the pair's SLOs
+    and the means of their triples, and a mean changes only by an append to
+    its triple; then ``_table`` builds those pairs' rows again. The log is
+    spliced: the rows filed since the load go onto the registry's held log
+    (``_HeldRows``), or an empty one. Each held place's appended rows, at
+    the end of its samples, go after its held ones, and the places filed
+    since after every held row (``_regrouped``), whose triples extend the
+    distinct ones, so no held row is decoded. So a crafted section that the
+    load accepted keeps its encoding, and a crafted place its rows, until
+    what it is made from changes; a crafted table, until a save builds a row.
     """
     _, table, slos, *_ = held or (None,) * 8
     if not slos_kept:
@@ -884,56 +908,42 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
             _regrouped(log, log.sequences, "q", dict.keys, tails, new))
 
 
-def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple] | ProfileTable | None:
-    """What ``_encode``'s eight sections hold, if a parse could give it.
+def _decode_attributes(section: bytes) -> Registry:
+    """A registry of the attribute section's definitions, each checked as a parse checks it."""
+    registry = Registry()
+    for fields in marshal.loads(section):
+        registry.register_attribute(parse_attribute(fields))
+    return registry
 
-    With ``log``, the writer's registry, which holds the attributes, the
-    SLO index as ``marshal.loads`` gives it and the means, and leaves its
-    rows in the sections (``_HeldRows``), and the sections, as the ``held``
-    of its save. A writer decodes one place's rows at the first read of its
-    triple (``_decode_place``), and the whole log at its first whole read
-    (``Registry._read_log``). Without, the reader's ``ProfileTable``, of
-    the attributes and the profile table. A section that the result does
-    not hold is not decoded.
 
-    Without ``log``, the table must have columns of one length, with no
-    pair twice, unpadded provider ids, registered names, int counts with 0
-    <= satisfied <= agreed and agreed > 0, and finite positive float span
-    bounds, the lower at most the upper: every SLO value is positive. With
-    ``log``: an SLO index of (provider id, registered name) pairs, each to a
-    non-empty dict of consumer ids to positive finite floats; no repeated
-    distinct triple, each of checked ids and a registered name; a list of a
-    mean per distinct triple, None or a finite number of at least 0; and a
-    list of a row count per distinct triple, ints of at least 1 whose sum is
-    the row count of the values and sequences sections, 8 bytes a row. All
-    is checked whole, with no Python loop per SLO or row, and used as
-    decoded. The profiles, the means and the rows' grouping by triple are
-    derived data that only this program writes, so they are checked for
-    shape alone. Any other sections give None. The rows are left in the
-    sections (``_HeldRows``).
+def _decode_table(sections: tuple) -> ProfileTable | None:
+    """The reader's ``ProfileTable`` of the attribute and table sections (``_table_rows``)."""
+    try:
+        attributes = _decode_attributes(sections[0]).attributes
+    except _SHAPE_ERRORS:
+        return None
+    rows = _table_rows(sections[1], attributes)
+    return None if rows is None else ProfileTable(attributes, rows)
+
+
+def _decode_records(sections: tuple) -> Registry | None:
+    """The writer's registry of ``_encode``'s eight sections, if a parse could give it, or None.
+
+    Its rows stay in the sections (``_HeldRows``), the ``held`` of its save,
+    and its table is left to that save (``_table``). The rest is checked
+    whole, with no Python loop per SLO or row, and used as decoded: an SLO
+    index of (provider id, registered name) pairs, each to a non-empty dict
+    of consumer ids to positive finite floats; no repeated distinct triple,
+    each of checked ids and a registered name; a mean per distinct triple,
+    None or finite and at least 0; and a row count per distinct triple, an
+    int of at least 1, whose sum is the row count of the values and
+    sequences sections, 8 bytes a row. The means and the rows' grouping are
+    derived data that only this program writes: checked for shape alone.
     """
     try:
-        (head, table, slo_part, means_part, distinct_part, counts_part, values_part,
+        (head, _, slo_part, means_part, distinct_part, counts_part, values_part,
          sequences_part) = sections
-        registry = Registry()
-        for fields in marshal.loads(head):
-            registry.register_attribute(parse_attribute(fields))
-        if not log:
-            csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(table)
-            rows = dict(zip(zip(csp_ids, names, strict=True),
-                            zip(satisfied, agreed, lows, highs, strict=True), strict=True))
-            bounds = (*lows, *highs)
-            # a sum that overflows on huge values only leaves the load to the parse
-            checked = (len(rows) == len(csp_ids)
-                       and _unpadded(set(csp_ids))
-                       and set(names) <= registry.attributes.keys()
-                       and set(map(type, bounds)) <= {float}
-                       and set(map(type, (*satisfied, *agreed))) <= {int}
-                       and math.isfinite(sum(bounds)) and min(lows, default=1) > 0
-                       and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
-                       and min(map(sub, agreed, satisfied), default=0) >= 0
-                       and all(map(le, lows, highs)))
-            return ProfileTable(registry.attributes, rows) if checked else None
+        registry = _decode_attributes(head)
         registry._slo_index, means, distinct, counts = map(
             marshal.loads, (slo_part, means_part, distinct_part, counts_part))
         registry._place = dict(zip(distinct, range(len(distinct))))
@@ -957,14 +967,14 @@ def _decode_records(sections: tuple, log: bool) -> tuple[Registry, tuple] | Prof
                    and set(map(type, counts)) <= {int} and min(counts, default=1) > 0)
         rows = sum(counts) if checked else 0
         checked = checked and len(values_part) == len(sequences_part) == 8 * rows
-    except (EOFError, ValueError, TypeError, IndexError, AttributeError, OverflowError):
-        return None  # sections of another shape
+    except _SHAPE_ERRORS:
+        return None
     if not checked:
         return None
     registry._samples, registry._counts = [None] * len(counts), [*counts]
     if rows:
         registry._rows = _HeldRows(distinct_part, values_part, sequences_part, counts)
-    return registry, sections
+    return registry
 
 
 def _decode_place(rows: _HeldRows, place: int) -> dict[int, float] | None:
@@ -1012,32 +1022,25 @@ class Store:
 
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
     It holds its own CRC-32, then a ``marshal`` header of a tag of its
-    format and the Python version, the CRC-32 and length of each CSV file
-    it was made from (None for a missing one) and the byte length of each
-    section but the last, then the eight sections that ``_encode`` gives:
-    six ``marshal`` sections, then the AMV values and sequences as packed
-    8-byte arrays. A load reads each CSV file whole, and uses the snapshot
-    in place of parsing them only when its CRC, its tag and every file's
-    CRC-32 and length match the bytes read, so that no torn or stale
-    snapshot is used, and ``_decode_records`` accepts its sections. Any other snapshot
+    format and the Python version, the CRC-32 and length of each CSV file it
+    was made from (None for a missing one) and the byte length of each
+    section but the last, then the eight sections that ``_encode`` gives. A
+    load reads each CSV file whole, and uses the snapshot in place of
+    parsing them only when its CRC, its tag and every file's CRC-32 and
+    length match the bytes read, so that no torn or stale snapshot is used,
+    and the decode accepts what it reads of it. Any other snapshot
     (unreadable, torn, foreign, of another shape, with columns no parse
     gives, or made before a hand edit) leaves the load to the parse, with
-    its refusals. ``load(log=False)``, the reader's, decodes and checks the
-    attributes and the profile table, as a ``ProfileTable`` that ``save``
-    refuses. A writer's load decodes and checks its records (the
-    attributes, the SLO index, the means, the distinct triples and their
-    row counts), and leaves the rows of its log in the snapshot: a triple's
-    rows are decoded at the first read of that triple, and the whole log at
-    its first whole read (see ``Registry``). A refused place or log leaves
-    the rows to a parse of the files (``_reparse``), which are read again
-    then, under the lock, and refused if they are not as loaded: a refusal
-    of the store, not of the input that the command was filing. A command
-    keeps the held rows of each triple it reads no row of, as a reader
-    leaves the sections it does not decode. Only ``save`` writes the
-    snapshot, in place, once the CSV files are durable; it carries the
-    amvs.csv CRC forward over the appended bytes, so no file is read again.
-    A save that changes no file leaves a snapshot that already holds the
-    registry as it is. Readers never write it.
+    its refusals. A reader's load decodes the attributes and the profile
+    table (``_decode_table``), a writer's its records (``_decode_records``),
+    leaving the table to its save (``_table``). A refused place or log
+    leaves the rows to a parse of the files (``_reparse``), which are read
+    again then, under the lock, and refused if they are not as loaded: a
+    refusal of the store, not of the input that the command was filing. Only
+    ``save`` writes the snapshot, in place, once the CSV files are durable;
+    it carries the amvs.csv CRC forward over the appended bytes, so no file
+    is read again. A save that changes no file leaves a snapshot that
+    already holds the registry as it is. Readers never write it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -1098,16 +1101,16 @@ class Store:
         """The writer's registry, or without ``log`` the reader's ``ProfileTable``."""
         contents = self._contents()
         stamps = {name: _stamp(data) for name, data in contents.items()}
-        restored = self._restore_snapshot(stamps, log)
+        sections = self._restore_snapshot(stamps)
         if not log:
-            return self._parse(contents).profile_table() if restored is None else restored
-        if restored is None:
-            registry, snapshot_stamps, held = self._parse(contents), None, None
-        else:
-            (registry, held), snapshot_stamps = restored, stamps
-            if registry._rows is not None:  # each place's rows at their first read
-                registry._rows.refuse = functools.partial(self._reparse, stamps)
-        self._remember(registry, stamps, snapshot_stamps, held)
+            table = None if sections is None else _decode_table(sections)
+            return self._parse(contents).profile_table() if table is None else table
+        registry = None if sections is None else _decode_records(sections)
+        if registry is None:
+            registry, sections = self._parse(contents), None
+        elif registry._rows is not None:  # each place's rows at their first read
+            registry._rows.refuse = functools.partial(self._reparse, stamps)
+        self._remember(registry, stamps, None if sections is None else stamps, sections)
         return registry
 
     def _contents(self) -> dict[str, bytes | None]:
@@ -1266,12 +1269,11 @@ class Store:
         finally:
             os.close(fd)
 
-    def _restore_snapshot(self, stamps: dict, log: bool) -> tuple | ProfileTable | None:
-        """``_decode_records`` of the snapshot's sections, or None if it cannot be trusted.
+    def _restore_snapshot(self, stamps: dict) -> tuple | None:
+        """The snapshot's eight sections, undecoded, or None if it cannot be trusted.
 
-        That is unless it can be read, passes its own CRC, carries this
-        format's tag, and was made from files of exactly the stamps (CRC-32
-        and length) given.
+        It is trusted if it can be read, passes its own CRC, and carries this
+        format's tag, eight sections, and the given files' CRC-32s and lengths.
         """
         try:
             blob = (self.root / self.SNAPSHOT_FILE).read_bytes()
@@ -1280,15 +1282,13 @@ class Store:
             stream = io.BytesIO(blob)
             stream.seek(4)
             tag, file_stamps, sizes = marshal.load(stream)
-            if (tag, file_stamps) != (self._SNAPSHOT_TAG, self._stamps_of(stamps)):
+            if (tag, file_stamps, len(sizes)) != (self._SNAPSHOT_TAG, self._stamps_of(stamps), 7):
                 return None  # another format, or files changed since the snapshot was made
             starts = list(accumulate(sizes, initial=stream.tell()))
             view = memoryview(blob)
-            sections = tuple(view[start:end]
-                             for start, end in zip(starts, [*starts[1:], len(blob)]))
+            return tuple(view[start:end] for start, end in zip(starts, [*starts[1:], len(blob)]))
         except (OSError, EOFError, ValueError, TypeError):
             return None  # unreadable, or a header of another shape
-        return _decode_records(sections, log)
 
     def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
                  ) -> tuple[int, int]:

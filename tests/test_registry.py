@@ -41,6 +41,7 @@ from fastcloud.registry import (
     UnknownAttributeError,
     _decode_place,
     _decode_records,
+    _decode_table,
     _encode,
     _table,
     attribute_fields,
@@ -52,17 +53,16 @@ from fastcloud.registry import (
 )
 
 
-def _decode(sections, log):
-    """What a load, then a whole read of the log, give of snapshot sections: the registry
-    and the sections a save may keep, or None if ``_decode_records`` or the read refuses.
-    Without ``log``, the reader's table, or None."""
-    decoded = _decode_records(sections, log)
-    if decoded is None or not log or decoded[0]._rows is None:
-        return decoded
+def _decode(sections):
+    """What a writer's load, then a whole read of the log, give of snapshot sections: the
+    registry, or None if ``_decode_records`` or the read refuses."""
+    registry = _decode_records(sections)
+    if registry is None or registry._rows is None:
+        return registry
     refusals = []
-    decoded[0]._rows.refuse = refusals.append
-    decoded[0]._read_log()
-    return None if refusals else decoded
+    registry._rows.refuse = refusals.append
+    registry._read_log()
+    return None if refusals else registry
 
 
 def fresh_registry() -> Registry:
@@ -996,6 +996,20 @@ class TestImport:
         assert str(summary) == "50 rows accepted, 0 rejected; 300 records added, 0 duplicates skipped"
         assert {r.attribute for r in registry.amvs} == {a.name for a in STANDARD_ATTRIBUTES}
 
+    def test_only_a_registry_is_imported_into(self, tmp_path):
+        store = Store(tmp_path / "store")
+        store.save(fresh_registry())
+        files = {name: (store.root / name).read_bytes() for name in Store.FILES}
+        table = store.load(log=False)
+        # a row to file, and a header alone, which would file nothing
+        for source in (io.StringIO(qws_rows(1)), io.StringIO(qws_rows(0))):
+            with pytest.raises(TypeError, match="^only a Registry is imported into, "
+                                                "not a ProfileTable$"):
+                import_qws(table, source)
+            assert source.tell() == 0  # refused before the dataset is read
+        assert table == store.load(log=False)
+        assert {name: (store.root / name).read_bytes() for name in Store.FILES} == files
+
     def test_mapping_targets_must_be_registered(self):
         registry = Registry()  # no attributes at all
         with pytest.raises(UnknownAttributeError):
@@ -1666,6 +1680,28 @@ class TestSnapshotLoad:
         assert not parsed and loaded[-1] == parsed_outcome(store)[-1] != expected[-1]
         capsys.readouterr()
 
+    def test_a_table_row_that_no_parse_gives_is_not_kept_by_a_writer(
+            self, store, tmp_path, monkeypatch, capsys):
+        root = store.root
+        (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(
+            root / Store.SNAPSHOT_FILE)
+        csp_ids, names, satisfied, agreed, *bounds = marshal.loads(table_part)
+        assert (csp_ids, names, agreed) == (("p1", "p1"), ("availability", "latency"), (1, 1))
+        # (p1, latency), whose row the append below does not build again, with
+        # more consumers satisfied than agreed
+        part = marshal.dumps([csp_ids, names, (satisfied[0], 2), agreed, *bounds], 2)
+        self.checked_writer(store)((tag, stamps, (sizes[0], len(part), *sizes[2:])),
+                                   head, part, *rest)
+        loaded, parsed = load_recorded(store, monkeypatch, log=False)
+        assert parsed and loaded[-1] == parsed_outcome(store)[-1]
+        # a writer builds the whole table again, not only (p1, availability)'s row
+        amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c1", "av", "95", ""]])
+        assert main(["--store", str(root), "submit-amv", amvs]) == 0
+        assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
+        loaded, parsed = load_recorded(store, monkeypatch, log=False)
+        assert not parsed and loaded[-1] == parsed_outcome(store)[-1]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("value", [True, 90])
     def test_an_slo_value_that_a_parse_does_not_give_is_not_restored(
             self, store, tmp_path, monkeypatch, capsys, value):
@@ -2174,7 +2210,7 @@ class TestDecodeMutations:
         """Each place's rows that ``_decode_place`` accepts: a parse's, written as a
         save writes them, and those of the whole decode ``whole`` when it accepts.
         Returns whether it refused a place."""
-        registry, _ = _decode_records(sections, True)
+        registry = _decode_records(sections)
         if registry._rows is None:  # no row
             return False
         refused = False
@@ -2193,7 +2229,7 @@ class TestDecodeMutations:
             assert packed("d", list(samples.values())) == sections[6][rows], columns
             assert packed("q", list(samples)) == sections[7][rows], columns
             if whole is not None:
-                assert samples == whole[0]._samples[place], columns
+                assert samples == whole._samples[place], columns
         return refused
 
     def test_a_decoded_registry_is_one_that_a_parse_gives(self, tmp_path):
@@ -2204,7 +2240,7 @@ class TestDecodeMutations:
             files = self.saved(self.corpus_registry(long_sequence), root)
             _, head, *rest = snapshot_parts(root / Store.SNAPSHOT_FILE)
             sections = (head, *rest)
-            registry, held = _decode(sections, True)
+            registry = _decode(sections)
             assert registry == Store(root)._parse(files)
             corpus.append((head, self.decoded_columns(sections)))
         # refusals of each kind, and mutated sections that a decode that reads them accepted
@@ -2217,29 +2253,28 @@ class TestDecodeMutations:
             columns = {name: list(column) for name, column in columns.items()}
             self.mutate(rng, columns, kind, trial // len(self.KINDS))
             sections = self.encoded_sections(head, columns)
-            decoded = _decode(sections, True)
+            registry = _decode(sections)
             # a writer reads no table: its other sections unchanged, it decodes the corpus
-            if decoded is not None and sections[2:] != original[2:]:
+            if registry is not None and sections[2:] != original[2:]:
                 # the writer's invariant: what it saves, a parse gives again
-                registry, held = decoded
                 # a mean is derived data, checked for its shape alone
                 assert all(mean is None or 0 <= mean < math.inf for mean in registry._means)
                 files = self.saved(registry, tmp_path / "saved")
                 parsed = Store(tmp_path)._parse(files)
                 assert parsed == registry, (kind, columns)
                 assert self.saved(parsed, tmp_path / "saved") == files
-                kept = _encode(registry, held, True)
+                kept = _encode(registry, sections, True)
                 fresh = _encode(parsed, None, False)
                 assert (kept[2], *kept[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
                 # and an append to an SLO triple files the same row in a new decode
                 (csp_id, name), consumers = next(iter(parsed._slo_index.items()))
-                appended, _ = _decode(sections, True)
+                appended = _decode(sections)
                 for target in (appended, parsed):
                     target.submit_amv(AmvRecord(csp_id, next(iter(consumers)), name, 1.0))
                 assert appended == parsed, (kind, columns)
-            if _decode_records(sections, True) is not None:
-                seen["place refused"] += self.check_places(sections, columns, decoded)
-            read = _decode(sections, False)
+            if _decode_records(sections) is not None:
+                seen["place refused"] += self.check_places(sections, columns, registry)
+            read = _decode_table(sections)
             if read is not None:
                 # the reader's invariant: a row a pair, each as a parse's profile_row gives it
                 assert len(read.rows) == len(columns["csp_ids"]), (kind, columns)
@@ -2250,8 +2285,8 @@ class TestDecodeMutations:
                     assert type(satisfied) is type(agreed) is int and 0 <= satisfied <= agreed
                     assert agreed > 0 and type(low) is type(high) is float
                     assert 0 < low <= high < math.inf, (kind, columns)
-            seen[kind] += decoded is None or read is None
-            seen["writer accepted"] += decoded is not None and sections[2:] != original[2:]
+            seen[kind] += registry is None or read is None
+            seen["writer accepted"] += registry is not None and sections[2:] != original[2:]
             seen["reader accepted"] += read is not None and sections[1] != original[1]
         assert min(seen.values()) > 0, seen
 
@@ -2267,9 +2302,9 @@ class TestDecodeMutations:
         columns["means"][0] = 1.0
         columns["satisfied"][0] = 2
         sections = self.encoded_sections(head, columns)
-        registry, _ = _decode(sections, True)
+        registry = _decode(sections)
         assert registry.amv_mean("p1", "c1", "availability") == 1.0
-        table = _decode(sections, False)
+        table = _decode_table(sections)
         assert table.profile_row("p1", table.attributes["availability"]) == (2, 2, 90.0, 95.0)
         # no section holds the rows' order across triples, so which triple a
         # row files under is as the counts group the rows: p1's c1 on
@@ -2277,7 +2312,7 @@ class TestDecodeMutations:
         assert columns["distinct"][1] == ("p1", "c2", "availability")
         assert columns["counts"][:2] == [2, 1]
         columns["counts"][:2] = [1, 2]
-        registry, _ = _decode(self.encoded_sections(head, columns), True)
+        registry = _decode(self.encoded_sections(head, columns))
         assert registry.amv_samples("p1", "c1", "availability") == [91.0]
         assert registry.amv_samples("p1", "c2", "availability") == [0.0, 93.5]
 
@@ -2367,8 +2402,8 @@ class TestDeferredRows:
                      for kind, mutation in self.ROW_MUTATIONS.items())}
         for kind, rows in parts.items():
             sections = (head, table, slo_part, *rows)
-            assert _decode(sections, True) is None, kind
-            assert _decode_records(sections, True)[0]._rows is not None, kind
+            assert _decode(sections) is None, kind
+            assert _decode_records(sections)._rows is not None, kind
             body = marshal.dumps((tag, stamps, tuple(map(len, sections[:-1]))), 2)
             body += b"".join(sections)
             yield kind, zlib.crc32(body).to_bytes(4, "little") + body
@@ -2435,8 +2470,8 @@ class TestDeferredRows:
                 elif saved:
                     assert path.read_bytes() not in (blob, healthy), (name, kind)
                     _, *sections = snapshot_parts(path)
-                    assert _decode_records(sections, True) is not None, (name, kind)
-                    assert _decode(sections, True) is None, (name, kind)
+                    assert _decode_records(sections) is not None, (name, kind)
+                    assert _decode(sections) is None, (name, kind)
                 else:
                     assert path.read_bytes() == blob, (name, kind)
                 assert self.loads_as_parsed(copies[kind]), (name, kind)
