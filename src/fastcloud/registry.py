@@ -17,6 +17,8 @@ Each save also rewrites ``.snapshot``, a derived file that is safe to
 delete: a load that finds the CSV files as that save left them restores
 from it in place of parsing them, a reader's ``ProfileTable`` whole and a
 writer's registry with the rows of its log held until their first read.
+A save encodes the snapshot from the registry, splicing only the rows
+filed since the load onto the log that it held.
 """
 
 from __future__ import annotations
@@ -801,52 +803,13 @@ def _regrouped(log: _HeldRows, part: bytes, code: str, column: Callable,
     return b"".join(chunks)
 
 
-def _table_rows(section: bytes, attributes: Mapping[str, QosAttribute]
-                ) -> dict[tuple[str, str], tuple] | None:
-    """The profile table section's ``(csp, name) -> (satisfied, agreed, lower, upper)``.
-
-    None unless a parse could give it, checked whole: six columns of one
-    length, no pair twice, unpadded provider ids, names in ``attributes``,
-    int counts with 0 <= satisfied <= agreed and agreed > 0, and finite
-    positive float bounds, the lower at most the upper, as SLO values are.
-    """
-    try:
-        csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(section)
-        rows = dict(zip(zip(csp_ids, names, strict=True),
-                        zip(satisfied, agreed, lows, highs, strict=True), strict=True))
-        bounds = (*lows, *highs)
-        # a sum that overflows on huge values only leaves the load to the parse
-        checked = (len(rows) == len(csp_ids)
-                   and _unpadded(set(csp_ids))
-                   and set(names) <= attributes.keys()
-                   and set(map(type, bounds)) <= {float}
-                   and set(map(type, (*satisfied, *agreed))) <= {int}
-                   and math.isfinite(sum(bounds)) and min(lows, default=1) > 0
-                   and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
-                   and min(map(sub, agreed, satisfied), default=0) >= 0
-                   and all(map(le, lows, highs)))
-    except _SHAPE_ERRORS:
-        return None
-    return rows if checked else None
-
-
-def _table(registry: Registry, held: bytes | None = None,
-           pairs: Iterable[tuple[str, str]] = ()) -> bytes:
-    """The profile table section: each pair with an SLO and its ``Registry.profile_row``.
-
-    Only the rows of ``pairs`` are built again onto a ``held`` section that
-    ``_table_rows`` accepts and that lists the SLO index's pairs in order.
-    """
-    rows = None if held is None else _table_rows(held, registry.attributes)
-    if rows is None or list(rows) != list(registry._slo_index):
-        rows = registry.profile_table().rows
-    else:
-        for csp_id, name in pairs:
-            rows[csp_id, name] = registry.profile_row(csp_id, registry.attributes[name])
+def _table(registry: Registry) -> bytes:
+    """The profile table section: each pair with an SLO and its ``Registry.profile_row``."""
+    rows = registry.profile_table().rows
     return marshal.dumps([*zip(*((*pair, *row) for pair, row in rows.items()))] or [()] * 6, 2)
 
 
-def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
+def _encode(registry: Registry) -> tuple:
     """The eight sections of ``registry``'s snapshot.
 
     The first six are ``marshal`` version 2 bytes: the attribute
@@ -859,38 +822,20 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
     headerless little-endian arrays of ``<d`` and ``<q``, 8 bytes a row,
     grouped by place: each place's rows together, in place order, and in
     submission order within a place, the log's one order. Version 2 shares
-    no object, and each row has one packed form, so the bytes depend only
-    on the registry's contents, not on how its load built it or which
-    sections were kept.
+    no object, and each row has one packed form.
 
-    ``held`` is the sections that the registry's load or last save gave, or
-    None. The attributes and the means are encoded again, and the SLOs
-    unless ``slos_kept``. The table is kept unless a row was filed since the
-    load on a pair's SLO triple, as a table row reads only the pair's SLOs
-    and the means of their triples, and a mean changes only by an append to
-    its triple; then ``_table`` builds those pairs' rows again. The log is
-    spliced: the rows filed since the load go onto the registry's held log
-    (``_HeldRows``), or an empty one. Each held place's appended rows, at
-    the end of its samples, go after its held ones, and the places filed
-    since after every held row (``_regrouped``), whose triples extend the
-    distinct ones, so no held row is decoded. So a crafted section that the
-    load accepted keeps its encoding, and a crafted place its rows, until
-    what it is made from changes; a crafted table, until a save builds a row.
+    Every section but the log's three is encoded from the registry alone,
+    so its bytes depend only on the registry's contents, not on how its
+    load built it. The log is spliced: the rows filed since the load go
+    onto the registry's held log (``_HeldRows``), or an empty one. Each
+    held place's appended rows, at the end of its samples, go after its
+    held ones, and the places filed since after every held row
+    (``_regrouped``), whose triples extend the distinct ones, so no held
+    row is decoded. So a crafted place that the load accepted keeps its
+    rows, and a crafted mean its value, until an append to its triple.
     """
-    _, table, slos, *_ = held or (None,) * 8
-    if not slos_kept:
-        table = slos = None
-    if slos is None:
-        slos = marshal.dumps(registry._slo_index, 2)
     held_log = registry._rows
-    # the places filed to since the load: each held one whose count grew, and each new one
-    appended = [place for place, (count, loaded) in enumerate(zip(
-        registry._counts, chain((held_log or _NO_ROWS).counts, repeat(0)))) if count != loaded]
-    triples = list(registry._place)
-    touched = {(csp_id, name) for csp_id, csc_id, name in map(triples.__getitem__, appended)
-               if csc_id in registry._slo_index.get((csp_id, name), ())}
-    if table is None or touched:
-        table = _table(registry, table, touched)
+    table = _table(registry)
     if held_log is not None and registry._rows is None:
         # a place that the table read was refused: the log, the places and
         # the means are the parse's, and the table is built again on them
@@ -899,9 +844,10 @@ def _encode(registry: Registry, held: tuple | None, slos_kept: bool) -> tuple:
     samples, held_count = registry._samples, len(log.counts)
     new = samples[held_count:]
     # each held place appended to since the load, by its samples
-    tails = {place: samples[place] for place in appended if place < held_count}
+    tails = {place: samples[place] for place, (count, loaded)
+             in enumerate(zip(registry._counts, log.counts)) if count != loaded}
     return (marshal.dumps([*map(attribute_fields, registry.attributes.values())], 2),
-            table, slos, marshal.dumps(registry._means, 2),
+            table, marshal.dumps(registry._slo_index, 2), marshal.dumps(registry._means, 2),
             _extended(log.distinct, [*registry._place][held_count:]),
             marshal.dumps(registry._counts, 2),
             _regrouped(log, log.values, "d", dict.values, tails, new),
@@ -917,27 +863,48 @@ def _decode_attributes(section: bytes) -> Registry:
 
 
 def _decode_table(sections: tuple) -> ProfileTable | None:
-    """The reader's ``ProfileTable`` of the attribute and table sections (``_table_rows``)."""
+    """The reader's ``ProfileTable`` of the attribute and table sections, or None.
+
+    It is None unless a parse could give it. The table section, ``(csp,
+    name) -> (satisfied, agreed, lower, upper)``, is checked whole: six
+    columns of one length, no pair twice, unpadded provider ids, registered
+    names, int counts with 0 <= satisfied <= agreed and agreed > 0, and
+    finite positive float bounds, the lower at most the upper, as SLO
+    values are.
+    """
     try:
         attributes = _decode_attributes(sections[0]).attributes
+        csp_ids, names, satisfied, agreed, lows, highs = marshal.loads(sections[1])
+        rows = dict(zip(zip(csp_ids, names, strict=True),
+                        zip(satisfied, agreed, lows, highs, strict=True), strict=True))
+        bounds = (*lows, *highs)
+        # a sum that overflows on huge values only leaves the load to the parse
+        checked = (len(rows) == len(csp_ids)
+                   and _unpadded(set(csp_ids))
+                   and set(names) <= attributes.keys()
+                   and set(map(type, bounds)) <= {float}
+                   and set(map(type, (*satisfied, *agreed))) <= {int}
+                   and math.isfinite(sum(bounds)) and min(lows, default=1) > 0
+                   and min(agreed, default=1) > 0 and min(satisfied, default=0) >= 0
+                   and min(map(sub, agreed, satisfied), default=0) >= 0
+                   and all(map(le, lows, highs)))
     except _SHAPE_ERRORS:
         return None
-    rows = _table_rows(sections[1], attributes)
-    return None if rows is None else ProfileTable(attributes, rows)
+    return ProfileTable(attributes, rows) if checked else None
 
 
 def _decode_records(sections: tuple) -> Registry | None:
     """The writer's registry of ``_encode``'s eight sections, if a parse could give it, or None.
 
-    Its rows stay in the sections (``_HeldRows``), the ``held`` of its save,
-    and its table is left to that save (``_table``). The rest is checked
-    whole, with no Python loop per SLO or row, and used as decoded: an SLO
-    index of (provider id, registered name) pairs, each to a non-empty dict
-    of consumer ids to positive finite floats; no repeated distinct triple,
-    each of checked ids and a registered name; a mean per distinct triple,
-    None or finite and at least 0; and a row count per distinct triple, an
-    int of at least 1, whose sum is the row count of the values and
-    sequences sections, 8 bytes a row. The means and the rows' grouping are
+    Its rows stay in the sections (``_HeldRows``), which its saves splice
+    onto, and its table is not decoded: each save builds it (``_table``).
+    The rest is checked whole, with no Python loop per SLO or row, and used
+    as decoded: an SLO index of (provider id, registered name) pairs, each
+    to a non-empty dict of consumer ids to positive finite floats; no
+    repeated distinct triple, each of checked ids and a registered name; a
+    mean per distinct triple, None or finite and at least 0; and a row
+    count per distinct triple, an int of at least 1, whose sum is the row
+    count of the values and sequences sections, 8 bytes a row. The means and the rows' grouping are
     derived data that only this program writes: checked for shape alone.
     """
     try:
@@ -1033,14 +1000,16 @@ class Store:
     gives, or made before a hand edit) leaves the load to the parse, with
     its refusals. A reader's load decodes the attributes and the profile
     table (``_decode_table``), a writer's its records (``_decode_records``),
-    leaving the table to its save (``_table``). A refused place or log
-    leaves the rows to a parse of the files (``_reparse``), which are read
-    again then, under the lock, and refused if they are not as loaded: a
-    refusal of the store, not of the input that the command was filing. Only
-    ``save`` writes the snapshot, in place, once the CSV files are durable;
-    it carries the amvs.csv CRC forward over the appended bytes, so no file
-    is read again. A save that changes no file leaves a snapshot that
-    already holds the registry as it is. Readers never write it.
+    leaving its rows held. A refused place or log leaves the rows to a
+    parse of the files (``_reparse``), which are read again then, under the
+    lock, and refused if they are not as loaded: a refusal of the store,
+    not of the input that the command was filing. Only ``save`` writes the
+    snapshot, in place, once the CSV files are durable. It encodes every
+    section from the registry, splicing only the log onto the held one
+    (``_encode``), and carries the amvs.csv CRC forward over the appended
+    bytes, so no file is read again. A save that changes no file leaves a
+    snapshot that already holds the registry as it is. Readers never write
+    it.
 
     ``locked`` takes an ``flock`` on ``<root>/.lock``, which holds across
     processes: a writer holds it exclusively from its load through its
@@ -1067,9 +1036,8 @@ class Store:
         # reference (one whose rows are held in the snapshot refers to this
         # store), with what each file holds of it (its attributes, its SLOs
         # and its AMV row count by place; None: no file), each file's CRC-32
-        # and length, the file stamps that the snapshot holds with this
-        # registry (None: it does not hold this registry), and the sections
-        # that a save may keep (see _encode)
+        # and length, and the file stamps that the snapshot holds with this
+        # registry (None: it does not hold this registry)
         self._synced: tuple | None = None
 
     @contextlib.contextmanager
@@ -1110,7 +1078,7 @@ class Store:
             registry, sections = self._parse(contents), None
         elif registry._rows is not None:  # each place's rows at their first read
             registry._rows.refuse = functools.partial(self._reparse, stamps)
-        self._remember(registry, stamps, None if sections is None else stamps, sections)
+        self._remember(registry, stamps, None if sections is None else stamps)
         return registry
 
     def _contents(self) -> dict[str, bytes | None]:
@@ -1137,9 +1105,9 @@ class Store:
         """
         logged, files = registry._rows.counts, {}
         if self._synced and self._synced[0]() is registry:
-            ref, files, stamps, _, _ = self._synced
+            ref, files, stamps, _ = self._synced
             logged = files[self.AMVS_FILE]
-            self._synced = (ref, files, stamps, None, None)
+            self._synced = (ref, files, stamps, None)
         contents = self._contents()
         for name, data in contents.items():
             if _stamp(data) != stamps[name]:
@@ -1191,9 +1159,9 @@ class Store:
         if not isinstance(registry, Registry):
             raise TypeError(f"only a writer's Registry is saved, not a {type(registry).__name__}")
         if self._synced and self._synced[0]() is registry:
-            _, synced, stamps, snapshot_stamps, held = self._synced
+            _, synced, stamps, snapshot_stamps = self._synced
         else:
-            synced, stamps, snapshot_stamps, held = {}, {}, None, None
+            synced, stamps, snapshot_stamps = {}, {}, None
         stamps = dict(stamps)
         self.root.mkdir(parents=True, exist_ok=True)
         attributes_kept = synced.get(self.ATTRIBUTES_FILE) == registry.attributes
@@ -1203,7 +1171,7 @@ class Store:
                      and stamps == snapshot_stamps)
         if logged is None:
             registry._read_log()
-        sections = None if unchanged else _encode(registry, held, slos_kept)
+        sections = None if unchanged else _encode(registry)
         if not attributes_kept:
             stamps[self.ATTRIBUTES_FILE] = self._replace(
                 self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
@@ -1229,20 +1197,19 @@ class Store:
         if sections is not None:
             # the records are saved by now: a snapshot that cannot be written
             # only leaves the next load to parse the files
-            snapshot_stamps, held = None, sections
+            snapshot_stamps = None
             with contextlib.suppress(OSError):
-                self._write_snapshot(stamps, held)
+                self._write_snapshot(stamps, sections)
                 snapshot_stamps = stamps
-        self._remember(registry, stamps, snapshot_stamps, held)
+        self._remember(registry, stamps, snapshot_stamps)
 
     def _remember(self, registry: Registry, stamps: dict[str, tuple[int, int] | None],
-                  snapshot_stamps: dict[str, tuple[int, int] | None] | None,
-                  held: tuple | None) -> None:
+                  snapshot_stamps: dict[str, tuple[int, int] | None] | None) -> None:
         files = {self.ATTRIBUTES_FILE: dict(registry.attributes),
                  self.SLOS_FILE: {pair: dict(slos) for pair, slos in registry._slo_index.items()},
                  self.AMVS_FILE: [*registry._counts]}
         files.update({name: None for name, stamp in stamps.items() if stamp is None})
-        self._synced = (weakref.ref(registry), files, stamps, snapshot_stamps, held)
+        self._synced = (weakref.ref(registry), files, stamps, snapshot_stamps)
 
     # -- the snapshot ------------------------------------------------------
 

@@ -1,4 +1,3 @@
-import collections
 import csv
 import gc
 import importlib.util
@@ -1211,9 +1210,8 @@ class TestSnapshotLoad:
                 assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
                     hexed(actual_slo_interval(registry, csp_id, name))
                     for csp_id, name in registry._slo_index]
-                # the writer, which kept the sections that its command left alone and
-                # extended the log's as it loaded them, wrote what a writer that
-                # parses the files and changes nothing writes
+                # the writer, which spliced the log's sections as it loaded them,
+                # wrote what a writer that parses the files and changes nothing writes
                 snapshot = (root / Store.SNAPSHOT_FILE).read_bytes()
                 (root / Store.SNAPSHOT_FILE).unlink()
                 assert main(["--store", str(root), "register-attributes", "--qws-defaults"]) == 0
@@ -1664,39 +1662,42 @@ class TestSnapshotLoad:
             assert load_recorded(store, monkeypatch, log=False) == (read_only, True), columns
         # a table that lacks a pair with an SLO has a table's shape, and a reader
         # takes it as it is: profiles are derived data, which only this program
-        # writes. A writer that changes no SLO and no mean of an SLO triple keeps
-        # it; the next writer that changes one builds the whole table again,
-        # not only the rows of the pairs it changed: (p1, latency), the row kept
+        # writes. The next writer builds the whole table, even one that
+        # changes no SLO and no mean of an SLO triple
         replaced([column[1:] for column in table])
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
         assert not parsed and loaded[-1] != expected[-1]
         qws = write_rows(tmp_path / "qws.csv", ["Service Name", *STANDARD_QWS_MAPPING],
                          [["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]])
         assert main(["--store", str(store.root), "import-qws", qws]) == 0
-        assert load_recorded(store, monkeypatch, log=False) == (loaded, False)
-        amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c2", "la", "20", ""]])
-        assert main(["--store", str(store.root), "submit-amv", amvs]) == 0
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
-        assert not parsed and loaded[-1] == parsed_outcome(store)[-1] != expected[-1]
+        assert not parsed and loaded[-1] == parsed_outcome(store)[-1] == expected[-1]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, header, row", [
+        ("submit-amv", AMV_COLUMNS, ["p1", "c1", "av", "95", ""]),
+        ("import-qws", ["Service Name", *STANDARD_QWS_MAPPING],
+         ["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]),
+        ("register-attributes", ATTRIBUTE_COLUMNS, ["uptime", "up", "%", "benefit"]),
+    ], ids=["append-to-another-pair", "import-of-a-service-with-no-slo", "attribute-added"])
     def test_a_table_row_that_no_parse_gives_is_not_kept_by_a_writer(
-            self, store, tmp_path, monkeypatch, capsys):
+            self, store, tmp_path, monkeypatch, capsys, command, header, row):
         root = store.root
         (tag, stamps, sizes), head, table_part, *rest = snapshot_parts(
             root / Store.SNAPSHOT_FILE)
         csp_ids, names, satisfied, agreed, *bounds = marshal.loads(table_part)
         assert (csp_ids, names, agreed) == (("p1", "p1"), ("availability", "latency"), (1, 1))
-        # (p1, latency), whose row the append below does not build again, with
+        # (p1, latency), a row of a pair that no command below lands on, with
         # more consumers satisfied than agreed
         part = marshal.dumps([csp_ids, names, (satisfied[0], 2), agreed, *bounds], 2)
         self.checked_writer(store)((tag, stamps, (sizes[0], len(part), *sizes[2:])),
                                    head, part, *rest)
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
         assert parsed and loaded[-1] == parsed_outcome(store)[-1]
-        # a writer builds the whole table again, not only (p1, availability)'s row
-        amvs = write_rows(tmp_path / "more.csv", AMV_COLUMNS, [["p1", "c1", "av", "95", ""]])
-        assert main(["--store", str(root), "submit-amv", amvs]) == 0
+        # a writer builds the whole table again, whether its command changes
+        # the mean of an SLO triple, (p1, c1, availability)'s, or none
+        assert main(["--store", str(root), command,
+                     write_rows(tmp_path / "step.csv", header, [row])]) == 0
         assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
         loaded, parsed = load_recorded(store, monkeypatch, log=False)
         assert not parsed and loaded[-1] == parsed_outcome(store)[-1]
@@ -1761,40 +1762,33 @@ class TestSnapshotLoad:
         assert actual_slo_interval(registry, "p1", "av").satisfied_count == 0
         store.save(registry)
 
-    @pytest.mark.parametrize("step, built", [
-        (["register-attributes", ["uptime", "up", "%", "benefit"]], False),
-        (["submit-slo", ["p1", "c1", "av", "92"]], True),
-        (["submit-slo", ["p1", "c1", "av", "90"]], False),  # its own value: no file changes
-        (["submit-amv", ["p1", "c2", "la", "20", ""]], True),
-        (["submit-amv", ["p1", "c1", "av", "91.5", "1"]], False),  # a duplicate
-        (["import-qws", ["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]], False),
-        (library_append, True),
-        (["submit-amv", ["p1", "c3", "av", "96", ""]], True),  # c3's first: 1 of 2 met, now 2
+    @pytest.mark.parametrize("step", [
+        ["register-attributes", ["uptime", "up", "%", "benefit"]],
+        ["submit-slo", ["p1", "c1", "av", "92"]],
+        ["submit-slo", ["p1", "c1", "av", "90"]],  # its own value: no file changes
+        ["submit-amv", ["p1", "c2", "la", "20", ""]],
+        ["submit-amv", ["p1", "c1", "av", "91.5", "1"]],  # a duplicate
+        ["import-qws", ["svc", *["1.5"] * len(STANDARD_QWS_MAPPING)]],
+        library_append,
+        ["submit-amv", ["p1", "c3", "av", "96", ""]],  # c3's first: 1 of 2 met, now 2
     ], ids=["attribute-added", "slo-changed", "slo-same-value", "amv-appended",
             "amv-duplicates", "import-qws", "library-mean-recomputed", "first-amv-of-slo-triple"])
     def test_a_save_writes_the_snapshot_that_a_parse_gives(
-            self, store, tmp_path, monkeypatch, capsys, step, built):
+            self, store, tmp_path, capsys, step):
         root = store.root
         slos = write_rows(tmp_path / "c3.csv", SLO_COLUMNS, [["p1", "c3", "av", "95"]])
         assert main(["--store", str(root), "submit-slo", slos]) == 0  # an SLO with no AMV
         assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
-        rows = []
-        with monkeypatch.context() as patch:
-            profile_row = Registry.profile_row
-            patch.setattr(Registry, "profile_row", lambda *args: rows.append(args)
-                          or profile_row(*args))
-            if callable(step):
-                step(root, tmp_path)
-            else:
-                command, row = step
-                header = {"register-attributes": ATTRIBUTE_COLUMNS, "submit-slo": SLO_COLUMNS,
-                          "submit-amv": AMV_COLUMNS}.get(command, ["Service Name",
-                                                                  *STANDARD_QWS_MAPPING])
-                assert main(["--store", str(root), command,
-                             write_rows(tmp_path / "step.csv", header, [row])]) == 0
-        # the save kept the table unless the step changed an SLO or an SLO
-        # triple's mean, and wrote what a writer that parsed the files writes
-        assert bool(rows) == built
+        if callable(step):
+            step(root, tmp_path)
+        else:
+            command, row = step
+            header = {"register-attributes": ATTRIBUTE_COLUMNS, "submit-slo": SLO_COLUMNS,
+                      "submit-amv": AMV_COLUMNS}.get(command, ["Service Name",
+                                                              *STANDARD_QWS_MAPPING])
+            assert main(["--store", str(root), command,
+                         write_rows(tmp_path / "step.csv", header, [row])]) == 0
+        # the save wrote what a writer that parsed the files writes
         assert (root / Store.SNAPSHOT_FILE).read_bytes() == self.parsed_snapshot(root, tmp_path)
         capsys.readouterr()
 
@@ -2263,9 +2257,8 @@ class TestDecodeMutations:
                 parsed = Store(tmp_path)._parse(files)
                 assert parsed == registry, (kind, columns)
                 assert self.saved(parsed, tmp_path / "saved") == files
-                kept = _encode(registry, sections, True)
-                fresh = _encode(parsed, None, False)
-                assert (kept[2], *kept[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
+                saved, fresh = _encode(registry), _encode(parsed)
+                assert (saved[2], *saved[4:]) == (fresh[2], *fresh[4:]), (kind, columns)
                 # and an append to an SLO triple files the same row in a new decode
                 (csp_id, name), consumers = next(iter(parsed._slo_index.items()))
                 appended = _decode(sections)
@@ -2693,30 +2686,13 @@ class TestIngestBatches:
         workload = workloads.IngestBatches()
         state, _ = workload.setup(workload.generate(3, 60), tmp_path)
         root = state["store"]
-        built = []  # the pairs whose profile rows the op built
-        profile_row = Registry.profile_row
-        monkeypatch.setattr(Registry, "profile_row",
-                            lambda registry, csp_id, attr: built.append((csp_id, attr.name))
-                            or profile_row(registry, csp_id, attr))
-        seen = collections.Counter()
         for i in range(len(state["argvs"])):
-            built.clear()
             ok, out = workload.run_op(state, i)
             assert ok and workload.check_op(state, i, out) == [], (i, out)
-            kind = workload.ROUND[i % len(workload.ROUND)]
             parsed = Store(root)._parse({name: (root / name).read_bytes() for name in Store.FILES})
-            pairs = len(parsed._slo_index)
-            # an append builds the rows of the pairs it lands on, a new objective
-            # every row, and a re-send or an import none
-            if kind == "append":
-                assert 0 < len(built) < pairs and len(set(built)) == len(built), (i, built)
-            else:
-                assert len(built) == (pairs if kind == "slo" else 0), (i, kind, built)
-            seen[kind, len(built)] += 1
-            # the table that the save patched is that of a whole build
+            # the table that the save built is that of a parse
             assert snapshot_parts(root / Store.SNAPSHOT_FILE)[2] == _table(parsed), i
             loaded = Store(root).load()
             assert loaded._rows is not None
             assert loaded == parsed and list(loaded.amvs) == list(parsed.amvs), i
         assert workload.check_end(state) == []
-        assert len(seen) > 4, seen  # appends that built different numbers of rows
