@@ -10,8 +10,8 @@ provider demonstrably delivers.
 ``profile_of`` gives a pair's row (satisfied, agreed, span lower, span
 upper) from its SLOs and their consumers' means: the only verdict and the
 only span in the package. ``from_row`` computes a row's profile, and
-``actual_slo_interval`` that of a pair named by attribute name or
-abbreviation. The registry (``fastcloud.registry``) holds the rule's
+``actual_slo_interval`` that of a profile table's pair, named by attribute
+name or abbreviation. The registry (``fastcloud.registry``) holds the rule's
 inputs and imports it from here.
 """
 
@@ -94,13 +94,13 @@ def profile_of(polarity: Polarity, slos: Collection[float],
     return satisfied, len(slos), min(span), max(span)
 
 
-def actual_slo_interval(registry, csp_id: str, attribute: str) -> ConsistencyProfile:
-    """The provider's profile on one attribute of a registry or table, by name or abbreviation.
+def actual_slo_interval(table, csp_id: str, attribute: str) -> ConsistencyProfile:
+    """The provider's profile on one attribute of a profile table, by name or abbreviation.
 
     Raises MissingSloError when the provider agreed no SLO on the attribute.
     """
-    attr = registry.resolve_attribute(attribute)
-    row = registry.profile_row(csp_id, attr)
+    attr = table.resolve_attribute(attribute)
+    row = table.rows.get((csp_id, attr.name))
     if row is None:
         raise MissingSloError(f"no SLO records for provider {csp_id!r} on {attr.name!r}")
     return from_row(csp_id, attr.name, row)

@@ -369,7 +369,7 @@ class _AttributeLookup:
 
 @dataclass
 class ProfileTable(_AttributeLookup):
-    """What ``assess`` reads: the attributes and the ``Registry.profile_row`` of each pair.
+    """What ``assess`` reads: the attributes and the ``profile_of`` row of each pair.
 
     ``Store.load(log=False)`` gives one, from the snapshot or from a parse by
     ``Registry.profile_table``. It holds no record: nothing submits to it,
@@ -381,14 +381,6 @@ class ProfileTable(_AttributeLookup):
     # empty: perfbench's layer tracer counts their lengths at every load,
     # until it counts table rows (ROADMAP item 7), when they go
     slos = amvs = ()
-
-    @property
-    def providers(self) -> set[str]:
-        return {csp_id for csp_id, _ in self.rows}
-
-    def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
-        """The provider's ``profile_of`` row on ``attr``, or None if it agreed no SLO on it."""
-        return self.rows.get((csp_id, attr.name))
 
 
 @dataclass(eq=False)
@@ -502,10 +494,6 @@ class Registry(_AttributeLookup):
     def amvs(self) -> AmvView:
         return AmvView(self)
 
-    @property
-    def providers(self) -> set[str]:
-        return {csp_id for csp_id, _ in self._slo_index}
-
     def register_attribute(self, attr: QosAttribute) -> bool:
         """Register ``attr``; returns False if the same definition was registered already."""
         existing = self.attributes.get(attr.name)
@@ -617,22 +605,13 @@ class Registry(_AttributeLookup):
         return [SloRecord(csp_id, csc_id, attribute, value)
                 for csc_id, value in self._slo_index.get((csp_id, attribute), {}).items()]
 
-    def profile_row(self, csp_id: str, attr: QosAttribute) -> tuple | None:
-        """The provider's ``profile_of`` row on ``attr``, or None if it agreed no SLO on it.
-
-        It is built from the pair's SLOs and their triples' ``amv_mean``.
-        """
-        slos = self._slo_index.get((csp_id, attr.name))
-        if slos is None:
-            return None
-        return profile_of(attr.polarity, slos.values(),
-                          map(self.amv_mean, repeat(csp_id), slos, repeat(attr.name)))
-
     def profile_table(self) -> ProfileTable:
-        """The table of this registry's ``profile_row`` for each pair with an SLO."""
-        return ProfileTable(dict(self.attributes), {
-            (csp_id, name): self.profile_row(csp_id, self.attributes[name])
-            for csp_id, name in self._slo_index})
+        """The ``profile_of`` row of each pair with an SLO, from its SLOs and their ``amv_mean``."""
+        attributes, mean = self.attributes, self.amv_mean
+        return ProfileTable(dict(attributes), {
+            (csp_id, name): profile_of(attributes[name].polarity, slos.values(),
+                                       [mean(csp_id, csc_id, name) for csc_id in slos])
+            for (csp_id, name), slos in self._slo_index.items()})
 
 
 @dataclass(frozen=True)
@@ -804,7 +783,7 @@ def _regrouped(log: _HeldRows, part: bytes, code: str, column: Callable,
 
 
 def _table(registry: Registry) -> bytes:
-    """The profile table section: each pair with an SLO and its ``Registry.profile_row``."""
+    """The profile table section: each pair with an SLO and its ``profile_of`` row."""
     rows = registry.profile_table().rows
     return marshal.dumps([*zip(*((*pair, *row) for pair, row in rows.items()))] or [()] * 6, 2)
 
@@ -813,7 +792,7 @@ def _encode(registry: Registry) -> tuple:
     """The eight sections of ``registry``'s snapshot.
 
     The first six are ``marshal`` version 2 bytes: the attribute
-    definitions; the profile table, the ``Registry.profile_row`` of each
+    definitions; the profile table, the ``profile_of`` row of each
     (provider, attribute) with an SLO, in the SLO index's order, as six
     columns; the SLO index, ``(csp, attribute) -> {csc: value}``; by place,
     the ``amv_mean`` of each distinct AMV triple, or None where none was

@@ -11,8 +11,10 @@ request that matches fewer than two providers is refused with them. The
 qualified set is then scored by the trust engine and returned with every
 intermediate retained for audit.
 
-Assessments read a ``Registry`` or a ``ProfileTable`` alike and write
-neither; any number may run concurrently against the same one.
+Assessments read one type, a ``ProfileTable``: the attributes and each
+pair's ``profile_of`` row, which ``Registry.profile_table()`` builds and
+``Store.load(log=False)`` loads. They write nothing, so any number may run
+concurrently against the same table.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import TextIO
 # benchmark's layer tracer wraps it by this name
 from .consistency import ConsistencyProfile, actual_slo_interval, from_row
 from .intervals import IntervalNumber
-from .registry import (REQUEST_COLUMNS, Polarity, ProfileTable, Registry, parse_request,
-                       read_rows, refused_at)
+from .registry import (REQUEST_COLUMNS, Polarity, ProfileTable, parse_request, read_rows,
+                       refused_at)
 from .trust import (
     DecisionContext,
     DecisionMatrix,
@@ -70,9 +72,9 @@ class AssessmentRequest:
             raise ValueError(f"attributes not in the request: {', '.join(sorted(missing))}")
         return AssessmentRequest(tuple((n, s) for n, s in self.requested if n in names))
 
-    def resolved(self, registry: Registry | ProfileTable) -> "AssessmentRequest":
+    def resolved(self, table: ProfileTable) -> "AssessmentRequest":
         """This request spelled by registered names; two spellings of one attribute are refused."""
-        names = registry.resolve_names([n for n, _ in self.requested], "requested attributes")
+        names = table.resolve_names([n for n, _ in self.requested], "requested attributes")
         return AssessmentRequest(tuple((names[name], span) for name, span in self.requested))
 
 
@@ -103,23 +105,23 @@ class Candidates(dict):
         self.excluded = excluded
 
 
-def match_candidates(registry: Registry | ProfileTable, request: AssessmentRequest) -> Candidates:
+def match_candidates(table: ProfileTable, request: AssessmentRequest) -> Candidates:
     """Providers whose actual interval intersects every requested span.
 
-    One pass takes each provider's profiles in request order, from a
-    table's rows or built by a registry for the pairs it reaches,
+    One pass takes each provider's profiles in request order, each
+    ``from_row`` of the table's ``profile_of`` row for a pair it reaches,
     and stops at the provider's first cause of exclusion: no SLO on a
     requested attribute, an actual interval that misses the requested span,
     or a zero consistency rate on a cost attribute (the interval [0, 0] has
     no reciprocal, which normalization takes for cost attributes). Every
     provider that holds an SLO is either matched or excluded.
     """
-    requested = [(registry.resolve_attribute(name), span) for name, span in request.requested]
-    matched, excluded = {}, {}
-    for csp_id in sorted(registry.providers):
+    requested = [(table.resolve_attribute(name), span) for name, span in request.requested]
+    rows, matched, excluded = table.rows, {}, {}
+    for csp_id in sorted({csp for csp, _ in rows}):
         profiles = []
         for attr, span in requested:
-            row = registry.profile_row(csp_id, attr)
+            row = rows.get((csp_id, attr.name))
             if row is None:
                 excluded[csp_id] = f"no SLO on {attr.name!r}"
                 break
@@ -137,16 +139,21 @@ def match_candidates(registry: Registry | ProfileTable, request: AssessmentReque
     return Candidates(matched, excluded)
 
 
-def assess(registry: Registry | ProfileTable, request: AssessmentRequest) -> AssessmentResult:
+def assess(table: ProfileTable, request: AssessmentRequest) -> AssessmentResult:
     """Full assessment pipeline over the matched candidate set.
 
-    Attribute names resolve here, once, by ``request.resolved``: the
-    result's request spells each attribute by its registered name.
+    Anything but a ``ProfileTable`` is refused (TypeError) before the
+    request is resolved. Attribute names resolve here, once, by
+    ``request.resolved``: the result's request spells each attribute by its
+    registered name.
     """
+    if not isinstance(table, ProfileTable):
+        raise TypeError(f"assess reads a ProfileTable, not a {type(table).__name__}: "
+                        "pass registry.profile_table()")
     started = time.perf_counter()
-    request = request.resolved(registry)
-    attributes = tuple(registry.attributes[name] for name, _ in request.requested)
-    matched = match_candidates(registry, request)
+    request = request.resolved(table)
+    attributes = tuple(table.attributes[name] for name, _ in request.requested)
+    matched = match_candidates(table, request)
     candidates = tuple(matched)
     if len(candidates) < 2:
         raise _too_few(candidates, matched.excluded)

@@ -204,7 +204,7 @@ def test_c07_consistency_engine_matches_brute_force():
                             registry.submit_amv(
                                 AmvRecord(csp, csc, attr.name, rng.uniform(0, 130))
                             )
-            amvs = list(registry.amvs)
+            amvs, table = list(registry.amvs), registry.profile_table()
             for csp in providers:
                 for attr in attrs:
                     records = [r for r in registry.slos.values()
@@ -227,7 +227,7 @@ def test_c07_consistency_engine_matches_brute_force():
                     # with no monitored agreement, the span of all (the rate is 0)
                     span = monitored or [r.value for r in records]
                     lo, hi = min(span), max(span)
-                    profile = actual_slo_interval(registry, csp, attr.name)
+                    profile = actual_slo_interval(table, csp, attr.name)
                     assert profile.consistency_rate == rate
                     assert profile.satisfied_count == satisfied
                     assert profile.agreed_count == len(records)
@@ -453,7 +453,7 @@ def test_c11_bundled_dataset_import():
 def test_case_fixture_assessment_is_consistent_end_to_end():
     """The full assessment over the fixture store reproduces the stage-wise
     pipeline over the fixture matrix (same intermediates, same chain)."""
-    result = assess(case_registry(), case_request())
+    result = assess(case_registry().profile_table(), case_request())
     ctx = evaluate(case_decision_matrix())
     assert result.context.decision.cells == ctx.decision.cells
     assert result.context.ordering == ctx.ordering

@@ -532,7 +532,8 @@ class TestAssess:
 
         # the same document as the library's, and as the indented dump of it
         with open(request_file, newline="", encoding="utf-8") as fh:
-            expected = result_document(assess(Store(store_dir).load(), read_request(fh)))
+            request = read_request(fh)
+        expected = result_document(assess(Store(store_dir).load().profile_table(), request))
         expected.pop("elapsed_seconds")
         assert json.loads(outputs[0]) == expected
         assert json.loads(outputs[0]) == json.loads(json.dumps(expected, indent=2))
@@ -789,13 +790,13 @@ class TestOneAttributePerEntry:
         mapped = f"mapped columns 'Availability' and 'Reliability' {both}"
         if shared:
             with pytest.raises(ValueError, match="^requested attributes ") as refused:
-                request.resolved(registry)
+                request.resolved(registry.profile_table())
             assert str(refused.value) == f"requested attributes {first!r} and {second!r} {both}"
             with pytest.raises(ValueError, match="^mapped columns ") as refused:
                 registry.resolve_names(mapping, "mapped columns")
             assert str(refused.value) == mapped
         else:
-            assert request.resolved(registry).requested == (
+            assert request.resolved(registry.profile_table()).requested == (
                 (NAMED[first], span), (NAMED[second], span))
             assert registry.resolve_names(mapping, "mapped columns") == {
                 "Availability": NAMED[first], "Reliability": NAMED[second]}

@@ -57,7 +57,7 @@ class TestSatisfies:
 
 
 def consistency_rate(registry, csp_id, attribute):
-    profile = actual_slo_interval(registry, csp_id, attribute)
+    profile = actual_slo_interval(registry.profile_table(), csp_id, attribute)
     return profile.consistency_rate, profile.satisfied_count, profile.agreed_count
 
 
@@ -87,7 +87,7 @@ class TestConsistencyRate:
         self.seed(registry, [9, 9], [[1], [2]])
         rate, _, _ = consistency_rate(registry, "p", "av")
         assert rate == 0
-        profile = actual_slo_interval(registry, "p", "av")
+        profile = actual_slo_interval(registry.profile_table(), "p", "av")
         assert profile.actual_interval == IntervalNumber(0, 0)
 
     def test_mean_decides_not_individual_samples(self):
@@ -141,7 +141,7 @@ class TestActualInterval:
         ):
             registry.submit_slo(SloRecord("p", csc, "av", slo))
             registry.submit_amv(AmvRecord("p", csc, "av", amv))
-        profile = actual_slo_interval(registry, "p", "av")
+        profile = actual_slo_interval(registry.profile_table(), "p", "av")
         assert profile.consistency_rate == 0.5
         assert profile.slo_span == IntervalNumber(80, 100)
         assert profile.actual_interval == IntervalNumber(40, 50)
@@ -150,7 +150,7 @@ class TestActualInterval:
         registry = fresh_registry()
         registry.submit_slo(SloRecord("p", "c", "av", 90))
         registry.submit_amv(AmvRecord("p", "c", "av", 95))
-        profile = actual_slo_interval(registry, "p", "av")
+        profile = actual_slo_interval(registry.profile_table(), "p", "av")
         assert profile.actual_interval == IntervalNumber(90, 90)
 
     def test_scaling_identical_for_cost_attributes(self):
@@ -158,7 +158,7 @@ class TestActualInterval:
         for csc, slo, amv in (("c0", 10, 5), ("c1", 30, 50)):
             registry.submit_slo(SloRecord("p", csc, "la", slo))
             registry.submit_amv(AmvRecord("p", csc, "la", amv))
-        profile = actual_slo_interval(registry, "p", "la")
+        profile = actual_slo_interval(registry.profile_table(), "p", "la")
         assert profile.consistency_rate == 0.5
         assert profile.actual_interval == IntervalNumber(5, 15)
 
@@ -171,7 +171,7 @@ class TestActualInterval:
                 registry.submit_slo(SloRecord("p", f"c{j}", "th", rng.uniform(1, 40)))
                 if rng.random() < 0.8:
                     registry.submit_amv(AmvRecord("p", f"c{j}", "th", rng.uniform(0, 50)))
-            profile = actual_slo_interval(registry, "p", "th")
+            profile = actual_slo_interval(registry.profile_table(), "p", "th")
             assert 0 <= profile.consistency_rate <= 1
             assert profile.actual_interval.lower <= profile.actual_interval.upper
             assert 0 <= profile.actual_interval.lower <= profile.slo_span.upper
@@ -209,7 +209,7 @@ class TestActualInterval:
             # with no monitored agreement, the span of all (the rate is 0)
             span = monitored or [r.value for r in slo_records]
             lo, hi = min(span), max(span)
-            profile = actual_slo_interval(registry, "p", attr)
+            profile = actual_slo_interval(registry.profile_table(), "p", attr)
             assert profile.consistency_rate == expected_rate
             assert profile.slo_span == IntervalNumber(lo, hi)
             assert profile.actual_interval == IntervalNumber(

@@ -76,3 +76,21 @@ def test_the_model_s_rule_imports_only_intervals_from_the_package():
             imported |= {alias.name for alias in node.names
                          if alias.name.split(".")[0] == "fastcloud"}
     assert imported == {"intervals"}
+
+
+def test_the_model_reads_one_type():
+    """selection.py and consistency.py, the model, never name ``Registry``: they read
+    the ``ProfileTable`` that ``Registry.profile_table()`` builds, and no other type."""
+    found = []
+    for name in ("selection.py", "consistency.py"):
+        for node in ast.walk(parsed(Path(fastcloud.__file__).parent / name)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for named in names if named == "Registry"]
+    assert found == []

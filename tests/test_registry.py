@@ -169,7 +169,7 @@ class TestSubmitSlo:
                 registry.submit_slo(SloRecord(f"p{rng.randrange(4)}", f"c{rng.randrange(4)}",
                                               rng.choice(spellings), rng.uniform(1, 100)))
             slos = list(registry.slos.values())
-            assert registry.providers == {r.csp_id for r in slos}
+            assert set(registry.profile_table().rows) == {(r.csp_id, r.attribute) for r in slos}
             for csp_id in ("p0", "p1", "p2", "p3", "p9"):
                 for attr in ("availability", "latency", "throughput", "reliability"):
                     assert registry.slos_for(csp_id, attr) == [
@@ -1207,8 +1207,9 @@ class TestSnapshotLoad:
                 registry = Store(root)._parse({name: (root / name).read_bytes()
                                                for name in Store.FILES})
                 # the snapshot's profiles are those a parse builds, to the bit
+                table = registry.profile_table()
                 assert profile_rows(snapshot_parts(root / Store.SNAPSHOT_FILE)[2]) == [
-                    hexed(actual_slo_interval(registry, csp_id, name))
+                    hexed(actual_slo_interval(table, csp_id, name))
                     for csp_id, name in registry._slo_index]
                 # the writer, which spliced the log's sections as it loaded them,
                 # wrote what a writer that parses the files and changes nothing writes
@@ -1759,7 +1760,7 @@ class TestSnapshotLoad:
         store = Store(root)
         registry = store.load()
         registry.submit_amv(AmvRecord("p1", "c1", "av", 50.0))
-        assert actual_slo_interval(registry, "p1", "av").satisfied_count == 0
+        assert actual_slo_interval(registry.profile_table(), "p1", "av").satisfied_count == 0
         store.save(registry)
 
     @pytest.mark.parametrize("step", [
@@ -1802,7 +1803,7 @@ class TestSnapshotLoad:
         assert table.attributes == store.load().attributes
         assert repr(sorted(table.rows.items())) == repr(
             sorted(profile_table(store.load()).items()))
-        assert table.providers == {"p1"}
+        assert {csp_id for csp_id, _ in table.rows} == {"p1"}
         assert actual_slo_interval(table, "p1", "av").satisfied_count == 1
         held = repr(table)
         # nothing submits to it or reads records from it, and a save refuses it
@@ -1893,9 +1894,8 @@ class TestSnapshotLoad:
             registry.submit_amv(AmvRecord("p1", "c3", "av", 97.0, 2 ** 63))
         assert registry.amv_mean("p1", "c3", "availability") is None
         assert registry.amv_samples("p1", "c3", "availability") == []
-        availability = registry.attributes["availability"]
         # c3 unmonitored: counted as agreed, not satisfied, and not in the span
-        assert registry.profile_row("p1", availability) == (1, 2, 90.0, 90.0)
+        assert registry.profile_table().rows["p1", "availability"] == (1, 2, 90.0, 90.0)
         assert registry == store.load()
 
     @pytest.mark.parametrize("command, rows", [
@@ -2028,7 +2028,7 @@ class TestDecodeMutations:
 
     A writer's decode gives None, or a registry that a parse of its own CSV
     bytes gives again; a reader's decode gives None, or a profile table
-    whose every row could be a parse's ``Registry.profile_row``. The means
+    whose every row could be a parse's ``profile_of`` row. The means
     and the profile table are derived data that only this program writes:
     a well-formed but wrong mean or table row is accepted (README "Store").
     """
@@ -2269,7 +2269,7 @@ class TestDecodeMutations:
                 seen["place refused"] += self.check_places(sections, columns, registry)
             read = _decode_table(sections)
             if read is not None:
-                # the reader's invariant: a row a pair, each as a parse's profile_row gives it
+                # the reader's invariant: a row a pair, each as a parse's profile_of gives it
                 assert len(read.rows) == len(columns["csp_ids"]), (kind, columns)
                 for (csp_id, name), row in read.rows.items():
                     satisfied, agreed, low, high = row
@@ -2298,7 +2298,7 @@ class TestDecodeMutations:
         registry = _decode(sections)
         assert registry.amv_mean("p1", "c1", "availability") == 1.0
         table = _decode_table(sections)
-        assert table.profile_row("p1", table.attributes["availability"]) == (2, 2, 90.0, 95.0)
+        assert table.rows["p1", "availability"] == (2, 2, 90.0, 95.0)
         # no section holds the rows' order across triples, so which triple a
         # row files under is as the counts group the rows: p1's c1 on
         # availability gives its second row to its c2

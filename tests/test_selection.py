@@ -4,10 +4,13 @@ import itertools
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import COST_ONLY_CHAIN, case_registry, case_request
+from fastcloud import selection
 from fastcloud.consistency import (
     ConsistencyProfile,
     actual_slo_interval,
@@ -120,7 +123,7 @@ class TestMatching:
         registry = fresh_registry()
         seed_provider(registry, "p1", "availability", 87, 96)
         request = AssessmentRequest((("availability", span(50, 100)),))
-        assert tuple(match_candidates(registry, request)) == ("p1",)
+        assert tuple(match_candidates(registry.profile_table(), request)) == ("p1",)
 
     def test_provider_without_slo_excluded(self):
         registry = fresh_registry()
@@ -128,22 +131,22 @@ class TestMatching:
         request = AssessmentRequest(
             (("availability", span(50, 100)), ("throughput", span(1, 35)))
         )
-        assert tuple(match_candidates(registry, request)) == ()
+        assert tuple(match_candidates(registry.profile_table(), request)) == ()
 
     def test_disjoint_interval_excluded(self):
         registry = fresh_registry()
         seed_provider(registry, "p1", "availability", 10, 20)
         request = AssessmentRequest((("availability", span(30, 40)),))
-        assert tuple(match_candidates(registry, request)) == ()
+        assert tuple(match_candidates(registry.profile_table(), request)) == ()
 
     def test_matching_uses_scaled_actual_interval(self):
         registry = fresh_registry()
         # declared span [80, 90] but nothing verified: actual [0, 0]
         seed_provider(registry, "p1", "availability", 80, 90, satisfy=False)
-        assert actual_slo_interval(registry, "p1", "availability").actual_interval \
+        assert actual_slo_interval(registry.profile_table(), "p1", "availability").actual_interval \
             == IntervalNumber(0, 0)
         request = AssessmentRequest((("availability", span(50, 100)),))
-        assert tuple(match_candidates(registry, request)) == ()
+        assert tuple(match_candidates(registry.profile_table(), request)) == ()
 
     def test_enlarging_span_never_shrinks_candidates(self):
         rng = random.Random(41)
@@ -156,8 +159,9 @@ class TestMatching:
             lo, hi = sorted((rng.uniform(0, 60), rng.uniform(0, 60)))
             base = AssessmentRequest((("availability", span(lo, hi)),))
             wider = AssessmentRequest((("availability", span(lo * 0.5, hi + 10)),))
-            assert set(match_candidates(registry, base)) <= set(
-                match_candidates(registry, wider)
+            table = registry.profile_table()
+            assert set(match_candidates(table, base)) <= set(
+                match_candidates(table, wider)
             )
 
 
@@ -237,17 +241,17 @@ class TestMatchingPass:
             for key, samples in zip(registry._place, registry._samples):
                 assert repr(registry.amv_mean(*key)) == repr(
                     average_amv(registry.amv_samples(*key)) if samples else None)
-            request = random_request(rng)
-            result = match_candidates(registry, request)
+            request, table = random_request(rng), registry.profile_table()
+            result = match_candidates(table, request)
             assert list(result) == sorted(result)
             assert list(result.excluded) == sorted(result.excluded)
-            assert set(result) | set(result.excluded) == registry.providers
+            assert set(result) | set(result.excluded) == {csp_id for csp_id, _, _ in registry.slos}
             assert not set(result) & set(result.excluded)
             for csp_id, profiles in result.items():
                 assert reference_cause(registry, csp_id, request) is None
                 assert len(profiles) == len(request.requested)
                 for profile, (name, _) in zip(profiles, request.requested):
-                    assert repr(profile) == repr(actual_slo_interval(registry, csp_id, name))
+                    assert repr(profile) == repr(actual_slo_interval(table, csp_id, name))
                     assert repr(profile) == repr(reference_profile(registry, csp_id, name))
                     matched_profiles += 1
             for csp_id, cause in result.excluded.items():
@@ -271,7 +275,7 @@ class TestMatchingPass:
     def test_result_maps_the_sorted_matches_and_carries_each_exclusion(self):
         registry = self.crafted_store()
         request = AssessmentRequest((("av", span(60, 100)), ("la", span(0, 100))))
-        result = match_candidates(registry, request)
+        result = match_candidates(registry.profile_table(), request)
         assert isinstance(result, dict)
         assert len(result) == 2
         assert list(result) == ["p0", "p1"]
@@ -285,25 +289,23 @@ class TestMatchingPass:
             "p5": "no SLO on 'latency'",
         }
         assert list(result.excluded) == ["p2", "p3", "p4", "p5"]
-        assert assess(registry, request).candidates == ("p0", "p1")
-        empty = match_candidates(fresh_registry(), request)
+        assert assess(registry.profile_table(), request).candidates == ("p0", "p1")
+        empty = match_candidates(fresh_registry().profile_table(), request)
         assert (len(empty), list(empty), empty.excluded) == (0, [], {})
 
     def test_refusal_names_the_exclusions_matching_found(self, monkeypatch):
-        registry = self.crafted_store()
+        table = self.crafted_store().profile_table()
         request = AssessmentRequest((("av", span(91, 100)), ("la", span(0, 100))))
         built = []
-        profile_row = Registry.profile_row
+        from_row = selection.from_row
 
-        def counted(self, *args):
-            row = profile_row(self, *args)
-            if row is not None:  # a row built: this registry holds no profile table
-                built.append(args)
-            return row
+        def counted(csp_id, attribute, row):
+            built.append((csp_id, attribute))
+            return from_row(csp_id, attribute, row)
 
-        monkeypatch.setattr(Registry, "profile_row", counted)
+        monkeypatch.setattr(selection, "from_row", counted)
         with pytest.raises(InsufficientCandidatesError) as refused:
-            assess(registry, request)
+            assess(table, request)
         assert str(refused.value) == (
             "insufficient candidates for a ranking (only p0 matched; "
             "p1 excluded: actual interval [80, 90] misses [91, 100] on 'availability'; "
@@ -313,28 +315,29 @@ class TestMatchingPass:
             "p5 excluded: actual interval [80, 90] misses [91, 100] on 'availability'); "
             "relax the requested spans")
         # one profile per (provider, attribute) that matching reached, and no more
-        assert [(csp_id, attr.name) for csp_id, attr in built] == [
+        assert built == [
             ("p0", "availability"), ("p0", "latency"), ("p1", "availability"),
             ("p2", "availability"), ("p4", "availability"), ("p5", "availability")]
 
 
 class TestAssess:
     def test_case_fixture_runs_end_to_end(self):
-        result = assess(case_registry(), case_request())
+        result = assess(case_registry().profile_table(), case_request())
         assert set(result.candidates) == {"CSP1", "CSP2", "CSP3", "CSP4", "CSP5"}
         assert len(result.ranking) == 5
         scores = [r.ordering_score for r in result.ranking]
         assert scores == sorted(scores, reverse=True)
 
     def test_deterministic_modulo_timing(self):
-        first = assess(case_registry(), case_request())
-        second = assess(case_registry(), case_request())
+        first = assess(case_registry().profile_table(), case_request())
+        second = assess(case_registry().profile_table(), case_request())
         assert first.context == second.context
         assert first.ranking == second.ranking
         assert first.chain == second.chain
 
     def test_cost_only_subset_chain(self):
-        result = assess(case_registry(), case_request().restrict(["latency", "response_time"]))
+        request = case_request().restrict(["latency", "response_time"])
+        result = assess(case_registry().profile_table(), request)
         assert result.chain == COST_ONLY_CHAIN.replace("CSP", "CSP")
 
     def test_insufficient_candidates_reports_matched(self):
@@ -342,7 +345,7 @@ class TestAssess:
         seed_provider(registry, "p1", "availability", 80, 90)
         request = AssessmentRequest((("availability", span(50, 100)),))
         with pytest.raises(InsufficientCandidatesError) as err:
-            assess(registry, request)
+            assess(registry.profile_table(), request)
         assert err.value.candidates == ("p1",)
 
     def test_insufficient_candidates_name_each_exclusion(self):
@@ -354,7 +357,7 @@ class TestAssess:
         seed_provider(registry, "p4", "latency", 5, 10, satisfy=False)  # actual [0, 0]
         request = AssessmentRequest((("av", span(60, 100)), ("la", span(0, 100))))
         with pytest.raises(InsufficientCandidatesError) as refused:
-            assess(registry, request)
+            assess(registry.profile_table(), request)
         assert str(refused.value) == (
             "insufficient candidates for a ranking (no provider matched; "
             "p1 excluded: no SLO on 'latency'; "
@@ -364,14 +367,14 @@ class TestAssess:
             "relax the requested spans")
         # without a span among the causes, relaxing the spans is not advised
         with pytest.raises(InsufficientCandidatesError) as refused:
-            assess(registry, request.restrict(["la"]))
+            assess(registry.profile_table(), request.restrict(["la"]))
         assert str(refused.value) == (
             "insufficient candidates for a ranking (only p3 matched; "
             "p1 excluded: no SLO on 'latency'; p2 excluded: no SLO on 'latency'; "
             "p4 excluded: zero consistency rate on cost attribute 'latency'); "
             "leave the attributes named above out of the request")
         with pytest.raises(InsufficientCandidatesError) as refused:
-            assess(fresh_registry(), request)
+            assess(fresh_registry().profile_table(), request)
         assert str(refused.value).endswith(
             "(no provider matched); the store holds SLOs of fewer than two providers")
 
@@ -380,7 +383,7 @@ class TestAssess:
         seed_provider(registry, "pB", "availability", 80, 90)
         seed_provider(registry, "pA", "availability", 80, 90)
         request = AssessmentRequest((("availability", span(50, 100)),))
-        result = assess(registry, request)
+        result = assess(registry.profile_table(), request)
         assert [r.csp_id for r in result.ranking] == ["pA", "pB"]
         assert all(r.ordering_score == pytest.approx(0.5) for r in result.ranking)
 
@@ -396,7 +399,7 @@ class TestAssess:
                 for _ in range(10):
                     registry.submit_amv(AmvRecord(csp_id, csc_id, "av", 0.1))
         request = AssessmentRequest((("av", span(0, 1)),))
-        assert assess(registry, request).chain == "p0 > p1 > p2"
+        assert assess(registry.profile_table(), request).chain == "p0 > p1 > p2"
         # and so does a store's snapshot, and a parse of its files
         store = Store(tmp_path / "store")
         store.save(registry)
@@ -416,7 +419,7 @@ class TestAssess:
                 for csc_id, slo, amv in zip(("c1", "c2"), (10, 30), measured):
                     registry.submit_slo(SloRecord(csp_id, f"{csp_id}-{csc_id}", "la", slo))
                     registry.submit_amv(AmvRecord(csp_id, f"{csp_id}-{csc_id}", "la", amv))
-            chains.append(assess(registry, request).chain)
+            chains.append(assess(registry.profile_table(), request).chain)
         assert chains == ["a > b", "b > a"]
 
     def test_cost_attribute_with_zero_lower_bound_fails(self):
@@ -425,9 +428,9 @@ class TestAssess:
         seed_provider(registry, "p2", "latency", 5, 10)
         request = AssessmentRequest((("latency", span(0, 100)),))
         # the reciprocal of [0, 0] is undefined, so matching drops p1
-        assert tuple(match_candidates(registry, request)) == ("p2",)
+        assert tuple(match_candidates(registry.profile_table(), request)) == ("p2",)
         with pytest.raises(InsufficientCandidatesError) as refused:
-            assess(registry, request)
+            assess(registry.profile_table(), request)
         assert refused.value.candidates == ("p2",)
 
     def test_zero_rate_excluded_only_on_cost_attributes(self):
@@ -440,7 +443,7 @@ class TestAssess:
                           satisfy=csp_id != "p2")  # p2: benefit [0, 0], kept
         request = AssessmentRequest(
             (("latency", span(0, 100)), ("availability", span(0, 100))))
-        result = assess(registry, request)
+        result = assess(registry.profile_table(), request)
         assert result.candidates == ("p2", "p3")
         assert result.profiles[("p2", "availability")].actual_interval == span(0, 0)
 
@@ -452,10 +455,11 @@ class TestAssess:
         request = AssessmentRequest(
             (("latency", span(1, 100)), ("availability", span(0, 100))))
         with pytest.raises(InsufficientCandidatesError, match="'availability'") as refused:
-            assess(registry, request)
+            assess(registry.profile_table(), request)
         assert refused.value.candidates == ("p1", "p2")
         assert "no candidate met any" in str(refused.value)
-        assert assess(registry, request.restrict(["latency"])).candidates == ("p1", "p2")
+        latency = request.restrict(["latency"])
+        assert assess(registry.profile_table(), latency).candidates == ("p1", "p2")
 
     def test_one_attribute_requested_twice_refused(self):
         registry = fresh_registry()
@@ -464,7 +468,7 @@ class TestAssess:
         request = AssessmentRequest(
             (("av", span(0, 100)), ("availability", span(0, 100))))
         with pytest.raises(ValueError, match="'av' and 'availability' both name"):
-            assess(registry, request)
+            assess(registry.profile_table(), request)
 
     def test_result_request_spells_registered_names(self):
         registry = fresh_registry()
@@ -473,7 +477,7 @@ class TestAssess:
         seed_provider(registry, "p2", "availability", 70, 90)
         seed_provider(registry, "p1", "latency", 10, 30)
         request = AssessmentRequest((("la", span(0, 100)), ("availability", span(0, 100))))
-        assert assess(registry, request).request.requested == (
+        assert assess(registry.profile_table(), request).request.requested == (
             ("latency", span(0, 100)), ("availability", span(0, 100)))
 
     def test_unknown_requested_attribute(self):
@@ -483,10 +487,31 @@ class TestAssess:
         seed_provider(registry, "p1", "availability", 80, 90)
         request = AssessmentRequest((("no_such_metric", span(1, 2)),))
         with pytest.raises(UnknownAttributeError):
-            assess(registry, request)
+            assess(registry.profile_table(), request)
+
+    def test_only_a_profile_table_is_assessed(self):
+        registry = fresh_registry()
+        seed_provider(registry, "p1", "availability", 80, 90)
+        seed_provider(registry, "p2", "availability", 70, 90)
+        request = AssessmentRequest((("av", span(50, 100)),))
+        # refused before the request resolves: an unknown name is not what it reports
+        unknown = AssessmentRequest((("no_such_metric", span(1, 2)),))
+        for given in (registry, registry.profile_table().rows, None):
+            for asked in (request, unknown):
+                with pytest.raises(TypeError, match=re.escape(
+                        f"not a {type(given).__name__}: pass registry.profile_table()")):
+                    assess(given, asked)
+        assert assess(registry.profile_table(), request).candidates == ("p1", "p2")
+
+    def test_the_readme_s_library_use_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1]
+        example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(example, "README.md (Library use)", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0] == "alpha > beta"
 
     def test_audit_intermediates_recompose(self):
-        result = assess(case_registry(), case_request())
+        result = assess(case_registry().profile_table(), case_request())
         ctx = result.context
         assert normalize(ctx.decision) == ctx.normalized
         assert deviation_weights(ctx.normalized, ctx.decision.attributes) == ctx.weights
@@ -506,10 +531,10 @@ class TestAssess:
         request = AssessmentRequest(tuple(
             (a, span(0.1, 1000)) for a in attrs
         ))
-        result = assess(registry, request)
+        result = assess(registry.profile_table(), request)
 
         # independent recomputation straight from the raw records
-        providers = sorted(registry.providers)
+        providers = sorted({csp_id for csp_id, _, _ in registry.slos})
         amvs = list(registry.amvs)
         grid = []
         for csp in providers:
@@ -551,7 +576,7 @@ def render_by_dumps(document):
 
 class TestResultDocument:
     def test_contains_all_sections_in_stable_order(self):
-        result = assess(case_registry(), case_request())
+        result = assess(case_registry().profile_table(), case_request())
         doc = result_document(result)
         assert list(doc.keys()) == [
             "request", "candidates", "chain", "ranking", "weights",
@@ -559,20 +584,20 @@ class TestResultDocument:
             "elapsed_seconds",
         ]
         text1 = json.dumps(doc)
-        doc2 = result_document(assess(case_registry(), case_request()))
+        doc2 = result_document(assess(case_registry().profile_table(), case_request()))
         doc.pop("elapsed_seconds")
         doc2.pop("elapsed_seconds")
         assert json.dumps(doc) == json.dumps(doc2)
         assert isinstance(text1, str)
 
     def test_structured_rendering_writes_what_json_dumps_writes(self):
-        registry, request = case_registry(), case_request()
+        table, request = case_registry().profile_table(), case_request()
         names = [name for name, _ in request.requested]
         documents = []
         for size in range(1, len(names) + 1):
             for subset in itertools.combinations(names, size):
                 try:
-                    result = assess(registry, request.restrict(list(subset)))
+                    result = assess(table, request.restrict(list(subset)))
                 except InsufficientCandidatesError:
                     continue
                 documents.append(result_document(result))
@@ -613,7 +638,7 @@ class TestResultDocument:
                 render_structured(cyclic)
 
     def test_human_rendering_has_chain_and_weights(self):
-        result = assess(case_registry(), case_request())
+        result = assess(case_registry().profile_table(), case_request())
         text = render_human(result)
         assert text.startswith(f"ranking: {result.chain}")
         assert "weights:" in text
@@ -625,7 +650,8 @@ class TestResultDocument:
         ids = ("FlightStatusFeed", "CurrencyConverter", "p1")  # 16, 17 and 2 characters
         for csp_id, lo in zip(ids, (70, 80, 90)):
             seed_provider(registry, csp_id, "availability", lo, lo + 5)
-        result = assess(registry, AssessmentRequest((("availability", span(50, 100)),)))
+        request = AssessmentRequest((("availability", span(50, 100)),))
+        result = assess(registry.profile_table(), request)
         header, *rows = render_human(result).split("\n\n")[1].splitlines()
         offset = header.index("score")
         assert offset == 5 + len("CurrencyConverter") + 1
@@ -641,7 +667,8 @@ class TestResultDocument:
         for i in range(110):
             lo = 60 + i * 0.3
             seed_provider(registry, f"p{i:03d}", "availability", lo, lo + 7)
-        result = assess(registry, AssessmentRequest((("availability", span(50, 100)),)))
+        request = AssessmentRequest((("availability", span(50, 100)),))
+        result = assess(registry.profile_table(), request)
         header, *rows = render_human(result).split("\n\n")[1].splitlines()
         levels = [str(r.trust_level) for r in result.ranking]
         assert max(map(len, levels)) >= 24
@@ -661,7 +688,7 @@ class TestResultDocument:
         for csp_id, lo in (("p1", 70), ("p2", 80)):
             for attribute in ("availability", "documentation_quality"):
                 seed_provider(registry, csp_id, attribute, lo, lo + 5)
-        result = assess(registry, AssessmentRequest(
+        result = assess(registry.profile_table(), AssessmentRequest(
             (("availability", span(50, 100)), ("dq", span(50, 100)))))
         rows = render_human(result).split("weights:\n")[1].splitlines()
         offset = 2 + len("documentation_quality") + 1

@@ -501,7 +501,7 @@ class TestGoldenDigest:
         for instance in self.INSTANCES:
             for line in self.core_lines(*instance):
                 digest.update(line.encode() + b"\n")
-        document = result_document(assess(case_registry(), case_request()))
+        document = result_document(assess(case_registry().profile_table(), case_request()))
         del document["elapsed_seconds"]
         digest.update(render_structured(document).encode())
         assert digest.hexdigest() == self.DIGEST
