@@ -34,9 +34,6 @@ from .registry import (
     Store,
     StoreRefusedError,
     import_qws,
-    parse_amv,
-    parse_attribute,
-    parse_slo,
     read_rows,
     record_text,
     refused_at,
@@ -65,20 +62,20 @@ def _store(args: argparse.Namespace) -> Store:
     return Store(path)
 
 
-def _submit_file(path: str, columns: tuple[str, ...], parse, submit) -> tuple[list, int]:
-    """Parse and submit each row of a record file.
+def _submit_file(path: str, columns: tuple[str, ...], file) -> tuple[list, int]:
+    """File each row of a record file by ``file``, which takes the row's stripped fields.
 
     A refused row fails only its own line, reported on stderr, and a refusal
-    of the store the command. Returns what ``submit`` gave for each
-    submitted row, a duplicate standing as its DuplicateSubmissionError,
-    and the number of failed rows.
+    of the store the command. Returns what ``file`` gave for each filed
+    row, a duplicate standing as its DuplicateSubmissionError, and the
+    number of failed rows.
     """
     with refused_at(path):
         rows = list(read_rows(record_text(Path(path).read_bytes()), columns))
     results, failed = [], 0
     for line, fields in rows:
         try:
-            results.append(submit(parse(fields)))
+            results.append(file(fields))
         except DuplicateSubmissionError as exc:
             results.append(exc)
         except ValueError as exc:
@@ -96,8 +93,7 @@ def cmd_register_attributes(args: argparse.Namespace) -> int:
         if args.qws_defaults:
             added += map(registry.register_attribute, STANDARD_ATTRIBUTES)
         if args.file:
-            results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, parse_attribute,
-                                           registry.register_attribute)
+            results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, registry.file_attribute)
             if failed:
                 raise ValueError(f"{args.file}: {failed} rows refused, nothing registered")
             added += results
@@ -112,7 +108,7 @@ def cmd_submit_slo(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked():
         registry = store.load()
-        results, failed = _submit_file(args.file, SLO_COLUMNS, parse_slo, registry.submit_slo)
+        results, failed = _submit_file(args.file, SLO_COLUMNS, registry.file_slo)
         replaced = sum(results)
         accepted = len(results) - replaced
         if results:
@@ -126,7 +122,7 @@ def cmd_submit_amv(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked():
         registry = store.load()
-        results, failed = _submit_file(args.file, AMV_COLUMNS, parse_amv, registry.submit_amv)
+        results, failed = _submit_file(args.file, AMV_COLUMNS, registry.file_amv)
         skipped = sum(isinstance(r, DuplicateSubmissionError) for r in results)
         appended = len(results) - skipped
         if appended:

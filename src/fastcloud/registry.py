@@ -3,11 +3,14 @@
 The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
 amvs.csv) under one directory. The store, the submit commands and the
 request file share one record format, defined here: a header of the kind's
-columns, then one record per row, read by ``read_rows`` and parsed by
-``parse_*``. Loading applies the same record checks as submission, since
-each file is read by that row loop, which names a refused row. A registry
-holds its monitored values in one order, the log's: by triple, in order of
-its first row, and each triple's by sequence, in submission order.
+columns, then one record per row, read by ``read_rows`` and filed by
+``Registry.file_*``, which checks a row as its record type does, in its
+order: field count, ``float`` and ``int``, ids, value, attribute, then the
+agreed SLO or a stored row's sequence, then the log's own refusals. Loading
+applies the same checks as submission, since each file is read by that row
+loop, which names a refused row. A registry holds its monitored values in
+one order, the log's: by triple, in order of its first row, and each
+triple's by sequence, in submission order.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, in the log's order, while attributes.csv and slos.csv are
@@ -77,6 +80,18 @@ def _check_ids(first: str, second: str, kind: str = "provider and consumer ids")
                          f"{first!r} and {second!r}")
 
 
+def _check_slo(csp_id: str, csc_id: str, value: float) -> None:
+    _check_ids(csp_id, csc_id)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"SLO value must be finite and positive, got {value}")
+
+
+def _check_amv(csp_id: str, csc_id: str, value: float) -> None:
+    _check_ids(csp_id, csc_id)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"monitored value must be finite and nonnegative, got {value}")
+
+
 def _unpadded(ids: set[str]) -> bool:
     """Whether each id passes ``_check_ids``: one C-level pass over the set."""
     return "" not in ids and set(map(str.strip, ids)) == ids
@@ -92,9 +107,7 @@ class SloRecord:
     value: float
 
     def __post_init__(self) -> None:
-        _check_ids(self.csp_id, self.csc_id)
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"SLO value must be finite and positive, got {self.value}")
+        _check_slo(self.csp_id, self.csc_id, self.value)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -112,9 +125,7 @@ class AmvRecord:
     sequence: int | None = None
 
     def __post_init__(self) -> None:
-        _check_ids(self.csp_id, self.csc_id)
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"monitored value must be finite and nonnegative, got {self.value}")
+        _check_amv(self.csp_id, self.csc_id, self.value)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -216,7 +227,7 @@ def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple
 
     Yields ``_rows`` after the header, which is checked before the first
     row: a missing one, or one that does not name exactly ``columns``, is
-    refused. The field count is left to the row parsers.
+    refused. The field count is left to the row parsers and filers.
     """
     header, rows = _header(source)
     if header != list(columns):
@@ -230,25 +241,9 @@ def _fields(fields: list[str], columns: tuple[str, ...]) -> list[str]:
     return fields
 
 
-def parse_attribute(fields: list[str]) -> QosAttribute:
-    name, abbreviation, unit, polarity = _fields(fields, ATTRIBUTE_COLUMNS)
-    return QosAttribute(name, abbreviation, unit, Polarity(polarity.lower()))
-
-
 def attribute_fields(attr: QosAttribute) -> list[str]:
-    """The fields that ``parse_attribute`` reads back as ``attr``."""
+    """The fields that ``Registry.file_attribute`` reads back as ``attr``."""
     return [attr.name, attr.abbreviation, attr.unit, attr.polarity.value]
-
-
-def parse_slo(fields: list[str]) -> SloRecord:
-    csp_id, csc_id, attribute, value = _fields(fields, SLO_COLUMNS)
-    return SloRecord(csp_id, csc_id, attribute, float(value))
-
-
-def parse_amv(fields: list[str]) -> AmvRecord:
-    """An AMV row; an empty sequence leaves the numbering to the registry."""
-    csp_id, csc_id, attribute, value, sequence = _fields(fields, AMV_COLUMNS)
-    return AmvRecord(csp_id, csc_id, attribute, float(value), int(sequence) if sequence else None)
 
 
 def parse_request(fields: list[str]) -> tuple[str, IntervalNumber]:
@@ -407,9 +402,9 @@ class Registry(_AttributeLookup):
     or writing amvs.csv whole. It keeps the held log after either, as the
     base that its saves splice the rows filed since onto. ``len(amvs)``
     reads no row, and a command that reads no row decodes none.
-    Records enter only through ``submit_*``, ``import_qws`` and
-    ``Store.load``. Only ``submit_amv`` requires an agreed SLO: imported
-    monitored values, and the stored ones that load restores, have none.
+    Records enter only through ``submit_*``, ``file_*``, ``import_qws`` and
+    ``Store.load``. Only submitted monitored values require an agreed SLO:
+    imported ones, and the stored ones that load restores, have none.
     Two registries are equal when their attributes, SLOs and logs are.
     """
 
@@ -507,14 +502,26 @@ class Registry(_AttributeLookup):
         self.attributes[attr.name] = attr
         return existing is None
 
+    def file_attribute(self, fields: list[str]) -> bool:
+        """``register_attribute`` of an attribute row's stripped fields."""
+        name, abbreviation, unit, polarity = _fields(fields, ATTRIBUTE_COLUMNS)
+        attr = QosAttribute(name, abbreviation, unit, Polarity(polarity.lower()))
+        return self.register_attribute(attr)
+
     # -- submissions --------------------------------------------------------
 
     def submit_slo(self, record: SloRecord) -> bool:
         """Store an agreed objective; returns True if it replaced a prior one, in its place."""
-        csp_id, csc_id, attribute = self._named(record).key
-        consumers = self._slo_index.setdefault((csp_id, attribute), {})
+        return self.file_slo([record.csp_id, record.csc_id, record.attribute, record.value])
+
+    def file_slo(self, fields: list) -> bool:
+        """``submit_slo`` of an SLO row's stripped fields, or a record's, with no record built."""
+        csp_id, csc_id, attribute, value = _fields(fields, SLO_COLUMNS)
+        value = float(value)  # as a parse gives it
+        _check_slo(csp_id, csc_id, value)
+        consumers = self._slo_index.setdefault((csp_id, self.resolve_attribute(attribute).name), {})
         replaced = csc_id in consumers
-        consumers[csc_id] = float(record.value)  # as a parse gives it
+        consumers[csc_id] = value
         return replaced
 
     def submit_amv(self, record: AmvRecord) -> AmvRecord:
@@ -525,30 +532,35 @@ class Registry(_AttributeLookup):
         record already present is a no-op signalled by DuplicateSubmissionError,
         and the same key with a different value is a conflict (ValueError).
         """
-        record = self._named(record)
-        if record.csc_id not in self._slo_index.get((record.csp_id, record.attribute), ()):
-            raise MissingSloError(
-                f"no agreed SLO for ({record.csp_id}, {record.csc_id}, {record.attribute})"
-            )
-        sequence = self._append_amv(*record.key, record.value, record.sequence)
-        return (record if record.sequence == sequence
-                else AmvRecord(*record.key, record.value, sequence))
+        name, sequence = self._append_amv(record.csp_id, record.csc_id, record.attribute,
+                                          record.value, record.sequence, stored=False)
+        return (record if (record.attribute, record.sequence) == (name, sequence)
+                else replace(record, attribute=name, sequence=sequence))
 
-    def _named(self, record: SloRecord | AmvRecord) -> SloRecord | AmvRecord:
-        """The record with its attribute spelled by the registered name."""
-        name = self.resolve_attribute(record.attribute).name
-        return record if record.attribute == name else replace(record, attribute=name)
+    def file_amv(self, fields: list[str], stored: bool = False) -> int:
+        """``submit_amv`` of an AMV row's stripped fields, no record built; returns its sequence."""
+        csp_id, csc_id, attribute, value, sequence = _fields(fields, AMV_COLUMNS)
+        value, sequence = float(value), int(sequence) if sequence else None
+        _check_amv(csp_id, csc_id, value)
+        return self._append_amv(csp_id, csc_id, attribute, value, sequence, stored)[1]
 
     def _append_amv(self, csp_id: str, csc_id: str, attribute: str, value: float,
-                    sequence: int | None) -> int:
-        """Append a checked monitored value under a registered attribute name.
+                    sequence: int | None, stored: bool = True) -> tuple[str, int]:
+        """Append a checked monitored value; returns its attribute's registered name and sequence.
 
-        A value without a sequence gets the next per-triple index, which is
-        returned. A sequence holding the same value raises
+        A ``stored`` value, of amvs.csv or an import, must carry its sequence.
+        Another needs an agreed SLO, and without a sequence gets the next
+        per-triple index. A sequence holding the same value raises
         DuplicateSubmissionError; another value, or a sequence outside int64,
         which the snapshot cannot hold, raises ValueError and files nothing.
         """
-        key = (csp_id, csc_id, attribute)
+        name = self.resolve_attribute(attribute).name
+        if stored:
+            if sequence is None:
+                raise ValueError("stored monitored value has no sequence")
+        elif csc_id not in self._slo_index.get((csp_id, name), ()):
+            raise MissingSloError(f"no agreed SLO for ({csp_id}, {csc_id}, {name})")
+        key = (csp_id, csc_id, name)
         place = self._place.get(key)
         samples = {} if place is None else self._samples[place]
         if samples is None:  # rows held in the snapshot: a refusal of them renumbers the places
@@ -574,7 +586,7 @@ class Registry(_AttributeLookup):
         samples[sequence] = float(value)  # as a parse gives it
         self._means[place] = None
         self._counts[place] += 1
-        return sequence
+        return name, sequence
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
         """Monitored values for one triple, in submission order."""
@@ -727,17 +739,6 @@ def import_qws(
                          tuple(rejections))
 
 
-def _restore_amv(registry: Registry, fields: list[str]) -> None:
-    """File one amvs.csv row as ``submit_amv`` files it, bar the SLO check.
-
-    Imported values have no SLO. A stored row must carry its sequence.
-    """
-    record = registry._named(parse_amv(fields))
-    if record.sequence is None:
-        raise ValueError("stored monitored value has no sequence")
-    registry._append_amv(*record.key, record.value, record.sequence)
-
-
 def _stamp(data: bytes | None) -> tuple[int, int] | None:
     """A file's CRC-32 and length, or None for a missing one."""
     return None if data is None else (zlib.crc32(data), len(data))
@@ -837,7 +838,7 @@ def _decode_attributes(section: bytes) -> Registry:
     """A registry of the attribute section's definitions, each checked as a parse checks it."""
     registry = Registry()
     for fields in marshal.loads(section):
-        registry.register_attribute(parse_attribute(fields))
+        registry.file_attribute(fields)
     return registry
 
 
@@ -963,8 +964,8 @@ class Store:
     non-finite or out-of-range value, an unregistered attribute, an empty
     sequence, one outside int64 or a repeated (triple, sequence) in
     amvs.csv, or a byte that is not UTF-8. Attribute abbreviations resolve
-    to names. Each file is read and decoded whole, then parsed a row at a
-    time by the row loop of the submit commands, which names the refused row.
+    to names. Each file is read and decoded whole, then filed a row at a
+    time by the row filers of the submit commands, and the refused row named.
 
     ``<root>/.snapshot`` is derived from the CSV files and safe to delete.
     It holds its own CRC-32, then a ``marshal`` header of a tag of its
@@ -1108,10 +1109,9 @@ class Store:
         """The registry that the CSV files' bytes hold, each read by the row loop."""
         registry = Registry()
         for name, columns, add in (
-            (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-             lambda fields: registry.register_attribute(parse_attribute(fields))),
-            (self.SLOS_FILE, SLO_COLUMNS, lambda fields: registry.submit_slo(parse_slo(fields))),
-            (self.AMVS_FILE, AMV_COLUMNS, lambda fields: _restore_amv(registry, fields)),
+            (self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS, registry.file_attribute),
+            (self.SLOS_FILE, SLO_COLUMNS, registry.file_slo),
+            (self.AMVS_FILE, AMV_COLUMNS, lambda fields: registry.file_amv(fields, stored=True)),
         ):
             data = contents[name]
             if data is None:
@@ -1119,8 +1119,10 @@ class Store:
             line = 1  # the header's, if no row follows
             with refused_at(self.root / name):
                 for line, fields in read_rows(record_text(data), columns):
-                    with refused_at(line=line):
+                    try:
                         add(fields)
+                    except ValueError as exc:
+                        raise refused_at(line=line)(exc) from exc
                 if name == self.AMVS_FILE and not data.endswith(b"\n"):
                     raise ValueError(f"line {line}: row has no line end: its append was cut short")
         return registry

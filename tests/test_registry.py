@@ -45,9 +45,6 @@ from fastcloud.registry import (
     _table,
     attribute_fields,
     import_qws,
-    parse_amv,
-    parse_attribute,
-    parse_slo,
     read_rows,
 )
 
@@ -124,7 +121,9 @@ class TestAttributes:
 
     def test_fields_parse_back_to_the_attribute(self):
         for attr in STANDARD_ATTRIBUTES:
-            assert parse_attribute(attribute_fields(attr)) == attr
+            registry = Registry()
+            assert registry.file_attribute(attribute_fields(attr))
+            assert registry.attributes == {attr.name: attr}
 
     def test_abbreviation_may_be_its_own_name(self):
         registry = fresh_registry()
@@ -296,9 +295,14 @@ class TestRecordFormat:
             list(read_rows(io.StringIO(reordered), SLO_COLUMNS))
 
     def test_wrong_field_count_is_malformed(self):
+        registry = fresh_registry()
         for fields in (["p", "c", "av"], ["p", "c", "av", "90", "1"]):
             with pytest.raises(ValueError, match="malformed row"):
-                parse_slo(fields)
+                registry.file_slo(fields)
+        for fields in (["p", "c", "av", "5"], ["p", "c", "av", "5", "1", "x"]):
+            with pytest.raises(ValueError, match="malformed row"):
+                registry.file_amv(fields)
+        assert registry == fresh_registry()
 
     def test_unreadable_row_names_its_line(self):
         text = "csp_id,csc_id,attribute,value\np,c,av,90\n" + "q" * 200_000 + ",c,av,90\n"
@@ -306,8 +310,13 @@ class TestRecordFormat:
             list(read_rows(io.StringIO(text), SLO_COLUMNS))
 
     def test_empty_sequence_left_to_the_registry(self):
-        assert parse_amv(["p", "c", "av", "5", ""]).sequence is None
-        assert parse_amv(["p", "c", "av", "5", "3"]).sequence == 3
+        registry = fresh_registry()
+        registry.file_slo(["p", "c", "av", "90"])
+        assert registry.file_amv(["p", "c", "av", "5", "3"]) == 3
+        assert registry.file_amv(["p", "c", "av", "6", ""]) == 4
+        with pytest.raises(ValueError, match="^stored monitored value has no sequence$"):
+            registry.file_amv(["p", "c", "av", "7", ""], stored=True)
+        assert registry.amv_samples("p", "c", "availability") == [5, 6]
 
 
 class TestPersistence:
@@ -810,8 +819,8 @@ def loaded_by_hand(text, columns):
         if columns == SLO_COLUMNS:
             registry.submit_slo(SloRecord(csp_id, csc_id, attribute, float(value)))
         else:
-            record = registry._named(AmvRecord(csp_id, csc_id, attribute, float(value),
-                                               int(*sequence)))
+            name = registry.resolve_attribute(attribute).name
+            record = AmvRecord(csp_id, csc_id, name, float(value), int(*sequence))
             registry._append_amv(*record.key, record.value, record.sequence)
     return registry
 
