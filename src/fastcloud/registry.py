@@ -3,14 +3,14 @@
 The store keeps three human-diffable CSV files (attributes.csv, slos.csv,
 amvs.csv) under one directory. The store, the submit commands and the
 request file share one record format, defined here: a header of the kind's
-columns, then one record per row, read by ``read_rows`` and filed by
-``Registry.file_*``, which checks a row as its record type does, in its
-order: field count, ``float`` and ``int``, ids, value, attribute, then the
-agreed SLO or a stored row's sequence, then the log's own refusals. Loading
-applies the same checks as submission, since each file is read by that row
-loop, which names a refused row. A registry holds its monitored values in
-one order, the log's: by triple, in order of its first row, and each
-triple's by sequence, in submission order.
+columns, then one record per row, read by ``read_rows``. ``Registry.file_*``
+files a stored or submitted row, an SLO or AMV one with its record type's
+checks in their order: field count, ``float`` and ``int``, ids, value,
+attribute, then the agreed SLO or a stored row's sequence, then the log's
+own refusals. Loading applies the same checks as submission, since each
+file is read by that row loop, which names a refused row. A registry holds
+its monitored values in one order, the log's: by triple, in order of its
+first row, and each triple's by sequence, in submission order.
 
 amvs.csv is an append-only log: a save appends the monitored values added
 since the load, in the log's order, while attributes.csv and slos.csv are
