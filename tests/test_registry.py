@@ -27,6 +27,7 @@ from fastcloud.registry import (
     SLO_COLUMNS,
     AmvRecord,
     DuplicateSubmissionError,
+    ImportSummary,
     MissingSloError,
     Polarity,
     ProfileTable,
@@ -1022,6 +1023,105 @@ class TestImport:
         registry = Registry()  # no attributes at all
         with pytest.raises(UnknownAttributeError):
             import_qws(registry, io.StringIO(qws_rows(1)), STANDARD_QWS_MAPPING)
+
+
+def qws_cells(n, edits, service="SvcA"):
+    """``qws_rows(n, service)`` with cells replaced: ``edits`` maps (row, column) to its text."""
+    header, *rows = qws_rows(n, service).splitlines()
+    columns = header.split(",")
+    rows = [row.split(",") for row in rows]
+    for (row, column), text in edits.items():
+        rows[row][columns.index(column)] = text
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def imported(csp_id, rows):
+    """The log that importing ``qws_rows`` leaves for one service: ``rows`` lists the
+    rows filed, by their index, in sequence order from 1; each attribute's in turn."""
+    def value(name, row):
+        return {"latency": 10.0 + row, "response_time": 100.0 + row}.get(name, {
+            "availability": 90.5, "throughput": 12.0, "successability": 95.0,
+            "reliability": 70.0}.get(name))
+    return [(csp_id, f"{csp_id}/monitor", attr.name, value(attr.name, row), sequence)
+            for attr in STANDARD_ATTRIBUTES for sequence, row in enumerate(rows, 1)]
+
+
+class TestImportRejections:
+    """Each kind of rejected row or record: the exact summary, and the rows stored.
+
+    A row's mapped values are all converted, then checked value by value in
+    mapping order, before any is filed: a rejected row files nothing and
+    takes no sequence.
+    """
+
+    @staticmethod
+    def run(text, registry=None):
+        registry = registry or fresh_registry()
+        return import_qws(registry, io.StringIO(text)), [*map(astuple, registry.amvs)]
+
+    def test_non_numeric_or_missing_value(self):
+        # a non-numeric cell outranks a negative one that mapping order checks first
+        text = qws_cells(3, {(0, "Throughput"): "", (1, "Latency"): "oops",
+                             (1, "Availability"): "-1"})
+        summary, rows = self.run(text)
+        rejection = "non-numeric or missing value in mapped column"
+        assert summary == ImportSummary(1, 2, 6, 0, 0,
+                                        (f"line 2: {rejection}", f"line 3: {rejection}"))
+        assert rows == imported("SvcA", [2])
+
+    def test_negative_value(self):
+        # latency comes before response time in the mapping, after it in the header
+        summary, rows = self.run(qws_cells(2, {(0, "Latency"): "-1", (0, "Response Time"): "inf"}))
+        assert summary == ImportSummary(1, 1, 6, 0, 0, (
+            "line 2: monitored value must be finite and nonnegative, got -1.0",))
+        assert rows == imported("SvcA", [1])
+
+    def test_infinite_value(self):
+        summary, rows = self.run(qws_cells(3, {(1, "Availability"): "inf",
+                                               (2, "Response Time"): "-inf"}))
+        assert summary == ImportSummary(1, 2, 6, 0, 0, (
+            "line 3: monitored value must be finite and nonnegative, got inf",
+            "line 4: monitored value must be finite and nonnegative, got -inf"))
+        assert rows == imported("SvcA", [0])
+
+    def test_nan_value(self):
+        summary, rows = self.run(qws_cells(2, {(1, "Reliability"): "nan"}))
+        assert summary == ImportSummary(1, 1, 6, 0, 0, (
+            "line 3: monitored value must be finite and nonnegative, got nan",))
+        assert rows == imported("SvcA", [0])
+
+    def test_missing_service_identity(self):
+        # an empty cell, a padded one, and a short row that ends before the column
+        text = qws_cells(4, {(0, "Service Name"): "", (2, "Service Name"): "  "})
+        lines = text.splitlines()
+        lines[2] = "100,90.5"
+        summary, rows = self.run("\n".join(lines) + "\n")
+        assert summary == ImportSummary(1, 3, 6, 0, 0, tuple(
+            f"line {n}: missing service identity" for n in (2, 3, 4)))
+        assert rows == imported("SvcA", [3])
+
+    def test_slug_collision(self):
+        text = qws_rows(2, service="Svc A") + qws_rows(1, service="Svc-A").split("\n", 1)[1]
+        summary, rows = self.run(text)
+        assert summary == ImportSummary(2, 1, 12, 0, 0, (
+            "line 4: service 'Svc-A' maps to provider id 'Svc-A', "
+            "already taken by service 'Svc A'",))
+        assert rows == imported("Svc-A", [0, 1])
+
+    def test_reimport_with_changed_values(self):
+        registry = fresh_registry()
+        assert self.run(qws_rows(2), registry) == (
+            ImportSummary(2, 0, 12, 0, 0), imported("SvcA", [0, 1]))
+        # the conflicting records are not stored, and the row's others are
+        # skipped as duplicates; the new row files its six
+        text = qws_cells(3, {(0, "Availability"): "91.5", (1, "Latency"): "12"})
+        summary, rows = self.run(text, registry)
+        assert summary == ImportSummary(3, 0, 6, 10, 2, (
+            "line 2: sequence 1 for ('SvcA', 'SvcA/monitor', 'availability') already holds "
+            "value 90.5, refusing to overwrite with 91.5",
+            "line 3: sequence 2 for ('SvcA', 'SvcA/monitor', 'latency') already holds "
+            "value 11.0, refusing to overwrite with 12.0"))
+        assert rows == imported("SvcA", [0, 1, 2])
 
 
 def outcome(store, log=True):
