@@ -184,7 +184,7 @@ def _rows(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     try:
         for fields in reader:
             if fields or reader.line_num == 1:
-                yield reader.line_num, list(map(str.strip, fields))
+                yield reader.line_num, [text.strip() for text in fields]
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
@@ -223,16 +223,16 @@ def _header(source: Iterable[str]) -> tuple[list[str], Iterator[tuple[int, list[
 
 
 def read_rows(source: Iterable[str], columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """The rows of a record file whose header is ``columns``.
+    """The rows of a record file whose header is ``columns``: ``_rows`` after the header.
 
-    Yields ``_rows`` after the header, which is checked before the first
-    row: a missing one, or one that does not name exactly ``columns``, is
-    refused. The field count is left to the row parsers and filers.
+    The header is checked when called: a missing one, or one that does not
+    name exactly ``columns``, is refused. The field count is left to the
+    row parsers and filers.
     """
     header, rows = _header(source)
     if header != list(columns):
         raise ValueError(f"line 1: header must be {','.join(columns)!r}, got {','.join(header)!r}")
-    yield from rows
+    return rows
 
 
 def _fields(fields: list[str], columns: tuple[str, ...]) -> list[str]:
@@ -656,7 +656,7 @@ def import_qws(
 ) -> ImportSummary:
     """Import a delimiter-separated QoS dataset as monitored values.
 
-    Each accepted row yields one AmvRecord per mapped column. The dataset
+    Each accepted row files one monitored value per mapped column. The dataset
     carries no provider/consumer identities, so the provider id is derived
     from the service-identity column and a single synthetic consumer id is
     used per service; the per-attribute sequence is the row's 1-based index
@@ -675,9 +675,10 @@ def import_qws(
     ``mapping=None`` maps the standard six columns. Before ``source`` is read,
     anything but a ``Registry`` (TypeError) and an empty mapping are refused,
     and ``Registry.resolve_names`` refuses an unknown or doubly mapped target.
-    Rows with missing, non-numeric, non-finite or negative values in a mapped
-    column are counted and reported, not fatal. These are bulk third-party
-    observations, so no agreed SLO is required (unlike ``Registry.submit_amv``).
+    A row with a missing or non-numeric value in a mapped column, or then a
+    non-finite or negative one (in mapping order, as ``_check_amv`` checks
+    it), is counted and reported, not fatal, and files no value. These are bulk
+    third-party observations, so no agreed SLO is required (unlike ``submit_amv``).
     """
     if not isinstance(registry, Registry):
         raise TypeError(f"only a Registry is imported into, not a {type(registry).__name__}")
@@ -711,24 +712,23 @@ def import_qws(
             rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
             continue
         csp_id = _slugify(service)
-        owner = owners.get(csp_id, service)
-        if owner != service:
+        if (owner := owners.get(csp_id, service)) != service:
             rejections.append(f"line {line_no}: service {service!r} maps to provider id "
                               f"{csp_id!r}, already taken by service {owner!r}")
             continue
-        sequence = group_counts.get(csp_id, 0) + 1
+        csc_id = f"{csp_id}/monitor"
         try:
-            records = [AmvRecord(csp_id, f"{csp_id}/monitor", attr_name, value, sequence)
-                       for attr_name, value in values.items()]
+            for value in values.values():
+                _check_amv(csp_id, csc_id, value)
         except ValueError as exc:
             rejections.append(f"line {line_no}: {exc}")
             continue
-        group_counts[csp_id] = sequence
+        sequence = group_counts[csp_id] = group_counts.get(csp_id, 0) + 1
         owners[csp_id] = service
         accepted += 1
-        for record in records:
+        for attr_name, value in values.items():
             try:
-                registry._append_amv(*record.key, record.value, record.sequence)
+                registry._append_amv(csp_id, csc_id, attr_name, value, sequence)
                 added += 1
             except DuplicateSubmissionError:
                 skipped += 1

@@ -294,6 +294,11 @@ class TestRecordFormat:
         reordered = "csc_id,csp_id,attribute,value\nc,p,av,90\n"
         with pytest.raises(ValueError, match="header must be 'csp_id,csc_id,attribute,value'"):
             list(read_rows(io.StringIO(reordered), SLO_COLUMNS))
+        # the header is checked when the rows are asked for, before any is read
+        with pytest.raises(ValueError, match="^file is empty$"):
+            read_rows(io.StringIO(""), SLO_COLUMNS)
+        with pytest.raises(ValueError, match="^line 1: header must be "):
+            read_rows(io.StringIO(reordered), SLO_COLUMNS)
 
     def test_wrong_field_count_is_malformed(self):
         registry = fresh_registry()
@@ -1107,6 +1112,16 @@ class TestImportRejections:
             "line 4: service 'Svc-A' maps to provider id 'Svc-A', "
             "already taken by service 'Svc A'",))
         assert rows == imported("Svc-A", [0, 1])
+
+    def test_values_are_checked_without_a_record(self, monkeypatch):
+        def refuse(record):
+            raise AssertionError("an AmvRecord was built")
+        registry = fresh_registry()
+        with monkeypatch.context() as patched:
+            patched.setattr(AmvRecord, "__post_init__", refuse)
+            summary = import_qws(registry, io.StringIO(qws_cells(2, {(1, "Latency"): "-1"})))
+        assert (summary.rows_accepted, summary.rows_rejected) == (1, 1)
+        assert [*map(astuple, registry.amvs)] == imported("SvcA", [0])
 
     def test_reimport_with_changed_values(self):
         registry = fresh_registry()
