@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -201,7 +202,7 @@ class TestActualInterval:
                 if not values:
                     continue
                 monitored.append(record.value)
-                mean = sum(values) / len(values)
+                mean = math.fsum(values) / len(values)
                 if (mean >= record.value if polarity is Polarity.BENEFIT
                         else mean <= record.value):
                     satisfied += 1

@@ -2308,10 +2308,13 @@ class TestDecodeMutations:
                 columns["satisfied"][at] = columns["agreed"][at] = 0
         elif kind == "container":
             at = rng.randrange(len(columns["slo_pairs"]))
-            if n % 3 == 0:  # the means as a tuple, which an append cannot reset
+            if n % 4 == 0:  # the means as a tuple, which an append cannot reset
                 columns["means"] = tuple(columns["means"])
-            elif n % 3 == 1:  # an SLO key of three fields
+            elif n % 4 == 1:  # an SLO key of three fields
                 columns["slo_pairs"][at] = (*columns["slo_pairs"][at], "x")
+            elif n % 4 == 2:  # a distinct triple of four fields, its name third
+                at = rng.randrange(len(columns["distinct"]))
+                columns["distinct"][at] = (*columns["distinct"][at], "extra")
             else:  # an SLO key of two characters, whose second names attribute "x"
                 columns["slo_pairs"][at] = columns["slo_pairs"][at][0][0] + "x"
         else:  # "pair": one table pair, SLO pair or distinct triple twice

@@ -528,6 +528,13 @@ class TestAssess:
             for attr in attrs:
                 lo = rng.uniform(5, 50)
                 seed_provider(registry, f"p{i}", attr, lo, lo + rng.uniform(1, 30))
+        # ten values of 0.1, whose math.fsum mean meets an objective of 0.1 and
+        # whose built-in sum falls short of it, and an agreement with no
+        # monitored value, outside its pair's monitored span
+        registry.submit_slo(SloRecord("p0", "p0-c", "availability", 0.1))
+        for _ in range(10):
+            registry.submit_amv(AmvRecord("p0", "p0-c", "availability", 0.1))
+        registry.submit_slo(SloRecord("p1", "p1-u", "throughput", 500.0))
         request = AssessmentRequest(tuple(
             (a, span(0.1, 1000)) for a in attrs
         ))
@@ -544,16 +551,19 @@ class TestAssess:
                            if r.csp_id == csp and r.attribute == attr]
                 polarity = registry.attributes[attr].polarity
                 satisfied = 0
+                monitored = []  # the SLO values of the agreements with monitored values
                 for record in records:
                     values = [a.value for a in amvs if a.key == record.key]
                     if values:
-                        mean = sum(values) / len(values)
+                        monitored.append(record.value)
+                        mean = math.fsum(values) / len(values)
                         ok = mean >= record.value if polarity is Polarity.BENEFIT \
                             else mean <= record.value
                         satisfied += 1 if ok else 0
                 rate = satisfied / len(records)
-                lo = min(r.value for r in records)
-                hi = max(r.value for r in records)
+                # with no monitored agreement, the span of all (the rate is 0)
+                agreed = monitored or [r.value for r in records]
+                lo, hi = min(agreed), max(agreed)
                 row.append((rate * lo, rate * hi))
             grid.append(row)
         for row, ctx_row in zip(grid, result.context.decision.cells):
