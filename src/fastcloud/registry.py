@@ -675,10 +675,9 @@ def import_qws(
     ``mapping=None`` maps the standard six columns. Before ``source`` is read,
     anything but a ``Registry`` (TypeError) and an empty mapping are refused,
     and ``Registry.resolve_names`` refuses an unknown or doubly mapped target.
-    A row with a missing or non-numeric value in a mapped column, or then a
-    non-finite or negative one (in mapping order, as ``_check_amv`` checks
-    it), is counted and reported, not fatal, and files no value. These are bulk
-    third-party observations, so no agreed SLO is required (unlike ``submit_amv``).
+    A row with a missing, non-numeric, non-finite or negative mapped value is
+    counted and reported, not fatal, and files no value (README "Import semantics").
+    Bulk third-party observations need no agreed SLO (unlike ``Registry.submit_amv``).
     """
     if not isinstance(registry, Registry):
         raise TypeError(f"only a Registry is imported into, not a {type(registry).__name__}")
@@ -712,7 +711,8 @@ def import_qws(
             rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
             continue
         csp_id = _slugify(service)
-        if (owner := owners.get(csp_id, service)) != service:
+        owner = owners.get(csp_id, service)
+        if owner != service:
             rejections.append(f"line {line_no}: service {service!r} maps to provider id "
                               f"{csp_id!r}, already taken by service {owner!r}")
             continue
