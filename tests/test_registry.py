@@ -1043,12 +1043,10 @@ def qws_cells(n, edits, service="SvcA"):
 def imported(csp_id, rows):
     """The log that importing ``qws_rows`` leaves for one service: ``rows`` lists the
     rows filed, by their index, in sequence order from 1; each attribute's in turn."""
-    def value(name, row):
-        return {"latency": 10.0 + row, "response_time": 100.0 + row}.get(name, {
-            "availability": 90.5, "throughput": 12.0, "successability": 95.0,
-            "reliability": 70.0}.get(name))
-    return [(csp_id, f"{csp_id}/monitor", attr.name, value(attr.name, row), sequence)
-            for attr in STANDARD_ATTRIBUTES for sequence, row in enumerate(rows, 1)]
+    def values(row):  # a qws_rows row's, in the order of STANDARD_ATTRIBUTES
+        return (90.5, 12.0, 95.0, 70.0, 10.0 + row, 100.0 + row)
+    return [(csp_id, f"{csp_id}/monitor", attr.name, values(row)[k], sequence)
+            for k, attr in enumerate(STANDARD_ATTRIBUTES) for sequence, row in enumerate(rows, 1)]
 
 
 class TestImportRejections:
