@@ -19,7 +19,6 @@ from .consistency import (
     ConsistencyProfile,
     actual_slo_interval,
     average_amv,
-    satisfies_consistency,
 )
 from .trust import (
     DecisionContext,
@@ -52,7 +51,6 @@ __all__ = [
     "QosAttribute", "Registry", "SloRecord", "Store", "UnknownAttributeError",
     "import_qws",
     "ConsistencyProfile", "actual_slo_interval", "average_amv",
-    "satisfies_consistency",
     "DecisionContext", "DecisionMatrix", "RankedProvider",
     "WeightVector", "deviation_weights", "evaluate", "normalize",
     "ordering_vector", "possibility_matrix", "rank", "ranking_chain", "trust_levels",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import ge, le
 from typing import Collection, Iterable, NamedTuple
 
 from .intervals import IntervalNumber
@@ -30,10 +29,6 @@ class Polarity(enum.Enum):
 
     BENEFIT = "benefit"
     COST = "cost"
-
-
-# the polarity check, as a comparison of (amv, slo)
-_MEETS = {Polarity.BENEFIT: ge, Polarity.COST: le}
 
 
 class MissingSloError(ValueError):
@@ -56,11 +51,6 @@ class ConsistencyProfile(NamedTuple):
     actual_interval: IntervalNumber
 
 
-def satisfies_consistency(polarity: Polarity, slo: float, amv: float) -> bool:
-    """Whether a monitored mean meets its objective: benefit amv >= slo, cost amv <= slo."""
-    return _MEETS[polarity](amv, slo)
-
-
 def average_amv(samples: Collection[float]) -> float:
     """Arithmetic mean of a nonempty sample collection: its ``math.fsum`` over its length."""
     if not samples:
@@ -75,20 +65,21 @@ def profile_of(polarity: Polarity, slos: Collection[float],
     ``slos`` holds the pair's agreed value per consumer, and ``means`` each
     consumer's monitored mean in the same order, or None where it has no
     monitored value. Each consumer counts as agreed, and as satisfied only
-    if its mean passes the polarity check: an unverifiable claim does not
-    raise the rate. The span is [min, max] of the SLO values of the
-    monitored consumers, so an unverifiable claim does not widen it either.
+    if its mean meets its SLO: at or above it on a benefit attribute, at or
+    below it on a cost one. An unverifiable claim does not raise the rate.
+    The span is [min, max] of the SLO values of the monitored consumers, so
+    an unverifiable claim does not widen it either.
     A pair with no monitored consumer keeps the span of all its SLOs: its
     rate is 0, so any span scales to [0, 0]. ``from_row`` scales the span
     by the rate the same way for both polarities, which normalization
     honors later.
     """
-    meets = _MEETS[polarity]
+    benefit = polarity is Polarity.BENEFIT
     satisfied, monitored = 0, []
     for slo, mean in zip(slos, means):
         if mean is not None:
             monitored.append(slo)
-            if meets(mean, slo):
+            if mean >= slo if benefit else mean <= slo:
                 satisfied += 1
     span = monitored or slos
     return satisfied, len(slos), min(span), max(span)

@@ -109,10 +109,6 @@ class SloRecord:
     def __post_init__(self) -> None:
         _check_slo(self.csp_id, self.csc_id, self.value)
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.csp_id, self.csc_id, self.attribute)
-
 
 @dataclass(frozen=True, slots=True)
 class AmvRecord:
@@ -126,10 +122,6 @@ class AmvRecord:
 
     def __post_init__(self) -> None:
         _check_amv(self.csp_id, self.csc_id, self.value)
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.csp_id, self.csc_id, self.attribute)
 
 
 # The six attributes of the standard web-service QoS dataset layout.
@@ -589,7 +581,7 @@ class Registry(_AttributeLookup):
         return name, sequence
 
     def amv_samples(self, csp_id: str, csc_id: str, attribute: str) -> list[float]:
-        """Monitored values for one triple, in submission order."""
+        """Monitored values for one triple, in sequence order."""
         samples = self._samples_of((csp_id, csc_id, attribute)) or {}
         return [samples[sequence] for sequence in sorted(samples)]
 
@@ -660,10 +652,11 @@ def import_qws(
     carries no provider/consumer identities, so the provider id is derived
     from the service-identity column and a single synthetic consumer id is
     used per service; the per-attribute sequence is the row's 1-based index
-    within its service group. Re-importing the same file regenerates the
-    same records, which are skipped as duplicates; a record whose sequence
-    already holds a different value is reported as a conflict, counted in
-    ``records_conflicting`` and not stored.
+    among the rows of its service name, rejected ones included, so a row
+    keeps its sequence when another row is corrected. Re-importing the same
+    file regenerates the same records, which are skipped as duplicates; a
+    record whose sequence already holds a different value is reported as a
+    conflict, counted in ``records_conflicting`` and not stored.
 
     The provider id is a slug of the service name, and two names can share
     one (``Svc A`` and ``Svc-A`` both give ``Svc-A``). Within one import,
@@ -697,7 +690,7 @@ def import_qws(
 
     accepted = added = skipped = conflicting = 0
     rejections: list[str] = []  # a line per rejected row or conflicting record
-    group_counts: dict[str, int] = {}
+    group_counts: dict[str, int] = {}  # service name -> its rows so far
     owners: dict[str, str] = {}  # provider id -> the service name whose rows took it
     for line_no, fields in rows:
         fields += [""] * (len(header) - len(fields))
@@ -705,6 +698,7 @@ def import_qws(
         if not service:
             rejections.append(f"line {line_no}: missing service identity")
             continue
+        sequence = group_counts[service] = group_counts.get(service, 0) + 1
         try:
             values = {attr_name: float(fields[i]) for i, attr_name in targets.items()}
         except ValueError:
@@ -723,7 +717,6 @@ def import_qws(
         except ValueError as exc:
             rejections.append(f"line {line_no}: {exc}")
             continue
-        sequence = group_counts[csp_id] = group_counts.get(csp_id, 0) + 1
         owners[csp_id] = service
         accepted += 1
         for attr_name, value in values.items():
@@ -881,11 +874,12 @@ def _decode_records(sections: tuple) -> Registry | None:
     The rest is checked whole, with no Python loop per SLO or row, and used
     as decoded: an SLO index of (provider id, registered name) pairs, each
     to a non-empty dict of consumer ids to positive finite floats; no
-    repeated distinct triple, each of checked ids and a registered name; a
-    mean per distinct triple, None or finite and at least 0; and a row
-    count per distinct triple, an int of at least 1, whose sum is the row
-    count of the values and sequences sections, 8 bytes a row. The means and the rows' grouping are
-    derived data that only this program writes: checked for shape alone.
+    repeated distinct triple, each a tuple of checked ids and a registered
+    name; a mean per distinct triple, None or finite and at least 0; and a
+    row count per distinct triple, an int of at least 1, whose sum is the
+    row count of the values and sequences sections, 8 bytes a row. The
+    means and the rows' grouping are derived data that only this program
+    writes: checked for shape alone.
     """
     try:
         (head, _, slo_part, means_part, distinct_part, counts_part, values_part,
@@ -902,6 +896,7 @@ def _decode_records(sections: tuple) -> Registry | None:
         checked = (type(means) is type(distinct) is type(counts) is list
                    and len(registry._place) == len(distinct) == len(means) == len(counts)
                    and set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
+                   and set(map(type, distinct)) <= {tuple}
                    and min(map(len, consumers), default=1) > 0  # no pair without a consumer
                    and _unpadded({*map(itemgetter(0), pairs), *chain.from_iterable(consumers),
                                   *map(itemgetter(0), distinct), *map(itemgetter(1), distinct)})

@@ -214,7 +214,8 @@ def test_c07_consistency_engine_matches_brute_force():
                     satisfied = 0
                     monitored = []  # the SLO values of the agreements with monitored values
                     for record in records:
-                        values = [a.value for a in amvs if a.key == record.key]
+                        values = [a.value for a in amvs if (a.csp_id, a.csc_id, a.attribute)
+                                  == (csp, record.csc_id, attr.name)]
                         if not values:
                             continue
                         monitored.append(record.value)

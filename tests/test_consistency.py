@@ -6,7 +6,7 @@ import pytest
 from fastcloud.consistency import (
     actual_slo_interval,
     average_amv,
-    satisfies_consistency,
+    profile_of,
 )
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
@@ -41,20 +41,27 @@ class TestAverage:
         rng = random.Random(7)
         samples = [rng.random() for _ in range(1000)]
         assert abs(average_amv(samples) - 0.5) < 0.05
+        assert average_amv(samples) == math.fsum(samples) / len(samples)
 
 
 class TestSatisfies:
+    """The verdict of ``profile_of`` on one consumer: whether it counts as satisfied."""
+
+    @staticmethod
+    def meets(polarity, slo, mean):
+        return profile_of(polarity, [slo], [mean])[0] == 1
+
     def test_benefit_branch(self):
-        assert satisfies_consistency(Polarity.BENEFIT, slo=90, amv=95)
-        assert not satisfies_consistency(Polarity.BENEFIT, slo=90, amv=85)
+        assert self.meets(Polarity.BENEFIT, slo=90, mean=95)
+        assert not self.meets(Polarity.BENEFIT, slo=90, mean=85)
 
     def test_cost_branch(self):
-        assert not satisfies_consistency(Polarity.COST, slo=100, amv=120)
-        assert satisfies_consistency(Polarity.COST, slo=100, amv=80)
+        assert not self.meets(Polarity.COST, slo=100, mean=120)
+        assert self.meets(Polarity.COST, slo=100, mean=80)
 
     def test_boundary_equality_satisfies(self):
-        assert satisfies_consistency(Polarity.BENEFIT, slo=90, amv=90)
-        assert satisfies_consistency(Polarity.COST, slo=90, amv=90)
+        assert self.meets(Polarity.BENEFIT, slo=90, mean=90)
+        assert self.meets(Polarity.COST, slo=90, mean=90)
 
 
 def consistency_rate(registry, csp_id, attribute):
@@ -198,7 +205,8 @@ class TestActualInterval:
             satisfied = 0
             monitored = []  # the SLO values of the agreements with monitored values
             for record in slo_records:
-                values = [a.value for a in amvs if a.key == record.key]
+                values = [a.value for a in amvs
+                          if (a.csp_id, a.csc_id, a.attribute) == ("p", record.csc_id, attr)]
                 if not values:
                     continue
                 monitored.append(record.value)

@@ -541,7 +541,7 @@ class TestPersistence:
                 except MissingSloError:
                     pass
         for record in registry.amvs:
-            assert record.key in registry.slos
+            assert (record.csp_id, record.csc_id, record.attribute) in registry.slos
         for record in registry.slos.values():
             assert record.attribute in registry.attributes
         store = Store(tmp_path / "store")
@@ -647,7 +647,8 @@ class TestAmvLoad:
         # and no row is filed past them
         assert restored._counts == restored._rows.counts == [3, 1]
         assert contents(restored) == contents(loaded)
-        assert [(*row.key, row.sequence) for row in restored.amvs] == [
+        assert [(row.csp_id, row.csc_id, row.attribute, row.sequence)
+                for row in restored.amvs] == [
             ("p", "c", "availability", 2), ("p", "c", "availability", 1),
             ("p", "c", "availability", 3), ("q", "c", "latency", 1)]
 
@@ -827,7 +828,7 @@ def loaded_by_hand(text, columns):
         else:
             name = registry.resolve_attribute(attribute).name
             record = AmvRecord(csp_id, csc_id, name, float(value), int(*sequence))
-            registry._append_amv(*record.key, record.value, record.sequence)
+            registry._append_amv(*astuple(record))
     return registry
 
 
@@ -907,8 +908,8 @@ class TestImport:
         assert summary.rows_rejected == 2
         assert summary.records_added == 6
         assert [r.split(":")[0] for r in summary.rejections] == ["line 2", "line 3"]
-        # rejected rows take no sequence
-        assert [r.sequence for r in registry.amvs] == [1] * 6
+        # rejected rows keep their sequences
+        assert [r.sequence for r in registry.amvs] == [3] * 6
 
     def test_rejection_after_blank_lines_names_physical_line(self):
         lines = qws_rows(2).splitlines()
@@ -1040,21 +1041,22 @@ def qws_cells(n, edits, service="SvcA"):
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def imported(csp_id, rows):
+def imported(csp_id, rows, first=0):
     """The log that importing ``qws_rows`` leaves for one service: ``rows`` lists the
-    rows filed, by their index, in sequence order from 1; each attribute's in turn."""
+    rows filed, by their index, in the order filed; each attribute's in turn. A row's
+    sequence is its position among the service's rows, of which row ``first`` is the first."""
     def values(row):  # a qws_rows row's, in the order of STANDARD_ATTRIBUTES
         return (90.5, 12.0, 95.0, 70.0, 10.0 + row, 100.0 + row)
-    return [(csp_id, f"{csp_id}/monitor", attr.name, values(row)[k], sequence)
-            for k, attr in enumerate(STANDARD_ATTRIBUTES) for sequence, row in enumerate(rows, 1)]
+    return [(csp_id, f"{csp_id}/monitor", attr.name, values(row)[k], row - first + 1)
+            for k, attr in enumerate(STANDARD_ATTRIBUTES) for row in rows]
 
 
 class TestImportRejections:
     """Each kind of rejected row or record: the exact summary, and the rows stored.
 
     A row's mapped values are all converted, then checked value by value in
-    mapping order, before any is filed: a rejected row files nothing and
-    takes no sequence.
+    mapping order, before any is filed: a rejected row files nothing, and
+    keeps its sequence if it names a service.
     """
 
     @staticmethod
@@ -1101,7 +1103,7 @@ class TestImportRejections:
         summary, rows = self.run("\n".join(lines) + "\n")
         assert summary == ImportSummary(1, 3, 6, 0, 0, tuple(
             f"line {n}: missing service identity" for n in (2, 3, 4)))
-        assert rows == imported("SvcA", [3])
+        assert rows == imported("SvcA", [3], first=3)
 
     def test_slug_collision(self):
         text = qws_rows(2, service="Svc A") + qws_rows(1, service="Svc-A").split("\n", 1)[1]
@@ -1135,6 +1137,15 @@ class TestImportRejections:
             "line 3: sequence 2 for ('SvcA', 'SvcA/monitor', 'latency') already holds "
             "value 11.0, refusing to overwrite with 12.0"))
         assert rows == imported("SvcA", [0, 1, 2])
+
+    def test_a_corrected_file_reimports_without_conflicts(self):
+        # a rejected row keeps its sequence, so the rows after it keep theirs
+        registry = fresh_registry()
+        summary, _ = self.run(qws_cells(3, {(1, "Latency"): "oops"}), registry)
+        assert (summary.rows_accepted, summary.rows_rejected) == (2, 1)
+        summary, rows = self.run(qws_rows(3), registry)
+        assert summary == ImportSummary(3, 0, 6, 12, 0)
+        assert rows == imported("SvcA", [0, 2, 1])
 
 
 def outcome(store, log=True):
@@ -2306,13 +2317,17 @@ class TestDecodeMutations:
                 columns["satisfied"][at] = columns["agreed"][at] = 0
         elif kind == "container":
             at = rng.randrange(len(columns["slo_pairs"]))
-            if n % 4 == 0:  # the means as a tuple, which an append cannot reset
+            if n % 5 == 0:  # the means as a tuple, which an append cannot reset
                 columns["means"] = tuple(columns["means"])
-            elif n % 4 == 1:  # an SLO key of three fields
+            elif n % 5 == 1:  # an SLO key of three fields
                 columns["slo_pairs"][at] = (*columns["slo_pairs"][at], "x")
-            elif n % 4 == 2:  # a distinct triple of four fields, its name third
+            elif n % 5 == 2:  # a distinct triple of four fields, its name third
                 at = rng.randrange(len(columns["distinct"]))
                 columns["distinct"][at] = (*columns["distinct"][at], "extra")
+            elif n % 5 == 3:  # a distinct triple of three characters, the third "x"
+                at = rng.randrange(len(columns["distinct"]))
+                csp_id, csc_id, _ = columns["distinct"][at]
+                columns["distinct"][at] = csp_id[0] + csc_id[0] + "x"
             else:  # an SLO key of two characters, whose second names attribute "x"
                 columns["slo_pairs"][at] = columns["slo_pairs"][at][0][0] + "x"
         else:  # "pair": one table pair, SLO pair or distinct triple twice

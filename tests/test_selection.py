@@ -11,12 +11,7 @@ import pytest
 
 from conftest import COST_ONLY_CHAIN, case_registry, case_request
 from fastcloud import selection
-from fastcloud.consistency import (
-    ConsistencyProfile,
-    actual_slo_interval,
-    average_amv,
-    satisfies_consistency,
-)
+from fastcloud.consistency import ConsistencyProfile, actual_slo_interval
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
     AmvRecord,
@@ -176,8 +171,10 @@ def reference_profile(registry, csp_id, attribute):
         samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
         if samples:
             monitored.append(record.value)
-        if samples and satisfies_consistency(attr.polarity, record.value, average_amv(samples)):
-            satisfied += 1
+            mean = math.fsum(samples) / len(samples)
+            if (mean >= record.value if attr.polarity is Polarity.BENEFIT
+                    else mean <= record.value):
+                satisfied += 1
     rate = satisfied / len(slos)
     # the span of the monitored agreements; with none, that of all (the rate is 0)
     span = monitored or [r.value for r in slos]
@@ -239,8 +236,9 @@ class TestMatchingPass:
         for _ in range(150):
             registry = random_store(rng)
             for key, samples in zip(registry._place, registry._samples):
+                values = registry.amv_samples(*key)
                 assert repr(registry.amv_mean(*key)) == repr(
-                    average_amv(registry.amv_samples(*key)) if samples else None)
+                    math.fsum(values) / len(values) if samples else None)
             request, table = random_request(rng), registry.profile_table()
             result = match_candidates(table, request)
             assert list(result) == sorted(result)
@@ -553,7 +551,8 @@ class TestAssess:
                 satisfied = 0
                 monitored = []  # the SLO values of the agreements with monitored values
                 for record in records:
-                    values = [a.value for a in amvs if a.key == record.key]
+                    values = [a.value for a in amvs
+                              if (a.csp_id, a.csc_id, a.attribute) == (csp, record.csc_id, attr)]
                     if values:
                         monitored.append(record.value)
                         mean = math.fsum(values) / len(values)

@@ -102,7 +102,8 @@ def test_concurrent_writers_lose_no_row(store, tmp_path, capsys):
     assert stored == expected
     sequences = {}
     for record in registry.amvs:
-        sequences.setdefault(record.key, []).append(record.sequence)
+        sequences.setdefault((record.csp_id, record.csc_id, record.attribute), []).append(
+            record.sequence)
     assert all(sorted(seq) == list(range(1, len(seq) + 1)) for seq in sequences.values())
 
 
