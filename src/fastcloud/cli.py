@@ -62,26 +62,26 @@ def _store(args: argparse.Namespace) -> Store:
     return Store(path)
 
 
-def _submit_file(path: str, columns: tuple[str, ...], file) -> tuple[list, int]:
+def _submit_file(path: str, columns: tuple[str, ...], file) -> tuple[list, int, int]:
     """File each row of a record file by ``file``, which takes the row's stripped fields.
 
     A refused row fails only its own line, reported on stderr, and a refusal
     of the store the command. Returns what ``file`` gave for each filed
-    row, a duplicate standing as its DuplicateSubmissionError, and the
-    number of failed rows.
+    row, the number of rows skipped as duplicates (DuplicateSubmissionError),
+    and the number of failed rows.
     """
     with refused_at(path):
         rows = list(read_rows(record_text(Path(path).read_bytes()), columns))
-    results, failed = [], 0
+    results, skipped, failed = [], 0, 0
     for line, fields in rows:
         try:
             results.append(file(fields))
-        except DuplicateSubmissionError as exc:
-            results.append(exc)
+        except DuplicateSubmissionError:
+            skipped += 1
         except ValueError as exc:
             failed += 1
             print(f"  {refused_at(path, line)(exc)}", file=sys.stderr)
-    return results, failed
+    return results, skipped, failed
 
 
 def cmd_register_attributes(args: argparse.Namespace) -> int:
@@ -93,7 +93,8 @@ def cmd_register_attributes(args: argparse.Namespace) -> int:
         if args.qws_defaults:
             added += map(registry.register_attribute, STANDARD_ATTRIBUTES)
         if args.file:
-            results, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS, registry.file_attribute)
+            results, _, failed = _submit_file(args.file, ATTRIBUTE_COLUMNS,
+                                              registry.file_attribute)
             if failed:
                 raise ValueError(f"{args.file}: {failed} rows refused, nothing registered")
             added += results
@@ -108,7 +109,7 @@ def cmd_submit_slo(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked():
         registry = store.load()
-        results, failed = _submit_file(args.file, SLO_COLUMNS, registry.file_slo)
+        results, _, failed = _submit_file(args.file, SLO_COLUMNS, registry.file_slo)
         replaced = sum(results)
         accepted = len(results) - replaced
         if results:
@@ -122,15 +123,14 @@ def cmd_submit_amv(args: argparse.Namespace) -> int:
     store = _store(args)
     with store.locked():
         registry = store.load()
-        results, failed = _submit_file(args.file, AMV_COLUMNS, registry.file_amv)
-        skipped = sum(isinstance(r, DuplicateSubmissionError) for r in results)
-        appended = len(results) - skipped
+        results, skipped, failed = _submit_file(args.file, AMV_COLUMNS, registry.file_amv)
+        appended = len(results)
         if appended:
             store.save(registry)
     print(f"{appended} appended"
           + (f", {skipped} duplicates skipped" if skipped else "")
           + (f", {failed} failed" if failed else ""))
-    return EXIT_VALIDATION if failed and not results else EXIT_OK
+    return EXIT_VALIDATION if failed and not (results or skipped) else EXIT_OK
 
 
 def cmd_import_qws(args: argparse.Namespace) -> int:

@@ -71,13 +71,21 @@ class QosAttribute:
 
     def __post_init__(self) -> None:
         _check_ids(self.name, self.abbreviation, "attribute name and abbreviation")
+        if "\r" in self.unit:
+            raise ValueError(f"attribute unit must not hold a carriage return, got {self.unit!r}")
 
 
 def _check_ids(first: str, second: str, kind: str = "provider and consumer ids") -> None:
-    """Refuse an empty id of the two, or one with surrounding whitespace."""
+    """Refuse an empty id of the two, or one with surrounding whitespace or a carriage return.
+
+    Before Python 3.13, the csv module writes a carriage return unquoted,
+    and a parse reads it as a line end: the store could not be read back.
+    """
     if not (first and second and first.strip() == first and second.strip() == second):
         raise ValueError(f"{kind} must be non-empty without surrounding whitespace, got "
                          f"{first!r} and {second!r}")
+    if "\r" in first or "\r" in second:
+        raise ValueError(f"{kind} must not hold a carriage return, got {first!r} and {second!r}")
 
 
 def _check_slo(csp_id: str, csc_id: str, value: float) -> None:
@@ -93,8 +101,8 @@ def _check_amv(csp_id: str, csc_id: str, value: float) -> None:
 
 
 def _unpadded(ids: set[str]) -> bool:
-    """Whether each id passes ``_check_ids``: one C-level pass over the set."""
-    return "" not in ids and set(map(str.strip, ids)) == ids
+    """Whether each id passes ``_check_ids``: C-level passes over the set."""
+    return "" not in ids and set(map(str.strip, ids)) == ids and "\r" not in "".join(ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,31 +160,46 @@ AMV_COLUMNS = ("csp_id", "csc_id", "attribute", "value", "sequence")
 REQUEST_COLUMNS = ("attribute", "min", "max")
 
 
+# the ASCII bytes that can put a character that str.strip strips into a
+# field: each such character but the line breaks, which end an unquoted
+# field, and the quote, which opens a field that can hold them
+_PADDING = bytes(c for c in range(128) if chr(c).isspace() and c not in b"\r\n") + b'"'
+
+
 def record_text(data: bytes) -> TextIO:
     """The text of a record file's bytes, decoded whole.
 
     A byte that is not UTF-8 is refused as a ValueError naming its line. The
     text is read through a wrapper: a ``StringIO`` holds four bytes a character.
+    Its ``unpadded`` is True when the bytes are ASCII and hold no byte of
+    ``_PADDING``, checked once here: no field of the text then holds a
+    character that ``str.strip`` strips, and ``_rows`` reads the fields as
+    they are.
     """
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {line}: {exc}") from exc
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    text.unpadded = data.isascii() and not any(map(data.__contains__, _PADDING))
+    return text
 
 
 def _rows(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """(physical line, stripped fields) of the header, blank or not, and each non-blank row.
 
-    A row the csv module cannot read, such as one with a field over
-    ``csv.field_size_limit()``, is refused as a ValueError that names its line.
+    The fields of a ``record_text`` that is ``unpadded`` need no strip, and
+    get none; any other source's are stripped. A row the csv module cannot
+    read, such as one with a field over ``csv.field_size_limit()``, is
+    refused as a ValueError that names its line.
     """
     reader = csv.reader(source)
+    unpadded = getattr(source, "unpadded", False)
     try:
         for fields in reader:
             if fields or reader.line_num == 1:
-                yield reader.line_num, [text.strip() for text in fields]
+                yield reader.line_num, fields if unpadded else [text.strip() for text in fields]
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
@@ -462,16 +485,25 @@ class Registry(_AttributeLookup):
         return self._rows_after([])
 
     def _rows_after(self, counts: list[int]) -> list[tuple[str, str, str, float, int]]:
-        """Each place's rows past its first ``counts[place]`` (all past the list's end).
+        """Each place's rows past its first ``counts[place]`` (``_places_after``).
 
         They are rows ``(csp, csc, attribute, value, sequence)`` in the log's
-        one order: by place, each place's in submission order. Only places
-        whose count differs are read, which hold their samples: a row is
-        filed in a decoded place, and ``_grouped`` decodes every place.
+        one order: by place, each place's in submission order.
         """
-        return [(*key, value, sequence) for key, samples, count, start
+        return [(*key, value, sequence) for key, rows in self._places_after(counts)
+                for sequence, value in rows]
+
+    def _places_after(self, counts: list[int]
+                      ) -> Iterator[tuple[tuple[str, str, str], Iterator[tuple[int, float]]]]:
+        """The triple of each place, in place order, and its (sequence, value) rows
+        past its first ``counts[place]`` (all past the list's end), in submission order.
+
+        Only places whose count differs are read, which hold their samples: a
+        row is filed in a decoded place, and ``_grouped`` decodes every place.
+        """
+        return ((key, islice(samples.items(), start, None)) for key, samples, count, start
                 in zip(self._place, self._samples, self._counts, chain(counts, repeat(0)))
-                if count != start for sequence, value in islice(samples.items(), start, None)]
+                if count != start)
 
     @property
     def slos(self) -> SloView:
@@ -660,10 +692,11 @@ def import_qws(
 
     The provider id is a slug of the service name, and two names can share
     one (``Svc A`` and ``Svc-A`` both give ``Svc-A``). Within one import,
-    the rows of a second name whose slug the rows of another name already
-    took are rejected, naming both. The registry keeps ids, not names, so a
-    later import cannot detect such a collision: it files the rows under
-    the provider that holds the id.
+    a slug is taken by the first name with a row that gives it, accepted
+    or not, and the rows of another name that gives it are rejected,
+    naming both. The registry keeps ids, not names, so a later import
+    cannot detect such a collision: it files the rows under the provider
+    that holds the id.
 
     ``mapping=None`` maps the standard six columns. Before ``source`` is read,
     anything but a ``Registry`` (TypeError) and an empty mapping are refused,
@@ -699,13 +732,13 @@ def import_qws(
             rejections.append(f"line {line_no}: missing service identity")
             continue
         sequence = group_counts[service] = group_counts.get(service, 0) + 1
+        csp_id = _slugify(service)
+        owner = owners.setdefault(csp_id, service)
         try:
             values = {attr_name: float(fields[i]) for i, attr_name in targets.items()}
         except ValueError:
             rejections.append(f"line {line_no}: non-numeric or missing value in mapped column")
             continue
-        csp_id = _slugify(service)
-        owner = owners.get(csp_id, service)
         if owner != service:
             rejections.append(f"line {line_no}: service {service!r} maps to provider id "
                               f"{csp_id!r}, already taken by service {owner!r}")
@@ -717,7 +750,6 @@ def import_qws(
         except ValueError as exc:
             rejections.append(f"line {line_no}: {exc}")
             continue
-        owners[csp_id] = service
         accepted += 1
         for attr_name, value in values.items():
             try:
@@ -741,6 +773,48 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+class _Written(list):
+    """A file of the rows that a ``csv.writer`` writes, one entry each."""
+
+    write = list.append
+
+
+def _csv_fields(texts: Iterable[str]) -> dict[str, str]:
+    """Each distinct text of ``texts``, as a field of a row of ``csv.writer(lineterminator="\\n")``.
+
+    The csv module quotes field by field (QUOTE_MINIMAL), and neither a
+    finite float's ``repr`` nor an int's ``str`` needs quotes, so a row of
+    these fields and such numbers, joined by commas, is the row that
+    ``csv.writer`` writes. The texts are written as one row: one with no
+    quote quoted no field, so each text is its own field. Otherwise each
+    text is written as a row of its own.
+    """
+    distinct = list(set(texts))
+    written = _Written()
+    writer = csv.writer(written, lineterminator="\n")
+    writer.writerow(distinct)
+    if '"' not in written.pop():
+        return dict(zip(distinct, distinct))
+    writer.writerows((text, "") for text in distinct)  # a second field: a lone "" is quoted
+    return {text: row[:-2] for text, row in zip(distinct, written)}  # less "," and line end
+
+
+def _slo_text(index: dict[tuple[str, str], dict[str, float]]) -> str:
+    """The slos.csv rows of an SLO index, in its order."""
+    fields = _csv_fields([*chain.from_iterable(index), *chain.from_iterable(index.values())])
+    return "".join([f"{fields[csp_id]},{fields[csc_id]},{fields[name]},{value!r}\n"
+                    for (csp_id, name), consumers in index.items()
+                    for csc_id, value in consumers.items()])
+
+
+def _log_text(places: list[tuple[tuple[str, str, str], Iterable[tuple[int, float]]]]) -> str:
+    """The amvs.csv rows of ``places`` (``Registry._places_after``), each triple's prefix once."""
+    fields = _csv_fields(chain.from_iterable(key for key, _ in places))
+    return "".join([f"{prefix}{value!r},{sequence}\n" for (csp_id, csc_id, name), rows in places
+                    for prefix in (f"{fields[csp_id]},{fields[csc_id]},{fields[name]},",)
+                    for sequence, value in rows])
 
 
 def _extended(part: bytes, entries: list) -> bytes:
@@ -947,7 +1021,10 @@ class Store:
     slos.csv holds the SLOs as ``Registry.slos`` reads them, grouped by
     (provider, attribute). A whole amvs.csv holds the log as
     ``Registry.amvs`` reads it, grouped by triple, and an append the rows
-    added since in that order, so equal registries write equal bytes.
+    added since in that order, so equal registries write equal bytes. Their
+    rows are written as ``csv.writer`` writes them, a formatted line each
+    from the fields of their ids and names (``_csv_fields``); a header and
+    attributes.csv by ``csv.writer`` itself.
     A crash thus leaves each file as it was or as saved, except that an
     append cut short can leave a last amvs.csv row without its line end.
     Load refuses such a row, since a cut value or sequence (``...,9`` of
@@ -1149,21 +1226,17 @@ class Store:
             registry._read_log()
         sections = None if unchanged else _encode(registry)
         if not attributes_kept:
-            stamps[self.ATTRIBUTES_FILE] = self._replace(
-                self.ATTRIBUTES_FILE, ATTRIBUTE_COLUMNS,
-                map(attribute_fields, registry.attributes.values()))
+            stamps[self.ATTRIBUTES_FILE] = self._replace(self.ATTRIBUTES_FILE, _csv_text(
+                [ATTRIBUTE_COLUMNS, *map(attribute_fields, registry.attributes.values())]))
         if not slos_kept:
             stamps[self.SLOS_FILE] = self._replace(
-                self.SLOS_FILE, SLO_COLUMNS,
-                ((csp_id, csc_id, name, repr(value))
-                 for (csp_id, name), consumers in registry._slo_index.items()
-                 for csc_id, value in consumers.items()))
+                self.SLOS_FILE, _csv_text([SLO_COLUMNS]) + _slo_text(registry._slo_index))
         logged = synced.get(self.AMVS_FILE)  # by the parse's places if _encode reparsed
-        rows = registry._rows_after(logged or [])
+        log = _log_text([*registry._places_after(logged or [])])
         if logged is None:
-            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, AMV_COLUMNS, rows)
-        elif rows:
-            appended = _csv_text(rows).encode("utf-8")
+            stamps[self.AMVS_FILE] = self._replace(self.AMVS_FILE, _csv_text([AMV_COLUMNS]) + log)
+        elif log:
+            appended = log.encode("utf-8")
             with open(self.root / self.AMVS_FILE, "ab") as fh:
                 fh.write(appended)
                 fh.flush()
@@ -1233,10 +1306,9 @@ class Store:
         except (OSError, EOFError, ValueError, TypeError):
             return None  # unreadable, or a header of another shape
 
-    def _replace(self, name: str, header: tuple[str, ...], rows: Iterable[Iterable]
-                 ) -> tuple[int, int]:
-        """Replace a file atomically; returns the CRC-32 and length of its new bytes."""
-        data = _csv_text([header, *rows]).encode("utf-8")
+    def _replace(self, name: str, text: str) -> tuple[int, int]:
+        """Replace a file atomically by ``text``; returns the CRC-32 and length of its bytes."""
+        data = text.encode("utf-8")
         fd, tmp_path = tempfile.mkstemp(dir=self.root, prefix=name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -8,6 +8,9 @@ one monitored value, ``p,c,av,1.0`` at sequence 1:
 - through a cold ``Store.load`` of a store written by hand, whose slos.csv
   or amvs.csv holds the base row at line 2 and the row at line 3.
 
+A refusal names the line on which its row ends, a later one for a row that
+holds a quoted line break (``last_line``).
+
 Each side gives a refusal, ``(error type, message)``, or the summary line
 of an accepted row. Rows with two faults pin the order of the checks:
 field count, ``float``/``int``, ids, value, attribute, then the agreed SLO,
@@ -33,6 +36,7 @@ from fastcloud.registry import (AMV_COLUMNS, SLO_COLUMNS, STANDARD_ATTRIBUTES, S
                                 attribute_fields)
 
 IDS = "provider and consumer ids must be non-empty without surrounding whitespace, got"
+CR = "provider and consumer ids must not hold a carriage return, got"
 SLO_VALUE = "SLO value must be finite and positive, got"
 AMV_VALUE = "monitored value must be finite and nonnegative, got"
 KEY = "('p', 'c', 'availability')"
@@ -57,6 +61,8 @@ CORPUS = [
     ("slo-non-numeric", "slo", "p,c,av,abc", refused("could not convert string to float: 'abc'")),
     ("slo-empty-csp", "slo", ",c,av,90", refused(f"{IDS} '' and 'c'")),
     ("slo-padded-csc", "slo", "p, \t ,av,90", refused(f"{IDS} 'p' and ''")),
+    # a quoted carriage return, which the csv module writes unquoted before 3.13
+    ("slo-carriage-return-csp", "slo", '"p\r1",c,av,90', refused(f"{CR} 'p\\r1' and 'c'")),
     ("slo-zero", "slo", "p,c,av,0", refused(f"{SLO_VALUE} 0.0")),
     ("slo-negative", "slo", "p,c,av,-0.5", refused(f"{SLO_VALUE} -0.5")),
     ("slo-nan", "slo", "p,c,av,nan", refused(f"{SLO_VALUE} nan")),
@@ -77,6 +83,7 @@ CORPUS = [
      refused("invalid literal for int() with base 10: '1.5'")),
     ("amv-empty-csc", "amv", "p,,av,5,2", refused(f"{IDS} 'p' and ''")),
     ("amv-padded-csp", "amv", " ,c,av,5,2", refused(f"{IDS} '' and 'c'")),
+    ("amv-carriage-return-csc", "amv", 'p,"c\r1",av,5,2', refused(f"{CR} 'p' and 'c\\r1'")),
     ("amv-negative", "amv", "p,c,av,-1,2", refused(f"{AMV_VALUE} -1.0")),
     ("amv-nan", "amv", "p,c,av,nan,2", refused(f"{AMV_VALUE} nan")),
     ("amv-inf", "amv", "p,c,av,inf,2", refused(f"{AMV_VALUE} inf")),
@@ -141,12 +148,18 @@ def base_store(root: Path) -> None:
         assert code == 0 and not err, (argv, code, err)
 
 
-def expected_submission(kind: str, outcome, path: Path) -> tuple[int, str, list[str]]:
-    """The exit code, summary line and stderr lines of submitting a row alone from ``path``."""
+def last_line(row: str, first: int) -> int:
+    """The line on which ``row``, starting on line ``first``, ends: a quoted line break
+    in it starts a line, as the record text reads lines."""
+    return first + len(io.StringIO(row, newline="").readlines()) - 1
+
+
+def expected_submission(kind: str, outcome, path: Path, row: str) -> tuple[int, str, list[str]]:
+    """The exit code, summary line and stderr lines of submitting ``row`` alone from ``path``."""
     if isinstance(outcome, str):
         return 0, outcome, []
     _, message = outcome
-    return 2, REFUSED[kind], [f"  {path}: line 2: {message}"]
+    return 2, REFUSED[kind], [f"  {path}: line {last_line(row, 2)}: {message}"]
 
 
 def submitted(base: Path, work: Path, kind: str, row: str) -> tuple[tuple, Path]:
@@ -184,7 +197,7 @@ def main() -> int:
         base_store(base)
         for name, kind, row, outcome, _ in CORPUS:
             got, path = submitted(base, Path(work) / name, kind, row)
-            wanted = expected_submission(kind, outcome, path)
+            wanted = expected_submission(kind, outcome, path, row)
             if got != wanted:
                 mismatches.append(f"{name}: got {got!r}, expected {wanted!r}")
     for line in mismatches:

@@ -167,6 +167,31 @@ class TestRecordFiles:
         assert "line 2: provider and consumer ids must be non-empty" in captured.err
         assert Store(store_dir).load().slos == {}
 
+    @pytest.mark.parametrize("command, row, refusal", [
+        ("submit-slo", '"p\r1",c1,av,90',
+         "provider and consumer ids must not hold a carriage return, got 'p\\r1' and 'c1'"),
+        ("submit-amv", 'p1,"c\r1",av,90,',
+         "provider and consumer ids must not hold a carriage return, got 'p1' and 'c\\r1'"),
+        ("register-attributes", '"en\rgy",en,kWh,cost', "attribute name and abbreviation must "
+         "not hold a carriage return, got 'en\\rgy' and 'en'"),
+        ("register-attributes", 'energy,en,"g\rkWh",cost',
+         "attribute unit must not hold a carriage return, got 'g\\rkWh'"),
+    ], ids=["provider", "consumer", "attribute-name", "unit"])
+    def test_a_carriage_return_is_refused_and_the_store_reads_back(
+            self, store_dir, tmp_path, capsys, command, row, refusal):
+        # the csv module writes a carriage return unquoted before Python 3.13:
+        # a parse of the store would read it as a line end
+        header = {"submit-slo": "csp_id,csc_id,attribute,value",
+                  "submit-amv": "csp_id,csc_id,attribute,value,sequence",
+                  "register-attributes": "name,abbreviation,unit,polarity"}[command]
+        path = tmp_path / "row.csv"
+        path.write_bytes(f"{header}\n{row}\n".encode())
+        assert main(["--store", str(store_dir), command, str(path)]) == 2
+        # the row ends on line 3: a quoted \r is a line break inside it
+        assert f"{path}: line 3: {refusal}\n" in capsys.readouterr().err
+        (store_dir / Store.SNAPSHOT_FILE).unlink()
+        assert Store(store_dir).load() == Store(store_dir).load()
+
     def test_over_long_field_names_file_and_line(self, store_dir, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("csp_id,csc_id,attribute,value\n" + "p" * 200_000 + ",c,av,90\n",

@@ -983,12 +983,14 @@ class TestImport:
             f"line {n}: service 'Svc-A' maps to provider id 'Svc-A', "
             "already taken by service 'Svc A'" for n in (4, 5))
         assert registry.amv_samples("Svc-A", "Svc-A/monitor", "latency") == [10.0, 11.0, 10.0]
-        # a row rejected before it took an id leaves the id free
+        # a name takes its id at its first row, also a rejected one
         rows = qws_rows(1, service="Svc A").replace("90.5", "oops").splitlines()
         rows += qws_rows(1, service="Svc-A").splitlines()[1:]
         summary = import_qws(fresh_registry(), io.StringIO("\n".join(rows) + "\n"))
-        assert (summary.rows_accepted, summary.rows_rejected) == (1, 1)
+        assert (summary.rows_accepted, summary.rows_rejected) == (0, 2)
         assert summary.rejections[0].startswith("line 2: non-numeric")
+        assert summary.rejections[1] == ("line 3: service 'Svc-A' maps to provider id 'Svc-A', "
+                                         "already taken by service 'Svc A'")
 
     def test_two_columns_mapped_to_one_attribute_are_refused(self):
         registry = fresh_registry()
@@ -1112,6 +1114,20 @@ class TestImportRejections:
             "line 4: service 'Svc-A' maps to provider id 'Svc-A', "
             "already taken by service 'Svc A'",))
         assert rows == imported("Svc-A", [0, 1])
+
+    def test_a_name_takes_its_slug_at_its_first_row(self):
+        # Svc A's first row, refused for its cell, still takes the id, so a
+        # corrected file files the same rows under it again
+        registry = fresh_registry()
+        edits = {(1, "Service Name"): "Svc-A"}
+        text = qws_cells(3, {**edits, (0, "Latency"): "oops"}, service="Svc A")
+        summary, _ = self.run(text, registry)
+        assert str(summary) == "1 rows accepted, 2 rejected; 6 records added, 0 duplicates skipped"
+        assert summary.rejections[1] == ("line 3: service 'Svc-A' maps to provider id 'Svc-A', "
+                                         "already taken by service 'Svc A'")
+        summary, _ = self.run(qws_cells(3, edits, service="Svc A"), registry)
+        assert str(summary) == "2 rows accepted, 1 rejected; 6 records added, 6 duplicates skipped"
+        assert registry.amv_samples("Svc-A", "Svc-A/monitor", "latency") == [10.0, 12.0]
 
     def test_values_are_checked_without_a_record(self, monkeypatch):
         def refuse(record):
@@ -2273,14 +2289,15 @@ class TestDecodeMutations:
             at = rng.randrange(len(columns[column]))
             old = columns[column][at]
             # a field of a pair or a triple, a consumer id, or the one field of
-            # a provider id or a name
+            # a provider id or a name; an id padded, emptied or given a \r
             fields = [old] if isinstance(old, str) else list(old)
             field = rng.randrange(len(fields))
             spelled = fields[field]
             fields[field] = (
                 {"availability": "av", "latency": "la"}.get(spelled, "nosuch")
                 if field == {"names": 0, "slo_pairs": 1, "distinct": 2}.get(column)
-                else rng.choice([f" {spelled}", f"{spelled} ", ""]))
+                else rng.choice([f" {spelled}", f"{spelled} ", "",
+                                 f"{spelled[0]}\r{spelled[1:]}"]))
             if column == "slo_consumers":
                 columns[column][at] = {(fields[field] if csc_id == spelled else csc_id): value
                                        for csc_id, value in old.items()}
@@ -2414,6 +2431,7 @@ class TestDecodeMutations:
                 for (csp_id, name), row in read.rows.items():
                     satisfied, agreed, low, high = row
                     assert type(csp_id) is str and csp_id and csp_id.strip() == csp_id
+                    assert "\r" not in csp_id
                     assert name in read.attributes
                     assert type(satisfied) is type(agreed) is int and 0 <= satisfied <= agreed
                     assert agreed > 0 and type(low) is type(high) is float

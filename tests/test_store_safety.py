@@ -147,8 +147,7 @@ def test_a_rename_that_fails_leaves_the_old_file_and_no_temp_file(store, monkeyp
 
     monkeypatch.setattr(os, "replace", failing)
     with pytest.raises(OSError, match="^rename refused$"):
-        store._replace(Store.SLOS_FILE, ("csp_id", "csc_id", "attribute", "value"),
-                       [TRIPLES[0] + (70,)])
+        store._replace(Store.SLOS_FILE, "csp_id,csc_id,attribute,value\np1,c1,availability,70\n")
     assert slos_file.read_bytes() == stored
     assert not list(store.root.glob("*.tmp"))
 
