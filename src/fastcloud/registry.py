@@ -187,21 +187,21 @@ def record_text(data: bytes) -> TextIO:
 
 
 def _rows(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(physical line, stripped fields) of the header, blank or not, and each non-blank row.
+    """(first line, stripped fields) of the header, blank or not, and each non-blank row.
 
-    The fields of a ``record_text`` that is ``unpadded`` need no strip, and
-    get none; any other source's are stripped. A row the csv module cannot
-    read, such as one with a field over ``csv.field_size_limit()``, is
-    refused as a ValueError that names its line.
+    The fields of an ``unpadded`` ``record_text`` get no strip; any other source's do.
+    A row the csv module cannot read (a field over ``csv.field_size_limit()``, say) is
+    refused as a ValueError that names its first line.
     """
-    reader = csv.reader(source)
-    unpadded = getattr(source, "unpadded", False)
+    reader, unpadded = csv.reader(source), getattr(source, "unpadded", False)
+    line = 1  # where the next row starts; a quoted line break ends a line within a row
     try:
         for fields in reader:
-            if fields or reader.line_num == 1:
-                yield reader.line_num, fields if unpadded else [text.strip() for text in fields]
+            if fields or line == 1:
+                yield line, fields if unpadded else [text.strip() for text in fields]
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from exc
+        raise ValueError(f"line {line}: {exc}") from exc
 
 
 class refused_at(contextlib.AbstractContextManager):

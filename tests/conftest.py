@@ -3,9 +3,11 @@ QoS attributes, with frozen golden values for every pipeline stage."""
 
 import pytest
 
+from fastcloud.consistency import ConsistencyProfile
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
     AmvRecord,
+    Polarity,
     Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
@@ -59,6 +61,12 @@ REFERENCE_ORDERING = (0.198, 0.196, 0.204, 0.205, 0.197)
 # Requested acceptable span per attribute, same order as STANDARD_ATTRIBUTES.
 REQUEST_SPANS = ((50, 100), (1, 35), (50, 100), (50, 100), (1, 100), (50, 300))
 
+# the names of the standard cost attributes, as ``reference`` takes them
+COST_ATTRIBUTES = {attr.name for attr in STANDARD_ATTRIBUTES if attr.polarity is Polarity.COST}
+# every spelling of the standard attributes -> the attribute's name
+NAMED = {spelling: attr.name for attr in STANDARD_ATTRIBUTES
+         for spelling in (attr.name, attr.abbreviation)}
+
 COST_ONLY_CHAIN = "CSP4 > CSP3 > CSP5 > CSP1 > CSP2"
 BENEFIT_ONLY_CHAIN = "CSP2 > CSP4 > CSP1 > CSP3 > CSP5"
 
@@ -73,6 +81,25 @@ def case_decision_matrix() -> DecisionMatrix:
     )
 
 
+def fresh_registry(slos=(), amvs=()) -> Registry:
+    """A registry of the standard attributes, with the SLO rows, then the AMV rows, submitted."""
+    registry = Registry()
+    for attr in STANDARD_ATTRIBUTES:
+        registry.register_attribute(attr)
+    for row in slos:
+        registry.submit_slo(SloRecord(*row))
+    for row in amvs:
+        registry.submit_amv(AmvRecord(*row))
+    return registry
+
+
+def profile_fields(profile: ConsistencyProfile) -> tuple:
+    """A profile in the shape of ``reference.profile``."""
+    return (profile.consistency_rate, profile.satisfied_count, profile.agreed_count,
+            (profile.slo_span.lower, profile.slo_span.upper),
+            (profile.actual_interval.lower, profile.actual_interval.upper))
+
+
 def case_registry() -> Registry:
     """Registry whose actual intervals reproduce CASE_INTERVALS exactly.
 
@@ -80,15 +107,11 @@ def case_registry() -> Registry:
     objectives, and each reports a monitored value equal to its objective, so
     every consistency rate is 1 and the actual interval equals the SLO span.
     """
-    registry = Registry()
-    for attr in STANDARD_ATTRIBUTES:
-        registry.register_attribute(attr)
-    for csp_id, row in zip(CASE_PROVIDERS, CASE_INTERVALS):
-        for attr, (lo, hi) in zip(STANDARD_ATTRIBUTES, row):
-            for csc_id, value in ((f"{csp_id}-c1", lo), (f"{csp_id}-c2", hi)):
-                registry.submit_slo(SloRecord(csp_id, csc_id, attr.name, value))
-                registry.submit_amv(AmvRecord(csp_id, csc_id, attr.name, value))
-    return registry
+    rows = [(csp_id, f"{csp_id}-c{k}", attr.name, value)
+            for csp_id, row in zip(CASE_PROVIDERS, CASE_INTERVALS)
+            for attr, interval in zip(STANDARD_ATTRIBUTES, row)
+            for k, value in enumerate(interval, 1)]
+    return fresh_registry(rows, rows)
 
 
 def case_request() -> AssessmentRequest:

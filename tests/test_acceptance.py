@@ -17,9 +17,11 @@ from contextlib import contextmanager
 
 import pytest
 
+import reference
 from conftest import (
     BENEFIT_ONLY_CHAIN,
     CASE_PROVIDERS,
+    COST_ATTRIBUTES,
     COST_ONLY_CHAIN,
     EXPECTED_NORMALIZED,
     REFERENCE_ORDERING,
@@ -29,16 +31,15 @@ from conftest import (
     case_decision_matrix,
     case_registry,
     case_request,
+    fresh_registry,
+    profile_fields,
 )
 from fastcloud.bench import BenchConfig, BenchMode, run_benchmark
 from fastcloud.consistency import actual_slo_interval
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
-    AmvRecord,
     Polarity,
     QosAttribute,
-    Registry,
-    SloRecord,
     STANDARD_ATTRIBUTES,
     import_qws,
 )
@@ -189,96 +190,23 @@ def test_c07_consistency_engine_matches_brute_force():
         rng = random.Random(1007)
         for _ in range(100):
             attrs = rng.sample(STANDARD_ATTRIBUTES, rng.randint(1, 6))
-            registry = Registry()
-            for attr in attrs:
-                registry.register_attribute(attr)
             providers = [f"p{i}" for i in range(rng.randint(1, 10))]
             consumers = [f"c{j}" for j in range(rng.randint(1, 20))]
+            slos, amvs = [], []
             for csp in providers:
                 for attr in attrs:
                     for csc in consumers:
                         if rng.random() < 0.5:
                             continue
-                        registry.submit_slo(SloRecord(csp, csc, attr.name, rng.uniform(1, 100)))
-                        for _ in range(rng.randint(0, 3)):
-                            registry.submit_amv(
-                                AmvRecord(csp, csc, attr.name, rng.uniform(0, 130))
-                            )
-            amvs, table = list(registry.amvs), registry.profile_table()
-            for csp in providers:
-                for attr in attrs:
-                    records = [r for r in registry.slos.values()
-                               if r.csp_id == csp and r.attribute == attr.name]
-                    if not records:
-                        continue
-                    satisfied = 0
-                    monitored = []  # the SLO values of the agreements with monitored values
-                    for record in records:
-                        values = [a.value for a in amvs if (a.csp_id, a.csc_id, a.attribute)
-                                  == (csp, record.csc_id, attr.name)]
-                        if not values:
-                            continue
-                        monitored.append(record.value)
-                        mean = math.fsum(values) / len(values)  # as the program sums them
-                        ok = (mean >= record.value
-                              if attr.polarity is Polarity.BENEFIT
-                              else mean <= record.value)
-                        satisfied += 1 if ok else 0
-                    rate = satisfied / len(records)
-                    # with no monitored agreement, the span of all (the rate is 0)
-                    span = monitored or [r.value for r in records]
-                    lo, hi = min(span), max(span)
-                    profile = actual_slo_interval(table, csp, attr.name)
-                    assert profile.consistency_rate == rate
-                    assert profile.satisfied_count == satisfied
-                    assert profile.agreed_count == len(records)
-                    assert profile.slo_span == IntervalNumber(lo, hi)
-                    assert profile.actual_interval == IntervalNumber(rate * lo, rate * hi)
-
-
-def _straight_line_pipeline(cells, costs):
-    """Independent flat recomputation of the whole scoring chain."""
-    n_rows, n_cols = len(cells), len(cells[0])
-    r = [[None] * n_cols for _ in range(n_rows)]
-    for k in range(n_cols):
-        col = [cells[i][k] for i in range(n_rows)]
-        if not costs[k]:
-            su = sum(c[1] for c in col)
-            sl = sum(c[0] for c in col)
-            for i, (lo, hi) in enumerate(col):
-                r[i][k] = (lo / su, hi / sl)
-        else:
-            sil = sum(1 / c[0] for c in col)
-            siu = sum(1 / c[1] for c in col)
-            for i, (lo, hi) in enumerate(col):
-                r[i][k] = ((1 / hi) / sil, (1 / lo) / siu)
-    totals = []
-    for k in range(n_cols):
-        t = 0.0
-        for i in range(n_rows):
-            for f in range(n_rows):
-                t += abs(r[i][k][0] - r[f][k][0]) + abs(r[i][k][1] - r[f][k][1])
-        totals.append(t)
-    grand = sum(totals)
-    w = [t / grand for t in totals] if grand else [1.0 / n_cols] * n_cols
-    z = [
-        (sum(w[k] * r[i][k][0] for k in range(n_cols)),
-         sum(w[k] * r[i][k][1] for k in range(n_cols)))
-        for i in range(n_rows)
-    ]
-    p = [[0.5] * n_rows for _ in range(n_rows)]
-    for i in range(n_rows):
-        for e in range(n_rows):
-            if i == e:
-                continue
-            la = z[i][1] - z[i][0]
-            lb = z[e][1] - z[e][0]
-            if la + lb == 0:
-                p[i][e] = 1.0 if z[i][0] > z[e][0] else (0.0 if z[i][0] < z[e][0] else 0.5)
-            else:
-                p[i][e] = min(la + lb, max(z[i][1] - z[e][0], 0.0)) / (la + lb)
-    v = [(sum(p[i]) + n_rows / 2 - 1) / (n_rows * (n_rows - 1)) for i in range(n_rows)]
-    return z, v
+                        slos.append((csp, csc, attr.name, rng.uniform(1, 100)))
+                        amvs += [(csp, csc, attr.name, rng.uniform(0, 130))
+                                 for _ in range(rng.randint(0, 3))]
+            table = fresh_registry(slos, amvs).profile_table()
+            rows = reference.pair_rows(slos, amvs, COST_ATTRIBUTES)
+            assert table.rows == rows
+            for (csp, name), row in rows.items():
+                profile = actual_slo_interval(table, csp, name)
+                assert repr(profile_fields(profile)) == repr(reference.profile(row))
 
 
 def test_c08_pipeline_matches_straight_line_oracle():
@@ -307,7 +235,7 @@ def test_c08_pipeline_matches_straight_line_oracle():
                 ),
             )
             ctx = evaluate(matrix)
-            z_oracle, v_oracle = _straight_line_pipeline(cells, costs)
+            z_oracle, v_oracle = reference.evaluate(cells, costs)
             for level, (lo, hi) in zip(ctx.trust_levels, z_oracle):
                 assert abs(level.lower - lo) <= 1e-12
                 assert abs(level.upper - hi) <= 1e-12
@@ -435,9 +363,7 @@ def test_c11_bundled_dataset_import():
     with criterion("11", "bundled dataset imports 300 records idempotently"):
         from importlib import resources
 
-        registry = Registry()
-        for attr in STANDARD_ATTRIBUTES:
-            registry.register_attribute(attr)
+        registry = fresh_registry()
         sample = resources.files("fastcloud") / "data" / "qws_sample.csv"
         with sample.open(newline="", encoding="utf-8") as fh:
             summary = import_qws(registry, fh)

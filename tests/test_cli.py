@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import CASE_INTERVALS, CASE_PROVIDERS, COST_ONLY_CHAIN, REQUEST_SPANS
+from conftest import CASE_INTERVALS, CASE_PROVIDERS, COST_ONLY_CHAIN, NAMED, REQUEST_SPANS
 from fastcloud.cli import build_parser, main
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
@@ -187,8 +187,8 @@ class TestRecordFiles:
         path = tmp_path / "row.csv"
         path.write_bytes(f"{header}\n{row}\n".encode())
         assert main(["--store", str(store_dir), command, str(path)]) == 2
-        # the row ends on line 3: a quoted \r is a line break inside it
-        assert f"{path}: line 3: {refusal}\n" in capsys.readouterr().err
+        # a quoted \r is a line break inside the row, which starts on line 2
+        assert f"{path}: line 2: {refusal}\n" in capsys.readouterr().err
         (store_dir / Store.SNAPSHOT_FILE).unlink()
         assert Store(store_dir).load() == Store(store_dir).load()
 
@@ -786,11 +786,6 @@ class TestImportQws:
         assert main(["--store", str(store_dir), "import-qws", str(sample), "--map", spec]) == 2
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == files
-
-
-# every spelling of the standard attributes -> the attribute's name
-NAMED = {spelling: attr.name for attr in STANDARD_ATTRIBUTES
-         for spelling in (attr.name, attr.abbreviation)}
 
 
 class TestOneAttributePerEntry:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import reference
+from conftest import COST_ATTRIBUTES, fresh_registry, profile_fields
 from fastcloud.consistency import (
     actual_slo_interval,
     average_amv,
@@ -13,17 +15,9 @@ from fastcloud.registry import (
     AmvRecord,
     MissingSloError,
     Polarity,
-    Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
 )
-
-
-def fresh_registry() -> Registry:
-    registry = Registry()
-    for attr in STANDARD_ATTRIBUTES:
-        registry.register_attribute(attr)
-    return registry
 
 
 class TestAverage:
@@ -127,14 +121,8 @@ class TestConsistencyRate:
             samples = [[rng.uniform(0, 60)] if rng.random() < 0.7 else [] for _ in slos]
             self.seed(registry, slos, samples)
             before, _, _ = consistency_rate(registry, "p", "av")
-            # pick a consumer currently unsatisfied and add a passing sample
-            unsatisfied = [
-                j for j, (slo, ss) in enumerate(zip(slos, samples))
-                if not ss or sum(ss) / len(ss) < slo
-            ]
-            if not unsatisfied:
-                continue
-            j = rng.choice(unsatisfied)
+            # a sample far above every objective: its consumer's mean meets it
+            j = rng.randrange(len(slos))
             registry.submit_amv(AmvRecord("p", f"c{j}", "av", slos[j] + 1000))
             after, _, _ = consistency_rate(registry, "p", "av")
             assert after >= before
@@ -187,41 +175,34 @@ class TestActualInterval:
 
     def test_matches_brute_force_on_random_registry(self):
         rng = random.Random(31)
-        registry = fresh_registry()
-        attrs = [a.name for a in STANDARD_ATTRIBUTES]
+        slos, amvs = [], []
         for j in range(50):
-            for attr in attrs:
+            for attr in STANDARD_ATTRIBUTES:
                 if rng.random() < 0.6:
-                    registry.submit_slo(SloRecord("p", f"c{j}", attr, rng.uniform(1, 99)))
-                    for _ in range(rng.randint(0, 4)):
-                        registry.submit_amv(AmvRecord("p", f"c{j}", attr, rng.uniform(0, 120)))
-        amvs = list(registry.amvs)
-        for attr in attrs:
-            slo_records = [r for r in registry.slos.values()
-                           if r.csp_id == "p" and r.attribute == attr]
-            if not slo_records:
-                continue
-            polarity = registry.attributes[attr].polarity
-            satisfied = 0
-            monitored = []  # the SLO values of the agreements with monitored values
-            for record in slo_records:
-                values = [a.value for a in amvs
-                          if (a.csp_id, a.csc_id, a.attribute) == ("p", record.csc_id, attr)]
-                if not values:
-                    continue
-                monitored.append(record.value)
-                mean = math.fsum(values) / len(values)
-                if (mean >= record.value if polarity is Polarity.BENEFIT
-                        else mean <= record.value):
-                    satisfied += 1
-            expected_rate = satisfied / len(slo_records)
-            # with no monitored agreement, the span of all (the rate is 0)
-            span = monitored or [r.value for r in slo_records]
-            lo, hi = min(span), max(span)
-            profile = actual_slo_interval(registry.profile_table(), "p", attr)
-            assert profile.consistency_rate == expected_rate
-            assert profile.slo_span == IntervalNumber(lo, hi)
-            assert profile.actual_interval == IntervalNumber(
-                expected_rate * lo, expected_rate * hi
-            )
+                    slos.append(("p", f"c{j}", attr.name, rng.uniform(1, 99)))
+                    amvs += [("p", f"c{j}", attr.name, rng.uniform(0, 120))
+                             for _ in range(rng.randint(0, 4))]
+        table = fresh_registry(slos, amvs).profile_table()
+        for (csp, name), row in reference.pair_rows(slos, amvs, COST_ATTRIBUTES).items():
+            profile = actual_slo_interval(table, csp, name)
+            assert repr(profile_fields(profile)) == repr(reference.profile(row))
 
+    def test_ties_and_unmonitored_agreements_match_the_reference(self):
+        # per agreement: no reading, one reading equal to its SLO, a random
+        # reading, or ten readings of 0.1 against an SLO of 0.1, whose
+        # math.fsum mean meets it and whose left-to-right sum falls short: the
+        # verdict's ties, the mean's sum and the span's choice each decide rows
+        rng = random.Random(1051)
+        for _ in range(20):
+            slos, amvs = [], []
+            for csp in ("p0", "p1", "p2"):
+                for attr in rng.sample(STANDARD_ATTRIBUTES, 3):
+                    for csc in ("c0", "c1", "c2", "c3"):
+                        kind = rng.randrange(4)
+                        slo = 0.1 if kind == 3 else rng.uniform(1, 100)
+                        reading = rng.uniform(0, 130)
+                        slos.append((csp, csc, attr.name, slo))
+                        readings = ([], [slo], [reading], [0.1] * 10)[kind]
+                        amvs += [(csp, csc, attr.name, value) for value in readings]
+            rows = fresh_registry(slos, amvs).profile_table().rows
+            assert rows == reference.pair_rows(slos, amvs, COST_ATTRIBUTES)

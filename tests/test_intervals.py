@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import reference
 from fastcloud.intervals import IntervalNumber, possibility_degree, possibility_row
 from fastcloud.trust import column_deviation
 
@@ -162,12 +163,6 @@ class TestPossibilityDegree:
             assert possibility_degree(shifted, b) >= possibility_degree(a, b) - 1e-12
 
     def test_row_equals_min_max_formula_bit_for_bit(self):
-        def reference(a, b):
-            total = a.width + b.width
-            if total == 0:
-                return 1.0 if a.lower > b.lower else 0.0 if a.lower < b.lower else 0.5
-            return min(total, max(a.upper - b.lower, 0.0)) / total
-
         # signed zeros, subnormals, ties and totals that overflow to inf
         edges = [0.0, -0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 2.0,
                  1e308, -1e308, 1.7e308, -1.7e308]
@@ -176,6 +171,6 @@ class TestPossibilityDegree:
         pairs += [(x.lower, x.upper) for x in (random_interval(rng) for _ in range(60))]
         intervals = [IntervalNumber(lo, hi) for lo, hi in pairs]
         others = [(b.lower, b.width) for b in intervals]
-        for a in intervals:
+        for a, pair in zip(intervals, pairs):
             got = possibility_row(a.lower, a.upper, a.width, others)
-            assert [repr(x) for x in got] == [repr(reference(a, b)) for b in intervals]
+            assert [repr(x) for x in got] == [repr(reference.possibility(pair, b)) for b in pairs]

@@ -19,20 +19,29 @@ def private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def imported(path):
+    """The modules that ``path`` imports by absolute name."""
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
 def test_imports_only_the_standard_library():
     assert SOURCES
     allowed = sys.stdlib_module_names | {"fastcloud"}
-    outside = []
-    for path in SOURCES:
-        for node in ast.walk(parsed(path)):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue  # a relative import stays inside the package
-            outside += [f"{path.name}: {module}" for module in modules
-                        if module.split(".")[0] not in allowed]
+    # a relative import stays inside the package
+    outside = [f"{path.name}: {module}" for path in SOURCES for module in imported(path)
+               if module.split(".")[0] not in allowed]
+    assert outside == []
+
+
+def test_the_tests_reference_imports_only_the_standard_library():
+    """tests/reference.py, which the tests compare the package with, imports nothing
+    that they check: no module of ``fastcloud``, and none of the tests."""
+    outside = [module for module in imported(Path(__file__).with_name("reference.py"))
+               if module.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
 
 

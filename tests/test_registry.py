@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_registry
 from fastcloud.cli import main
 from fastcloud.consistency import actual_slo_interval, from_row
 from fastcloud.registry import (
@@ -60,13 +61,6 @@ def _decode(sections):
     registry._rows.refuse = refusals.append
     registry._read_log()
     return None if refusals else registry
-
-
-def fresh_registry() -> Registry:
-    registry = Registry()
-    for attr in STANDARD_ATTRIBUTES:
-        registry.register_attribute(attr)
-    return registry
 
 
 class TestAttributes:

@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import COST_ONLY_CHAIN, case_registry, case_request
+import reference
+from conftest import (COST_ATTRIBUTES, COST_ONLY_CHAIN, NAMED, case_registry, case_request,
+                      fresh_registry, profile_fields)
 from fastcloud import selection
-from fastcloud.consistency import ConsistencyProfile, actual_slo_interval
+from fastcloud.consistency import actual_slo_interval
 from fastcloud.intervals import IntervalNumber
 from fastcloud.registry import (
     AmvRecord,
     Polarity,
     QosAttribute,
-    Registry,
     SloRecord,
     STANDARD_ATTRIBUTES,
     Store,
@@ -46,23 +47,23 @@ def span(lo, hi):
     return IntervalNumber(lo, hi)
 
 
-def fresh_registry() -> Registry:
-    registry = Registry()
-    for attr in STANDARD_ATTRIBUTES:
-        registry.register_attribute(attr)
-    return registry
-
-
 def seed_provider(registry, csp_id, attribute, slo_lo, slo_hi, satisfy=True):
-    """Two consumers holding the span endpoints; optionally all verified."""
+    """Two consumers holding the span endpoints; optionally all verified.
+
+    Returns the SLO and AMV rows that it submitted.
+    """
     polarity = registry.resolve_attribute(attribute).polarity
+    slos, amvs = [], []
     for csc_id, value in ((f"{csp_id}-a", slo_lo), (f"{csp_id}-b", slo_hi)):
-        registry.submit_slo(SloRecord(csp_id, csc_id, attribute, value))
         if satisfy:
             amv = value
         else:
             amv = value - 1 if polarity is Polarity.BENEFIT else value + 1
-        registry.submit_amv(AmvRecord(csp_id, csc_id, attribute, max(amv, 0)))
+        slos.append((csp_id, csc_id, attribute, value))
+        amvs.append((csp_id, csc_id, attribute, max(amv, 0)))
+        registry.submit_slo(SloRecord(*slos[-1]))
+        registry.submit_amv(AmvRecord(*amvs[-1]))
+    return slos, amvs
 
 
 class TestRequest:
@@ -160,64 +161,29 @@ class TestMatching:
             )
 
 
-def reference_profile(registry, csp_id, attribute):
-    """A profile from the registry's public reads, consumer by consumer."""
-    attr = registry.resolve_attribute(attribute)
-    slos = registry.slos_for(csp_id, attr.name)
-    if not slos:
-        return None
-    satisfied, monitored = 0, []
-    for record in slos:
-        samples = registry.amv_samples(csp_id, record.csc_id, attr.name)
-        if samples:
-            monitored.append(record.value)
-            mean = math.fsum(samples) / len(samples)
-            if (mean >= record.value if attr.polarity is Polarity.BENEFIT
-                    else mean <= record.value):
-                satisfied += 1
-    rate = satisfied / len(slos)
-    # the span of the monitored agreements; with none, that of all (the rate is 0)
-    span = monitored or [r.value for r in slos]
-    lo, hi = min(span), max(span)
-    return ConsistencyProfile(csp_id, attr.name, rate, satisfied, len(slos),
-                              IntervalNumber(lo, hi), IntervalNumber(rate * lo, rate * hi))
-
-
-def reference_cause(registry, csp_id, request):
-    """The first cause that excludes the provider, attribute by attribute, or None."""
-    for name, requested_span in request.requested:
-        attr = registry.resolve_attribute(name)
-        profile = reference_profile(registry, csp_id, name)
-        if profile is None:
-            return f"no SLO on {attr.name!r}"
-        actual = profile.actual_interval
-        if not actual.intersects(requested_span):
-            return f"actual interval {actual} misses {requested_span} on {attr.name!r}"
-        if actual.lower == 0 and attr.polarity is Polarity.COST:
-            return f"zero consistency rate on cost attribute {attr.name!r}"
-    return None
+def named(rows):
+    """Rows with their attribute by its name, as ``reference`` takes them."""
+    return [(csp, csc, NAMED[attribute], *rest) for csp, csc, attribute, *rest in rows]
 
 
 def random_store(rng):
-    """A registry of a few providers, with attributes spelled either way, replaced
+    """SLO and AMV rows of a few providers, with attributes spelled either way, replaced
     SLOs, SLOs without monitored values and explicit sequences out of order."""
-    registry = fresh_registry()
-    spellings = [(a.name, a.abbreviation) for a in STANDARD_ATTRIBUTES]
+    slos, amvs = [], []
     for p in rng.sample(range(10), rng.randint(1, 6)):
         csp_id = f"p{p}"
-        for name, abbreviation in rng.sample(spellings, rng.randint(2, 6)):
+        for attr in rng.sample(STANDARD_ATTRIBUTES, rng.randint(2, 6)):
+            spellings = (attr.name, attr.abbreviation)
             for c in range(rng.randint(1, 4)):
                 csc_id = f"{csp_id}-c{c}"
                 for _ in range(rng.choice((1, 1, 2))):  # a second submission replaces
-                    registry.submit_slo(SloRecord(csp_id, csc_id, rng.choice((name, abbreviation)),
-                                                  rng.uniform(1, 100)))
+                    slos.append((csp_id, csc_id, rng.choice(spellings), rng.uniform(1, 100)))
                 n = rng.choice((0, 1, 3, 5))
                 explicit = rng.random() < 0.5
                 for sequence in rng.sample(range(1, n + 1), n):
-                    registry.submit_amv(AmvRecord(csp_id, csc_id, rng.choice((name, abbreviation)),
-                                                  rng.uniform(0, 120),
-                                                  sequence if explicit else None))
-    return registry
+                    amvs.append((csp_id, csc_id, rng.choice(spellings), rng.uniform(0, 120),
+                                 sequence if explicit else None))
+    return slos, amvs
 
 
 def random_request(rng):
@@ -234,26 +200,29 @@ class TestMatchingPass:
         rng = random.Random(2016)
         matched_profiles, causes = 0, collections.Counter()
         for _ in range(150):
-            registry = random_store(rng)
-            for key, samples in zip(registry._place, registry._samples):
-                values = registry.amv_samples(*key)
-                assert repr(registry.amv_mean(*key)) == repr(
-                    math.fsum(values) / len(values) if samples else None)
+            slos, amvs = random_store(rng)
+            registry = fresh_registry(slos, amvs)
+            slos, amvs = named(slos), named(amvs)
+            for key, mean in reference.means(amvs).items():
+                assert repr(registry.amv_mean(*key)) == repr(mean)
+            rows = reference.pair_rows(slos, amvs, COST_ATTRIBUTES)
             request, table = random_request(rng), registry.profile_table()
+            requested = [(NAMED[name], (s.lower, s.upper)) for name, s in request.requested]
             result = match_candidates(table, request)
             assert list(result) == sorted(result)
             assert list(result.excluded) == sorted(result.excluded)
-            assert set(result) | set(result.excluded) == {csp_id for csp_id, _, _ in registry.slos}
+            assert set(result) | set(result.excluded) == {csp_id for csp_id, _ in rows}
             assert not set(result) & set(result.excluded)
             for csp_id, profiles in result.items():
-                assert reference_cause(registry, csp_id, request) is None
+                assert reference.first_cause(rows, csp_id, requested, COST_ATTRIBUTES) is None
                 assert len(profiles) == len(request.requested)
-                for profile, (name, _) in zip(profiles, request.requested):
+                for profile, (name, _) in zip(profiles, requested):
                     assert repr(profile) == repr(actual_slo_interval(table, csp_id, name))
-                    assert repr(profile) == repr(reference_profile(registry, csp_id, name))
+                    assert repr(profile_fields(profile)) == repr(
+                        reference.profile(rows[csp_id, name]))
                     matched_profiles += 1
             for csp_id, cause in result.excluded.items():
-                assert cause == reference_cause(registry, csp_id, request)
+                assert cause == reference.first_cause(rows, csp_id, requested, COST_ATTRIBUTES)
                 causes[cause.split(" ")[0]] += 1
         assert matched_profiles > 100 and min(causes.values()) > 20 and len(causes) == 3
 
@@ -520,54 +489,29 @@ class TestAssess:
 
     def test_matches_straight_line_recomputation(self):
         rng = random.Random(47)
-        registry = fresh_registry()
         attrs = ["availability", "throughput", "latency"]
-        for i in range(4):
-            for attr in attrs:
-                lo = rng.uniform(5, 50)
-                seed_provider(registry, f"p{i}", attr, lo, lo + rng.uniform(1, 30))
         # ten values of 0.1, whose math.fsum mean meets an objective of 0.1 and
         # whose built-in sum falls short of it, and an agreement with no
         # monitored value, outside its pair's monitored span
-        registry.submit_slo(SloRecord("p0", "p0-c", "availability", 0.1))
-        for _ in range(10):
-            registry.submit_amv(AmvRecord("p0", "p0-c", "availability", 0.1))
-        registry.submit_slo(SloRecord("p1", "p1-u", "throughput", 500.0))
+        slos = [("p0", "p0-c", "availability", 0.1), ("p1", "p1-u", "throughput", 500.0)]
+        amvs = [("p0", "p0-c", "availability", 0.1)] * 10
+        registry = fresh_registry(slos, amvs)
+        for i in range(4):
+            for attr in attrs:
+                lo = rng.uniform(5, 50)
+                filed = seed_provider(registry, f"p{i}", attr, lo, lo + rng.uniform(1, 30))
+                slos += filed[0]
+                amvs += filed[1]
         request = AssessmentRequest(tuple(
             (a, span(0.1, 1000)) for a in attrs
         ))
         result = assess(registry.profile_table(), request)
 
-        # independent recomputation straight from the raw records
-        providers = sorted({csp_id for csp_id, _, _ in registry.slos})
-        amvs = list(registry.amvs)
-        grid = []
-        for csp in providers:
-            row = []
-            for attr in attrs:
-                records = [r for r in registry.slos.values()
-                           if r.csp_id == csp and r.attribute == attr]
-                polarity = registry.attributes[attr].polarity
-                satisfied = 0
-                monitored = []  # the SLO values of the agreements with monitored values
-                for record in records:
-                    values = [a.value for a in amvs
-                              if (a.csp_id, a.csc_id, a.attribute) == (csp, record.csc_id, attr)]
-                    if values:
-                        monitored.append(record.value)
-                        mean = math.fsum(values) / len(values)
-                        ok = mean >= record.value if polarity is Polarity.BENEFIT \
-                            else mean <= record.value
-                        satisfied += 1 if ok else 0
-                rate = satisfied / len(records)
-                # with no monitored agreement, the span of all (the rate is 0)
-                agreed = monitored or [r.value for r in records]
-                lo, hi = min(agreed), max(agreed)
-                row.append((rate * lo, rate * hi))
-            grid.append(row)
-        for row, ctx_row in zip(grid, result.context.decision.cells):
-            for (lo, hi), cell in zip(row, ctx_row):
-                assert cell.lower == lo and cell.upper == hi
+        rows = reference.pair_rows(slos, amvs, COST_ATTRIBUTES)
+        cells = [[reference.profile(rows[csp, attr])[4] for attr in attrs]
+                 for csp in sorted({csp for csp, _ in rows})]
+        assert [[(cell.lower, cell.upper) for cell in row]
+                for row in result.context.decision.cells] == cells
 
 
 def render_by_dumps(document):

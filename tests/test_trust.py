@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference
 from conftest import (
     CASE_PROVIDERS,
     EXPECTED_NORMALIZED,
@@ -224,9 +225,6 @@ class TestFloatCore:
         return column
 
     def test_closed_form_matches_pairwise_separation_sum(self):
-        def separation(x, y):
-            return abs(x[0] - y[0]) + abs(x[1] - y[1])
-
         rng = random.Random(29)
         for n in range(2, 61):
             for column in (
@@ -234,8 +232,8 @@ class TestFloatCore:
                 [(0.25, 0.75)] * n,  # all equal: total 0
                 [(v, v) for v in (rng.uniform(0, 1) for _ in range(n))],
             ):
-                brute = math.fsum(separation(a, b) for a in column for b in column)
-                assert column_deviation(column) == pytest.approx(brute, rel=1e-15, abs=0)
+                assert column_deviation(column) == pytest.approx(
+                    reference.separation_total(column), rel=1e-15, abs=0)
 
     def test_all_flat_columns_fall_back_to_uniform(self):
         m = matrix([[(2, 3), (5, 5), (1, 9)]] * 40,
@@ -256,34 +254,17 @@ class TestFloatCore:
                     == deviation_weights(normalize(m), m.attributes))
 
     def test_trust_levels_equal_interval_fold(self):
-        def add(x, y):
-            return (x[0] + y[0], x[1] + y[1])
-
-        def scale(x, c):
-            return (c * x[0], c * x[1])
-
         rng = random.Random(31)
         for _ in range(20):
             m = random_matrix(rng, rng.randint(2, 30), rng.randint(1, 8))
             normalized = normalize(m)
             weights = deviation_weights(normalized, m.attributes)
-            expected = []
-            for row in normalized:
-                total = (0.0, 0.0)
-                for cell, w in zip(row, weights.weights):
-                    total = add(total, scale(cell, w))
-                expected.append(total)
+            expected = reference.trust_levels(normalized, weights.weights)
             got = trust_levels(normalized, weights)
             assert [(z.lower.hex(), z.upper.hex()) for z in got] == \
                 [(lower.hex(), upper.hex()) for lower, upper in expected]
 
     def test_possibility_entries_equal_possibility_degree(self):
-        def reference(a, b):
-            total = a.width + b.width
-            if total == 0:
-                return 1.0 if a.lower > b.lower else 0.0 if a.lower < b.lower else 0.5
-            return min(total, max(a.upper - b.lower, 0.0)) / total
-
         # equal and unequal points, upper bounds of -0.0 against lower bounds
         # of 0.0, and widths whose totals overflow to inf, in every matrix
         edges = [IntervalNumber(0.5, 0.5), IntervalNumber(0.5, 0.5), IntervalNumber(0.25, 0.25),
@@ -295,8 +276,9 @@ class TestFloatCore:
             z = self.random_column(rng, rng.randint(2, 30)) + edges
             rng.shuffle(z)
             p = possibility_matrix(tuple(z))
-            for i, zi in enumerate(z):
-                expected = [reference(zi, ze).hex() for ze in z]
+            cells = [(x.lower, x.upper) for x in z]
+            for i, cell in enumerate(cells):
+                expected = [reference.possibility(cell, other).hex() for other in cells]
                 expected[i] = (0.5).hex()
                 assert [x.hex() for x in p[i]] == expected
 
