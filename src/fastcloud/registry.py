@@ -190,10 +190,11 @@ def _rows(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """(first line, stripped fields) of the header, blank or not, and each non-blank row.
 
     The fields of an ``unpadded`` ``record_text`` get no strip; any other source's do.
-    A row the csv module cannot read (a field over ``csv.field_size_limit()``, say) is
-    refused as a ValueError that names its first line.
+    A row the csv module cannot read (a field over ``csv.field_size_limit()``, a quote
+    left open at the end of the file, or text after a closing quote) is refused as a
+    ValueError that names its first line.
     """
-    reader, unpadded = csv.reader(source), getattr(source, "unpadded", False)
+    reader, unpadded = csv.reader(source, strict=True), getattr(source, "unpadded", False)
     line = 1  # where the next row starts; a quoted line break ends a line within a row
     try:
         for fields in reader:

@@ -19,9 +19,10 @@ concurrently against the same table.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
 # actual_slo_interval is no stage of the pass, but stays importable here: the
@@ -210,92 +211,77 @@ def read_request(source: TextIO) -> AssessmentRequest:
     return AssessmentRequest(tuple(requested))
 
 
-def result_document(result: AssessmentResult) -> dict:
-    """Stable, JSON-ready rendering of a result; key order is fixed."""
-    ctx = result.context
-    return {
-        "request": [
-            {"attribute": name, "min": span.lower, "max": span.upper}
-            for name, span in result.request.requested
-        ],
-        "candidates": list(result.candidates),
-        "chain": result.chain,
-        "ranking": [
-            {
-                "csp_id": r.csp_id,
-                "ordering_score": r.ordering_score,
-                "trust_level": [r.trust_level.lower, r.trust_level.upper],
-                "possibility_vs_next": r.possibility_vs_next,
-            }
-            for r in result.ranking
-        ],
-        "weights": {
-            attr.name: w
-            for attr, w in zip(ctx.decision.attributes, ctx.weights.weights)
-        },
-        "possibility_matrix": [list(row) for row in ctx.possibility],
-        "normalized": [[list(cell) for cell in row] for row in ctx.normalized],
-        "decision": [
-            [[cell.lower, cell.upper] for cell in row] for row in ctx.decision.cells
-        ],
-        "profiles": [
-            {
-                "csp_id": p.csp_id,
-                "attribute": p.attribute,
-                "consistency_rate": p.consistency_rate,
-                "satisfied": p.satisfied_count,
-                "agreed": p.agreed_count,
-                "slo_span": [p.slo_span.lower, p.slo_span.upper],
-                "actual_interval": [p.actual_interval.lower, p.actual_interval.upper],
-            }
-            # the profile tuples order by their (csp_id, attribute) lead, unique in the map
-            for p in sorted(result.profiles.values())
-        ],
-        "elapsed_seconds": result.elapsed_seconds,
-    }
+# The structured layout: one line per top-level key, in this order
+_DOCUMENT = ('{\n  "request": %s,\n  "candidates": %s,\n  "chain": %s,\n  "ranking": %s,\n'
+             '  "weights": {%s},\n  "possibility_matrix": %s,\n  "normalized": %s,\n'
+             '  "decision": %s,\n  "profiles": %s,\n  "elapsed_seconds": %r\n}')
+_REQUEST = '{"attribute": %s, "min": %r, "max": %r}'
+_RANKING = ('{"csp_id": %s, "ordering_score": %s, "trust_level": [%r, %r], '
+            '"possibility_vs_next": %s}')
+_PROFILE = ('{"csp_id": %s, "attribute": %s, "consistency_rate": %r, "satisfied": %r, '
+            '"agreed": %r, "slo_span": [%r, %r], "actual_interval": %s}')
 
 
-# markers (None: no circular check), default, string encoder, indent, key
-# and item separators, sort_keys, skipkeys, allow_nan: but for the markers,
-# as json.dumps passes them by default
-_encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
-                         ": ", ", ", False, False, True)
+def _listed(elements: list[str]) -> str:
+    """A top-level list, one element per line; every list of a result has one or more."""
+    return "[\n    %s\n  ]" % ",\n    ".join(elements)
 
 
-def render_structured(document: dict) -> str:
-    """A result document as JSON text, with one line per top-level key.
+def _json_numbers(text: str) -> str:
+    """Text of float reprs, each non-finite one spelled as ``json.dumps`` spells it.
 
-    A non-empty top-level list puts each element on a line of its own;
-    every key, element and other value is written as ``json.dumps`` writes
-    it, by one C encoder made once with ``json.dumps``'s default settings
-    (any ``indent`` would fall back to the pure-Python encoder). The text
-    parses to the same document as ``json.dumps(document, indent=2)``.
-
-    One pass pushes every piece of the text onto one list, joined once, so
-    no line or element is built as a string of its own first. The encoder
-    keeps no markers for a circular check, because a result document is a
-    fresh tree that holds no container twice; a document that contains
-    itself still raises ``RecursionError`` instead of returning text.
+    ``repr`` spells no finite float with an ``n``, and NaN, Infinity and
+    -Infinity are what ``json.dumps`` writes for ``nan``, ``inf`` and ``-inf``.
     """
-    pieces = ["{\n"]
-    push, extend = pieces.append, pieces.extend
-    opener = "  "
-    for key, value in document.items():
-        push(opener)
-        extend(_encode(key, 0))
-        if isinstance(value, list) and value:
-            separator = ": [\n    "
-            for element in value:
-                push(separator)
-                extend(_encode(element, 0))
-                separator = ",\n    "
-            push("\n  ]")
-        else:
-            push(": ")
-            extend(_encode(value, 0))
-        opener = ",\n  "
-    push("\n}")
-    return "".join(pieces)
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def render_structured(result: AssessmentResult) -> str:
+    """A result as JSON text, written in one pass over its fields.
+
+    Keys come in a fixed order, one line per top-level key and one per
+    element of a top-level list. Every id and name is written by
+    ``encode_basestring_ascii``, every number as ``json.dumps`` writes it:
+    a float by its ``repr``, and a non-finite one as NaN or ±Infinity.
+    Only the values taken from the possibility matrix can be non-finite: an
+    entry is NaN when a sum of two trust-level widths overflows. Each float
+    is formatted once: a decision cell's text is also its profile's actual
+    interval.
+    """
+    ctx = result.context
+    decision = ctx.decision
+    ids = {csp_id: encode_basestring_ascii(csp_id) for csp_id in decision.providers}
+    names = {attr.name: encode_basestring_ascii(attr.name) for attr in decision.attributes}
+    column = {name: k for k, name in enumerate(names)}
+    cells = {csp_id: ["[%r, %r]" % (cell.lower, cell.upper) for cell in row]
+             for csp_id, row in zip(decision.providers, decision.cells)}
+    return _DOCUMENT % (
+        _listed([_REQUEST % (encode_basestring_ascii(name), span.lower, span.upper)
+                 for name, span in result.request.requested]),
+        _listed([ids[csp_id] for csp_id in result.candidates]),
+        encode_basestring_ascii(result.chain),
+        _listed([_RANKING % (ids[r.csp_id], _json_numbers(repr(r.ordering_score)),
+                             r.trust_level.lower, r.trust_level.upper,
+                             "null" if r.possibility_vs_next is None
+                             else _json_numbers(repr(r.possibility_vs_next)))
+                 for r in result.ranking]),
+        ", ".join(["%s: %r" % pair for pair in zip(names.values(), ctx.weights.weights)]),
+        _json_numbers(_listed(["[%s]" % ", ".join(map(repr, row)) for row in ctx.possibility])),
+        _listed(["[%s]" % ", ".join(["[%r, %r]" % cell for cell in row])
+                 for row in ctx.normalized]),
+        _listed(["[%s]" % ", ".join(row) for row in cells.values()]),
+        # the profile tuples order by their (csp_id, attribute) lead, unique in the map
+        _listed([_PROFILE % (ids[p.csp_id], names[p.attribute], p.consistency_rate,
+                             p.satisfied_count, p.agreed_count, p.slo_span.lower,
+                             p.slo_span.upper, cells[p.csp_id][column[p.attribute]])
+                 for p in sorted(result.profiles.values())]),
+        result.elapsed_seconds,
+    )
+
+
+def result_document(result: AssessmentResult) -> dict:
+    """A result as the JSON document that ``render_structured`` writes, parsed."""
+    return json.loads(render_structured(result))
 
 
 def render_human(result: AssessmentResult) -> str:

@@ -11,8 +11,13 @@ rows that it filed itself, with each attribute by its registered name:
 - ``cost_attributes``, the names of the cost attributes;
 - decision cells ``(lower, upper)``, a row per provider, and per column
   whether it is a cost column.
+
+The structured result document is built here too, as a dict read field by
+field from an assessment result, and written in its layout by one
+``json.dumps`` call per key, element and value.
 """
 
+import json
 import math
 
 
@@ -133,3 +138,61 @@ def evaluate(cells, cost_columns):
     normalized = normalize(cells, cost_columns)
     levels = trust_levels(normalized, column_weights(normalized))
     return levels, ordering(levels)
+
+
+def result_document(result):
+    """An assessment result's structured document: a dict in the fixed key order."""
+    ctx = result.context
+    return {
+        "request": [
+            {"attribute": name, "min": span.lower, "max": span.upper}
+            for name, span in result.request.requested
+        ],
+        "candidates": list(result.candidates),
+        "chain": result.chain,
+        "ranking": [
+            {
+                "csp_id": r.csp_id,
+                "ordering_score": r.ordering_score,
+                "trust_level": [r.trust_level.lower, r.trust_level.upper],
+                "possibility_vs_next": r.possibility_vs_next,
+            }
+            for r in result.ranking
+        ],
+        "weights": {
+            attr.name: w
+            for attr, w in zip(ctx.decision.attributes, ctx.weights.weights)
+        },
+        "possibility_matrix": [list(row) for row in ctx.possibility],
+        "normalized": [[list(cell) for cell in row] for row in ctx.normalized],
+        "decision": [
+            [[cell.lower, cell.upper] for cell in row] for row in ctx.decision.cells
+        ],
+        "profiles": [
+            {
+                "csp_id": p.csp_id,
+                "attribute": p.attribute,
+                "consistency_rate": p.consistency_rate,
+                "satisfied": p.satisfied_count,
+                "agreed": p.agreed_count,
+                "slo_span": [p.slo_span.lower, p.slo_span.upper],
+                "actual_interval": [p.actual_interval.lower, p.actual_interval.upper],
+            }
+            for p in sorted(result.profiles.values(), key=lambda p: (p.csp_id, p.attribute))
+        ],
+        "elapsed_seconds": result.elapsed_seconds,
+    }
+
+
+def render_structured(document):
+    """A document's text: one line per top-level key, and one per element of a
+    non-empty top-level list, each written by ``json.dumps``."""
+    lines = []
+    for key, value in document.items():
+        head = f"  {json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            elements = ",\n    ".join(map(json.dumps, value))
+            lines.append(f"{head}[\n    {elements}\n  ]")
+        else:
+            lines.append(head + json.dumps(value))
+    return "{\n" + ",\n".join(lines) + "\n}"

@@ -12,7 +12,9 @@ A refusal names the line on which its row starts, also for a row that holds
 a quoted line break.
 
 Each side gives a refusal, ``(error type, message)``, or the summary line
-of an accepted row. Rows with two faults pin the order of the checks:
+of an accepted row. A row that the csv module cannot read, a quote left open
+or text after a closing quote, refuses a submitted file as a whole: the
+command files none of its rows and reports ``error: <path>: line 2: ...``. Rows with two faults pin the order of the checks:
 field count, ``float``/``int``, ids, value, attribute, then the agreed SLO,
 or for a stored row the sequence, and last the log's own refusals.
 
@@ -40,6 +42,8 @@ CR = "provider and consumer ids must not hold a carriage return, got"
 SLO_VALUE = "SLO value must be finite and positive, got"
 AMV_VALUE = "monitored value must be finite and nonnegative, got"
 KEY = "('p', 'c', 'availability')"
+END = "unexpected end of data"
+AFTER_QUOTE = "',' expected after '\"'"
 OUTSIDE = 2 ** 63
 
 BASE_SLO = "p,c,av,90"
@@ -50,6 +54,11 @@ AMV_REFUSED = "0 appended, 1 failed"
 
 def refused(message: str, kind: str = "ValueError") -> tuple[str, str]:
     return kind, message
+
+
+def unreadable(message: str) -> tuple[str, str]:
+    """The submission of a row that the csv module cannot read: the whole file is refused."""
+    return "unreadable", message
 
 
 # (id, record kind, row, what submission gives[, what a cold load gives, if
@@ -63,6 +72,11 @@ CORPUS = [
     ("slo-padded-csc", "slo", "p, \t ,av,90", refused(f"{IDS} 'p' and ''")),
     # a quoted carriage return, which the csv module writes unquoted before 3.13
     ("slo-carriage-return-csp", "slo", '"p\r1",c,av,90', refused(f"{CR} 'p\\r1' and 'c'")),
+    # a quote left open swallows the rest of the file; text after a closing
+    # quote would be glued to the field
+    ("slo-open-quote", "slo", 'p,"c,av,90', unreadable(END), refused(END)),
+    ("slo-text-after-quote", "slo", 'p,"c"x,av,90', unreadable(AFTER_QUOTE),
+     refused(AFTER_QUOTE)),
     ("slo-zero", "slo", "p,c,av,0", refused(f"{SLO_VALUE} 0.0")),
     ("slo-negative", "slo", "p,c,av,-0.5", refused(f"{SLO_VALUE} -0.5")),
     ("slo-nan", "slo", "p,c,av,nan", refused(f"{SLO_VALUE} nan")),
@@ -84,6 +98,9 @@ CORPUS = [
     ("amv-empty-csc", "amv", "p,,av,5,2", refused(f"{IDS} 'p' and ''")),
     ("amv-padded-csp", "amv", " ,c,av,5,2", refused(f"{IDS} '' and 'c'")),
     ("amv-carriage-return-csc", "amv", 'p,"c\r1",av,5,2', refused(f"{CR} 'p' and 'c\\r1'")),
+    ("amv-open-quote", "amv", 'p,c,av,"5,2', unreadable(END), refused(END)),
+    ("amv-padded-quoted-csp", "amv", '"p" ,c,av,5,2', unreadable(AFTER_QUOTE),
+     refused(AFTER_QUOTE)),
     ("amv-negative", "amv", "p,c,av,-1,2", refused(f"{AMV_VALUE} -1.0")),
     ("amv-nan", "amv", "p,c,av,nan,2", refused(f"{AMV_VALUE} nan")),
     ("amv-inf", "amv", "p,c,av,inf,2", refused(f"{AMV_VALUE} inf")),
@@ -152,7 +169,9 @@ def expected_submission(kind: str, outcome, path: Path) -> tuple[int, str, list[
     """The exit code, summary line and stderr lines of submitting a row alone from ``path``."""
     if isinstance(outcome, str):
         return 0, outcome, []
-    _, message = outcome
+    kind_name, message = outcome
+    if kind_name == "unreadable":
+        return 2, "", [f"error: {path}: line 2: {message}"]
     return 2, REFUSED[kind], [f"  {path}: line 2: {message}"]
 
 

@@ -176,8 +176,9 @@ def test_saves_write_the_bytes_of_csv_writer(tmp_path, seed):
 
 
 def csv_rows(data, strip):
-    """(line, fields, stripped or not) of each row that ``csv.reader`` reads, or its error."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    """(line, fields, stripped or not) of each row that a strict ``csv.reader`` reads,
+    or its error."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""), strict=True)
     rows, line = [], 1  # a row's first line: the line after the last one read
     try:
         for fields in reader:
@@ -218,6 +219,23 @@ def test_a_row_is_named_by_the_line_it_starts_on():
     assert next(rows) == (2, ["p\n1", "c1"])
     with pytest.raises(ValueError, match=r"^line 5: field larger than field limit"):
         next(rows)
+
+
+def test_a_quote_left_open_or_text_after_a_closing_quote_refuses_the_file(tmp_path):
+    # the open quote would swallow the next row, or the end of the file, into
+    # its field, and the text after a closing quote would be glued to it
+    store = tmp_path / "store"
+    assert run_cli(["--store", str(store), "register-attributes", "--qws-defaults"])[0] == 0
+    files = {file: (store / file).read_bytes() for file in Store.FILES if (store / file).exists()}
+    for name, rows, refusal in (
+            ("open", 'p1,"c1,av,90\np2,c2,av,80\n', "line 2: unexpected end of data"),
+            ("last", 'p2,c2,av,80\np1,c1,av,"90\n', "line 3: unexpected end of data"),
+            ("after", 'p1,"c1"x,av,90\np2,c2,av,80\n', "line 2: ',' expected after '\"'")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"csp_id,csc_id,attribute,value\n{rows}", encoding="utf-8")
+        assert run_cli(["--store", str(store), "submit-slo", str(path)]) == (
+            2, "", f"error: {path}: {refusal}\n")
+        assert {file: (store / file).read_bytes() for file in files} == files
 
 
 def test_a_padded_row_files_stripped(tmp_path):

@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import importlib.util
 import io
 import itertools
 import json
@@ -514,17 +516,16 @@ class TestAssess:
                 for row in result.context.decision.cells] == cells
 
 
-def render_by_dumps(document):
-    """The structured layout written by one ``json.dumps`` call per key, element and value."""
-    lines = []
-    for key, value in document.items():
-        head = f"  {json.dumps(key)}: "
-        if isinstance(value, list) and value:
-            elements = ",\n    ".join(map(json.dumps, value))
-            lines.append(f"{head}[\n    {elements}\n  ]")
-        else:
-            lines.append(head + json.dumps(value))
-    return "{\n" + ",\n".join(lines) + "\n}"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def assert_written_as_the_reference(result):
+    """``render_structured`` writes the reference's layout of the reference's document,
+    and ``result_document`` parses to that document."""
+    expected = reference.result_document(result)
+    assert render_structured(result) == reference.render_structured(expected)
+    # repr, not ==: it holds NaN equal to NaN, and tells 1 from 1.0 and -0.0 from 0.0
+    assert repr(result_document(result)) == repr(expected)
 
 
 class TestResultDocument:
@@ -543,52 +544,73 @@ class TestResultDocument:
         assert json.dumps(doc) == json.dumps(doc2)
         assert isinstance(text1, str)
 
-    def test_structured_rendering_writes_what_json_dumps_writes(self):
+    def test_every_case_subset_is_written_as_the_reference(self):
         table, request = case_registry().profile_table(), case_request()
         names = [name for name, _ in request.requested]
-        documents = []
+        written = 0
         for size in range(1, len(names) + 1):
             for subset in itertools.combinations(names, size):
                 try:
                     result = assess(table, request.restrict(list(subset)))
                 except InsufficientCandidatesError:
                     continue
-                documents.append(result_document(result))
-        assert len(documents) == 63
-        rng = random.Random(11)
-        pieces = ['"', "\\", "}, {", "\x00", "\n", "\u00e9", "\u2603", "\U0001f600", "a", " "]
+                assert_written_as_the_reference(result)
+                written += 1
+        assert written == 63
 
-        def text():
-            return "".join(rng.choice(pieces) for _ in range(rng.randrange(5)))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_assess_deep_request_is_written_as_the_reference(self, tmp_path, monkeypatch,
+                                                                   seed):
+        monkeypatch.syspath_prepend(str(PERFBENCH))  # for the workloads' own imports
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.AssessDeep()
+        # the requests of a 20-second run, its 4 warm-up ops included
+        state, _ = workload.setup(workload.generate(seed, 4 + workload.timed_ops(20)), tmp_path)
+        table = Store(state["store"]).load(log=False)
+        for path in state["requests"]:
+            with open(path, newline="", encoding="utf-8") as fh:
+                assert_written_as_the_reference(assess(table, read_request(fh)))
 
-        def value(depth):
-            kind = rng.randrange(6 if depth < 3 else 3)
-            if kind == 0:
-                return text()
-            if kind == 1:
-                return rng.choice([rng.uniform(-1e6, 1e6), 0.0, -0.0, 5e-324, 1e308, math.inf,
-                                   -math.inf, math.nan, None, True, False, 0, -3, 2 ** 70])
-            if kind == 2:
-                return []
-            if kind in (3, 4):
-                return [value(depth + 1) for _ in range(rng.randrange(4))]
-            return {text(): value(depth + 1) for _ in range(rng.randrange(4))}
+    def test_ids_that_json_escapes_are_written_as_the_reference(self):
+        rng, written = random.Random(5), 0
+        pieces = ['"', "\\", "}, {", "\u00e9", "\u2603", "\U0001f600", "a\nb", "x"]
+        for _ in range(20):
+            registry = fresh_registry()
+            ids = {"p" + "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 4)))
+                   for _ in range(rng.randrange(2, 6))}
+            for csp_id in ids:
+                for attr in ("availability", "latency"):
+                    lo = rng.uniform(5, 50)
+                    seed_provider(registry, csp_id, attr, lo, lo + rng.uniform(1, 30),
+                                  satisfy=rng.random() < 0.7)
+            request = AssessmentRequest((("av", span(0.1, 1000)), ("latency", span(0.1, 1000))))
+            try:
+                result = assess(registry.profile_table(), request)
+            except InsufficientCandidatesError:
+                continue
+            assert_written_as_the_reference(result)
+            written += 1
+        assert written >= 10
 
-        documents += [{text(): value(0) for _ in range(rng.randrange(1, 6))} for _ in range(300)]
-        # no key, and top-level values that are empty containers
-        documents += [{}, {"a": []}, {"a": {}}, {"a": [], "b": {}, "c": [[], {}]}]
-        for document in documents:
-            assert render_structured(document) == render_by_dumps(document), document
-        assert render_structured({}) == "{\n\n}"
-
-    def test_structured_rendering_refuses_a_document_that_contains_itself(self):
-        document = {"chain": "p1 > p2"}
-        document["self"] = document
-        looped = [0.5]
-        looped.append(looped)
-        for cyclic in (document, {"ranking": looped}, {"ranking": [{"row": looped}]}):
-            with pytest.raises((RecursionError, ValueError)):
-                render_structured(cyclic)
+    def test_non_finite_possibility_entries_are_written_as_json_dumps_writes(self):
+        result = assess(case_registry().profile_table(), case_request())
+        ctx = result.context
+        possibility = [list(row) for row in ctx.possibility]
+        possibility[0][1], possibility[1][0], possibility[2][3] = math.nan, math.inf, -math.inf
+        first, second, *rest = result.ranking
+        result = dataclasses.replace(
+            result,
+            context=dataclasses.replace(ctx, possibility=tuple(map(tuple, possibility))),
+            ranking=(dataclasses.replace(first, ordering_score=math.nan,
+                                         possibility_vs_next=-math.inf),
+                     dataclasses.replace(second, possibility_vs_next=math.nan), *rest))
+        assert_written_as_the_reference(result)
+        text = render_structured(result)
+        assert '"ordering_score": NaN,' in text and '"possibility_vs_next": -Infinity}' in text
+        assert "[0.5, NaN, " in text and "[Infinity, 0.5, " in text and ", -Infinity, " in text
 
     def test_human_rendering_has_chain_and_weights(self):
         result = assess(case_registry().profile_table(), case_request())
